@@ -40,7 +40,7 @@ func TestRouterShutdownMidProbeNoLeak(t *testing.T) {
 	// goroutines deterministic: a single warm decode brings them all up
 	// before the baseline is recorded.
 	cfg := replicaConfig()
-	cfg.Workers, cfg.PoolSize = 1, 1
+	cfg.PoolSize = 1
 	_, raddr := startReplica(t, cfg, nil)
 
 	warm, err := wire.Dial(raddr, time.Second, 5*time.Second)

@@ -134,7 +134,7 @@ func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 // goroutine.
 func TestNetChaosPartitionFailover(t *testing.T) {
 	repCfg := replicaConfig()
-	repCfg.Workers, repCfg.PoolSize = 1, 1
+	repCfg.PoolSize = 1
 	_, addrA := startReplica(t, repCfg, nil)
 	_, addrB := startReplica(t, repCfg, nil)
 	model, _ := clusterModel(t)

@@ -46,7 +46,7 @@ func sampleSyndromes(model *dem.Model, n int, seed uint64) []gf2.Vec {
 func replicaConfig() serve.Config {
 	return serve.Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize: 2, Workers: 2, MaxInFlight: 64,
+		PoolSize: 2, MaxInFlight: 64,
 		RequestTimeout: 2 * time.Second,
 	}
 }
@@ -444,7 +444,6 @@ func TestRouterRetryOnOpenBreaker(t *testing.T) {
 	faultyCfg := replicaConfig()
 	faultyCfg.MaxBatch = 1
 	faultyCfg.PoolSize = 1
-	faultyCfg.Workers = 1
 	faultyCfg.BreakerThreshold = 1
 	faultyCfg.BreakerCooldown = time.Hour
 

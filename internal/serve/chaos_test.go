@@ -43,7 +43,7 @@ func waitGoroutines(t *testing.T, base int) {
 func serialChaosConfig() Config {
 	return Config{
 		MaxBatch: 1, MaxWait: 50 * time.Microsecond,
-		PoolSize: 1, Workers: 1,
+		PoolSize:         1,
 		BreakerThreshold: -1,
 		HangTimeout:      time.Second,
 		MaxDegradeTier:   -1,
@@ -239,7 +239,7 @@ func TestChaosDegradationLadder(t *testing.T) {
 	})
 	svc := newService("chaos", model, "BP(30)+chaos", wrapped, Config{
 		MaxBatch: 4, MaxWait: 50 * time.Microsecond,
-		PoolSize: 1, Workers: 1,
+		PoolSize:         1,
 		DegradeQueueHigh: 2, DegradeHold: 20 * time.Millisecond,
 		BreakerThreshold: -1,
 	})
@@ -293,7 +293,7 @@ func TestChaosCloseRaceSoak(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for iter := 0; iter < 15; iter++ {
 		svc := newService("chaos", model, "BP(30)", factory, Config{
-			MaxBatch: 4, MaxWait: 50 * time.Microsecond, PoolSize: 2, Workers: 2,
+			MaxBatch: 4, MaxWait: 50 * time.Microsecond, PoolSize: 2,
 		})
 		const clients, perClient = 8, 16
 		var outcomes atomic.Int64

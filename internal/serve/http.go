@@ -282,22 +282,14 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	results := make([]Result, len(syndromes))
 	if err := svc.DecodeBatchInto(ctx, results, syndromes); err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.writeError(w, http.StatusGatewayTimeout, "decode deadline exceeded")
-		case errors.Is(err, ErrDeadlineBudget):
-			s.writeError(w, http.StatusGatewayTimeout, "request shed: deadline budget below p99 decode latency")
-		case errors.Is(err, ErrCircuitOpen):
+		c := classify(err)
+		if c.retryAfter {
 			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, "circuit breaker open after repeated decoder faults, retry later")
-		case errors.Is(err, ErrClosed):
-			w.Header().Set("Retry-After", "1")
-			s.writeError(w, http.StatusServiceUnavailable, "service draining")
-		case errors.Is(err, ErrDecoderFault):
-			s.writeError(w, http.StatusInternalServerError, "decoder fault; instance quarantined, retry may succeed")
-		default:
-			s.writeError(w, http.StatusInternalServerError, "%v", err)
 		}
+		if c.msg == "" {
+			c.msg = err.Error()
+		}
+		s.writeError(w, c.http, "%s", c.msg)
 		return
 	}
 

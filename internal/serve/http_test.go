@@ -158,7 +158,7 @@ func TestAPIModels(t *testing.T) {
 func TestAPIOverload503(t *testing.T) {
 	model, _ := testModel(t)
 	gate := make(chan struct{})
-	srv := NewServer(Config{MaxInFlight: 1, MaxBatch: 1, PoolSize: 1, Workers: 1, RequestTimeout: 10 * time.Second})
+	srv := NewServer(Config{MaxInFlight: 1, MaxBatch: 1, PoolSize: 1, RequestTimeout: 10 * time.Second})
 	_, err := srv.Register("gated", model, "gated",
 		func() core.Decoder { return &gatedDecoder{model: model, gate: gate} })
 	if err != nil {
@@ -205,7 +205,7 @@ func TestAPIOverload503(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	model, _ := testModel(t)
 	gate := make(chan struct{})
-	srv := NewServer(Config{MaxBatch: 1, PoolSize: 1, Workers: 1, RequestTimeout: 10 * time.Second})
+	srv := NewServer(Config{MaxBatch: 1, PoolSize: 1, RequestTimeout: 10 * time.Second})
 	if _, err := srv.Register("gated", model, "gated",
 		func() core.Decoder { return &gatedDecoder{model: model, gate: gate} }); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestServiceTracingAndSlowLog(t *testing.T) {
 	var logBuf syncBuffer
 	slow := obs.NewSlowLog(&logBuf, 0)
 	srv := NewServer(Config{
-		MaxBatch: 4, MaxWait: 50 * time.Microsecond, PoolSize: 2, Workers: 2,
+		MaxBatch: 4, MaxWait: 50 * time.Microsecond, PoolSize: 2,
 		Tracer: tracer, SlowLog: slow, SlowThreshold: time.Nanosecond,
 	})
 	svc, err := srv.Register("trace/bp/p0.010", model, "BP(30)", factory)

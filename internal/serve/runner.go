@@ -16,49 +16,41 @@ import (
 // channel nobody reads, the closed in channel ends its loop when the
 // decode finally returns, and nothing leaks.
 //
-// The runner owns its syndrome buffer (syn): the worker copies the
-// request syndrome in before each send, so a decode that outlives its
-// request — the hang case, where the request is failed and recycled
-// while the decoder still runs — never touches recycled request memory.
-// It likewise owns its span ring: the worker keeps writing its own ring
-// after abandoning a hung runner, so the two goroutines must never
-// share one single-writer ring.
+// The runner owns its decode buffers, one lane per request up to the
+// service's fill limit: the worker stages the request syndromes into
+// syns before each send and the decode writes runner-owned outs and
+// stats, so a decode that outlives its requests — the hang case, where
+// the requests are failed and recycled while the decoder still runs —
+// never touches recycled request memory. It likewise owns its span
+// ring: the worker keeps writing its own ring after abandoning a hung
+// runner, so the two goroutines must never share one single-writer
+// ring.
 type runner struct {
-	in   chan runnerJob
-	out  chan runnerOutcome
-	syn  gf2.Vec
-	ring *obs.Ring
-
-	// Batch-dispatch buffers (allocated only on batch-capable services):
-	// the worker stages up to MaxBatch syndromes into syns before the
-	// send, and the batched decode writes runner-owned outputs into outs
-	// and stats. Runner ownership follows the same hang rule as syn — a
-	// decode that outlives its requests never touches recycled request
-	// memory.
+	in    chan runnerJob
+	out   chan runnerOutcome
+	ring  *obs.Ring
 	syns  []gf2.Vec
 	outs  []gf2.Vec
 	stats []core.Stats
 }
 
-// runnerJob hands one decode (and the decoder to run it on) to a
-// runner. The syndrome travels out of band in runner.syn — or, when
-// lanes > 0, in runner.syns[:lanes] for one batched decode whose
+// runnerJob hands one dispatch (and the decoder to run it on) to a
+// runner. The syndromes travel out of band in runner.syns[:lanes]; the
 // results land in runner.outs/stats.
 type runnerJob struct {
 	dec     core.Decoder
 	tier    core.Tier
-	lanes   int // 0 = single decode via syn; >0 = DecodeBatch over syns[:lanes]
+	lanes   int
 	sampled bool
 	id      uint64
 }
 
-// runnerOutcome reports one decode back to the worker. est aliases
-// decoder-owned storage; the worker must copy it out before releasing
-// the decoder (the usual pool-boundary rule).
+// runnerOutcome reports one dispatch back to the worker. The results
+// themselves are in the runner-owned outs/stats; the worker copies each
+// lane out before its next send.
 type runnerOutcome struct {
-	est      gf2.Vec
-	stats    core.Stats
 	tier     core.Tier // tier actually applied by the decoder
+	badLen   bool      // a scalar decoder returned a vector that is not of mechanism length
 	panicked bool
 	panicVal any
 }
@@ -66,19 +58,16 @@ type runnerOutcome struct {
 // newRunner builds and starts a runner for this service's model.
 func (s *Service) newRunner() *runner {
 	r := &runner{
-		in:   make(chan runnerJob),
-		out:  make(chan runnerOutcome, 1),
-		syn:  gf2.NewVec(s.model.NumDet),
-		ring: s.tracer.Ring(),
+		in:    make(chan runnerJob),
+		out:   make(chan runnerOutcome, 1),
+		ring:  s.tracer.Ring(),
+		syns:  make([]gf2.Vec, s.fill),
+		outs:  make([]gf2.Vec, s.fill),
+		stats: make([]core.Stats, s.fill),
 	}
-	if s.batchCapable {
-		r.syns = make([]gf2.Vec, s.cfg.MaxBatch)
-		r.outs = make([]gf2.Vec, s.cfg.MaxBatch)
-		r.stats = make([]core.Stats, s.cfg.MaxBatch)
-		for i := range r.syns {
-			r.syns[i] = gf2.NewVec(s.model.NumDet)
-			r.outs[i] = gf2.NewVec(s.model.NumMech())
-		}
+	for i := range r.syns {
+		r.syns[i] = gf2.NewVec(s.model.NumDet)
+		r.outs[i] = gf2.NewVec(s.model.NumMech())
 	}
 	//vegapunk:goroutine(Service.worker) ranges over in; the worker closes in on exit or abandons the runner after a hang (the closed in ends its loop when the decode returns)
 	go r.run() //vegapunk:allow(alloc) one goroutine per runner lifetime, not per decode
@@ -99,8 +88,12 @@ func (r *runner) run() {
 }
 
 // guardedDecode applies the degradation tier, arms the probe on a
-// sampled decode and runs the decoder with panic isolation: a
-// panicking decoder marks the outcome instead of crashing the process.
+// sampled decode and runs the decoder over syns[:lanes] with panic
+// isolation: a panicking decoder marks the outcome instead of crashing
+// the process. A batch-capable decoder takes the lanes as one
+// DecodeBatch call into the runner-owned outs; a scalar one is looped
+// (core.DecodeBatch's serial fallback, plus the length check that turns
+// a defective result into badLen instead of a CopyFrom panic).
 //
 //vegapunk:hotpath
 func (r *runner) guardedDecode(job runnerJob, o *runnerOutcome) {
@@ -113,18 +106,20 @@ func (r *runner) guardedDecode(job runnerJob, o *runnerOutcome) {
 	if job.sampled {
 		probe.Activate(r.ring, job.id)
 	}
-	if job.lanes > 0 {
-		// Batched dispatch: one kernel call fills runner-owned outs and
-		// stats; the worker copies each lane out before releasing the
-		// decoder.
-		core.DecodeBatch(job.dec, r.syns[:job.lanes], r.outs[:job.lanes], r.stats[:job.lanes])
-		probe.Deactivate()
-		return
+	if bd, ok := job.dec.(core.BatchDecoder); ok {
+		copy(r.stats, bd.DecodeBatch(r.syns[:job.lanes], r.outs[:job.lanes]))
+	} else {
+		for i := 0; i < job.lanes; i++ {
+			est, stats := job.dec.Decode(r.syns[i])
+			if est.Len() != r.outs[i].Len() {
+				o.badLen = true
+				break
+			}
+			r.outs[i].CopyFrom(est)
+			r.stats[i] = stats
+		}
 	}
-	est, stats := job.dec.Decode(r.syn)
 	probe.Deactivate()
-	o.est = est //vegapunk:allow(scratch) ownership travels back to the worker with the outcome; the decoder stays held until the worker copies out
-	o.stats = stats
 }
 
 // catch records a recovered decoder panic (deferred from guardedDecode).
@@ -137,14 +132,12 @@ func (o *runnerOutcome) catch() {
 
 // workerState bundles a worker goroutine's long-lived resources: the
 // currently held decoder, the decode runner, the syndrome-check
-// scratch, the span ring, the watchdog timer and (on batch-capable
-// services) the per-lane request claims of the in-flight batch.
+// scratch, the span ring and the watchdog timer.
 type workerState struct {
-	id     uint16
-	dec    core.Decoder
-	r      *runner
-	syn    gf2.Vec
-	ring   *obs.Ring
-	timer  *time.Timer
-	claims []*request
+	id    uint16
+	dec   core.Decoder
+	r     *runner
+	syn   gf2.Vec
+	ring  *obs.Ring
+	timer *time.Timer
 }

@@ -11,10 +11,13 @@
 //     requests. Lazy construction, acquire/release, and a mandatory
 //     copy-out of every decoder-owned result at the pool boundary.
 //   - Service: a micro-batching queue in front of each pool. Requests
-//     accumulate until MaxBatch or MaxWait, then a batch fans out over
-//     long-lived workers that draw decoders from the pool. The steady
-//     state (pooled requests, recycled batches, reused scratch) is
-//     allocation-free on top of the decode itself.
+//     accumulate until MaxBatch or MaxWait, then the whole batch goes to
+//     one long-lived worker (one per pooled decoder) as a single
+//     DecodeBatch call; a single request is a batch of one, and a
+//     decoder without the core.BatchDecoder capability is always served
+//     that way, one request per worker. The steady state (pooled
+//     requests, recycled batches, reused scratch) is allocation-free on
+//     top of the decode itself.
 //   - Server: a stdlib net/http JSON API (POST /v1/decode single or
 //     batch, GET /v1/models) with request validation, per-request
 //     timeouts, bounded in-flight admission (503 + Retry-After on
@@ -37,7 +40,10 @@ import (
 // unset fields take the defaults documented per field.
 type Config struct {
 	// MaxBatch flushes the micro-batching queue once this many
-	// syndromes are pending (default 16).
+	// syndromes are pending (default 16). It is the fill limit for
+	// decoders that implement core.BatchDecoder; any other decoder is
+	// dispatched one request per batch whatever MaxBatch says, and
+	// MaxBatch then only sizes the admission queue.
 	MaxBatch int
 	// MaxWait bounds how long a short batch may wait for more
 	// syndromes (default 200µs, subject to OS timer granularity). The
@@ -46,11 +52,9 @@ type Config struct {
 	// saturation-regime deadline, not a floor on light-load latency.
 	MaxWait time.Duration
 	// PoolSize bounds the number of decoder instances constructed per
-	// model (default runtime.GOMAXPROCS(0)).
+	// model, and is the number of long-lived dispatch workers — one per
+	// instance (default runtime.GOMAXPROCS(0)).
 	PoolSize int
-	// Workers is the number of long-lived dispatch goroutines per model
-	// (default PoolSize).
-	Workers int
 	// MaxInFlight bounds concurrently admitted HTTP decode requests;
 	// excess requests receive 503 + Retry-After (default 64).
 	MaxInFlight int
@@ -81,11 +85,6 @@ type Config struct {
 	// submissions with ErrCircuitOpen before letting a half-open probe
 	// request through (default 2s).
 	BreakerCooldown time.Duration
-	// SerialDispatch forces per-request dispatch even when the decoder
-	// implements core.BatchDecoder — the pre-batching baseline, kept as
-	// an ablation/rollback knob. Default false: a batch-capable decoder
-	// receives each micro-batch as one DecodeBatch call.
-	SerialDispatch bool
 	// Tracer, when set, samples decode requests into per-goroutine span
 	// rings (GET /debug/decodetrace). Nil disables span recording.
 	Tracer *obs.Tracer
@@ -106,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = defaultPoolSize()
-	}
-	if c.Workers <= 0 {
-		c.Workers = c.PoolSize
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64

@@ -72,15 +72,6 @@ type request struct {
 	queueWaitNs, batchAssembleNs, decodeNs, copyOutNs int64
 }
 
-// batch groups requests for one dispatch. Workers claim items by
-// incrementing next; the batcher hands the batch to k workers and the
-// last of the k to finish recycles it (holders refcount).
-type batch struct {
-	reqs    []*request
-	next    atomic.Int64
-	holders atomic.Int64
-}
-
 // Result is a caller-owned decode result. Reusing one Result across
 // calls keeps the copy-out at the pool boundary allocation-free.
 type Result struct {
@@ -118,20 +109,23 @@ type Service struct {
 	obs         *gf2.CSC
 	pool        *Pool
 	cfg         Config
-	// batchCapable reports that the pool's decoders implement
-	// core.BatchDecoder (detected once at construction): the batcher
-	// then hands each multi-request micro-batch to a single worker as
-	// one DecodeBatch call instead of fanning it out per request.
-	batchCapable bool
-	met          *serviceMetrics
-	tracer       *obs.Tracer  // never nil; disabled stand-in when unset
-	slow         *obs.SlowLog // nil when slow logging is off
+	// fill is the batcher's fill limit, derived once at construction
+	// from what the pool's decoders can do: MaxBatch when they implement
+	// core.BatchDecoder (a micro-batch is one DecodeBatch call), 1
+	// otherwise (each request is its own batch on its own worker, so
+	// scalar decoders keep their cross-worker parallelism).
+	fill   int
+	met    *serviceMetrics
+	tracer *obs.Tracer  // never nil; disabled stand-in when unset
+	slow   *obs.SlowLog // nil when slow logging is off
 
-	in   chan *request
-	work chan *batch
-	// load counts dispatched-but-unfinished batch participations
-	// (holders in flight); load == Workers means saturation, the only
-	// regime where the batcher waits to grow a batch.
+	in chan *request
+	// work carries whole micro-batches (a recycled []*request of
+	// capacity fill) to the workers, one batch per worker at a time.
+	work chan []*request
+	// load counts dispatched-but-unfinished batches; load == PoolSize
+	// (one worker per pooled decoder) means saturation, the only regime
+	// where the batcher waits to grow a batch.
 	load atomic.Int64
 
 	// Resilience: the degradation ladder, the decoder-fault circuit
@@ -147,7 +141,7 @@ type Service struct {
 	// Freelists are bounded channels rather than sync.Pools so the
 	// steady state stays allocation-free even across GC cycles.
 	reqFree   chan *request
-	batchFree chan *batch
+	batchFree chan []*request
 
 	mu     sync.RWMutex // guards closed vs. sends on in
 	closed bool
@@ -183,26 +177,27 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		met:         newServiceMetrics(),
 		tracer:      tracer,
 		slow:        cfg.SlowLog,
+		fill:        1,
 		in:          make(chan *request, cfg.MaxBatch),
-		work:        make(chan *batch, cfg.Workers),
+		work:        make(chan []*request, cfg.PoolSize),
 		reqFree:     make(chan *request, 4*cfg.MaxBatch),
-		batchFree:   make(chan *batch, cfg.Workers+1),
+		batchFree:   make(chan []*request, 2*cfg.PoolSize+1), // every batch that can exist: queued on work, held by a worker, filling in the batcher
 		breaker:     newBreaker(cfg.BreakerThreshold, int64(cfg.BreakerCooldown)),
 	}
-	if !cfg.SerialDispatch {
-		// Capability probe: one throwaway instance decides the dispatch
-		// shape for the service lifetime (the pool's instances all come
-		// from the same factory).
-		_, s.batchCapable = factory().(core.BatchDecoder)
+	// Capability probe: one throwaway instance decides the fill limit
+	// for the service lifetime (the pool's instances all come from the
+	// same factory).
+	if _, ok := factory().(core.BatchDecoder); ok {
+		s.fill = cfg.MaxBatch
 	}
 	s.ladder.maxTier = cfg.maxDegradeTier()
 	s.ladder.queueHigh = int64(cfg.DegradeQueueHigh)
 	s.ladder.hold = int64(cfg.DegradeHold)
 	//vegapunk:allow(ctx) service-lifetime root: workers outlive any single request; cancelled by Close after the drain
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
-	s.wg.Add(1 + cfg.Workers)
+	s.wg.Add(1 + cfg.PoolSize)
 	go s.batcher() //vegapunk:goroutine(Service.Close) exits when Close closes in; reaped by wg.Wait
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < cfg.PoolSize; i++ {
 		go s.worker(uint16(i)) //vegapunk:goroutine(Service.Close) exits when the batcher closes work; reaped by wg.Wait
 	}
 	return s
@@ -229,7 +224,7 @@ func (s *Service) Tier() core.Tier { return s.ladder.active() }
 //
 //vegapunk:hotpath
 func (s *Service) DecodeInto(ctx context.Context, res *Result, syndrome gf2.Vec) error {
-	req, err := s.submit(ctx, syndrome)
+	req, err := s.submitTraced(ctx, syndrome, wireTrace{})
 	if err != nil {
 		return err
 	}
@@ -248,7 +243,7 @@ func (s *Service) DecodeBatchInto(ctx context.Context, res []Result, syndromes [
 	reqs := make([]*request, 0, len(syndromes))
 	var firstErr error
 	for _, syn := range syndromes {
-		req, err := s.submit(ctx, syn)
+		req, err := s.submitTraced(ctx, syn, wireTrace{})
 		if err != nil {
 			firstErr = err
 			break
@@ -263,18 +258,10 @@ func (s *Service) DecodeBatchInto(ctx context.Context, res []Result, syndromes [
 	return firstErr
 }
 
-// submit validates the syndrome, copies it into a pooled request and
-// enqueues it on the micro-batching queue.
-//
-//vegapunk:hotpath
-func (s *Service) submit(ctx context.Context, syndrome gf2.Vec) (*request, error) {
-	return s.submitTraced(ctx, syndrome, wireTrace{})
-}
-
-// wireTrace carries an externally supplied trace context into submit:
-// a nonzero id replaces the tracer-issued decode id so replica spans
-// line up with the caller's (router's) spans, and sampled forces span
-// recording regardless of the local sampling lattice.
+// wireTrace carries an externally supplied trace context into
+// submitTraced: a nonzero id replaces the tracer-issued decode id so
+// replica spans line up with the caller's (router's) spans, and sampled
+// forces span recording regardless of the local sampling lattice.
 type wireTrace struct {
 	id      uint64
 	sampled bool
@@ -292,8 +279,10 @@ func (s *Service) sampled(req *request) bool {
 	return s.tracer.ShouldSample(req.id)
 }
 
-// submitTraced is submit with an optional external trace context (the
-// wire path's distributed-tracing entry point).
+// submitTraced validates the syndrome, copies it into a pooled request
+// and enqueues it on the micro-batching queue. tc is the optional
+// external trace context (the wire path's distributed-tracing entry
+// point; the zero value means none).
 //
 //vegapunk:hotpath
 func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTrace) (*request, error) {
@@ -404,11 +393,13 @@ func (s *Service) Close() {
 }
 
 // batcher accumulates requests into micro-batches. A batch flushes when
-// it reaches MaxBatch, when the MaxWait deadline expires, or — the
-// adaptive fast path — as soon as dispatch capacity is idle: holding a
-// request to grow the batch only pays off while every worker is busy,
-// so under light load requests dispatch immediately and under
-// saturation the backlog coalesces into full batches.
+// it reaches the fill limit (MaxBatch for batch-capable decoders, 1
+// otherwise), when the MaxWait deadline expires, or — the adaptive fast
+// path — as soon as dispatch capacity is idle: holding a request to grow
+// the batch only pays off while every worker is busy, so under light
+// load requests dispatch immediately and under saturation the backlog
+// coalesces into full batches. Each flushed batch goes to exactly one
+// worker.
 //
 //vegapunk:hotpath
 func (s *Service) batcher() {
@@ -425,20 +416,19 @@ func (s *Service) batcher() {
 			return
 		}
 		t0 := obs.Tick()
-		b := s.getBatch()            //vegapunk:allow(alloc) freelist miss constructs by design; steady state reuses
-		b.reqs = append(b.reqs, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
+		b := append(s.getBatch(), req) //vegapunk:allow(alloc) freelist miss constructs by design; the append lands in capacity reserved at construction
 		timer.Reset(s.cfg.MaxWait)
 		timerLive := true
 	fill:
-		for len(b.reqs) < s.cfg.MaxBatch {
+		for len(b) < s.fill {
 			select {
 			case req, ok := <-s.in:
 				if !ok {
 					break fill // flush the tail; the outer receive exits
 				}
-				b.reqs = append(b.reqs, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
+				b = append(b, req) //vegapunk:allow(alloc) append into fill capacity reserved at construction
 			default:
-				if s.load.Load() < int64(s.cfg.Workers) {
+				if s.load.Load() < int64(s.cfg.PoolSize) {
 					break fill // idle worker: batching gains nothing
 				}
 				select {
@@ -446,7 +436,7 @@ func (s *Service) batcher() {
 					if !ok {
 						break fill
 					}
-					b.reqs = append(b.reqs, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
+					b = append(b, req) //vegapunk:allow(alloc) append into fill capacity reserved at construction
 				case <-timer.C:
 					timerLive = false
 					break fill
@@ -461,42 +451,23 @@ func (s *Service) batcher() {
 		}
 		now := obs.Tick()
 		s.met.assembleSeconds.Observe(obs.DurSeconds(now - t0))
-		for _, r := range b.reqs {
+		for _, r := range b {
 			r.batchAssembleNs = now - t0
 		}
 		if s.sampled(req) {
-			ring.Record(obs.StageBatchAssemble, int32(len(b.reqs)), uint32(req.id), t0, now)
+			ring.Record(obs.StageBatchAssemble, int32(len(b)), uint32(req.id), t0, now)
 		}
-		s.flush(b)
+		s.load.Add(1)
+		s.met.batches.Add(1)
+		s.met.batchSize.Observe(float64(len(b)))
+		s.work <- b
 		s.ladder.evaluate(now, s.met.queueDepth.Load(), s.met.shed.Load())
 	}
 }
 
-// flush hands the batch to up to Workers workers — or, when the
-// decoders are batch-capable, to exactly one worker that carries the
-// whole batch through a single DecodeBatch call (one pool acquisition
-// and one kernel dispatch instead of len(b.reqs) of each).
-//
-//vegapunk:hotpath
-func (s *Service) flush(b *batch) {
-	k := len(b.reqs)
-	if s.batchCapable && k > 1 {
-		k = 1
-	} else if k > s.cfg.Workers {
-		k = s.cfg.Workers
-	}
-	b.holders.Store(int64(k))
-	s.load.Add(int64(k))
-	s.met.batches.Add(1)
-	s.met.batchSize.Observe(float64(len(b.reqs)))
-	for i := 0; i < k; i++ {
-		s.work <- b
-	}
-}
-
-// worker is a long-lived dispatch goroutine: per batch it acquires a
-// decoder from the pool, claims items until the batch is drained, and
-// releases the decoder. The last worker off a batch recycles it.
+// worker is a long-lived dispatch goroutine, one per pooled decoder: per
+// batch it acquires a decoder from the pool, carries the whole batch
+// through process, releases the decoder and recycles the batch.
 // Decoding itself runs in the worker's runner goroutine so a decoder
 // fault (panic, hang) is isolated from the dispatch machinery.
 //
@@ -509,9 +480,6 @@ func (s *Service) worker(id uint16) {
 		ring:  s.tracer.Ring(),            //vegapunk:allow(alloc) one span ring per worker goroutine lifetime
 		timer: time.NewTimer(time.Hour),   //vegapunk:allow(alloc) one watchdog timer per worker lifetime
 	}
-	if s.batchCapable {
-		w.claims = make([]*request, s.cfg.MaxBatch) //vegapunk:allow(alloc) worker-owned claim table, once per goroutine lifetime
-	}
 	if !w.timer.Stop() {
 		<-w.timer.C
 	}
@@ -522,34 +490,20 @@ func (s *Service) worker(id uint16) {
 			panic(err)
 		}
 		w.dec = dec
-		if s.batchCapable && len(b.reqs) > 1 {
-			// flush dispatched this batch to exactly one worker (us):
-			// decode every request through one DecodeBatch call.
-			s.processBatch(&w, b)
-		} else {
-			for {
-				i := b.next.Add(1) - 1
-				if i >= int64(len(b.reqs)) {
-					break
-				}
-				s.process(&w, b.reqs[i])
-			}
-		}
+		s.process(&w, b)
 		s.pool.Release(w.dec)
 		s.load.Add(-1)
-		if b.holders.Add(-1) == 0 {
-			s.putBatch(b)
-		}
+		s.putBatch(b)
 	}
 	close(w.r.in)
 }
 
-// quarantine handles a decoder fault mid-batch: record the failure
-// with the circuit breaker, poison the faulty instance (its permit
-// funds a lazily constructed replacement), replace the runner when the
-// old one is pinned by a hung decode, and acquire a fresh decoder for
-// the rest of the batch.
-func (s *Service) quarantine(w *workerState, hung bool) {
+// quarantine handles a decoder fault: record the failure with the
+// circuit breaker, poison the faulty instance (its permit funds a
+// lazily constructed replacement), replace the runner when the old one
+// is pinned by a hung decode, acquire a fresh decoder for the worker to
+// hold, and fail every lane of the dispatch with ErrDecoderFault.
+func (s *Service) quarantine(w *workerState, lanes []*request, hung bool) {
 	s.breaker.recordFailure(obs.Tick())
 	s.pool.Poison(w.dec)
 	if hung {
@@ -564,135 +518,35 @@ func (s *Service) quarantine(w *workerState, hung bool) {
 		panic(err)
 	}
 	w.dec = dec
+	for _, req := range lanes {
+		s.finish(req, ErrDecoderFault)
+	}
 }
 
 // p99RefreshEvery is how many successful decodes pass between refreshes
 // of the cached p99 decode latency (the deadline-shedding estimate).
 const p99RefreshEvery = 64
 
-// process runs one decode through the worker's runner and copies
-// everything the caller needs out of the decoder-owned result before
-// the decoder can be reused — the pool boundary ownership rule. Before
-// dispatch it sheds requests whose remaining deadline budget cannot
-// cover the observed p99 decode latency; around the runner it runs the
-// hang watchdog; after the runner it quarantines decoders that
-// panicked or returned a defective result. Stage boundaries are
-// measured with the obs package clock; on a sampled request the
-// queue-wait, decode and copy-out spans land in the worker's ring and
-// the decoder's probe records its internal stages into the runner's
-// ring under the same decode id.
+// process is the one dispatch path: it carries a micro-batch — a single
+// request is a batch of one — through one decode on the worker's runner
+// and copies everything each caller needs out of the runner-owned
+// outputs before the decoder can be reused (the pool boundary ownership
+// rule). Admission work happens per lane: queue-wait accounting, and
+// shedding of requests whose remaining deadline budget cannot cover the
+// observed p99 decode latency. The decoder dispatch, hang watchdog,
+// fault quarantine (panic, hang, wrong-length result) and breaker
+// bookkeeping happen once per dispatch. Stage boundaries are measured
+// with the obs package clock; a sampled lane's queue-wait, decode and
+// copy-out spans land in the worker's ring, and when the lead lane is
+// sampled the decoder's probe records its internal stages into the
+// runner's ring under the lead's decode id.
 //
 //vegapunk:hotpath
-func (s *Service) process(w *workerState, req *request) {
-	t0 := obs.Tick()
-	req.queueWaitNs = t0 - req.enq
-	req.workerID = w.id
-	s.met.queueWaitSeconds.Observe(obs.DurSeconds(req.queueWaitNs))
-	if req.deadline != 0 {
-		if p99 := s.p99DecodeNs.Load(); p99 > 0 && t0+p99 > req.deadline {
-			s.met.shed.Add(1)
-			s.finish(req, ErrDeadlineBudget)
-			return
-		}
-	}
-	sampled := s.sampled(req)
-	if sampled {
-		w.ring.Record(obs.StageQueueWait, 0, uint32(req.id), req.enq, t0)
-	}
-
-	w.r.syn.CopyFrom(req.syndrome)
-	w.r.in <- runnerJob{dec: w.dec, tier: s.ladder.active(), sampled: sampled, id: req.id}
-	w.timer.Reset(s.cfg.HangTimeout)
-	var o runnerOutcome
-	select {
-	case o = <-w.r.out:
-		if !w.timer.Stop() {
-			select {
-			case <-w.timer.C:
-			default:
-			}
-		}
-	case <-w.timer.C:
-		s.met.decoderHangs.Add(1)
-		s.quarantine(w, true)
-		s.finish(req, ErrDecoderFault)
-		return
-	}
-	t1 := obs.Tick()
-	req.decodeNs = t1 - t0
-	if o.panicked {
-		s.met.decoderPanics.Add(1)
-		s.quarantine(w, false)
-		s.finish(req, ErrDecoderFault)
-		return
-	}
-	if o.est.Len() != s.model.NumMech() {
-		s.met.decoderBadResults.Add(1)
-		s.quarantine(w, false)
-		s.finish(req, ErrDecoderFault)
-		return
-	}
-	s.breaker.recordSuccess()
-	req.tier = o.tier
-	if o.tier > core.TierFull {
-		s.met.degraded.Add(1)
-	}
-
-	gf2.CopyVec(&req.correction, o.est)
-	s.mech.MulVecInto(w.syn, o.est)
-	req.satisfied = w.syn.Equal(req.syndrome)
-	s.obs.MulVecInto(req.observables, o.est)
-	req.stats = o.stats
-	t2 := obs.Tick()
-	req.copyOutNs = t2 - t1
-	if sampled {
-		w.ring.Record(obs.StageDecode, int32(o.stats.BPIters), uint32(req.id), t0, t1)
-		w.ring.Record(obs.StageCopyOut, 0, uint32(req.id), t1, t2)
-	}
-
-	synWeight := req.syndrome.Weight()
-	s.met.decodeSeconds.Observe(obs.DurSeconds(req.decodeNs))
-	s.met.copyOutSeconds.Observe(obs.DurSeconds(req.copyOutNs))
-	s.met.dec.Record(o.stats.BPIters, o.stats.BPConverged, o.stats.Fallback,
-		o.stats.Hier.OuterIters, o.stats.BPGDRounds, o.stats.LSDMaxCluster, synWeight)
-	if !req.satisfied {
-		s.met.unsatisfied.Add(1)
-	}
-	if n := s.decodes.Add(1); n%p99RefreshEvery == 0 {
-		s.p99DecodeNs.Store(int64(s.met.decodeSeconds.Quantile(0.99) * 1e9))
-	}
-	if total := t2 - req.enq; s.slow != nil && total >= int64(s.cfg.SlowThreshold) {
-		s.slow.Offer(obs.SlowEvent{
-			ID:             req.id,
-			Model:          s.key,
-			Decoder:        s.decoderName,
-			SyndromeWeight: synWeight,
-			QueueWaitNs:    req.queueWaitNs,
-			DecodeNs:       req.decodeNs,
-			CopyOutNs:      req.copyOutNs,
-			TotalNs:        total,
-			BPIters:        o.stats.BPIters,
-			HierLevels:     o.stats.Hier.OuterIters,
-			Satisfied:      req.satisfied,
-		})
-	}
-	s.finish(req, nil)
-}
-
-// processBatch runs a whole micro-batch through one DecodeBatch call
-// on the worker's runner — the batch-capable dispatch path. Per-request
-// admission work (queue-wait accounting, deadline shedding) still
-// happens per lane; the decoder dispatch, hang watchdog, fault
-// quarantine and breaker bookkeeping happen once per batch. The copy-out
-// boundary is unchanged: every lane's result is copied out of the
-// runner-owned outputs before the decoder is released.
-//
-//vegapunk:hotpath
-func (s *Service) processBatch(w *workerState, b *batch) {
+func (s *Service) process(w *workerState, b []*request) {
 	t0 := obs.Tick()
 	p99 := s.p99DecodeNs.Load()
 	n := 0
-	for _, req := range b.reqs {
+	for _, req := range b {
 		req.queueWaitNs = t0 - req.enq
 		req.workerID = w.id
 		s.met.queueWaitSeconds.Observe(obs.DurSeconds(req.queueWaitNs))
@@ -705,14 +559,14 @@ func (s *Service) processBatch(w *workerState, b *batch) {
 			w.ring.Record(obs.StageQueueWait, 0, uint32(req.id), req.enq, t0)
 		}
 		w.r.syns[n].CopyFrom(req.syndrome)
-		w.claims[n] = req
+		b[n] = req // compact the un-shed lanes to the front (n never passes the read index)
 		n++
 	}
 	if n == 0 {
 		return // every lane shed
 	}
-	claims := w.claims[:n]
-	lead := claims[0]
+	lanes := b[:n]
+	lead := lanes[0]
 	sampled := s.sampled(lead)
 	w.r.in <- runnerJob{dec: w.dec, tier: s.ladder.active(), lanes: n, sampled: sampled, id: lead.id}
 	w.timer.Reset(s.cfg.HangTimeout)
@@ -727,34 +581,32 @@ func (s *Service) processBatch(w *workerState, b *batch) {
 		}
 	case <-w.timer.C:
 		s.met.decoderHangs.Add(1)
-		s.quarantine(w, true)
-		for _, req := range claims {
-			s.finish(req, ErrDecoderFault)
-		}
+		s.quarantine(w, lanes, true)
 		return
 	}
 	t1 := obs.Tick()
 	if o.panicked {
 		s.met.decoderPanics.Add(1)
-		s.quarantine(w, false)
-		for _, req := range claims {
-			s.finish(req, ErrDecoderFault)
-		}
+		s.quarantine(w, lanes, false)
 		return
 	}
-	// No est-length check: the batch outputs are runner-owned vectors
-	// sized for the model at construction, so a defective decoder cannot
-	// hand back a wrong-length result without panicking first.
+	if o.badLen {
+		s.met.decoderBadResults.Add(1)
+		s.quarantine(w, lanes, false)
+		return
+	}
 	s.breaker.recordSuccess()
-	s.met.batchedDecodes.Add(1)
-	if sampled {
-		w.ring.Record(obs.StageDecodeBatch, int32(n), uint32(lead.id), t0, t1)
+	if n > 1 {
+		s.met.batchedDecodes.Add(1)
+		if sampled {
+			w.ring.Record(obs.StageDecodeBatch, int32(n), uint32(lead.id), t0, t1)
+		}
 	}
 	decodeNs := t1 - t0
 	s.met.decodeSeconds.Observe(obs.DurSeconds(decodeNs))
 	prev := t1
 	degraded := o.tier > core.TierFull
-	for i, req := range claims {
+	for i, req := range lanes {
 		req.tier = o.tier
 		if degraded {
 			s.met.degraded.Add(1)
@@ -843,20 +695,18 @@ func (s *Service) putReq(req *request) {
 	}
 }
 
-func (s *Service) getBatch() *batch {
+func (s *Service) getBatch() []*request {
 	select {
 	case b := <-s.batchFree:
 		return b
 	default:
-		return &batch{reqs: make([]*request, 0, s.cfg.MaxBatch)}
+		return make([]*request, 0, s.fill)
 	}
 }
 
-func (s *Service) putBatch(b *batch) {
-	b.reqs = b.reqs[:0]
-	b.next.Store(0)
+func (s *Service) putBatch(b []*request) {
 	select {
-	case s.batchFree <- b:
+	case s.batchFree <- b[:0]:
 	default:
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -57,7 +58,7 @@ func TestConcurrentPoolMatchesSerial(t *testing.T) {
 	}
 
 	svc := newService("test", model, "BP(30)", factory, Config{
-		MaxBatch: 8, MaxWait: 50 * time.Microsecond, PoolSize: 4, Workers: 4,
+		MaxBatch: 8, MaxWait: 50 * time.Microsecond, PoolSize: 4,
 	})
 	defer svc.Close()
 
@@ -99,12 +100,40 @@ func TestConcurrentPoolMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchDispatchMatchesSerial is the batched-dispatch keystone:
-// with batch-capable decoders the service routes each multi-request
-// micro-batch through one DecodeBatch call, and the corrections must
-// stay bit-identical to one decoder run serially over the same
-// syndromes. Run under -race this also proves the runner-owned batch
-// buffers and the per-lane copy-out boundary have no data races.
+// scalarOnly hides every optional capability of the wrapped decoder —
+// above all core.BatchDecoder — so a service built on it takes the
+// dispatch shape of the scalar decoders (BP+OSD, BP+LSD, BPGD): fill
+// limit 1, one request per worker.
+type scalarOnly struct{ core.Decoder }
+
+// pairGate holds the first Decode that enters until a second one is in
+// flight on another instance, then stays open: passing it proves two
+// workers decoded at the same time.
+type pairGate struct {
+	core.Decoder
+	entered *atomic.Int32
+	open    chan struct{}
+}
+
+func (g pairGate) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
+	if g.entered.Add(1) == 2 {
+		close(g.open)
+	}
+	<-g.open
+	return g.Decoder.Decode(s)
+}
+
+// TestBatchDispatchMatchesSerial is the dispatch keystone, one row per
+// dispatch shape. A batch-capable decoder (BP) must see multi-request
+// micro-batches as single DecodeBatch calls; a scalar one (the same BP
+// with the capability hidden) must see one request per batch, never a
+// DecodeBatch dispatch, and still decode on both workers of a
+// two-decoder pool at once — the pairGate deadlocks into the hang
+// watchdog on any design that ships a scalar batch to a single worker.
+// Either way the corrections must stay bit-identical to one decoder run
+// serially over the same syndromes. Run under -race this also proves
+// the runner-owned buffers and the per-lane copy-out boundary have no
+// data races.
 func TestBatchDispatchMatchesSerial(t *testing.T) {
 	model, factory := testModel(t)
 	const nSyn = 160
@@ -117,71 +146,66 @@ func TestBatchDispatchMatchesSerial(t *testing.T) {
 		want[i] = est.Clone()
 	}
 
-	// One worker forces the queue to back up so multi-request batches
-	// actually form (the batcher only coalesces under saturation).
-	svc := newService("test", model, "BP(30)", factory, Config{
-		MaxBatch: 64, MaxWait: 50 * time.Microsecond, PoolSize: 1, Workers: 1,
-	})
-	defer svc.Close()
-	if !svc.batchCapable {
-		t.Fatal("BP service should detect BatchDecoder capability")
-	}
+	gate := pairGate{entered: new(atomic.Int32), open: make(chan struct{})}
+	for _, tc := range []struct {
+		name     string
+		factory  core.Factory
+		poolSize int
+		batched  bool
+	}{
+		// One worker forces the queue to back up so multi-request batches
+		// actually form (the batcher only coalesces under saturation).
+		{"capable", factory, 1, true},
+		{"scalar", func() core.Decoder {
+			g := gate
+			g.Decoder = scalarOnly{factory()}
+			return g
+		}, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := newService("test", model, "BP(30)", tc.factory, Config{
+				MaxBatch: 64, MaxWait: 50 * time.Microsecond, PoolSize: tc.poolSize,
+			})
+			defer svc.Close()
 
-	const clients = 8
-	got := make([]gf2.Vec, nSyn)
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*nSyn/clients, (c+1)*nSyn/clients
-			results := make([]Result, hi-lo)
-			if err := svc.DecodeBatchInto(context.Background(), results, syndromes[lo:hi]); err != nil {
-				t.Errorf("client %d: %v", c, err)
+			const clients = 8
+			got := make([]gf2.Vec, nSyn)
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					lo, hi := c*nSyn/clients, (c+1)*nSyn/clients
+					results := make([]Result, hi-lo)
+					if err := svc.DecodeBatchInto(context.Background(), results, syndromes[lo:hi]); err != nil {
+						t.Errorf("client %d: %v", c, err)
+						return
+					}
+					for i := range results {
+						got[lo+i] = results[i].Correction.Clone()
+					}
+				}(c)
+			}
+			wg.Wait()
+			if t.Failed() {
 				return
 			}
-			for i := range results {
-				got[lo+i] = results[i].Correction.Clone()
+
+			for i := range want {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("syndrome %d: served correction differs from serial reference", i)
+				}
 			}
-		}(c)
-	}
-	wg.Wait()
-
-	for i := range want {
-		if got[i].Len() == 0 {
-			t.Fatalf("syndrome %d never decoded", i)
-		}
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("syndrome %d: batched correction differs from serial reference", i)
-		}
-	}
-	if svc.met.batchedDecodes.Load() == 0 {
-		t.Fatal("no micro-batch went through the DecodeBatch path")
-	}
-	if svc.met.queueDepth.Load() != 0 {
-		t.Fatalf("queue depth = %d after drain, want 0", svc.met.queueDepth.Load())
-	}
-}
-
-// TestSerialDispatchAblation pins the rollback knob: with
-// Config.SerialDispatch set, a batch-capable decoder still takes the
-// per-request path and no DecodeBatch dispatch happens.
-func TestSerialDispatchAblation(t *testing.T) {
-	model, factory := testModel(t)
-	svc := newService("test", model, "BP(30)", factory, Config{
-		MaxBatch: 8, SerialDispatch: true,
-	})
-	defer svc.Close()
-	if svc.batchCapable {
-		t.Fatal("SerialDispatch should disable the capability probe")
-	}
-	syndromes := sampleSyndromes(model, 16, 9)
-	results := make([]Result, len(syndromes))
-	if err := svc.DecodeBatchInto(context.Background(), results, syndromes); err != nil {
-		t.Fatal(err)
-	}
-	if n := svc.met.batchedDecodes.Load(); n != 0 {
-		t.Fatalf("batchedDecodes = %d with SerialDispatch, want 0", n)
+			if n := svc.met.batchedDecodes.Load(); tc.batched != (n > 0) {
+				t.Fatalf("batchedDecodes = %d, want >0: %v", n, tc.batched)
+			}
+			if !tc.batched && svc.met.batches.Load() != nSyn {
+				t.Fatalf("batches = %d for a scalar decoder, want one per request (%d)", svc.met.batches.Load(), nSyn)
+			}
+			if svc.met.queueDepth.Load() != 0 {
+				t.Fatalf("queue depth = %d after drain, want 0", svc.met.queueDepth.Load())
+			}
+		})
 	}
 }
 
@@ -225,25 +249,29 @@ func TestServiceCloseDrains(t *testing.T) {
 	})
 	syndromes := sampleSyndromes(model, 8, 3)
 
-	var wg sync.WaitGroup
-	errs := make([]error, len(syndromes))
-	for i := range syndromes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var res Result
-			errs[i] = svc.DecodeInto(context.Background(), &res, syndromes[i])
-		}(i)
-	}
-	// Give the submitters time to enqueue, then drain.
-	time.Sleep(5 * time.Millisecond)
-	svc.Close()
-	wg.Wait()
-	for i, err := range errs {
+	// Enqueue synchronously (the queue holds MaxBatch requests), so
+	// every request is admitted before Close starts the drain.
+	ctx := context.Background()
+	reqs := make([]*request, len(syndromes))
+	for i, syn := range syndromes {
+		req, err := svc.submitTraced(ctx, syn, wireTrace{})
 		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		reqs[i] = req
+	}
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	for i, req := range reqs {
+		var res Result
+		if err := svc.wait(ctx, req, &res); err != nil {
 			t.Fatalf("request %d lost during drain: %v", i, err)
 		}
 	}
+	<-closed
 	var res Result
 	if err := svc.DecodeInto(context.Background(), &res, syndromes[0]); err != ErrClosed {
 		t.Fatalf("decode after Close: err = %v, want ErrClosed", err)
@@ -254,7 +282,7 @@ func TestDecodeContextTimeout(t *testing.T) {
 	model, _ := testModel(t)
 	gate := make(chan struct{})
 	factory := func() core.Decoder { return &gatedDecoder{model: model, gate: gate} }
-	svc := newService("test", model, "gated", factory, Config{MaxBatch: 1, PoolSize: 1, Workers: 1})
+	svc := newService("test", model, "gated", factory, Config{MaxBatch: 1, PoolSize: 1})
 	defer func() {
 		close(gate)
 		svc.Close()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"time"
 
 	"vegapunk/internal/core"
@@ -182,21 +183,36 @@ func (s *Server) wireHealthFlags(svc *Service, now int64) wire.Flags {
 	return f
 }
 
-// wireStatusOf maps a service error to its wire error class.
-func wireStatusOf(err error) wire.Status {
-	switch {
-	case err == nil:
-		return wire.StatusOK
-	case errors.Is(err, ErrDeadlineBudget):
-		return wire.StatusShed
-	case errors.Is(err, ErrCircuitOpen), errors.Is(err, ErrClosed):
-		return wire.StatusOverload
-	case errors.Is(err, ErrDecoderFault):
-		return wire.StatusDecoderFault
-	case errors.Is(err, context.DeadlineExceeded):
-		return wire.StatusTimeout
+// errClass is one row of the service-error table both front ends
+// answer from: the wire status, and the HTTP status, Retry-After header
+// and message, that a terminal decode error maps to.
+type errClass struct {
+	err        error
+	wire       wire.Status
+	http       int
+	retryAfter bool
+	msg        string // "" reports the error's own text
+}
+
+// errClasses has one row per exported Err* sentinel of the package
+// (TestErrClassesCoverSentinels), plus the caller's own deadline.
+var errClasses = [...]errClass{
+	{context.DeadlineExceeded, wire.StatusTimeout, http.StatusGatewayTimeout, false, "decode deadline exceeded"},
+	{ErrDeadlineBudget, wire.StatusShed, http.StatusGatewayTimeout, false, "request shed: deadline budget below p99 decode latency"},
+	{ErrCircuitOpen, wire.StatusOverload, http.StatusServiceUnavailable, true, "circuit breaker open after repeated decoder faults, retry later"},
+	{ErrClosed, wire.StatusOverload, http.StatusServiceUnavailable, true, "service draining"},
+	{ErrDecoderFault, wire.StatusDecoderFault, http.StatusInternalServerError, false, "decoder fault; instance quarantined, retry may succeed"},
+}
+
+// classify returns the table row for a non-nil decode error; anything
+// unlisted is an internal error.
+func classify(err error) errClass {
+	for _, c := range errClasses {
+		if errors.Is(err, c.err) {
+			return c
+		}
 	}
-	return wire.StatusInternal
+	return errClass{wire: wire.StatusInternal, http: http.StatusInternalServerError}
 }
 
 // handleWireConn runs one connection: hello resolves model keys to
@@ -313,7 +329,7 @@ func (s *Server) wireDecodeBatch(st *wireConnState, h wire.Header, payload []byt
 			st.ctx.dl = time.Now().Add(s.cfg.RequestTimeout) //vegapunk:allow(time) request deadline needs wall clock, once per lane
 			req, serr := m.svc.submitTraced(&st.ctx, m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
 			if serr != nil {
-				lane.status = wireStatusOf(serr)
+				lane.status = classify(serr).wire
 			} else {
 				lane.req = req
 			}
@@ -340,7 +356,7 @@ func (s *Server) wireDecodeBatch(st *wireConnState, h wire.Header, payload []byt
 		lane := &m.lanes[i]
 		if lane.req != nil {
 			if werr := m.svc.wait(&st.ctx, lane.req, &lane.res); werr != nil {
-				lane.status = wireStatusOf(werr)
+				lane.status = classify(werr).wire
 			}
 		}
 		st.wres.Status = lane.status

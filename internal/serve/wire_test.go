@@ -2,7 +2,11 @@ package serve
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,7 +46,7 @@ func startWireServer(t testing.TB, cfg Config) (*Server, string, string) {
 func wireTestConfig() Config {
 	return Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize: 2, Workers: 2, MaxInFlight: 64,
+		PoolSize: 2, MaxInFlight: 64,
 		RequestTimeout: 2 * time.Second,
 	}
 }
@@ -321,6 +325,58 @@ func BenchmarkServeWireDecode(b *testing.B) {
 		}
 		if res.Status != wire.StatusOK {
 			b.Fatalf("status %s", res.Status)
+		}
+	}
+}
+
+// TestErrClassesCoverSentinels reads the package source: every exported
+// Err* variable must be the sentinel of an errClasses row, so a new
+// terminal error cannot ship without a wire status and an HTTP answer.
+func TestErrClassesCoverSentinels(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sentinels []string
+	rows := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, sp := range gd.Specs {
+				vs := sp.(*ast.ValueSpec)
+				for i, id := range vs.Names {
+					if strings.HasPrefix(id.Name, "Err") {
+						sentinels = append(sentinels, id.Name)
+					}
+					if id.Name != "errClasses" {
+						continue
+					}
+					for _, row := range vs.Values[i].(*ast.CompositeLit).Elts {
+						if sentinel, ok := row.(*ast.CompositeLit).Elts[0].(*ast.Ident); ok {
+							rows[sentinel.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(sentinels) == 0 || len(rows) == 0 {
+		t.Fatalf("found %d sentinels and %d table rows; the source scan is broken", len(sentinels), len(rows))
+	}
+	for _, name := range sentinels {
+		if !rows[name] {
+			t.Errorf("%s has no row in errClasses", name)
 		}
 	}
 }
