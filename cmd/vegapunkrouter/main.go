@@ -64,7 +64,6 @@ func run() int {
 	hedgeRate := fs.Float64("hedge-rate", 0.1, "hedge tokens earned per forwarded batch; caps hedges as a fraction of traffic")
 	maxLanes := fs.Int("max-inflight-lanes", 4096, "router-wide bound on concurrently forwarded lanes; excess fails fast with overload")
 	retryAfter := fs.Duration("retry-after-hint", 25*time.Millisecond, "how long to route around a replica after it reports overload or loses a hedge race")
-	noResync := fs.Bool("no-backend-resync", false, "fail backend connections on a corrupt frame header instead of scanning to the next frame boundary")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2
 	}
@@ -95,13 +94,12 @@ func run() int {
 		SLOBudget:        *sloBudget,
 		SLOWindow:        *sloWindow,
 
-		RetryBudgetPerSec:    *retryPerSec,
-		RetryBudgetBurst:     *retryBurst,
-		HedgeAfter:           *hedgeAfter,
-		HedgeMaxRate:         *hedgeRate,
-		MaxInFlightLanes:     *maxLanes,
-		RetryAfterHint:       *retryAfter,
-		DisableBackendResync: *noResync,
+		RetryBudgetPerSec: *retryPerSec,
+		RetryBudgetBurst:  *retryBurst,
+		HedgeAfter:        *hedgeAfter,
+		HedgeMaxRate:      *hedgeRate,
+		MaxInFlightLanes:  *maxLanes,
+		RetryAfterHint:    *retryAfter,
 	})
 	if err != nil {
 		logger.Printf("%v", err)

@@ -120,7 +120,7 @@ func (f *feConn) run() {
 		if !pending {
 			h, payload, err = f.rd.ReadFrame()
 			if err != nil {
-				if isWireProtoErr(err) {
+				if wire.IsProtocolError(err) {
 					f.rt.protoErrors.Add(1)
 					f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), 0,
 						wire.StatusBadRequest, err.Error())
@@ -382,7 +382,7 @@ func (f *feConn) decodeBatch(h wire.Header, payload []byte) (nh wire.Header, np 
 		return wire.Header{}, nil, false, werr
 	}
 	if readErr != nil {
-		if isWireProtoErr(readErr) {
+		if wire.IsProtocolError(readErr) {
 			f.rt.protoErrors.Add(1)
 		}
 		return wire.Header{}, nil, false, readErr
@@ -719,11 +719,4 @@ func (f *feConn) write() error {
 	}
 	_, err := f.conn.Write(f.wbuf)
 	return err
-}
-
-// isWireProtoErr reports frame-level protocol violations (as opposed
-// to ordinary connection teardown).
-func isWireProtoErr(err error) bool {
-	return errors.Is(err, wire.ErrBadMagic) || errors.Is(err, wire.ErrBadVersion) ||
-		errors.Is(err, wire.ErrOversize) || errors.Is(err, wire.ErrTruncated)
 }

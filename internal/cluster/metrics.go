@@ -8,17 +8,6 @@ import (
 	"vegapunk/internal/obs"
 )
 
-// latencyBuckets spans 1µs–1s, mirroring the replica-side serving
-// buckets so router-observed and replica-observed latencies line up
-// bucket for bucket in dashboards.
-func latencyBuckets() []float64 {
-	return []float64{
-		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
-		1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
-		1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
-	}
-}
-
 // replicaLabels renders a replica's label set.
 func replicaLabels(rep *replica) string { return fmt.Sprintf("replica=%q", rep.addr) }
 

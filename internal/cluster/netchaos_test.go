@@ -391,8 +391,11 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 // TestNetChaosHedgedSlowLinkP99 is the hedging keystone: with the
 // rendezvous winner behind a uniformly slow link, hedged dispatch must
 // cut the worst-case client latency to less than half of the unhedged
-// run — the first slow batch hedges onto the sibling and the outlier
-// ejection routes the rest there directly.
+// run (asserted: 2 × hedged worst < unhedged worst, over 24 requests
+// each) — the first slow batch hedges onto the sibling and the outlier
+// ejection routes the rest there directly. No benchmark workload has a
+// slow link, so this test is the only holder of the hedging claim; CI
+// runs it under -race in the "Network chaos smoke" -run NetChaos set.
 func TestNetChaosHedgedSlowLinkP99(t *testing.T) {
 	slow, rtOff := measureSlowLink(t, 0)
 	fast, rtOn := measureSlowLink(t, 5*time.Millisecond)

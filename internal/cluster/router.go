@@ -41,11 +41,9 @@ type Config struct {
 	// PoolSize is the idle backend connections kept per replica
 	// (default 4).
 	PoolSize int
-	// RedialBackoff is the initial wait after a failed dial; it doubles
-	// per consecutive failure up to MaxRedialBackoff (defaults 100ms
-	// and 5s).
-	RedialBackoff    time.Duration
-	MaxRedialBackoff time.Duration
+	// RedialBackoff is the initial wait after a failed dial (default
+	// 100ms); it doubles per consecutive failure up to maxRedialBackoff.
+	RedialBackoff time.Duration
 
 	// TraceURLs are the base URLs of each replica's debug listener
 	// (e.g. "http://127.0.0.1:18472"), parallel to Replicas; entries
@@ -99,10 +97,6 @@ type Config struct {
 	// suspension to the slow replica (outlier ejection), and a suspended
 	// replica is never chosen as a hedge target.
 	RetryAfterHint time.Duration
-	// DisableBackendResync turns off wire-stream resync on backend
-	// connections; a corrupt frame header then fails the connection
-	// instead of scanning for the next frame boundary.
-	DisableBackendResync bool
 }
 
 func (c Config) withDefaults() Config {
@@ -120,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RedialBackoff <= 0 {
 		c.RedialBackoff = 100 * time.Millisecond
-	}
-	if c.MaxRedialBackoff <= 0 {
-		c.MaxRedialBackoff = 5 * time.Second
 	}
 	if c.TraceSampleEvery == 0 {
 		c.TraceSampleEvery = 8
@@ -295,6 +286,9 @@ func (r *replica) markDown() {
 	}
 }
 
+// maxRedialBackoff caps the doubling wait between failed dials.
+const maxRedialBackoff = 5 * time.Second
+
 // acquire returns a pooled backend connection, dialing one if the
 // backoff window allows.
 func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
@@ -313,10 +307,10 @@ func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
 		bo := r.backoffNs.Load()
 		if bo <= 0 {
 			bo = int64(cfg.RedialBackoff)
-		} else if bo < int64(cfg.MaxRedialBackoff) {
+		} else if bo < int64(maxRedialBackoff) {
 			bo *= 2
-			if bo > int64(cfg.MaxRedialBackoff) {
-				bo = int64(cfg.MaxRedialBackoff)
+			if bo > int64(maxRedialBackoff) {
+				bo = int64(maxRedialBackoff)
 			}
 		}
 		r.backoffNs.Store(bo)
@@ -326,12 +320,10 @@ func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
 	}
 	r.backoffNs.Store(0)
 	r.open.Add(1)
-	if !cfg.DisableBackendResync {
-		// A corrupt backend frame header scans forward to the next
-		// frame boundary instead of killing the connection; lanes whose
-		// responses the scan skipped are reconciled by the forward loop.
-		c.EnableResync()
-	}
+	// A corrupt backend frame header scans forward to the next frame
+	// boundary instead of killing the connection; lanes whose responses
+	// the scan skipped are reconciled by the forward loop.
+	c.EnableResync()
 	return c, nil
 }
 
@@ -450,8 +442,8 @@ func New(cfg Config) (*Router, error) {
 			idx:           i,
 			hash:          hash64(addr),
 			idle:          make(chan *wire.Client, cfg.PoolSize),
-			netSeconds:    obs.NewHistogram(latencyBuckets()...),
-			serverSeconds: obs.NewHistogram(latencyBuckets()...),
+			netSeconds:    obs.NewHistogram(obs.LatencyBuckets()...),
+			serverSeconds: obs.NewHistogram(obs.LatencyBuckets()...),
 		}
 		if i < len(cfg.TraceURLs) {
 			rep.traceURL = cfg.TraceURLs[i]

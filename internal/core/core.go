@@ -340,10 +340,7 @@ type bpgdDecoder struct {
 
 // NewBPGD wraps BP guided decimation (100 BP iterations per round, up to
 // n rounds), per the paper's baseline configuration.
-func NewBPGD(model *dem.Model) Decoder {
-	d := bpgd.New(model.Mech, model.LLRs(), bpgd.Config{})
-	return &bpgdDecoder{d: d, full: d.MaxRounds()}
-}
+func NewBPGD(model *dem.Model) Decoder { return NewBPGDWith(model, 0, 0) }
 
 func (b *bpgdDecoder) Name() string { return "BPGD" }
 
@@ -393,10 +390,12 @@ func (g *greedyDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
 }
 
 // NewBPGDWith wraps BPGD with explicit round/iteration budgets (the
-// experiment harness scales these with its quality setting).
+// experiment harness scales these with its quality setting); a budget
+// ≤ 0 takes bpgd's default.
 func NewBPGDWith(model *dem.Model, maxRounds, itersPerRound int) Decoder {
-	return &bpgdDecoder{d: bpgd.New(model.Mech, model.LLRs(), bpgd.Config{
+	d := bpgd.New(model.Mech, model.LLRs(), bpgd.Config{
 		MaxRounds:     maxRounds,
 		ItersPerRound: itersPerRound,
-	})}
+	})
+	return &bpgdDecoder{d: d, full: d.MaxRounds()}
 }

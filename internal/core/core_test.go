@@ -127,12 +127,30 @@ func TestAllDecodersDegradable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// limit reads the underlying cap that SetTier scales.
+	limit := func(d Decoder) int {
+		switch d := d.(type) {
+		case *Vegapunk:
+			return d.online.MaxIters()
+		case *bpDecoder:
+			return d.d.MaxIters()
+		case *bposdDecoder:
+			return d.d.BPMaxIters()
+		case *lsdDecoder:
+			return d.d.BPMaxIters()
+		case *bpgdDecoder:
+			return d.d.MaxRounds()
+		}
+		t.Fatalf("%s: no cap accessor for %T", d.Name(), d)
+		return 0
+	}
 	decoders := []Decoder{
 		veg,
 		NewBP(model, 72),
 		NewBPOSD(model, 72, 7),
 		NewBPLSD(model),
 		NewBPGD(model),
+		NewBPGDWith(model, 8, 20),
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
 	e := model.Sample(rng)
@@ -142,6 +160,7 @@ func TestAllDecodersDegradable(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement DegradableDecoder", d.Name())
 		}
+		constructed := limit(d)
 		for tier := TierFull; tier <= MaxTier; tier++ {
 			if got := dd.SetTier(tier); got != tier {
 				t.Errorf("%s: SetTier(%v) = %v", d.Name(), tier, got)
@@ -158,6 +177,9 @@ func TestAllDecodersDegradable(t *testing.T) {
 		// Stepping back to TierFull restores the constructed config.
 		if got := dd.SetTier(TierFull); got != TierFull {
 			t.Errorf("%s: SetTier(TierFull) = %v", d.Name(), got)
+		}
+		if got := limit(d); got != constructed {
+			t.Errorf("%s: cap after TierMinimal then TierFull = %d, constructed %d", d.Name(), got, constructed)
 		}
 	}
 }

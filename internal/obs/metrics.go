@@ -64,6 +64,17 @@ func NewHistogram(bounds ...float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
 }
 
+// LatencyBuckets is the bucket layout (1µs .. 1s, roughly logarithmic)
+// shared by the replica's per-stage histograms and the router's
+// per-replica ones, so the two line up bucket for bucket in dashboards.
+func LatencyBuckets() []float64 {
+	return []float64{
+		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
+		1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
+		1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
+	}
+}
+
 // Observe records one sample. Allocation-free.
 //
 //vegapunk:hotpath

@@ -56,16 +56,6 @@ func histFam(w io.Writer, name, help string, svcs []*Service, get func(*Service)
 	}
 }
 
-// latencyBuckets is the shared bucket layout for the per-stage serving
-// latencies (1µs .. 1s, roughly logarithmic).
-func latencyBuckets() []float64 {
-	return []float64{
-		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
-		1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
-		1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1,
-	}
-}
-
 // serviceMetrics is the per-model metric set: the queue/dispatch
 // counters plus one latency histogram per pipeline stage and the shared
 // decoder telemetry (obs.DecodeMetrics).
@@ -101,10 +91,10 @@ type serviceMetrics struct {
 func newServiceMetrics() *serviceMetrics {
 	return &serviceMetrics{
 		batchSize:        NewHistogram(1, 2, 4, 8, 16, 32, 64),
-		queueWaitSeconds: NewHistogram(latencyBuckets()...),
-		assembleSeconds:  NewHistogram(latencyBuckets()...),
-		decodeSeconds:    NewHistogram(latencyBuckets()...),
-		copyOutSeconds:   NewHistogram(latencyBuckets()...),
+		queueWaitSeconds: NewHistogram(obs.LatencyBuckets()...),
+		assembleSeconds:  NewHistogram(obs.LatencyBuckets()...),
+		decodeSeconds:    NewHistogram(obs.LatencyBuckets()...),
+		copyOutSeconds:   NewHistogram(obs.LatencyBuckets()...),
 		dec:              obs.NewDecodeMetrics(),
 	}
 }

@@ -235,7 +235,7 @@ func (s *Server) handleWireConn(conn net.Conn) {
 		if !pending {
 			h, payload, err = st.r.ReadFrame()
 			if err != nil {
-				if isWireProtoErr(err) {
+				if wire.IsProtocolError(err) {
 					s.wireProtoErrors.Add(1)
 					st.wbuf = wire.AppendError(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), 0,
 						wire.StatusBadRequest, err.Error())
@@ -395,7 +395,7 @@ func (s *Server) wireDecodeBatch(st *wireConnState, h wire.Header, payload []byt
 		return wire.Header{}, nil, false, werr
 	}
 	if readErr != nil {
-		if isWireProtoErr(readErr) {
+		if wire.IsProtocolError(readErr) {
 			s.wireProtoErrors.Add(1)
 		}
 		return wire.Header{}, nil, false, readErr
@@ -423,11 +423,4 @@ func (st *wireConnState) write() error {
 	}
 	_, err := st.conn.Write(st.wbuf)
 	return err
-}
-
-// isWireProtoErr reports frame-level protocol violations (as opposed
-// to ordinary connection teardown).
-func isWireProtoErr(err error) bool {
-	return errors.Is(err, wire.ErrBadMagic) || errors.Is(err, wire.ErrBadVersion) ||
-		errors.Is(err, wire.ErrOversize) || errors.Is(err, wire.ErrTruncated)
 }

@@ -299,8 +299,9 @@ func TestWireShutdownUnblocksIdle(t *testing.T) {
 }
 
 // BenchmarkServeWireDecode measures the full binary round trip against
-// a live service over loopback TCP: the end-to-end number behind the
-// JSON-vs-binary comparison in BENCH_7.json.
+// a live service over loopback TCP, one request in flight; the
+// sustained, verified figure for this path is the wire-vegapunk-bb72
+// workload of `go run ./benchmark`.
 func BenchmarkServeWireDecode(b *testing.B) {
 	_, addr, key := startWireServer(b, wireTestConfig())
 	model, _ := testModel(b)

@@ -212,6 +212,13 @@ var (
 	ErrDimMismatch = errors.New("wire: vector length does not match model dimensions")
 )
 
+// IsProtocolError reports frame-level protocol violations (as opposed
+// to ordinary connection teardown).
+func IsProtocolError(err error) bool {
+	return errors.Is(err, ErrBadMagic) || errors.Is(err, ErrBadVersion) ||
+		errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated)
+}
+
 // ParseHeader decodes the fixed header from b (which must hold at
 // least HeaderSize bytes) and validates magic, version and the payload
 // bound.

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand/v2"
 	"net"
 	"testing"
@@ -56,6 +58,27 @@ func TestHeaderRejects(t *testing.T) {
 	}
 	if _, err := ParseHeader(good[:HeaderSize-1]); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short header: %v", err)
+	}
+}
+
+func TestIsProtocolError(t *testing.T) {
+	cases := []struct {
+		err  error
+		want bool
+	}{
+		{ErrBadMagic, true},
+		{ErrBadVersion, true},
+		{ErrOversize, true},
+		{ErrTruncated, true},
+		{fmt.Errorf("read frame: %w", ErrBadMagic), true},
+		{io.EOF, false},
+		{net.ErrClosed, false},
+		{ErrDesync, false},
+	}
+	for _, c := range cases {
+		if got := IsProtocolError(c.err); got != c.want {
+			t.Errorf("IsProtocolError(%v) = %v, want %v", c.err, got, c.want)
+		}
 	}
 }
 
