@@ -139,10 +139,7 @@ func MemoryDEM(c *code.CSS, params Params, rounds int) (*dem.Model, error) {
 	for q := range touches {
 		sort.Slice(touches[q], func(a, b int) bool { return touches[q][a].time < touches[q][b].time })
 	}
-	obsOf := make([][]int, n)
-	for q := 0; q < n; q++ {
-		obsOf[q] = lz.Col(q).Ones()
-	}
+	obsOf := gf2.SparseFromDense(lz)
 
 	b := newBuilder()
 	// dataFault registers an X on qubit q occurring after CNOT index k
@@ -158,7 +155,7 @@ func MemoryDEM(c *code.CSS, params Params, rounds int) (*dem.Model, error) {
 			}
 		}
 		dets = append(dets, extraDets...)
-		b.add(dets, obsOf[q], p)
+		b.add(dets, obsOf.ColSupport(q), p)
 	}
 
 	for r := 0; r < rounds; r++ {

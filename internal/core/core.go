@@ -149,16 +149,13 @@ type Vegapunk struct {
 }
 
 // BuildVegapunk runs the offline stage on the model's check matrix and
-// readies the online decoder. The decoupling is computed once; clone the
+// readies the online decoder. The decoupling is computed once (Decouple
+// returns it already validated against the check matrix); clone the
 // returned decoder for concurrent use via NewVegapunkFrom.
 func BuildVegapunk(model *dem.Model, dopts decouple.Options, cfg hier.Config) (*Vegapunk, error) {
-	D := model.CheckMatrix()
-	dec, err := decouple.Decouple(D, dopts)
+	dec, err := decouple.Decouple(model.CheckMatrix(), dopts)
 	if err != nil {
 		return nil, fmt.Errorf("vegapunk offline stage: %w", err)
-	}
-	if err := dec.Validate(D); err != nil {
-		return nil, fmt.Errorf("vegapunk offline validation: %w", err)
 	}
 	return NewVegapunkFrom(model, dec, cfg), nil
 }

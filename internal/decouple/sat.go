@@ -3,7 +3,6 @@ package decouple
 import (
 	"errors"
 
-	"vegapunk/internal/gf2"
 	"vegapunk/internal/smt"
 )
 
@@ -22,8 +21,8 @@ import (
 //	a[j]     — column j is exiled to A (a ∨ ⋁_g y[j][g]);
 //
 // minimizing Σ a[j].
-func satPartition(D *gf2.Dense, K int, conflictBudget int) ([][]int, error) {
-	m, n := D.Rows(), D.Cols()
+func satPartition(v *searchView, K int, conflictBudget int) ([][]int, error) {
+	m, n := v.m, v.n
 	mD := m / K
 	s := smt.NewSolver()
 	s.MaxConflicts = conflictBudget
@@ -48,7 +47,7 @@ func satPartition(D *gf2.Dense, K int, conflictBudget int) ([][]int, error) {
 
 	var objective []smt.Lit
 	for j := 0; j < n; j++ {
-		sup := D.Col(j).Ones()
+		sup := v.cols.ColSupport(j)
 		if len(sup) == 0 {
 			continue // zero column always lands in A, not worth a variable
 		}

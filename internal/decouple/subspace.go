@@ -2,12 +2,14 @@ package decouple
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"vegapunk/internal/gf2"
 )
 
-// bitvec is a packed row-index set used by the subspace search.
+// bitvec is a packed row-index set: one column of D, or a combination
+// of columns during elimination.
 type bitvec []uint64
 
 func (v bitvec) get(i int) bool { return v[i/64]>>(uint(i)%64)&1 == 1 }
@@ -36,25 +38,35 @@ func (v bitvec) xor(u bitvec) {
 func (v bitvec) lead() int {
 	for wi, w := range v {
 		if w != 0 {
-			for b := 0; b < 64; b++ {
-				if w>>uint(b)&1 == 1 {
-					return wi*64 + b
-				}
-			}
+			return wi*64 + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
 }
 
-// echelon is an incrementally-built reduced basis.
-type echelon struct {
-	vecs  []bitvec
-	leads []int
+func (v bitvec) weight() int {
+	t := 0
+	for _, w := range v {
+		t += bits.OnesCount64(w)
+	}
+	return t
 }
 
-// residual reduces v against the basis and returns the remainder.
+// echelon is an incrementally-built reduced basis.
+type echelon struct {
+	vecs    []bitvec
+	leads   []int
+	scratch bitvec
+}
+
+// residual reduces v against the basis and returns the remainder, held
+// in a buffer the next residual, add or contains call overwrites.
 func (e *echelon) residual(v bitvec) bitvec {
-	r := v.clone()
+	if len(e.scratch) != len(v) {
+		e.scratch = make(bitvec, len(v))
+	}
+	r := e.scratch
+	copy(r, v)
 	for i, b := range e.vecs {
 		if r.get(e.leads[i]) {
 			r.xor(b)
@@ -70,7 +82,7 @@ func (e *echelon) add(v bitvec) bool {
 	if lead < 0 {
 		return false
 	}
-	e.vecs = append(e.vecs, r)
+	e.vecs = append(e.vecs, r.clone())
 	e.leads = append(e.leads, lead)
 	return true
 }
@@ -80,11 +92,19 @@ func (e *echelon) contains(v bitvec) bool { return e.residual(v).isZero() }
 
 func (e *echelon) dim() int { return len(e.vecs) }
 
-// snapshot/restore support tentative additions.
-func (e *echelon) snapshot() int { return len(e.vecs) }
-func (e *echelon) restore(n int) {
-	e.vecs = e.vecs[:n]
-	e.leads = e.leads[:n]
+// subspace is one summand W_i under construction.
+type subspace struct {
+	ech      echelon
+	rawCols  []int // columns of D that are the basis vectors
+	interior []int // non-basis columns contained in the span
+}
+
+// grow adds vec, carried by columns cols, to the basis: the first
+// column owns the basis vector, its duplicates are interior.
+func (s *subspace) grow(vec bitvec, cols []int) {
+	s.ech.add(vec)
+	s.rawCols = append(s.rawCols, cols[0])
+	s.interior = append(s.interior, cols[1:]...)
 }
 
 // subspaceDecouple searches for a decoupling with a *general* full-rank
@@ -97,155 +117,65 @@ func (e *echelon) restore(n int) {
 // realizes the paper's arbitrary-T SMT search (§4.2), which the
 // row-partition strategies only approximate: here a column can be
 // interior to a block even when its support is scattered across rows.
-func subspaceDecouple(D *gf2.Dense, K int) (*Decoupling, error) {
-	m, n := D.Rows(), D.Cols()
+func subspaceDecouple(v *searchView, K int) (*Decoupling, error) {
+	m := v.m
 	if K < 2 || m%K != 0 {
 		return nil, fmt.Errorf("decouple: subspace K=%d cannot tile m=%d", K, m)
 	}
 	mD := m / K
-	words := wordsFor(m)
-
-	colVec := func(j int) bitvec {
-		v := make(bitvec, words)
-		for i := 0; i < m; i++ {
-			if D.At(i, j) {
-				v[i/64] |= 1 << (uint(i) % 64)
-			}
-		}
-		return v
-	}
-
-	// Group identical columns; process distinct vectors by frequency.
-	type colGroup struct {
-		vec  bitvec
-		cols []int
-	}
-	byKey := map[string]*colGroup{}
-	var groups []*colGroup
-	var zeroCols []int
-	for j := 0; j < n; j++ {
-		v := colVec(j)
-		if v.isZero() {
-			zeroCols = append(zeroCols, j)
-			continue
-		}
-		k := string(fmtKey(v))
-		if g, ok := byKey[k]; ok {
-			g.cols = append(g.cols, j)
-			continue
-		}
-		g := &colGroup{vec: v, cols: []int{j}}
-		byKey[k] = g
-		groups = append(groups, g)
-	}
-	sort.SliceStable(groups, func(a, b int) bool { return len(groups[a].cols) > len(groups[b].cols) })
-
-	type subspace struct {
-		ech      echelon
-		rawVecs  []bitvec // basis vectors as they appear in D
-		rawCols  []int    // owning column ids
-		interior []int    // non-basis columns contained in the span
-	}
 	var subs []*subspace
 	global := &echelon{}
 
-	weightOf := func(v bitvec) int {
-		w := 0
-		for i := 0; i < m; i++ {
-			if v.get(i) {
-				w++
-			}
-		}
-		return w
-	}
-	var unplaced []*colGroup
-	for _, g := range groups {
-		// Already inside some subspace?
-		placed := false
+	// place homes a distinct column: interior to a subspace that already
+	// spans it, else a new basis vector of the subspace with capacity
+	// whose basis reduces it the most, below weight maxRes, provided it
+	// is independent of everything placed so far.
+	place := func(g colGroup, maxRes int) bool {
 		for _, s := range subs {
 			if s.ech.contains(g.vec) {
 				s.interior = append(s.interior, g.cols...)
-				placed = true
-				break
+				return true
 			}
 		}
-		if placed {
-			continue
-		}
-		// Grow the most *related* subspace with capacity: the one whose
-		// basis reduces g the most (residual lighter than g itself).
-		// Unrelated vectors open new subspaces instead, keeping the
-		// planted structure of the column space separated.
-		vw := weightOf(g.vec)
-		best, bestRes := -1, vw
+		best, bestRes := -1, maxRes
 		for i, s := range subs {
 			if s.ech.dim() >= mD {
 				continue
 			}
-			if rw := weightOf(s.ech.residual(g.vec)); rw < bestRes {
+			if rw := s.ech.residual(g.vec).weight(); rw < bestRes {
 				best, bestRes = i, rw
 			}
 		}
-		snap := global.snapshot()
 		if best >= 0 && global.add(g.vec) {
-			s := subs[best]
-			s.ech.add(g.vec)
-			s.rawVecs = append(s.rawVecs, g.vec)
-			s.rawCols = append(s.rawCols, g.cols[0])
-			s.interior = append(s.interior, g.cols[1:]...)
+			subs[best].grow(g.vec, g.cols)
+			return true
+		}
+		return false
+	}
+	// Distinct columns by frequency. Only a *related* subspace may grow
+	// (residual lighter than the column itself); unrelated vectors open
+	// new subspaces instead, keeping the planted structure of the column
+	// space separated.
+	var unplaced []colGroup
+	for _, g := range v.distinct {
+		if place(g, g.vec.weight()) {
 			continue
 		}
-		global.restore(snap)
-		if len(subs) < K {
-			if global.add(g.vec) {
-				s := &subspace{}
-				s.ech.add(g.vec)
-				s.rawVecs = append(s.rawVecs, g.vec)
-				s.rawCols = append(s.rawCols, g.cols[0])
-				s.interior = append(s.interior, g.cols[1:]...)
-				subs = append(subs, s)
-				continue
-			}
-			global.restore(snap)
+		if len(subs) < K && global.add(g.vec) {
+			s := &subspace{}
+			s.grow(g.vec, g.cols)
+			subs = append(subs, s)
+			continue
 		}
 		// No related home and no free slots yet: retry after all
 		// subspaces have grown.
 		unplaced = append(unplaced, g)
 	}
 	// Second chance: growth may have absorbed earlier rejects; also
-	// allow unrelated growth now that the structure is settled.
+	// allow unrelated growth now that the structure is settled. What
+	// still depends on multiple subspaces is crossing → A.
 	for _, g := range unplaced {
-		placed := false
-		for _, s := range subs {
-			if s.ech.contains(g.vec) {
-				s.interior = append(s.interior, g.cols...)
-				placed = true
-				break
-			}
-		}
-		if placed {
-			continue
-		}
-		best, bestRes := -1, m+1
-		for i, s := range subs {
-			if s.ech.dim() >= mD {
-				continue
-			}
-			if rw := weightOf(s.ech.residual(g.vec)); rw < bestRes {
-				best, bestRes = i, rw
-			}
-		}
-		snap := global.snapshot()
-		if best >= 0 && global.add(g.vec) {
-			s := subs[best]
-			s.ech.add(g.vec)
-			s.rawVecs = append(s.rawVecs, g.vec)
-			s.rawCols = append(s.rawCols, g.cols[0])
-			s.interior = append(s.interior, g.cols[1:]...)
-			continue
-		}
-		global.restore(snap)
-		// Crossing: depends on multiple subspaces → A.
+		place(g, m+1)
 	}
 	for len(subs) < K {
 		subs = append(subs, &subspace{})
@@ -253,36 +183,20 @@ func subspaceDecouple(D *gf2.Dense, K int) (*Decoupling, error) {
 
 	// Complete every subspace to m_D using unit columns present in D
 	// (measurement errors), which stay globally independent trivially.
-	unitCol := map[int]int{}
-	for j := 0; j < n; j++ {
-		if sup := D.Col(j).Ones(); len(sup) == 1 {
-			if _, ok := unitCol[sup[0]]; !ok {
-				unitCol[sup[0]] = j
-			}
-		}
-	}
-	usedCol := map[int]bool{}
+	assigned := make([]bool, v.n)
 	for _, s := range subs {
 		for _, j := range s.rawCols {
-			usedCol[j] = true
+			assigned[j] = true
 		}
 	}
 	for _, s := range subs {
 		for r := 0; r < m && s.ech.dim() < mD; r++ {
-			j, ok := unitCol[r]
-			if !ok || usedCol[j] {
+			j := v.unitCol[r]
+			if j < 0 || assigned[j] || !global.add(v.vecs[j]) {
 				continue
 			}
-			v := colVec(j)
-			snap := global.snapshot()
-			if !global.add(v) {
-				global.restore(snap)
-				continue
-			}
-			s.ech.add(v)
-			s.rawVecs = append(s.rawVecs, v)
-			s.rawCols = append(s.rawCols, j)
-			usedCol[j] = true
+			s.grow(v.vecs[j], []int{j})
+			assigned[j] = true
 		}
 		if s.ech.dim() < mD {
 			return nil, fmt.Errorf("decouple: subspace completion stuck at dim %d/%d", s.ech.dim(), mD)
@@ -291,88 +205,32 @@ func subspaceDecouple(D *gf2.Dense, K int) (*Decoupling, error) {
 
 	// T = B⁻¹ where column i·m_D+t of B is basis vector t of W_i.
 	B := gf2.NewDense(m, m)
+	identity := make([][]int, K)
+	interior := make([][]int, K)
 	for i, s := range subs {
-		for t, v := range s.rawVecs {
-			for r := 0; r < m; r++ {
-				if v.get(r) {
-					B.Set(r, i*mD+t, true)
-				}
+		for t, j := range s.rawCols {
+			for _, r := range v.cols.ColSupport(j) {
+				B.Set(r, i*mD+t, true)
 			}
+		}
+		sort.Ints(s.interior)
+		identity[i], interior[i] = s.rawCols, s.interior
+		for _, j := range s.interior {
+			assigned[j] = true
 		}
 	}
 	T, err := B.Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("decouple: subspace basis singular: %w", err)
 	}
-	TD := T.Mul(D)
-
-	// Assemble: uniform block width from the scarcest interior set.
-	spare := len(subs[0].interior)
-	for _, s := range subs[1:] {
-		if len(s.interior) < spare {
-			spare = len(s.interior)
-		}
-	}
-	nD := mD + spare
-	dec := &Decoupling{
-		M: m, N: n, K: K, MD: mD, ND: nD,
-		T:      T,
-		Blocks: make([]*gf2.SparseCols, K),
-	}
-	assigned := make([]bool, n)
-	var colOrder, aCols []int
-	for i, s := range subs {
-		colOrder = append(colOrder, s.rawCols...)
-		for _, j := range s.rawCols {
-			assigned[j] = true
-		}
-		sort.Ints(s.interior)
-		take := s.interior[:spare]
-		aCols = append(aCols, s.interior[spare:]...)
-		colOrder = append(colOrder, take...)
-		for _, j := range s.interior {
-			assigned[j] = true
-		}
-		b := gf2.NewSparseCols(mD, spare)
-		for jj, j := range take {
-			var sup []int
-			for t := 0; t < mD; t++ {
-				if TD.At(i*mD+t, j) {
-					sup = append(sup, t)
-				}
-			}
-			b.SetColSupport(jj, sup)
-		}
-		dec.Blocks[i] = b
-	}
-	for j := 0; j < n; j++ {
+	// Columns in no subspace (zero columns included) go to A.
+	var crossing []int
+	for j := 0; j < v.n; j++ {
 		if !assigned[j] {
-			aCols = append(aCols, j)
+			crossing = append(crossing, j)
 		}
 	}
-	dec.NA = len(aCols)
-	dec.A = gf2.NewSparseCols(m, dec.NA)
-	for jj, j := range aCols {
-		dec.A.SetColSupport(jj, TD.Col(j).Ones())
-	}
-	colOrder = append(colOrder, aCols...)
-	dec.ColOrder = colOrder
-	if len(colOrder) != n {
-		return nil, fmt.Errorf("decouple: subspace column accounting %d != %d", len(colOrder), n)
-	}
-	_ = zeroCols // zero columns fall through the !assigned sweep into A
-	return dec, nil
-}
-
-// fmtKey serializes a bitvec for map keying.
-func fmtKey(v bitvec) []byte {
-	b := make([]byte, 8*len(v))
-	for i, w := range v {
-		for k := 0; k < 8; k++ {
-			b[8*i+k] = byte(w >> (8 * k))
-		}
-	}
-	return b
+	return buildArtifact(v, T, identity, interior, crossing)
 }
 
 // wordsFor mirrors gf2's packing (kept local to avoid exporting it).

@@ -17,7 +17,7 @@ func TestSubspaceDecoupleValidates(t *testing.T) {
 	model := dem.CircuitLevel(c, 0.001)
 	D := model.CheckMatrix()
 	for _, K := range []int{4, 6, 12} {
-		dec, err := subspaceDecouple(D, K)
+		dec, err := subspaceDecouple(newSearchView(D), K)
 		if err != nil {
 			t.Fatalf("K=%d: %v", K, err)
 		}
@@ -37,7 +37,7 @@ func TestSubspaceGroupsDuplicateColumns(t *testing.T) {
 		{0, 0, 0, 1, 1, 0, 1},
 		{0, 0, 0, 1, 1, 0, 0},
 	})
-	dec, err := subspaceDecouple(D, 2)
+	dec, err := subspaceDecouple(newSearchView(D), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSubspaceBeatsPartitionOnScatteredSupports(t *testing.T) {
 	for r := 0; r < m; r++ {
 		D.Set(r, cols+r, true)
 	}
-	dec, err := subspaceDecouple(D, 2)
+	dec, err := subspaceDecouple(newSearchView(D), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +105,10 @@ func TestSubspaceBeatsPartitionOnScatteredSupports(t *testing.T) {
 
 func TestSubspaceRejectsBadK(t *testing.T) {
 	D := gf2.Eye(6)
-	if _, err := subspaceDecouple(D, 4); err == nil {
+	if _, err := subspaceDecouple(newSearchView(D), 4); err == nil {
 		t.Error("K not dividing m accepted")
 	}
-	if _, err := subspaceDecouple(D, 1); err == nil {
+	if _, err := subspaceDecouple(newSearchView(D), 1); err == nil {
 		t.Error("K=1 accepted")
 	}
 }

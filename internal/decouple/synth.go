@@ -3,6 +3,7 @@ package decouple
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vegapunk/internal/gf2"
@@ -18,8 +19,8 @@ import (
 // makes groups contiguous. Block-locality means T never moves support
 // across groups, so column interiority — and therefore the block
 // structure — is preserved exactly.
-func synthesize(D *gf2.Dense, groups [][]int) (*Decoupling, error) {
-	m, n := D.Rows(), D.Cols()
+func synthesize(v *searchView, groups [][]int) (*Decoupling, error) {
+	m := v.m
 	K := len(groups)
 	if K == 0 || m%K != 0 {
 		return nil, fmt.Errorf("decouple: %d groups cannot tile %d rows", K, m)
@@ -51,25 +52,15 @@ func synthesize(D *gf2.Dense, groups [][]int) (*Decoupling, error) {
 	}
 
 	// Classify columns: interior to a single group, or crossing (→ A).
-	colWeight := make([]int, n)
+	// Zero columns are useless and parked in A with the crossing ones.
 	interior := make([][]int, K) // interior column ids per group
 	var crossing []int
-	for j := 0; j < n; j++ {
-		sup := D.Col(j).Ones()
-		colWeight[j] = len(sup)
-		if len(sup) == 0 {
-			crossing = append(crossing, j) // zero column: useless, park in A
-			continue
+	for j := 0; j < v.n; j++ {
+		g := -1
+		if sup := v.cols.ColSupport(j); len(sup) > 0 {
+			g = uniformGroup(sup, groupOf)
 		}
-		g := groupOf[sup[0]]
-		uniform := true
-		for _, r := range sup[1:] {
-			if groupOf[r] != g {
-				uniform = false
-				break
-			}
-		}
-		if uniform {
+		if g >= 0 {
 			interior[g] = append(interior[g], j)
 		} else {
 			crossing = append(crossing, j)
@@ -77,95 +68,83 @@ func synthesize(D *gf2.Dense, groups [][]int) (*Decoupling, error) {
 	}
 
 	// Per group: pick m_D pivot columns (lightest first — unit columns
-	// make T_g the identity) whose local submatrix is invertible.
-	type groupPlan struct {
-		rows   []int
-		pivots []int
-		nonPiv []int
-		tg     *gf2.Dense // m_D × m_D local transformation
-	}
-	plans := make([]groupPlan, K)
+	// make T_g the identity) whose local submatrix is invertible. An
+	// interior column is zero outside its group's rows, so independence
+	// can be read off the full packed columns. The global T folds each
+	// local inverse T_g in: output row g·m_D + a = Σ_b T_g[a,b] · (input
+	// row rows[b]).
+	T := gf2.NewDense(m, m)
+	pivots := make([][]int, K)
+	local := make([]int, m) // position of a row inside its sorted group
 	for g := 0; g < K; g++ {
-		rows := append([]int(nil), groups[g]...)
+		rows := slices.Clone(groups[g])
 		sort.Ints(rows)
-		local := D.SelectRows(rows)
-		cand := append([]int(nil), interior[g]...)
-		sort.SliceStable(cand, func(a, b int) bool { return colWeight[cand[a]] < colWeight[cand[b]] })
-		sub := local.SelectColumns(cand)
-		order := make([]int, len(cand))
-		for i := range order {
-			order[i] = i
+		for b, r := range rows {
+			local[r] = b
 		}
-		pivLocal := sub.IndependentColumns(order, mD)
-		if len(pivLocal) < mD {
-			return nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, len(pivLocal), mD)
-		}
-		isPiv := make(map[int]bool, mD)
-		pivots := make([]int, mD)
-		for i, li := range pivLocal {
-			pivots[i] = cand[li]
-			isPiv[cand[li]] = true
-		}
-		var nonPiv []int
+		cand := interior[g]
+		sort.SliceStable(cand, func(a, b int) bool { return v.cols.ColWeight(cand[a]) < v.cols.ColWeight(cand[b]) })
+		var ech echelon
+		mg := gf2.NewDense(mD, mD)
+		nonPiv := cand[:0]
 		for _, j := range cand {
-			if !isPiv[j] {
+			if ech.dim() < mD && ech.add(v.vecs[j]) {
+				for _, r := range v.cols.ColSupport(j) {
+					mg.Set(local[r], len(pivots[g]), true)
+				}
+				pivots[g] = append(pivots[g], j)
+			} else {
 				nonPiv = append(nonPiv, j)
 			}
 		}
-		mg := local.SelectColumns(pivots)
+		if ech.dim() < mD {
+			return nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
+		}
+		interior[g] = nonPiv
 		tg, err := mg.Inverse()
 		if err != nil {
 			return nil, errors.New("decouple: pivot submatrix unexpectedly singular")
 		}
-		plans[g] = groupPlan{rows: rows, pivots: pivots, nonPiv: nonPiv, tg: tg}
-	}
-
-	// Uniform block width: n_D = m_D + min over groups of spare interior.
-	spare := plans[0].nonPiv
-	minSpare := len(spare)
-	for _, p := range plans[1:] {
-		if len(p.nonPiv) < minSpare {
-			minSpare = len(p.nonPiv)
-		}
-	}
-	nD := mD + minSpare
-
-	// Assemble the global T: output row g·m_D + a = Σ_b T_g[a,b] · (input
-	// row rows[b]).
-	T := gf2.NewDense(m, m)
-	for g, p := range plans {
 		for a := 0; a < mD; a++ {
 			for b := 0; b < mD; b++ {
-				if p.tg.At(a, b) {
-					T.Set(g*mD+a, p.rows[b], true)
+				if tg.At(a, b) {
+					T.Set(g*mD+a, rows[b], true)
 				}
 			}
 		}
 	}
-	TD := T.Mul(D)
+	return buildArtifact(v, T, pivots, interior, crossing)
+}
 
-	// Build the column order and the structured parts.
+// buildArtifact builds the artifact for a transformation T given, per
+// block, the columns that become its identity and its other interior
+// columns, in take order. Every block takes as many interior columns as
+// the scarcest block has (uniform n_D = m_D + spare); the surplus, then
+// tail, go to A. T·D is formed once and read through one sparse pass.
+func buildArtifact(v *searchView, T *gf2.Dense, identity, interior [][]int, tail []int) (*Decoupling, error) {
+	K := len(identity)
+	mD := v.m / K
+	spare := len(interior[0])
+	for _, cols := range interior[1:] {
+		spare = min(spare, len(cols))
+	}
 	dec := &Decoupling{
-		M: m, N: n, K: K, MD: mD, ND: nD,
+		M: v.m, N: v.n, K: K, MD: mD, ND: mD + spare,
 		T:      T,
 		Blocks: make([]*gf2.SparseCols, K),
 	}
-	var colOrder []int
-	var aCols []int
-	for g, p := range plans {
-		colOrder = append(colOrder, p.pivots...)
-		take := p.nonPiv[:minSpare]
-		rest := p.nonPiv[minSpare:]
-		colOrder = append(colOrder, take...)
-		aCols = append(aCols, rest...)
-
-		// B part: transformed non-pivot interior columns restricted to
-		// the block's rows.
-		b := gf2.NewSparseCols(mD, minSpare)
-		for jj, j := range take {
-			var sup []int
-			for t := 0; t < mD; t++ {
-				if TD.At(g*mD+t, j) {
+	td := gf2.SparseFromDense(T.Mul(v.D))
+	var colOrder, aCols, sup []int
+	for g := range identity {
+		colOrder = append(append(colOrder, identity[g]...), interior[g][:spare]...)
+		aCols = append(aCols, interior[g][spare:]...)
+		// B part: transformed interior columns restricted to the
+		// block's rows.
+		b := gf2.NewSparseCols(mD, spare)
+		for jj, j := range interior[g][:spare] {
+			sup = sup[:0]
+			for _, r := range td.ColSupport(j) {
+				if t := r - g*mD; t >= 0 && t < mD {
 					sup = append(sup, t)
 				}
 			}
@@ -173,14 +152,16 @@ func synthesize(D *gf2.Dense, groups [][]int) (*Decoupling, error) {
 		}
 		dec.Blocks[g] = b
 	}
-	aCols = append(aCols, crossing...)
+	aCols = append(aCols, tail...)
 	dec.NA = len(aCols)
-	dec.A = gf2.NewSparseCols(m, len(aCols))
+	dec.A = gf2.NewSparseCols(v.m, dec.NA)
 	for jj, j := range aCols {
-		dec.A.SetColSupport(jj, TD.Col(j).Ones())
+		dec.A.SetColSupport(jj, td.ColSupport(j))
 	}
-	colOrder = append(colOrder, aCols...)
-	dec.ColOrder = colOrder
+	dec.ColOrder = append(colOrder, aCols...)
+	if len(dec.ColOrder) != v.n {
+		return nil, fmt.Errorf("decouple: column accounting %d != %d", len(dec.ColOrder), v.n)
+	}
 	return dec, nil
 }
 

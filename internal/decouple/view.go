@@ -1,0 +1,95 @@
+package decouple
+
+import (
+	"sort"
+
+	"vegapunk/internal/gf2"
+)
+
+// colGroup is one distinct nonzero column of D with every column index
+// that carries it.
+type colGroup struct {
+	vec  bitvec
+	cols []int
+}
+
+// searchView is everything the search reads about D, extracted once per
+// Decouple call and shared read-only by every strategy for every K (and,
+// since the K candidates are searched concurrently, by every goroutine):
+// nothing below is written after newSearchView returns.
+type searchView struct {
+	D    *gf2.Dense
+	m, n int
+	// cols holds the column supports (sorted rows; len = column weight)
+	// and colsOfRow the transposed incidence, columns ascending.
+	cols      *gf2.SparseCols
+	colsOfRow [][]int
+	// vecs[j] is column j packed into words.
+	vecs []bitvec
+	// unitCol[r] is the first weight-1 column on row r, or -1.
+	unitCol []int
+	// aff[r][s] counts the columns rows r and s share.
+	aff [][]int
+	// distinct lists the distinct nonzero columns, most frequent first
+	// (ties in first-appearance order).
+	distinct []colGroup
+}
+
+func newSearchView(D *gf2.Dense) *searchView {
+	m, n := D.Rows(), D.Cols()
+	v := &searchView{
+		D: D, m: m, n: n,
+		cols:      gf2.SparseFromDense(D),
+		colsOfRow: make([][]int, m),
+		vecs:      make([]bitvec, n),
+		unitCol:   make([]int, m),
+		aff:       make([][]int, m),
+	}
+	affCells := make([]int, m*m)
+	for r := range v.aff {
+		v.aff[r] = affCells[r*m : (r+1)*m]
+		v.unitCol[r] = -1
+	}
+	words := wordsFor(m)
+	packed := make(bitvec, n*words)
+	groupAt := map[string]int{}
+	for j := 0; j < n; j++ {
+		sup := v.cols.ColSupport(j)
+		vec := packed[j*words : (j+1)*words : (j+1)*words]
+		v.vecs[j] = vec
+		for a, r := range sup {
+			vec[r/64] |= 1 << (uint(r) % 64)
+			v.colsOfRow[r] = append(v.colsOfRow[r], j)
+			for _, s := range sup[a+1:] {
+				v.aff[r][s]++
+				v.aff[s][r]++
+			}
+		}
+		if len(sup) == 0 {
+			continue
+		}
+		if len(sup) == 1 && v.unitCol[sup[0]] < 0 {
+			v.unitCol[sup[0]] = j
+		}
+		key := string(fmtKey(vec))
+		if g, ok := groupAt[key]; ok {
+			v.distinct[g].cols = append(v.distinct[g].cols, j)
+			continue
+		}
+		groupAt[key] = len(v.distinct)
+		v.distinct = append(v.distinct, colGroup{vec: vec, cols: []int{j}})
+	}
+	sort.SliceStable(v.distinct, func(a, b int) bool { return len(v.distinct[a].cols) > len(v.distinct[b].cols) })
+	return v
+}
+
+// fmtKey serializes a bitvec for map keying.
+func fmtKey(v bitvec) []byte {
+	b := make([]byte, 8*len(v))
+	for i, w := range v {
+		for k := 0; k < 8; k++ {
+			b[8*i+k] = byte(w >> (8 * k))
+		}
+	}
+	return b
+}

@@ -52,9 +52,10 @@ func PhenomenologicalPauli(c *code.CSS, pauli code.Pauli, p, q float64) *Model {
 	mech := gf2.NewSparseCols(m, n+m)
 	obs := gf2.NewSparseCols(lz.Rows(), n+m)
 	prior := make([]float64, n+m)
+	hCols, lzCols := gf2.SparseFromDense(h), gf2.SparseFromDense(lz)
 	for j := 0; j < n; j++ {
-		mech.SetColSupport(j, h.Col(j).Ones())
-		obs.SetColSupport(j, lz.Col(j).Ones())
+		mech.SetColSupport(j, hCols.ColSupport(j))
+		obs.SetColSupport(j, lzCols.ColSupport(j))
 		prior[j] = p
 	}
 	for i := 0; i < m; i++ {
@@ -116,9 +117,10 @@ func CircuitLevelPauli(c *code.CSS, pauli code.Pauli, p float64) *Model {
 	obs := gf2.NewSparseCols(lz.Rows(), nm)
 	prior := make([]float64, nm)
 
+	hCols, lzCols := gf2.SparseFromDense(h), gf2.SparseFromDense(lz)
 	for j := 0; j < n; j++ {
-		sup := h.Col(j).Ones()
-		osup := lz.Col(j).Ones()
+		sup := hCols.ColSupport(j)
+		osup := lzCols.ColSupport(j)
 		cut := len(sup) - 1
 		if cut < 1 {
 			cut = len(sup)

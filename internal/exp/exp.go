@@ -185,12 +185,9 @@ func (w *Workspace) Decoupling(b Benchmark) (*decouple.Decoupling, error) {
 	if err != nil {
 		return nil, err
 	}
-	D := model.CheckMatrix()
-	d, err := decouple.Decouple(D, decouple.Options{HintKs: b.HintKs, Seed: 1234})
+	// Decouple validates the artifact it returns.
+	d, err := decouple.Decouple(model.CheckMatrix(), decouple.Options{HintKs: b.HintKs, Seed: 1234})
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", b.Name, err)
-	}
-	if err := d.Validate(D); err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	w.mu.Lock()

@@ -102,10 +102,11 @@ func (m *Dense) SetRow(i int, v Vec) {
 // Col returns a copy of column j as a Vec.
 func (m *Dense) Col(j int) Vec {
 	v := NewVec(m.rows)
-	for i := 0; i < m.rows; i++ {
-		if m.At(i, j) {
-			v.Set(i, true)
-		}
+	// One word and one shift serve every row: walk down the column at
+	// the row stride instead of re-deriving the cell address per probe.
+	shift := uint(j) % wordBits
+	for i, idx := 0, j/wordBits; i < m.rows; i, idx = i+1, idx+m.stride {
+		v.w[i/wordBits] |= (m.w[idx] >> shift & 1) << (uint(i) % wordBits)
 	}
 	return v
 }

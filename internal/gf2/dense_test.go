@@ -201,3 +201,58 @@ func TestSubmatrixRoundTrip(t *testing.T) {
 		t.Error("horizontal submatrix roundtrip failed")
 	}
 }
+
+func TestColMatchesAt(t *testing.T) {
+	// Shapes on and off the 64-bit word boundary in both dimensions: Col
+	// strides through the packed words instead of probing At.
+	rng := rand.New(rand.NewPCG(21, 22))
+	for _, shape := range [][2]int{{1, 1}, {3, 70}, {63, 65}, {64, 64}, {65, 63}, {130, 129}, {200, 7}} {
+		m := randDense(rng, shape[0], shape[1])
+		for j := 0; j < m.Cols(); j++ {
+			col := m.Col(j)
+			if col.Len() != m.Rows() {
+				t.Fatalf("%v: Col(%d) has length %d", shape, j, col.Len())
+			}
+			for i := 0; i < m.Rows(); i++ {
+				if col.Get(i) != m.At(i, j) {
+					t.Fatalf("%v: Col(%d)[%d] = %v, At = %v", shape, j, i, col.Get(i), m.At(i, j))
+				}
+			}
+			if col.Weight() != m.ColWeight(j) {
+				t.Fatalf("%v: Col(%d) weight %d, ColWeight %d (stray bits past Rows?)", shape, j, col.Weight(), m.ColWeight(j))
+			}
+		}
+	}
+}
+
+func TestSparseFromDenseMatchesAt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 24))
+	for _, shape := range [][2]int{{3, 70}, {65, 63}, {40, 129}} {
+		m := randDense(rng, shape[0], shape[1])
+		for j := 0; j < shape[1]; j += 3 {
+			for i := 0; i < shape[0]; i++ {
+				m.Set(i, j, false) // empty columns must stay nil
+			}
+		}
+		s := SparseFromDense(m)
+		for j := 0; j < m.Cols(); j++ {
+			want := m.Col(j).Ones()
+			got := s.ColSupport(j)
+			if len(want) == 0 && got != nil {
+				t.Fatalf("%v: empty column %d has non-nil support", shape, j)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%v: column %d support %v, want %v", shape, j, got, want)
+			}
+			for k := range want {
+				if got[k] != want[k] {
+					t.Fatalf("%v: column %d support %v, want %v", shape, j, got, want)
+				}
+			}
+			// Supports share one backing array; a full one must not grow into its neighbour.
+			if cap(got) != len(got) {
+				t.Fatalf("%v: column %d support has cap %d > len %d", shape, j, cap(got), len(got))
+			}
+		}
+	}
+}

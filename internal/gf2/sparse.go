@@ -23,19 +23,33 @@ func NewSparseCols(rows, cols int) *SparseCols {
 // SparseFromDense converts a dense matrix to sparse column form by
 // scanning the packed row words (TrailingZeros64 per set bit) instead of
 // probing every cell. Rows are visited in ascending order, so each column
-// support comes out sorted.
+// support comes out sorted. A first scan counts the column weights so all
+// supports are carved from one backing array (empty columns stay nil).
 func SparseFromDense(m *Dense) *SparseCols {
 	s := NewSparseCols(m.Rows(), m.Cols())
-	for i := 0; i < m.Rows(); i++ {
+	weight := make([]int, m.Cols())
+	eachOne(m, func(_, j int) { weight[j]++ })
+	backing := make([]int, m.NNZ())
+	for j, w := range weight {
+		if w > 0 {
+			s.col[j], backing = backing[:0:w], backing[w:]
+		}
+	}
+	eachOne(m, func(i, j int) { s.col[j] = append(s.col[j], i) })
+	return s
+}
+
+// eachOne calls f(i, j) for every set entry of m, row by row, columns
+// ascending within a row.
+func eachOne(m *Dense, f func(i, j int)) {
+	for i := 0; i < m.rows; i++ {
 		for wi, w := range m.row(i) {
 			for w != 0 {
-				j := wi*wordBits + bits.TrailingZeros64(w)
+				f(i, wi*wordBits+bits.TrailingZeros64(w))
 				w &= w - 1
-				s.col[j] = append(s.col[j], i)
 			}
 		}
 	}
-	return s
 }
 
 // Rows returns the number of rows.

@@ -330,15 +330,17 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 
 // luby returns the Luby restart sequence value for index i (1-based).
 func luby(i int) int {
-	k := 1
-	for (1<<k)-1 < i {
-		k++
+	for {
+		k := 1
+		for (1<<k)-1 < i {
+			k++
+		}
+		if (1<<k)-1 == i {
+			return 1 << (k - 1)
+		}
+		// i lies inside the repeated prefix of length 2^(k-1)-1.
+		i -= (1 << (k - 1)) - 1
 	}
-	for (1<<k)-1 != i {
-		k--
-		i -= (1 << k) - 1
-	}
-	return 1 << (k - 1)
 }
 
 // Solve searches for a satisfying assignment of all added constraints.

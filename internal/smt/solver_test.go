@@ -210,3 +210,14 @@ func TestMaxConflictsBudget(t *testing.T) {
 		t.Error("expected Exhausted with 5-conflict budget on PHP(7,6)")
 	}
 }
+
+func TestLubySequence(t *testing.T) {
+	// The fourth restart used to panic (negative shift): every search
+	// that outlived 400 conflicts crashed instead of restarting.
+	want := []int{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8, 1}
+	for i, w := range want {
+		if got := luby(i + 1); got != w {
+			t.Errorf("luby(%d) = %d, want %d", i+1, got, w)
+		}
+	}
+}
