@@ -11,10 +11,26 @@
 // formulation is solved by a two-stage engine (DESIGN.md §1): a row
 // partition search (greedy clustering with refinement, an analytic path
 // for hypergraph-product structure, and an exact SAT mode for small
-// instances via internal/smt), followed by algebraic synthesis of T as a
-// block-local Gaussian inverse — which preserves the cross-group support
-// of every column, so the resulting decoupling is exact and validated
-// bit-for-bit against T·D·P.
+// instances via internal/smt) beside a general-T subspace search,
+// followed by algebraic synthesis of T as the inverse of the columns
+// chosen to become the identities — block-local for a row partition,
+// which preserves the cross-group support of every column, so the
+// resulting decoupling is exact and validated bit-for-bit against T·D·P.
+//
+// For one K the order of work is plan → rank → build → validate. Every
+// strategy returns a plan: the identity, interior and tail column lists,
+// from which the coverage K·n_D is already exact. Plans are ranked by
+// coverage; only those tied at the top are built (T, T·D, the sparse
+// blocks — the nonzero-count tie-break needs them), and none at all when
+// that coverage falls short of Options.MinCoverage; the candidate about
+// to win is validated, and one that fails to build or validate gives way
+// to the next best.
+//
+// All strategies read one searchView of D. Its neighbour table lists,
+// per row, each distinct column of weight ≥ 2 on the row with its
+// multiplicity and other rows in one flat span; the refinement's swap
+// trials are evaluated from it and from a per-row, per-group count kept
+// up to date on accepted swaps only (refiner).
 package decouple
 
 import (

@@ -67,6 +67,17 @@ var goldenCases = []goldenCase{
 		"b095cbe5085bbb110f9262b2bb68237e1240f0241411a5d2ac5b0951ee3b85f6"},
 	{"sat-small-force2", satSmall, Options{UseSAT: true, ForceK: 2, Seed: 3},
 		"d4c5ca9390c314694cf7542537ab75e34e93ecf2a3d21c6dd469f59fed9a1f49"},
+	// Generated on PR 15's parent (5c6b0b1): exp.Benchmarks()' BB hints,
+	// both of which fall short and are also rule Ks, and the
+	// best-coverage fallback when no K clears the bar.
+	{"BB72-circuit-hints12-6", bbCircuit(0), Options{HintKs: []int{12, 6}, Seed: 1234},
+		"5b8c4a7a3dd70a209292e5b08950da4e4fbeb7025b596e0ae2f6d9126d6930b9"},
+	{"BB144-circuit-hints12-6", bbCircuit(3), Options{HintKs: []int{12, 6}, Seed: 1234},
+		"60971c418b31c26adb0b1f8167e97e99d41aea9aae99e9fed7b83020fde211a4"},
+	{"BB72-circuit-fallback", bbCircuit(0), Options{Seed: 3, MinCoverage: 0.99},
+		"3d180cc47a805d02e00b47fb1c713b3378236c6e1421d30c9ef2b68f157e9063"},
+	{"BB144-circuit-fallback", bbCircuit(3), Options{Seed: 3, MinCoverage: 0.99},
+		"e192a4f7faadfe4e033db0e39a29a88912aabd1415c322e8a86c0caaea2a3f92"},
 }
 
 func artifactBytes(t testing.TB, D *gf2.Dense, opts Options) []byte {

@@ -58,6 +58,10 @@ func (o Options) withDefaults() Options {
 // among partition strategies by the Eq. 11 sparsity objective. The
 // returned artifact has passed Validate(D).
 //
+// Each K is planned first and materialised last: a plan fixes the column
+// lists and hence the coverage without forming T, so a K whose best plan
+// falls short of MinCoverage costs no inverse, no T·D and no validation.
+//
 // The K values are independent searches over one shared read-only view
 // of D and run concurrently, but their results are read in the order
 // above, so the artifact does not depend on scheduling or GOMAXPROCS.
@@ -78,8 +82,7 @@ func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	if minCover <= 0 {
 		minCover = 0.5
 	}
-	covered := func(d *Decoupling) float64 { return float64(d.K*d.ND) / float64(d.N) }
-	success := func(d *Decoupling) bool { return d != nil && covered(d) >= minCover }
+	success := func(blockCols int) bool { return covers(blockCols, v.n, minCover) }
 
 	// Structure hints first, in the caller's preference order, then the
 	// paper's rule: largest K first, accepting the first success.
@@ -87,20 +90,23 @@ func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	// columns — small blocks with decent coverage are exactly what keeps
 	// GreedyGuess effective and the hardware parallel. If no K clears
 	// the bar, fall back to the best coverage seen among the rule's Ks.
-	var tries []int
-	for _, K := range opts.HintKs {
-		if K >= 2 && m%K == 0 {
-			tries = append(tries, K)
+	order := searchOrder(m, opts.HintKs, ks)
+	results := searchKs(order, func(K int) *candidates {
+		c := planK(v, K, opts)
+		c.won = c.best(success)
+		return c
+	}, func(c *candidates) bool { return c.won != nil })
+	for _, c := range results {
+		if c != nil && c.won != nil {
+			return c.won, nil
 		}
 	}
-	hints := len(tries)
-	tries = append(tries, ks...)
+	// No success, so every K was searched and none built a plan below
+	// the bar; build those now.
 	var fallback *Decoupling
-	for i, dec := range searchKs(tries, func(K int) *Decoupling { return bestForK(v, K, opts) }, success) {
-		if success(dec) {
-			return dec, nil
-		}
-		if i >= hints && dec != nil && (fallback == nil || covered(dec) > covered(fallback)) {
+	for _, K := range ks {
+		dec := results[slices.Index(order, K)].best(func(int) bool { return true })
+		if dec != nil && (fallback == nil || dec.K*dec.ND > fallback.K*fallback.ND) {
 			fallback = dec
 		}
 	}
@@ -110,14 +116,38 @@ func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	return fallback, nil
 }
 
+// covers reports whether blocks absorbing blockCols of n columns reach
+// the fraction minCover. It is the only coverage test: plans are cut off
+// and artifacts accepted by the same division on the same integers.
+func covers(blockCols, n int, minCover float64) bool {
+	return float64(blockCols)/float64(n) >= minCover
+}
+
+// searchOrder lists each K to search once, in the order results are
+// read: the usable hints, then the rule's ks not already hinted.
+func searchOrder(m int, hintKs, ks []int) []int {
+	var order []int
+	for _, K := range hintKs {
+		if K >= 2 && m%K == 0 && !slices.Contains(order, K) {
+			order = append(order, K)
+		}
+	}
+	for _, K := range ks {
+		if !slices.Contains(order, K) {
+			order = append(order, K)
+		}
+	}
+	return order
+}
+
 // searchKs evaluates search(tries[i]) on min(GOMAXPROCS, len(tries))
 // goroutines, handing indices out in order and handing out no more once
 // any result is a success (everything before it is already running or
 // done, and nothing after it can be chosen). Every goroutine has exited
-// when it returns; slots that were never started stay nil, and all of
+// when it returns; slots that were never started stay zero, and all of
 // them lie after the first success.
-func searchKs(tries []int, search func(K int) *Decoupling, success func(*Decoupling) bool) []*Decoupling {
-	results := make([]*Decoupling, len(tries))
+func searchKs[R any](tries []int, search func(K int) R, success func(R) bool) []R {
+	results := make([]R, len(tries))
 	var (
 		next atomic.Int64
 		stop atomic.Bool
@@ -143,39 +173,68 @@ func searchKs(tries []int, search func(K int) *Decoupling, success func(*Decoupl
 	return results
 }
 
-// bestForK runs every strategy for one K — row partitions synthesized
-// with a block-local T, and the general-T direct-sum subspace search
-// (the paper's arbitrary full-rank T) — and returns the best candidate
-// that validates: max coverage, then min nnz, first found on ties.
-// Validation is lazy: only a candidate about to win is checked, and one
-// that fails is dropped in favour of the next best.
-func bestForK(v *searchView, K int, opts Options) *Decoupling {
-	var cands []*Decoupling
-	for _, groups := range candidatePartitions(v, K, opts) {
-		if dec, err := synthesize(v, groups); err == nil {
-			cands = append(cands, dec)
-		}
-	}
-	if dec, err := subspaceDecouple(v, K); err == nil {
-		cands = append(cands, dec)
-	}
-	return bestValid(v.D, cands)
+// candidates is one K's search: the plans of every strategy, in strategy
+// order, and the validated winner once best has found one.
+type candidates struct {
+	v     *searchView
+	plans []*plan
+	won   *Decoupling
 }
 
-// bestValid returns the best of cands that passes Validate(D), or nil.
-func bestValid(D *gf2.Dense, cands []*Decoupling) *Decoupling {
-	for len(cands) > 0 {
-		best := 0
-		for i, dec := range cands {
-			b := cands[best]
-			if dec.K*dec.ND > b.K*b.ND || (dec.K*dec.ND == b.K*b.ND && dec.NNZ() < b.NNZ()) {
+// planK runs every strategy for one K — row partitions, whose T is
+// block-local, and the general-T direct-sum subspace search (the paper's
+// arbitrary full-rank T) — and keeps the plans that worked out.
+func planK(v *searchView, K int, opts Options) *candidates {
+	c := &candidates{v: v}
+	for _, groups := range candidatePartitions(v, K, opts) {
+		if p, err := planPartition(v, groups); err == nil {
+			c.plans = append(c.plans, p)
+		}
+	}
+	if p, err := planSubspace(v, K); err == nil {
+		c.plans = append(c.plans, p)
+	}
+	return c
+}
+
+// best returns the best remaining candidate that validates: max
+// coverage, then min nnz, first found on ties. Coverage is known from
+// the plan, so only the plans tied at the top coverage are built (nnz
+// needs T·D), and only while accept(K·n_D) holds there: below it best
+// returns nil and leaves the rest unbuilt. Only the candidate about to
+// win is validated; one that fails to build or validate is dropped and
+// the next best takes its place.
+func (c *candidates) best(accept func(blockCols int) bool) *Decoupling {
+	for len(c.plans) > 0 {
+		top := 0
+		for _, p := range c.plans {
+			top = max(top, p.blockCols())
+		}
+		if !accept(top) {
+			return nil
+		}
+		c.plans = slices.DeleteFunc(c.plans, func(p *plan) bool {
+			if p.blockCols() != top || p.dec != nil {
+				return false
+			}
+			var err error
+			p.dec, err = p.build(c.v)
+			return err != nil
+		})
+		best := -1
+		for i, p := range c.plans {
+			if p.blockCols() == top && (best < 0 || p.dec.NNZ() < c.plans[best].dec.NNZ()) {
 				best = i
 			}
 		}
-		if cands[best].Validate(D) == nil {
-			return cands[best]
+		if best < 0 {
+			continue
 		}
-		cands = slices.Delete(cands, best, best+1)
+		dec := c.plans[best].dec
+		c.plans = slices.Delete(c.plans, best, best+1)
+		if dec.Validate(c.v.D) == nil {
+			return dec
+		}
 	}
 	return nil
 }
@@ -184,7 +243,7 @@ func bestValid(D *gf2.Dense, cands []*Decoupling) *Decoupling {
 // a given K: contiguous chunks, strided rows, greedy affinity
 // clustering, and the refined variant of each (dropped when refinement
 // accepted no swap, or lands on a partition already listed — equal
-// partitions synthesize to equal artifacts); plus the SAT-exact
+// partitions give equal plans); plus the SAT-exact
 // partition when enabled.
 func candidatePartitions(v *searchView, K int, opts Options) [][][]int {
 	m := v.m
@@ -289,57 +348,23 @@ func uniformGroup(sup, groupOf []int) int {
 
 // refinePartition performs randomized local search: swap rows across
 // groups when the number of interior columns increases. groups is not
-// modified. A swap of rows r and s can only change the columns on r or
-// s, so each trial counts interior columns over that union before and
-// after; the union is gathered into one reused buffer, deduplicated by
-// stamping each column with the trial's epoch, so a trial allocates
-// nothing.
+// modified.
 func refinePartition(v *searchView, groups [][]int, passes int, seed uint64) [][]int {
 	m := v.m
 	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
-	groupOf := make([]int, m)
-	for g, rs := range groups {
-		for _, r := range rs {
-			groupOf[r] = g
-		}
-	}
-	stamp := make([]int, v.n) // epoch of the trial that last gathered the column
-	touched := make([]int, 0, v.n)
-	interiorCount := func() int {
-		c := 0
-		for _, j := range touched {
-			if uniformGroup(v.cols.ColSupport(j), groupOf) >= 0 {
-				c++
-			}
-		}
-		return c
-	}
-	epoch := 0
+	rf := newRefiner(v, groups)
 	for pass := 0; pass < passes; pass++ {
 		improved := false
 		order := rng.Perm(m)
 		for _, r := range order {
 			for trial := 0; trial < 8; trial++ {
 				s := rng.IntN(m)
-				if groupOf[r] == groupOf[s] {
+				if rf.groupOf[r] == rf.groupOf[s] {
 					continue
 				}
-				epoch++
-				touched = touched[:0]
-				for _, row := range [2]int{r, s} {
-					for _, j := range v.colsOfRow[row] {
-						if stamp[j] != epoch {
-							stamp[j] = epoch
-							touched = append(touched, j)
-						}
-					}
-				}
-				before := interiorCount()
-				groupOf[r], groupOf[s] = groupOf[s], groupOf[r]
-				if interiorCount() > before {
+				if rf.gain(r, s) > 0 {
+					rf.swap(r, s)
 					improved = true
-				} else {
-					groupOf[r], groupOf[s] = groupOf[s], groupOf[r]
 				}
 			}
 		}
@@ -352,7 +377,117 @@ func refinePartition(v *searchView, groups [][]int, passes int, seed uint64) [][
 		out[g] = make([]int, 0, len(groups[g]))
 	}
 	for r := 0; r < m; r++ {
-		out[groupOf[r]] = append(out[groupOf[r]], r)
+		out[rf.groupOf[r]] = append(out[rf.groupOf[r]], r)
 	}
 	return out
+}
+
+// refiner is a row partition under refinement. confined[r·K+g] counts,
+// with multiplicity, the columns of weight ≥ 2 on row r whose other rows
+// all lie in group g: such a column is interior iff r is in g too. A
+// swap trial is then four table cells plus the columns the two rows
+// share, read from the view's neighbour spans; the table is brought up
+// to date only when a swap is accepted, which few trials are.
+type refiner struct {
+	v        *searchView
+	K        int
+	groupOf  []int
+	confined []int
+}
+
+func newRefiner(v *searchView, groups [][]int) *refiner {
+	rf := &refiner{v: v, K: len(groups), groupOf: make([]int, v.m), confined: make([]int, v.m*len(groups))}
+	for g, rs := range groups {
+		for _, r := range rs {
+			rf.groupOf[r] = g
+		}
+	}
+	var mult int
+	var others []int32
+	for r := 0; r < v.m; r++ {
+		for span := v.neighbours(r); len(span) > 0; {
+			mult, others, span = nextNeighbour(span)
+			if g := rf.groupOf[others[0]]; rf.allIn(others, g, -1) {
+				rf.confined[r*rf.K+g] += mult
+			}
+		}
+	}
+	return rf
+}
+
+// allIn reports whether every row of others except skip lies in group g.
+func (rf *refiner) allIn(others []int32, g int, skip int32) bool {
+	for _, o := range others {
+		if o != skip && rf.groupOf[o] != g {
+			return false
+		}
+	}
+	return true
+}
+
+// gain returns the change in the number of interior columns if rows r
+// and s, which lie in different groups, trade places. Only a column on r
+// or s can change: on r it becomes interior when the rest of it lies in
+// s's group and stops being interior when the rest lies in r's, and
+// likewise on s.
+func (rf *refiner) gain(r, s int) int {
+	a, b := rf.groupOf[r], rf.groupOf[s]
+	d := rf.confined[r*rf.K+b] - rf.confined[r*rf.K+a] + rf.confined[s*rf.K+a] - rf.confined[s*rf.K+b]
+	if rf.v.aff[r][s] > 0 {
+		// A column holding both rows stays crossing, yet the table has
+		// it becoming interior when everything on it but r lies in b (s
+		// does), or everything but s in a.
+		d -= rf.sharedConfined(r, s, b) + rf.sharedConfined(s, r, a)
+	}
+	return d
+}
+
+// sharedConfined counts the columns on r that also hold s and whose
+// rows other than r all lie in group g.
+func (rf *refiner) sharedConfined(r, s, g int) int {
+	n := 0
+	var mult int
+	var others []int32
+	for span := rf.v.neighbours(r); len(span) > 0; {
+		mult, others, span = nextNeighbour(span)
+		if slices.Contains(others, int32(s)) && rf.allIn(others, g, -1) {
+			n += mult
+		}
+	}
+	return n
+}
+
+// swap trades the groups of rows r and s and updates the table for the
+// rows of every column on either.
+func (rf *refiner) swap(r, s int) {
+	rf.tally(r, -1, -1)
+	rf.tally(s, r, -1)
+	rf.groupOf[r], rf.groupOf[s] = rf.groupOf[s], rf.groupOf[r]
+	rf.tally(r, -1, +1)
+	rf.tally(s, r, +1)
+}
+
+// tally adds sign·multiplicity to the table for every column on row,
+// except those that also hold skip, in the cell of each of its rows
+// whose fellow rows all lie in one group.
+func (rf *refiner) tally(row, skip, sign int) {
+	var mult int
+	var others []int32
+	for span := rf.v.neighbours(row); len(span) > 0; {
+		mult, others, span = nextNeighbour(span)
+		if slices.Contains(others, int32(skip)) {
+			continue
+		}
+		if g := rf.groupOf[others[0]]; rf.allIn(others, g, -1) {
+			rf.confined[row*rf.K+g] += sign * mult
+		}
+		// For another row x of the column, the fellows are row and the
+		// others but x.
+		g := rf.groupOf[row]
+		for _, x := range others {
+			if rf.allIn(others, g, x) {
+				rf.confined[int(x)*rf.K+g] += sign * mult
+			}
+		}
+	}
 }

@@ -1,0 +1,203 @@
+package decouple
+
+import (
+	"bytes"
+	"math/rand/v2"
+	"testing"
+
+	"vegapunk/internal/gf2"
+)
+
+func serialized(t testing.TB, dec *Decoupling) []byte {
+	if dec == nil {
+		return nil
+	}
+	var buf bytes.Buffer
+	if _, err := dec.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func acceptAny(int) bool { return true }
+
+// checkPlanFirstEqualsEager compares, for one K, the plan-first
+// selection with the eager reference, with and without a coverage bar.
+func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) {
+	t.Helper()
+	opts = opts.withDefaults()
+	v := newSearchView(D)
+	want := eagerBestForK(v, K, opts)
+
+	// Every plan knows the coverage its artifact will have.
+	for i, p := range planK(v, K, opts).plans {
+		dec, err := p.build(v)
+		if err != nil {
+			t.Fatalf("K=%d plan %d: %v", K, i, err)
+		}
+		if p.blockCols() != dec.K*dec.ND {
+			t.Fatalf("K=%d plan %d: planned %d block columns, built %d", K, i, p.blockCols(), dec.K*dec.ND)
+		}
+	}
+
+	if got := planK(v, K, opts).best(acceptAny); !bytes.Equal(serialized(t, got), serialized(t, want)) {
+		t.Fatalf("K=%d: plan-first selection differs from the eager one", K)
+	}
+
+	// Behind a bar: the same artifact if it clears it; otherwise nothing,
+	// nothing built, and the fallback selection still finds it.
+	success := func(blockCols int) bool { return covers(blockCols, v.n, 0.5) }
+	c := planK(v, K, opts)
+	got := c.best(success)
+	if want != nil && success(want.K*want.ND) {
+		if !bytes.Equal(serialized(t, got), serialized(t, want)) {
+			t.Fatalf("K=%d: successful winner differs from the eager one", K)
+		}
+		return
+	}
+	if got != nil {
+		t.Fatalf("K=%d: returned a candidate below the coverage bar", K)
+	}
+	for i, p := range c.plans {
+		if p.dec != nil && !success(p.blockCols()) {
+			t.Fatalf("K=%d plan %d: built although below the bar", K, i)
+		}
+	}
+	if got := c.best(acceptAny); !bytes.Equal(serialized(t, got), serialized(t, want)) {
+		t.Fatalf("K=%d: fallback selection differs from the eager one", K)
+	}
+}
+
+// TestPlanFirstEqualsEager: ranking unbuilt plans and building only the
+// top level chooses the artifact that building everything chose.
+func TestPlanFirstEqualsEager(t *testing.T) {
+	for _, gc := range goldenCases[:3] { // BB72, BB144, HP162
+		D := gc.matrix(t)
+		S := gf2.SparseFromDense(D).MaxColWeight()
+		for _, K := range candidateKs(D.Rows(), S) {
+			checkPlanFirstEqualsEager(t, D, K, gc.opts)
+		}
+	}
+	rng := rand.New(rand.NewPCG(1501, 1502))
+	for trial := 0; trial < 40; trial++ {
+		m := 6 * (1 + rng.IntN(5))
+		D := randomDEMLike(rng, m, 2+rng.IntN(60), 1+m/4)
+		for _, K := range candidateKs(m, 1) {
+			checkPlanFirstEqualsEager(t, D, K, Options{Seed: uint64(trial)})
+		}
+	}
+}
+
+// TestBestReplacesFailedWinner: the plan that would win is the one that
+// gets built and validated; if either step fails it is dropped and the
+// next best takes its place, so nothing unvalidated is ever returned.
+func TestBestReplacesFailedWinner(t *testing.T) {
+	D := hpPhenomenological(t)
+	v := newSearchView(D)
+	plans := func() (wide, narrow *plan) {
+		wide, err := planSubspace(v, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		narrow, err = planSubspace(v, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide.blockCols() <= narrow.blockCols() {
+			wide, narrow = narrow, wide
+		}
+		return wide, narrow
+	}
+
+	wide, narrow := plans()
+	c := &candidates{v: v, plans: []*plan{narrow, wide}}
+	if got := c.best(acceptAny); got == nil || got.K*got.ND != wide.blockCols() {
+		t.Fatal("valid candidate with the larger coverage not chosen")
+	}
+	if narrow.dec != nil {
+		t.Fatal("the losing plan was built")
+	}
+
+	// Tampered artifact: T·D·P no longer matches the block form.
+	wide, narrow = plans()
+	dec, err := wide.build(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec.T.Flip(0, 1)
+	if dec.Validate(D) == nil {
+		t.Fatal("tampering not detected")
+	}
+	wide.dec = dec
+	c = &candidates{v: v, plans: []*plan{narrow, wide}}
+	if got := c.best(acceptAny); got == nil || got.K*got.ND != narrow.blockCols() || got.Validate(D) != nil {
+		t.Fatal("invalid winner not replaced by the next best candidate")
+	}
+	if got := c.best(acceptAny); got != nil {
+		t.Fatal("a candidate was left after both were consumed")
+	}
+
+	// Failing build: two identity columns of one block coincide, so the
+	// stacked identity columns are singular.
+	wide, narrow = plans()
+	wide.identity[0][1] = wide.identity[0][0]
+	if _, err := wide.build(v); err == nil {
+		t.Fatal("singular identity columns built")
+	}
+	c = &candidates{v: v, plans: []*plan{wide, narrow}}
+	if got := c.best(acceptAny); got == nil || got.K*got.ND != narrow.blockCols() {
+		t.Fatal("plan whose build fails not replaced by the next best")
+	}
+	wide, _ = plans()
+	wide.identity[0][1] = wide.identity[0][0]
+	if got := (&candidates{v: v, plans: []*plan{wide}}).best(acceptAny); got != nil {
+		t.Fatal("sole candidate returned although its build fails")
+	}
+}
+
+// TestCoversBoundary: one predicate decides coverage for plans and
+// artifacts alike, by dividing the integer column counts. A threshold
+// pre-multiplied by n disagrees with it on the marked rows, which is why
+// the plan cut-off may not use one.
+func TestCoversBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		blockCols, n int
+		minCover     float64
+		want         bool
+	}{
+		{180, 360, 0.5, true}, // exactly the default bar
+		{179, 360, 0.5, false},
+		{364, 720, 0.5, true}, // BB144's K=4 winner, 0.506
+		{342, 720, 0.5, false},
+		{108, 360, 0.3, true}, // 0.3 is not exact in binary
+		{107, 360, 0.3, false},
+		{3, 10, 0.3, true},
+		{55, 100, 0.55, true}, // 0.55·100 > 55 in float64
+		{7, 25, 0.28, true},   // 0.28·25 > 7 in float64
+		{54, 100, 0.55, false},
+		{360, 360, 1, true},
+		{359, 360, 0.99, true},
+		{356, 360, 0.99, false},
+	} {
+		if got := covers(tc.blockCols, tc.n, tc.minCover); got != tc.want {
+			t.Errorf("covers(%d, %d, %v) = %v, want %v", tc.blockCols, tc.n, tc.minCover, got, tc.want)
+		}
+	}
+}
+
+// TestDecoupleDoesNotBuildLosers: BB72's K = 12, 9, 6 and 4 fall short
+// of the coverage bar before K = 3 clears it, and none of their plans may
+// be materialised (T, T·D, the sparse blocks): doing so again costs
+// ~13 000 allocations on top of the ~8 400 the search needs.
+func TestDecoupleDoesNotBuildLosers(t *testing.T) {
+	D := bbCircuit(0)(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Decouple(D, Options{Seed: 3}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 12000 {
+		t.Errorf("Decouple made %.0f allocations, want < 12000", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
+}

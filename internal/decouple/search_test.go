@@ -3,8 +3,12 @@ package decouple
 import (
 	"math/rand/v2"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"vegapunk/internal/gf2"
 )
 
 // interiorColumns counts the columns of v confined to one group.
@@ -91,6 +95,133 @@ func TestRefinePartitionAllocsIndependentOfTrials(t *testing.T) {
 		t.Errorf("refinePartition made %.0f allocations for up to %d trials; want ≤ %.0f", allocs, trials*passes, limit)
 	}
 	t.Logf("%.0f allocations, %d trials per pass", allocs, trials)
+}
+
+// trialCase is a random matrix and partition for the swap-trial checks:
+// column weights 1–6 (repeated rows may cancel down to zero columns),
+// duplicated and explicit zero columns, K from 2 to 6.
+func trialCase(seed uint64, kRaw, mdRaw, colsRaw uint8) (*searchView, [][]int) {
+	rng := rand.New(rand.NewPCG(seed, 151))
+	K := 2 + int(kRaw)%5
+	m := K * (1 + int(mdRaw)%5)
+	n := 1 + int(colsRaw)%90
+	D := gf2.NewDense(m, n)
+	for j := 0; j < n; j++ {
+		switch pick := rng.IntN(10); {
+		case pick == 0: // zero column
+		case pick < 4 && j > 0: // duplicate of an earlier column
+			src := rng.IntN(j)
+			for r := 0; r < m; r++ {
+				D.Set(r, j, D.At(r, src))
+			}
+		default:
+			for w := 1 + rng.IntN(6); w > 0; w-- {
+				D.Flip(rng.IntN(m), j)
+			}
+		}
+	}
+	rows := rng.Perm(m)
+	groups := make([][]int, K)
+	for g := range groups {
+		groups[g] = rows[g*m/K : (g+1)*m/K]
+	}
+	return newSearchView(D), groups
+}
+
+// checkTrialGains walks a refiner through every cross-group pair of rows,
+// comparing each trial's gain with a recount of the interior columns
+// after the swap, and accepts every third trial whatever its gain so the
+// table is also checked after updates refinePartition would not make.
+func checkTrialGains(t *testing.T, v *searchView, groups [][]int) {
+	rf := newRefiner(v, groups)
+	partition := func() [][]int {
+		p := make([][]int, len(groups))
+		for r, g := range rf.groupOf {
+			p[g] = append(p[g], r)
+		}
+		return p
+	}
+	trial := 0
+	for r := 0; r < v.m; r++ {
+		for s := 0; s < v.m; s++ {
+			if rf.groupOf[r] == rf.groupOf[s] {
+				continue
+			}
+			before := interiorColumns(v, partition())
+			got := rf.gain(r, s)
+			rf.swap(r, s)
+			if want := interiorColumns(v, partition()) - before; got != want {
+				t.Fatalf("trial %d: swapping rows %d and %d gains %d interior columns, evaluated as %d", trial, r, s, want, got)
+			}
+			if trial++; trial%3 != 0 {
+				rf.swap(r, s) // rejected: back to where it was
+			}
+		}
+	}
+}
+
+// TestRefineTrialGainMatchesRecount: the table-driven trial evaluation
+// agrees with counting interior columns before and after the swap.
+func TestRefineTrialGainMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewPCG(152, 153))
+	for i := 0; i < 150; i++ {
+		v, groups := trialCase(rng.Uint64(), uint8(rng.IntN(256)), uint8(rng.IntN(256)), uint8(rng.IntN(256)))
+		checkTrialGains(t, v, groups)
+	}
+	v := newSearchView(bbCircuit(0)(t))
+	groups := make([][]int, 4)
+	for r := 0; r < v.m; r++ {
+		groups[r%4] = append(groups[r%4], r)
+	}
+	checkTrialGains(t, v, groups)
+}
+
+func FuzzRefineTrialGain(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(1), uint8(20))  // K=2, two rows each
+	f.Add(uint64(2), uint8(4), uint8(4), uint8(89))  // K=6, m=30, 90 columns
+	f.Add(uint64(3), uint8(2), uint8(0), uint8(40))  // one row per group: every column of weight ≥ 2 crosses
+	f.Add(uint64(4), uint8(1), uint8(2), uint8(0))   // a single column
+	f.Add(uint64(5), uint8(3), uint8(3), uint8(255)) // K=5, m=20
+	f.Fuzz(func(t *testing.T, seed uint64, kRaw, mdRaw, colsRaw uint8) {
+		v, groups := trialCase(seed, kRaw, mdRaw, colsRaw)
+		checkTrialGains(t, v, groups)
+	})
+}
+
+// TestHintedKSearchedOnce: exp.Benchmarks() hints K = 12 and 6 for the BB
+// codes; both are also rule Ks and both fall short, so each used to be
+// searched at its hint position and again at its rule position. Every K
+// is searched once, hints first, and the rule's order is otherwise kept.
+func TestHintedKSearchedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		m, S  int
+		hints []int
+		want  []int
+	}{
+		{72, 3, []int{12, 6}, []int{12, 6, 24, 18, 9, 8, 4, 3, 2}}, // BB144
+		{36, 3, []int{12, 6}, []int{12, 6, 9, 4, 3, 2}},            // BB72
+		{36, 3, []int{6, 6, 5, 1, 72}, []int{6, 12, 9, 4, 3, 2}},   // repeated and unusable hints
+		{81, 9, []int{9}, []int{9, 3}},                             // HP162
+		{36, 3, nil, []int{12, 9, 6, 4, 3, 2}},
+	} {
+		order := searchOrder(tc.m, tc.hints, candidateKs(tc.m, tc.S))
+		if !slices.Equal(order, tc.want) {
+			t.Errorf("m=%d hints %v: search order %v, want %v", tc.m, tc.hints, order, tc.want)
+		}
+		var mu sync.Mutex
+		searches := map[int]int{}
+		searchKs(order, func(K int) int {
+			mu.Lock()
+			defer mu.Unlock()
+			searches[K]++
+			return K
+		}, func(int) bool { return false })
+		for _, K := range candidateKs(tc.m, tc.S) {
+			if searches[K] != 1 {
+				t.Errorf("m=%d hints %v: K=%d searched %d times", tc.m, tc.hints, K, searches[K])
+			}
+		}
+	}
 }
 
 // TestBestValidDropsInvalidWinner: the candidate that would win is the

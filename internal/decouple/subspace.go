@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-
-	"vegapunk/internal/gf2"
 )
 
 // bitvec is a packed row-index set: one column of D, or a combination
@@ -107,7 +105,7 @@ func (s *subspace) grow(vec bitvec, cols []int) {
 	s.interior = append(s.interior, cols[1:]...)
 }
 
-// subspaceDecouple searches for a decoupling with a *general* full-rank
+// planSubspace searches for a decoupling with a *general* full-rank
 // transformation, not just a block-local one: it seeks a direct-sum
 // decomposition F₂^m = W₁ ⊕ … ⊕ W_K with dim(W_i) = m_D such that as
 // many check-matrix columns as possible lie inside a single W_i. Taking
@@ -117,7 +115,7 @@ func (s *subspace) grow(vec bitvec, cols []int) {
 // realizes the paper's arbitrary-T SMT search (§4.2), which the
 // row-partition strategies only approximate: here a column can be
 // interior to a block even when its support is scattered across rows.
-func subspaceDecouple(v *searchView, K int) (*Decoupling, error) {
+func planSubspace(v *searchView, K int) (*plan, error) {
 	m := v.m
 	if K < 2 || m%K != 0 {
 		return nil, fmt.Errorf("decouple: subspace K=%d cannot tile m=%d", K, m)
@@ -203,34 +201,25 @@ func subspaceDecouple(v *searchView, K int) (*Decoupling, error) {
 		}
 	}
 
-	// T = B⁻¹ where column i·m_D+t of B is basis vector t of W_i.
-	B := gf2.NewDense(m, m)
+	// The basis columns become the identities (plan.build inverts the
+	// stacked basis); columns in no subspace, zero columns included, go
+	// to A.
 	identity := make([][]int, K)
 	interior := make([][]int, K)
 	for i, s := range subs {
-		for t, j := range s.rawCols {
-			for _, r := range v.cols.ColSupport(j) {
-				B.Set(r, i*mD+t, true)
-			}
-		}
 		sort.Ints(s.interior)
 		identity[i], interior[i] = s.rawCols, s.interior
 		for _, j := range s.interior {
 			assigned[j] = true
 		}
 	}
-	T, err := B.Inverse()
-	if err != nil {
-		return nil, fmt.Errorf("decouple: subspace basis singular: %w", err)
-	}
-	// Columns in no subspace (zero columns included) go to A.
 	var crossing []int
 	for j := 0; j < v.n; j++ {
 		if !assigned[j] {
 			crossing = append(crossing, j)
 		}
 	}
-	return buildArtifact(v, T, identity, interior, crossing)
+	return newPlan(v, identity, interior, crossing)
 }
 
 // wordsFor mirrors gf2's packing (kept local to avoid exporting it).

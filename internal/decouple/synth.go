@@ -1,25 +1,57 @@
 package decouple
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sort"
 
 	"vegapunk/internal/gf2"
 )
 
-// synthesize builds the exact decoupling artifact for a given row
-// partition (groups of equal size m/K). It fails when some group's
-// interior columns cannot supply an identity (rank < m_D).
+// plan is a decoupling candidate decided but not yet materialised: per
+// block, the columns that become its identity and its other interior
+// columns in take order, and the tail that goes to A. Every block takes
+// as many interior columns as the scarcest block has (uniform
+// n_D = m_D + spare), so the plan already fixes the coverage; only the
+// Eq. 11 nonzero count needs the transformation, which build supplies.
+type plan struct {
+	identity, interior [][]int
+	tail               []int
+	spare              int
+	// dec is the built artifact, set by the selection that needed it.
+	dec *Decoupling
+}
+
+// newPlan fixes spare and checks that every column is accounted for.
+func newPlan(v *searchView, identity, interior [][]int, tail []int) (*plan, error) {
+	p := &plan{identity: identity, interior: interior, tail: tail, spare: len(interior[0])}
+	total := len(tail)
+	for g := range identity {
+		p.spare = min(p.spare, len(interior[g]))
+		total += len(identity[g]) + len(interior[g])
+	}
+	if total != v.n {
+		return nil, fmt.Errorf("decouple: column accounting %d != %d", total, v.n)
+	}
+	return p, nil
+}
+
+// blockCols is K·n_D, the number of columns the blocks absorb.
+func (p *plan) blockCols() int {
+	return len(p.identity) * (len(p.identity[0]) + p.spare)
+}
+
+// planPartition plans the decoupling for a given row partition (groups
+// of equal size m/K). It fails when some group's interior columns cannot
+// supply an identity (rank < m_D).
 //
-// The transformation T is block-local: within each group it is the
-// inverse of the chosen pivot submatrix (so the pivots become the
-// identity), and globally it also folds in the row permutation that
+// The transformation this plan builds is block-local: the pivots of a
+// group are zero outside its rows, so the inverse of the stacked pivot
+// matrix is, within each group, the inverse of the pivot submatrix (the
+// pivots become the identity) composed with the row permutation that
 // makes groups contiguous. Block-locality means T never moves support
 // across groups, so column interiority — and therefore the block
 // structure — is preserved exactly.
-func synthesize(v *searchView, groups [][]int) (*Decoupling, error) {
+func planPartition(v *searchView, groups [][]int) (*plan, error) {
 	m := v.m
 	K := len(groups)
 	if K == 0 || m%K != 0 {
@@ -68,30 +100,17 @@ func synthesize(v *searchView, groups [][]int) (*Decoupling, error) {
 	}
 
 	// Per group: pick m_D pivot columns (lightest first — unit columns
-	// make T_g the identity) whose local submatrix is invertible. An
+	// make the group's part of T the identity) that are independent. An
 	// interior column is zero outside its group's rows, so independence
-	// can be read off the full packed columns. The global T folds each
-	// local inverse T_g in: output row g·m_D + a = Σ_b T_g[a,b] · (input
-	// row rows[b]).
-	T := gf2.NewDense(m, m)
+	// can be read off the full packed columns.
 	pivots := make([][]int, K)
-	local := make([]int, m) // position of a row inside its sorted group
 	for g := 0; g < K; g++ {
-		rows := slices.Clone(groups[g])
-		sort.Ints(rows)
-		for b, r := range rows {
-			local[r] = b
-		}
 		cand := interior[g]
 		sort.SliceStable(cand, func(a, b int) bool { return v.cols.ColWeight(cand[a]) < v.cols.ColWeight(cand[b]) })
 		var ech echelon
-		mg := gf2.NewDense(mD, mD)
 		nonPiv := cand[:0]
 		for _, j := range cand {
 			if ech.dim() < mD && ech.add(v.vecs[j]) {
-				for _, r := range v.cols.ColSupport(j) {
-					mg.Set(local[r], len(pivots[g]), true)
-				}
 				pivots[g] = append(pivots[g], j)
 			} else {
 				nonPiv = append(nonPiv, j)
@@ -101,47 +120,44 @@ func synthesize(v *searchView, groups [][]int) (*Decoupling, error) {
 			return nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
 		}
 		interior[g] = nonPiv
-		tg, err := mg.Inverse()
-		if err != nil {
-			return nil, errors.New("decouple: pivot submatrix unexpectedly singular")
-		}
-		for a := 0; a < mD; a++ {
-			for b := 0; b < mD; b++ {
-				if tg.At(a, b) {
-					T.Set(g*mD+a, rows[b], true)
-				}
+	}
+	return newPlan(v, pivots, interior, crossing)
+}
+
+// build materialises the plan: T is the inverse of the matrix whose
+// column i·m_D+t is identity column t of block i (so those columns become
+// the identities), T·D is formed once and read through one sparse pass.
+// Each block keeps its first spare interior columns; the surplus, then
+// the tail, go to A.
+func (p *plan) build(v *searchView) (*Decoupling, error) {
+	K := len(p.identity)
+	mD := v.m / K
+	basis := gf2.NewDense(v.m, v.m)
+	for g, cols := range p.identity {
+		for t, j := range cols {
+			for _, r := range v.cols.ColSupport(j) {
+				basis.Set(r, g*mD+t, true)
 			}
 		}
 	}
-	return buildArtifact(v, T, pivots, interior, crossing)
-}
-
-// buildArtifact builds the artifact for a transformation T given, per
-// block, the columns that become its identity and its other interior
-// columns, in take order. Every block takes as many interior columns as
-// the scarcest block has (uniform n_D = m_D + spare); the surplus, then
-// tail, go to A. T·D is formed once and read through one sparse pass.
-func buildArtifact(v *searchView, T *gf2.Dense, identity, interior [][]int, tail []int) (*Decoupling, error) {
-	K := len(identity)
-	mD := v.m / K
-	spare := len(interior[0])
-	for _, cols := range interior[1:] {
-		spare = min(spare, len(cols))
+	T, err := basis.Inverse()
+	if err != nil {
+		return nil, fmt.Errorf("decouple: identity columns not a basis: %w", err)
 	}
 	dec := &Decoupling{
-		M: v.m, N: v.n, K: K, MD: mD, ND: mD + spare,
+		M: v.m, N: v.n, K: K, MD: mD, ND: mD + p.spare,
 		T:      T,
 		Blocks: make([]*gf2.SparseCols, K),
 	}
 	td := gf2.SparseFromDense(T.Mul(v.D))
 	var colOrder, aCols, sup []int
-	for g := range identity {
-		colOrder = append(append(colOrder, identity[g]...), interior[g][:spare]...)
-		aCols = append(aCols, interior[g][spare:]...)
+	for g := range p.identity {
+		colOrder = append(append(colOrder, p.identity[g]...), p.interior[g][:p.spare]...)
+		aCols = append(aCols, p.interior[g][p.spare:]...)
 		// B part: transformed interior columns restricted to the
 		// block's rows.
-		b := gf2.NewSparseCols(mD, spare)
-		for jj, j := range interior[g][:spare] {
+		b := gf2.NewSparseCols(mD, p.spare)
+		for jj, j := range p.interior[g][:p.spare] {
 			sup = sup[:0]
 			for _, r := range td.ColSupport(j) {
 				if t := r - g*mD; t >= 0 && t < mD {
@@ -152,16 +168,13 @@ func buildArtifact(v *searchView, T *gf2.Dense, identity, interior [][]int, tail
 		}
 		dec.Blocks[g] = b
 	}
-	aCols = append(aCols, tail...)
+	aCols = append(aCols, p.tail...)
 	dec.NA = len(aCols)
 	dec.A = gf2.NewSparseCols(v.m, dec.NA)
 	for jj, j := range aCols {
 		dec.A.SetColSupport(jj, td.ColSupport(j))
 	}
 	dec.ColOrder = append(colOrder, aCols...)
-	if len(dec.ColOrder) != v.n {
-		return nil, fmt.Errorf("decouple: column accounting %d != %d", len(dec.ColOrder), v.n)
-	}
 	return dec, nil
 }
 
