@@ -14,7 +14,6 @@ import (
 
 	"vegapunk/internal/bp"
 	"vegapunk/internal/core"
-	"vegapunk/internal/decouple"
 	"vegapunk/internal/exp"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/hier"
@@ -95,33 +94,6 @@ func bb72Fixture(b *testing.B, p float64) (*Model, *Decoupling, []Vec) {
 	return model, dcp, syndromes
 }
 
-func BenchmarkVegapunkDecodeBB72(b *testing.B) {
-	model, dcp, syn := bb72Fixture(b, 0.005)
-	dec := hier.New(dcp, model.LLRs(), hier.Config{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(syn[i%len(syn)])
-	}
-}
-
-func BenchmarkVegapunkDecodeParallelBB72(b *testing.B) {
-	model, dcp, syn := bb72Fixture(b, 0.005)
-	dec := hier.New(dcp, model.LLRs(), hier.Config{Parallel: true})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(syn[i%len(syn)])
-	}
-}
-
-func BenchmarkBPDecodeBB72(b *testing.B) {
-	model, _, syn := bb72Fixture(b, 0.005)
-	dec := bp.New(model.Mech, model.LLRs(), bp.Config{MaxIters: 72})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(syn[i%len(syn)])
-	}
-}
-
 func BenchmarkBPOSDDecodeBB72(b *testing.B) {
 	model, _, syn := bb72Fixture(b, 0.005)
 	dec := osd.NewBPOSD(model.Mech, model.LLRs(),
@@ -159,43 +131,6 @@ func BenchmarkMemoryExperimentBB72(b *testing.B) {
 	}
 }
 
-func BenchmarkDecoupleBB72(b *testing.B) {
-	c, err := BBCode(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := CircuitLevelNoise(c, 0.001)
-	D := model.CheckMatrix()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decouple.Decouple(D, decouple.Options{Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGF2MulVec(b *testing.B) {
-	rng := rand.New(rand.NewPCG(2, 2))
-	m := gf2.NewDense(392, 3920)
-	for i := 0; i < 392; i++ {
-		for j := 0; j < 3920; j++ {
-			if rng.IntN(100) == 0 {
-				m.Set(i, j, true)
-			}
-		}
-	}
-	v := gf2.NewVec(3920)
-	for j := 0; j < 3920; j++ {
-		if rng.IntN(20) == 0 {
-			v.Set(j, true)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVec(v)
-	}
-}
-
 func BenchmarkGF2RowReduce(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 3))
 	src := gf2.NewDense(200, 400)
@@ -213,24 +148,6 @@ func BenchmarkGF2RowReduce(b *testing.B) {
 }
 
 // ---- Ablation benches (DESIGN.md §4) ----
-
-// BenchmarkAblationIncremental compares the syndrome incremental update
-// (the paper's HDU design) against full block re-decodes per candidate.
-func BenchmarkAblationIncremental(b *testing.B) {
-	model, dcp, syn := bb72Fixture(b, 0.005)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"incremental", false}, {"full-recompute", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			dec := hier.New(dcp, model.LLRs(), hier.Config{DisableIncremental: mode.disable})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec.Decode(syn[i%len(syn)])
-			}
-		})
-	}
-}
 
 // BenchmarkAblationGreedyWidth sweeps the GreedyGuess inner iteration
 // budget.

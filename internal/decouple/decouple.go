@@ -9,9 +9,9 @@
 //
 // The paper hands this search to an SMT solver. Here the same
 // formulation is solved by a two-stage engine (DESIGN.md §1): a row
-// partition search (greedy clustering with refinement, an analytic path
-// for hypergraph-product structure, and an exact SAT mode for small
-// instances via internal/smt) beside a general-T subspace search,
+// partition search (greedy clustering with refinement, and an analytic
+// path for hypergraph-product structure) beside a general-T subspace
+// search,
 // followed by algebraic synthesis of T as the inverse of the columns
 // chosen to become the identities — block-local for a row partition,
 // which preserves the cross-group support of every column, so the

@@ -140,31 +140,6 @@ func TestDecoupleForceK(t *testing.T) {
 	}
 }
 
-func TestDecoupleSATModeSmall(t *testing.T) {
-	// A small structured matrix where the optimal partition is obvious:
-	// two independent 3-row blocks shuffled together, plus identity.
-	rows := [][]int{
-		{1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0},
-		{0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0},
-		{1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0},
-		{0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0},
-		{0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0},
-		{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1},
-	}
-	// Columns 0-3 live on rows {0,2,4}∪{1}... construct directly:
-	D := gf2.FromRows(rows)
-	dec, err := Decouple(D, Options{UseSAT: true, ForceK: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Validate(D); err != nil {
-		t.Fatal(err)
-	}
-	if dec.K != 2 || dec.MD != 3 {
-		t.Errorf("K=%d MD=%d", dec.K, dec.MD)
-	}
-}
-
 func TestSynthesizeRejectsBadPartitions(t *testing.T) {
 	D := gf2.Eye(4)
 	if _, err := synthesize(newSearchView(D), [][]int{{0, 1}, {2}}); err == nil {

@@ -31,7 +31,7 @@ func subspaceDecouple(v *searchView, K int) (*Decoupling, error) {
 // artifact.
 func eagerBestForK(v *searchView, K int, opts Options) *Decoupling {
 	var cands []*Decoupling
-	for _, p := range planK(v, K, opts).plans {
+	for _, p := range planK(v, K, opts.Seed).plans {
 		if dec, err := p.build(v); err == nil {
 			cands = append(cands, dec)
 		}

@@ -42,18 +42,6 @@ func hpPhenomenological(t testing.TB) *gf2.Dense {
 	return dem.Phenomenological(c, 0.001, 0.001).CheckMatrix()
 }
 
-// satSmall is the matrix of TestDecoupleSATModeSmall.
-func satSmall(testing.TB) *gf2.Dense {
-	return gf2.FromRows([][]int{
-		{1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0},
-		{0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0},
-		{1, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0},
-		{0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0},
-		{0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0},
-		{0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1},
-	})
-}
-
 var goldenCases = []goldenCase{
 	{"BB72-circuit-seed3", bbCircuit(0), Options{Seed: 3},
 		"5b8c4a7a3dd70a209292e5b08950da4e4fbeb7025b596e0ae2f6d9126d6930b9"},
@@ -65,8 +53,6 @@ var goldenCases = []goldenCase{
 		"8a297ecb038c369bfdf6ca6c20edcc9e67e97947cf9074eb1183420ffc3b6538"},
 	{"HP162-force3", hpPhenomenological, Options{ForceK: 3, Seed: 5},
 		"b095cbe5085bbb110f9262b2bb68237e1240f0241411a5d2ac5b0951ee3b85f6"},
-	{"sat-small-force2", satSmall, Options{UseSAT: true, ForceK: 2, Seed: 3},
-		"d4c5ca9390c314694cf7542537ab75e34e93ecf2a3d21c6dd469f59fed9a1f49"},
 	// Generated on PR 15's parent (5c6b0b1): exp.Benchmarks()' BB hints,
 	// both of which fall short and are also rule Ks, and the
 	// best-coverage fallback when no K clears the bar.

@@ -22,15 +22,6 @@ type Options struct {
 	// hypergraph products, K near min(l, m) for BB codes). The first
 	// hint that yields a valid decoupling wins.
 	HintKs []int
-	// RefinePasses is the number of local-search sweeps over row swaps
-	// (default 2).
-	RefinePasses int
-	// UseSAT enables the exact SAT partition search for small matrices.
-	UseSAT bool
-	// SATMaxCells caps m·K for the SAT mode (default 512).
-	SATMaxCells int
-	// SATConflictBudget bounds the SAT search (default 50000 conflicts).
-	SATConflictBudget int
 	// Seed drives the randomized refinement.
 	Seed uint64
 	// MinCoverage is the fraction of columns the diagonal blocks must
@@ -39,18 +30,8 @@ type Options struct {
 	MinCoverage float64
 }
 
-func (o Options) withDefaults() Options {
-	if o.RefinePasses == 0 {
-		o.RefinePasses = 2
-	}
-	if o.SATMaxCells == 0 {
-		o.SATMaxCells = 512
-	}
-	if o.SATConflictBudget == 0 {
-		o.SATConflictBudget = 50000
-	}
-	return o
-}
+// refinePasses is the number of local-search sweeps over row swaps.
+const refinePasses = 2
 
 // Decouple searches for the best decoupling of D following the paper's
 // procedure: iterate K from the largest feasible candidate downward and
@@ -66,7 +47,6 @@ func (o Options) withDefaults() Options {
 // of D and run concurrently, but their results are read in the order
 // above, so the artifact does not depend on scheduling or GOMAXPROCS.
 func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
-	opts = opts.withDefaults()
 	v := newSearchView(D)
 	m, S := v.m, v.cols.MaxColWeight()
 	var ks []int
@@ -92,7 +72,7 @@ func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	// the bar, fall back to the best coverage seen among the rule's Ks.
 	order := searchOrder(m, opts.HintKs, ks)
 	results := searchKs(order, func(K int) *candidates {
-		c := planK(v, K, opts)
+		c := planK(v, K, opts.Seed)
 		c.won = c.best(success)
 		return c
 	}, func(c *candidates) bool { return c.won != nil })
@@ -184,9 +164,9 @@ type candidates struct {
 // planK runs every strategy for one K — row partitions, whose T is
 // block-local, and the general-T direct-sum subspace search (the paper's
 // arbitrary full-rank T) — and keeps the plans that worked out.
-func planK(v *searchView, K int, opts Options) *candidates {
+func planK(v *searchView, K int, seed uint64) *candidates {
 	c := &candidates{v: v}
-	for _, groups := range candidatePartitions(v, K, opts) {
+	for _, groups := range candidatePartitions(v, K, seed) {
 		if p, err := planPartition(v, groups); err == nil {
 			c.plans = append(c.plans, p)
 		}
@@ -243,9 +223,8 @@ func (c *candidates) best(accept func(blockCols int) bool) *Decoupling {
 // a given K: contiguous chunks, strided rows, greedy affinity
 // clustering, and the refined variant of each (dropped when refinement
 // accepted no swap, or lands on a partition already listed — equal
-// partitions give equal plans); plus the SAT-exact
-// partition when enabled.
-func candidatePartitions(v *searchView, K int, opts Options) [][][]int {
+// partitions give equal plans).
+func candidatePartitions(v *searchView, K int, seed uint64) [][][]int {
 	m := v.m
 	mD := m / K
 	var out [][][]int
@@ -270,12 +249,7 @@ func candidatePartitions(v *searchView, K int, opts Options) [][][]int {
 	}
 	for _, p := range [][][]int{contiguous, strided, affinityPartition(v, K)} {
 		add(p)
-		add(refinePartition(v, p, opts.RefinePasses, opts.Seed))
-	}
-	if opts.UseSAT && m*K <= opts.SATMaxCells {
-		if p, err := satPartition(v, K, opts.SATConflictBudget); err == nil {
-			add(p)
-		}
+		add(refinePartition(v, p, refinePasses, seed))
 	}
 	return out
 }

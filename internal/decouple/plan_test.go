@@ -25,12 +25,11 @@ func acceptAny(int) bool { return true }
 // selection with the eager reference, with and without a coverage bar.
 func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) {
 	t.Helper()
-	opts = opts.withDefaults()
 	v := newSearchView(D)
 	want := eagerBestForK(v, K, opts)
 
 	// Every plan knows the coverage its artifact will have.
-	for i, p := range planK(v, K, opts).plans {
+	for i, p := range planK(v, K, opts.Seed).plans {
 		dec, err := p.build(v)
 		if err != nil {
 			t.Fatalf("K=%d plan %d: %v", K, i, err)
@@ -40,14 +39,14 @@ func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) 
 		}
 	}
 
-	if got := planK(v, K, opts).best(acceptAny); !bytes.Equal(serialized(t, got), serialized(t, want)) {
+	if got := planK(v, K, opts.Seed).best(acceptAny); !bytes.Equal(serialized(t, got), serialized(t, want)) {
 		t.Fatalf("K=%d: plan-first selection differs from the eager one", K)
 	}
 
 	// Behind a bar: the same artifact if it clears it; otherwise nothing,
 	// nothing built, and the fallback selection still finds it.
 	success := func(blockCols int) bool { return covers(blockCols, v.n, 0.5) }
-	c := planK(v, K, opts)
+	c := planK(v, K, opts.Seed)
 	got := c.best(success)
 	if want != nil && success(want.K*want.ND) {
 		if !bytes.Equal(serialized(t, got), serialized(t, want)) {

@@ -130,8 +130,8 @@ func (d *Decoder) decodeChunk(syns, outs []gf2.Vec, traces []Trace) {
 	t := d.probe.Tick()
 	for g := 0; g < dec.K; g++ {
 		for l := 0; l < L; l++ {
-			dec.BlockSyndromeInto(d.scratch.sl, hb.sp[l], g)
-			d.greedyGuess(g, d.scratch.sl, &hb.sols[l][g])
+			dec.BlockSyndromeInto(d.sl, hb.sp[l], g)
+			d.greedyGuess(g, d.sl, &hb.sols[l][g])
 			tr := &traces[l]
 			tr.BlockDecodes++
 			if inner := hb.sols[l][g].inner; inner > tr.MaxInnerIters {

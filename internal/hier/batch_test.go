@@ -86,27 +86,3 @@ func TestDecodeBatchInterleavedWithSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestDecodeBatchParallelConfig pins the batch path under the parallel
-// candidate sweep too — escalation reuses the scalar outer loop, so the
-// worker pool must behave identically.
-func TestDecodeBatchParallelConfig(t *testing.T) {
-	model, dec := hpFixture(t)
-	serial := New(dec, model.LLRs(), Config{})
-	batched := New(dec, model.LLRs(), Config{Parallel: true, Workers: 4})
-	syns := sampleSyndromes(model, 20, 9)
-	out := make([]gf2.Vec, len(syns))
-	for i := range out {
-		out[i] = gf2.NewVec(model.NumMech())
-	}
-	traces := batched.DecodeBatch(syns, out)
-	for i, s := range syns {
-		wantE, wantTr := serial.Decode(s)
-		if !out[i].Equal(wantE) {
-			t.Errorf("lane %d: parallel batch output differs from serial", i)
-		}
-		if traces[i].Weight != wantTr.Weight {
-			t.Errorf("lane %d: parallel batch weight %v != %v", i, traces[i].Weight, wantTr.Weight)
-		}
-	}
-}

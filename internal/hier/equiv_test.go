@@ -69,10 +69,13 @@ func refFirstBlock(sup []int, mD, g int) int {
 	return len(sup)
 }
 
-// refHierDecode is a direct slice-of-slices implementation of Algorithm 1
-// (serial candidate sweep, incremental update), mirroring the production
-// decision order so decodes are bit-identical.
-func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Config, syndrome gf2.Vec) gf2.Vec {
+// refHierDecode is a direct slice-of-slices implementation of Algorithm 1,
+// mirroring the production decision order so decodes are bit-identical.
+// With fullRedecode every candidate re-solves all K blocks against the
+// whole modified syndrome instead of only the blocks its column touches:
+// the accelerator's incremental update (§5.2) switched off, which
+// production no longer carries.
+func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Config, syndrome gf2.Vec, fullRedecode bool) gf2.Vec {
 	cfg = cfg.withDefaults()
 	w := dec.PermuteWeights(originalWeights)
 	wa := w[dec.K*dec.ND:]
@@ -92,6 +95,24 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 		return sl
 	}
 
+	// solveBlocks lists the blocks a candidate re-solves, in the order
+	// their objective changes are summed.
+	solveBlocks := func(sup []int) []int {
+		var gs []int
+		if fullRedecode {
+			for g := 0; g < dec.K; g++ {
+				gs = append(gs, g)
+			}
+			return gs
+		}
+		for bi, r := range sup {
+			if g := r / dec.MD; refFirstBlock(sup, dec.MD, g) == bi {
+				gs = append(gs, g)
+			}
+		}
+		return gs
+	}
+
 	sols := make([]refBlockSol, dec.K)
 	for g := 0; g < dec.K; g++ {
 		sols[g] = refGreedyGuess(dec, w, cfg, g, blockSyn(slBase, g))
@@ -106,11 +127,7 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 			}
 			sup := dec.A.ColSupport(i)
 			delta := wa[i]
-			for bi, r := range sup {
-				g := r / dec.MD
-				if refFirstBlock(sup, dec.MD, g) < bi {
-					continue
-				}
+			for _, g := range solveBlocks(sup) {
 				sol := refGreedyGuess(dec, w, cfg, g, candBlockSyn(sup, g))
 				delta += sol.obj - sols[g].obj
 			}
@@ -122,11 +139,7 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 			break
 		}
 		sup := dec.A.ColSupport(bestI)
-		for bi, r := range sup {
-			g := r / dec.MD
-			if refFirstBlock(sup, dec.MD, g) < bi {
-				continue
-			}
+		for _, g := range solveBlocks(sup) {
 			sols[g] = refGreedyGuess(dec, w, cfg, g, candBlockSyn(sup, g))
 		}
 		rBest.Set(bestI, true)
@@ -152,18 +165,19 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 	return dec.RecoverError(ePrime)
 }
 
+var equivFixtures = []struct {
+	name string
+	fix  func(*testing.T) (*dem.Model, *decouple.Decoupling)
+}{
+	{"hp", hpFixture},
+	{"bb", bbFixture},
+}
+
 // TestHierEquivalentToSliceOfSlices pins the flat-span hierarchical
 // decoder to the slice-of-slices reference on sampled syndromes for a BB
 // and an HP code: decodes must be bit-identical.
 func TestHierEquivalentToSliceOfSlices(t *testing.T) {
-	fixtures := []struct {
-		name string
-		fix  func(*testing.T) (*dem.Model, *decouple.Decoupling)
-	}{
-		{"hp", hpFixture},
-		{"bb", bbFixture},
-	}
-	for _, fx := range fixtures {
+	for _, fx := range equivFixtures {
 		model, dec := fx.fix(t)
 		cfg := Config{}
 		d := New(dec, model.LLRs(), cfg)
@@ -171,9 +185,30 @@ func TestHierEquivalentToSliceOfSlices(t *testing.T) {
 		for shot := 0; shot < 15; shot++ {
 			syn := model.Syndrome(model.Sample(rng))
 			got, _ := d.Decode(syn)
-			want := refHierDecode(dec, model.LLRs(), cfg, syn)
+			want := refHierDecode(dec, model.LLRs(), cfg, syn, false)
 			if !got.Equal(want) {
 				t.Fatalf("%s shot %d: flat decode differs from slice-of-slices reference", fx.name, shot)
+			}
+		}
+	}
+}
+
+// TestIncrementalMatchesFullRecompute checks the incremental update
+// against re-solving everything: a block the flipped column does not
+// touch sees the same syndrome, so its solution and objective cannot
+// move, and the decoder that re-solves only touched blocks must give
+// the correction the full re-decode reference gives.
+func TestIncrementalMatchesFullRecompute(t *testing.T) {
+	for _, fx := range equivFixtures {
+		model, dec := fx.fix(t)
+		d := New(dec, model.LLRs(), Config{})
+		rng := rand.New(rand.NewPCG(4, 4))
+		for shot := 0; shot < 10; shot++ {
+			syn := model.Syndrome(model.Sample(rng))
+			got, _ := d.Decode(syn)
+			want := refHierDecode(dec, model.LLRs(), Config{}, syn, true)
+			if !got.Equal(want) {
+				t.Fatalf("%s shot %d: incremental decode differs from the full re-decode reference", fx.name, shot)
 			}
 		}
 	}

@@ -7,16 +7,14 @@
 // by that column of A, so all other block solutions are reused.
 //
 // The decoder is allocation-free in steady state: every per-decode
-// buffer is owned by the Decoder (or, for the parallel candidate sweep,
-// drawn from a sync.Pool of per-goroutine scratch), and the sparse
-// structure is iterated through flat CSC spans. The returned error
-// vector is owned by the decoder and valid until the next Decode call.
+// buffer is owned by the Decoder, and the sparse structure is iterated
+// through flat CSC spans and a flat column→touched-blocks table. The
+// returned error vector is owned by the decoder and valid until the
+// next Decode call.
 package hier
 
 import (
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"vegapunk/internal/decouple"
 	"vegapunk/internal/gf2"
@@ -30,14 +28,6 @@ type Config struct {
 	MaxIters int
 	// InnerIters caps GreedyGuess rounds per block (default 3).
 	InnerIters int
-	// Parallel evaluates right-error candidates across goroutines.
-	Parallel bool
-	// Workers bounds the parallel worker count (default GOMAXPROCS).
-	Workers int
-	// DisableIncremental forces full block re-decodes per candidate
-	// (ablation knob; the accelerator's incremental update is the
-	// default).
-	DisableIncremental bool
 }
 
 func (c Config) withDefaults() Config {
@@ -46,9 +36,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InnerIters <= 0 {
 		c.InnerIters = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -89,46 +76,38 @@ type Decoder struct {
 	rowMasks [][]uint64
 	allBits  uint64 // mask of the nB valid bits
 
-	// scratch buffers for the serial path; the pool serves the parallel
-	// candidate sweep (per-goroutine scratch, returned after each outer
-	// round).
-	scratch *scratch
-	pool    sync.Pool
+	// touched lists, for column i of A, the blocks it touches as
+	// touched[touchOff[i]:touchOff[i+1]] (touchedBy), in order of first
+	// occurrence down the column. Built once in New, so no decode
+	// divides a row index by MD or rescans a column for duplicates.
+	touchOff []int32
+	touched  []touchedBlock
 
 	// Per-decode state, reused across Decode calls (the "owned until
 	// next Decode" contract).
-	sPrime    gf2.Vec    // transformed syndrome, length M
-	rBest     gf2.Vec    // right-error estimate, length NA
-	slBase    gf2.Vec    // s' ⊕ A·rBest, length M
-	sols      []blockSol // committed block solutions, K entries
-	staged    []blockSol // winner's recomputed solutions, K entries
-	stagedIDs []int      // blocks staged this round
-	ePrime    gf2.Vec    // assembled error in D' order, length N
-	out       gf2.Vec    // recovered error in original order, length N
-	onesBuf   []int      // AppendOnes scratch
-	results   []cand     // parallel per-worker bests, Workers entries
+	sPrime  gf2.Vec    // transformed syndrome, length M
+	rBest   gf2.Vec    // right-error estimate, length NA
+	slBase  gf2.Vec    // s' ⊕ A·rBest, length M
+	sl      gf2.Vec    // one block's syndrome slice, length MD
+	sols    []blockSol // committed block solutions, K entries
+	staged  []blockSol // the last flipDelta's block solutions, K entries
+	ePrime  gf2.Vec    // assembled error in D' order, length N
+	out     gf2.Vec    // recovered error in original order, length N
+	onesBuf []int      // AppendOnes scratch
 
 	// hb is the batched path's owned scratch (batch.go), built lazily on
 	// the first DecodeBatch so serial-only users pay nothing.
 	hb *hbatch
 
-	// probe records base-solve and per-level spans. Only the Decode
-	// goroutine records (the parallel candidate sweep stays silent —
-	// rings are single-writer).
+	// probe records base-solve and per-level spans.
 	probe *obs.Probe
 }
 
-// cand is a candidate right-error flip with its objective delta.
-type cand struct {
-	i     int
-	delta float64
-}
-
-// scratch holds per-goroutine decode buffers.
-type scratch struct {
-	sl   gf2.Vec  // block syndrome slice, length MD
-	full gf2.Vec  // full left syndrome, length M (ablation path)
-	sol  blockSol // GreedyGuess working solution
+// touchedBlock is one block a column of A touches: the block index and
+// the part [lo, hi) of the column's ColSpan that lies inside it.
+type touchedBlock struct {
+	g      int32
+	lo, hi int32
 }
 
 // blockSol is one block's GreedyGuess solution.
@@ -152,15 +131,15 @@ func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decod
 		sPrime:     gf2.NewVec(dec.M),
 		rBest:      gf2.NewVec(dec.NA),
 		slBase:     gf2.NewVec(dec.M),
+		sl:         gf2.NewVec(dec.MD),
 		sols:       newBlockSols(dec),
 		staged:     newBlockSols(dec),
-		stagedIDs:  make([]int, 0, dec.K),
 		ePrime:     gf2.NewVec(dec.N),
 		out:        gf2.NewVec(dec.N),
 		onesBuf:    make([]int, 0, dec.ND),
-		results:    make([]cand, cfg.Workers),
 		probe:      obs.NewProbe(),
 	}
+	d.buildTouched()
 	if d.smallBlock {
 		nB := dec.ND - dec.MD
 		d.allBits = ^uint64(0) >> uint(64-nB)
@@ -185,9 +164,32 @@ func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decod
 			}
 		}
 	}
-	d.scratch = d.newScratch()
-	d.pool.New = func() any { return d.newScratch() }
 	return d
+}
+
+// buildTouched groups every column of A by block. ColSpan is sorted,
+// so a block's rows are one run of the span and the runs come in the
+// order the column first reaches each block, which is the order the
+// candidate's objective delta is summed in.
+func (d *Decoder) buildTouched() {
+	md := int32(d.dec.MD)
+	d.touchOff = make([]int32, d.dec.NA+1)
+	for i := 0; i < d.dec.NA; i++ {
+		var run *touchedBlock
+		for at, r := range d.a.ColSpan(i) {
+			if g := r / md; run == nil || run.g != g {
+				d.touched = append(d.touched, touchedBlock{g: g, lo: int32(at)})
+				run = &d.touched[len(d.touched)-1]
+			}
+			run.hi = int32(at) + 1
+		}
+		d.touchOff[i+1] = int32(len(d.touched))
+	}
+}
+
+// touchedBy returns the blocks column i of A touches.
+func (d *Decoder) touchedBy(i int) []touchedBlock {
+	return d.touched[d.touchOff[i]:d.touchOff[i+1]]
 }
 
 func newBlockSols(dec *decouple.Decoupling) []blockSol {
@@ -215,17 +217,6 @@ func (d *Decoder) SetMaxIters(n int) {
 		n = 1
 	}
 	d.cfg.MaxIters = n
-}
-
-func (d *Decoder) newScratch() *scratch {
-	return &scratch{
-		sl:   gf2.NewVec(d.dec.MD),
-		full: gf2.NewVec(d.dec.M),
-		sol: blockSol{
-			f: gf2.NewVec(d.dec.MD),
-			g: gf2.NewVec(d.dec.ND - d.dec.MD),
-		},
-	}
 }
 
 // weight regions.
@@ -266,8 +257,8 @@ func (d *Decoder) baseSolve(tr *Trace) {
 	d.slBase.CopyFrom(d.sPrime) // s' ⊕ A·rBest (rBest = 0)
 	t := d.probe.Tick()
 	for g := 0; g < dec.K; g++ {
-		dec.BlockSyndromeInto(d.scratch.sl, d.slBase, g)
-		d.greedyGuess(g, d.scratch.sl, &d.sols[g])
+		dec.BlockSyndromeInto(d.sl, d.slBase, g)
+		d.greedyGuess(g, d.sl, &d.sols[g])
 		tr.BlockDecodes++
 		if d.sols[g].inner > tr.MaxInnerIters {
 			tr.MaxInnerIters = d.sols[g].inner
@@ -291,46 +282,14 @@ func (d *Decoder) outerLoop(tr *Trace) float64 {
 		bestI := -1
 		bestDelta := 0.0
 
-		if d.cfg.Parallel && dec.NA > 1 {
-			workers := d.cfg.Workers
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				//vegapunk:allow(alloc) parallel sweep spawn: one closure per worker per round, amortized over NA candidates
-				go func(w int) {
-					defer wg.Done()
-					sc := d.pool.Get().(*scratch)
-					defer d.pool.Put(sc)
-					best := cand{i: -1}
-					for i := w; i < dec.NA; i += workers {
-						delta, ok := d.evalCandidate(i, sc)
-						if !ok {
-							continue
-						}
-						if best.i < 0 || delta < best.delta {
-							best = cand{i: i, delta: delta}
-						}
-					}
-					d.results[w] = best
-				}(w)
+		for i := 0; i < dec.NA; i++ { // line 4
+			tr.Candidates++
+			if d.rBest.Get(i) {
+				continue
 			}
-			wg.Wait()
-			tr.Candidates += dec.NA
-			for _, c := range d.results {
-				if c.i >= 0 && (bestI < 0 || c.delta < bestDelta) {
-					bestI, bestDelta = c.i, c.delta
-				}
-			}
-		} else {
-			for i := 0; i < dec.NA; i++ { // line 4
-				delta, ok := d.evalCandidate(i, d.scratch)
-				tr.Candidates++
-				if !ok {
-					continue
-				}
-				if bestI < 0 || delta < bestDelta {
-					bestI, bestDelta = i, delta
-				}
+			// Candidate r = rBest with bit i set (line 5).
+			if delta := d.flipDelta(i); bestI < 0 || delta < bestDelta {
+				bestI, bestDelta = i, delta
 			}
 		}
 
@@ -338,35 +297,14 @@ func (d *Decoder) outerLoop(tr *Trace) float64 {
 			t = d.probe.SpanSince(obs.StageHierLevel, k, t)
 			break
 		}
-		// Recompute the winning candidate's touched block solutions once,
-		// staged so commit is a pointer swap per block.
-		d.stagedIDs = d.stagedIDs[:0]
-		sup := d.a.ColSpan(bestI)
-		if d.cfg.DisableIncremental {
-			d.scratch.full.CopyFrom(d.slBase)
-			for _, r := range sup {
-				d.scratch.full.Flip(int(r))
-			}
-			for g := 0; g < dec.K; g++ {
-				dec.BlockSyndromeInto(d.scratch.sl, d.scratch.full, g)
-				d.greedyGuess(g, d.scratch.sl, &d.staged[g])
-				d.stagedIDs = append(d.stagedIDs, g) //vegapunk:allow(alloc) append into capacity K reserved in New
-			}
-		} else {
-			for bi, r := range sup {
-				g := int(r) / dec.MD
-				if dup := firstBlockIndex(sup, dec.MD, g); dup < bi {
-					continue
-				}
-				d.candidateBlockSyndrome(d.scratch.sl, sup, g)
-				d.greedyGuess(g, d.scratch.sl, &d.staged[g])
-				d.stagedIDs = append(d.stagedIDs, g) //vegapunk:allow(alloc) append into capacity K reserved in New
-			}
-		}
-		// Commit (line 12).
+		// Scoring keeps no candidate's block solutions, so solve the
+		// winner's touched blocks once more, then commit (line 12): a
+		// pointer swap per block.
+		d.flipDelta(bestI)
 		d.rBest.Set(bestI, true)
 		d.a.XorColInto(d.slBase, bestI)
-		for _, g := range d.stagedIDs {
+		for _, tb := range d.touchedBy(bestI) {
+			g := tb.g
 			d.sols[g], d.staged[g] = d.staged[g], d.sols[g]
 			if d.sols[g].inner > tr.MaxInnerIters {
 				tr.MaxInnerIters = d.sols[g].inner
@@ -407,68 +345,27 @@ func (d *Decoder) assembleInto(dst gf2.Vec, dMin float64, tr *Trace) {
 	d.dec.RecoverErrorInto(dst, d.ePrime)
 }
 
-// evalCandidate scores candidate i (flip bit i of rBest) without
-// materializing its block solutions; the winner's solutions are
-// recomputed once after selection. Candidate r = rBest with bit i set
-// (line 5).
+// flipDelta is the one walk over the blocks column i of A touches (the
+// HDU's incremental update, §5.2): each is re-solved against its slice
+// of slBase with the column's rows flipped in, into d.staged, and every
+// other block keeps its committed solution. It returns the change in
+// the objective if bit i of rBest were flipped on. Scoring reads the
+// return value; commit reads d.staged.
 //
 //vegapunk:hotpath
-func (d *Decoder) evalCandidate(i int, sc *scratch) (float64, bool) {
-	dec := d.dec
-	if d.rBest.Get(i) {
-		return 0, false
-	}
+func (d *Decoder) flipDelta(i int) float64 {
+	delta := d.wA()[i]
 	sup := d.a.ColSpan(i)
-	wa := d.wA()
-	delta := wa[i]
-	if d.cfg.DisableIncremental {
-		// Full re-decode of every block against the modified syndrome
-		// (ablation of the incremental update).
-		sc.full.CopyFrom(d.slBase)
-		for _, r := range sup {
-			sc.full.Flip(int(r))
+	for _, tb := range d.touchedBy(i) {
+		g := int(tb.g)
+		d.dec.BlockSyndromeInto(d.sl, d.slBase, g)
+		for _, r := range sup[tb.lo:tb.hi] {
+			d.sl.Flip(int(r) - g*d.dec.MD)
 		}
-		for g := 0; g < dec.K; g++ {
-			dec.BlockSyndromeInto(sc.sl, sc.full, g)
-			d.greedyGuess(g, sc.sl, &sc.sol)
-			delta += sc.sol.obj - d.sols[g].obj
-		}
-		return delta, true
+		d.greedyGuess(g, d.sl, &d.staged[g])
+		delta += d.staged[g].obj - d.sols[g].obj
 	}
-	// Incremental: only blocks touched by column i change.
-	for bi, r := range sup {
-		g := int(r) / dec.MD
-		if dup := firstBlockIndex(sup, dec.MD, g); dup < bi {
-			continue // block already evaluated for this candidate
-		}
-		d.candidateBlockSyndrome(sc.sl, sup, g)
-		d.greedyGuess(g, sc.sl, &sc.sol)
-		delta += sc.sol.obj - d.sols[g].obj
-	}
-	return delta, true
-}
-
-// candidateBlockSyndrome writes block g's base syndrome slice with the
-// candidate column's touched rows flipped into dst.
-func (d *Decoder) candidateBlockSyndrome(dst gf2.Vec, sup []int32, g int) {
-	d.dec.BlockSyndromeInto(dst, d.slBase, g)
-	base := g * d.dec.MD
-	for _, r := range sup {
-		if int(r)/d.dec.MD == g {
-			dst.Flip(int(r) - base)
-		}
-	}
-}
-
-// firstBlockIndex returns the index within sup of the first row that
-// falls in block g.
-func firstBlockIndex(sup []int32, mD, g int) int {
-	for i, r := range sup {
-		if int(r)/mD == g {
-			return i
-		}
-	}
-	return len(sup)
+	return delta
 }
 
 // totalWeight computes Σ w over the assembled solution.

@@ -96,51 +96,6 @@ func TestDecodeRecoversSingleMechanisms(t *testing.T) {
 	}
 }
 
-func TestSerialParallelSameObjective(t *testing.T) {
-	model, dec := hpFixture(t)
-	ser := New(dec, model.LLRs(), Config{Parallel: false})
-	par := New(dec, model.LLRs(), Config{Parallel: true, Workers: 4})
-	rng := rand.New(rand.NewPCG(3, 3))
-	H := model.CheckMatrix()
-	for trial := 0; trial < 20; trial++ {
-		e := model.Sample(rng)
-		s := model.Syndrome(e)
-		es, ts := ser.Decode(s)
-		ep, tp := par.Decode(s)
-		if !H.MulVec(es).Equal(s) || !H.MulVec(ep).Equal(s) {
-			t.Fatal("syndrome violated")
-		}
-		// Tie-breaking can differ; the achieved objective must match.
-		if diff := ts.Weight - tp.Weight; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("serial weight %v != parallel weight %v", ts.Weight, tp.Weight)
-		}
-	}
-}
-
-func TestIncrementalMatchesFullRecompute(t *testing.T) {
-	model, dec := hpFixture(t)
-	inc := New(dec, model.LLRs(), Config{})
-	full := New(dec, model.LLRs(), Config{DisableIncremental: true})
-	rng := rand.New(rand.NewPCG(4, 4))
-	H := model.CheckMatrix()
-	for trial := 0; trial < 10; trial++ {
-		e := model.Sample(rng)
-		s := model.Syndrome(e)
-		ei, ti := inc.Decode(s)
-		ef, tf := full.Decode(s)
-		if !H.MulVec(ei).Equal(s) || !H.MulVec(ef).Equal(s) {
-			t.Fatal("syndrome violated")
-		}
-		// Full recompute may find equal-or-better candidates in blocks
-		// untouched by the flipped column (it re-decodes everything), but
-		// untouched blocks see identical syndromes, so the results must
-		// agree in weight.
-		if diff := ti.Weight - tf.Weight; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("incremental weight %v != full weight %v", ti.Weight, tf.Weight)
-		}
-	}
-}
-
 func TestMaxItersBoundsOuterLoop(t *testing.T) {
 	model, dec := bbFixture(t)
 	d := New(dec, model.LLRs(), Config{MaxIters: 2})
