@@ -17,7 +17,6 @@ import (
 	"vegapunk/internal/exp"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/hier"
-	"vegapunk/internal/osd"
 )
 
 // runExperiment executes one paper experiment at bench budget.
@@ -60,7 +59,6 @@ func BenchmarkTable2Decoupling(b *testing.B) {
 	}
 }
 func BenchmarkTable2Latency(b *testing.B)           { runExperiment(b, "table2") }
-func BenchmarkTable2Thresholds(b *testing.B)        { runExperiment(b, "table2") }
 func BenchmarkTable3Dump(b *testing.B)              { runExperiment(b, "table3") }
 func BenchmarkFig10LER(b *testing.B)                { runExperiment(b, "fig10") }
 func BenchmarkFig11aThresholdScaling(b *testing.B)  { runExperiment(b, "fig11a") }
@@ -92,16 +90,6 @@ func bb72Fixture(b *testing.B, p float64) (*Model, *Decoupling, []Vec) {
 		syndromes[i] = model.Syndrome(model.Sample(rng))
 	}
 	return model, dcp, syndromes
-}
-
-func BenchmarkBPOSDDecodeBB72(b *testing.B) {
-	model, _, syn := bb72Fixture(b, 0.005)
-	dec := osd.NewBPOSD(model.Mech, model.LLRs(),
-		bp.Config{MaxIters: 72}, osd.Config{Method: osd.CombinationSweep, Order: 7})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(syn[i%len(syn)])
-	}
 }
 
 // BenchmarkMemoryExperimentBB72 is the end-to-end wall-clock benchmark

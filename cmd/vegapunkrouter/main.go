@@ -14,7 +14,7 @@
 // (-retry-budget-per-sec), with the retry flagged in the response.
 // -hedge-after arms hedged dispatch: a batch without a first response
 // inside the window is re-sent to the sibling (rate-capped by
-// -hedge-rate), and -max-inflight-lanes bounds admission so a
+// -hedge-rate), and admission control bounds the lanes in flight so a
 // partitioned replica cannot queue-collapse the front end. The admin
 // listener serves /metrics (per-replica health, retries, failovers,
 // open connections, network-vs-server latency split, SLO burn) and
@@ -49,7 +49,6 @@ func run() int {
 	listen := fs.String("listen", ":9471", "client-facing wire-protocol listen address")
 	admin := fs.String("admin", "", "optional admin HTTP listener for /metrics and /healthz (e.g. 127.0.0.1:9472)")
 	replicas := fs.String("replicas", "", "comma-separated wire-protocol replica addresses (required)")
-	dialTimeout := fs.Duration("dial-timeout", 2*time.Second, "backend dial timeout")
 	ioTimeout := fs.Duration("io-timeout", 10*time.Second, "backend read/write timeout")
 	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "active health-probe period")
 	poolSize := fs.Int("pool", 4, "idle backend connections kept per replica")
@@ -57,12 +56,10 @@ func run() int {
 	traceSample := fs.Uint64("trace-sample", 8, "trace one in every N router-originated requests (1 traces everything)")
 	sloTarget := fs.Duration("slo-target", 5*time.Millisecond, "per-request latency target for the rolling SLO window")
 	sloBudget := fs.Float64("slo-budget", 0.01, "tolerated fraction of requests over -slo-target")
-	sloWindow := fs.Int("slo-window", 1024, "requests held in the rolling SLO window")
 	retryPerSec := fs.Float64("retry-budget-per-sec", 50, "per-replica retry token refill rate; an empty bucket fails lanes terminally instead of amplifying load")
 	retryBurst := fs.Float64("retry-budget-burst", 100, "per-replica retry token bucket capacity")
 	hedgeAfter := fs.Duration("hedge-after", 0, "re-send a slow batch to the sibling after this long without a first response (0 disables hedging)")
 	hedgeRate := fs.Float64("hedge-rate", 0.1, "hedge tokens earned per forwarded batch; caps hedges as a fraction of traffic")
-	maxLanes := fs.Int("max-inflight-lanes", 4096, "router-wide bound on concurrently forwarded lanes; excess fails fast with overload")
 	retryAfter := fs.Duration("retry-after-hint", 25*time.Millisecond, "how long to route around a replica after it reports overload or loses a hedge race")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		return 2
@@ -84,7 +81,6 @@ func run() int {
 	}
 	rt, err := cluster.New(cluster.Config{
 		Replicas:         addrs,
-		DialTimeout:      *dialTimeout,
 		IOTimeout:        *ioTimeout,
 		ProbeInterval:    *probeInterval,
 		PoolSize:         *poolSize,
@@ -92,13 +88,11 @@ func run() int {
 		TraceSampleEvery: *traceSample,
 		SLOTarget:        *sloTarget,
 		SLOBudget:        *sloBudget,
-		SLOWindow:        *sloWindow,
 
 		RetryBudgetPerSec: *retryPerSec,
 		RetryBudgetBurst:  *retryBurst,
 		HedgeAfter:        *hedgeAfter,
 		HedgeMaxRate:      *hedgeRate,
-		MaxInFlightLanes:  *maxLanes,
 		RetryAfterHint:    *retryAfter,
 	})
 	if err != nil {

@@ -9,19 +9,15 @@ import (
 	"vegapunk/internal/wire"
 )
 
-// maxRouterPipeline bounds how many pipelined decode frames one client
-// read coalesces into a single forwarded batch.
-const maxRouterPipeline = 64
-
-// feWriteTimeout bounds one client-response write.
-const feWriteTimeout = time.Minute
-
 // feBinding is a client-connection-scoped model binding: the key, its
 // shard hash, the model dimensions learned from the first backend
 // hello, and the per-replica backend model-id cache. A cached id is
 // valid only for the backend-connection generation it was resolved on
-// (model ids are connection-scoped on the wire).
+// (model ids are connection-scoped on the wire). It is the router's
+// wire.Binding: runs gather into, and answer from, its connection's
+// lanes.
 type feBinding struct {
+	f       *feConn
 	key     string
 	keyHash uint64
 	det     int
@@ -62,27 +58,22 @@ type feLane struct {
 	strip   bool // router-originated telemetry: trim before relaying
 }
 
-// feConn serves one client connection: it owns one backend connection
-// per replica (lazily acquired from the replica pools) and relays
-// frames without re-parsing vector payloads.
+// feConn is the router's wire.Handler for one client connection: it
+// owns one backend connection per replica (lazily acquired from the
+// replica pools) and relays frames without re-parsing vector payloads.
 type feConn struct {
-	rt       *Router
-	conn     net.Conn
-	rd       *wire.Reader
-	wbuf     []byte
-	bindings []*feBinding
-	bconns   []*wire.Client
-	bgen     []uint64 // bumped when bconns[i] is replaced; invalidates cached model ids
-	breconn  []bool   // replica lost its backend conn to a fault; next dial counts as a reconnect
-	lanes    []feLane
-	ring     *obs.Ring // router forward spans; single writer = this conn's goroutine
+	rt      *Router
+	bconns  []*wire.Client
+	bgen    []uint64 // bumped when bconns[i] is replaced; invalidates cached model ids
+	breconn []bool   // replica lost its backend conn to a fault; next dial counts as a reconnect
+	lanes   []feLane
+	n       int       // lanes gathered in the current run
+	ring    *obs.Ring // router forward spans; single writer = this conn's goroutine
 }
 
-func newFEConn(rt *Router, conn net.Conn) *feConn {
+func newFEConn(rt *Router) *feConn {
 	return &feConn{
 		rt:      rt,
-		conn:    conn,
-		rd:      wire.NewReader(conn),
 		bconns:  make([]*wire.Client, len(rt.replicas)),
 		bgen:    make([]uint64, len(rt.replicas)),
 		breconn: make([]bool, len(rt.replicas)),
@@ -92,75 +83,30 @@ func newFEConn(rt *Router, conn net.Conn) *feConn {
 
 // flags carries the router's own health bits on frames it originates.
 func (f *feConn) routerFlags() wire.Flags {
-	if f.rt.draining.Load() {
+	if f.rt.wire.Draining() {
 		return wire.FlagDraining
 	}
 	return 0
 }
 
-// run is the connection loop; mirrors the replica-side handler.
-func (f *feConn) run() {
-	defer func() {
-		_ = f.conn.Close() // best-effort: the peer may already be gone
-		for i, c := range f.bconns {
-			if c != nil {
-				f.rt.replicas[i].release(c, true)
-				f.bconns[i] = nil
-			}
-		}
-		f.rt.releaseRing(f.ring)
-	}()
-	var (
-		h       wire.Header
-		payload []byte
-		err     error
-		pending bool
-	)
-	for {
-		if !pending {
-			h, payload, err = f.rd.ReadFrame()
-			if err != nil {
-				if wire.IsProtocolError(err) {
-					f.rt.protoErrors.Add(1)
-					f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), 0,
-						wire.StatusBadRequest, err.Error())
-					_ = f.write() // best-effort: the conn is terminal either way
-				}
-				return
-			}
-		}
-		pending = false
-		switch h.Op {
-		case wire.OpHello:
-			if err := f.hello(h, payload); err != nil {
-				return
-			}
-		case wire.OpPing:
-			f.wbuf = wire.AppendPong(f.wbuf[:0], f.routerFlags(), h.ReqID)
-			if err := f.write(); err != nil {
-				return
-			}
-		case wire.OpDecode:
-			h, payload, pending, err = f.decodeBatch(h, payload)
-			if err != nil {
-				return
-			}
-		default:
-			f.rt.protoErrors.Add(1)
-			f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), h.ReqID,
-				wire.StatusBadRequest, "unexpected opcode")
-			_ = f.write() // best-effort: closing after protocol error
-			return
+// Close returns the backend connections to their pools and the span
+// ring to the router.
+func (f *feConn) Close() {
+	for i, c := range f.bconns {
+		if c != nil {
+			f.rt.replicas[i].release(c, true)
+			f.bconns[i] = nil
 		}
 	}
+	f.rt.releaseRing(f.ring)
 }
 
-// hello resolves a model key through a backend replica: the client's
+// Hello resolves a model key through a backend replica: the client's
 // id is connection-scoped to the client, the backend id to the backend
-// connection; both are cached on the binding.
-func (f *feConn) hello(h wire.Header, payload []byte) error {
-	key := string(payload)
+// connection (cached on the binding).
+func (f *feConn) Hello(key string) (wire.Binding, wire.Status, string) {
 	b := &feBinding{
+		f:       f,
 		key:     key,
 		keyHash: hash64(key),
 		beID:    make([]int32, len(f.rt.replicas)),
@@ -173,9 +119,7 @@ func (f *feConn) hello(h wire.Header, payload []byte) error {
 	rep := f.rt.pick(b.keyHash, nil)
 	if rep == nil {
 		f.rt.noReplica.Add(1)
-		f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), h.ReqID,
-			wire.StatusOverload, "no usable replica")
-		return f.write()
+		return nil, wire.StatusOverload, "no usable replica"
 	}
 	_, err := f.backend(b, rep)
 	if err != nil {
@@ -188,19 +132,17 @@ func (f *feConn) hello(h wire.Header, payload []byte) error {
 	if err != nil {
 		var se *wire.StatusError
 		if errors.As(err, &se) {
-			f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), h.ReqID, se.Status, se.Msg)
-		} else {
-			f.rt.noReplica.Add(1)
-			f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), h.ReqID,
-				wire.StatusOverload, "no usable replica")
+			return nil, se.Status, se.Msg
 		}
-		return f.write()
+		f.rt.noReplica.Add(1)
+		return nil, wire.StatusOverload, "no usable replica"
 	}
-	id := uint16(len(f.bindings))
-	f.bindings = append(f.bindings, b)
-	f.wbuf = wire.AppendHelloAck(f.wbuf[:0], f.routerFlags(), id, h.ReqID, b.det, b.mech, b.nobs)
-	return f.write()
+	return b, wire.StatusOK, ""
 }
+
+func (b *feBinding) Dims() (numDet, numMech, numObs int) { return b.det, b.mech, b.nobs }
+
+func (b *feBinding) Flags() wire.Flags { return b.f.routerFlags() }
 
 // backend returns a live backend connection to rep with the binding's
 // model id resolved on it, dialing and helloing as needed.
@@ -266,61 +208,41 @@ func (f *feConn) abandonBackend(rep *replica) {
 	}
 }
 
-// decodeBatch gathers the run of pipelined decode frames for one
-// binding, forwards them to the rendezvous winner, retries undone
-// lanes once on the next-best sibling, and answers every lane with
-// exactly one terminal response in arrival order.
+// Decode copies one frame of the run out of the reader into the next
+// lane.
 //
 //vegapunk:hotpath
-func (f *feConn) decodeBatch(h wire.Header, payload []byte) (nh wire.Header, np []byte, pending bool, err error) {
-	clientID := h.ModelID
-	if int(clientID) >= len(f.bindings) {
-		f.wbuf = wire.AppendError(f.wbuf[:0], f.routerFlags(), h.ReqID, //vegapunk:allow(alloc) error path: unknown model id
-			wire.StatusUnknownModel, "model id not resolved on this connection") //vegapunk:allow(alloc) error path
-		return wire.Header{}, nil, false, f.write()
-	}
-	b := f.bindings[clientID]
+func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
+	f := b.f
+	f.growLanes(f.n + 1)
+	ln := &f.lanes[f.n]
+	f.n++
+	ln.reqID = reqID
+	ln.syn = append(ln.syn[:0], payload...) //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
+	ln.done = false
+	f.armTrace(ln, flags)
+}
 
-	// Gather the pipelined run, copying payloads out of the reader.
-	var readErr error
-	k := 0
-	for {
-		f.growLanes(k + 1)
-		ln := &f.lanes[k]
-		ln.reqID = h.ReqID
-		ln.syn = append(ln.syn[:0], payload...) //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
-		ln.done = false
-		f.armTrace(ln, h.Flags)
-		k++
-		if k >= maxRouterPipeline || !f.rd.FrameBuffered() {
-			break
-		}
-		h, payload, readErr = f.rd.ReadFrame()
-		if readErr != nil {
-			break
-		}
-		if h.Op != wire.OpDecode || h.ModelID != clientID {
-			pending = true
-			break
-		}
-	}
-	lanes := f.lanes[:k]
+// EndRun forwards the gathered run to the rendezvous winner, retries
+// undone lanes once on the next-best sibling, and answers every lane
+// with exactly one terminal response in arrival order.
+//
+//vegapunk:hotpath
+func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
+	f := b.f
+	lanes := f.lanes[:f.n]
+	k := int64(f.n)
+	f.n = 0
 
 	// Admission control: a batch that would push the router past its
 	// in-flight lane bound fails fast with a terminal overload instead
 	// of queueing — a partitioned replica holds its lanes for a full IO
 	// timeout each, and unbounded queueing behind that collapses the
 	// front end for every client.
-	admitted := true
-	if maxLanes := int64(f.rt.cfg.MaxInFlightLanes); maxLanes > 0 {
-		if f.rt.inflightLanes.Add(int64(k)) > maxLanes {
-			f.rt.inflightLanes.Add(int64(-k))
-			f.rt.admissionRejected.Add(uint64(k))
-			admitted = false
-		}
-	}
-
-	if admitted {
+	admitted := f.rt.inflightLanes.Add(k) <= f.rt.maxInflightLanes
+	if !admitted {
+		f.rt.admissionRejected.Add(uint64(k))
+	} else {
 		// First attempt on the rendezvous winner. A fired hedge leaves
 		// its undone lanes for the sibling pass below — the hedge IS
 		// the retry, pre-authorised by the hedge bucket, so it bypasses
@@ -354,10 +276,8 @@ func (f *feConn) decodeBatch(h wire.Header, payload []byte) (nh wire.Header, np 
 				f.rt.noReplica.Add(uint64(undone))
 			}
 		}
-		if maxLanes := int64(f.rt.cfg.MaxInFlightLanes); maxLanes > 0 {
-			f.rt.inflightLanes.Add(int64(-k))
-		}
 	}
+	f.rt.inflightLanes.Add(-k)
 	for i := range lanes {
 		ln := &lanes[i]
 		if !ln.done {
@@ -370,24 +290,9 @@ func (f *feConn) decodeBatch(h wire.Header, payload []byte) (nh wire.Header, np 
 			}
 			ln.done = true
 		}
+		buf = wire.AppendFrame(buf, ln.op, ln.flags, clientID, ln.reqID, ln.resp)
 	}
-
-	// Respond in arrival order, one write.
-	f.wbuf = f.wbuf[:0]
-	for i := range lanes {
-		ln := &lanes[i]
-		f.wbuf = wire.AppendFrame(f.wbuf, ln.op, ln.flags, clientID, ln.reqID, ln.resp)
-	}
-	if werr := f.write(); werr != nil {
-		return wire.Header{}, nil, false, werr
-	}
-	if readErr != nil {
-		if wire.IsProtocolError(readErr) {
-			f.rt.protoErrors.Add(1)
-		}
-		return wire.Header{}, nil, false, readErr
-	}
-	return h, payload, pending, nil
+	return buf
 }
 
 // armTrace sets a gathered lane's telemetry relay state. Client-traced
@@ -474,6 +379,11 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 	if n == 0 {
 		return false
 	}
+	// flushTick opens every forward span for this batch. It is read
+	// before the flush hands the frames to the kernel, so replica-side
+	// work strictly follows it even if this goroutine is descheduled
+	// right after the write syscall.
+	flushTick := obs.Tick()
 	if err := c.Flush(); err != nil {
 		f.dropBackend(rep)
 		return false
@@ -485,9 +395,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 	if armed {
 		f.rt.hedgeBucket.deposit(f.rt.cfg.HedgeMaxRate)
 	}
-	// flushTick opens every forward span for this batch: the frames are
-	// handed to the kernel, so replica-side work strictly follows it.
-	flushTick := obs.Tick()
 	preDesyncs := c.Desyncs()
 	expect := 0 // first lane that may still receive a response
 	probed := false
@@ -705,18 +612,4 @@ func countUndone(lanes []feLane) int {
 func appendErrPayload(buf []byte, status wire.Status, msg string) []byte {
 	buf = append(buf, byte(status))
 	return append(buf, msg...)
-}
-
-// write flushes the response buffer in one conn write.
-//
-//vegapunk:hotpath
-func (f *feConn) write() error {
-	if len(f.wbuf) == 0 {
-		return nil
-	}
-	if err := f.conn.SetWriteDeadline(time.Now().Add(feWriteTimeout)); err != nil { //vegapunk:allow(time) write deadline needs wall clock, once per flush
-		return err
-	}
-	_, err := f.conn.Write(f.wbuf)
-	return err
 }

@@ -39,18 +39,18 @@ func (r *Router) repHistFam(w io.Writer, name, help string, get func(*replica) *
 // format, obs.LintExposition-clean).
 func (r *Router) writeMetrics(w io.Writer) {
 	obs.WriteHeader(w, "vegapunk_router_connections_total", "Client wire connections accepted.", "counter")
-	obs.WriteCounterSample(w, "vegapunk_router_connections_total", "", r.connsTotal.Load())
+	obs.WriteCounterSample(w, "vegapunk_router_connections_total", "", r.wire.Accepted())
 	obs.WriteHeader(w, "vegapunk_router_open_connections", "Client wire connections currently open.", "gauge")
-	obs.WriteGaugeSample(w, "vegapunk_router_open_connections", "", r.connsOpen.Load())
+	obs.WriteGaugeSample(w, "vegapunk_router_open_connections", "", r.wire.Open())
 	obs.WriteHeader(w, "vegapunk_router_retries_total", "Requests re-sent to a sibling replica after a shed, overload or transport failure.", "counter")
 	obs.WriteCounterSample(w, "vegapunk_router_retries_total", "", r.retries.Load())
 	obs.WriteHeader(w, "vegapunk_router_no_replica_total", "Requests failed because no usable replica remained.", "counter")
 	obs.WriteCounterSample(w, "vegapunk_router_no_replica_total", "", r.noReplica.Load())
 	obs.WriteHeader(w, "vegapunk_router_protocol_errors_total", "Malformed or out-of-protocol frames on either side.", "counter")
-	obs.WriteCounterSample(w, "vegapunk_router_protocol_errors_total", "", r.protoErrors.Load())
+	obs.WriteCounterSample(w, "vegapunk_router_protocol_errors_total", "", r.wire.ProtocolErrors()+r.protoErrors.Load())
 	obs.WriteHeader(w, "vegapunk_router_draining", "Whether the router is draining (1) or serving (0).", "gauge")
 	drain := int64(0)
-	if r.draining.Load() {
+	if r.wire.Draining() {
 		drain = 1
 	}
 	obs.WriteGaugeSample(w, "vegapunk_router_draining", "", drain)
@@ -122,7 +122,7 @@ func (r *Router) Handler() http.Handler {
 				usable++
 			}
 		}
-		if usable == 0 || r.draining.Load() {
+		if usable == 0 || r.wire.Draining() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		fmt.Fprintf(w, "usable_replicas %d/%d\n", usable, len(r.replicas))

@@ -32,8 +32,6 @@ type Config struct {
 	// Replicas are the wire-protocol addresses of the backend
 	// vegapunkd processes. At least one is required.
 	Replicas []string
-	// DialTimeout bounds one backend dial (default 2s).
-	DialTimeout time.Duration
 	// IOTimeout bounds every backend read/write (default 10s).
 	IOTimeout time.Duration
 	// ProbeInterval is the active health-probe period (default 250ms).
@@ -64,9 +62,6 @@ type Config struct {
 	// observed-violation-rate / SLOBudget: sustained > 1 means the
 	// error budget is burning faster than allowed.
 	SLOBudget float64
-	// SLOWindow is how many recent requests the rolling window holds
-	// (default 1024).
-	SLOWindow int
 
 	// RetryBudgetPerSec refills each replica's retry token bucket
 	// (default 50/s), capped at RetryBudgetBurst (default 100). A lane
@@ -86,10 +81,6 @@ type Config struct {
 	// and firing a hedge spends one, so a uniformly slow link cannot
 	// double the fleet's load.
 	HedgeMaxRate float64
-	// MaxInFlightLanes bounds router-wide concurrently forwarded lanes
-	// (default 4096). Excess lanes fail fast with StatusOverload so a
-	// partitioned replica cannot queue-collapse the front end.
-	MaxInFlightLanes int
 	// RetryAfterHint is how long routing deprioritises a replica after
 	// it answers StatusOverload (default 25ms) — the wire protocol's
 	// Retry-After: the replica asked for breathing room, so prefer the
@@ -99,10 +90,17 @@ type Config struct {
 	RetryAfterHint time.Duration
 }
 
+// Parameters with one value: nothing measured or deployed needs another.
+const (
+	// dialTimeout bounds one backend dial.
+	dialTimeout = 2 * time.Second
+	// maxInflightLanes bounds router-wide concurrently forwarded lanes.
+	// Excess lanes fail fast with StatusOverload so a partitioned
+	// replica cannot queue-collapse the front end.
+	maxInflightLanes = 4096
+)
+
 func (c Config) withDefaults() Config {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
 	if c.IOTimeout <= 0 {
 		c.IOTimeout = 10 * time.Second
 	}
@@ -124,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.SLOBudget <= 0 {
 		c.SLOBudget = 0.01
 	}
-	if c.SLOWindow <= 0 {
-		c.SLOWindow = 1024
-	}
 	if c.RetryBudgetPerSec <= 0 {
 		c.RetryBudgetPerSec = 50
 	}
@@ -135,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HedgeMaxRate <= 0 {
 		c.HedgeMaxRate = 0.1
-	}
-	if c.MaxInFlightLanes <= 0 {
-		c.MaxInFlightLanes = 4096
 	}
 	if c.RetryAfterHint <= 0 {
 		c.RetryAfterHint = 25 * time.Millisecond
@@ -301,7 +293,7 @@ func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
 	if now < r.nextDial.Load() {
 		return nil, errBackoff
 	}
-	c, err := wire.Dial(r.addr, cfg.DialTimeout, cfg.IOTimeout)
+	c, err := wire.Dial(r.addr, dialTimeout, cfg.IOTimeout)
 	if err != nil {
 		r.dialErrors.Add(1)
 		bo := r.backoffNs.Load()
@@ -349,19 +341,17 @@ type Router struct {
 	cfg      Config
 	replicas []*replica
 
-	mu       sync.Mutex
-	ls       []net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	draining atomic.Bool
+	// wire is the client-facing endpoint: listeners, connections, the
+	// drain flag and the frame loop; frontend.go supplies its handler.
+	wire *wire.Server
 
 	probeStop chan struct{}
 	probeDone chan struct{}
 
-	connsTotal  obs.Counter
-	connsOpen   obs.Gauge
-	retries     obs.Counter
-	noReplica   obs.Counter
+	retries   obs.Counter
+	noReplica obs.Counter
+	// protoErrors counts out-of-protocol backend frames; the endpoint
+	// counts the client side.
 	protoErrors obs.Counter
 
 	// Network-fault-tolerance accounting: hedged batches and the subset
@@ -374,9 +364,11 @@ type Router struct {
 	reconnects        obs.Counter
 	admissionRejected obs.Counter
 	// hedgeBucket caps hedges as a fraction of forwarded batches;
-	// inflightLanes is the admission-control occupancy.
-	hedgeBucket   tokenBucket
-	inflightLanes atomic.Int64
+	// inflightLanes is the admission-control occupancy and
+	// maxInflightLanes its bound (a field so a test can lower it).
+	hedgeBucket      tokenBucket
+	inflightLanes    atomic.Int64
+	maxInflightLanes int64
 
 	// tracer records the router's own forward spans (one ring per
 	// client connection) and issues trace ids for requests that arrive
@@ -425,13 +417,14 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("cluster: at least one replica address required")
 	}
 	r := &Router{
-		cfg:       cfg,
-		conns:     map[net.Conn]struct{}{},
-		probeStop: make(chan struct{}),
-		probeDone: make(chan struct{}),
-		tracer:    obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
-		slo:       newSLOWindow(cfg.SLOWindow),
+		cfg:              cfg,
+		probeStop:        make(chan struct{}),
+		probeDone:        make(chan struct{}),
+		maxInflightLanes: maxInflightLanes,
+		tracer:           obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
+		slo:              newSLOWindow(),
 	}
+	r.wire = wire.NewServer(func() wire.Handler { return newFEConn(r) })
 	now := obs.Tick()
 	// The hedge bucket earns HedgeMaxRate per batch; a burst of 8
 	// absorbs a short slow spell without exceeding the long-run rate.
@@ -575,97 +568,26 @@ func (rep *replica) observeFlags(flags wire.Flags) {
 }
 
 // Serve accepts client connections on l until Shutdown.
-func (r *Router) Serve(l net.Listener) error {
-	r.mu.Lock()
-	r.ls = append(r.ls, l)
-	r.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if r.draining.Load() {
-				return nil
-			}
-			return err
-		}
-		r.connsTotal.Add(1)
-		r.connsOpen.Add(1)
-		r.mu.Lock()
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			newFEConn(r, conn).run()
-			r.mu.Lock()
-			delete(r.conns, conn)
-			r.mu.Unlock()
-			r.connsOpen.Add(-1)
-		}()
-	}
-}
+func (r *Router) Serve(l net.Listener) error { return r.wire.Serve(l) }
 
 // ListenAndServe binds addr and serves until Shutdown.
-func (r *Router) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return r.Serve(l)
-}
+func (r *Router) ListenAndServe(addr string) error { return r.wire.ListenAndServe(addr) }
 
-// Shutdown drains the router: stop probing, stop accepting, interrupt
-// idle client reads, wait for in-flight batches bounded by ctx, then
-// force-close stragglers and the backend pools.
+// Shutdown drains the router: stop probing, then the endpoint's drain
+// (stop accepting, interrupt idle client reads, wait for in-flight
+// batches bounded by ctx, force-close stragglers), then close the
+// backend pools.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.draining.Store(true)
+	// Flag first: a probe in flight can hold probeDone for an IO timeout,
+	// and clients and /healthz should see the drain meanwhile.
+	r.wire.SetDraining(true)
 	select {
 	case <-r.probeStop:
 	default:
 		close(r.probeStop)
 	}
 	<-r.probeDone
-
-	// Snapshot under the lock, close outside it: Close/SetReadDeadline
-	// are syscalls and must not run while mu is held — Serve's accept
-	// loop and every conn handler's exit path contend on mu (the
-	// lock-blocking contract).
-	r.mu.Lock()
-	ls := r.ls
-	r.ls = nil
-	open := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		open = append(open, c)
-	}
-	r.mu.Unlock()
-	for _, l := range ls {
-		_ = l.Close() // best-effort: double close on repeated Shutdown is fine
-	}
-	for _, c := range open {
-		_ = c.SetReadDeadline(time.Now()) // best-effort: interrupt the idle read
-	}
-
-	done := make(chan struct{})
-	//vegapunk:goroutine(Router.Shutdown) drain watcher: unblocks when the last conn handler calls wg.Done; Shutdown always receives done before returning
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		r.mu.Lock()
-		open = open[:0]
-		for c := range r.conns {
-			open = append(open, c)
-		}
-		r.mu.Unlock()
-		for _, c := range open {
-			_ = c.Close() // best-effort: force close at deadline
-		}
-		<-done
-	}
+	err := r.wire.Shutdown(ctx)
 	for _, rep := range r.replicas {
 		rep.markDown()
 	}

@@ -17,11 +17,11 @@ type sloWindow struct {
 // sloEmpty marks a slot that has never held an observation.
 const sloEmpty = int64(-1)
 
-func newSLOWindow(size int) *sloWindow {
-	if size < 16 {
-		size = 16
-	}
-	w := &sloWindow{lats: make([]atomic.Int64, size)}
+// sloWindowSize is how many recent requests the window holds.
+const sloWindowSize = 1024
+
+func newSLOWindow() *sloWindow {
+	w := &sloWindow{lats: make([]atomic.Int64, sloWindowSize)}
 	for i := range w.lats {
 		w.lats[i].Store(sloEmpty)
 	}

@@ -211,13 +211,55 @@ func (v *Vegapunk) SetTier(t Tier) Tier {
 // Table 2/3 reporting).
 func (v *Vegapunk) Decoupling() *decouple.Decoupling { return v.dec }
 
-// ---- BP ----
+// ---- BP-family baselines ----
 
-type bpDecoder struct {
+// baseline adapts one BP-family decoder (BP, BP+OSD, BP+LSD, BPGD) to
+// Decoder and DegradableDecoder. The families differ only in the three
+// functions; the tier ladder is applied once, here.
+type baseline struct {
 	name  string
+	probe *obs.Probe
+	full  int // constructed budget (TierFull): BP iterations, or BPGD rounds
+	// decode runs one decode and translates its result.
+	decode func(s gf2.Vec) (gf2.Vec, Stats)
+	// limit reads the budget currently applied, apply sets a scaled one
+	// and switches the OSD/LSD fallback stage (ignored where there is
+	// none).
+	limit func() int
+	apply func(budget int, fallback bool)
+}
+
+// newBaseline records the constructed budget as the TierFull one.
+func newBaseline(name string, probe *obs.Probe, decode func(gf2.Vec) (gf2.Vec, Stats),
+	limit func() int, apply func(int, bool)) *baseline {
+	return &baseline{name: name, probe: probe, full: limit(), decode: decode, limit: limit, apply: apply}
+}
+
+func (b *baseline) Name() string { return b.name }
+
+// Probe forwards the inner BP decoder's probe, so one activation traces
+// the whole chain (obs.Probed).
+func (b *baseline) Probe() *obs.Probe { return b.probe }
+
+func (b *baseline) Decode(s gf2.Vec) (gf2.Vec, Stats) { return b.decode(s) }
+
+// SetTier implements DegradableDecoder: the budget scales
+// full/half/quarter and TierMinimal additionally skips the fallback
+// stage.
+//
+//vegapunk:hotpath
+func (b *baseline) SetTier(t Tier) Tier {
+	t = clampTier(t)
+	b.apply(tierIters(b.full, t), t != TierMinimal)
+	return t
+}
+
+// bpDecoder is the BP baseline plus its BatchDecoder capability
+// (batch.go); the other families are served one syndrome at a time.
+type bpDecoder struct {
+	*baseline
 	d     *bp.Decoder
-	full  int     // constructed iteration cap (TierFull)
-	stats []Stats // DecodeBatch result scratch (batch.go)
+	stats []Stats // DecodeBatch result scratch
 }
 
 // NewBP wraps plain belief propagation (min-sum), the paper's FPGA
@@ -228,34 +270,12 @@ func NewBP(model *dem.Model, maxIters int) Decoder {
 		name = fmt.Sprintf("BP(%d)", maxIters)
 	}
 	d := bp.New(model.Mech, model.LLRs(), bp.Config{MaxIters: maxIters})
-	return &bpDecoder{name: name, d: d, full: d.MaxIters()}
-}
-
-func (b *bpDecoder) Name() string { return b.name }
-
-func (b *bpDecoder) Probe() *obs.Probe { return b.d.Probe() }
-
-// SetTier implements DegradableDecoder: the iteration cap scales
-// full/half/quarter.
-//
-//vegapunk:hotpath
-func (b *bpDecoder) SetTier(t Tier) Tier {
-	t = clampTier(t)
-	b.d.SetMaxIters(tierIters(b.full, t))
-	return t
-}
-
-func (b *bpDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
-	r := b.d.Decode(s)
-	return r.Error, Stats{BPIters: r.Iters, BPConverged: r.Converged}
-}
-
-// ---- BP+OSD ----
-
-type bposdDecoder struct {
-	name string
-	d    *osd.BPOSD
-	full int // constructed BP iteration cap (TierFull)
+	return &bpDecoder{d: d, baseline: newBaseline(name, d.Probe(),
+		func(s gf2.Vec) (gf2.Vec, Stats) {
+			r := d.Decode(s)
+			return r.Error, Stats{BPIters: r.Iters, BPConverged: r.Converged}
+		},
+		d.MaxIters, func(n int, _ bool) { d.SetMaxIters(n) })}
 }
 
 // NewBPOSD wraps BP+OSD-CS(t), the accuracy baseline. order ≤ 0 uses the
@@ -267,95 +287,44 @@ func NewBPOSD(model *dem.Model, bpIters, order int) Decoder {
 	d := osd.NewBPOSD(model.Mech, model.LLRs(),
 		bp.Config{MaxIters: bpIters},
 		osd.Config{Method: osd.CombinationSweep, Order: order})
-	return &bposdDecoder{
-		name: fmt.Sprintf("BP+OSD-CS(%d)", order),
-		d:    d,
-		full: d.BPMaxIters(),
-	}
-}
-
-func (b *bposdDecoder) Name() string { return b.name }
-
-func (b *bposdDecoder) Probe() *obs.Probe { return b.d.Probe() }
-
-// SetTier implements DegradableDecoder: BP iterations scale
-// full/half/quarter and TierMinimal additionally skips the OSD stage.
-//
-//vegapunk:hotpath
-func (b *bposdDecoder) SetTier(t Tier) Tier {
-	t = clampTier(t)
-	b.d.SetBPMaxIters(tierIters(b.full, t))
-	b.d.SetFallback(t != TierMinimal)
-	return t
-}
-
-func (b *bposdDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
-	r := b.d.Decode(s)
-	return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged}
-}
-
-// ---- BP+LSD ----
-
-type lsdDecoder struct {
-	d    *lsd.Decoder
-	full int // constructed BP iteration cap (TierFull)
+	return newBaseline(fmt.Sprintf("BP+OSD-CS(%d)", order), d.Probe(),
+		func(s gf2.Vec) (gf2.Vec, Stats) {
+			r := d.Decode(s)
+			return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged}
+		},
+		d.BPMaxIters, func(n int, fallback bool) { d.SetBPMaxIters(n); d.SetFallback(fallback) })
 }
 
 // NewBPLSD wraps BP+LSD (30 BP iterations, order 0), per the paper's
 // baseline configuration.
 func NewBPLSD(model *dem.Model) Decoder {
 	d := lsd.New(model.Mech, model.LLRs(), bp.Config{MaxIters: 30})
-	return &lsdDecoder{d: d, full: d.BPMaxIters()}
-}
-
-func (l *lsdDecoder) Name() string { return "BP+LSD" }
-
-func (l *lsdDecoder) Probe() *obs.Probe { return l.d.Probe() }
-
-// SetTier implements DegradableDecoder: BP iterations scale
-// full/half/quarter and TierMinimal additionally skips cluster solving.
-//
-//vegapunk:hotpath
-func (l *lsdDecoder) SetTier(t Tier) Tier {
-	t = clampTier(t)
-	l.d.SetBPMaxIters(tierIters(l.full, t))
-	l.d.SetFallback(t != TierMinimal)
-	return t
-}
-
-func (l *lsdDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
-	r := l.d.Decode(s)
-	return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged, LSDMaxCluster: r.MaxClusterChecks}
-}
-
-// ---- BPGD ----
-
-type bpgdDecoder struct {
-	d    *bpgd.Decoder
-	full int // constructed round cap (TierFull)
+	return newBaseline("BP+LSD", d.Probe(),
+		func(s gf2.Vec) (gf2.Vec, Stats) {
+			r := d.Decode(s)
+			return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged, LSDMaxCluster: r.MaxClusterChecks}
+		},
+		d.BPMaxIters, func(n int, fallback bool) { d.SetBPMaxIters(n); d.SetFallback(fallback) })
 }
 
 // NewBPGD wraps BP guided decimation (100 BP iterations per round, up to
 // n rounds), per the paper's baseline configuration.
 func NewBPGD(model *dem.Model) Decoder { return NewBPGDWith(model, 0, 0) }
 
-func (b *bpgdDecoder) Name() string { return "BPGD" }
-
-func (b *bpgdDecoder) Probe() *obs.Probe { return b.d.Probe() }
-
-// SetTier implements DegradableDecoder: the decimation-round cap
-// scales full/half/quarter.
-//
-//vegapunk:hotpath
-func (b *bpgdDecoder) SetTier(t Tier) Tier {
-	t = clampTier(t)
-	b.d.SetMaxRounds(tierIters(b.full, t))
-	return t
-}
-
-func (b *bpgdDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
-	r := b.d.Decode(s)
-	return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged, BPGDRounds: r.Rounds}
+// NewBPGDWith wraps BPGD with explicit round/iteration budgets (the
+// experiment harness scales these with its quality setting); a budget
+// ≤ 0 takes bpgd's default. The tier ladder scales the round cap.
+func NewBPGDWith(model *dem.Model, maxRounds, itersPerRound int) Decoder {
+	d := bpgd.New(model.Mech, model.LLRs(), bpgd.Config{
+		MaxRounds:     maxRounds,
+		ItersPerRound: itersPerRound,
+	})
+	return newBaseline("BPGD", d.Probe(),
+		func(s gf2.Vec) (gf2.Vec, Stats) {
+			r := d.Decode(s)
+			return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged, BPGDRounds: r.Rounds}
+		},
+		d.MaxRounds, func(n int, _ bool) { d.SetMaxRounds(n) })
 }
 
 // ---- Greedy (Vegapunk without decoupling, Figure 12 ablation) ----
@@ -384,15 +353,4 @@ func (g *greedyDecoder) Name() string { return "Vegapunk-NoDecouple" }
 
 func (g *greedyDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
 	return g.d.Decode(s), Stats{}
-}
-
-// NewBPGDWith wraps BPGD with explicit round/iteration budgets (the
-// experiment harness scales these with its quality setting); a budget
-// ≤ 0 takes bpgd's default.
-func NewBPGDWith(model *dem.Model, maxRounds, itersPerRound int) Decoder {
-	d := bpgd.New(model.Mech, model.LLRs(), bpgd.Config{
-		MaxRounds:     maxRounds,
-		ItersPerRound: itersPerRound,
-	})
-	return &bpgdDecoder{d: d, full: d.MaxRounds()}
 }

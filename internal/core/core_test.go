@@ -127,22 +127,19 @@ func TestAllDecodersDegradable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// limit reads the underlying cap that SetTier scales.
+	// limit reads the underlying cap that SetTier scales; ladder is the
+	// cap each tier must apply, given the constructed one.
 	limit := func(d Decoder) int {
-		switch d := d.(type) {
-		case *Vegapunk:
-			return d.online.MaxIters()
-		case *bpDecoder:
-			return d.d.MaxIters()
-		case *bposdDecoder:
-			return d.d.BPMaxIters()
-		case *lsdDecoder:
-			return d.d.BPMaxIters()
-		case *bpgdDecoder:
-			return d.d.MaxRounds()
+		if v, ok := d.(*Vegapunk); ok {
+			return v.online.MaxIters()
 		}
-		t.Fatalf("%s: no cap accessor for %T", d.Name(), d)
-		return 0
+		return baselineOf(t, d).limit()
+	}
+	ladder := func(d Decoder, full int, tier Tier) int {
+		if _, ok := d.(*Vegapunk); ok {
+			return [...]int{full, max(full-1, 1), 1}[tier]
+		}
+		return tierIters(full, tier)
 	}
 	decoders := []Decoder{
 		veg,
@@ -165,6 +162,9 @@ func TestAllDecodersDegradable(t *testing.T) {
 			if got := dd.SetTier(tier); got != tier {
 				t.Errorf("%s: SetTier(%v) = %v", d.Name(), tier, got)
 			}
+			if got, want := limit(d), ladder(d, constructed, tier); got != want {
+				t.Errorf("%s@%v: cap %d, want %d of constructed %d", d.Name(), tier, got, want, constructed)
+			}
 			est, _ := dd.Decode(s)
 			if est.Len() != model.NumMech() {
 				t.Errorf("%s@%v: estimate length %d != %d", d.Name(), tier, est.Len(), model.NumMech())
@@ -182,6 +182,19 @@ func TestAllDecodersDegradable(t *testing.T) {
 			t.Errorf("%s: cap after TierMinimal then TierFull = %d, constructed %d", d.Name(), got, constructed)
 		}
 	}
+}
+
+// baselineOf unwraps the BP-family adapter behind d.
+func baselineOf(t *testing.T, d Decoder) *baseline {
+	t.Helper()
+	switch d := d.(type) {
+	case *baseline:
+		return d
+	case *bpDecoder:
+		return d.baseline
+	}
+	t.Fatalf("%s: %T is not a BP-family adapter", d.Name(), d)
+	return nil
 }
 
 func TestTierString(t *testing.T) {

@@ -429,28 +429,6 @@ func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 	return out
 }
 
-// SelectColumns returns the matrix formed by the given columns, in order.
-func (m *Dense) SelectColumns(cols []int) *Dense {
-	out := NewDense(m.rows, len(cols))
-	for jj, j := range cols {
-		for i := 0; i < m.rows; i++ {
-			if m.At(i, j) {
-				out.Set(i, jj, true)
-			}
-		}
-	}
-	return out
-}
-
-// SelectRows returns the matrix formed by the given rows, in order.
-func (m *Dense) SelectRows(rows []int) *Dense {
-	out := NewDense(len(rows), m.cols)
-	for ii, i := range rows {
-		copy(out.row(ii), m.row(i))
-	}
-	return out
-}
-
 // String renders the matrix as newline-separated 0/1 rows.
 func (m *Dense) String() string {
 	var sb strings.Builder

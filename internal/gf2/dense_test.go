@@ -171,22 +171,6 @@ func TestColRowWeights(t *testing.T) {
 	}
 }
 
-func TestSelectRowsCols(t *testing.T) {
-	m := FromRows([][]int{
-		{1, 0, 1, 0},
-		{0, 1, 0, 1},
-		{1, 1, 1, 1},
-	})
-	sc := m.SelectColumns([]int{2, 0})
-	if sc.Cols() != 2 || !sc.At(0, 0) || !sc.At(0, 1) || sc.At(1, 0) {
-		t.Error("SelectColumns wrong")
-	}
-	sr := m.SelectRows([]int{2, 1})
-	if sr.Rows() != 2 || !sr.At(0, 0) || sr.At(1, 0) {
-		t.Error("SelectRows wrong")
-	}
-}
-
 func TestSubmatrixRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(25, 26))
 	m := randDense(rng, 9, 13)

@@ -5,19 +5,7 @@ import "fmt"
 // Perm is a permutation of {0..n-1}. p[i] = j means position i of the
 // output takes element j of the input, i.e. applying p to a vector v
 // yields w with w[i] = v[p[i]].
-//
-// As a matrix, p corresponds to the n×n permutation matrix P with
-// P[i, p[i]] = 1, so Apply(v) = P·v.
 type Perm []int
-
-// IdentityPerm returns the identity permutation on n elements.
-func IdentityPerm(n int) Perm {
-	p := make(Perm, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
 
 // Validate checks that p is a permutation.
 func (p Perm) Validate() error {
@@ -34,31 +22,7 @@ func (p Perm) Validate() error {
 	return nil
 }
 
-// Inverse returns q with q[p[i]] = i.
-func (p Perm) Inverse() Perm {
-	q := make(Perm, len(p))
-	for i, v := range p {
-		q[v] = i
-	}
-	return q
-}
-
-// Apply returns P·v, i.e. out[i] = v[p[i]].
-func (p Perm) Apply(v Vec) Vec {
-	if v.Len() != len(p) {
-		panic("gf2: Perm.Apply length mismatch")
-	}
-	out := NewVec(len(p))
-	for i, src := range p {
-		if v.Get(src) {
-			out.Set(i, true)
-		}
-	}
-	return out
-}
-
-// ApplyToSlice permutes a float slice the same way Apply permutes bits:
-// out[i] = xs[p[i]]. Used to carry per-column prior weights through the
+// ApplyToSlice permutes a float slice: out[i] = xs[p[i]]. Used to carry per-column prior weights through the
 // decoupler's column permutation.
 func (p Perm) ApplyToSlice(xs []float64) []float64 {
 	if len(xs) != len(p) {
@@ -69,15 +33,6 @@ func (p Perm) ApplyToSlice(xs []float64) []float64 {
 		out[i] = xs[src]
 	}
 	return out
-}
-
-// Matrix returns the dense permutation matrix P with P[i, p[i]] = 1.
-func (p Perm) Matrix() *Dense {
-	m := NewDense(len(p), len(p))
-	for i, v := range p {
-		m.Set(i, v, true)
-	}
-	return m
 }
 
 // PermuteCols returns a copy of m with columns permuted so that output
@@ -93,19 +48,6 @@ func (m *Dense) PermuteCols(p Perm) *Dense {
 				out.Set(i, jj, true)
 			}
 		}
-	}
-	return out
-}
-
-// PermuteRows returns a copy of m with rows permuted so that output row i
-// is input row p[i] (i.e. P·m).
-func (m *Dense) PermuteRows(p Perm) *Dense {
-	if len(p) != m.rows {
-		panic("gf2: PermuteRows length mismatch")
-	}
-	out := NewDense(m.rows, m.cols)
-	for ii, src := range p {
-		copy(out.row(ii), m.row(src))
 	}
 	return out
 }

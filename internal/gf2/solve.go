@@ -193,58 +193,3 @@ func (m *Dense) IndependentRows() []int {
 	}
 	return out
 }
-
-// IndependentColumns returns indices of a maximal linearly independent
-// subset of columns, scanning columns in the order given (or natural
-// order when order is nil). At most limit columns are returned when
-// limit > 0.
-func (m *Dense) IndependentColumns(order []int, limit int) []int {
-	if order == nil {
-		order = make([]int, m.cols)
-		for i := range order {
-			order[i] = i
-		}
-	}
-	type basisVec struct {
-		w    []uint64
-		lead int
-	}
-	rows := wordsFor(m.rows)
-	var basis []basisVec
-	var out []int
-	for _, j := range order {
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-		col := make([]uint64, rows)
-		for i := 0; i < m.rows; i++ {
-			if m.At(i, j) {
-				col[i/wordBits] |= 1 << (uint(i) % wordBits)
-			}
-		}
-		for _, b := range basis {
-			if col[b.lead/wordBits]>>(uint(b.lead)%wordBits)&1 == 1 {
-				for k := range col {
-					col[k] ^= b.w[k]
-				}
-			}
-		}
-		lead := -1
-		for wi, w := range col {
-			if w != 0 {
-				for b := 0; b < wordBits; b++ {
-					if w>>uint(b)&1 == 1 {
-						lead = wi*wordBits + b
-						break
-					}
-				}
-				break
-			}
-		}
-		if lead >= 0 {
-			basis = append(basis, basisVec{w: col, lead: lead})
-			out = append(out, j)
-		}
-	}
-	return out
-}

@@ -141,40 +141,3 @@ func TestIndependentRows(t *testing.T) {
 		t.Errorf("IndependentRows = %v, want [0 2]", idx)
 	}
 }
-
-func TestIndependentColumns(t *testing.T) {
-	m := FromRows([][]int{
-		{1, 1, 0, 0},
-		{0, 0, 1, 1},
-	})
-	idx := m.IndependentColumns(nil, 0)
-	if len(idx) != 2 {
-		t.Fatalf("expected 2 independent columns, got %v", idx)
-	}
-	// With a custom order preferring later columns.
-	idx = m.IndependentColumns([]int{3, 2, 1, 0}, 0)
-	if len(idx) != 2 || idx[0] != 3 {
-		t.Errorf("ordered IndependentColumns = %v", idx)
-	}
-	// Limit.
-	idx = m.IndependentColumns(nil, 1)
-	if len(idx) != 1 {
-		t.Errorf("limited IndependentColumns = %v", idx)
-	}
-}
-
-func TestIndependentColumnsSelectInvertible(t *testing.T) {
-	rng := rand.New(rand.NewPCG(39, 40))
-	for trial := 0; trial < 20; trial++ {
-		r := 2 + rng.IntN(15)
-		m := randDense(rng, r, r*3)
-		idx := m.IndependentColumns(nil, 0)
-		if len(idx) != m.Rank() {
-			t.Fatalf("IndependentColumns count %d != rank %d", len(idx), m.Rank())
-		}
-		sub := m.SelectColumns(idx)
-		if sub.Rank() != len(idx) {
-			t.Fatal("selected columns not independent")
-		}
-	}
-}

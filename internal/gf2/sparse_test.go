@@ -86,26 +86,6 @@ func TestSparseRowsMulVecAgreesDense(t *testing.T) {
 	}
 }
 
-func TestPermApplyMatchesMatrix(t *testing.T) {
-	rng := rand.New(rand.NewPCG(47, 48))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.IntN(40)
-		p := IdentityPerm(n)
-		rng.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-		if err := p.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		v := randVec(rng, n)
-		if !p.Apply(v).Equal(p.Matrix().MulVec(v)) {
-			t.Fatal("Perm.Apply disagrees with matrix form")
-		}
-		// Inverse undoes.
-		if !p.Inverse().Apply(p.Apply(v)).Equal(v) {
-			t.Fatal("Perm inverse does not undo")
-		}
-	}
-}
-
 func TestPermValidateRejectsBad(t *testing.T) {
 	if err := Perm([]int{0, 0, 2}).Validate(); err == nil {
 		t.Error("duplicate entry accepted")
@@ -129,15 +109,6 @@ func TestPermuteColsRows(t *testing.T) {
 	})
 	if !pc.Equal(want) {
 		t.Errorf("PermuteCols:\n%v\nwant\n%v", pc, want)
-	}
-	q := Perm([]int{1, 0})
-	pr := m.PermuteRows(q)
-	wantR := FromRows([][]int{
-		{0, 1, 0},
-		{1, 0, 0},
-	})
-	if !pr.Equal(wantR) {
-		t.Errorf("PermuteRows:\n%v\nwant\n%v", pr, wantR)
 	}
 }
 

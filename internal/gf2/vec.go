@@ -99,13 +99,6 @@ func (v Vec) Xor(u Vec) {
 	}
 }
 
-// XorSupport flips the bits at the given indices.
-func (v Vec) XorSupport(support []int) {
-	for _, i := range support {
-		v.Flip(i)
-	}
-}
-
 // And intersects u into v in place.
 func (v Vec) And(u Vec) {
 	if v.n != u.n {
@@ -232,18 +225,6 @@ func (v Vec) WeightSum(w []float64) float64 {
 	return sum
 }
 
-// Dot returns the GF(2) inner product of v and u.
-func (v Vec) Dot(u Vec) bool {
-	if v.n != u.n {
-		panic("gf2: Dot length mismatch")
-	}
-	var acc uint64
-	for i, w := range u.w {
-		acc ^= v.w[i] & w
-	}
-	return bits.OnesCount64(acc)%2 == 1
-}
-
 // Slice returns a copy of bits [lo, hi) as a new vector.
 func (v Vec) Slice(lo, hi int) Vec {
 	if lo < 0 || hi > v.n || lo > hi {
@@ -253,22 +234,6 @@ func (v Vec) Slice(lo, hi int) Vec {
 	for i := lo; i < hi; i++ {
 		if v.Get(i) {
 			out.Set(i-lo, true)
-		}
-	}
-	return out
-}
-
-// Concat returns the concatenation of v followed by u.
-func (v Vec) Concat(u Vec) Vec {
-	out := NewVec(v.n + u.n)
-	for i := 0; i < v.n; i++ {
-		if v.Get(i) {
-			out.Set(i, true)
-		}
-	}
-	for i := 0; i < u.n; i++ {
-		if u.Get(i) {
-			out.Set(v.n+i, true)
 		}
 	}
 	return out

@@ -10,12 +10,12 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"vegapunk/internal/core"
 	"vegapunk/internal/dem"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
+	"vegapunk/internal/wire"
 )
 
 // maxBodyBytes bounds a decode request body; syndromes are 0/1 strings
@@ -42,31 +42,22 @@ type Server struct {
 
 	srv *http.Server
 
-	// Wire listener state: tracked listeners and connections for drain,
-	// the soft draining flag (responses carry wire.FlagDraining), and
-	// the wire traffic counters.
-	wireMu       sync.Mutex
-	wireLs       []net.Listener
-	wireConns    map[net.Conn]struct{}
-	wireWG       sync.WaitGroup
-	wireDraining atomic.Bool
-
-	wireConnsTotal  Counter
-	wireConnsOpen   Gauge
-	wireDecodes     Counter
-	wireProtoErrors Counter
+	// wire is the binary-protocol endpoint: listeners, connections, the
+	// drain flag and the frame loop; wire.go supplies its handler.
+	wire        *wire.Server
+	wireDecodes Counter
 }
 
 // NewServer builds an empty server; register models before serving.
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		services:  map[string]*Service{},
-		inflight:  make(chan struct{}, cfg.MaxInFlight),
-		wireConns: map[net.Conn]struct{}{},
+		cfg:      cfg,
+		services: map[string]*Service{},
+		inflight: make(chan struct{}, cfg.MaxInFlight),
 	}
 	s.srv = &http.Server{Handler: s.Handler()}
+	s.wire = wire.NewServer(func() wire.Handler { return &wireConn{s: s} })
 	return s
 }
 
@@ -149,7 +140,9 @@ func (s *Server) ListenAndServe(addr string) error {
 // flush and close every service queue.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.srv.Shutdown(ctx)
-	s.shutdownWire(ctx)
+	if werr := s.wire.Shutdown(ctx); err == nil {
+		err = werr
+	}
 	for _, svc := range s.snapshot() {
 		svc.Close()
 	}
@@ -350,16 +343,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promHeader(w, "vegapunk_serve_http_inflight", "HTTP decode requests currently admitted.", "gauge")
 	fmt.Fprintf(w, "vegapunk_serve_http_inflight %d\n", s.inflightG.Load())
 	promHeader(w, "vegapunk_serve_wire_connections_total", "Wire protocol connections accepted.", "counter")
-	fmt.Fprintf(w, "vegapunk_serve_wire_connections_total %d\n", s.wireConnsTotal.Load())
+	fmt.Fprintf(w, "vegapunk_serve_wire_connections_total %d\n", s.wire.Accepted())
 	promHeader(w, "vegapunk_serve_wire_open_connections", "Wire protocol connections currently open.", "gauge")
-	fmt.Fprintf(w, "vegapunk_serve_wire_open_connections %d\n", s.wireConnsOpen.Load())
+	fmt.Fprintf(w, "vegapunk_serve_wire_open_connections %d\n", s.wire.Open())
 	promHeader(w, "vegapunk_serve_wire_decodes_total", "Decode frames received over the wire protocol.", "counter")
 	fmt.Fprintf(w, "vegapunk_serve_wire_decodes_total %d\n", s.wireDecodes.Load())
 	promHeader(w, "vegapunk_serve_wire_protocol_errors_total", "Wire connections terminated by a protocol error.", "counter")
-	fmt.Fprintf(w, "vegapunk_serve_wire_protocol_errors_total %d\n", s.wireProtoErrors.Load())
+	fmt.Fprintf(w, "vegapunk_serve_wire_protocol_errors_total %d\n", s.wire.ProtocolErrors())
 	promHeader(w, "vegapunk_serve_wire_draining", "Whether the wire listener is draining (responses carry the drain flag).", "gauge")
 	var draining int64
-	if s.wireDraining.Load() {
+	if s.wire.Draining() {
 		draining = 1
 	}
 	fmt.Fprintf(w, "vegapunk_serve_wire_draining %d\n", draining)

@@ -13,121 +13,43 @@ import (
 	"vegapunk/internal/wire"
 )
 
-// maxWirePipeline bounds how many pipelined decode frames one
-// connection read coalesces into a single submit wave (the service's
-// micro-batcher re-batches across connections anyway).
-const maxWirePipeline = 64
-
-// wireWriteTimeout bounds one response write so a wedged client cannot
-// pin a connection handler forever.
-const wireWriteTimeout = time.Minute
-
 // ServeWire accepts binary wire-protocol connections on l until
 // Shutdown: the persistent-connection hot path that replaces JSON
-// framing with raw syndrome/correction words (see internal/wire). Each
-// connection is served by one goroutine; pipelined decode frames are
-// submitted together so they coalesce into the same micro-batch.
-func (s *Server) ServeWire(l net.Listener) error {
-	s.wireMu.Lock()
-	s.wireLs = append(s.wireLs, l)
-	s.wireMu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if s.wireDraining.Load() {
-				return nil
-			}
-			return err
-		}
-		s.wireConnsTotal.Add(1)
-		s.wireConnsOpen.Add(1)
-		s.wireMu.Lock()
-		s.wireConns[conn] = struct{}{}
-		s.wireMu.Unlock()
-		s.wireWG.Add(1)
-		go func() {
-			defer s.wireWG.Done()
-			s.handleWireConn(conn)
-			s.wireMu.Lock()
-			delete(s.wireConns, conn)
-			s.wireMu.Unlock()
-			s.wireConnsOpen.Add(-1)
-		}()
-	}
-}
+// framing with raw syndrome/correction words. The accept/drain
+// lifecycle and the frame loop are wire.Server's; this file supplies
+// only the replica's handler (wireConn, wireModel): pipelined decode
+// frames of one run are submitted together so they coalesce into the
+// same micro-batch.
+func (s *Server) ServeWire(l net.Listener) error { return s.wire.Serve(l) }
 
 // ListenAndServeWire binds addr and serves the wire protocol until
 // Shutdown.
-func (s *Server) ListenAndServeWire(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeWire(l)
-}
+func (s *Server) ListenAndServeWire(addr string) error { return s.wire.ListenAndServe(addr) }
 
 // SetWireDraining toggles the soft drain flag: while set, every wire
 // response and pong carries wire.FlagDraining so routers stop picking
 // this replica, but connections stay open and requests keep being
 // served — the rolling-restart half of "drain gracefully". Shutdown
 // performs the hard half (stop accepting, close connections).
-func (s *Server) SetWireDraining(v bool) { s.wireDraining.Store(v) }
+func (s *Server) SetWireDraining(v bool) { s.wire.SetDraining(v) }
 
-// shutdownWire stops the wire listeners and drains their connections:
-// in-flight batches finish (their responses carry the drain flag),
-// idle reads are interrupted, and any connection still alive when ctx
-// expires is force-closed.
-func (s *Server) shutdownWire(ctx context.Context) {
-	s.wireDraining.Store(true)
-	// Snapshot under the lock, close outside it: Close/SetReadDeadline
-	// are syscalls and must not run while wireMu is held — a stalled
-	// socket teardown would stall every accept and handler exit too
-	// (the lock-blocking contract).
-	s.wireMu.Lock()
-	ls := s.wireLs
-	s.wireLs = nil
-	conns := make([]net.Conn, 0, len(s.wireConns))
-	for c := range s.wireConns {
-		conns = append(conns, c)
-	}
-	s.wireMu.Unlock()
-	for _, l := range ls {
-		_ = l.Close() // best-effort: double close on repeated Shutdown is fine
-	}
-	// Interrupt idle blocking reads; handlers then observe the drain
-	// flag and exit after flushing their current batch.
-	for _, c := range conns {
-		_ = c.SetReadDeadline(time.Now()) // best-effort: a broken conn is already on its way out
-	}
-
-	done := make(chan struct{})
-	//vegapunk:goroutine(Server.shutdownWire) drain watcher: unblocks when the last conn handler calls wireWG.Done; shutdownWire always receives done before returning
-	go func() {
-		s.wireWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		s.wireMu.Lock()
-		conns = conns[:0]
-		for c := range s.wireConns {
-			conns = append(conns, c)
-		}
-		s.wireMu.Unlock()
-		for _, c := range conns {
-			_ = c.Close() // best-effort: force close at deadline
-		}
-		<-done
-	}
+// wireConn is the replica's wire.Handler: one per connection, holding
+// the scratch its bindings share.
+type wireConn struct {
+	s    *Server
+	ctx  wireCtx
+	wres wire.Result
 }
 
-// wireModel is a connection-scoped model binding: the service plus the
-// per-lane scratch that keeps the steady state allocation-free.
+// wireModel is a connection-scoped model binding (wire.Binding): the
+// service plus the per-lane scratch that keeps the steady state
+// allocation-free.
 type wireModel struct {
+	c     *wireConn
 	svc   *Service
 	syns  []gf2.Vec // lane syndrome scratch, grown to the pipeline depth once
 	lanes []wireLane
+	n     int // lanes taken in the current run
 }
 
 // wireLane tracks one pipelined decode frame through submit/wait.
@@ -154,16 +76,6 @@ func (c *wireCtx) Done() <-chan struct{}       { return nil }
 func (c *wireCtx) Err() error                  { return nil }
 func (c *wireCtx) Value(any) any               { return nil }
 
-// wireConnState is the per-connection handler state.
-type wireConnState struct {
-	conn   net.Conn
-	r      *wire.Reader
-	wbuf   []byte
-	models []*wireModel
-	ctx    wireCtx
-	wres   wire.Result
-}
-
 // wireHealthFlags derives the health bits a response for svc carries:
 // breaker state and degradation tier from the service, the drain flag
 // from the server.
@@ -177,7 +89,7 @@ func (s *Server) wireHealthFlags(svc *Service, now int64) wire.Flags {
 			f |= wire.FlagDegraded
 		}
 	}
-	if s.wireDraining.Load() {
+	if s.wire.Draining() {
 		f |= wire.FlagDraining
 	}
 	return f
@@ -215,161 +127,83 @@ func classify(err error) errClass {
 	return errClass{wire: wire.StatusInternal, http: http.StatusInternalServerError}
 }
 
-// handleWireConn runs one connection: hello resolves model keys to
-// connection-scoped ids, decode frames batch through the service, and
-// pings answer with health flags. Request-level failures (unknown key,
-// bad syndrome) answer with an error status and keep the connection;
-// protocol-level failures (bad magic, oversize frame) close it.
-func (s *Server) handleWireConn(conn net.Conn) {
-	defer func() {
-		_ = conn.Close() // best-effort: the peer may already be gone
-	}()
-	st := &wireConnState{conn: conn, r: wire.NewReader(conn)}
-	var (
-		h       wire.Header
-		payload []byte
-		err     error
-		pending bool
-	)
-	for {
-		if !pending {
-			h, payload, err = st.r.ReadFrame()
-			if err != nil {
-				if wire.IsProtocolError(err) {
-					s.wireProtoErrors.Add(1)
-					st.wbuf = wire.AppendError(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), 0,
-						wire.StatusBadRequest, err.Error())
-					_ = st.write() // best-effort: the conn is terminal either way
-				}
-				return
-			}
-		}
-		pending = false
-		switch h.Op {
-		case wire.OpHello:
-			if err := s.wireHello(st, h, payload); err != nil {
-				return
-			}
-		case wire.OpPing:
-			st.wbuf = wire.AppendPong(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), h.ReqID)
-			if err := st.write(); err != nil {
-				return
-			}
-		case wire.OpDecode:
-			h, payload, pending, err = s.wireDecodeBatch(st, h, payload)
-			if err != nil {
-				return
-			}
-		default:
-			s.wireProtoErrors.Add(1)
-			st.wbuf = wire.AppendError(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), h.ReqID,
-				wire.StatusBadRequest, "unexpected opcode")
-			_ = st.write() // best-effort: closing after protocol error
-			return
-		}
-	}
-}
-
-// wireHello resolves a model key to a new connection-scoped id.
-func (s *Server) wireHello(st *wireConnState, h wire.Header, payload []byte) error {
-	key := string(payload)
-	svc, ok := s.Service(key)
+// Hello resolves a model key in the registry.
+func (c *wireConn) Hello(key string) (wire.Binding, wire.Status, string) {
+	svc, ok := c.s.Service(key)
 	if !ok {
-		st.wbuf = wire.AppendError(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), h.ReqID,
-			wire.StatusUnknownModel, "unknown model key (resolve via GET /v1/models)")
-		return st.write()
+		return nil, wire.StatusUnknownModel, "unknown model key (resolve via GET /v1/models)"
 	}
-	if len(st.models) >= 1<<16 {
-		st.wbuf = wire.AppendError(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), h.ReqID,
-			wire.StatusBadRequest, "model id space exhausted on this connection")
-		return st.write()
-	}
-	id := uint16(len(st.models))
-	st.models = append(st.models, &wireModel{svc: svc})
-	m := svc.Model()
-	st.wbuf = wire.AppendHelloAck(st.wbuf[:0], s.wireHealthFlags(svc, obs.Tick()), id, h.ReqID,
-		m.NumDet, m.NumMech(), m.NumObs)
-	return st.write()
+	return &wireModel{c: c, svc: svc}, wire.StatusOK, ""
 }
 
-// wireDecodeBatch reads the run of pipelined decode frames for one
-// model, submits them together (so they share a micro-batch), waits
-// for every lane's terminal outcome and writes all responses in one
-// conn write. It returns the first non-matching frame, if one was
-// pulled off the reader, for the caller to process next.
+// Close has nothing to release: lanes are collected before every write.
+func (c *wireConn) Close() {}
+
+func (m *wireModel) Dims() (numDet, numMech, numObs int) {
+	dm := m.svc.Model()
+	return dm.NumDet, dm.NumMech(), dm.NumObs
+}
+
+func (m *wireModel) Flags() wire.Flags { return m.c.s.wireHealthFlags(m.svc, obs.Tick()) }
+
+// Decode parses one frame of the run into the next lane and submits it;
+// the lanes of a run are all submitted before EndRun waits on any, so
+// they share a micro-batch.
 //
 //vegapunk:hotpath
-func (s *Server) wireDecodeBatch(st *wireConnState, h wire.Header, payload []byte) (nh wire.Header, np []byte, pending bool, err error) {
-	if int(h.ModelID) >= len(st.models) {
-		s.wireDecodes.Add(1)
-		// Health flags ride every response, including request-level errors:
-		// the router's passive health tracking must not be starved just
-		// because a client sent a bad model id while the replica drains.
-		st.wbuf = wire.AppendError(st.wbuf[:0], s.wireHealthFlags(nil, obs.Tick()), h.ReqID, //vegapunk:allow(alloc) error path: unknown model id
-			wire.StatusUnknownModel, "model id not resolved on this connection") //vegapunk:allow(alloc) error path
-		return wire.Header{}, nil, false, st.write()
+func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
+	c := m.c
+	c.s.wireDecodes.Add(1)
+	m.grow(m.n + 1)
+	k := m.n
+	m.n++
+	lane := &m.lanes[k]
+	lane.reqID = reqID
+	lane.req = nil
+	lane.status = wire.StatusOK
+	lane.traced = flags&wire.FlagTelemetry != 0
+	lane.tc = wire.TraceContext{}
+	tc, perr := wire.ParseDecodeTracedInto(m.syns[k], flags, payload)
+	if perr != nil {
+		lane.status = wire.StatusBadRequest
+		return
 	}
-	m := st.models[h.ModelID]
-	mid := h.ModelID
-	var readErr error
-	k := 0
-	for {
-		s.wireDecodes.Add(1)
-		m.grow(k + 1)
-		lane := &m.lanes[k]
-		lane.reqID = h.ReqID
-		lane.req = nil
-		lane.status = wire.StatusOK
-		lane.traced = h.Flags&wire.FlagTelemetry != 0
-		lane.tc = wire.TraceContext{}
-		if tc, perr := wire.ParseDecodeTracedInto(m.syns[k], h.Flags, payload); perr != nil {
-			lane.status = wire.StatusBadRequest
-		} else {
-			lane.tc = tc
-			st.ctx.dl = time.Now().Add(s.cfg.RequestTimeout) //vegapunk:allow(time) request deadline needs wall clock, once per lane
-			req, serr := m.svc.submitTraced(&st.ctx, m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
-			if serr != nil {
-				lane.status = classify(serr).wire
-			} else {
-				lane.req = req
-			}
-		}
-		k++
-		if k >= maxWirePipeline || !st.r.FrameBuffered() {
-			break
-		}
-		h, payload, readErr = st.r.ReadFrame()
-		if readErr != nil {
-			break // finish the batch; the caller closes the conn after
-		}
-		if h.Op != wire.OpDecode || int(h.ModelID) >= len(st.models) || st.models[h.ModelID] != m {
-			pending = true
-			break
-		}
+	lane.tc = tc
+	c.ctx.dl = time.Now().Add(c.s.cfg.RequestTimeout) //vegapunk:allow(time) request deadline needs wall clock, once per lane
+	req, serr := m.svc.submitTraced(&c.ctx, m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
+	if serr != nil {
+		lane.status = classify(serr).wire
+		return
 	}
+	lane.req = req
+}
 
-	// Collect every submitted lane — each admitted request has exactly
-	// one terminal outcome — then respond in arrival order.
-	flags := s.wireHealthFlags(m.svc, obs.Tick())
-	st.wbuf = st.wbuf[:0]
-	for i := 0; i < k; i++ {
+// EndRun collects every submitted lane — each admitted request has
+// exactly one terminal outcome — and appends the responses in arrival
+// order.
+//
+//vegapunk:hotpath
+func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
+	c := m.c
+	flags := c.s.wireHealthFlags(m.svc, obs.Tick())
+	for i := 0; i < m.n; i++ {
 		lane := &m.lanes[i]
 		if lane.req != nil {
-			if werr := m.svc.wait(&st.ctx, lane.req, &lane.res); werr != nil {
+			if werr := m.svc.wait(&c.ctx, lane.req, &lane.res); werr != nil {
 				lane.status = classify(werr).wire
 			}
 		}
-		st.wres.Status = lane.status
+		c.wres.Status = lane.status
 		if lane.status == wire.StatusOK {
 			res := &lane.res
-			st.wres.Tier = uint8(res.Tier)
-			st.wres.Satisfied = res.Satisfied
-			st.wres.BPIters = uint32(res.Stats.BPIters)
-			st.wres.QueueWaitNs = res.QueueWaitNs
-			st.wres.DecodeNs = res.DecodeNs
-			st.wres.CopyOutNs = res.CopyOutNs
-			st.wres.Correction = res.Correction
-			st.wres.Observables = res.Observables
+			c.wres.Tier = uint8(res.Tier)
+			c.wres.Satisfied = res.Satisfied
+			c.wres.BPIters = uint32(res.Stats.BPIters)
+			c.wres.QueueWaitNs = res.QueueWaitNs
+			c.wres.DecodeNs = res.DecodeNs
+			c.wres.CopyOutNs = res.CopyOutNs
+			c.wres.Correction = res.Correction
+			c.wres.Observables = res.Observables
 		}
 		if lane.traced {
 			// A traced request always answers with the server-timing
@@ -386,21 +220,13 @@ func (s *Server) wireDecodeBatch(st *wireConnState, h wire.Header, payload []byt
 				tm.DecodeNs = res.DecodeNs
 				tm.CopyOutNs = res.CopyOutNs
 			}
-			st.wbuf = wire.AppendResultTimed(st.wbuf, flags, mid, lane.reqID, &st.wres, &tm)
+			buf = wire.AppendResultTimed(buf, flags, mid, lane.reqID, &c.wres, &tm)
 		} else {
-			st.wbuf = wire.AppendResult(st.wbuf, flags, mid, lane.reqID, &st.wres)
+			buf = wire.AppendResult(buf, flags, mid, lane.reqID, &c.wres)
 		}
 	}
-	if werr := st.write(); werr != nil {
-		return wire.Header{}, nil, false, werr
-	}
-	if readErr != nil {
-		if wire.IsProtocolError(readErr) {
-			s.wireProtoErrors.Add(1)
-		}
-		return wire.Header{}, nil, false, readErr
-	}
-	return h, payload, pending, nil
+	m.n = 0
+	return buf
 }
 
 // grow sizes the lane scratch for at least n lanes.
@@ -409,18 +235,4 @@ func (m *wireModel) grow(n int) {
 		m.lanes = append(m.lanes, wireLane{})                   //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
 		m.syns = append(m.syns, gf2.NewVec(m.svc.model.NumDet)) //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
 	}
-}
-
-// write flushes the response buffer in one conn write.
-//
-//vegapunk:hotpath
-func (st *wireConnState) write() error {
-	if len(st.wbuf) == 0 {
-		return nil
-	}
-	if err := st.conn.SetWriteDeadline(time.Now().Add(wireWriteTimeout)); err != nil { //vegapunk:allow(time) write deadline needs wall clock, once per flush
-		return err
-	}
-	_, err := st.conn.Write(st.wbuf)
-	return err
 }
