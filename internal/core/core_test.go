@@ -184,6 +184,34 @@ func TestAllDecodersDegradable(t *testing.T) {
 	}
 }
 
+// TestVegapunkTierChangesKeepAnswers steps one decoder through the
+// degradation ladder between decodes: whatever the online decoder keeps
+// across calls (its block-objective table) must not depend on the tier,
+// so each answer equals that of a decoder built at that tier's cap.
+func TestVegapunkTierChangesKeepAnswers(t *testing.T) {
+	model := bb72Model(t)
+	veg, err := BuildVegapunk(model, decouple.Options{Seed: 1}, hier.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := map[Tier]*Vegapunk{}
+	for tier := TierFull; tier <= MaxTier; tier++ {
+		fresh[tier] = NewVegapunkFrom(model, veg.Decoupling(), hier.Config{})
+		fresh[tier].SetTier(tier)
+	}
+	rng := rand.New(rand.NewPCG(18, 18))
+	for shot := 0; shot < 300; shot++ {
+		tier := Tier(shot * 5 % int(MaxTier+1))
+		veg.SetTier(tier)
+		s := model.Syndrome(model.Sample(rng))
+		got, gotStats := veg.Decode(s)
+		want, wantStats := fresh[tier].Decode(s)
+		if !got.Equal(want) || gotStats.Hier != wantStats.Hier {
+			t.Fatalf("shot %d at %v: stepped decoder %+v differs from a fresh one %+v", shot, tier, gotStats.Hier, wantStats.Hier)
+		}
+	}
+}
+
 // baselineOf unwraps the BP-family adapter behind d.
 func baselineOf(t *testing.T, d Decoder) *baseline {
 	t.Helper()

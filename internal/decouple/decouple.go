@@ -197,30 +197,8 @@ func (d *Decoupling) PermuteWeights(w []float64) []float64 {
 // order (the paper's final e = P·e').
 func (d *Decoupling) RecoverError(ePrime gf2.Vec) gf2.Vec {
 	out := gf2.NewVec(d.N)
-	d.RecoverErrorInto(out, ePrime)
+	for _, j := range ePrime.Ones() {
+		out.Set(d.ColOrder[j], true)
+	}
 	return out
-}
-
-// RecoverErrorInto is the allocation-free variant of RecoverError.
-func (d *Decoupling) RecoverErrorInto(out, ePrime gf2.Vec) {
-	out.Zero()
-	for j := 0; j < d.N; j++ {
-		if ePrime.Get(j) {
-			out.Set(d.ColOrder[j], true)
-		}
-	}
-}
-
-// BlockSyndrome slices the transformed left-part syndrome for block g.
-func (d *Decoupling) BlockSyndrome(sl gf2.Vec, g int) gf2.Vec {
-	return sl.Slice(g*d.MD, (g+1)*d.MD)
-}
-
-// BlockSyndromeInto copies block g's slice of the transformed left-part
-// syndrome into dst (length MD) without allocating.
-func (d *Decoupling) BlockSyndromeInto(dst, sl gf2.Vec, g int) {
-	base := g * d.MD
-	for i := 0; i < d.MD; i++ {
-		dst.Set(i, sl.Get(base+i))
-	}
 }

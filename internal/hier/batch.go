@@ -53,7 +53,7 @@ func (d *Decoder) ensureBatch(L, n int) {
 		hb.sols = make([][]blockSol, L)   //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
 		for l := range hb.sp {
 			hb.sp[l] = gf2.NewVec(d.dec.M) //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
-			hb.sols[l] = newBlockSols(d.dec)
+			hb.sols[l] = newBlockSols(d, d.dec.K)
 		}
 	}
 	if cap(hb.traces) < n {
@@ -130,13 +130,9 @@ func (d *Decoder) decodeChunk(syns, outs []gf2.Vec, traces []Trace) {
 	t := d.probe.Tick()
 	for g := 0; g < dec.K; g++ {
 		for l := 0; l < L; l++ {
-			dec.BlockSyndromeInto(d.sl, hb.sp[l], g)
-			d.greedyGuess(g, d.sl, &hb.sols[l][g])
-			tr := &traces[l]
-			tr.BlockDecodes++
-			if inner := hb.sols[l][g].inner; inner > tr.MaxInnerIters {
-				tr.MaxInnerIters = inner
-			}
+			d.sliceInto(d.cand, hb.sp[l], g)
+			d.greedyGuess(g, d.cand, &hb.sols[l][g])
+			traces[l].solved(&hb.sols[l][g])
 		}
 	}
 	d.probe.SpanSince(obs.StageHierBase, L*dec.K, t)
@@ -145,8 +141,7 @@ func (d *Decoder) decodeChunk(syns, outs []gf2.Vec, traces []Trace) {
 	// run on the scalar path, against the lane's committed base state
 	// (swapped into d.sols so the shared code is untouched).
 	for l := 0; l < L; l++ {
-		d.rBest.Zero()
-		d.slBase.CopyFrom(hb.sp[l])
+		d.reset(hb.sp[l])
 		d.sols, hb.sols[l] = hb.sols[l], d.sols
 		dMin := d.outerLoop(&traces[l])
 		d.assembleInto(outs[l], dMin, &traces[l])

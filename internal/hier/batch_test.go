@@ -62,26 +62,31 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 }
 
 // TestDecodeBatchInterleavedWithSerial checks that mixing Decode and
-// DecodeBatch on one instance never bleeds state between the paths.
+// DecodeBatch on one instance never bleeds state between the paths: the
+// block slices, the solutions both swap through d.sols, and the objective
+// table both fill. The reference has none of the three.
 func TestDecodeBatchInterleavedWithSerial(t *testing.T) {
-	model, dec := hpFixture(t)
-	ref := New(dec, model.LLRs(), Config{})
-	d := New(dec, model.LLRs(), Config{})
-	syns := sampleSyndromes(model, 12, 3)
-	out := make([]gf2.Vec, len(syns))
-	for i := range out {
-		out[i] = gf2.NewVec(model.NumMech())
-	}
-	for round := 0; round < 3; round++ {
-		d.DecodeBatch(syns, out)
-		for i, s := range syns {
-			wantE, wantTr := ref.Decode(s)
-			if !out[i].Equal(wantE) {
-				t.Fatalf("round %d lane %d: batch differs after interleaving", round, i)
-			}
-			gotE, gotTr := d.Decode(s)
-			if !gotE.Equal(wantE) || gotTr != wantTr {
-				t.Fatalf("round %d lane %d: serial differs after batch", round, i)
+	for _, fix := range []func(*testing.T) (*dem.Model, *decouple.Decoupling){hpFixture, bbFixture} {
+		model, dec := fix(t)
+		d := New(dec, model.LLRs(), Config{})
+		fresh := New(dec, model.LLRs(), Config{})
+		syns := sampleSyndromes(model, 12, 3)
+		out := make([]gf2.Vec, len(syns))
+		for i := range out {
+			out[i] = gf2.NewVec(model.NumMech())
+		}
+		for round := 0; round < 3; round++ {
+			traces := d.DecodeBatch(syns, out)
+			for i, s := range syns {
+				wantE := refHierDecode(dec, model.LLRs(), Config{}, s, false)
+				if !out[i].Equal(wantE) {
+					t.Fatalf("%s round %d lane %d: batch differs after interleaving", model.Name, round, i)
+				}
+				_, wantTr := fresh.Decode(s)
+				gotE, gotTr := d.Decode(s)
+				if !gotE.Equal(wantE) || gotTr != wantTr || traces[i] != wantTr {
+					t.Fatalf("%s round %d lane %d: serial differs after batch", model.Name, round, i)
+				}
 			}
 		}
 	}

@@ -4,53 +4,64 @@ import (
 	"math/rand/v2"
 	"testing"
 
-	"vegapunk/internal/code"
 	"vegapunk/internal/decouple"
 	"vegapunk/internal/dem"
 	"vegapunk/internal/gf2"
 )
 
-func benchFixture(b *testing.B) (*dem.Model, *decouple.Decoupling, []gf2.Vec) {
+// benchSyndromes is the number of distinct syndromes a decode benchmark
+// cycles through: enough that the pool does not fit the decoder's
+// objective table as a handful of hot entries, so the number is the
+// cost of syndromes the decoder has mostly not seen.
+const benchSyndromes = 4096
+
+// benchCodes are the circuit-level p = 0.003 models the decode
+// benchmarks run as sub-benchmarks: the smallest BB code (MD = 12, one
+// g word) and the benchmark's headline [[144,12,12]] (MD = 18, two g
+// words).
+var benchCodes = []struct {
+	name  string
+	index int
+}{
+	{"BB72", 0},
+	{"BB144", 3},
+}
+
+func benchFixture(b *testing.B, index int) (*dem.Model, *decouple.Decoupling, []gf2.Vec) {
 	b.Helper()
-	c, err := code.NewBBByIndex(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := dem.CircuitLevel(c, 0.003)
-	dec, err := decouple.Decouple(model.CheckMatrix(), decouple.Options{Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
+	model, dec := bbCircuitFixture(b, index, 0.003)
 	rng := rand.New(rand.NewPCG(13, 1))
-	syns := make([]gf2.Vec, 64)
+	syns := make([]gf2.Vec, benchSyndromes)
 	for i := range syns {
 		syns[i] = model.Syndrome(model.Sample(rng))
 	}
 	return model, dec, syns
 }
 
-// BenchmarkHierDecode measures a steady-state hierarchical decode on the
-// BB [[72,12,6]] circuit-level model; it must report 0 allocs/op.
+// BenchmarkHierDecode measures a steady-state hierarchical decode on
+// circuit-level BB models; it must report 0 allocs/op.
 func BenchmarkHierDecode(b *testing.B) {
-	model, dec, syns := benchFixture(b)
-	d := New(dec, model.LLRs(), Config{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Decode(syns[i%len(syns)])
+	for _, c := range benchCodes {
+		b.Run(c.name, func(b *testing.B) {
+			model, dec, syns := benchFixture(b, c.index)
+			d := New(dec, model.LLRs(), Config{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Decode(syns[i%len(syns)])
+			}
+		})
 	}
 }
 
 // BenchmarkGreedyGuess isolates one block decode, the accelerator GDC's
 // software twin.
 func BenchmarkGreedyGuess(b *testing.B) {
-	model, dec, syns := benchFixture(b)
+	model, dec, syns := benchFixture(b, 0)
 	d := New(dec, model.LLRs(), Config{})
-	sl := gf2.NewVec(dec.MD)
-	dec.BlockSyndromeInto(sl, dec.TransformSyndrome(syns[0]), 0)
-	var sol blockSol
-	sol.f = gf2.NewVec(dec.MD)
-	sol.g = gf2.NewVec(dec.ND - dec.MD)
+	sl := make([]uint64, d.fW)
+	d.sliceInto(sl, dec.TransformSyndrome(syns[0]), 0)
+	sol := newBlockSols(d, 1)[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,16 +73,21 @@ func BenchmarkGreedyGuess(b *testing.B) {
 // per op (compare per-syndrome cost against 64× BenchmarkHierDecode);
 // it must report 0 allocs/op.
 func BenchmarkHierDecodeBatch64(b *testing.B) {
-	model, dec, syns := benchFixture(b)
-	d := New(dec, model.LLRs(), Config{})
-	out := make([]gf2.Vec, len(syns))
-	for i := range out {
-		out[i] = gf2.NewVec(model.NumMech())
-	}
-	d.DecodeBatch(syns, out) // warm the owned batch scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.DecodeBatch(syns, out)
+	for _, c := range benchCodes {
+		b.Run(c.name, func(b *testing.B) {
+			model, dec, syns := benchFixture(b, c.index)
+			d := New(dec, model.LLRs(), Config{})
+			out := make([]gf2.Vec, gf2.MaxLanes)
+			for i := range out {
+				out[i] = gf2.NewVec(model.NumMech())
+			}
+			d.DecodeBatch(syns[:gf2.MaxLanes], out) // warm the owned batch scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := i * gf2.MaxLanes % len(syns)
+				d.DecodeBatch(syns[off:off+gf2.MaxLanes], out)
+			}
+		})
 	}
 }

@@ -6,11 +6,20 @@
 // HDU (§5.2): flipping one bit of r only disturbs the ≤S blocks touched
 // by that column of A, so all other block solutions are reused.
 //
+// Everything a block solve touches is machine words. A block's slice of
+// s' ⊕ A·r is ⌈MD/64⌉ words cut out of the transformed syndrome once per
+// decode; a candidate column's rows inside a block are a mask of the same
+// width built in New, so the candidate's local syndrome is slice ^ mask;
+// GreedyGuess (one kernel, every block shape) keeps f in those words and
+// g in ⌈(ND−MD)/64⌉. Scoring a candidate needs only each touched block's
+// objective, which is a function of (block, local syndrome) and nothing
+// else, so it is looked up in a fixed-size direct-mapped table — the CPU
+// form of the accelerator's GDC (§5.3) — and solved only on a miss; the
+// winner's blocks are solved for real when it is committed.
+//
 // The decoder is allocation-free in steady state: every per-decode
-// buffer is owned by the Decoder, and the sparse structure is iterated
-// through flat CSC spans and a flat column→touched-blocks table. The
-// returned error vector is owned by the decoder and valid until the
-// next Decode call.
+// buffer is owned by the Decoder. The returned error vector is owned by
+// the decoder and valid until the next Decode call.
 package hier
 
 import (
@@ -61,39 +70,50 @@ type Decoder struct {
 	dec *decouple.Decoupling
 	// weights in D' column order, split per region.
 	w []float64
-	// flat column views of A and the block B parts.
-	a      *gf2.CSC
+	// flat column views of the block B parts.
 	blocks []*gf2.CSC
-	// smallBlock enables the single-word GreedyGuess fast path
-	// (MD ≤ 64 and ND-MD ≤ 64, true for every code in the paper).
-	smallBlock bool
-	// pruned additionally restricts each GreedyGuess round to bits whose
-	// block column intersects the residual f: with nonnegative weights
-	// every other bit has delta = w_g + Σ w_f ≥ 0 and can never win, so
-	// skipping it cannot change the (strict-less) argmin. rowMasks[g][r]
-	// is the bit set of block g's columns incident to row r.
+	// fW and gW are the words that hold one block's f (MD bits) and g
+	// (ND-MD bits): 1 and 1–5 on the twelve paper codes. gW is at least
+	// 1 so that a block without B columns still has a (zero) mask word.
+	fW, gW int
+	// pruned restricts each GreedyGuess round to bits whose block column
+	// intersects the residual f: with nonnegative weights every other
+	// bit has delta = w_g + Σ w_f ≥ 0 and can never win, so skipping it
+	// cannot change the (strict-less) argmin. The gW words at
+	// rowMasks[(g·MD+r)·gW] are block g's columns incident to row r.
 	pruned   bool
-	rowMasks [][]uint64
-	allBits  uint64 // mask of the nB valid bits
+	rowMasks []uint64
+	cm       []uint64 // one round's candidate-bit mask, gW words
 
 	// touched lists, for column i of A, the blocks it touches as
-	// touched[touchOff[i]:touchOff[i+1]] (touchedBy), in order of first
-	// occurrence down the column. Built once in New, so no decode
-	// divides a row index by MD or rescans a column for duplicates.
-	touchOff []int32
-	touched  []touchedBlock
+	// touched[touchOff[i]:touchOff[i+1]], in order of first occurrence
+	// down the column, and touchMask holds fW words per entry: the
+	// column's rows inside that block, block-local. Built once in New,
+	// so a candidate's local syndrome is slice ^ mask.
+	touchOff  []int32
+	touched   []int32
+	touchMask []uint64
+
+	// table memoizes block objectives: the 1<<tableBits entries from
+	// g<<tableBits are block g's, direct-mapped by local syndrome. The
+	// objective is a function of (block, local syndrome) alone — weights
+	// and InnerIters are fixed at New — so an entry never goes stale.
+	// nil unless the local syndrome is one word (fW = 1), the key.
+	table     []objEntry
+	tableBits uint
+	// probes and misses count table lookups; the tests that report the
+	// table's first-pass hit share read them, nothing else does.
+	probes, misses int
 
 	// Per-decode state, reused across Decode calls (the "owned until
 	// next Decode" contract).
 	sPrime  gf2.Vec    // transformed syndrome, length M
-	rBest   gf2.Vec    // right-error estimate, length NA
-	slBase  gf2.Vec    // s' ⊕ A·rBest, length M
-	sl      gf2.Vec    // one block's syndrome slice, length MD
+	rBest   []uint64   // right-error estimate, NA bits
+	slices  []uint64   // s' ⊕ A·rBest cut per block, K × fW words
+	cand    []uint64   // one candidate's local syndrome, fW words
 	sols    []blockSol // committed block solutions, K entries
-	staged  []blockSol // the last flipDelta's block solutions, K entries
-	ePrime  gf2.Vec    // assembled error in D' order, length N
+	scratch blockSol   // a scored candidate's block solution
 	out     gf2.Vec    // recovered error in original order, length N
-	onesBuf []int      // AppendOnes scratch
 
 	// hb is the batched path's owned scratch (batch.go), built lazily on
 	// the first DecodeBatch so serial-only users pay nothing.
@@ -103,65 +123,75 @@ type Decoder struct {
 	probe *obs.Probe
 }
 
-// touchedBlock is one block a column of A touches: the block index and
-// the part [lo, hi) of the column's ColSpan that lies inside it.
-type touchedBlock struct {
-	g      int32
-	lo, hi int32
-}
-
-// blockSol is one block's GreedyGuess solution.
+// blockSol is one block's GreedyGuess solution, f and g as words.
 type blockSol struct {
-	f, g  gf2.Vec
+	f, g  []uint64
 	obj   float64
 	inner int
 }
+
+// objEntry is one table slot: a block-local syndrome and the objective
+// GreedyGuess reaches from it.
+type objEntry struct {
+	key uint64
+	obj float64
+}
+
+// tableBudget is the objective table's size per decoder, in entries
+// (256 KiB), split evenly over the K blocks.
+const tableBudget = 1 << 14
+
+// fibHash spreads a local syndrome over the high bits (2^64/φ); the
+// table index is the top tableBits of key·fibHash, so key 0 is slot 0.
+const fibHash = 0x9E3779B97F4A7C15
 
 // New builds the online decoder from an offline decoupling artifact and
 // the per-column objective weights of the *original* matrix (LLRs).
 func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decoder {
 	cfg = cfg.withDefaults()
 	d := &Decoder{
-		cfg:        cfg,
-		dec:        dec,
-		w:          dec.PermuteWeights(originalWeights),
-		a:          dec.ACSC(),
-		blocks:     dec.BlocksCSC(),
-		smallBlock: dec.MD >= 1 && dec.MD <= 64 && dec.ND-dec.MD >= 1 && dec.ND-dec.MD <= 64,
-		sPrime:     gf2.NewVec(dec.M),
-		rBest:      gf2.NewVec(dec.NA),
-		slBase:     gf2.NewVec(dec.M),
-		sl:         gf2.NewVec(dec.MD),
-		sols:       newBlockSols(dec),
-		staged:     newBlockSols(dec),
-		ePrime:     gf2.NewVec(dec.N),
-		out:        gf2.NewVec(dec.N),
-		onesBuf:    make([]int, 0, dec.ND),
-		probe:      obs.NewProbe(),
+		cfg:    cfg,
+		dec:    dec,
+		w:      dec.PermuteWeights(originalWeights),
+		blocks: dec.BlocksCSC(),
+		fW:     (dec.MD + 63) / 64,
+		gW:     max(1, (dec.ND-dec.MD+63)/64),
+		pruned: true,
+		sPrime: gf2.NewVec(dec.M),
+		rBest:  make([]uint64, (dec.NA+63)/64),
+		out:    gf2.NewVec(dec.N),
+		probe:  obs.NewProbe(),
 	}
+	d.cm = make([]uint64, d.gW)
+	d.slices = make([]uint64, dec.K*d.fW)
+	d.cand = make([]uint64, d.fW)
+	d.sols = newBlockSols(d, dec.K)
+	d.scratch = newBlockSols(d, 1)[0]
 	d.buildTouched()
-	if d.smallBlock {
-		nB := dec.ND - dec.MD
-		d.allBits = ^uint64(0) >> uint(64-nB)
-		d.pruned = true
-		for _, x := range d.w {
-			if x < 0 {
-				d.pruned = false
-				break
+	for _, x := range d.w {
+		if x < 0 {
+			d.pruned = false
+			break
+		}
+	}
+	if d.pruned {
+		d.rowMasks = make([]uint64, dec.M*d.gW)
+		for g, b := range d.blocks {
+			for bit := 0; bit < b.Cols(); bit++ {
+				for _, r := range b.ColSpan(bit) {
+					d.rowMasks[(g*dec.MD+int(r))*d.gW+bit>>6] |= 1 << (uint(bit) & 63)
+				}
 			}
 		}
-		if d.pruned {
-			d.rowMasks = make([][]uint64, dec.K)
-			for g := 0; g < dec.K; g++ {
-				rm := make([]uint64, dec.MD)
-				b := dec.Blocks[g]
-				for bit := 0; bit < b.Cols(); bit++ {
-					for _, r := range b.ColSupport(bit) {
-						rm[r] |= 1 << uint(bit)
-					}
-				}
-				d.rowMasks[g] = rm
-			}
+	}
+	if d.fW == 1 && dec.K <= tableBudget {
+		d.tableBits = uint(min(bits.Len(uint(tableBudget/dec.K))-1, dec.MD))
+		d.table = make([]objEntry, dec.K<<d.tableBits)
+		// Unused slots hold key 0, which only slot 0 can be asked for:
+		// seed it with the zero syndrome's real objective.
+		for g := range d.blocks {
+			d.greedyGuess(g, d.cand, &d.scratch)
+			d.table[g<<d.tableBits].obj = d.scratch.obj
 		}
 	}
 	return d
@@ -172,31 +202,29 @@ func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decod
 // order the column first reaches each block, which is the order the
 // candidate's objective delta is summed in.
 func (d *Decoder) buildTouched() {
-	md := int32(d.dec.MD)
+	md := d.dec.MD
+	a := d.dec.ACSC()
 	d.touchOff = make([]int32, d.dec.NA+1)
 	for i := 0; i < d.dec.NA; i++ {
-		var run *touchedBlock
-		for at, r := range d.a.ColSpan(i) {
-			if g := r / md; run == nil || run.g != g {
-				d.touched = append(d.touched, touchedBlock{g: g, lo: int32(at)})
-				run = &d.touched[len(d.touched)-1]
+		last := -1
+		for _, r := range a.ColSpan(i) {
+			g, local := int(r)/md, int(r)%md
+			if g != last {
+				d.touched = append(d.touched, int32(g))
+				d.touchMask = append(d.touchMask, make([]uint64, d.fW)...)
+				last = g
 			}
-			run.hi = int32(at) + 1
+			d.touchMask[(len(d.touched)-1)*d.fW+local>>6] |= 1 << (uint(local) & 63)
 		}
 		d.touchOff[i+1] = int32(len(d.touched))
 	}
 }
 
-// touchedBy returns the blocks column i of A touches.
-func (d *Decoder) touchedBy(i int) []touchedBlock {
-	return d.touched[d.touchOff[i]:d.touchOff[i+1]]
-}
-
-func newBlockSols(dec *decouple.Decoupling) []blockSol {
-	sols := make([]blockSol, dec.K)
+func newBlockSols(d *Decoder, n int) []blockSol {
+	sols := make([]blockSol, n)
 	for g := range sols {
-		sols[g].f = gf2.NewVec(dec.MD)
-		sols[g].g = gf2.NewVec(dec.ND - dec.MD)
+		sols[g].f = make([]uint64, d.fW)
+		sols[g].g = make([]uint64, d.gW)
 	}
 	return sols
 }
@@ -246,35 +274,78 @@ func (d *Decoder) Decode(syndrome gf2.Vec) (gf2.Vec, Trace) {
 	return d.out, tr
 }
 
+// blockSlice is block g's fW words of d.slices.
+func (d *Decoder) blockSlice(g int) []uint64 {
+	return d.slices[g*d.fW : (g+1)*d.fW]
+}
+
+// sliceInto copies block g's MD bits of the transformed syndrome sp into
+// dst (fW words, bit 0 = the block's first row).
+//
+//vegapunk:hotpath
+func (d *Decoder) sliceInto(dst []uint64, sp gf2.Vec, g int) {
+	md := d.dec.MD
+	last := (sp.Len() - 1) >> 6
+	for k := range dst {
+		lo := g*md + k<<6
+		wi, sh := lo>>6, uint(lo)&63
+		w := sp.Word(wi) >> sh
+		if sh != 0 && wi < last {
+			w |= sp.Word(wi+1) << (64 - sh)
+		}
+		if n := md - k<<6; n < 64 {
+			w &= 1<<uint(n) - 1
+		}
+		dst[k] = w
+	}
+}
+
+// reset starts a decode of the transformed syndrome sp: rBest ← 0 and
+// the block slices ← s' (Algorithm 1 line 2).
+//
+//vegapunk:hotpath
+func (d *Decoder) reset(sp gf2.Vec) {
+	clear(d.rBest)
+	for g := range d.sols {
+		d.sliceInto(d.blockSlice(g), sp, g)
+	}
+}
+
 // baseSolve computes the baseline solution for the transformed syndrome
-// in d.sPrime: rBest ← 0, slBase ← s', and every block decoded against
-// slBase (Algorithm 1 line 2 plus the level-0 block solves).
+// in d.sPrime: every block decoded against its slice of s' (the level-0
+// block solves).
 //
 //vegapunk:hotpath
 func (d *Decoder) baseSolve(tr *Trace) {
-	dec := d.dec
-	d.rBest.Zero()              // line 2
-	d.slBase.CopyFrom(d.sPrime) // s' ⊕ A·rBest (rBest = 0)
+	d.reset(d.sPrime)
 	t := d.probe.Tick()
-	for g := 0; g < dec.K; g++ {
-		dec.BlockSyndromeInto(d.sl, d.slBase, g)
-		d.greedyGuess(g, d.sl, &d.sols[g])
-		tr.BlockDecodes++
-		if d.sols[g].inner > tr.MaxInnerIters {
-			tr.MaxInnerIters = d.sols[g].inner
-		}
+	for g := range d.sols {
+		d.greedyGuess(g, d.blockSlice(g), &d.sols[g])
+		tr.solved(&d.sols[g])
 	}
-	d.probe.SpanSince(obs.StageHierBase, dec.K, t)
+	d.probe.SpanSince(obs.StageHierBase, d.dec.K, t)
+}
+
+// solved accounts one block solve whose solution the decode keeps.
+func (tr *Trace) solved(sol *blockSol) {
+	tr.BlockDecodes++
+	if sol.inner > tr.MaxInnerIters {
+		tr.MaxInnerIters = sol.inner
+	}
 }
 
 // outerLoop runs the right-error guessing rounds (Algorithm 1 lines
-// 3-14) against the state prepared by baseSolve — rBest, slBase and the
-// committed block solutions — and returns the final objective value.
+// 3-14) against the state prepared by reset and the level-0 solves —
+// rBest = 0, the block slices and the committed block solutions — and
+// returns the final objective value.
 //
 //vegapunk:hotpath
 func (d *Decoder) outerLoop(tr *Trace) float64 {
 	dec := d.dec
-	dMin := d.totalWeight()
+	dMin := 0.0 // rBest = 0: the blocks' objectives are the whole sum
+	for g := range d.sols {
+		dMin += d.sols[g].obj
+	}
 	t := d.probe.Tick()
 
 	for k := 1; k <= d.cfg.MaxIters; k++ { // line 3
@@ -284,7 +355,7 @@ func (d *Decoder) outerLoop(tr *Trace) float64 {
 
 		for i := 0; i < dec.NA; i++ { // line 4
 			tr.Candidates++
-			if d.rBest.Get(i) {
+			if d.rBest[i>>6]>>(uint(i)&63)&1 != 0 {
 				continue
 			}
 			// Candidate r = rBest with bit i set (line 5).
@@ -297,19 +368,17 @@ func (d *Decoder) outerLoop(tr *Trace) float64 {
 			t = d.probe.SpanSince(obs.StageHierLevel, k, t)
 			break
 		}
-		// Scoring keeps no candidate's block solutions, so solve the
-		// winner's touched blocks once more, then commit (line 12): a
-		// pointer swap per block.
-		d.flipDelta(bestI)
-		d.rBest.Set(bestI, true)
-		d.a.XorColInto(d.slBase, bestI)
-		for _, tb := range d.touchedBy(bestI) {
-			g := tb.g
-			d.sols[g], d.staged[g] = d.staged[g], d.sols[g]
-			if d.sols[g].inner > tr.MaxInnerIters {
-				tr.MaxInnerIters = d.sols[g].inner
+		// Scoring kept only objectives, so commit (line 12) folds the
+		// column into the touched slices and solves those blocks.
+		d.rBest[bestI>>6] |= 1 << (uint(bestI) & 63)
+		for ti := int(d.touchOff[bestI]); ti < int(d.touchOff[bestI+1]); ti++ {
+			g := int(d.touched[ti])
+			sl := d.blockSlice(g)
+			for j := range sl {
+				sl[j] ^= d.touchMask[ti*d.fW+j]
 			}
-			tr.BlockDecodes++
+			d.greedyGuess(g, sl, &d.sols[g])
+			tr.solved(&d.sols[g])
 		}
 		dMin += bestDelta
 		t = d.probe.SpanSince(obs.StageHierLevel, k, t)
@@ -317,111 +386,126 @@ func (d *Decoder) outerLoop(tr *Trace) float64 {
 	return dMin
 }
 
-// assembleInto builds e' from the committed block solutions and rBest,
-// recovers e = P·e' into dst (length N, original column order), and
+// assembleInto writes e = P·e' into dst (length N, original column
+// order) straight from the committed block solutions and rBest, and
 // finalizes the trace (Algorithm 1 line 15).
 //
 //vegapunk:hotpath
 func (d *Decoder) assembleInto(dst gf2.Vec, dMin float64, tr *Trace) {
 	dec := d.dec
-	d.ePrime.Zero()
-	for g := 0; g < dec.K; g++ {
-		base := g * dec.ND
-		d.onesBuf = d.sols[g].f.AppendOnes(d.onesBuf[:0])
-		for _, i := range d.onesBuf {
-			d.ePrime.Set(base+i, true)
-		}
-		d.onesBuf = d.sols[g].g.AppendOnes(d.onesBuf[:0])
-		for _, i := range d.onesBuf {
-			d.ePrime.Set(base+dec.MD+i, true)
-		}
+	dst.Zero()
+	for g := range d.sols {
+		setOnes(dst, dec.ColOrder[g*dec.ND:], d.sols[g].f)
+		setOnes(dst, dec.ColOrder[g*dec.ND+dec.MD:], d.sols[g].g)
 	}
-	aBase := dec.K * dec.ND
-	d.onesBuf = d.rBest.AppendOnes(d.onesBuf[:0])
-	for _, i := range d.onesBuf {
-		d.ePrime.Set(aBase+i, true)
-	}
+	setOnes(dst, dec.ColOrder[dec.K*dec.ND:], d.rBest)
 	tr.Weight = dMin
-	d.dec.RecoverErrorInto(dst, d.ePrime)
+}
+
+// setOnes sets dst[order[i]] for every set bit i of words.
+//
+//vegapunk:hotpath
+func setOnes(dst gf2.Vec, order []int, words []uint64) {
+	for k, w := range words {
+		for ; w != 0; w &= w - 1 {
+			dst.Set(order[k<<6+bits.TrailingZeros64(w)], true)
+		}
+	}
 }
 
 // flipDelta is the one walk over the blocks column i of A touches (the
-// HDU's incremental update, §5.2): each is re-solved against its slice
-// of slBase with the column's rows flipped in, into d.staged, and every
-// other block keeps its committed solution. It returns the change in
-// the objective if bit i of rBest were flipped on. Scoring reads the
-// return value; commit reads d.staged.
+// HDU's incremental update, §5.2): each contributes the objective of its
+// slice with the column's rows flipped in, and every other block keeps
+// its committed solution. It returns the change in the objective if bit
+// i of rBest were flipped on.
 //
 //vegapunk:hotpath
 func (d *Decoder) flipDelta(i int) float64 {
 	delta := d.wA()[i]
-	sup := d.a.ColSpan(i)
-	for _, tb := range d.touchedBy(i) {
-		g := int(tb.g)
-		d.dec.BlockSyndromeInto(d.sl, d.slBase, g)
-		for _, r := range sup[tb.lo:tb.hi] {
-			d.sl.Flip(int(r) - g*d.dec.MD)
+	for ti := int(d.touchOff[i]); ti < int(d.touchOff[i+1]); ti++ {
+		g := int(d.touched[ti])
+		for k, w := range d.blockSlice(g) {
+			d.cand[k] = w ^ d.touchMask[ti*d.fW+k]
 		}
-		d.greedyGuess(g, d.sl, &d.staged[g])
-		delta += d.staged[g].obj - d.sols[g].obj
+		delta += d.blockObj(g, d.cand) - d.sols[g].obj
 	}
 	return delta
 }
 
-// totalWeight computes Σ w over the assembled solution.
-func (d *Decoder) totalWeight() float64 {
-	total := 0.0
-	for g := range d.sols {
-		total += d.sols[g].obj
+// blockObj returns the objective GreedyGuess reaches on block g from
+// local syndrome sl: looked up, and solved (into d.scratch) and stored
+// on a miss. Direct-mapped, so a colliding syndrome evicts.
+//
+//vegapunk:hotpath
+func (d *Decoder) blockObj(g int, sl []uint64) float64 {
+	if d.table == nil {
+		d.greedyGuess(g, sl, &d.scratch)
+		return d.scratch.obj
 	}
-	return total + d.rBest.WeightSum(d.wA())
+	key := sl[0]
+	e := &d.table[uint64(g)<<d.tableBits|key*fibHash>>(64-d.tableBits)]
+	d.probes++
+	if e.key != key {
+		d.misses++
+		d.greedyGuess(g, sl, &d.scratch)
+		*e = objEntry{key, d.scratch.obj}
+	}
+	return e.obj
 }
 
 // greedyGuess solves D_i·l = s_l for one block (paper Fig. 6): with
 // D_i = (I | B), fix g and read off f = B·g ⊕ s_l; start from g = 0 and
 // greedily flip the g bit that most reduces the weighted objective,
-// stopping when no flip helps or InnerIters is reached. The solution is
-// written into out (whose vectors must be preallocated to MD and ND-MD).
+// stopping when no flip helps or InnerIters is reached. f and g stay in
+// words (out's, preallocated to fW and gW), bits are visited in
+// ascending order and the sums accumulate in the order of the bit-level
+// reference, so the solution is bit-for-bit refGreedyGuess's.
 //
 //vegapunk:hotpath
-func (d *Decoder) greedyGuess(g int, sl gf2.Vec, out *blockSol) {
+func (d *Decoder) greedyGuess(g int, sl []uint64, out *blockSol) {
 	b := d.blocks[g]
 	wf := d.wIdent(g)
 	wg := d.wB(g)
-	nB := b.Cols()
-
-	f := out.f
-	gv := out.g
-	f.CopyFrom(sl)
-	gv.Zero()
-	obj := f.WeightSum(wf)
+	f, gv, cm := out.f, out.g, d.cm
+	copy(f, sl)
+	clear(gv)
+	obj := 0.0
+	for k, w := range f {
+		for ; w != 0; w &= w - 1 {
+			obj += wf[k<<6+bits.TrailingZeros64(w)]
+		}
+	}
 	inner := 0
-	if d.smallBlock {
-		// Both f (MD bits) and g (ND-MD bits) fit in one word: keep them
-		// in registers and test bits by shifting, avoiding a memory load
-		// per matrix entry. The arithmetic order is identical to the
-		// general path, so decodes are bit-for-bit the same.
-		fw := f.Word(0)
-		var gvw uint64
-		for round := 1; round <= d.cfg.InnerIters; round++ {
-			// Bits worth scoring this round: all of them, or (with
-			// nonnegative weights) only those incident to the residual.
-			cm := d.allBits
-			if d.pruned {
-				cm = 0
-				rm := d.rowMasks[g]
-				for w := fw; w != 0; w &= w - 1 {
-					cm |= rm[bits.TrailingZeros64(w)]
+	for round := 1; round <= d.cfg.InnerIters; round++ {
+		// Bits worth scoring this round: every unset one, or (with
+		// nonnegative weights) only those incident to the residual.
+		if d.pruned {
+			clear(cm)
+			for k, w := range f {
+				for ; w != 0; w &= w - 1 {
+					rm := d.rowMasks[(g*d.dec.MD+k<<6+bits.TrailingZeros64(w))*d.gW:]
+					for j := range cm {
+						cm[j] |= rm[j]
+					}
 				}
 			}
-			cm &^= gvw
-			bestBit := -1
-			bestDelta := 0.0
-			for m := cm; m != 0; m &= m - 1 {
-				bit := bits.TrailingZeros64(m)
+			for j := range cm {
+				cm[j] &^= gv[j]
+			}
+		} else {
+			for j := range cm {
+				cm[j] = ^gv[j]
+			}
+			cm[len(cm)-1] &= 1<<uint(b.Cols()-64*(len(cm)-1)) - 1
+		}
+		bestBit := -1
+		bestDelta := 0.0
+		for j, m := range cm {
+			for ; m != 0; m &= m - 1 {
+				bit := j<<6 + bits.TrailingZeros64(m)
 				delta := wg[bit]
 				for _, r := range b.ColSpan(bit) {
-					if fw>>uint(r)&1 != 0 {
+					if f[r>>6]>>(uint(r)&63)&1 != 0 {
 						delta -= wf[r]
 					} else {
 						delta += wf[r]
@@ -431,47 +515,15 @@ func (d *Decoder) greedyGuess(g int, sl gf2.Vec, out *blockSol) {
 					bestBit, bestDelta = bit, delta
 				}
 			}
-			if bestBit < 0 || bestDelta >= 0 {
-				break
-			}
-			inner = round
-			gvw |= 1 << uint(bestBit)
-			for _, r := range b.ColSpan(bestBit) {
-				fw ^= 1 << uint(r)
-			}
-			obj += bestDelta
-		}
-		f.SetWord(0, fw)
-		gv.SetWord(0, gvw)
-		out.obj = obj
-		out.inner = inner
-		return
-	}
-	for round := 1; round <= d.cfg.InnerIters; round++ {
-		bestBit := -1
-		bestDelta := 0.0
-		for bit := 0; bit < nB; bit++ {
-			if gv.Get(bit) {
-				continue
-			}
-			delta := wg[bit]
-			for _, r := range b.ColSpan(bit) {
-				if f.Get(int(r)) {
-					delta -= wf[r]
-				} else {
-					delta += wf[r]
-				}
-			}
-			if bestBit < 0 || delta < bestDelta {
-				bestBit, bestDelta = bit, delta
-			}
 		}
 		if bestBit < 0 || bestDelta >= 0 {
 			break
 		}
 		inner = round
-		gv.Set(bestBit, true)
-		b.XorColInto(f, bestBit)
+		gv[bestBit>>6] |= 1 << (uint(bestBit) & 63)
+		for _, r := range b.ColSpan(bestBit) {
+			f[r>>6] ^= 1 << (uint(r) & 63)
+		}
 		obj += bestDelta
 	}
 	out.obj = obj
