@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"testing"
 
-	"vegapunk/internal/bp"
 	"vegapunk/internal/core"
 	"vegapunk/internal/exp"
 	"vegapunk/internal/gf2"
@@ -167,24 +166,6 @@ func BenchmarkAblationOuterM(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMinSumVariant compares min-sum against sum-product
-// check updates.
-func BenchmarkAblationMinSumVariant(b *testing.B) {
-	model, _, syn := bb72Fixture(b, 0.005)
-	for _, v := range []struct {
-		name    string
-		variant bp.Variant
-	}{{"min-sum", bp.MinSum}, {"sum-product", bp.SumProduct}} {
-		b.Run(v.name, func(b *testing.B) {
-			dec := bp.New(model.Mech, model.LLRs(), bp.Config{MaxIters: 72, Variant: v.variant})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec.Decode(syn[i%len(syn)])
-			}
-		})
-	}
-}
-
 func benchName(prefix string, v int) string {
 	return prefix + "=" + string(rune('0'+v))
 }
@@ -247,24 +228,5 @@ func BenchmarkSpaceTimeUnroll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		SpaceTimeModel(per, 12)
-	}
-}
-
-// BenchmarkAblationBPSchedule compares flooding vs layered message
-// passing (layered converges in fewer iterations, serializing the
-// hardware).
-func BenchmarkAblationBPSchedule(b *testing.B) {
-	model, _, syn := bb72Fixture(b, 0.005)
-	for _, s := range []struct {
-		name string
-		sch  bp.Schedule
-	}{{"flooding", bp.Flooding}, {"layered", bp.Layered}} {
-		b.Run(s.name, func(b *testing.B) {
-			dec := bp.New(model.Mech, model.LLRs(), bp.Config{MaxIters: 72, Schedule: s.sch})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec.Decode(syn[i%len(syn)])
-			}
-		})
 	}
 }

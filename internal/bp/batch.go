@@ -112,8 +112,7 @@ func (d *Decoder) ensureBatch(L, n int) {
 // the returned stats slice is owned by the decoder and valid until the
 // next DecodeBatch call on the same instance. Batches wider than
 // gf2.MaxLanes are processed in 64-lane chunks through the same owned
-// scratch. Non-default configurations (sum-product, layered schedule)
-// take the scalar path per lane — correct, just not amortized.
+// scratch.
 //
 //vegapunk:hotpath
 func (d *Decoder) DecodeBatch(syndromes []gf2.Vec, out []gf2.Vec) []LaneStats {
@@ -130,17 +129,6 @@ func (d *Decoder) DecodeBatch(syndromes []gf2.Vec, out []gf2.Vec) []LaneStats {
 	}
 	d.ensureBatch(L, n)
 	stats := d.batch.stats
-	if d.cfg.Variant != MinSum || d.cfg.Schedule != Flooding {
-		// Scalar fallback for the non-default kernels: per-lane Decode,
-		// result copied into the caller's destination before the next
-		// lane overwrites the decoder-owned buffer.
-		for i, s := range syndromes {
-			r := d.Decode(s)
-			out[i].CopyFrom(r.Error)
-			stats[i] = LaneStats{Iters: r.Iters, Converged: r.Converged}
-		}
-		return stats
-	}
 	for off := 0; off < n; off += gf2.MaxLanes {
 		end := off + gf2.MaxLanes
 		if end > n {
@@ -305,7 +293,7 @@ func (d *Decoder) batchCheckFirst(nAct int) {
 	g := d.g
 	bs := d.batch
 	S := bs.lanes
-	alpha := d.cfg.ScaleFactor
+	alpha := scaleFactor
 	inf := math.Inf(1)
 	for c := 0; c < g.NumChecks; c++ {
 		edges := g.CheckEdges(c)
@@ -351,7 +339,7 @@ func (d *Decoder) batchCheckUpdate(nAct int) {
 	min2 := bs.min2[:nAct]
 	min1Edge := bs.min1Edge[:nAct]
 	inf := math.Inf(1)
-	alpha := d.cfg.ScaleFactor
+	alpha := scaleFactor
 	gather := bs.pendingGather
 	bs.pendingGather = false
 	src := bs.srcLane[:nAct]

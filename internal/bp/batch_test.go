@@ -70,38 +70,6 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDecodeBatchFallbackConfigs pins the per-lane scalar fallback for
-// the non-default kernels (sum-product, layered) to the same identity.
-func TestDecodeBatchFallbackConfigs(t *testing.T) {
-	c, err := code.NewBBByIndex(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := dem.CodeCapacity(c, 0.05)
-	for _, cfg := range []Config{
-		{MaxIters: 15, Variant: SumProduct},
-		{MaxIters: 15, Schedule: Layered},
-	} {
-		serial := New(model.Mech, model.LLRs(), cfg)
-		batched := New(model.Mech, model.LLRs(), cfg)
-		syns := sampleSyndromesSeed(model, 9, 99)
-		out := make([]gf2.Vec, len(syns))
-		for i := range out {
-			out[i] = gf2.NewVec(model.NumMech())
-		}
-		stats := batched.DecodeBatch(syns, out)
-		for i, s := range syns {
-			r := serial.Decode(s)
-			if !out[i].Equal(r.Error) {
-				t.Errorf("cfg %+v lane %d: fallback output differs from serial", cfg, i)
-			}
-			if stats[i] != (LaneStats{Iters: r.Iters, Converged: r.Converged}) {
-				t.Errorf("cfg %+v lane %d: fallback stats differ", cfg, i)
-			}
-		}
-	}
-}
-
 // TestDecodeBatchInterleavedWithSerial checks that mixing Decode and
 // DecodeBatch on one instance never bleeds state between the paths.
 func TestDecodeBatchInterleavedWithSerial(t *testing.T) {

@@ -41,17 +41,6 @@ func BenchmarkBPDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkBPDecodeLayered(b *testing.B) {
-	model := benchModel(b)
-	d := New(model.Mech, model.LLRs(), Config{MaxIters: 30, Schedule: Layered})
-	syns := benchSyndromes(b, model, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Decode(syns[i%len(syns)])
-	}
-}
-
 // BenchmarkBPDecodeBatch64 measures the batched SoA kernel at one full
 // bit-sliced word of lanes; ns/op is per batch (divide by 64 for the
 // per-syndrome cost against BenchmarkBPDecode). Must report 0 allocs/op.

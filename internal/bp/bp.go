@@ -1,7 +1,7 @@
 // Package bp implements syndrome-based belief propagation decoding of
-// binary linear codes over a Tanner graph: the min-sum algorithm (with
-// optional normalization) the paper's FPGA baseline [42] runs, and the
-// sum-product variant.
+// binary linear codes over a Tanner graph: the normalized min-sum
+// algorithm on the flooding schedule, the rule the paper's FPGA
+// baseline [42] runs.
 //
 // BP is both a baseline decoder in its own right (Figures 2, 3, 10) and
 // the soft-information front end of BP+OSD, BP+LSD and BPGD.
@@ -15,31 +15,9 @@ import (
 	"vegapunk/internal/tanner"
 )
 
-// Variant selects the check-node update rule.
-type Variant int
-
-// Supported BP variants.
-const (
-	// MinSum is the normalized min-sum update, the rule used by the
-	// paper's hardware BP baseline.
-	MinSum Variant = iota
-	// SumProduct is the exact tanh-rule update.
-	SumProduct
-)
-
-// Schedule selects the message-passing order.
-type Schedule int
-
-// Supported schedules.
-const (
-	// Flooding updates all checks from the previous iteration's
-	// variable messages (the fully parallel hardware schedule).
-	Flooding Schedule = iota
-	// Layered sweeps checks sequentially, each seeing the freshest
-	// messages — typically converging in roughly half the iterations at
-	// the cost of serialization (a classic throughput/latency ablation).
-	Layered
-)
+// scaleFactor is the conventional min-sum normalization α applied to
+// every check message.
+const scaleFactor = 0.75
 
 // Config parameterizes a BP decoder.
 type Config struct {
@@ -47,13 +25,6 @@ type Config struct {
 	// sets this to n (number of mechanisms) for the BP and BP+OSD
 	// baselines, 30 for BP+LSD, and 125 for the 1 µs-capped variant.
 	MaxIters int
-	// Variant selects min-sum or sum-product. Default MinSum.
-	Variant Variant
-	// ScaleFactor normalizes min-sum check messages (0 < α ≤ 1);
-	// 0 means the conventional 0.75.
-	ScaleFactor float64
-	// Schedule selects flooding (default) or layered message passing.
-	Schedule Schedule
 }
 
 // Decoder is a reusable BP decoder for one check matrix. It is not safe
@@ -82,9 +53,6 @@ type Decoder struct {
 func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = h.Cols()
-	}
-	if cfg.ScaleFactor == 0 {
-		cfg.ScaleFactor = 0.75
 	}
 	g := tanner.New(h)
 	return &Decoder{
@@ -162,23 +130,11 @@ func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 		}
 	}
 	res := Result{Posterior: d.posterior}
-	if d.cfg.Schedule == Layered {
-		for v := 0; v < g.NumVars; v++ {
-			d.posterior[v] = d.prior[v]
-		}
-		for i := range d.checkToVar {
-			d.checkToVar[i] = 0
-		}
-	}
 	t := d.probe.Tick()
 	for it := 1; it <= d.cfg.MaxIters; it++ {
 		res.Iters = it
-		if d.cfg.Schedule == Layered {
-			d.layeredSweep(syndrome)
-		} else {
-			d.checkUpdate(syndrome)
-			d.varUpdate()
-		}
+		d.checkUpdate(syndrome)
+		d.varUpdate()
 		conv := d.hardDecision(syndrome)
 		t = d.probe.SpanSince(obs.StageBPIter, it, t)
 		if conv {
@@ -190,19 +146,18 @@ func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 	return res
 }
 
-// layeredSweep performs one serial pass over all checks, each check
-// consuming the freshest posteriors (min-sum rule).
-func (d *Decoder) layeredSweep(syndrome gf2.Vec) {
+// checkUpdate computes check-to-variable messages by the normalized
+// min-sum rule.
+func (d *Decoder) checkUpdate(syndrome gf2.Vec) {
 	g := d.g
 	for c := 0; c < g.NumChecks; c++ {
 		edges := g.CheckEdges(c)
-		// Fresh variable-to-check messages.
+		// Track the two smallest magnitudes and the total sign.
 		min1, min2 := math.Inf(1), math.Inf(1)
 		min1Edge := int32(-1)
 		negCount := 0
 		for _, e := range edges {
-			m := d.posterior[g.VarOf[e]] - d.checkToVar[e]
-			d.varToCheck[e] = m
+			m := d.varToCheck[e]
 			a := math.Abs(m)
 			if m < 0 {
 				negCount++
@@ -227,100 +182,11 @@ func (d *Decoder) layeredSweep(syndrome gf2.Vec) {
 			if e == min1Edge {
 				mag = min2
 			}
-			sgn := baseSign
+			s := baseSign
 			if d.varToCheck[e] < 0 {
-				sgn = -sgn
+				s = -s // remove own sign from the product
 			}
-			nm := d.cfg.ScaleFactor * sgn * mag
-			d.posterior[g.VarOf[e]] += nm - d.checkToVar[e]
-			d.checkToVar[e] = nm
-		}
-	}
-}
-
-// checkUpdate computes check-to-variable messages.
-func (d *Decoder) checkUpdate(syndrome gf2.Vec) {
-	g := d.g
-	switch d.cfg.Variant {
-	case SumProduct:
-		for c := 0; c < g.NumChecks; c++ {
-			edges := g.CheckEdges(c)
-			sign := 1.0
-			if syndrome.Get(c) {
-				sign = -1.0
-			}
-			// Product of tanh(m/2) excluding self, via full product and
-			// division guarded against zeros (use exclusion by recompute
-			// for the rare zero case).
-			prod := sign
-			zeroCount := 0
-			for _, e := range edges {
-				t := math.Tanh(d.varToCheck[e] / 2)
-				if t == 0 {
-					zeroCount++
-					continue
-				}
-				prod *= t
-			}
-			for _, e := range edges {
-				t := math.Tanh(d.varToCheck[e] / 2)
-				var excl float64
-				switch {
-				case zeroCount == 0:
-					excl = prod / t
-				case zeroCount == 1 && t == 0:
-					excl = prod
-				default:
-					excl = 0
-				}
-				// Clamp to avoid atanh(±1) = ±Inf.
-				if excl > 0.999999 {
-					excl = 0.999999
-				} else if excl < -0.999999 {
-					excl = -0.999999
-				}
-				d.checkToVar[e] = 2 * math.Atanh(excl)
-			}
-		}
-	default: // MinSum
-		for c := 0; c < g.NumChecks; c++ {
-			edges := g.CheckEdges(c)
-			// Track the two smallest magnitudes and the total sign.
-			min1, min2 := math.Inf(1), math.Inf(1)
-			min1Edge := int32(-1)
-			negCount := 0
-			for _, e := range edges {
-				m := d.varToCheck[e]
-				a := math.Abs(m)
-				if m < 0 {
-					negCount++
-				}
-				if a < min1 {
-					min2 = min1
-					min1 = a
-					min1Edge = e
-				} else if a < min2 {
-					min2 = a
-				}
-			}
-			baseSign := 1.0
-			if syndrome.Get(c) {
-				baseSign = -1.0
-			}
-			if negCount%2 == 1 {
-				baseSign = -baseSign
-			}
-			for _, e := range edges {
-				mag := min1
-				if e == min1Edge {
-					mag = min2
-				}
-				s := baseSign
-				if d.varToCheck[e] < 0 {
-					s = -s // remove own sign from the product
-				}
-				d.checkToVar[e] = d.cfg.ScaleFactor * s * mag
-			}
+			d.checkToVar[e] = scaleFactor * s * mag
 		}
 	}
 }

@@ -42,26 +42,24 @@ func TestBPZeroSyndrome(t *testing.T) {
 }
 
 func TestBPSingleErrors(t *testing.T) {
-	for _, variant := range []Variant{MinSum, SumProduct} {
-		h, llr := hammingModel()
-		d := New(h, llr, Config{MaxIters: 50, Variant: variant})
-		for q := 0; q < 7; q++ {
-			e := gf2.NewVec(7)
-			e.Set(q, true)
-			s := h.MulVec(e)
-			res := d.Decode(s)
-			if !res.Converged {
-				t.Fatalf("variant %d: BP failed on single error at %d", variant, q)
-			}
-			if !h.MulVec(res.Error).Equal(s) {
-				t.Fatalf("variant %d: converged to non-solution for qubit %d", variant, q)
-			}
-			// For light columns BP finds the exact error; the weight-3
-			// column (qubit 6, all-ones syndrome) legitimately converges
-			// to a degenerate weight-4 solution under min-sum.
-			if h.ColWeight(q) <= 2 && !res.Error.Equal(e) {
-				t.Errorf("variant %d: wrong correction for qubit %d: %v", variant, q, res.Error)
-			}
+	h, llr := hammingModel()
+	d := New(h, llr, Config{MaxIters: 50})
+	for q := 0; q < 7; q++ {
+		e := gf2.NewVec(7)
+		e.Set(q, true)
+		s := h.MulVec(e)
+		res := d.Decode(s)
+		if !res.Converged {
+			t.Fatalf("BP failed on single error at %d", q)
+		}
+		if !h.MulVec(res.Error).Equal(s) {
+			t.Fatalf("converged to non-solution for qubit %d", q)
+		}
+		// For light columns BP finds the exact error; the weight-3
+		// column (qubit 6, all-ones syndrome) legitimately converges
+		// to a degenerate weight-4 solution under min-sum.
+		if h.ColWeight(q) <= 2 && !res.Error.Equal(e) {
+			t.Errorf("wrong correction for qubit %d: %v", q, res.Error)
 		}
 	}
 }
@@ -129,9 +127,6 @@ func TestBPDefaultConfig(t *testing.T) {
 	if d.cfg.MaxIters != 7 {
 		t.Errorf("default MaxIters = %d, want n = 7", d.cfg.MaxIters)
 	}
-	if d.cfg.ScaleFactor != 0.75 {
-		t.Errorf("default ScaleFactor = %v", d.cfg.ScaleFactor)
-	}
 }
 
 func TestBPCloneIndependence(t *testing.T) {
@@ -175,49 +170,5 @@ func TestBPDegeneracyFailure(t *testing.T) {
 	}
 	if fails == 0 {
 		t.Log("warning: BP converged on all trials; degeneracy not observed at this seed")
-	}
-}
-
-func TestLayeredScheduleConvergesFaster(t *testing.T) {
-	// Layered BP should converge in no more iterations than flooding on
-	// average — the classic serial-schedule advantage.
-	c, err := code.NewBBByIndex(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := dem.CodeCapacity(c, 0.02)
-	flood := New(model.Mech, model.LLRs(), Config{MaxIters: 72})
-	layer := New(model.Mech, model.LLRs(), Config{MaxIters: 72, Schedule: Layered})
-	rng := rand.New(rand.NewPCG(11, 11))
-	fIters, lIters, both := 0, 0, 0
-	for trial := 0; trial < 80; trial++ {
-		e := model.Sample(rng)
-		s := model.Syndrome(e)
-		rf := flood.Decode(s)
-		rl := layer.Decode(s)
-		if rf.Converged && rl.Converged {
-			fIters += rf.Iters
-			lIters += rl.Iters
-			both++
-		}
-		if rl.Converged && !model.Mech.MulVec(rl.Error).Equal(s) {
-			t.Fatal("layered converged to non-solution")
-		}
-	}
-	if both < 40 {
-		t.Fatalf("too few joint convergences (%d) to compare", both)
-	}
-	if lIters > fIters {
-		t.Errorf("layered used %d iters vs flooding %d over %d trials", lIters, fIters, both)
-	}
-	t.Logf("iterations over %d trials: flooding %d, layered %d", both, fIters, lIters)
-}
-
-func TestLayeredZeroSyndrome(t *testing.T) {
-	h, llr := hammingModel()
-	d := New(h, llr, Config{MaxIters: 10, Schedule: Layered})
-	res := d.Decode(gf2.NewVec(3))
-	if !res.Converged || !res.Error.IsZero() {
-		t.Error("layered BP failed on zero syndrome")
 	}
 }

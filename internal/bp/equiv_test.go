@@ -31,9 +31,6 @@ func newRef(h *gf2.SparseCols, prior []float64, cfg Config) *refDecoder {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = h.Cols()
 	}
-	if cfg.ScaleFactor == 0 {
-		cfg.ScaleFactor = 0.75
-	}
 	r := &refDecoder{
 		cfg:        cfg,
 		h:          h,
@@ -62,23 +59,13 @@ func (r *refDecoder) decode(s gf2.Vec) (gf2.Vec, []float64, bool, int) {
 			r.v2c[e] = r.prior[v]
 		}
 	}
-	if r.cfg.Schedule == Layered {
-		copy(r.post, r.prior)
-		for i := range r.c2v {
-			r.c2v[i] = 0
-		}
-	}
 	hard := gf2.NewVec(r.h.Cols())
 	converged := false
 	iters := 0
 	for it := 1; it <= r.cfg.MaxIters; it++ {
 		iters = it
-		if r.cfg.Schedule == Layered {
-			r.layered(s)
-		} else {
-			r.checkUpdate(s)
-			r.varUpdate()
-		}
+		r.checkUpdate(s)
+		r.varUpdate()
 		hard.Zero()
 		for v := range r.post {
 			if r.post[v] < 0 {
@@ -129,7 +116,7 @@ func (r *refDecoder) checkUpdate(s gf2.Vec) {
 			if r.v2c[e] < 0 {
 				sgn = -sgn
 			}
-			r.c2v[e] = r.cfg.ScaleFactor * sgn * mag
+			r.c2v[e] = 0.75 * sgn * mag
 		}
 	}
 }
@@ -143,50 +130,6 @@ func (r *refDecoder) varUpdate() {
 		r.post[v] = sum
 		for _, e := range r.varEdges[v] {
 			r.v2c[e] = sum - r.c2v[e]
-		}
-	}
-}
-
-func (r *refDecoder) layered(s gf2.Vec) {
-	for c := range r.checkEdges {
-		edges := r.checkEdges[c]
-		min1, min2 := math.Inf(1), math.Inf(1)
-		min1Edge := -1
-		negCount := 0
-		for _, e := range edges {
-			m := r.post[r.varOf[e]] - r.c2v[e]
-			r.v2c[e] = m
-			a := math.Abs(m)
-			if m < 0 {
-				negCount++
-			}
-			if a < min1 {
-				min2 = min1
-				min1 = a
-				min1Edge = e
-			} else if a < min2 {
-				min2 = a
-			}
-		}
-		baseSign := 1.0
-		if s.Get(c) {
-			baseSign = -1.0
-		}
-		if negCount%2 == 1 {
-			baseSign = -baseSign
-		}
-		for _, e := range edges {
-			mag := min1
-			if e == min1Edge {
-				mag = min2
-			}
-			sgn := baseSign
-			if r.v2c[e] < 0 {
-				sgn = -sgn
-			}
-			nm := r.cfg.ScaleFactor * sgn * mag
-			r.post[r.varOf[e]] += nm - r.c2v[e]
-			r.c2v[e] = nm
 		}
 	}
 }
@@ -212,27 +155,25 @@ func equivModels(t *testing.T) []*dem.Model {
 // convergence flags, and iteration counts on sampled syndromes.
 func TestBPEquivalentToSliceOfSlices(t *testing.T) {
 	for _, model := range equivModels(t) {
-		for _, sched := range []Schedule{Flooding, Layered} {
-			cfg := Config{MaxIters: 30, Schedule: sched}
-			d := New(model.Mech, model.LLRs(), cfg)
-			ref := newRef(model.Mech, model.LLRs(), cfg)
-			rng := rand.New(rand.NewPCG(42, 7))
-			for shot := 0; shot < 25; shot++ {
-				syn := model.Syndrome(model.Sample(rng))
-				got := d.Decode(syn)
-				wantE, wantPost, wantConv, wantIters := ref.decode(syn)
-				if got.Converged != wantConv || got.Iters != wantIters {
-					t.Fatalf("%s/%v shot %d: converged/iters %v/%d, want %v/%d",
-						model.Name, sched, shot, got.Converged, got.Iters, wantConv, wantIters)
-				}
-				if !got.Error.Equal(wantE) {
-					t.Fatalf("%s/%v shot %d: hard decision differs", model.Name, sched, shot)
-				}
-				for v := range wantPost {
-					if got.Posterior[v] != wantPost[v] {
-						t.Fatalf("%s/%v shot %d: posterior[%d] = %v, want %v",
-							model.Name, sched, shot, v, got.Posterior[v], wantPost[v])
-					}
+		cfg := Config{MaxIters: 30}
+		d := New(model.Mech, model.LLRs(), cfg)
+		ref := newRef(model.Mech, model.LLRs(), cfg)
+		rng := rand.New(rand.NewPCG(42, 7))
+		for shot := 0; shot < 25; shot++ {
+			syn := model.Syndrome(model.Sample(rng))
+			got := d.Decode(syn)
+			wantE, wantPost, wantConv, wantIters := ref.decode(syn)
+			if got.Converged != wantConv || got.Iters != wantIters {
+				t.Fatalf("%s shot %d: converged/iters %v/%d, want %v/%d",
+					model.Name, shot, got.Converged, got.Iters, wantConv, wantIters)
+			}
+			if !got.Error.Equal(wantE) {
+				t.Fatalf("%s shot %d: hard decision differs", model.Name, shot)
+			}
+			for v := range wantPost {
+				if got.Posterior[v] != wantPost[v] {
+					t.Fatalf("%s shot %d: posterior[%d] = %v, want %v",
+						model.Name, shot, v, got.Posterior[v], wantPost[v])
 				}
 			}
 		}

@@ -18,8 +18,6 @@ type Config struct {
 	MaxRounds int
 	// ItersPerRound is the BP iteration budget per round (paper: 100).
 	ItersPerRound int
-	// Variant forwards to the inner BP.
-	Variant bp.Variant
 }
 
 // Decoder is a BPGD decoder bound to one check matrix. All working
@@ -52,7 +50,7 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 		cfg:    cfg,
 		h:      gf2.CSCFromSparse(h),
 		prior:  priorLLR,
-		inner:  bp.New(h, work, bp.Config{MaxIters: cfg.ItersPerRound, Variant: cfg.Variant}),
+		inner:  bp.New(h, work, bp.Config{MaxIters: cfg.ItersPerRound}),
 		work:   work,
 		frozen: make([]bool, h.Cols()),
 		e:      gf2.NewVec(h.Cols()),

@@ -11,19 +11,23 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand/v2"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vegapunk/internal/core"
 	"vegapunk/internal/faultinject"
+	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
 )
 
 // waitGoroutines polls until the goroutine count returns to the
 // baseline, failing with a full stack dump if it never does — the
-// leak check for abandoned runners and drained services.
+// leak check for abandoned workers and drained services.
 func waitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -144,10 +148,319 @@ func TestChaosHangWatchdog(t *testing.T) {
 	if got := svc.met.decoderHangs.Load(); got != 1 {
 		t.Errorf("decoder_hangs_total = %d, want 1", got)
 	}
-	// Unstick the hung decode: its abandoned runner must drain and
-	// exit without leaking a goroutine.
+	// Unstick the hung decode: its abandoned worker must lose the phase
+	// CAS and exit without leaking a goroutine.
 	close(release)
 	svc.Close()
+	waitGoroutines(t, base)
+}
+
+// serviceGoroutines counts the live goroutines a Service started, by
+// the "created by" line of their stacks: the ones newService starts, and
+// any that Service or workerState code started later (a decode goroutine
+// beside the worker, a monitor, a replacement worker). Reading stacks
+// rather than runtime.NumGoroutine keeps goroutines of earlier tests
+// that are still winding down out of the count.
+func serviceGoroutines() (initial, later int) {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		switch {
+		case strings.Contains(g, "created by vegapunk/internal/serve.newService"):
+			initial++
+		case strings.Contains(g, "created by vegapunk/internal/serve.(*Service)."),
+			strings.Contains(g, "created by vegapunk/internal/serve.(*workerState)."):
+			later++
+		}
+	}
+	return
+}
+
+// noServiceGoroutines fails unless every service goroutine is gone,
+// yielding while ones that already signalled their exit finish it.
+func noServiceGoroutines(t *testing.T) {
+	t.Helper()
+	for i := 0; ; i++ {
+		initial, later := serviceGoroutines()
+		if initial+later == 0 {
+			return
+		}
+		if i == 10000 {
+			t.Fatalf("%d+%d service goroutines with no service open", initial, later)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestChaosServiceGoroutines pins the shape of a service: one batcher
+// and one worker per pooled decoder, nothing else — no decode goroutine
+// beside the worker, no standing watchdog — at rest and after a decode.
+func TestChaosServiceGoroutines(t *testing.T) {
+	model, factory := testModel(t)
+	noServiceGoroutines(t) // an earlier test's workers may be between wg.Done and exit
+	svc := newService("chaos", model, "BP(30)", factory, Config{PoolSize: 3})
+	if initial, later := serviceGoroutines(); initial != 1+3 || later != 0 {
+		t.Errorf("service at rest runs %d+%d goroutines, want 1 batcher + 3 workers and none started later", initial, later)
+	}
+	var res Result
+	if err := svc.DecodeInto(context.Background(), &res, sampleSyndromes(model, 1, 9)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if initial, later := serviceGoroutines(); initial != 1+3 || later != 0 {
+		t.Errorf("service runs %d+%d goroutines after a decode, want 4+0", initial, later)
+	}
+	svc.Close()
+	noServiceGoroutines(t)
+}
+
+// cueDecoder is a batch-capable decoder (the BP test decoder, DecodeBatch
+// kept) that runs a test-supplied hook at the top of the i-th DecodeBatch
+// call counted across all instances of one factory: the hook can park on
+// a channel or panic on cue. faultinject cannot stand in here — its
+// wrapper hides core.BatchDecoder, so every service built on it has fill
+// limit 1 and a fault never meets more than one lane.
+type cueDecoder struct {
+	core.Decoder
+	calls *atomic.Int32
+	hooks []func(syns []gf2.Vec)
+}
+
+func (d cueDecoder) DecodeBatch(syns, outs []gf2.Vec) []core.Stats {
+	if i := int(d.calls.Add(1)) - 1; i < len(d.hooks) {
+		d.hooks[i](syns)
+	}
+	return d.Decoder.(core.BatchDecoder).DecodeBatch(syns, outs)
+}
+
+// testChaosBatchFault puts 8 lanes into one DecodeBatch call that then
+// faults (the fault hook hangs or panics) and checks the multi-lane
+// settlement: every lane failed exactly once, one fault counted, one
+// instance poisoned, the next 8 served by the replacement.
+func testChaosBatchFault(t *testing.T, fault func(syns []gf2.Vec), faults func(*Service) uint64, release func()) {
+	model, factory := testModel(t)
+	const lanes = 8
+	plugged, plug := make(chan struct{}), make(chan struct{})
+	var faultLanes atomic.Int32
+	calls := new(atomic.Int32)
+	hooks := []func([]gf2.Vec){
+		// Call 0 keeps the only worker busy while the next 8 requests
+		// queue up, so the batcher hands them over as one batch.
+		func([]gf2.Vec) { close(plugged); <-plug },
+		func(syns []gf2.Vec) { faultLanes.Store(int32(len(syns))); fault(syns) },
+	}
+	base := runtime.NumGoroutine()
+	svc := newService("chaos", model, "BP(30)+cue", func() core.Decoder {
+		return cueDecoder{factory(), calls, hooks}
+	}, Config{
+		MaxBatch: lanes, MaxWait: time.Second, PoolSize: 1,
+		BreakerThreshold: -1, HangTimeout: 300 * time.Millisecond, MaxDegradeTier: -1,
+	})
+
+	ctx := context.Background()
+	syndromes := sampleSyndromes(model, 1+2*lanes, 11)
+	first, err := svc.submitTraced(ctx, syndromes[0], wireTrace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-plugged
+	reqs := make([]*request, lanes)
+	for i := range reqs {
+		if reqs[i], err = svc.submitTraced(ctx, syndromes[1+i], wireTrace{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(plug)
+	var res Result
+	if err := svc.wait(ctx, first, &res); err != nil {
+		t.Fatalf("plug decode: %v", err)
+	}
+	for i, req := range reqs {
+		if err := svc.wait(ctx, req, &res); !errors.Is(err, ErrDecoderFault) {
+			t.Fatalf("lane %d of the faulted dispatch returned %v, want ErrDecoderFault", i, err)
+		}
+	}
+	if got := faultLanes.Load(); got != lanes {
+		t.Fatalf("faulted DecodeBatch carried %d lanes, want %d", got, lanes)
+	}
+	// Each lane was settled exactly once: a second finish would drive
+	// the depth negative (and block on the request's done channel).
+	if got := svc.met.queueDepth.Load(); got != 0 {
+		t.Errorf("queue depth = %d after the fault, want 0", got)
+	}
+	if got := faults(svc); got != 1 {
+		t.Errorf("fault counter = %d, want 1", got)
+	}
+	if got := svc.Pool().Poisoned(); got != 1 {
+		t.Errorf("pool poisoned = %d, want 1", got)
+	}
+	// The replacement serves the next 8 (while a hung call is still stuck).
+	results := make([]Result, lanes)
+	if err := svc.DecodeBatchInto(ctx, results, syndromes[1+lanes:]); err != nil {
+		t.Fatalf("decode after quarantine: %v", err)
+	}
+	for i := range results {
+		if !results[i].Satisfied {
+			t.Errorf("lane %d after quarantine: correction does not satisfy its syndrome", i)
+		}
+	}
+	release()
+	svc.Close()
+	if got := svc.Pool().Outstanding(); got != 0 {
+		t.Errorf("pool outstanding = %d after Close, want 0", got)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestChaosBatchHang also holds the worker-owned-lanes invariant: the 8
+// requests are failed, recycled and reused for the next 8 syndromes
+// while the hung call still holds its input, and when the call finally
+// reads that input it must find the syndromes it was given — it would
+// find the next 8 if the lanes were request memory.
+func TestChaosBatchHang(t *testing.T) {
+	release := make(chan struct{})
+	var clobbered atomic.Bool
+	testChaosBatchFault(t, func(syns []gf2.Vec) {
+		given := make([]gf2.Vec, len(syns))
+		for i, s := range syns {
+			given[i] = s.Clone()
+		}
+		<-release
+		for i, s := range syns {
+			if !s.Equal(given[i]) {
+				clobbered.Store(true)
+			}
+		}
+	},
+		func(s *Service) uint64 { return s.met.decoderHangs.Load() },
+		func() { close(release) })
+	// testChaosBatchFault returned after the stuck goroutine exited.
+	if clobbered.Load() {
+		t.Error("the hung decoder's input lanes changed under it after its requests were recycled")
+	}
+}
+
+func TestChaosBatchPanic(t *testing.T) {
+	testChaosBatchFault(t, func([]gf2.Vec) { panic("cue: injected batch panic") },
+		func(s *Service) uint64 { return s.met.decoderPanics.Load() },
+		func() {})
+}
+
+// photoFinish decodes like the BP test decoder after a wait drawn around
+// the service's HangTimeout, so decode and watchdog finish neck and neck.
+type photoFinish struct {
+	core.Decoder
+	mu  *sync.Mutex
+	rng *rand.Rand
+}
+
+func (d photoFinish) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
+	d.mu.Lock()
+	wait := 1500*time.Microsecond + time.Duration(d.rng.Int64N(int64(time.Millisecond)))
+	d.mu.Unlock()
+	<-time.After(wait)
+	return d.Decoder.Decode(s)
+}
+
+// TestChaosWatchdogPhotoFinish races the worker and its watchdog on the
+// phase word 300 times: every decode takes HangTimeout ± 0.5 ms. Whoever
+// wins the CAS must settle the request alone — every call returns nil or
+// ErrDecoderFault, successes and hangs add up to the requests, the pool
+// balances. It also holds the spent-firing invariant: a firing that lost
+// the CAS must be waited for before the next arm, or its late callback
+// abandons the next dispatch — which shows as a fault reported sooner
+// than HangTimeout after the request was submitted.
+func TestChaosWatchdogPhotoFinish(t *testing.T) {
+	model, factory := testModel(t)
+	const requests, clients = 300, 2
+	cfg := Config{
+		MaxBatch: 1, PoolSize: clients, BreakerThreshold: -1,
+		HangTimeout: 2 * time.Millisecond, MaxDegradeTier: -1,
+	}
+	mu, rng := new(sync.Mutex), rand.New(rand.NewPCG(20, 0))
+	base := runtime.NumGoroutine()
+	svc := newService("chaos", model, "BP(30)+photo", func() core.Decoder {
+		return photoFinish{scalarOnly{factory()}, mu, rng}
+	}, cfg)
+
+	syndromes := sampleSyndromes(model, 16, 12)
+	var oks, faults atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var res Result
+			for i := c; i < requests; i += clients {
+				start := time.Now()
+				switch err := svc.DecodeInto(context.Background(), &res, syndromes[i%len(syndromes)]); {
+				case err == nil:
+					oks.Add(1)
+				case errors.Is(err, ErrDecoderFault):
+					faults.Add(1)
+					if elapsed := time.Since(start); elapsed < cfg.HangTimeout {
+						t.Errorf("request %d abandoned after %v, before the %v timeout", i, elapsed, cfg.HangTimeout)
+					}
+				default:
+					t.Errorf("request %d: unexpected outcome %v", i, err)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	svc.Close()
+	hangs := int64(svc.met.decoderHangs.Load())
+	if faults.Load() != hangs || oks.Load()+hangs != requests {
+		t.Errorf("oks=%d faults=%d hangs=%d, want faults == hangs and oks + hangs == %d", oks.Load(), faults.Load(), hangs, requests)
+	}
+	t.Logf("worker won %d, watchdog won %d", oks.Load(), hangs)
+	pool := svc.Pool()
+	if pool.Outstanding() != 0 || pool.Created() > int64(pool.Size())+int64(pool.Poisoned()) {
+		t.Errorf("pool outstanding=%d created=%d size=%d poisoned=%d", pool.Outstanding(), pool.Created(), pool.Size(), pool.Poisoned())
+	}
+	if got := svc.met.queueDepth.Load(); got != 0 {
+		t.Errorf("queue depth = %d after Close, want 0", got)
+	}
+	waitGoroutines(t, base)
+}
+
+// TestChaosCloseDuringHang closes the service while a decode is hung
+// for good: the watchdog settles the dispatch and hands the WaitGroup
+// slot to a replacement that sees the closed queue, so Close returns
+// about HangTimeout later with the decoder still stuck; the stuck
+// goroutine exits once released. It holds the no-request-reads-while-
+// armed invariant: the request is failed and recycled under the hung
+// worker, which -race reports if the worker looks at it again.
+func TestChaosCloseDuringHang(t *testing.T) {
+	model, factory := testModel(t)
+	release := make(chan struct{})
+	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
+		Seed:         1,
+		Script:       []faultinject.Kind{faultinject.KindStall},
+		StallRelease: release,
+	})
+	base := runtime.NumGoroutine()
+	cfg := serialChaosConfig()
+	cfg.HangTimeout = 30 * time.Millisecond
+	cfg.Tracer = obs.NewTracer(obs.TracerConfig{SampleEvery: 1}) // sampled: the worker derives the probe id from the request before arming
+	svc := newService("chaos", model, "BP(30)+chaos", wrapped, cfg)
+
+	ctx := context.Background()
+	req, err := svc.submitTraced(ctx, sampleSyndromes(model, 1, 13)[0], wireTrace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	svc.Close()
+	if elapsed := time.Since(start); elapsed > cfg.HangTimeout+2*time.Second {
+		t.Errorf("Close took %v with a decoder hung forever, want about %v", elapsed, cfg.HangTimeout)
+	}
+	var res Result
+	if err := svc.wait(ctx, req, &res); !errors.Is(err, ErrDecoderFault) {
+		t.Fatalf("request hung across Close returned %v, want ErrDecoderFault", err)
+	}
+	if got := svc.met.decoderHangs.Load(); got != 1 {
+		t.Errorf("decoder_hangs_total = %d, want 1", got)
+	}
+	close(release)
 	waitGoroutines(t, base)
 }
 

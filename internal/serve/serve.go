@@ -15,7 +15,10 @@
 //     one long-lived worker (one per pooled decoder) as a single
 //     DecodeBatch call; a single request is a batch of one, and a
 //     decoder without the core.BatchDecoder capability is always served
-//     that way, one request per worker. The steady state (pooled
+//     that way, one request per worker. The worker decodes on its own
+//     goroutine, from lanes it owns, under a per-worker watchdog timer:
+//     a service runs 1 + PoolSize goroutines, and a hung decoder costs
+//     the one it is stuck on (see worker.go). The steady state (pooled
 //     requests, recycled batches, reused scratch) is allocation-free on
 //     top of the decode itself.
 //   - Server: a stdlib net/http JSON API (POST /v1/decode single or
@@ -60,9 +63,10 @@ type Config struct {
 	MaxInFlight int
 	// RequestTimeout is the per-request decode deadline (default 2s).
 	RequestTimeout time.Duration
-	// HangTimeout is how long a worker waits on a single decoder call
-	// before declaring the decoder hung, quarantining it and failing
-	// the request with ErrDecoderFault (default 1s).
+	// HangTimeout is how long a single decoder call may run before the
+	// worker's watchdog declares the decoder hung, quarantines it, fails
+	// the dispatch's requests with ErrDecoderFault and replaces the
+	// worker stuck inside the call (default 1s).
 	HangTimeout time.Duration
 	// MaxDegradeTier bounds the degradation ladder: how far the service
 	// may step down from core.TierFull under pressure. 0 allows the

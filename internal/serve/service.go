@@ -467,57 +467,40 @@ func (s *Service) batcher() {
 
 // worker is a long-lived dispatch goroutine, one per pooled decoder: per
 // batch it acquires a decoder from the pool, carries the whole batch
-// through process, releases the decoder and recycles the batch.
-// Decoding itself runs in the worker's runner goroutine so a decoder
-// fault (panic, hang) is isolated from the dispatch machinery.
+// through process — the decode runs right here, under the worker's hang
+// watchdog — releases the decoder and recycles the batch. A worker the
+// watchdog abandoned mid-decode returns without an epilogue: abandon
+// already ran it and started the replacement that now holds this
+// goroutine's WaitGroup slot.
 //
 //vegapunk:hotpath
 func (s *Service) worker(id uint16) {
-	defer s.wg.Done()
-	w := workerState{
-		id:    id,
-		syn:   gf2.NewVec(s.model.NumDet), //vegapunk:allow(alloc) worker-owned scratch, once per goroutine lifetime
-		ring:  s.tracer.Ring(),            //vegapunk:allow(alloc) one span ring per worker goroutine lifetime
-		timer: time.NewTimer(time.Hour),   //vegapunk:allow(alloc) one watchdog timer per worker lifetime
-	}
-	if !w.timer.Stop() {
-		<-w.timer.C
-	}
-	w.r = s.newRunner() //vegapunk:allow(alloc) one decode runner per worker lifetime; replaced only on quarantine
+	w := s.newWorkerState(id) //vegapunk:allow(alloc) worker-owned lanes, scratch, span ring and watchdog timer, once per goroutine lifetime
 	for b := range s.work {
 		dec, err := s.pool.Acquire(s.lifeCtx)
 		if err != nil { // unreachable: lifeCtx is cancelled only after workers exit
 			panic(err)
 		}
 		w.dec = dec
-		s.process(&w, b)
-		s.pool.Release(w.dec)
+		if !s.process(w, b) {
+			return
+		}
+		if w.dec != nil {
+			s.pool.Release(w.dec)
+		}
 		s.load.Add(-1)
 		s.putBatch(b)
 	}
-	close(w.r.in)
+	s.wg.Done()
 }
 
 // quarantine handles a decoder fault: record the failure with the
 // circuit breaker, poison the faulty instance (its permit funds a
-// lazily constructed replacement), replace the runner when the old one
-// is pinned by a hung decode, acquire a fresh decoder for the worker to
-// hold, and fail every lane of the dispatch with ErrDecoderFault.
-func (s *Service) quarantine(w *workerState, lanes []*request, hung bool) {
+// lazily constructed replacement) and fail every lane of the dispatch
+// with ErrDecoderFault.
+func (s *Service) quarantine(dec core.Decoder, lanes []*request) {
 	s.breaker.recordFailure(obs.Tick())
-	s.pool.Poison(w.dec)
-	if hung {
-		// The old runner is stuck inside Decode; closing in ends its
-		// loop once the decode returns, and its buffered out absorbs
-		// the orphaned outcome. Nothing leaks, nothing blocks.
-		close(w.r.in)
-		w.r = s.newRunner() //vegapunk:allow(alloc) replacement runner after a hung decode; fault path, not steady state
-	}
-	dec, err := s.pool.Acquire(s.lifeCtx)
-	if err != nil { // unreachable: lifeCtx is cancelled only after workers exit
-		panic(err)
-	}
-	w.dec = dec
+	s.pool.Poison(dec)
 	for _, req := range lanes {
 		s.finish(req, ErrDecoderFault)
 	}
@@ -528,21 +511,22 @@ func (s *Service) quarantine(w *workerState, lanes []*request, hung bool) {
 const p99RefreshEvery = 64
 
 // process is the one dispatch path: it carries a micro-batch — a single
-// request is a batch of one — through one decode on the worker's runner
-// and copies everything each caller needs out of the runner-owned
-// outputs before the decoder can be reused (the pool boundary ownership
-// rule). Admission work happens per lane: queue-wait accounting, and
-// shedding of requests whose remaining deadline budget cannot cover the
-// observed p99 decode latency. The decoder dispatch, hang watchdog,
-// fault quarantine (panic, hang, wrong-length result) and breaker
-// bookkeeping happen once per dispatch. Stage boundaries are measured
-// with the obs package clock; a sampled lane's queue-wait, decode and
-// copy-out spans land in the worker's ring, and when the lead lane is
-// sampled the decoder's probe records its internal stages into the
-// runner's ring under the lead's decode id.
+// request is a batch of one — through one decode on this worker and
+// copies everything each caller needs out of the worker-owned outputs
+// before the decoder can be reused (the pool boundary ownership rule).
+// Admission work happens per lane: queue-wait accounting, and shedding
+// of requests whose remaining deadline budget cannot cover the observed
+// p99 decode latency. The decode, fault quarantine (panic, wrong-length
+// result) and breaker bookkeeping happen once per dispatch. It reports
+// false when the hang watchdog took the dispatch (and the worker) over
+// mid-decode; the caller must then return at once. Stage boundaries are
+// measured with the obs package clock; a sampled lane's queue-wait,
+// decode and copy-out spans land in the worker's ring, and when the
+// lead lane is sampled the decoder's probe records its internal stages
+// there too under the lead's decode id.
 //
 //vegapunk:hotpath
-func (s *Service) process(w *workerState, b []*request) {
+func (s *Service) process(w *workerState, b []*request) bool {
 	t0 := obs.Tick()
 	p99 := s.p99DecodeNs.Load()
 	n := 0
@@ -558,42 +542,32 @@ func (s *Service) process(w *workerState, b []*request) {
 		if s.sampled(req) {
 			w.ring.Record(obs.StageQueueWait, 0, uint32(req.id), req.enq, t0)
 		}
-		w.r.syns[n].CopyFrom(req.syndrome)
+		// Staged into worker-owned lanes: the decoder never sees request
+		// memory, so an abandoned decode cannot touch a recycled request.
+		w.syns[n].CopyFrom(req.syndrome)
 		b[n] = req // compact the un-shed lanes to the front (n never passes the read index)
 		n++
 	}
 	if n == 0 {
-		return // every lane shed
+		return true // every lane shed
 	}
 	lanes := b[:n]
 	lead := lanes[0]
 	sampled := s.sampled(lead)
-	w.r.in <- runnerJob{dec: w.dec, tier: s.ladder.active(), lanes: n, sampled: sampled, id: lead.id}
-	w.timer.Reset(s.cfg.HangTimeout)
-	var o runnerOutcome
-	select {
-	case o = <-w.r.out:
-		if !w.timer.Stop() {
-			select {
-			case <-w.timer.C:
-			default:
-			}
-		}
-	case <-w.timer.C:
-		s.met.decoderHangs.Add(1)
-		s.quarantine(w, lanes, true)
-		return
+	o, owned := w.decode(s.cfg.HangTimeout, decodeJob{tier: s.ladder.active(), sampled: sampled, id: lead.id}, lanes)
+	if !owned {
+		return false
 	}
 	t1 := obs.Tick()
-	if o.panicked {
-		s.met.decoderPanics.Add(1)
-		s.quarantine(w, lanes, false)
-		return
-	}
-	if o.badLen {
-		s.met.decoderBadResults.Add(1)
-		s.quarantine(w, lanes, false)
-		return
+	if o.panicked || o.badLen {
+		if o.panicked {
+			s.met.decoderPanics.Add(1)
+		} else {
+			s.met.decoderBadResults.Add(1)
+		}
+		s.quarantine(w.dec, lanes)
+		w.dec = nil // poisoned, not released
+		return true
 	}
 	s.breaker.recordSuccess()
 	if n > 1 {
@@ -612,12 +586,12 @@ func (s *Service) process(w *workerState, b []*request) {
 			s.met.degraded.Add(1)
 		}
 		req.decodeNs = decodeNs
-		est := w.r.outs[i]
+		est := w.outs[i]
 		gf2.CopyVec(&req.correction, est)
 		s.mech.MulVecInto(w.syn, est)
 		req.satisfied = w.syn.Equal(req.syndrome)
 		s.obs.MulVecInto(req.observables, est)
-		req.stats = w.r.stats[i]
+		req.stats = w.stats[i]
 		t2 := obs.Tick()
 		req.copyOutNs = t2 - prev
 		prev = t2
@@ -655,6 +629,7 @@ func (s *Service) process(w *workerState, b []*request) {
 	if nn := s.decodes.Add(uint64(n)); nn%p99RefreshEvery < uint64(n) {
 		s.p99DecodeNs.Store(int64(s.met.decodeSeconds.Quantile(0.99) * 1e9))
 	}
+	return true
 }
 
 // finish completes a request with its terminal outcome: exactly one of

@@ -132,7 +132,7 @@ func (g pairGate) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
 // watchdog on any design that ships a scalar batch to a single worker.
 // Either way the corrections must stay bit-identical to one decoder run
 // serially over the same syndromes. Run under -race this also proves
-// the runner-owned buffers and the per-lane copy-out boundary have no
+// the worker-owned buffers and the per-lane copy-out boundary have no
 // data races.
 func TestBatchDispatchMatchesSerial(t *testing.T) {
 	model, factory := testModel(t)

@@ -312,7 +312,7 @@ func (c *Client) Hello(key string) (ModelInfo, error) {
 //vegapunk:hotpath
 func (c *Client) QueueDecode(modelID uint16, reqID uint64, syndrome gf2.Vec) {
 	c.wbuf = AppendDecode(c.wbuf, modelID, reqID, syndrome)
-	c.pending = append(c.pending, reqID) //vegapunk:allow(alloc) grows once to the connection's pipeline depth
+	c.pending = append(c.pending, reqID) //vegapunk:allow(alloc) grows once to the connection's pipeline depth: readTracked pops by compacting in place, so the capacity is kept
 }
 
 // QueueDecodeTraced appends an OpDecode frame carrying the telemetry
@@ -322,7 +322,7 @@ func (c *Client) QueueDecode(modelID uint16, reqID uint64, syndrome gf2.Vec) {
 //vegapunk:hotpath
 func (c *Client) QueueDecodeTraced(modelID uint16, reqID uint64, syndrome gf2.Vec, tc TraceContext) {
 	c.wbuf = AppendDecodeTraced(c.wbuf, modelID, reqID, syndrome, tc)
-	c.pending = append(c.pending, reqID) //vegapunk:allow(alloc) grows once to the connection's pipeline depth
+	c.pending = append(c.pending, reqID) //vegapunk:allow(alloc) grows once to the connection's pipeline depth: readTracked pops by compacting in place, so the capacity is kept
 }
 
 // QueueFrame appends a raw, already-encoded payload under a fresh
@@ -415,7 +415,10 @@ func (c *Client) readTracked() (Header, []byte, error) {
 		return Header{}, nil, ErrReqIDMismatch
 	}
 	c.lost = append(c.lost, c.pending[:idx]...) //vegapunk:allow(alloc) desync path: grows once to pipeline depth
-	c.pending = c.pending[idx+1:]
+	// Pop by compacting in place: re-slicing the head forward would
+	// give capacity away and make every pipelined request re-grow the
+	// queue from nothing.
+	c.pending = c.pending[:copy(c.pending, c.pending[idx+1:])]
 	return h, payload, nil
 }
 

@@ -283,3 +283,58 @@ func TestRedialerBackoff(t *testing.T) {
 		t.Fatalf("fails after success = %d, want 0", d.Fails())
 	}
 }
+
+// replayConn is an in-memory peer that answers every flush with the
+// same canned response bytes: Write discards the request and rewinds
+// the read side. Nothing in it allocates, so testing.AllocsPerRun over
+// a client on top of it counts the client alone.
+type replayConn struct {
+	scriptConn
+	resp []byte
+}
+
+func (c *replayConn) Write(p []byte) (int, error) {
+	c.in.Reset(c.resp)
+	return len(p), nil
+}
+
+// TestClientPipelineAllocFree pins the in-flight FIFO at zero
+// allocations per pipelined request: 8 traced frames queued, flushed
+// and read back, over and over on one connection. Popping the FIFO by
+// re-slicing its head forward threw the capacity away and cost four
+// allocations per cycle (the queue re-growing 1 → 2 → 4 → 8), which was
+// all of the socket workloads' allocs_per_syn 0.5.
+func TestClientPipelineAllocFree(t *testing.T) {
+	const frames = 8
+	syn := synPattern(72, 3)
+	ok := Result{Status: StatusOK, Correction: synPattern(36, 2), Observables: gf2.NewVec(12)}
+	conn := &replayConn{scriptConn: scriptConn{in: bytes.NewReader(nil)}}
+	for id := uint64(1); id <= frames; id++ {
+		conn.resp = AppendResultTimed(conn.resp, 0, 1, id, &ok, &ServerTiming{WorkerID: 1, DecodeNs: 1000})
+	}
+	c := NewClient(conn, 0)
+	var res Result
+	SizeResult(&res, 36, 12)
+	var st ServerTiming
+	cycle := func() {
+		for id := uint64(1); id <= frames; id++ {
+			c.QueueDecodeTraced(1, id, syn, TraceContext{TraceID: id})
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(1); id <= frames; id++ {
+			h, timed, err := c.ReadResultTimed(&res, &st)
+			if err != nil || h.ReqID != id || !timed {
+				t.Fatalf("response %d: id %d timed %v err %v", id, h.ReqID, timed, err)
+			}
+		}
+		if c.Pending() != 0 {
+			t.Fatalf("pending = %d after a full cycle", c.Pending())
+		}
+	}
+	cycle() // warm-up: write buffer, read buffer and FIFO grow to the pipeline depth once
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("%v allocations per %d-frame pipelined request, want 0", avg, frames)
+	}
+}
