@@ -31,6 +31,7 @@ var defaultPins = []struct {
 	pkgs  []string
 }{
 	{"BenchmarkBPDecode$", []string{"./internal/bp"}},
+	{"BenchmarkBPDecodeRelay$", []string{"./internal/bp"}},
 	{"BenchmarkBPDecodeBatch64$", []string{"./internal/bp"}},
 	{"BenchmarkHierDecode$", []string{"./internal/hier"}},
 	{"BenchmarkHierDecodeBatch64$", []string{"./internal/hier"}},

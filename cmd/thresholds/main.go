@@ -64,7 +64,7 @@ func main() {
 				n := *shots
 				switch decName {
 				case "BP":
-					f = func() core.Decoder { return core.NewBP(model, 200) }
+					f = func() core.Decoder { return core.NewMinSumBP(model, 200) }
 				case "BP+OSD":
 					f = func() core.Decoder { return core.NewBPOSD(model, 200, 7) }
 					n = *shots / 2

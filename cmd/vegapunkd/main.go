@@ -70,7 +70,7 @@ func run() int {
 	codeName := fs.String("code", "BB [[72,12,6]]", "benchmark code name (see 'vegapunk codes')")
 	p := fs.Float64("p", 0.001, "physical error rate of the served noise model")
 	decoders := fs.String("decoders", "vegapunk,bp", "comma-separated decoders to register: vegapunk, bp, bp+osd, bp+lsd, bpgd")
-	bpIters := fs.Int("bp-iters", 100, "BP iteration cap for the bp decoder")
+	bpIters := fs.Int("bp-iters", 100, "BP iteration cap for the bp and bp+osd decoders (bp is Relay-BP: the cap is per leg)")
 	pool := fs.Int("pool", 0, "decoder pool size per model (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 16, "micro-batch flush size")
 	wait := fs.Duration("wait", 200*time.Microsecond, "micro-batch flush deadline under saturation")

@@ -45,7 +45,7 @@ func main() {
 		}
 		row := fmt.Sprintf("%10.1e", p)
 		for _, mk := range []func() vegapunk.Decoder{
-			func() vegapunk.Decoder { return vegapunk.NewBP(model, 150) },
+			func() vegapunk.Decoder { return vegapunk.NewMinSumBP(model, 150) },
 			func() vegapunk.Decoder { return vegapunk.NewBPOSD(model, 150, 7) },
 			func() vegapunk.Decoder {
 				return vegapunk.NewVegapunkWith(model, art, vegapunk.VegapunkOptions{})

@@ -27,6 +27,11 @@ import (
 // rows — the inner loops always run over a dense [0, nAct) prefix, so
 // convergence skew inside a batch costs neither wasted message updates
 // nor strided access.
+//
+// Under relay (Config.Legs > 0) the sweep is leg 0 only: it applies the
+// scalar stall rule to the bit-sliced hard decisions, and every lane it
+// leaves unsolved — stalled, or out of iterations — restarts on the
+// scalar path, which owns the one relay implementation.
 
 // LaneStats reports one lane of a batch decode: the same iteration
 // count and convergence flag the scalar Result carries.
@@ -51,6 +56,9 @@ type batchScratch struct {
 	// (physical) lane per word bit.
 	synW  []uint64 // packed syndromes, NumChecks words
 	hardW []uint64 // packed hard decisions, NumVars words
+	// prev1W and prev2W are the packed hard decisions of the two
+	// iterations before hardW's, rotated with it (relay's stall rule).
+	prev1W, prev2W []uint64
 
 	// Per-lane reduction temporaries for the check/variable updates.
 	sum, min1, min2 [gf2.MaxLanes]float64
@@ -66,6 +74,10 @@ type batchScratch struct {
 	// is fully rewritten by every variable update anyway.
 	laneOf, srcLane [gf2.MaxLanes]int
 	pendingGather   bool
+
+	// toScalar collects the original indices of the lanes the sweep gave
+	// up on, for one escalateLanes call at the end of the chunk.
+	toScalar [gf2.MaxLanes]int
 
 	stats []LaneStats // per-lane results, len grown to the batch size
 
@@ -98,7 +110,9 @@ func (d *Decoder) ensureBatch(L, n int) {
 		bs.varToCheck = make([]float64, ne*L)   //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
 		bs.checkToVar = make([]float64, ne*L)   //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
 		bs.synW = make([]uint64, d.g.NumChecks) //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
-		bs.hardW = make([]uint64, d.g.NumVars)  //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
+		nv := d.g.NumVars
+		hardW := make([]uint64, 3*nv) //vegapunk:allow(alloc) scratch growth to the widest batch seen, then reused
+		bs.hardW, bs.prev1W, bs.prev2W = hardW[:nv], hardW[nv:2*nv], hardW[2*nv:]
 	}
 	if cap(bs.stats) < n {
 		bs.stats = make([]LaneStats, n) //vegapunk:allow(alloc) stats growth to the largest batch seen, then reused
@@ -168,19 +182,18 @@ func (d *Decoder) decodeChunk(syns, outs []gf2.Vec, stats []LaneStats) {
 	g := d.g
 	bs := d.batch
 	nAct := len(syns)
+	for l := range syns {
+		bs.laneOf[l] = l
+	}
 	if nAct <= escalateBelow {
 		// Too narrow for the SoA sweep to pay off at all.
-		for l := range syns {
-			bs.laneOf[l] = l
-		}
 		d.escalateLanes(bs.laneOf[:nAct], syns, outs, stats)
 		return
 	}
 
 	gf2.PackLanesInto(bs.synW, syns)
 	bs.pendingGather = false // a previous chunk may have exited with a gather staged
-	for l := 0; l < nAct; l++ {
-		bs.laneOf[l] = l
+	for l := range syns {
 		stats[l] = LaneStats{}
 	}
 
@@ -201,8 +214,11 @@ func (d *Decoder) decodeChunk(syns, outs []gf2.Vec, stats []LaneStats) {
 		}
 	}
 
+	relay := d.cfg.Legs > 0
+	nScalar := 0    // lanes handed to the scalar path so far
+	var left uint64 // physical lanes the last iteration removed, not yet compacted away
 	t := d.probe.Tick()
-	for it := 1; it <= d.cfg.MaxIters; it++ {
+	for it := 1; ; it++ {
 		for p := 0; p < nAct; p++ {
 			stats[bs.laneOf[p]].Iters = it
 		}
@@ -211,72 +227,124 @@ func (d *Decoder) decodeChunk(syns, outs []gf2.Vec, stats []LaneStats) {
 		} else {
 			d.batchCheckUpdate(nAct)
 		}
+		if relay {
+			bs.hardW, bs.prev1W, bs.prev2W = bs.prev2W, bs.hardW, bs.prev1W
+		}
 		d.batchVarUpdate(nAct)
-		conv := d.batchResidual(nAct)
+		left = d.batchResidual(nAct)
 		t = d.probe.SpanSince(obs.StageBPIter, it, t)
-		if conv != 0 {
-			// Freeze converged lanes: unpack their outputs now, then
-			// compact the survivors to the front of the SoA rows.
-			for w := conv; w != 0; w &= w - 1 {
-				p := bits.TrailingZeros64(w)
-				i := bs.laneOf[p]
-				gf2.LaneUnpackInto(outs[i], bs.hardW, p)
-				stats[i].Converged = true
+		// Freeze converged lanes: unpack their outputs now.
+		for w := left; w != 0; w &= w - 1 {
+			p := bits.TrailingZeros64(w)
+			i := bs.laneOf[p]
+			gf2.LaneUnpackInto(outs[i], bs.hardW, p)
+			stats[i].Converged = true
+		}
+		if relay && it > stallLag {
+			// Stalled lanes leave as well, for the scalar path's legs.
+			stalled := d.batchStalled(nAct) &^ left
+			for w := stalled; w != 0; w &= w - 1 {
+				bs.toScalar[nScalar] = bs.laneOf[bits.TrailingZeros64(w)]
+				nScalar++
 			}
-			nAct = d.compactLanes(conv, nAct)
-			if nAct == 0 {
-				return
-			}
-			if nAct <= escalateBelow {
-				// Straggler escalation: the surviving lanes finish on the
-				// scalar path (see escalateBelow for why this is both
-				// faster and bit-identical).
-				d.escalateLanes(bs.laneOf[:nAct], syns, outs, stats)
-				return
-			}
+			left |= stalled
+		}
+		if it == d.cfg.MaxIters {
+			break
+		}
+		if left == 0 {
+			continue
+		}
+		// Compact the survivors to the front of the SoA rows.
+		nAct = d.compactLanes(left, nAct)
+		left = 0
+		if nAct <= escalateBelow {
+			// Straggler escalation: the surviving lanes finish on the
+			// scalar path (see escalateBelow for why this is both
+			// faster and bit-identical).
+			break
 		}
 	}
-	// Lanes that never converged return their final hard decision, like
-	// the scalar kernel.
 	for p := 0; p < nAct; p++ {
-		gf2.LaneUnpackInto(outs[bs.laneOf[p]], bs.hardW, p)
+		if left>>uint(p)&1 != 0 {
+			continue // left in the final iteration, already placed
+		}
+		if i := bs.laneOf[p]; relay || nAct <= escalateBelow {
+			// Stragglers, and under relay any lane out of iterations: it
+			// still has its legs to run.
+			bs.toScalar[nScalar] = i
+			nScalar++
+		} else {
+			// A lane that never converged returns its final hard
+			// decision, like the scalar kernel.
+			gf2.LaneUnpackInto(outs[i], bs.hardW, p)
+		}
 	}
+	d.escalateLanes(bs.toScalar[:nScalar], syns, outs, stats)
 }
 
-// compactLanes removes the converged physical lanes from the SoA state:
+// compactLanes removes the physical lanes in gone from the SoA state:
 // survivors move to the front of every variable-to-check row (the only
 // float state live across iterations — check-to-variable messages and
-// posteriors are fully rewritten each iteration) and of the bit-sliced
-// syndrome words. Returns the new active-lane count.
+// posteriors are fully rewritten each iteration), of the bit-sliced
+// syndrome words and, under relay, of the hard-decision words the stall
+// rule will read again. Returns the new active-lane count; at or below
+// escalateBelow only laneOf is brought up to date.
 //
 //vegapunk:hotpath
-func (d *Decoder) compactLanes(conv uint64, nAct int) int {
+func (d *Decoder) compactLanes(gone uint64, nAct int) int {
 	bs := d.batch
 	np := 0
 	for p := 0; p < nAct; p++ {
-		if conv>>uint(p)&1 == 0 {
+		if gone>>uint(p)&1 == 0 {
 			bs.laneOf[np] = bs.laneOf[p]
 			bs.srcLane[np] = p
 			np++
 		}
 	}
-	if np == 0 || np == nAct {
+	if np <= escalateBelow || np == nAct {
+		// Nothing moved — or the caller sends the survivors to the scalar
+		// path, and no SoA state is read again.
 		return np
 	}
 	src := bs.srcLane[:np]
-	for c := range bs.synW {
-		w := bs.synW[c]
-		var nw uint64
-		for q, s := range src {
-			nw |= (w >> uint(s) & 1) << uint(q)
-		}
-		bs.synW[c] = nw
+	compactWords(bs.synW, src)
+	if d.cfg.Legs > 0 {
+		compactWords(bs.hardW, src)
+		compactWords(bs.prev1W, src)
 	}
 	// The float state is gathered lazily: the next check update reads
 	// each varToCheck row through srcLane and re-densifies it in place,
 	// so no dedicated sweep over the edge rows happens here.
 	bs.pendingGather = true
 	return np
+}
+
+// compactWords moves bit src[q] of every word to bit q.
+//
+//vegapunk:hotpath
+func compactWords(ws []uint64, src []int) {
+	for c, w := range ws {
+		var nw uint64
+		for q, s := range src {
+			nw |= (w >> uint(s) & 1) << uint(q)
+		}
+		ws[c] = nw
+	}
+}
+
+// batchStalled returns the word of active lanes whose hard decision
+// equals the one stallLag iterations back: the scalar stall rule on the
+// bit-sliced words.
+//
+//vegapunk:hotpath
+func (d *Decoder) batchStalled(nAct int) uint64 {
+	bs := d.batch
+	var moved uint64
+	for v, w := range bs.hardW {
+		moved |= w ^ bs.prev2W[v]
+	}
+	return ^moved & (^uint64(0) >> uint(64-nAct))
 }
 
 // batchCheckFirst is the iteration-one check update for non-negative

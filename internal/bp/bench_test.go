@@ -41,6 +41,20 @@ func BenchmarkBPDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkBPDecodeRelay measures a Relay-BP decode over syndromes that
+// all leave leg 0 unsolved — the one in ten that plain BP(30) spends
+// thirty iterations on and still gets wrong; it must report 0 allocs/op.
+func BenchmarkBPDecodeRelay(b *testing.B) {
+	model := benchModel(b)
+	d := New(model.Mech, model.LLRs(), Config{MaxIters: 30, Legs: 8})
+	syns := unsolvedSyndromes(b, model, 30, 64, 11)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Decode(syns[i%len(syns)])
+	}
+}
+
 // BenchmarkBPDecodeBatch64 measures the batched SoA kernel at one full
 // bit-sliced word of lanes; ns/op is per batch (divide by 64 for the
 // per-syndrome cost against BenchmarkBPDecode). Must report 0 allocs/op.

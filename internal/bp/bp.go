@@ -4,11 +4,16 @@
 // baseline [42] runs.
 //
 // BP is both a baseline decoder in its own right (Figures 2, 3, 10) and
-// the soft-information front end of BP+OSD, BP+LSD and BPGD.
+// the soft-information front end of BP+OSD, BP+LSD and BPGD. With
+// Config.Legs > 0 the same kernel runs Relay-BP ("Improved belief
+// propagation is sufficient for real-time decoding of quantum memory"):
+// a syndrome the plain leg cannot solve is relayed through memory legs
+// of disordered per-variable strength until one satisfies it.
 package bp
 
 import (
 	"math"
+	"math/rand/v2"
 
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
@@ -19,12 +24,34 @@ import (
 // every check message.
 const scaleFactor = 0.75
 
+// Relay-BP parameters. A memory leg biases variable j by
+// Λ_j(t) = (1−γ_j)·Λ_j(0) + γ_j·M_j(t−1), with γ_j drawn once per (leg,
+// variable) uniformly from [gammaLo, gammaHi) — the paper's disordered
+// interval, negative strengths included — out of a PCG stream seeded
+// with gammaSeed, so every decoder of one shape carries the same table.
+const (
+	gammaLo, gammaHi = -0.24, 0.66
+	gammaSeed        = 0x52656c6179 // "Relay"
+	// stallLag is the stall rule: a leg is left at the first iteration
+	// past stallLag whose hard decision equals the one stallLag
+	// iterations earlier (prev2, prev2W) without satisfying the syndrome.
+	// Lag 2 catches fixed points and 2-cycles, which is where every leg
+	// that does not converge ends up within a few iterations.
+	stallLag = 2
+)
+
 // Config parameterizes a BP decoder.
 type Config struct {
 	// MaxIters caps the number of message-passing iterations. The paper
 	// sets this to n (number of mechanisms) for the BP and BP+OSD
 	// baselines, 30 for BP+LSD, and 125 for the 1 µs-capped variant.
 	MaxIters int
+	// Legs is the number of Relay-BP memory legs that may follow the
+	// plain leg; 0 is plain min-sum. With Legs > 0 MaxIters caps each
+	// leg, a leg that stalls (see stallLag) is left at once, and each
+	// leg starts from the messages and marginals the previous one left,
+	// until one satisfies the syndrome or the legs run out.
+	Legs int
 }
 
 // Decoder is a reusable BP decoder for one check matrix. It is not safe
@@ -41,6 +68,13 @@ type Decoder struct {
 	hard                   gf2.Vec
 	syn                    gf2.Vec // syndrome-check scratch
 
+	// Relay-BP: gamma holds the memory strengths, one row of NumVars per
+	// constructed leg, immutable after New and shared by clones; prev1
+	// and prev2 are the hard decisions of the two iterations before
+	// hard's, rotated with it, for the stall rule.
+	gamma        [][]float64
+	prev1, prev2 gf2.Vec
+
 	// batch is the batched kernel's owned scratch (batch.go), built
 	// lazily on the first DecodeBatch so serial-only users pay nothing.
 	batch *batchScratch
@@ -55,6 +89,15 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 		cfg.MaxIters = h.Cols()
 	}
 	g := tanner.New(h)
+	var gamma [][]float64
+	rng := rand.New(rand.NewPCG(gammaSeed, 0))
+	for leg := 0; leg < cfg.Legs; leg++ {
+		row := make([]float64, g.NumVars)
+		for v := range row {
+			row[v] = gammaLo + (gammaHi-gammaLo)*rng.Float64()
+		}
+		gamma = append(gamma, row)
+	}
 	return &Decoder{
 		cfg:        cfg,
 		g:          g,
@@ -65,6 +108,9 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 		posterior:  make([]float64, g.NumVars),
 		hard:       gf2.NewVec(g.NumVars),
 		syn:        gf2.NewVec(g.NumChecks),
+		gamma:      gamma,
+		prev1:      gf2.NewVec(g.NumVars),
+		prev2:      gf2.NewVec(g.NumVars),
 		probe:      obs.NewProbe(),
 	}
 }
@@ -76,6 +122,8 @@ func (d *Decoder) Clone() *Decoder {
 	c.checkToVar = make([]float64, len(d.checkToVar))
 	c.posterior = make([]float64, len(d.posterior))
 	c.hard = gf2.NewVec(d.g.NumVars)
+	c.prev1 = gf2.NewVec(d.g.NumVars)
+	c.prev2 = gf2.NewVec(d.g.NumVars)
 	c.syn = gf2.NewVec(d.g.NumChecks)
 	c.batch = nil // rebuilt lazily; batch scratch is per-instance
 	c.probe = obs.NewProbe()
@@ -101,18 +149,29 @@ func (d *Decoder) SetMaxIters(n int) {
 	d.cfg.MaxIters = n
 }
 
+// SetLegs retunes the number of relay legs at runtime, between 0 (plain
+// min-sum, no stall exit) and the constructed Config.Legs, whose γ table
+// is the only one there is.
+//
+//vegapunk:hotpath
+func (d *Decoder) SetLegs(n int) {
+	d.cfg.Legs = max(0, min(n, len(d.gamma)))
+}
+
 // Result reports a BP decode.
 type Result struct {
-	// Error is the hard-decision error estimate (valid iff Converged).
+	// Error is the hard decision of the last iteration run. It
+	// reproduces the syndrome iff Converged; otherwise it is the best
+	// guess the soft output supports, which every caller still uses.
 	Error gf2.Vec
 	// Posterior holds the final per-variable LLRs (soft information for
 	// OSD/LSD/BPGD post-processing). Negative means "probably flipped".
 	Posterior []float64
 	// Converged reports whether the hard decision reproduced the
-	// syndrome within MaxIters.
+	// syndrome within MaxIters (of some leg).
 	Converged bool
-	// Iters is the number of iterations executed (the BP-FPGA latency
-	// model charges 2 cycles each).
+	// Iters is the number of iterations executed, summed over legs (the
+	// BP-FPGA latency model charges 2 cycles each).
 	Iters int
 }
 
@@ -121,29 +180,57 @@ type Result struct {
 //
 //vegapunk:hotpath
 func (d *Decoder) Decode(syndrome gf2.Vec) Result {
+	d.initMessages()
+	res := Result{Posterior: d.posterior}
+	res.Converged = d.runLeg(syndrome, nil, &res.Iters)
+	for leg := 0; leg < d.cfg.Legs && !res.Converged; leg++ {
+		res.Converged = d.runLeg(syndrome, d.gamma[leg], &res.Iters)
+	}
+	res.Error = d.hard
+	return res
+}
+
+// initMessages sets every variable-to-check message to its variable's
+// prior, the state a decode starts from.
+//
+//vegapunk:hotpath
+func (d *Decoder) initMessages() {
 	g := d.g
-	// Initialize variable-to-check messages with priors.
 	for v := 0; v < g.NumVars; v++ {
 		p := d.prior[v]
 		for _, e := range g.VarEdges(v) {
 			d.varToCheck[e] = p
 		}
 	}
-	res := Result{Posterior: d.posterior}
+}
+
+// runLeg runs one leg of at most MaxIters iterations from the messages
+// and marginals in place, adds the iterations it ran to *iters and
+// reports whether the hard decision reproduced the syndrome. gamma is
+// the leg's row of memory strengths, nil for the plain leg. Under relay
+// (Legs > 0) the leg is also left, unconverged, when it stalls.
+//
+//vegapunk:hotpath
+func (d *Decoder) runLeg(syndrome gf2.Vec, gamma []float64, iters *int) bool {
+	relay := d.cfg.Legs > 0
 	t := d.probe.Tick()
 	for it := 1; it <= d.cfg.MaxIters; it++ {
-		res.Iters = it
+		*iters++
 		d.checkUpdate(syndrome)
-		d.varUpdate()
+		d.varUpdate(gamma)
+		if relay {
+			d.hard, d.prev1, d.prev2 = d.prev2, d.hard, d.prev1
+		}
 		conv := d.hardDecision(syndrome)
-		t = d.probe.SpanSince(obs.StageBPIter, it, t)
+		t = d.probe.SpanSince(obs.StageBPIter, *iters, t)
 		if conv {
-			res.Converged = true
-			break
+			return true
+		}
+		if relay && it > stallLag && d.hard.Equal(d.prev2) {
+			return false
 		}
 	}
-	res.Error = d.hard
-	return res
+	return false
 }
 
 // checkUpdate computes check-to-variable messages by the normalized
@@ -191,11 +278,16 @@ func (d *Decoder) checkUpdate(syndrome gf2.Vec) {
 	}
 }
 
-// varUpdate computes variable-to-check messages and posteriors.
-func (d *Decoder) varUpdate() {
+// varUpdate computes variable-to-check messages and posteriors. On a
+// memory leg (gamma non-nil) the variable's bias is its prior mixed
+// with its previous marginal, still in posterior at this point.
+func (d *Decoder) varUpdate(gamma []float64) {
 	g := d.g
 	for v := 0; v < g.NumVars; v++ {
 		sum := d.prior[v]
+		if gamma != nil {
+			sum = (1-gamma[v])*sum + gamma[v]*d.posterior[v]
+		}
 		for _, e := range g.VarEdges(v) {
 			sum += d.checkToVar[e]
 		}

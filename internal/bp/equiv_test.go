@@ -15,7 +15,10 @@ import (
 // spans. It mirrors the update order of the flat kernels exactly
 // (column-major edge numbering, checks visited in ascending order), so
 // every floating-point operation happens in the same sequence and the
-// decodes must be bit-identical.
+// decodes must be bit-identical. It carries relay the plain way — a γ
+// table redrawn from the package constants, every hard decision of the
+// decode kept in trace — so the production γ table, leg sequencing and
+// stall rule are pinned by it too.
 type refDecoder struct {
 	cfg        Config
 	h          *gf2.SparseCols
@@ -25,6 +28,9 @@ type refDecoder struct {
 	varOf      []int
 	v2c, c2v   []float64
 	post       []float64
+	gamma      [][]float64 // [leg][variable]
+	trace      []gf2.Vec   // hard decision of every iteration of the last decode
+	legs       int         // legs the last decode ran, the plain one included
 }
 
 func newRef(h *gf2.SparseCols, prior []float64, cfg Config) *refDecoder {
@@ -50,6 +56,14 @@ func newRef(h *gf2.SparseCols, prior []float64, cfg Config) *refDecoder {
 	r.v2c = make([]float64, e)
 	r.c2v = make([]float64, e)
 	r.post = make([]float64, h.Cols())
+	rng := rand.New(rand.NewPCG(gammaSeed, 0))
+	for leg := 0; leg < cfg.Legs; leg++ {
+		row := make([]float64, h.Cols())
+		for v := range row {
+			row[v] = gammaLo + (gammaHi-gammaLo)*rng.Float64()
+		}
+		r.gamma = append(r.gamma, row)
+	}
 	return r
 }
 
@@ -59,25 +73,37 @@ func (r *refDecoder) decode(s gf2.Vec) (gf2.Vec, []float64, bool, int) {
 			r.v2c[e] = r.prior[v]
 		}
 	}
-	hard := gf2.NewVec(r.h.Cols())
-	converged := false
-	iters := 0
+	r.trace, r.legs = r.trace[:0], 0
+	converged := r.leg(s, nil)
+	for leg := 0; leg < r.cfg.Legs && !converged; leg++ {
+		converged = r.leg(s, r.gamma[leg])
+	}
+	return r.trace[len(r.trace)-1], r.post, converged, len(r.trace)
+}
+
+// leg runs one leg, appending its hard decisions to trace. With relay on
+// it stops at the first iteration past the second whose hard decision is
+// the one two iterations back.
+func (r *refDecoder) leg(s gf2.Vec, gamma []float64) bool {
+	r.legs++
 	for it := 1; it <= r.cfg.MaxIters; it++ {
-		iters = it
 		r.checkUpdate(s)
-		r.varUpdate()
-		hard.Zero()
+		r.varUpdate(gamma)
+		hard := gf2.NewVec(r.h.Cols())
 		for v := range r.post {
 			if r.post[v] < 0 {
 				hard.Set(v, true)
 			}
 		}
+		r.trace = append(r.trace, hard)
 		if r.h.MulVec(hard).Equal(s) {
-			converged = true
-			break
+			return true
+		}
+		if n := len(r.trace); r.cfg.Legs > 0 && it > 2 && hard.Equal(r.trace[n-3]) {
+			return false
 		}
 	}
-	return hard, r.post, converged, iters
+	return false
 }
 
 func (r *refDecoder) checkUpdate(s gf2.Vec) {
@@ -121,9 +147,12 @@ func (r *refDecoder) checkUpdate(s gf2.Vec) {
 	}
 }
 
-func (r *refDecoder) varUpdate() {
+func (r *refDecoder) varUpdate(gamma []float64) {
 	for v := range r.varEdges {
 		sum := r.prior[v]
+		if gamma != nil {
+			sum = (1-gamma[v])*r.prior[v] + gamma[v]*r.post[v]
+		}
 		for _, e := range r.varEdges[v] {
 			sum += r.c2v[e]
 		}
@@ -152,30 +181,44 @@ func equivModels(t *testing.T) []*dem.Model {
 
 // TestBPEquivalentToSliceOfSlices pins the flat-span decoder to the
 // slice-of-slices reference: identical hard decisions, posteriors,
-// convergence flags, and iteration counts on sampled syndromes.
+// convergence flags, and iteration counts on sampled syndromes, plain
+// (the kernel BP+OSD, BP+LSD and BPGD sit on) and with relay legs, where
+// the sample is large enough that some syndromes need several legs.
 func TestBPEquivalentToSliceOfSlices(t *testing.T) {
+	severalLegs := 0
 	for _, model := range equivModels(t) {
-		cfg := Config{MaxIters: 30}
-		d := New(model.Mech, model.LLRs(), cfg)
-		ref := newRef(model.Mech, model.LLRs(), cfg)
-		rng := rand.New(rand.NewPCG(42, 7))
-		for shot := 0; shot < 25; shot++ {
-			syn := model.Syndrome(model.Sample(rng))
-			got := d.Decode(syn)
-			wantE, wantPost, wantConv, wantIters := ref.decode(syn)
-			if got.Converged != wantConv || got.Iters != wantIters {
-				t.Fatalf("%s shot %d: converged/iters %v/%d, want %v/%d",
-					model.Name, shot, got.Converged, got.Iters, wantConv, wantIters)
-			}
-			if !got.Error.Equal(wantE) {
-				t.Fatalf("%s shot %d: hard decision differs", model.Name, shot)
-			}
-			for v := range wantPost {
-				if got.Posterior[v] != wantPost[v] {
-					t.Fatalf("%s shot %d: posterior[%d] = %v, want %v",
-						model.Name, shot, v, got.Posterior[v], wantPost[v])
+		for _, tc := range []struct {
+			cfg   Config
+			shots int
+		}{{Config{MaxIters: 30}, 25}, {Config{MaxIters: 30, Legs: 8}, 400}} {
+			cfg := tc.cfg
+			d := New(model.Mech, model.LLRs(), cfg)
+			ref := newRef(model.Mech, model.LLRs(), cfg)
+			rng := rand.New(rand.NewPCG(42, 7))
+			for shot := 0; shot < tc.shots; shot++ {
+				syn := model.Syndrome(model.Sample(rng))
+				got := d.Decode(syn)
+				wantE, wantPost, wantConv, wantIters := ref.decode(syn)
+				if got.Converged != wantConv || got.Iters != wantIters {
+					t.Fatalf("%s %+v shot %d: converged/iters %v/%d, want %v/%d",
+						model.Name, cfg, shot, got.Converged, got.Iters, wantConv, wantIters)
+				}
+				if !got.Error.Equal(wantE) {
+					t.Fatalf("%s %+v shot %d: hard decision differs", model.Name, cfg, shot)
+				}
+				for v := range wantPost {
+					if got.Posterior[v] != wantPost[v] {
+						t.Fatalf("%s %+v shot %d: posterior[%d] = %v, want %v",
+							model.Name, cfg, shot, v, got.Posterior[v], wantPost[v])
+					}
+				}
+				if ref.legs > 2 {
+					severalLegs++
 				}
 			}
 		}
+	}
+	if severalLegs == 0 {
+		t.Error("no syndrome ran a second memory leg — the relay row exercises too little")
 	}
 }

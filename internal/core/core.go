@@ -76,8 +76,9 @@ const (
 	// TierDegraded halves the iteration budgets (BP iterations, BPGD
 	// rounds, hierarchical outer rounds) but keeps OSD/LSD fallback.
 	TierDegraded
-	// TierMinimal quarters the iteration budgets and skips OSD/LSD
-	// fallback entirely: bounded worst-case latency, BP-only accuracy.
+	// TierMinimal quarters the iteration budgets and skips the fallback
+	// stage entirely (OSD/LSD post-processing, Relay-BP's memory legs):
+	// bounded worst-case latency, plain-BP accuracy.
 	TierMinimal
 )
 
@@ -223,8 +224,8 @@ type baseline struct {
 	// decode runs one decode and translates its result.
 	decode func(s gf2.Vec) (gf2.Vec, Stats)
 	// limit reads the budget currently applied, apply sets a scaled one
-	// and switches the OSD/LSD fallback stage (ignored where there is
-	// none).
+	// and switches the fallback stage — OSD/LSD post-processing, relay
+	// legs — (ignored where there is none).
 	limit func() int
 	apply func(budget int, fallback bool)
 }
@@ -254,28 +255,54 @@ func (b *baseline) SetTier(t Tier) Tier {
 	return t
 }
 
-// bpDecoder is the BP baseline plus its BatchDecoder capability
-// (batch.go); the other families are served one syndrome at a time.
+// bpDecoder is a bp.Decoder on the baseline adapter plus its
+// BatchDecoder capability (batch.go); the other families are served one
+// syndrome at a time.
 type bpDecoder struct {
 	*baseline
 	d     *bp.Decoder
 	stats []Stats // DecodeBatch result scratch
 }
 
-// NewBP wraps plain belief propagation (min-sum), the paper's FPGA
-// baseline. maxIters ≤ 0 uses the paper's default of n.
+// relayLegs is the number of memory legs NewBP may relay a syndrome
+// through after the plain one.
+const relayLegs = 8
+
+// NewBP wraps the BP decoder the product serves: Relay-BP, min-sum whose
+// unsolved syndromes are relayed through up to relayLegs memory legs
+// (see package bp). maxIters caps each leg and names the decoder;
+// maxIters ≤ 0 uses the paper's default of n. On the tier ladder the
+// memory legs are the fallback stage: TierMinimal runs the plain leg
+// alone. The paper's inaccurate BP baseline is NewMinSumBP.
 func NewBP(model *dem.Model, maxIters int) Decoder {
+	return newBP(model, bp.Config{MaxIters: maxIters, Legs: relayLegs})
+}
+
+// NewMinSumBP wraps plain min-sum belief propagation, the paper's FPGA
+// baseline of figures 2, 3 and 10. Nothing serves it.
+func NewMinSumBP(model *dem.Model, maxIters int) Decoder {
+	return newBP(model, bp.Config{MaxIters: maxIters})
+}
+
+func newBP(model *dem.Model, cfg bp.Config) Decoder {
 	name := "BP"
-	if maxIters > 0 {
-		name = fmt.Sprintf("BP(%d)", maxIters)
+	if cfg.MaxIters > 0 {
+		name = fmt.Sprintf("BP(%d)", cfg.MaxIters)
 	}
-	d := bp.New(model.Mech, model.LLRs(), bp.Config{MaxIters: maxIters})
+	d := bp.New(model.Mech, model.LLRs(), cfg)
 	return &bpDecoder{d: d, baseline: newBaseline(name, d.Probe(),
 		func(s gf2.Vec) (gf2.Vec, Stats) {
 			r := d.Decode(s)
 			return r.Error, Stats{BPIters: r.Iters, BPConverged: r.Converged}
 		},
-		d.MaxIters, func(n int, _ bool) { d.SetMaxIters(n) })}
+		d.MaxIters, func(n int, fallback bool) {
+			d.SetMaxIters(n)
+			if fallback {
+				d.SetLegs(cfg.Legs)
+			} else {
+				d.SetLegs(0)
+			}
+		})}
 }
 
 // NewBPOSD wraps BP+OSD-CS(t), the accuracy baseline. order ≤ 0 uses the

@@ -144,6 +144,7 @@ func TestAllDecodersDegradable(t *testing.T) {
 	decoders := []Decoder{
 		veg,
 		NewBP(model, 72),
+		NewMinSumBP(model, 72),
 		NewBPOSD(model, 72, 7),
 		NewBPLSD(model),
 		NewBPGD(model),
@@ -248,6 +249,42 @@ func TestTierItersScaling(t *testing.T) {
 	}
 	if got := tierIters(2, TierMinimal); got != 1 {
 		t.Errorf("minimal floor: %d", got)
+	}
+}
+
+// TestBPTierChangesKeepAnswers steps one Relay-BP decoder through the
+// degradation ladder between decodes, over a sample in which one
+// syndrome in ten needs the memory legs: full and degraded keep the legs
+// under a scaled per-leg cap, minimal is plain min-sum at a quarter of
+// the cap, and stepping back restores the constructed decoder.
+func TestBPTierChangesKeepAnswers(t *testing.T) {
+	model := bb72Model(t)
+	d := NewBP(model, 30).(DegradableDecoder)
+	fresh := map[Tier]Decoder{
+		TierFull:     NewBP(model, 30),
+		TierDegraded: NewBP(model, 15),
+		TierMinimal:  NewMinSumBP(model, 7),
+	}
+	plain := NewMinSumBP(model, 30)
+	rng := rand.New(rand.NewPCG(13, 13))
+	relayed := 0
+	for shot := 0; shot < 300; shot++ {
+		s := model.Syndrome(model.Sample(rng))
+		_, plainStats := plain.Decode(s)
+		for _, tier := range []Tier{TierMinimal, TierDegraded, TierFull} {
+			d.SetTier(tier)
+			got, gotStats := d.Decode(s)
+			want, wantStats := fresh[tier].Decode(s)
+			if !got.Equal(want) || gotStats != wantStats {
+				t.Fatalf("shot %d tier %v: stats %+v, a decoder built at that tier gives %+v", shot, tier, gotStats, wantStats)
+			}
+			if tier == TierFull && gotStats.BPConverged && !plainStats.BPConverged {
+				relayed++
+			}
+		}
+	}
+	if relayed == 0 {
+		t.Error("the memory legs solved nothing plain BP(30) does not")
 	}
 }
 

@@ -48,11 +48,11 @@ func (w *Workspace) factory(cfg Config, b Benchmark, model *dem.Model, name stri
 	switch name {
 	case DecBP:
 		iters := cfg.bpIterCap(model.NumMech())
-		return func() core.Decoder { return core.NewBP(model, iters) }, nil
+		return func() core.Decoder { return core.NewMinSumBP(model, iters) }, nil
 	case DecBPCapped:
 		// The 1 µs real-time budget allows ~125 iterations at 2
 		// cycles/iteration and 250 MHz (paper §3).
-		return func() core.Decoder { return core.NewBP(model, 125) }, nil
+		return func() core.Decoder { return core.NewMinSumBP(model, 125) }, nil
 	case DecBPOSD:
 		iters := cfg.bpIterCap(model.NumMech())
 		return func() core.Decoder { return core.NewBPOSD(model, iters, 7) }, nil

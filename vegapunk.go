@@ -133,9 +133,15 @@ func NewVegapunkWith(model *Model, d *Decoupling, cfg VegapunkOptions) Decoder {
 	return core.NewVegapunkFrom(model, d, cfg)
 }
 
-// NewBP builds the plain belief-propagation baseline (min-sum;
-// maxIters ≤ 0 uses n).
+// NewBP builds the BP decoder vegapunkd serves as "bp": Relay-BP,
+// min-sum that relays the syndromes it cannot solve through memory legs
+// (maxIters caps each leg; ≤ 0 uses n).
 func NewBP(model *Model, maxIters int) Decoder { return core.NewBP(model, maxIters) }
+
+// NewMinSumBP builds the paper's plain belief-propagation baseline
+// (min-sum; maxIters ≤ 0 uses n), the inaccurate one of figures 2, 3
+// and 10.
+func NewMinSumBP(model *Model, maxIters int) Decoder { return core.NewMinSumBP(model, maxIters) }
 
 // NewBPOSD builds the BP+OSD-CS(t) accuracy baseline (order ≤ 0 uses
 // the paper's t = 7).
