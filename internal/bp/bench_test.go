@@ -55,9 +55,9 @@ func BenchmarkBPDecodeRelay(b *testing.B) {
 	}
 }
 
-// BenchmarkBPDecodeBatch64 measures the batched SoA kernel at one full
-// bit-sliced word of lanes; ns/op is per batch (divide by 64 for the
-// per-syndrome cost against BenchmarkBPDecode). Must report 0 allocs/op.
+// BenchmarkBPDecodeBatch64 measures DecodeBatch at serve's 64-lane
+// micro-batch; ns/op is per batch (divide by 64 for the per-syndrome
+// cost against BenchmarkBPDecode). Must report 0 allocs/op.
 func BenchmarkBPDecodeBatch64(b *testing.B) {
 	model := benchModel(b)
 	d := New(model.Mech, model.LLRs(), Config{MaxIters: 30})
@@ -66,7 +66,7 @@ func BenchmarkBPDecodeBatch64(b *testing.B) {
 	for i := range out {
 		out[i] = gf2.NewVec(model.NumMech())
 	}
-	d.DecodeBatch(syns, out) // size the owned batch scratch
+	d.DecodeBatch(syns, out) // size the owned stats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

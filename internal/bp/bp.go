@@ -8,12 +8,22 @@
 // Config.Legs > 0 the same kernel runs Relay-BP ("Improved belief
 // propagation is sufficient for real-time decoding of quantum memory"):
 // a syndrome the plain leg cannot solve is relayed through memory legs
-// of disordered per-variable strength until one satisfies it.
+// of disordered per-variable strength, and unless the first solution is
+// provably of minimum weight the chain goes on to collect
+// relaySolutions of them and returns the lightest.
+//
+// There is one kernel, scalar, with three exits: the all-zero syndrome
+// is answered from the posterior New computed for it, a first solution
+// at the weight floor ⌈|s|/c_max⌉ is returned at once, and everything
+// else runs the ensemble. DecodeBatch is a loop over Decode; the
+// capability exists because serve fills micro-batches for a decoder
+// that has it, and that dispatch amortisation is the gain.
 package bp
 
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
@@ -34,10 +44,13 @@ const (
 	gammaSeed        = 0x52656c6179 // "Relay"
 	// stallLag is the stall rule: a leg is left at the first iteration
 	// past stallLag whose hard decision equals the one stallLag
-	// iterations earlier (prev2, prev2W) without satisfying the syndrome.
+	// iterations earlier (prev2) without satisfying the syndrome.
 	// Lag 2 catches fixed points and 2-cycles, which is where every leg
 	// that does not converge ends up within a few iterations.
 	stallLag = 2
+	// relaySolutions is the size of the relay ensemble: the chain stops
+	// at this many converged legs and the lightest solution wins.
+	relaySolutions = 5
 )
 
 // Config parameterizes a BP decoder.
@@ -50,17 +63,21 @@ type Config struct {
 	// plain leg; 0 is plain min-sum. With Legs > 0 MaxIters caps each
 	// leg, a leg that stalls (see stallLag) is left at once, and each
 	// leg starts from the messages and marginals the previous one left,
-	// until one satisfies the syndrome or the legs run out.
+	// converged or not. The first solution is returned if its Hamming
+	// weight is at the floor ⌈|s|/c_max⌉ no solution can be below;
+	// otherwise the chain runs until relaySolutions legs have converged
+	// or the legs run out, and the solution of least prior weight wins.
 	Legs int
 }
 
 // Decoder is a reusable BP decoder for one check matrix. It is not safe
 // for concurrent use; create one per goroutine (Clone is cheap).
 type Decoder struct {
-	cfg   Config
-	g     *tanner.Graph
-	h     *gf2.CSC
-	prior []float64 // per-variable prior LLR
+	cfg    Config
+	g      *tanner.Graph
+	h      *gf2.CSC
+	maxCol int       // h's largest column weight, the certificate's c_max
+	prior  []float64 // per-variable prior LLR
 
 	// message buffers, indexed by edge
 	varToCheck, checkToVar []float64
@@ -68,22 +85,32 @@ type Decoder struct {
 	hard                   gf2.Vec
 	syn                    gf2.Vec // syndrome-check scratch
 
+	// zeroPost is the posterior iteration 1 leaves on the all-zero
+	// syndrome, which Decode answers from it; nil when some prior is
+	// negative and that iteration need not return the zero vector.
+	// Immutable after New and shared by clones.
+	zeroPost []float64
+
 	// Relay-BP: gamma holds the memory strengths, one row of NumVars per
 	// constructed leg, immutable after New and shared by clones; prev1
 	// and prev2 are the hard decisions of the two iterations before
-	// hard's, rotated with it, for the stall rule.
+	// hard's, rotated with it, for the stall rule; best holds the
+	// ensemble's lightest solution so far, out of that rotation.
 	gamma        [][]float64
 	prev1, prev2 gf2.Vec
+	best         gf2.Vec
 
-	// batch is the batched kernel's owned scratch (batch.go), built
-	// lazily on the first DecodeBatch so serial-only users pay nothing.
-	batch *batchScratch
+	stats []LaneStats // DecodeBatch results, grown to the largest batch seen
 
 	probe *obs.Probe // per-iteration span recording (inactive by default)
 }
 
 // New builds a decoder for the sparse check matrix h with per-variable
-// prior LLRs (log((1-p)/p)).
+// prior LLRs (log((1-p)/p)). priorLLR is kept, not copied, and read by
+// every Decode. The zero-syndrome exit is built from its values at this
+// point, so a caller that rewrites them between decodes (bpgd's
+// decimation) may decode the all-zero syndrome only on the values New
+// saw.
 func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = h.Cols()
@@ -98,10 +125,11 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 		}
 		gamma = append(gamma, row)
 	}
-	return &Decoder{
+	d := &Decoder{
 		cfg:        cfg,
 		g:          g,
 		h:          gf2.CSCFromSparse(h),
+		maxCol:     h.MaxColWeight(),
 		prior:      priorLLR,
 		varToCheck: make([]float64, g.NumEdges()),
 		checkToVar: make([]float64, g.NumEdges()),
@@ -111,8 +139,17 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 		gamma:      gamma,
 		prev1:      gf2.NewVec(g.NumVars),
 		prev2:      gf2.NewVec(g.NumVars),
+		best:       gf2.NewVec(g.NumVars),
 		probe:      obs.NewProbe(),
 	}
+	if !slices.ContainsFunc(priorLLR, func(p float64) bool { return p < 0 }) {
+		// Non-negative priors and no flipped check leave every message of
+		// iteration 1 non-negative: the leg returns the zero vector there.
+		d.initMessages()
+		d.runLeg(gf2.NewVec(g.NumChecks), nil, new(int))
+		d.zeroPost = slices.Clone(d.posterior)
+	}
+	return d
 }
 
 // Clone returns an independent decoder sharing the immutable graph.
@@ -124,8 +161,9 @@ func (d *Decoder) Clone() *Decoder {
 	c.hard = gf2.NewVec(d.g.NumVars)
 	c.prev1 = gf2.NewVec(d.g.NumVars)
 	c.prev2 = gf2.NewVec(d.g.NumVars)
+	c.best = gf2.NewVec(d.g.NumVars)
 	c.syn = gf2.NewVec(d.g.NumChecks)
-	c.batch = nil // rebuilt lazily; batch scratch is per-instance
+	c.stats = nil
 	c.probe = obs.NewProbe()
 	return &c
 }
@@ -160,14 +198,17 @@ func (d *Decoder) SetLegs(n int) {
 
 // Result reports a BP decode.
 type Result struct {
-	// Error is the hard decision of the last iteration run. It
+	// Error is the correction: under relay the lightest solution found,
+	// otherwise the hard decision of the last iteration run. It
 	// reproduces the syndrome iff Converged; otherwise it is the best
 	// guess the soft output supports, which every caller still uses.
 	Error gf2.Vec
 	// Posterior holds the final per-variable LLRs (soft information for
-	// OSD/LSD/BPGD post-processing). Negative means "probably flipped".
+	// OSD/LSD/BPGD post-processing), read-only. Negative means "probably
+	// flipped". Under relay they are the last leg's, which need not be
+	// the leg Error came from; nothing reads them there.
 	Posterior []float64
-	// Converged reports whether the hard decision reproduced the
+	// Converged reports whether some hard decision reproduced the
 	// syndrome within MaxIters (of some leg).
 	Converged bool
 	// Iters is the number of iterations executed, summed over legs (the
@@ -175,19 +216,81 @@ type Result struct {
 	Iters int
 }
 
+// LaneStats reports one lane of a batch decode: the same iteration
+// count and convergence flag the scalar Result carries.
+type LaneStats struct {
+	// Iters is the number of message-passing iterations the lane ran.
+	Iters int
+	// Converged reports whether the lane's correction reproduces its
+	// syndrome.
+	Converged bool
+}
+
 // Decode runs BP against the syndrome. The returned slices/vectors are
 // owned by the decoder and valid until the next Decode call.
 //
 //vegapunk:hotpath
 func (d *Decoder) Decode(syndrome gf2.Vec) Result {
+	if d.zeroPost != nil && syndrome.IsZero() {
+		// Zero exit: what iteration 1 returns, computed once in New.
+		d.probe.SpanSince(obs.StageBPIter, 1, d.probe.Tick())
+		d.hard.Zero()
+		return Result{Error: d.hard, Posterior: d.zeroPost, Converged: true, Iters: 1}
+	}
 	d.initMessages()
 	res := Result{Posterior: d.posterior}
-	res.Converged = d.runLeg(syndrome, nil, &res.Iters)
-	for leg := 0; leg < d.cfg.Legs && !res.Converged; leg++ {
-		res.Converged = d.runLeg(syndrome, d.gamma[leg], &res.Iters)
+	var gamma []float64 // nil: the plain leg
+	found, bestW := 0, 0.0
+	for leg := 0; ; leg++ {
+		if d.runLeg(syndrome, gamma, &res.Iters) {
+			res.Converged = true
+			// Certificate exit: a column flips at most maxCol checks, so no
+			// solution weighs less than ⌈|s|/maxCol⌉, and a first solution
+			// there is a minimum-weight one. Plain min-sum stops at its
+			// first solution whatever its weight.
+			if found == 0 && (d.cfg.Legs == 0 || (d.hard.Weight()-1)*d.maxCol < syndrome.Weight()) {
+				res.Error = d.hard
+				return res
+			}
+			if w := d.hard.WeightSum(d.prior); found == 0 || w < bestW {
+				d.best.CopyFrom(d.hard)
+				bestW = w
+			}
+			found++
+		}
+		if leg == d.cfg.Legs || found == relaySolutions {
+			break
+		}
+		gamma = d.gamma[leg]
 	}
 	res.Error = d.hard
+	if found > 0 {
+		res.Error = d.best
+	}
 	return res
+}
+
+// DecodeBatch decodes syndromes[i] into out[i] for every i: a loop of
+// Decode, there being one kernel. out vectors are caller-owned
+// destinations of length NumVars; the returned stats slice is owned by
+// the decoder and valid until its next DecodeBatch call.
+//
+//vegapunk:hotpath
+func (d *Decoder) DecodeBatch(syndromes []gf2.Vec, out []gf2.Vec) []LaneStats {
+	n := len(syndromes)
+	if len(out) < n {
+		panic("bp: DecodeBatch with fewer outputs than syndromes")
+	}
+	if cap(d.stats) < n {
+		d.stats = make([]LaneStats, n) //vegapunk:allow(alloc) stats growth to the largest batch seen, then reused
+	}
+	d.stats = d.stats[:n]
+	for i, s := range syndromes {
+		r := d.Decode(s)
+		out[i].CopyFrom(r.Error)
+		d.stats[i] = LaneStats{Iters: r.Iters, Converged: r.Converged}
+	}
+	return d.stats
 }
 
 // initMessages sets every variable-to-check message to its variable's
@@ -195,12 +298,8 @@ func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 //
 //vegapunk:hotpath
 func (d *Decoder) initMessages() {
-	g := d.g
-	for v := 0; v < g.NumVars; v++ {
-		p := d.prior[v]
-		for _, e := range g.VarEdges(v) {
-			d.varToCheck[e] = p
-		}
+	for e, v := range d.g.VarOf {
+		d.varToCheck[e] = d.prior[v]
 	}
 }
 
@@ -280,31 +379,42 @@ func (d *Decoder) checkUpdate(syndrome gf2.Vec) {
 
 // varUpdate computes variable-to-check messages and posteriors. On a
 // memory leg (gamma non-nil) the variable's bias is its prior mixed
-// with its previous marginal, still in posterior at this point.
+// with its previous marginal, still in posterior at this point. A
+// variable's edges are consecutive ids (tanner.New), so its messages are
+// one span of each buffer.
 func (d *Decoder) varUpdate(gamma []float64) {
 	g := d.g
+	lo := 0
 	for v := 0; v < g.NumVars; v++ {
+		hi := lo + g.VarDegree(v)
+		c2v, v2c := d.checkToVar[lo:hi], d.varToCheck[lo:hi]
+		lo = hi
 		sum := d.prior[v]
 		if gamma != nil {
 			sum = (1-gamma[v])*sum + gamma[v]*d.posterior[v]
 		}
-		for _, e := range g.VarEdges(v) {
-			sum += d.checkToVar[e]
+		for _, m := range c2v {
+			sum += m
 		}
 		d.posterior[v] = sum
-		for _, e := range g.VarEdges(v) {
-			d.varToCheck[e] = sum - d.checkToVar[e]
+		for i, m := range c2v {
+			v2c[i] = sum - m
 		}
 	}
 }
 
-// hardDecision thresholds posteriors and checks the syndrome.
+// hardDecision thresholds posteriors, a 64-bit word of hard at a time,
+// and checks the syndrome.
 func (d *Decoder) hardDecision(syndrome gf2.Vec) bool {
-	d.hard.Zero()
-	for v := 0; v < d.g.NumVars; v++ {
-		if d.posterior[v] < 0 {
-			d.hard.Set(v, true)
+	post := d.posterior
+	for i := 0; i*64 < len(post); i++ {
+		var w uint64
+		for b, p := range post[i*64 : min(i*64+64, len(post))] {
+			if p < 0 {
+				w |= 1 << uint(b)
+			}
 		}
+		d.hard.SetWord(i, w)
 	}
 	d.h.MulVecInto(d.syn, d.hard)
 	return d.syn.Equal(syndrome)

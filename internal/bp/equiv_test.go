@@ -17,8 +17,9 @@ import (
 // every floating-point operation happens in the same sequence and the
 // decodes must be bit-identical. It carries relay the plain way — a γ
 // table redrawn from the package constants, every hard decision of the
-// decode kept in trace — so the production γ table, leg sequencing and
-// stall rule are pinned by it too.
+// decode kept in trace, every solution of the ensemble kept in a list —
+// so the production γ table, leg sequencing, stall rule, certificate
+// exit and ensemble choice are pinned by it too. It has no zero exit.
 type refDecoder struct {
 	cfg        Config
 	h          *gf2.SparseCols
@@ -74,11 +75,32 @@ func (r *refDecoder) decode(s gf2.Vec) (gf2.Vec, []float64, bool, int) {
 		}
 	}
 	r.trace, r.legs = r.trace[:0], 0
-	converged := r.leg(s, nil)
-	for leg := 0; leg < r.cfg.Legs && !converged; leg++ {
-		converged = r.leg(s, r.gamma[leg])
+	var sols []gf2.Vec
+	for leg := -1; leg < r.cfg.Legs && len(sols) < relaySolutions; leg++ {
+		var gamma []float64
+		if leg >= 0 {
+			gamma = r.gamma[leg]
+		}
+		if !r.leg(s, gamma) {
+			continue
+		}
+		sol := r.trace[len(r.trace)-1]
+		floor := (s.Weight() + r.h.MaxColWeight() - 1) / r.h.MaxColWeight()
+		if len(sols) == 0 && (r.cfg.Legs == 0 || sol.Weight() <= floor) {
+			return sol, r.post, true, len(r.trace)
+		}
+		sols = append(sols, sol)
 	}
-	return r.trace[len(r.trace)-1], r.post, converged, len(r.trace)
+	if len(sols) == 0 {
+		return r.trace[len(r.trace)-1], r.post, false, len(r.trace)
+	}
+	best := sols[0]
+	for _, sol := range sols[1:] {
+		if sol.WeightSum(r.prior) < best.WeightSum(r.prior) {
+			best = sol
+		}
+	}
+	return best, r.post, true, len(r.trace)
 }
 
 // leg runs one leg, appending its hard decisions to trace. With relay on

@@ -6,6 +6,7 @@ package bpgd
 
 import (
 	"math"
+	"slices"
 
 	"vegapunk/internal/bp"
 	"vegapunk/internal/gf2"
@@ -45,7 +46,10 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.ItersPerRound <= 0 {
 		cfg.ItersPerRound = 100
 	}
-	work := make([]float64, len(priorLLR))
+	// bp.New builds its zero-syndrome exit from the priors it is handed,
+	// so hand it the ones round 1 runs on: where the exit is on, round 1
+	// solves that syndrome and no decimated round sees it.
+	work := slices.Clone(priorLLR)
 	return &Decoder{
 		cfg:    cfg,
 		h:      gf2.CSCFromSparse(h),

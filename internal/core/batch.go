@@ -2,12 +2,15 @@ package core
 
 import "vegapunk/internal/gf2"
 
-// Batched decoding capability. Decoders whose kernels amortize work
-// across syndromes (bp's SoA message layout, hier's bit-sliced
-// transform and batched base level) implement BatchDecoder; everything
-// else is served by the DecodeBatch helper's serial fallback. The
-// serving layer detects the capability once at pool construction and
-// dispatches whole micro-batches through it.
+// Batched decoding capability. A decoder that is worth handing a whole
+// micro-batch implements BatchDecoder: hier, whose kernel amortizes work
+// across syndromes (bit-sliced transform, batched base level), and bp,
+// whose DecodeBatch is a loop over its one scalar kernel but whose
+// decodes are short enough that one dispatch per batch instead of per
+// syndrome is the gain. Everything else is served by the DecodeBatch
+// helper's serial fallback. The serving layer detects the capability
+// once at pool construction and dispatches whole micro-batches through
+// it.
 
 // BatchDecoder is the optional batched-decoding capability.
 //
@@ -56,7 +59,7 @@ func ensureStats(buf []Stats, n int) []Stats {
 	return buf[:n]
 }
 
-// DecodeBatch implements BatchDecoder via bp's SoA batched kernel.
+// DecodeBatch implements BatchDecoder via bp's loop over Decode.
 //
 //vegapunk:hotpath
 func (b *bpDecoder) DecodeBatch(syndromes []gf2.Vec, out []gf2.Vec) []Stats {

@@ -269,11 +269,13 @@ type bpDecoder struct {
 const relayLegs = 8
 
 // NewBP wraps the BP decoder the product serves: Relay-BP, min-sum whose
-// unsolved syndromes are relayed through up to relayLegs memory legs
-// (see package bp). maxIters caps each leg and names the decoder;
-// maxIters ≤ 0 uses the paper's default of n. On the tier ladder the
-// memory legs are the fallback stage: TierMinimal runs the plain leg
-// alone. The paper's inaccurate BP baseline is NewMinSumBP.
+// unsolved syndromes are relayed through up to relayLegs memory legs and
+// whose first solution, unless provably of minimum weight, is weighed
+// against the next four the chain finds (see package bp). maxIters caps
+// each leg and names the decoder; maxIters ≤ 0 uses the paper's default
+// of n. On the tier ladder the memory legs are the fallback stage:
+// TierMinimal runs the plain leg alone. The paper's inaccurate BP
+// baseline is NewMinSumBP.
 func NewBP(model *dem.Model, maxIters int) Decoder {
 	return newBP(model, bp.Config{MaxIters: maxIters, Legs: relayLegs})
 }

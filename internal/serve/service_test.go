@@ -196,6 +196,15 @@ func TestBatchDispatchMatchesSerial(t *testing.T) {
 					t.Fatalf("syndrome %d: served correction differs from serial reference", i)
 				}
 			}
+			// bp keeps the capability although its DecodeBatch is a loop: the
+			// fill it earns is the dispatch amortisation.
+			wantFill := 1
+			if tc.batched {
+				wantFill = 64 // MaxBatch
+			}
+			if svc.fill != wantFill {
+				t.Fatalf("fill = %d, want %d", svc.fill, wantFill)
+			}
 			if n := svc.met.batchedDecodes.Load(); tc.batched != (n > 0) {
 				t.Fatalf("batchedDecodes = %d, want >0: %v", n, tc.batched)
 			}

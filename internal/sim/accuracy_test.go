@@ -41,8 +41,10 @@ func (d satisfying) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
 // [[162,2,4]], where all three cluster, the two intervals overlap; every
 // Vegapunk correction satisfies its syndrome. On the BB codes Relay-BP —
 // what core.NewBP builds and vegapunkd serves — is never above
-// BP+OSD-CS(7) either and leaves at most one syndrome in a thousand
-// unsatisfied, where plain BP leaves one in ten.
+// BP+OSD-CS(7) either, leaves at most one syndrome in a thousand
+// unsatisfied, where plain BP leaves one in ten, and with its ensemble
+// fails on no more shots than the first-solution relay of PR 21 did on
+// the same ones, leaving the same number unsatisfied.
 // Not asserted: any BP ordering on HP [[162,2,4]] (there "BP nearly
 // matches BP+OSD"), and Vegapunk strictly below BP+OSD on BB72, which
 // holds on both seeds here by a margin too thin to gate on —
@@ -69,10 +71,13 @@ func TestAccuracyOrderings(t *testing.T) {
 		// cluster: Vegapunk and BP+OSD-CS(7) overlap, not merely
 		// Vegapunk no worse.
 		bb, cluster bool
+		// firstSolution holds what Relay-BP stopping at its first solution
+		// (PR 21) scored on these shots, per seed: failures, unsatisfied.
+		firstSolution map[uint64][2]int
 	}{
-		{dem.CircuitLevel(bb, 0.003), decouple.Options{Seed: 7}, true, false},
-		{dem.CircuitLevel(bb144, 0.003), decouple.Options{Seed: 7}, true, false},
-		{dem.Phenomenological(hp, 0.003, 0.003), decouple.Options{HintKs: []int{9}}, false, true},
+		{dem.CircuitLevel(bb, 0.003), decouple.Options{Seed: 7}, true, false, map[uint64][2]int{16: {9, 2}, 2025: {6, 1}}},
+		{dem.CircuitLevel(bb144, 0.003), decouple.Options{Seed: 7}, true, false, map[uint64][2]int{16: {18, 1}, 2025: {21, 2}}},
+		{dem.Phenomenological(hp, 0.003, 0.003), decouple.Options{HintKs: []int{9}}, false, true, nil},
 	} {
 		model := tc.model
 		dcp, err := decouple.Decouple(model.CheckMatrix(), tc.opts)
@@ -125,6 +130,10 @@ func TestAccuracyOrderings(t *testing.T) {
 			if 1000*relayUnsat > relay.Shots {
 				t.Errorf("%s seed %d: %d of %d Relay-BP(30) corrections do not satisfy their syndrome, more than 1 in 1000",
 					model.Name, seed, relayUnsat, relay.Shots)
+			}
+			if first := tc.firstSolution[seed]; relay.Failures > first[0] || relayUnsat != first[1] {
+				t.Errorf("%s seed %d: Relay-BP(30) fails on %d shots and leaves %d unsatisfied, at its first solution %d and %d",
+					model.Name, seed, relay.Failures, relayUnsat, first[0], first[1])
 			}
 		}
 	}

@@ -135,7 +135,8 @@ func NewVegapunkWith(model *Model, d *Decoupling, cfg VegapunkOptions) Decoder {
 
 // NewBP builds the BP decoder vegapunkd serves as "bp": Relay-BP,
 // min-sum that relays the syndromes it cannot solve through memory legs
-// (maxIters caps each leg; ≤ 0 uses n).
+// and returns the lightest of up to five solutions unless the first is
+// provably minimal (maxIters caps each leg; ≤ 0 uses n).
 func NewBP(model *Model, maxIters int) Decoder { return core.NewBP(model, maxIters) }
 
 // NewMinSumBP builds the paper's plain belief-propagation baseline
