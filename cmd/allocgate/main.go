@@ -32,9 +32,7 @@ var defaultPins = []struct {
 }{
 	{"BenchmarkBPDecode$", []string{"./internal/bp"}},
 	{"BenchmarkBPDecodeRelay$", []string{"./internal/bp"}},
-	{"BenchmarkBPDecodeBatch64$", []string{"./internal/bp"}},
 	{"BenchmarkHierDecode$", []string{"./internal/hier"}},
-	{"BenchmarkHierDecodeBatch64$", []string{"./internal/hier"}},
 	{"BenchmarkOSDDecode$", []string{"./internal/osd"}},
 	{"BenchmarkServiceDecode$", []string{"./internal/serve"}},
 	{"BenchmarkServiceDecodeBatch64$", []string{"./internal/serve"}},

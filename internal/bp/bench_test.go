@@ -54,22 +54,3 @@ func BenchmarkBPDecodeRelay(b *testing.B) {
 		d.Decode(syns[i%len(syns)])
 	}
 }
-
-// BenchmarkBPDecodeBatch64 measures DecodeBatch at serve's 64-lane
-// micro-batch; ns/op is per batch (divide by 64 for the per-syndrome
-// cost against BenchmarkBPDecode). Must report 0 allocs/op.
-func BenchmarkBPDecodeBatch64(b *testing.B) {
-	model := benchModel(b)
-	d := New(model.Mech, model.LLRs(), Config{MaxIters: 30})
-	syns := benchSyndromes(b, model, 64)
-	out := make([]gf2.Vec, 64)
-	for i := range out {
-		out[i] = gf2.NewVec(model.NumMech())
-	}
-	d.DecodeBatch(syns, out) // size the owned stats
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.DecodeBatch(syns, out)
-	}
-}

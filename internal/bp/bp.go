@@ -15,9 +15,7 @@
 // There is one kernel, scalar, with three exits: the all-zero syndrome
 // is answered from the posterior New computed for it, a first solution
 // at the weight floor ⌈|s|/c_max⌉ is returned at once, and everything
-// else runs the ensemble. DecodeBatch is a loop over Decode; the
-// capability exists because serve fills micro-batches for a decoder
-// that has it, and that dispatch amortisation is the gain.
+// else runs the ensemble.
 package bp
 
 import (
@@ -100,8 +98,6 @@ type Decoder struct {
 	prev1, prev2 gf2.Vec
 	best         gf2.Vec
 
-	stats []LaneStats // DecodeBatch results, grown to the largest batch seen
-
 	probe *obs.Probe // per-iteration span recording (inactive by default)
 }
 
@@ -163,7 +159,6 @@ func (d *Decoder) Clone() *Decoder {
 	c.prev2 = gf2.NewVec(d.g.NumVars)
 	c.best = gf2.NewVec(d.g.NumVars)
 	c.syn = gf2.NewVec(d.g.NumChecks)
-	c.stats = nil
 	c.probe = obs.NewProbe()
 	return &c
 }
@@ -216,16 +211,6 @@ type Result struct {
 	Iters int
 }
 
-// LaneStats reports one lane of a batch decode: the same iteration
-// count and convergence flag the scalar Result carries.
-type LaneStats struct {
-	// Iters is the number of message-passing iterations the lane ran.
-	Iters int
-	// Converged reports whether the lane's correction reproduces its
-	// syndrome.
-	Converged bool
-}
-
 // Decode runs BP against the syndrome. The returned slices/vectors are
 // owned by the decoder and valid until the next Decode call.
 //
@@ -268,29 +253,6 @@ func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 		res.Error = d.best
 	}
 	return res
-}
-
-// DecodeBatch decodes syndromes[i] into out[i] for every i: a loop of
-// Decode, there being one kernel. out vectors are caller-owned
-// destinations of length NumVars; the returned stats slice is owned by
-// the decoder and valid until its next DecodeBatch call.
-//
-//vegapunk:hotpath
-func (d *Decoder) DecodeBatch(syndromes []gf2.Vec, out []gf2.Vec) []LaneStats {
-	n := len(syndromes)
-	if len(out) < n {
-		panic("bp: DecodeBatch with fewer outputs than syndromes")
-	}
-	if cap(d.stats) < n {
-		d.stats = make([]LaneStats, n) //vegapunk:allow(alloc) stats growth to the largest batch seen, then reused
-	}
-	d.stats = d.stats[:n]
-	for i, s := range syndromes {
-		r := d.Decode(s)
-		out[i].CopyFrom(r.Error)
-		d.stats[i] = LaneStats{Iters: r.Iters, Converged: r.Converged}
-	}
-	return d.stats
 }
 
 // initMessages sets every variable-to-check message to its variable's

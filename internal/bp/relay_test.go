@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"vegapunk/internal/code"
@@ -15,6 +16,46 @@ func relayModel(t *testing.T) *dem.Model {
 		t.Fatal(err)
 	}
 	return dem.CircuitLevel(c, 0.003)
+}
+
+func sampleSyndromesSeed(model *dem.Model, n int, seed uint64) []gf2.Vec {
+	rng := rand.New(rand.NewPCG(seed, 7))
+	out := make([]gf2.Vec, n)
+	for i := range out {
+		out[i] = model.Syndrome(model.Sample(rng))
+	}
+	return out
+}
+
+// unsolvedSyndromes returns n sampled syndromes that plain min-sum does
+// not solve within maxIters: under relay each of them leaves leg 0
+// unsolved and needs the memory legs.
+func unsolvedSyndromes(tb testing.TB, model *dem.Model, maxIters, n int, seed uint64) []gf2.Vec {
+	tb.Helper()
+	plain := New(model.Mech, model.LLRs(), Config{MaxIters: maxIters})
+	rng := rand.New(rand.NewPCG(seed, 7))
+	out := make([]gf2.Vec, 0, n)
+	for tries := 0; len(out) < n; tries++ {
+		if tries > 1000*n {
+			tb.Fatalf("only %d unsolved syndromes in %d samples", len(out), tries)
+		}
+		if s := model.Syndrome(model.Sample(rng)); !plain.Decode(s).Converged {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// stallingPool returns n sampled syndromes of which every third is
+// replaced by an unsolved one — the ones relay needs its memory legs
+// for.
+func stallingPool(tb testing.TB, model *dem.Model, maxIters, n int, seed uint64) []gf2.Vec {
+	tb.Helper()
+	out := sampleSyndromesSeed(model, n, seed)
+	for i, s := range unsolvedSyndromes(tb, model, maxIters, (n+2)/3, seed) {
+		out[3*i] = s
+	}
+	return out
 }
 
 // TestRelayStallRule pins when a leg is left. The plain reference runs

@@ -22,32 +22,8 @@ func batchFixture(t *testing.T, model *dem.Model, n int, seed uint64) (syns, out
 	return syns, out, make([]Stats, n)
 }
 
-// TestBatchCapability pins which wrappers advertise the batched path:
-// the amortizing kernels (BP, Vegapunk) do, the rest take the helper's
-// serial fallback.
-func TestBatchCapability(t *testing.T) {
-	model := bb72Model(t)
-	veg, err := BuildVegapunk(model, decouple.Options{Seed: 1}, hier.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capable := []Decoder{veg, NewBP(model, 30)}
-	for _, d := range capable {
-		if _, ok := d.(BatchDecoder); !ok {
-			t.Errorf("%s: expected BatchDecoder capability", d.Name())
-		}
-	}
-	fallback := []Decoder{NewBPOSD(model, 30, 7), NewBPLSD(model), NewBPGD(model), NewGreedyNoDecouple(model, 0)}
-	for _, d := range fallback {
-		if _, ok := d.(BatchDecoder); ok {
-			t.Errorf("%s: unexpected BatchDecoder capability", d.Name())
-		}
-	}
-}
-
-// TestDecodeBatchHelperMatchesSerial pins the helper contract for both
-// the capability path and the serial fallback: outputs and stats are
-// exactly those of per-syndrome Decode calls.
+// TestDecodeBatchHelperMatchesSerial pins the helper's contract: outputs
+// and stats are exactly those of per-syndrome Decode calls.
 func TestDecodeBatchHelperMatchesSerial(t *testing.T) {
 	model := bb72Model(t)
 	veg, err := BuildVegapunk(model, decouple.Options{Seed: 1}, hier.Config{})
@@ -63,7 +39,7 @@ func TestDecodeBatchHelperMatchesSerial(t *testing.T) {
 	}{
 		{veg, refVeg},
 		{NewBP(model, 30), NewBP(model, 30)},
-		{NewBPGD(model), NewBPGD(model)}, // fallback path
+		{NewBPGD(model), NewBPGD(model)},
 	}
 	for _, tc := range cases {
 		syns, out, stats := batchFixture(t, model, 70, 4)

@@ -1,7 +1,10 @@
 // Package core assembles the complete Vegapunk decoder — offline
 // SMT-style decoupling plus the online hierarchical algorithm — and wraps
-// every baseline decoder behind one interface so the simulation harness
-// and the accelerator models can treat them uniformly.
+// every baseline decoder behind one interface, Decoder, so the simulation
+// harness, the accelerator models and the serving layer can treat them
+// uniformly. Decoder (one syndrome in, one correction out) is the whole
+// contract between a decoder and its callers: there is no batch
+// capability to detect, and micro-batching is serve's dispatch.
 package core
 
 import (
@@ -145,8 +148,7 @@ type Vegapunk struct {
 	name      string
 	dec       *decouple.Decoupling
 	online    *hier.Decoder
-	fullOuter int     // constructed outer-round cap (TierFull)
-	stats     []Stats // DecodeBatch result scratch (batch.go)
+	fullOuter int // constructed outer-round cap (TierFull)
 }
 
 // BuildVegapunk runs the offline stage on the model's check matrix and
@@ -255,15 +257,6 @@ func (b *baseline) SetTier(t Tier) Tier {
 	return t
 }
 
-// bpDecoder is a bp.Decoder on the baseline adapter plus its
-// BatchDecoder capability (batch.go); the other families are served one
-// syndrome at a time.
-type bpDecoder struct {
-	*baseline
-	d     *bp.Decoder
-	stats []Stats // DecodeBatch result scratch
-}
-
 // relayLegs is the number of memory legs NewBP may relay a syndrome
 // through after the plain one.
 const relayLegs = 8
@@ -292,7 +285,7 @@ func newBP(model *dem.Model, cfg bp.Config) Decoder {
 		name = fmt.Sprintf("BP(%d)", cfg.MaxIters)
 	}
 	d := bp.New(model.Mech, model.LLRs(), cfg)
-	return &bpDecoder{d: d, baseline: newBaseline(name, d.Probe(),
+	return newBaseline(name, d.Probe(),
 		func(s gf2.Vec) (gf2.Vec, Stats) {
 			r := d.Decode(s)
 			return r.Error, Stats{BPIters: r.Iters, BPConverged: r.Converged}
@@ -304,7 +297,7 @@ func newBP(model *dem.Model, cfg bp.Config) Decoder {
 			} else {
 				d.SetLegs(0)
 			}
-		})}
+		})
 }
 
 // NewBPOSD wraps BP+OSD-CS(t), the accuracy baseline. order ≤ 0 uses the

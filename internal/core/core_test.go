@@ -216,14 +216,11 @@ func TestVegapunkTierChangesKeepAnswers(t *testing.T) {
 // baselineOf unwraps the BP-family adapter behind d.
 func baselineOf(t *testing.T, d Decoder) *baseline {
 	t.Helper()
-	switch d := d.(type) {
-	case *baseline:
-		return d
-	case *bpDecoder:
-		return d.baseline
+	b, ok := d.(*baseline)
+	if !ok {
+		t.Fatalf("%s: %T is not a BP-family adapter", d.Name(), d)
 	}
-	t.Fatalf("%s: %T is not a BP-family adapter", d.Name(), d)
-	return nil
+	return b
 }
 
 func TestTierString(t *testing.T) {

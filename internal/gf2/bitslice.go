@@ -1,17 +1,16 @@
 package gf2
 
-// Bit-sliced lane layout. The batched decoders process up to 64
-// syndromes ("lanes") at once; their GF(2) stages keep one uint64 word
-// per original bit position, with bit l holding lane l's value. In that
+// Bit-sliced lane layout: one uint64 word per original bit position,
+// with bit l holding the value of vector ("lane") l of up to 64. In that
 // layout a CSR parity sweep or a residual XOR serves all 64 lanes with
-// one pass over the indices — the "64-wide bit-sliced" stages of the
-// batched decode path.
-//
-// Converting between the row-major Vec layout and the bit-sliced layout
+// one pass over the indices. Converting the row-major Vec layout into it
 // is a 64×64 bit-matrix transpose per block of 64 bit positions
-// (TransposeBits64); PackLanesInto/UnpackLanesInto wrap it for slices
-// of vectors, and LaneUnpackInto extracts one lane without transposing
-// the whole block (the per-lane freeze path of the batched BP kernel).
+// (TransposeBits64), which PackLanesInto wraps for a slice of vectors.
+//
+// No decoder uses the layout: the 64-lane kernels of bp and hier lost
+// their trials to a loop over the scalar kernels and were deleted. The
+// file stays for benchmark/ledger.go, which is frozen and times
+// PackLanesInto for its gf2.pack64_ns row.
 
 // MaxLanes is the lane capacity of the bit-sliced layout: one lane per
 // bit of a machine word.
@@ -74,73 +73,5 @@ func PackLanesInto(dst []uint64, srcs []Vec) {
 			hi = wordBits
 		}
 		copy(dst[base:base+hi], blk[:hi])
-	}
-}
-
-// UnpackLanesInto is the inverse of PackLanesInto: dsts[l] bit i =
-// src[i] bit l. Every destination vector must have length len-covering
-// the packed positions (all equal); lanes beyond len(dsts) are
-// discarded.
-//
-//vegapunk:hotpath
-func UnpackLanesInto(dsts []Vec, src []uint64) {
-	if len(dsts) == 0 {
-		return
-	}
-	n := dsts[0].Len()
-	if len(dsts) > MaxLanes {
-		panic("gf2: UnpackLanesInto with more than 64 lanes")
-	}
-	if len(src) < n {
-		panic("gf2: UnpackLanesInto src too short")
-	}
-	var blk [64]uint64
-	words := wordsFor(n)
-	for wi := 0; wi < words; wi++ {
-		base := wi * wordBits
-		hi := n - base
-		if hi > wordBits {
-			hi = wordBits
-		}
-		for i := 0; i < hi; i++ {
-			blk[i] = src[base+i]
-		}
-		for i := hi; i < wordBits; i++ {
-			blk[i] = 0
-		}
-		TransposeBits64(&blk)
-		for l, v := range dsts {
-			if v.Len() != n {
-				panic("gf2: UnpackLanesInto length mismatch")
-			}
-			v.SetWord(wi, blk[l])
-		}
-	}
-}
-
-// LaneUnpackInto extracts lane l of a bit-sliced array into dst:
-// dst bit i = src[i] bit l. dst.Len() positions are read from src.
-// Cheaper than UnpackLanesInto when only one lane is needed — the
-// batched BP kernel freezes each lane's output the iteration it
-// converges.
-//
-//vegapunk:hotpath
-func LaneUnpackInto(dst Vec, src []uint64, lane int) {
-	n := dst.Len()
-	if len(src) < n {
-		panic("gf2: LaneUnpackInto src too short")
-	}
-	words := wordsFor(n)
-	for wi := 0; wi < words; wi++ {
-		base := wi * wordBits
-		hi := n - base
-		if hi > wordBits {
-			hi = wordBits
-		}
-		var w uint64
-		for b := 0; b < hi; b++ {
-			w |= (src[base+b] >> uint(lane) & 1) << uint(b)
-		}
-		dst.SetWord(wi, w)
 	}
 }

@@ -192,8 +192,8 @@ func FuzzTransposeRank(f *testing.F) {
 }
 
 // FuzzBitSlicePackRoundTrip: packing any lane set into the bit-sliced
-// layout and unpacking it back must reproduce every lane exactly, and
-// single-lane extraction must agree with the full unpack.
+// layout must give PackLanesInto's definition, dst[i] bit l = srcs[l]
+// bit i, with the absent lanes zero.
 func FuzzBitSlicePackRoundTrip(f *testing.F) {
 	f.Add(uint16(0xACE1), uint8(65), uint8(3))
 	f.Add(uint16(0x42), uint8(64), uint8(64))
@@ -219,26 +219,14 @@ func FuzzBitSlicePackRoundTrip(f *testing.F) {
 		}
 		packed := make([]uint64, n)
 		PackLanesInto(packed, srcs)
-		if lanes < 64 {
-			for i, w := range packed {
-				if w>>uint(lanes) != 0 {
-					t.Fatalf("packed[%d] has bits beyond lane %d", i, lanes)
+		for i, w := range packed {
+			if lanes < 64 && w>>uint(lanes) != 0 {
+				t.Fatalf("packed[%d] has bits beyond lane %d", i, lanes)
+			}
+			for l := range srcs {
+				if w>>uint(l)&1 == 1 != srcs[l].Get(i) {
+					t.Fatalf("packed[%d] bit %d != lane %d bit %d", i, l, l, i)
 				}
-			}
-		}
-		dsts := make([]Vec, lanes)
-		for l := range dsts {
-			dsts[l] = NewVec(n)
-		}
-		UnpackLanesInto(dsts, packed)
-		one := NewVec(n)
-		for l := range srcs {
-			if !dsts[l].Equal(srcs[l]) {
-				t.Fatalf("round trip changed lane %d", l)
-			}
-			LaneUnpackInto(one, packed, l)
-			if !one.Equal(srcs[l]) {
-				t.Fatalf("LaneUnpackInto lane %d != source", l)
 			}
 		}
 	})

@@ -68,26 +68,3 @@ func BenchmarkGreedyGuess(b *testing.B) {
 		d.greedyGuess(0, sl, &sol)
 	}
 }
-
-// BenchmarkHierDecodeBatch64 runs 64 syndromes through one DecodeBatch
-// per op (compare per-syndrome cost against 64× BenchmarkHierDecode);
-// it must report 0 allocs/op.
-func BenchmarkHierDecodeBatch64(b *testing.B) {
-	for _, c := range benchCodes {
-		b.Run(c.name, func(b *testing.B) {
-			model, dec, syns := benchFixture(b, c.index)
-			d := New(dec, model.LLRs(), Config{})
-			out := make([]gf2.Vec, gf2.MaxLanes)
-			for i := range out {
-				out[i] = gf2.NewVec(model.NumMech())
-			}
-			d.DecodeBatch(syns[:gf2.MaxLanes], out) // warm the owned batch scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := i * gf2.MaxLanes % len(syns)
-				d.DecodeBatch(syns[off:off+gf2.MaxLanes], out)
-			}
-		})
-	}
-}

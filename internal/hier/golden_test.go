@@ -21,9 +21,8 @@ const goldenShots = 2048
 // hierGolden pins the decoder's answers: a SHA-256 over the correction
 // words and the whole Trace of goldenShots seeded syndromes per model.
 // The digests were recorded on the commit before the touched-block walk
-// was unified (ISSUE 16), from the scalar Decode; DecodeBatch in 64-lane
-// batches must reproduce the same digest. A change that is meant to
-// alter an answer or a trace count regenerates them and says so.
+// was unified (ISSUE 16). A change that is meant to alter an answer or a
+// trace count regenerates them and says so.
 var hierGolden = []struct {
 	name  string
 	model func() (*dem.Model, error)
@@ -90,28 +89,13 @@ func TestHierGoldenDigests(t *testing.T) {
 			}
 			d := New(dec, model.LLRs(), Config{})
 
-			scalar := sha256.New()
+			h := sha256.New()
 			for _, s := range syns {
 				e, tr := d.Decode(s)
-				hashDecode(scalar, e, tr)
+				hashDecode(h, e, tr)
 			}
-			if got := hex.EncodeToString(scalar.Sum(nil)); got != g.want {
-				t.Errorf("scalar digest %s, want %s", got, g.want)
-			}
-
-			batch := sha256.New()
-			out := make([]gf2.Vec, gf2.MaxLanes)
-			for i := range out {
-				out[i] = gf2.NewVec(model.NumMech())
-			}
-			for off := 0; off < len(syns); off += gf2.MaxLanes {
-				traces := d.DecodeBatch(syns[off:off+gf2.MaxLanes], out)
-				for l, tr := range traces {
-					hashDecode(batch, out[l], tr)
-				}
-			}
-			if got := hex.EncodeToString(batch.Sum(nil)); got != g.want {
-				t.Errorf("batch digest %s, want %s", got, g.want)
+			if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
+				t.Errorf("digest %s, want %s", got, g.want)
 			}
 		})
 	}

@@ -17,6 +17,10 @@
 // form of the accelerator's GDC (§5.3) — and solved only on a miss; the
 // winner's blocks are solved for real when it is committed.
 //
+// The all-zero syndrome — most of the traffic at the paper's error rates
+// — is answered in front of all that, from the trace the first full pass
+// over it left (see Decode).
+//
 // The decoder is allocation-free in steady state: every per-decode
 // buffer is owned by the Decoder. The returned error vector is owned by
 // the decoder and valid until the next Decode call.
@@ -115,9 +119,11 @@ type Decoder struct {
 	scratch blockSol   // a scored candidate's block solution
 	out     gf2.Vec    // recovered error in original order, length N
 
-	// hb is the batched path's owned scratch (batch.go), built lazily on
-	// the first DecodeBatch so serial-only users pay nothing.
-	hb *hbatch
+	// zeroTrace is the trace the full pass left on the all-zero syndrome
+	// the first time this decoder saw it, and zeroSeen says it has one:
+	// Decode answers every later zero syndrome from it.
+	zeroTrace Trace
+	zeroSeen  bool
 
 	// probe records base-solve and per-level spans.
 	probe *obs.Probe
@@ -264,13 +270,33 @@ func (d *Decoder) wA() []float64 { // A columns
 // by construction). The returned vector is owned by the decoder and
 // valid until the next Decode call.
 //
+// Zero exit: with non-negative weights (d.pruned) no flip lowers an
+// objective that is already zero, so the pass answers the all-zero
+// syndrome with the zero vector after K block solves and one round over
+// every candidate, whatever the outer-round cap. The first such pass
+// runs in full and, having returned the zero vector, leaves its trace;
+// later ones return that, with the two spans the pass records. New does
+// not run it: a pass over the cold objective table is set-up time every
+// instance would pay.
+//
 //vegapunk:hotpath
 func (d *Decoder) Decode(syndrome gf2.Vec) (gf2.Vec, Trace) {
+	zero := d.pruned && syndrome.IsZero()
+	if zero && d.zeroSeen {
+		t := d.probe.Tick()
+		t = d.probe.SpanSince(obs.StageHierBase, d.dec.K, t)
+		d.probe.SpanSince(obs.StageHierLevel, 1, t)
+		d.out.Zero()
+		return d.out, d.zeroTrace
+	}
 	tr := Trace{}
 	d.dec.TransformSyndromeInto(d.sPrime, syndrome) // line 1
 	d.baseSolve(&tr)
 	dMin := d.outerLoop(&tr)
 	d.assembleInto(d.out, dMin, &tr)
+	if zero && d.out.IsZero() {
+		d.zeroTrace, d.zeroSeen = tr, true
+	}
 	return d.out, tr
 }
 

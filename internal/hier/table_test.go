@@ -10,6 +10,15 @@ import (
 	"vegapunk/internal/gf2"
 )
 
+func sampleSyndromes(model *dem.Model, n int, seed uint64) []gf2.Vec {
+	rng := rand.New(rand.NewPCG(seed, 13))
+	out := make([]gf2.Vec, n)
+	for i := range out {
+		out[i] = model.Syndrome(model.Sample(rng))
+	}
+	return out
+}
+
 // TestTableFirstPassMissShare reports (run with -v) how often the
 // objective table misses on a first pass over syndromes it has never
 // seen: the property that makes the table pay outside a benchmark that
@@ -148,7 +157,7 @@ func TestTableWithSignedWeights(t *testing.T) {
 }
 
 // TestDecodeAllocatesNothing pins the steady state at zero allocations
-// on both benchmark codes, scalar and batched, table warm or not.
+// on both benchmark codes, table warm or not.
 func TestDecodeAllocatesNothing(t *testing.T) {
 	for _, fix := range []func(*testing.T) (*dem.Model, *decouple.Decoupling){
 		bbFixture,
@@ -157,24 +166,12 @@ func TestDecodeAllocatesNothing(t *testing.T) {
 		model, dec := fix(t)
 		d := New(dec, model.LLRs(), Config{})
 		syns := sampleSyndromes(model, 256, 21)
-		out := make([]gf2.Vec, gf2.MaxLanes)
-		for i := range out {
-			out[i] = gf2.NewVec(model.NumMech())
-		}
-		d.DecodeBatch(syns[:gf2.MaxLanes], out) // builds the batch scratch
 		i := 0
 		if n := testing.AllocsPerRun(200, func() {
 			d.Decode(syns[i%len(syns)])
 			i++
 		}); n != 0 {
 			t.Errorf("%s: Decode allocates %v per run", model.Name, n)
-		}
-		if n := testing.AllocsPerRun(20, func() {
-			off := i * gf2.MaxLanes % len(syns)
-			d.DecodeBatch(syns[off:off+gf2.MaxLanes], out)
-			i++
-		}); n != 0 {
-			t.Errorf("%s: DecodeBatch allocates %v per run", model.Name, n)
 		}
 	}
 }

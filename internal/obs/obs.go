@@ -86,8 +86,8 @@ const (
 	StageDecode
 	// StageCopyOut spans the post-decode verify/copy-out work.
 	StageCopyOut
-	// StageDecodeBatch spans one DecodeBatch call at the pool boundary
-	// (arg carries the lane count).
+	// StageDecodeBatch spans one multi-lane dispatch at the pool
+	// boundary (arg carries the lane count).
 	StageDecodeBatch
 	// StageRouterForward spans one request's router-side forward: from
 	// the flush to the backend replica until its response frame arrived

@@ -4,8 +4,6 @@ import (
 	"context"
 	"testing"
 	"time"
-
-	"vegapunk/internal/core"
 )
 
 // BenchmarkPoolAcquireRelease measures the pool boundary itself.
@@ -55,67 +53,62 @@ func BenchmarkServiceDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkServiceDecodeBatch64 measures batched dispatch end-to-end at
-// batch size 64: each op submits 64 syndromes before collecting any
-// result (the DecodeBatchInto shape, inlined via submitTraced/wait so the
-// steady state stays at 0 allocs/op), so the queue coalesces into
-// micro-batches the service decodes through single DecodeBatch calls.
-// BenchmarkServiceDecodeBatch64Serial is the identical workload with the
-// BatchDecoder capability hidden (scalarOnly) — exactly the path scalar
-// decoders take in production (fill limit 1, one request per dispatch),
-// and the baseline the ≥2× acceptance bar is measured against. Per-op
-// cost covers all 64 syndromes.
-func BenchmarkServiceDecodeBatch64(b *testing.B) {
-	benchServiceBatch64(b, false)
-}
+// BenchmarkServiceDecodeBatch64 measures micro-batched dispatch
+// end-to-end: each op is one DecodeBatchInto of 64 syndromes, all
+// submitted before any result is collected, so with the one worker busy
+// the queue coalesces into micro-batches of up to MaxBatch = 64. It must
+// report 0 allocs/op. BenchmarkServiceDecodeBatch64Serial is the same
+// workload at MaxBatch 1 — one dispatch per syndrome — so the ratio of
+// the two is the dispatch amortisation micro-batching buys. Per-op cost
+// covers all 64 syndromes.
+func BenchmarkServiceDecodeBatch64(b *testing.B) { benchServiceBatch64(b, 64) }
 
-// BenchmarkServiceDecodeBatch64Serial is the serial-dispatch baseline
-// of BenchmarkServiceDecodeBatch64 (see there).
-func BenchmarkServiceDecodeBatch64Serial(b *testing.B) {
-	benchServiceBatch64(b, true)
-}
+// BenchmarkServiceDecodeBatch64Serial is the one-dispatch-per-syndrome
+// baseline of BenchmarkServiceDecodeBatch64 (see there).
+func BenchmarkServiceDecodeBatch64Serial(b *testing.B) { benchServiceBatch64(b, 1) }
 
-func benchServiceBatch64(b *testing.B, hideBatch bool) {
-	model, factory := testModel(b)
-	if hideBatch {
-		capable := factory
-		factory = func() core.Decoder { return scalarOnly{capable()} }
+func benchServiceBatch64(b *testing.B, maxBatch int) {
+	decodeAll := serviceBatch64(b, maxBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decodeAll()
 	}
-	// One worker on one decoder in both configs: the comparison isolates
-	// dispatch amortization (and the batched kernel) from multi-core
-	// fan-out, and keeps the busy worker saturating the batcher so
-	// micro-batches actually fill to MaxBatch.
+}
+
+// TestDecodeBatchIntoAllocatesNothing pins the benchmark's 0 allocs/op
+// as a test: a 64-syndrome request allocates nothing in steady state,
+// the request list included.
+func TestDecodeBatchIntoAllocatesNothing(t *testing.T) {
+	decodeAll := serviceBatch64(t, 64)
+	if n := testing.AllocsPerRun(50, decodeAll); n != 0 {
+		t.Errorf("DecodeBatchInto of 64 syndromes allocates %v per call", n)
+	}
+}
+
+// serviceBatch64 returns one 64-syndrome DecodeBatchInto against a warm
+// service. One worker on one decoder: the comparison isolates dispatch
+// amortisation from multi-core fan-out, and the busy worker keeps the
+// batcher saturated so micro-batches fill to maxBatch.
+func serviceBatch64(tb testing.TB, maxBatch int) (decodeAll func()) {
+	model, factory := testModel(tb)
 	svc := newService("bench", model, "BP(30)", factory, Config{
-		MaxBatch: 64, MaxWait: 20 * time.Microsecond, PoolSize: 1,
+		MaxBatch: maxBatch, MaxWait: 20 * time.Microsecond, PoolSize: 1,
 	})
-	defer svc.Close()
+	tb.Cleanup(svc.Close)
 	syndromes := sampleSyndromes(model, 64, 5)
-	reqs := make([]*request, len(syndromes))
+	results := make([]Result, len(syndromes)) // reused so the pool-boundary copy-out stays allocation-free
 	ctx := context.Background()
-	var res Result // reused so the pool-boundary copy-out stays allocation-free
-	decodeAll := func() {
-		for j, s := range syndromes {
-			req, err := svc.submitTraced(ctx, s, wireTrace{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			reqs[j] = req
-		}
-		for _, req := range reqs {
-			if err := svc.wait(ctx, req, &res); err != nil {
-				b.Fatal(err)
-			}
+	decodeAll = func() {
+		if err := svc.DecodeBatchInto(ctx, results, syndromes); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	// Warm the request/batch freelists and the result buffers.
 	for i := 0; i < 4; i++ {
 		decodeAll()
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		decodeAll()
-	}
+	return decodeAll
 }
 
 // BenchmarkServiceDecodeParallel exercises batch dispatch under

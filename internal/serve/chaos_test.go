@@ -212,45 +212,75 @@ func TestChaosServiceGoroutines(t *testing.T) {
 	noServiceGoroutines(t)
 }
 
-// cueDecoder is a batch-capable decoder (the BP test decoder, DecodeBatch
-// kept) that runs a test-supplied hook at the top of the i-th DecodeBatch
-// call counted across all instances of one factory: the hook can park on
-// a channel or panic on cue. faultinject cannot stand in here — its
-// wrapper hides core.BatchDecoder, so every service built on it has fill
-// limit 1 and a fault never meets more than one lane.
+// cueDecoder is the BP test decoder with a test-supplied hook at the top
+// of the i-th Decode call counted across all instances of one factory:
+// the hook can park on a channel or panic on cue, with the worker-owned
+// syndrome lane the call was handed in view.
 type cueDecoder struct {
 	core.Decoder
 	calls *atomic.Int32
-	hooks []func(syns []gf2.Vec)
+	hooks []func(syn gf2.Vec)
 }
 
-func (d cueDecoder) DecodeBatch(syns, outs []gf2.Vec) []core.Stats {
+func (d cueDecoder) Decode(syn gf2.Vec) (gf2.Vec, core.Stats) {
 	if i := int(d.calls.Add(1)) - 1; i < len(d.hooks) {
-		d.hooks[i](syns)
+		d.hooks[i](syn)
 	}
-	return d.Decoder.(core.BatchDecoder).DecodeBatch(syns, outs)
+	return d.Decoder.Decode(syn)
 }
 
-// testChaosBatchFault puts 8 lanes into one DecodeBatch call that then
-// faults (the fault hook hangs or panics) and checks the multi-lane
-// settlement: every lane failed exactly once, one fault counted, one
-// instance poisoned, the next 8 served by the replacement.
-func testChaosBatchFault(t *testing.T, fault func(syns []gf2.Vec), faults func(*Service) uint64, release func()) {
+// faultRig is a decoder factory for testChaosBatchFault: decode 0 parks
+// inside the only worker (plugged returns once it has) until unplug, so
+// that the next 8 requests queue up and the batcher hands them over as
+// one batch, and a decode of that batch faults.
+type faultRig struct {
+	factory core.Factory
+	plugged func()
+	unplug  func()
+}
+
+// cueRig faults in the batch's first decode, by running fault.
+func cueRig(factory core.Factory, fault func(syn gf2.Vec)) faultRig {
+	plugged, plug := make(chan struct{}), make(chan struct{})
+	calls := new(atomic.Int32)
+	hooks := []func(gf2.Vec){func(gf2.Vec) { close(plugged); <-plug }, fault}
+	return faultRig{
+		factory: func() core.Decoder { return cueDecoder{factory(), calls, hooks} },
+		plugged: func() { <-plugged },
+		unplug:  func() { close(plug) },
+	}
+}
+
+// injectRig is the same schedule from a faultinject script, the panic in
+// the batch's third decode: lanes decoded before it fail with the rest.
+func injectRig(factory core.Factory) faultRig {
+	plug := make(chan struct{})
+	wrapped, counters := faultinject.Wrap(factory, faultinject.Plan{
+		Seed:         1,
+		Script:       []faultinject.Kind{faultinject.KindStall, faultinject.KindNone, faultinject.KindNone, faultinject.KindPanic},
+		StallRelease: plug,
+	})
+	return faultRig{
+		factory: wrapped,
+		plugged: func() {
+			for counters.Stalls.Load() == 0 {
+				runtime.Gosched()
+			}
+		},
+		unplug: func() { close(plug) },
+	}
+}
+
+// testChaosBatchFault puts 8 lanes into one dispatch that then faults
+// (the rig hangs or panics in it) and checks the multi-lane settlement:
+// every lane failed exactly once, one fault counted, one instance
+// poisoned, the next 8 served by the replacement.
+func testChaosBatchFault(t *testing.T, rig func(core.Factory) faultRig, faults func(*Service) uint64, release func()) {
 	model, factory := testModel(t)
 	const lanes = 8
-	plugged, plug := make(chan struct{}), make(chan struct{})
-	var faultLanes atomic.Int32
-	calls := new(atomic.Int32)
-	hooks := []func([]gf2.Vec){
-		// Call 0 keeps the only worker busy while the next 8 requests
-		// queue up, so the batcher hands them over as one batch.
-		func([]gf2.Vec) { close(plugged); <-plug },
-		func(syns []gf2.Vec) { faultLanes.Store(int32(len(syns))); fault(syns) },
-	}
+	r := rig(factory)
 	base := runtime.NumGoroutine()
-	svc := newService("chaos", model, "BP(30)+cue", func() core.Decoder {
-		return cueDecoder{factory(), calls, hooks}
-	}, Config{
+	svc := newService("chaos", model, "BP(30)+cue", r.factory, Config{
 		MaxBatch: lanes, MaxWait: time.Second, PoolSize: 1,
 		BreakerThreshold: -1, HangTimeout: 300 * time.Millisecond, MaxDegradeTier: -1,
 	})
@@ -261,14 +291,14 @@ func testChaosBatchFault(t *testing.T, fault func(syns []gf2.Vec), faults func(*
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-plugged
+	r.plugged()
 	reqs := make([]*request, lanes)
 	for i := range reqs {
 		if reqs[i], err = svc.submitTraced(ctx, syndromes[1+i], wireTrace{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	close(plug)
+	r.unplug()
 	var res Result
 	if err := svc.wait(ctx, first, &res); err != nil {
 		t.Fatalf("plug decode: %v", err)
@@ -278,8 +308,8 @@ func testChaosBatchFault(t *testing.T, fault func(syns []gf2.Vec), faults func(*
 			t.Fatalf("lane %d of the faulted dispatch returned %v, want ErrDecoderFault", i, err)
 		}
 	}
-	if got := faultLanes.Load(); got != lanes {
-		t.Fatalf("faulted DecodeBatch carried %d lanes, want %d", got, lanes)
+	if got := svc.met.batches.Load(); got != 2 {
+		t.Fatalf("%d dispatches for the plug and the %d faulted lanes, want 2: the fault did not meet all lanes at once", got, lanes)
 	}
 	// Each lane was settled exactly once: a second finish would drive
 	// the depth negative (and block on the request's done channel).
@@ -313,35 +343,40 @@ func testChaosBatchFault(t *testing.T, fault func(syns []gf2.Vec), faults func(*
 // TestChaosBatchHang also holds the worker-owned-lanes invariant: the 8
 // requests are failed, recycled and reused for the next 8 syndromes
 // while the hung call still holds its input, and when the call finally
-// reads that input it must find the syndromes it was given — it would
-// find the next 8 if the lanes were request memory.
+// reads that input it must find the syndrome it was given — it would
+// find one of the next 8 if the lane were request memory.
 func TestChaosBatchHang(t *testing.T) {
 	release := make(chan struct{})
 	var clobbered atomic.Bool
-	testChaosBatchFault(t, func(syns []gf2.Vec) {
-		given := make([]gf2.Vec, len(syns))
-		for i, s := range syns {
-			given[i] = s.Clone()
-		}
-		<-release
-		for i, s := range syns {
-			if !s.Equal(given[i]) {
+	testChaosBatchFault(t, func(f core.Factory) faultRig {
+		return cueRig(f, func(syn gf2.Vec) {
+			given := syn.Clone()
+			<-release
+			if !syn.Equal(given) {
 				clobbered.Store(true)
 			}
-		}
+		})
 	},
 		func(s *Service) uint64 { return s.met.decoderHangs.Load() },
 		func() { close(release) })
 	// testChaosBatchFault returned after the stuck goroutine exited.
 	if clobbered.Load() {
-		t.Error("the hung decoder's input lanes changed under it after its requests were recycled")
+		t.Error("the hung decoder's input lane changed under it after its requests were recycled")
 	}
 }
 
 func TestChaosBatchPanic(t *testing.T) {
-	testChaosBatchFault(t, func([]gf2.Vec) { panic("cue: injected batch panic") },
-		func(s *Service) uint64 { return s.met.decoderPanics.Load() },
-		func() {})
+	panics := func(s *Service) uint64 { return s.met.decoderPanics.Load() }
+	t.Run("cue", func(t *testing.T) {
+		testChaosBatchFault(t, func(f core.Factory) faultRig {
+			return cueRig(f, func(gf2.Vec) { panic("cue: injected batch panic") })
+		}, panics, func() {})
+	})
+	// A faultinject-wrapped decoder meets multi-lane dispatches like any
+	// other (what `vegapunkd -chaos` serves).
+	t.Run("faultinject", func(t *testing.T) {
+		testChaosBatchFault(t, injectRig, panics, func() {})
+	})
 }
 
 // photoFinish decodes like the BP test decoder after a wait drawn around
@@ -378,7 +413,7 @@ func TestChaosWatchdogPhotoFinish(t *testing.T) {
 	mu, rng := new(sync.Mutex), rand.New(rand.NewPCG(20, 0))
 	base := runtime.NumGoroutine()
 	svc := newService("chaos", model, "BP(30)+photo", func() core.Decoder {
-		return photoFinish{scalarOnly{factory()}, mu, rng}
+		return photoFinish{factory(), mu, rng}
 	}, cfg)
 
 	syndromes := sampleSyndromes(model, 16, 12)
@@ -517,7 +552,9 @@ func TestChaosDeadlineShedding(t *testing.T) {
 
 	// Prime the p99 estimate: the cache refreshes every p99RefreshEvery
 	// successful decodes, and shedding stays off until it is non-zero.
-	syndromes := sampleSyndromes(model, p99RefreshEvery, 5)
+	// The refresh follows the wake-up of the decode that triggers it, so
+	// one more decode on the only worker is what orders it before the read.
+	syndromes := sampleSyndromes(model, p99RefreshEvery+1, 5)
 	var res Result
 	for i, syn := range syndromes {
 		if err := svc.DecodeInto(context.Background(), &res, syn); err != nil {

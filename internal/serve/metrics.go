@@ -63,8 +63,9 @@ type serviceMetrics struct {
 	requests    Counter
 	unsatisfied Counter
 	batches     Counter
-	// batchedDecodes counts multi-request micro-batches dispatched as a
-	// single DecodeBatch call (the batch-capable path).
+	// batchedDecodes counts multi-request micro-batches decoded in one
+	// dispatch. (The exported help text still says "a single DecodeBatch
+	// call"; it is pinned by the /metrics golden.)
 	batchedDecodes Counter
 	queueDepth     Gauge
 	batchSize      *Histogram

@@ -109,19 +109,13 @@ type Service struct {
 	obs         *gf2.CSC
 	pool        *Pool
 	cfg         Config
-	// fill is the batcher's fill limit, derived once at construction
-	// from what the pool's decoders can do: MaxBatch when they implement
-	// core.BatchDecoder (a micro-batch is one DecodeBatch call), 1
-	// otherwise (each request is its own batch on its own worker, so
-	// scalar decoders keep their cross-worker parallelism).
-	fill   int
-	met    *serviceMetrics
-	tracer *obs.Tracer  // never nil; disabled stand-in when unset
-	slow   *obs.SlowLog // nil when slow logging is off
+	met         *serviceMetrics
+	tracer      *obs.Tracer  // never nil; disabled stand-in when unset
+	slow        *obs.SlowLog // nil when slow logging is off
 
 	in chan *request
 	// work carries whole micro-batches (a recycled []*request of
-	// capacity fill) to the workers, one batch per worker at a time.
+	// capacity MaxBatch) to the workers, one batch per worker at a time.
 	work chan []*request
 	// load counts dispatched-but-unfinished batches; load == PoolSize
 	// (one worker per pooled decoder) means saturation, the only regime
@@ -177,18 +171,11 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		met:         newServiceMetrics(),
 		tracer:      tracer,
 		slow:        cfg.SlowLog,
-		fill:        1,
 		in:          make(chan *request, cfg.MaxBatch),
 		work:        make(chan []*request, cfg.PoolSize),
 		reqFree:     make(chan *request, 4*cfg.MaxBatch),
 		batchFree:   make(chan []*request, 2*cfg.PoolSize+1), // every batch that can exist: queued on work, held by a worker, filling in the batcher
 		breaker:     newBreaker(cfg.BreakerThreshold, int64(cfg.BreakerCooldown)),
-	}
-	// Capability probe: one throwaway instance decides the fill limit
-	// for the service lifetime (the pool's instances all come from the
-	// same factory).
-	if _, ok := factory().(core.BatchDecoder); ok {
-		s.fill = cfg.MaxBatch
 	}
 	s.ladder.maxTier = cfg.maxDegradeTier()
 	s.ladder.queueHigh = int64(cfg.DegradeQueueHigh)
@@ -240,7 +227,8 @@ func (s *Service) DecodeBatchInto(ctx context.Context, res []Result, syndromes [
 	if len(res) < len(syndromes) {
 		return fmt.Errorf("serve: %d results for %d syndromes", len(res), len(syndromes))
 	}
-	reqs := make([]*request, 0, len(syndromes))
+	var lanes [64]*request // keeps the list off the heap for requests of up to 64 syndromes
+	reqs := lanes[:0]
 	var firstErr error
 	for _, syn := range syndromes {
 		req, err := s.submitTraced(ctx, syn, wireTrace{})
@@ -392,14 +380,13 @@ func (s *Service) Close() {
 	s.lifeCancel()
 }
 
-// batcher accumulates requests into micro-batches. A batch flushes when
-// it reaches the fill limit (MaxBatch for batch-capable decoders, 1
-// otherwise), when the MaxWait deadline expires, or — the adaptive fast
-// path — as soon as dispatch capacity is idle: holding a request to grow
-// the batch only pays off while every worker is busy, so under light
-// load requests dispatch immediately and under saturation the backlog
-// coalesces into full batches. Each flushed batch goes to exactly one
-// worker.
+// batcher accumulates requests into micro-batches, whatever the decoder.
+// A batch flushes when it reaches MaxBatch, when the MaxWait deadline
+// expires, or — the adaptive fast path — as soon as dispatch capacity is
+// idle: holding a request to grow the batch only pays off while every
+// worker is busy, so under light load requests dispatch immediately, one
+// to each idle worker, and under saturation the backlog coalesces into
+// full batches. Each flushed batch goes to exactly one worker.
 //
 //vegapunk:hotpath
 func (s *Service) batcher() {
@@ -420,13 +407,13 @@ func (s *Service) batcher() {
 		timer.Reset(s.cfg.MaxWait)
 		timerLive := true
 	fill:
-		for len(b) < s.fill {
+		for len(b) < s.cfg.MaxBatch {
 			select {
 			case req, ok := <-s.in:
 				if !ok {
 					break fill // flush the tail; the outer receive exits
 				}
-				b = append(b, req) //vegapunk:allow(alloc) append into fill capacity reserved at construction
+				b = append(b, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
 			default:
 				if s.load.Load() < int64(s.cfg.PoolSize) {
 					break fill // idle worker: batching gains nothing
@@ -436,7 +423,7 @@ func (s *Service) batcher() {
 					if !ok {
 						break fill
 					}
-					b = append(b, req) //vegapunk:allow(alloc) append into fill capacity reserved at construction
+					b = append(b, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
 				case <-timer.C:
 					timerLive = false
 					break fill
@@ -675,7 +662,7 @@ func (s *Service) getBatch() []*request {
 	case b := <-s.batchFree:
 		return b
 	default:
-		return make([]*request, 0, s.fill)
+		return make([]*request, 0, s.cfg.MaxBatch)
 	}
 }
 

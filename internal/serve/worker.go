@@ -58,7 +58,7 @@ type decodeJob struct {
 // decodeOutcome reports one dispatch; the results are in outs/stats.
 type decodeOutcome struct {
 	tier     core.Tier // tier actually applied by the decoder
-	badLen   bool      // a scalar decoder returned a vector that is not of mechanism length
+	badLen   bool      // the decoder returned a vector that is not of mechanism length
 	panicked bool
 }
 
@@ -67,9 +67,9 @@ func (s *Service) newWorkerState(id uint16) *workerState {
 		id:    id,
 		syn:   gf2.NewVec(s.model.NumDet),
 		ring:  s.tracer.Ring(),
-		syns:  make([]gf2.Vec, s.fill),
-		outs:  make([]gf2.Vec, s.fill),
-		stats: make([]core.Stats, s.fill),
+		syns:  make([]gf2.Vec, s.cfg.MaxBatch),
+		outs:  make([]gf2.Vec, s.cfg.MaxBatch),
+		stats: make([]core.Stats, s.cfg.MaxBatch),
 		fired: make(chan struct{}, 1),
 	}
 	for i := range w.syns {
@@ -106,12 +106,10 @@ func (w *workerState) decode(hang time.Duration, job decodeJob, lanes []*request
 }
 
 // guardedDecode applies the degradation tier, arms the probe on a
-// sampled decode and runs the decoder over syns[:len(lanes)] with panic
-// isolation: a panicking decoder marks the outcome instead of crashing
-// the process. A batch-capable decoder takes the lanes as one
-// DecodeBatch call into the worker-owned outs; a scalar one is looped
-// (core.DecodeBatch's serial fallback, plus the length check that turns
-// a defective result into badLen instead of a CopyFrom panic).
+// sampled decode and loops the decoder over syns[:len(lanes)] into the
+// worker-owned outs with panic isolation: a panicking decoder marks the
+// outcome instead of crashing the process, and the length check turns a
+// defective result into badLen instead of a CopyFrom panic.
 //
 //vegapunk:hotpath
 func (w *workerState) guardedDecode(job decodeJob, o *decodeOutcome) {
@@ -125,18 +123,14 @@ func (w *workerState) guardedDecode(job decodeJob, o *decodeOutcome) {
 		probe.Activate(w.ring, job.id)
 	}
 	n := len(w.lanes) // the slice header is the worker's; the requests behind it are not read
-	if bd, ok := w.dec.(core.BatchDecoder); ok {
-		copy(w.stats, bd.DecodeBatch(w.syns[:n], w.outs[:n]))
-	} else {
-		for i := 0; i < n; i++ {
-			est, stats := w.dec.Decode(w.syns[i])
-			if est.Len() != w.outs[i].Len() {
-				o.badLen = true
-				break
-			}
-			w.outs[i].CopyFrom(est)
-			w.stats[i] = stats
+	for i := 0; i < n; i++ {
+		est, stats := w.dec.Decode(w.syns[i])
+		if est.Len() != w.outs[i].Len() {
+			o.badLen = true
+			break
 		}
+		w.outs[i].CopyFrom(est)
+		w.stats[i] = stats
 	}
 	probe.Deactivate()
 }

@@ -14,9 +14,10 @@ type Graph struct {
 	// CheckOf[e] and VarOf[e] are the endpoints of edge e.
 	CheckOf, VarOf []int32
 	// checkEdges[checkOff[c]:checkOff[c+1]] lists the edge ids incident
-	// to check c; varEdges[varOff[v]:varOff[v+1]] those of variable v.
-	checkOff, varOff     []int32
-	checkEdges, varEdges []int32
+	// to check c; variable v's are the consecutive ids varOff[v] up to
+	// varOff[v+1].
+	checkOff, varOff []int32
+	checkEdges       []int32
 }
 
 // New builds the graph of a sparse check matrix. Edges are numbered
@@ -44,12 +45,8 @@ func New(h *gf2.SparseCols) *Graph {
 	for c := 0; c < g.NumChecks; c++ {
 		g.checkOff[c+1] += g.checkOff[c]
 	}
-	// A variable's edges are simply consecutive ids; a check's edges are
-	// placed by a counting pass over ascending edge id.
-	g.varEdges = make([]int32, ne)
-	for e := range g.varEdges {
-		g.varEdges[e] = int32(e)
-	}
+	// A check's edges are placed by a counting pass over ascending edge
+	// id.
 	g.checkEdges = make([]int32, ne)
 	next := make([]int32, g.NumChecks)
 	copy(next, g.checkOff[:g.NumChecks])
@@ -71,15 +68,6 @@ func (g *Graph) NumEdges() int { return len(g.CheckOf) }
 //vegapunk:hotpath
 func (g *Graph) CheckEdges(c int) []int32 {
 	return g.checkEdges[g.checkOff[c]:g.checkOff[c+1]]
-}
-
-// VarEdges returns the edge ids incident to variable v (consecutive by
-// construction). The span aliases the graph's storage: no allocation,
-// must not be modified.
-//
-//vegapunk:hotpath
-func (g *Graph) VarEdges(v int) []int32 {
-	return g.varEdges[g.varOff[v]:g.varOff[v+1]]
 }
 
 // CheckDegree returns the degree of check c.

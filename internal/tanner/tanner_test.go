@@ -27,17 +27,13 @@ func TestGraphStructure(t *testing.T) {
 	// Edge endpoints consistent both ways.
 	for e := 0; e < g.NumEdges(); e++ {
 		c, v := g.CheckOf[e], g.VarOf[e]
-		foundC, foundV := false, false
+		foundC := false
 		for _, e2 := range g.CheckEdges(int(c)) {
 			if int(e2) == e {
 				foundC = true
 			}
 		}
-		for _, e2 := range g.VarEdges(int(v)) {
-			if int(e2) == e {
-				foundV = true
-			}
-		}
+		foundV := int(g.varOff[v]) <= e && e < int(g.varOff[v+1])
 		if !foundC || !foundV {
 			t.Fatalf("edge %d not indexed from both sides", e)
 		}
