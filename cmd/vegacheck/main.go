@@ -1,11 +1,10 @@
 // Command vegacheck enforces the repo's machine-checked invariants with
 // a from-scratch stdlib-only static analyzer (see internal/analysis):
 // allocation-free //vegapunk:hotpath functions, decode-result scratch
-// ownership at pool boundaries, lock-copy hygiene on serve types,
-// unchecked errors in cmd/ binaries and the serving and network
-// layers (internal/serve, internal/faultinject, internal/netfault,
-// internal/wire, internal/cluster), and the concurrency
-// contracts — goroutine-lifecycle (every go statement bounded or
+// ownership at pool boundaries, unchecked errors in cmd/ binaries and
+// the serving and network layers (internal/serve, internal/faultinject,
+// internal/netfault, internal/wire, internal/cluster), and the
+// concurrency contracts — goroutine-lifecycle (every go statement bounded or
 // annotated //vegapunk:goroutine(<owner>)), lock-blocking (no channel
 // op, net I/O or sleep while a mutex is held), ctx-propagate
 // (cancellation must flow; no context roots inside the serving

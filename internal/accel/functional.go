@@ -41,9 +41,9 @@ func NewFunctional(dec *decouple.Decoupling, originalWeights []float64, m, inner
 	w := dec.PermuteWeights(originalWeights)
 	f := &Functional{
 		dec:    dec,
-		t:      dec.TCSR(),
-		a:      dec.ACSC(),
-		blocks: dec.BlocksCSC(),
+		t:      dec.TRows,
+		a:      dec.A,
+		blocks: dec.Blocks,
 		M:      m,
 		Inner:  inner,
 		wA:     w[dec.K*dec.ND:],

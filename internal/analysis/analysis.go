@@ -10,8 +10,6 @@
 //     struct field, sent on a channel, or returned (except by another
 //     Decode method, which propagates the contract) without first being
 //     copied out via gf2.CopyVec or Clone.
-//   - lock-copy: values of internal/serve types containing sync or
-//     sync/atomic state must not be copied.
 //   - err-unchecked: commands under cmd/ and the serving,
 //     fault-injection and network layers (internal/serve,
 //     internal/faultinject, internal/netfault, internal/wire,
@@ -46,7 +44,6 @@ const (
 	RuleHotpathAlloc = "hotpath-alloc"
 	RuleHotpathTime  = "hotpath-time"
 	RuleScratchOwn   = "scratch-own"
-	RuleLockCopy     = "lock-copy"
 	RuleErrUnchecked = "err-unchecked"
 	RuleGoroutine    = "goroutine-lifecycle"
 	RuleLockBlocking = "lock-blocking"
@@ -100,7 +97,6 @@ func Check(mod *Module) *Result {
 	c.buildCallGraph()
 	c.checkHotpaths()
 	c.checkScratch()
-	c.checkLockCopy()
 	c.checkErrUnchecked()
 	c.checkGoroutines()
 	c.checkLockBlocking()

@@ -63,8 +63,6 @@ func aliasRule(name string) (string, bool) {
 		return RuleHotpathTime, true
 	case "scratch", RuleScratchOwn:
 		return RuleScratchOwn, true
-	case "lock", RuleLockCopy:
-		return RuleLockCopy, true
 	case "err", RuleErrUnchecked:
 		return RuleErrUnchecked, true
 	case "goroutine", RuleGoroutine:

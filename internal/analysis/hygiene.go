@@ -6,135 +6,6 @@ import (
 	"strings"
 )
 
-// checkLockCopy flags by-value copies of internal/serve types that
-// carry sync or sync/atomic state: value receivers and parameters, and
-// assignments that copy such a value (e.g. a pointer dereference).
-// Copying would fork mutexes, wait groups and atomic counters — go
-// vet's copylocks catches the sync cases; this rule additionally covers
-// the atomics the serve metrics are built from, scoped to the package
-// where it matters.
-func (c *checker) checkLockCopy() {
-	for _, pkg := range c.mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				c.lockCopySignature(pkg, fd)
-				if fd.Body == nil {
-					continue
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.AssignStmt:
-						if len(n.Lhs) != len(n.Rhs) {
-							return true
-						}
-						for _, rhs := range n.Rhs {
-							c.lockCopyValue(pkg, rhs)
-						}
-					case *ast.GenDecl:
-						for _, spec := range n.Specs {
-							if vs, ok := spec.(*ast.ValueSpec); ok {
-								for _, rhs := range vs.Values {
-									c.lockCopyValue(pkg, rhs)
-								}
-							}
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-}
-
-// lockCopySignature flags value receivers and parameters of lock-
-// bearing serve types.
-func (c *checker) lockCopySignature(pkg *Package, fd *ast.FuncDecl) {
-	check := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, field := range fl.List {
-			t := pkg.Info.Types[field.Type].Type
-			if name := lockBearingServeType(t); name != "" {
-				c.report(field.Type.Pos(), RuleLockCopy,
-					"%s passed by value copies its lock/atomic state; use a pointer", name)
-			}
-		}
-	}
-	check(fd.Recv)
-	check(fd.Type.Params)
-}
-
-// lockCopyValue flags expressions that produce a copy of a lock-bearing
-// serve value: dereferences and plain variable reads of such a type.
-func (c *checker) lockCopyValue(pkg *Package, rhs ast.Expr) {
-	switch ast.Unparen(rhs).(type) {
-	case *ast.CompositeLit, *ast.CallExpr:
-		return // construction, not a copy
-	}
-	tv, ok := pkg.Info.Types[rhs]
-	if !ok || tv.Type == nil || !tv.IsValue() {
-		return
-	}
-	if name := lockBearingServeType(tv.Type); name != "" {
-		c.report(rhs.Pos(), RuleLockCopy,
-			"assignment copies %s and its lock/atomic state; use a pointer", name)
-	}
-}
-
-// lockBearingServeType returns the type name when t is a non-pointer
-// named type defined in a serve package that (transitively) contains
-// sync or sync/atomic state, and "" otherwise.
-func lockBearingServeType(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return ""
-	}
-	path := obj.Pkg().Path()
-	if path != "serve" && !strings.HasSuffix(path, "/serve") {
-		return ""
-	}
-	if !containsLockState(t, map[types.Type]bool{}) {
-		return ""
-	}
-	return obj.Pkg().Name() + "." + obj.Name()
-}
-
-// containsLockState reports whether t embeds sync/sync-atomic state by
-// value (recursively through structs and arrays).
-func containsLockState(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		if pkg := named.Obj().Pkg(); pkg != nil {
-			if p := pkg.Path(); p == "sync" || p == "sync/atomic" {
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockState(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockState(u.Elem(), seen)
-	}
-	return false
-}
-
 // errUncheckedScope reports whether a package directory is swept for
 // dropped error returns: every cmd/ binary, plus the serving,
 // fault-injection (process- and network-level), wire-protocol and

@@ -107,7 +107,7 @@ type Decoder struct {
 // point, so a caller that rewrites them between decodes (bpgd's
 // decimation) may decode the all-zero syndrome only on the values New
 // saw.
-func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
+func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = h.Cols()
 	}
@@ -124,7 +124,7 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 	d := &Decoder{
 		cfg:        cfg,
 		g:          g,
-		h:          gf2.CSCFromSparse(h),
+		h:          h,
 		maxCol:     h.MaxColWeight(),
 		prior:      priorLLR,
 		varToCheck: make([]float64, g.NumEdges()),

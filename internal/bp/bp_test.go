@@ -13,7 +13,7 @@ import (
 // hammingModel returns a classical [7,4] Hamming code check matrix with
 // uniform priors — a BP-friendly (tree-ish, no degeneracy trouble at
 // weight 1) test bed.
-func hammingModel() (*gf2.SparseCols, []float64) {
+func hammingModel() (*gf2.CSC, []float64) {
 	h := gf2.FromRows([][]int{
 		{1, 0, 1, 0, 1, 0, 1},
 		{0, 1, 1, 0, 0, 1, 1},
@@ -23,7 +23,7 @@ func hammingModel() (*gf2.SparseCols, []float64) {
 	for i := range llr {
 		llr[i] = math.Log(0.99 / 0.01)
 	}
-	return gf2.SparseFromDense(h), llr
+	return gf2.CSCFromDense(h), llr
 }
 
 func TestBPZeroSyndrome(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 // exit and ensemble choice are pinned by it too. It has no zero exit.
 type refDecoder struct {
 	cfg        Config
-	h          *gf2.SparseCols
+	h          *gf2.Dense
 	prior      []float64
 	checkEdges [][]int // per-check incident edge ids
 	varEdges   [][]int // per-variable incident edge ids
@@ -34,7 +34,8 @@ type refDecoder struct {
 	legs       int         // legs the last decode ran, the plain one included
 }
 
-func newRef(h *gf2.SparseCols, prior []float64, cfg Config) *refDecoder {
+func newRef(sparse *gf2.CSC, prior []float64, cfg Config) *refDecoder {
+	h := sparse.ToDense()
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = h.Cols()
 	}
@@ -47,7 +48,7 @@ func newRef(h *gf2.SparseCols, prior []float64, cfg Config) *refDecoder {
 	}
 	e := 0
 	for v := 0; v < h.Cols(); v++ {
-		for _, c := range h.ColSupport(v) {
+		for _, c := range h.Col(v).Ones() {
 			r.checkEdges[c] = append(r.checkEdges[c], e)
 			r.varEdges[v] = append(r.varEdges[v], e)
 			r.varOf = append(r.varOf, v)

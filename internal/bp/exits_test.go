@@ -102,7 +102,7 @@ func TestCertificateSound(t *testing.T) {
 	// all 2^n errors; syn[x] reuses syn[x minus its lowest bit].
 	col := make([]uint32, n)
 	for j := range col {
-		for _, i := range model.Mech.ColSupport(j) {
+		for _, i := range model.Mech.ColSpan(j) {
 			col[j] |= 1 << uint(i)
 		}
 	}

@@ -39,7 +39,7 @@ type Decoder struct {
 }
 
 // New builds a BPGD decoder.
-func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
+func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = h.Cols()
 	}
@@ -52,7 +52,7 @@ func New(h *gf2.SparseCols, priorLLR []float64, cfg Config) *Decoder {
 	work := slices.Clone(priorLLR)
 	return &Decoder{
 		cfg:    cfg,
-		h:      gf2.CSCFromSparse(h),
+		h:      h,
 		prior:  priorLLR,
 		inner:  bp.New(h, work, bp.Config{MaxIters: cfg.ItersPerRound}),
 		work:   work,

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -103,13 +104,13 @@ func TestMemoryDEMDataFaultSignature(t *testing.T) {
 		want := h.Col(q).Ones() // round-0 detectors
 		found := false
 		for j := 0; j < model.NumMech(); j++ {
-			sup := model.Mech.ColSupport(j)
+			sup := model.Mech.ColSpan(j)
 			if len(sup) != len(want) {
 				continue
 			}
 			ok := true
 			for i := range sup {
-				if sup[i] != want[i] {
+				if int(sup[i]) != want[i] {
 					ok = false
 					break
 				}
@@ -138,9 +139,9 @@ func TestMemoryDEMMeasurementStraddle(t *testing.T) {
 	for chk := 0; chk < m; chk++ {
 		found := false
 		for j := 0; j < model.NumMech(); j++ {
-			sup := model.Mech.ColSupport(j)
-			if len(sup) == 2 && sup[0] == chk && sup[1] == chk+m {
-				if len(model.Obs.ColSupport(j)) != 0 {
+			sup := model.Mech.ColSpan(j)
+			if len(sup) == 2 && int(sup[0]) == chk && int(sup[1]) == chk+m {
+				if len(model.Obs.ColSpan(j)) != 0 {
 					t.Fatal("measurement mechanism flips an observable")
 				}
 				found = true
@@ -162,8 +163,7 @@ func TestMemoryDEMSignaturesAreMerged(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for j := 0; j < model.NumMech(); j++ {
-		sig := signature{dets: model.Mech.ColSupport(j), obs: model.Obs.ColSupport(j)}
-		k := sig.key()
+		k := fmt.Sprint(model.Mech.ColSpan(j), model.Obs.ColSpan(j))
 		if seen[k] {
 			t.Fatalf("duplicate signature at mechanism %d", j)
 		}

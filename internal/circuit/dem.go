@@ -139,7 +139,10 @@ func MemoryDEM(c *code.CSS, params Params, rounds int) (*dem.Model, error) {
 	for q := range touches {
 		sort.Slice(touches[q], func(a, b int) bool { return touches[q][a].time < touches[q][b].time })
 	}
-	obsOf := gf2.SparseFromDense(lz)
+	obsOf := make([][]int, n)
+	for q := range obsOf {
+		obsOf[q] = lz.Col(q).Ones()
+	}
 
 	b := newBuilder()
 	// dataFault registers an X on qubit q occurring after CNOT index k
@@ -155,7 +158,7 @@ func MemoryDEM(c *code.CSS, params Params, rounds int) (*dem.Model, error) {
 			}
 		}
 		dets = append(dets, extraDets...)
-		b.add(dets, obsOf.ColSupport(q), p)
+		b.add(dets, obsOf[q], p)
 	}
 
 	for r := 0; r < rounds; r++ {
@@ -184,17 +187,17 @@ func MemoryDEM(c *code.CSS, params Params, rounds int) (*dem.Model, error) {
 		}
 	}
 
+	dets, obs := make([][]int, len(b.list)), make([][]int, len(b.list))
+	for j, sig := range b.list {
+		dets[j], obs[j] = sig.dets, sig.obs
+	}
 	model := &dem.Model{
 		Name:   fmt.Sprintf("%s circuit-derived p=%g rounds=%d", c.Name, params.P, rounds),
 		NumDet: (rounds + 1) * m,
 		NumObs: lz.Rows(),
-		Mech:   gf2.NewSparseCols((rounds+1)*m, len(b.list)),
-		Obs:    gf2.NewSparseCols(lz.Rows(), len(b.list)),
+		Mech:   gf2.CSCFromSupports((rounds+1)*m, dets),
+		Obs:    gf2.CSCFromSupports(lz.Rows(), obs),
 		Prior:  b.prob,
-	}
-	for j, sig := range b.list {
-		model.Mech.SetColSupport(j, sig.dets)
-		model.Obs.SetColSupport(j, sig.obs)
 	}
 	if err := model.Validate(); err != nil {
 		return nil, err

@@ -593,13 +593,3 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	}
 	return err
 }
-
-// ReplicaStates snapshots each replica's address and health (admin
-// surface and tests).
-func (r *Router) ReplicaStates() map[string]State {
-	out := make(map[string]State, len(r.replicas))
-	for _, rep := range r.replicas {
-		out[rep.addr] = State(rep.state.Load())
-	}
-	return out
-}

@@ -36,7 +36,6 @@ package decouple
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"vegapunk/internal/gf2"
 )
@@ -49,56 +48,18 @@ type Decoupling struct {
 	// K is the number of diagonal blocks; MD × ND their common shape;
 	// NA the number of columns of the off-diagonal sparse matrix A.
 	K, MD, ND, NA int
-	// T is the m×m full-rank transformation.
-	T *gf2.Dense
+	// T is the m×m full-rank transformation, and TRows its row view
+	// (the transformation unit's per-row XOR reduction ROM).
+	T     *gf2.Dense
+	TRows *gf2.CSR
 	// ColOrder defines the permutation: column j of D' is column
 	// ColOrder[j] of T·D. The first K·ND entries belong to the blocks
 	// (identity columns first within each block), the last NA to A.
 	ColOrder []int
 	// Blocks hold the B part of each D_i = (I | B): MD × (ND-MD).
-	Blocks []*gf2.SparseCols
+	Blocks []*gf2.CSC
 	// A is the off-diagonal sparse matrix (M × NA).
-	A *gf2.SparseCols
-
-	// Cached flat views of the sparse parts, built lazily on first use
-	// (safe for concurrent readers). The online decoder and the
-	// accelerator models iterate these contiguous spans instead of the
-	// slice-of-slices supports.
-	flatOnce sync.Once
-	aCSC     *gf2.CSC
-	blockCSC []*gf2.CSC
-	tCSR     *gf2.CSR
-}
-
-// buildFlat materializes the cached CSC/CSR views.
-func (d *Decoupling) buildFlat() {
-	d.flatOnce.Do(func() {
-		d.aCSC = gf2.CSCFromSparse(d.A)
-		d.blockCSC = make([]*gf2.CSC, len(d.Blocks))
-		for g, b := range d.Blocks {
-			d.blockCSC[g] = gf2.CSCFromSparse(b)
-		}
-		d.tCSR = gf2.CSRFromDense(d.T)
-	})
-}
-
-// ACSC returns the flat column view of A.
-func (d *Decoupling) ACSC() *gf2.CSC {
-	d.buildFlat()
-	return d.aCSC
-}
-
-// BlocksCSC returns the flat column views of the block B parts.
-func (d *Decoupling) BlocksCSC() []*gf2.CSC {
-	d.buildFlat()
-	return d.blockCSC
-}
-
-// TCSR returns the flat row view of the transformation T (the
-// transformation unit's per-row XOR reduction ROM).
-func (d *Decoupling) TCSR() *gf2.CSR {
-	d.buildFlat()
-	return d.tCSR
+	A *gf2.CSC
 }
 
 // Sparsity returns the maximum column weight of A and of the block B
@@ -135,15 +96,15 @@ func (d *Decoupling) Assemble() *gf2.Dense {
 		}
 		b := d.Blocks[g]
 		for j := 0; j < b.Cols(); j++ {
-			for _, i := range b.ColSupport(j) {
-				out.Set(r0+i, c0+d.MD+j, true)
+			for _, i := range b.ColSpan(j) {
+				out.Set(r0+int(i), c0+d.MD+j, true)
 			}
 		}
 	}
 	aOff := d.K * d.ND
 	for j := 0; j < d.NA; j++ {
-		for _, i := range d.A.ColSupport(j) {
-			out.Set(i, aOff+j, true)
+		for _, i := range d.A.ColSpan(j) {
+			out.Set(int(i), aOff+j, true)
 		}
 	}
 	return out

@@ -180,14 +180,17 @@ func TestValidateCatchesTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tamper with a block entry.
-	old := dec.Blocks[0].ColSupport(0)
-	tampered := append([]int(nil), old...)
-	if len(tampered) > 0 {
-		tampered = tampered[1:]
-	} else {
-		tampered = []int{0}
+	b := dec.Blocks[0]
+	tampered := make([][]int32, b.Cols())
+	for j := range tampered {
+		tampered[j] = b.ColSpan(j)
 	}
-	dec.Blocks[0].SetColSupport(0, tampered)
+	if len(tampered[0]) > 0 {
+		tampered[0] = tampered[0][1:]
+	} else {
+		tampered[0] = []int32{0}
+	}
+	dec.Blocks[0] = gf2.CSCFromSupports(b.Rows(), tampered)
 	if err := dec.Validate(D); err == nil {
 		t.Error("Validate accepted a tampered artifact")
 	}

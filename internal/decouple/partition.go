@@ -310,7 +310,7 @@ func affinityPartition(v *searchView, K int) [][]int {
 
 // uniformGroup returns the group holding every row of a nonempty column
 // support, or -1 when the support crosses groups.
-func uniformGroup(sup, groupOf []int) int {
+func uniformGroup(sup []int32, groupOf []int) int {
 	g := groupOf[sup[0]]
 	for _, r := range sup[1:] {
 		if groupOf[r] != g {

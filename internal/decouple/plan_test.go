@@ -72,7 +72,7 @@ func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) 
 func TestPlanFirstEqualsEager(t *testing.T) {
 	for _, gc := range goldenCases[:3] { // BB72, BB144, HP162
 		D := gc.matrix(t)
-		S := gf2.SparseFromDense(D).MaxColWeight()
+		S := D.MaxColWeight()
 		for _, K := range candidateKs(D.Rows(), S) {
 			checkPlanFirstEqualsEager(t, D, K, gc.opts)
 		}

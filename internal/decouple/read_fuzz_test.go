@@ -35,6 +35,7 @@ func FuzzReadArtifact(f *testing.F) {
 	}
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":1,"m":1,"n":2,"k":1,"md":1,"nd":1,"na":1,"t_rows":[[0]],"col_order":[1,0],"blocks":[[]],"a":[[0]]}`))
+	f.Add([]byte(`{"version":1,"m":1,"n":2,"k":1,"md":1,"nd":1,"na":1,"t_rows":[[0]],"col_order":[1,0],"blocks":[[]],"a":[[0,0]]}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dec, err := decouple.Read(bytes.NewReader(raw))

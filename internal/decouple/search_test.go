@@ -21,7 +21,7 @@ func interiorColumns(v *searchView, groups [][]int) int {
 	}
 	c := 0
 	for j := 0; j < v.n; j++ {
-		if sup := v.cols.ColSupport(j); len(sup) > 0 && uniformGroup(sup, groupOf) >= 0 {
+		if sup := v.cols.ColSpan(j); len(sup) > 0 && uniformGroup(sup, groupOf) >= 0 {
 			c++
 		}
 	}

@@ -36,20 +36,29 @@ func (d *Decoupling) WriteTo(w io.Writer) (int64, error) {
 		art.TRows = append(art.TRows, d.T.Row(i).Ones())
 	}
 	for _, b := range d.Blocks {
-		cols := make([][]int, b.Cols())
-		for j := 0; j < b.Cols(); j++ {
-			cols[j] = b.ColSupport(j)
-		}
-		art.Blocks = append(art.Blocks, cols)
+		art.Blocks = append(art.Blocks, supports(b))
 	}
-	for j := 0; j < d.A.Cols(); j++ {
-		art.A = append(art.A, d.A.ColSupport(j))
+	if d.NA > 0 { // an A without columns is written null, not []
+		art.A = supports(d.A)
 	}
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(art); err != nil {
 		return 0, err
 	}
 	return 1, nil
+}
+
+// supports lists the columns of c as the artifact stores them; an empty
+// column is written [], not null.
+func supports(c *gf2.CSC) [][]int {
+	cols := make([][]int, c.Cols())
+	for j := range cols {
+		cols[j] = make([]int, c.ColWeight(j))
+		for k, i := range c.ColSpan(j) {
+			cols[j][k] = int(i)
+		}
+	}
+	return cols
 }
 
 // Read deserializes a decoupling written by WriteTo. The artifact is
@@ -77,25 +86,19 @@ func Read(r io.Reader) (*Decoupling, error) {
 			d.T.Set(i, j, true)
 		}
 	}
+	d.TRows = gf2.CSRFromDense(d.T)
 	for _, cols := range art.Blocks {
-		b := gf2.NewSparseCols(d.MD, len(cols))
-		for j, sup := range cols {
-			b.SetColSupport(j, sup)
-		}
-		d.Blocks = append(d.Blocks, b)
+		d.Blocks = append(d.Blocks, gf2.CSCFromSupports(d.MD, cols))
 	}
-	d.A = gf2.NewSparseCols(d.M, len(art.A))
-	for j, sup := range art.A {
-		d.A.SetColSupport(j, sup)
-	}
+	d.A = gf2.CSCFromSupports(d.M, art.A)
 	return d, nil
 }
 
 // check verifies the artifact's shape: the header's dimensions agree
 // with each other and with the lengths of the lists, and every stored
-// index lies inside the matrix it addresses. The list lengths bound M, N
-// and K by the size of the input, and MD ≤ M, ND ≤ N keep the products
-// from overflowing.
+// index lies inside the matrix it addresses, once per support. The list
+// lengths bound M, N and K by the size of the input, and MD ≤ M, ND ≤ N
+// keep the products from overflowing.
 func (art *artifactJSON) check() error {
 	switch {
 	case art.M < 0 || art.N < 0 || art.K < 0 || art.MD < 0 || art.ND < 0 || art.NA < 0:
@@ -132,13 +135,20 @@ func (art *artifactJSON) check() error {
 	return checkSupports("a", art.A, art.M)
 }
 
-// checkSupports verifies every index of every support lies in [0, limit).
+// checkSupports verifies every index of every support lies in [0, limit)
+// and occurs once in it: a repeated index would be one entry to Assemble
+// and none to the XOR kernels.
 func checkSupports(what string, sups [][]int, limit int) error {
+	heldBy := make([]int, limit) // 1 + the last support that held the index
 	for i, sup := range sups {
 		for _, x := range sup {
 			if x < 0 || x >= limit {
 				return fmt.Errorf("%s[%d] holds index %d, outside [0, %d)", what, i, x, limit)
 			}
+			if heldBy[x] == i+1 {
+				return fmt.Errorf("%s[%d] repeats index %d", what, i, x)
+			}
+			heldBy[x] = i + 1
 		}
 	}
 	return nil

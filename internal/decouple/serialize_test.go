@@ -87,6 +87,7 @@ func TestReadRejectsMalformedArtifacts(t *testing.T) {
 		{"col_order entry repeated", func(a *artifactJSON) { a.ColOrder[0] = a.ColOrder[1] }},
 		{"a entry out of range", func(a *artifactJSON) { a.A[0] = []int{a.M} }},
 		{"a entry negative", func(a *artifactJSON) { a.A[0] = []int{-1} }},
+		{"a entry repeated", func(a *artifactJSON) { a.A[0] = []int{0, 1, 0} }},
 		{"a shorter than na", func(a *artifactJSON) { a.A = a.A[:len(a.A)-1] }},
 		{"block row >= md", func(a *artifactJSON) { a.Blocks[0][0] = []int{a.MD} }},
 		{"block with an extra column", func(a *artifactJSON) { a.Blocks[1] = append(a.Blocks[1], []int{0}) }},

@@ -89,7 +89,7 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 	var crossing []int
 	for j := 0; j < v.n; j++ {
 		g := -1
-		if sup := v.cols.ColSupport(j); len(sup) > 0 {
+		if sup := v.cols.ColSpan(j); len(sup) > 0 {
 			g = uniformGroup(sup, groupOf)
 		}
 		if g >= 0 {
@@ -135,8 +135,8 @@ func (p *plan) build(v *searchView) (*Decoupling, error) {
 	basis := gf2.NewDense(v.m, v.m)
 	for g, cols := range p.identity {
 		for t, j := range cols {
-			for _, r := range v.cols.ColSupport(j) {
-				basis.Set(r, g*mD+t, true)
+			for _, r := range v.cols.ColSpan(j) {
+				basis.Set(int(r), g*mD+t, true)
 			}
 		}
 	}
@@ -147,33 +147,37 @@ func (p *plan) build(v *searchView) (*Decoupling, error) {
 	dec := &Decoupling{
 		M: v.m, N: v.n, K: K, MD: mD, ND: mD + p.spare,
 		T:      T,
-		Blocks: make([]*gf2.SparseCols, K),
+		TRows:  gf2.CSRFromDense(T),
+		Blocks: make([]*gf2.CSC, K),
 	}
-	td := gf2.SparseFromDense(T.Mul(v.D))
-	var colOrder, aCols, sup []int
+	td := gf2.CSCFromDense(T.Mul(v.D))
+	var colOrder, aCols []int
+	var sups []int32 // one block's B supports, end to end
 	for g := range p.identity {
 		colOrder = append(append(colOrder, p.identity[g]...), p.interior[g][:p.spare]...)
 		aCols = append(aCols, p.interior[g][p.spare:]...)
 		// B part: transformed interior columns restricted to the
 		// block's rows.
-		b := gf2.NewSparseCols(mD, p.spare)
+		b := make([][]int32, p.spare)
+		sups = sups[:0]
 		for jj, j := range p.interior[g][:p.spare] {
-			sup = sup[:0]
-			for _, r := range td.ColSupport(j) {
-				if t := r - g*mD; t >= 0 && t < mD {
-					sup = append(sup, t)
+			at := len(sups)
+			for _, r := range td.ColSpan(j) {
+				if t := int(r) - g*mD; t >= 0 && t < mD {
+					sups = append(sups, int32(t))
 				}
 			}
-			b.SetColSupport(jj, sup)
+			b[jj] = sups[at:]
 		}
-		dec.Blocks[g] = b
+		dec.Blocks[g] = gf2.CSCFromSupports(mD, b)
 	}
 	aCols = append(aCols, p.tail...)
 	dec.NA = len(aCols)
-	dec.A = gf2.NewSparseCols(v.m, dec.NA)
+	a := make([][]int32, dec.NA)
 	for jj, j := range aCols {
-		dec.A.SetColSupport(jj, td.ColSupport(j))
+		a[jj] = td.ColSpan(j)
 	}
+	dec.A = gf2.CSCFromSupports(v.m, a)
 	dec.ColOrder = append(colOrder, aCols...)
 	return dec, nil
 }

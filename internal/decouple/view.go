@@ -22,7 +22,7 @@ type searchView struct {
 	D    *gf2.Dense
 	m, n int
 	// cols holds the column supports (sorted rows; len = column weight).
-	cols *gf2.SparseCols
+	cols *gf2.CSC
 	// vecs[j] is column j packed into words.
 	vecs []bitvec
 	// unitCol[r] is the first weight-1 column on row r, or -1.
@@ -44,7 +44,7 @@ func newSearchView(D *gf2.Dense) *searchView {
 	m, n := D.Rows(), D.Cols()
 	v := &searchView{
 		D: D, m: m, n: n,
-		cols:    gf2.SparseFromDense(D),
+		cols:    gf2.CSCFromDense(D),
 		vecs:    make([]bitvec, n),
 		unitCol: make([]int, m),
 		aff:     make([][]int, m),
@@ -58,7 +58,7 @@ func newSearchView(D *gf2.Dense) *searchView {
 	packed := make(bitvec, n*words)
 	groupAt := map[string]int{}
 	for j := 0; j < n; j++ {
-		sup := v.cols.ColSupport(j)
+		sup := v.cols.ColSpan(j)
 		vec := packed[j*words : (j+1)*words : (j+1)*words]
 		v.vecs[j] = vec
 		for a, r := range sup {
@@ -101,7 +101,7 @@ func nextNeighbour(span []int32) (mult int, others, rest []int32) {
 func (v *searchView) buildNeighbours() {
 	v.nbrAt = make([]int32, v.m+1)
 	for _, g := range v.distinct {
-		if sup := v.cols.ColSupport(g.cols[0]); len(sup) >= 2 {
+		if sup := v.cols.ColSpan(g.cols[0]); len(sup) >= 2 {
 			for _, r := range sup {
 				v.nbrAt[r+1] += int32(1 + len(sup))
 			}
@@ -113,7 +113,7 @@ func (v *searchView) buildNeighbours() {
 	v.nbr = make([]int32, v.nbrAt[v.m])
 	at := slices.Clone(v.nbrAt[:v.m])
 	for _, g := range v.distinct {
-		sup := v.cols.ColSupport(g.cols[0])
+		sup := v.cols.ColSpan(g.cols[0])
 		if len(sup) < 2 {
 			continue
 		}
@@ -123,7 +123,7 @@ func (v *searchView) buildNeighbours() {
 			k := 2
 			for _, o := range sup {
 				if o != r {
-					e[k] = int32(o)
+					e[k] = o
 					k++
 				}
 			}

@@ -28,8 +28,8 @@ func CodeCapacityPauli(c *code.CSS, pauli code.Pauli, p float64) *Model {
 		Name:   fmt.Sprintf("%s code-capacity p=%g", c.Name, p),
 		NumDet: h.Rows(),
 		NumObs: lz.Rows(),
-		Mech:   gf2.SparseFromDense(h),
-		Obs:    gf2.SparseFromDense(lz),
+		Mech:   gf2.CSCFromDense(h),
+		Obs:    gf2.CSCFromDense(lz),
 		Prior:  prior,
 	}
 }
@@ -49,25 +49,25 @@ func PhenomenologicalPauli(c *code.CSS, pauli code.Pauli, p, q float64) *Model {
 	h := c.CheckMatrix(pauli)
 	lz := c.Logicals(pauli)
 	m, n := h.Rows(), h.Cols()
-	mech := gf2.NewSparseCols(m, n+m)
-	obs := gf2.NewSparseCols(lz.Rows(), n+m)
+	mech := make([][]int32, n+m)
+	obs := make([][]int32, n+m)
 	prior := make([]float64, n+m)
-	hCols, lzCols := gf2.SparseFromDense(h), gf2.SparseFromDense(lz)
+	hCols, lzCols := gf2.CSCFromDense(h), gf2.CSCFromDense(lz)
 	for j := 0; j < n; j++ {
-		mech.SetColSupport(j, hCols.ColSupport(j))
-		obs.SetColSupport(j, lzCols.ColSupport(j))
+		mech[j] = hCols.ColSpan(j)
+		obs[j] = lzCols.ColSpan(j)
 		prior[j] = p
 	}
 	for i := 0; i < m; i++ {
-		mech.SetColSupport(n+i, []int{i})
+		mech[n+i] = []int32{int32(i)}
 		prior[n+i] = q
 	}
 	return &Model{
 		Name:   fmt.Sprintf("%s phenomenological p=%g q=%g", c.Name, p, q),
 		NumDet: m,
 		NumObs: lz.Rows(),
-		Mech:   mech,
-		Obs:    obs,
+		Mech:   gf2.CSCFromSupports(m, mech),
+		Obs:    gf2.CSCFromSupports(lz.Rows(), obs),
 		Prior:  prior,
 	}
 }
@@ -113,53 +113,53 @@ func CircuitLevelPauli(c *code.CSS, pauli code.Pauli, p float64) *Model {
 	lz := c.Logicals(pauli)
 	m, n := h.Rows(), h.Cols()
 	nm := 4*n + 2*m
-	mech := gf2.NewSparseCols(m, nm)
-	obs := gf2.NewSparseCols(lz.Rows(), nm)
+	mech := make([][]int32, nm)
+	obs := make([][]int32, nm)
 	prior := make([]float64, nm)
 
-	hCols, lzCols := gf2.SparseFromDense(h), gf2.SparseFromDense(lz)
+	hCols, lzCols := gf2.CSCFromDense(h), gf2.CSCFromDense(lz)
 	for j := 0; j < n; j++ {
-		sup := hCols.ColSupport(j)
-		osup := lzCols.ColSupport(j)
+		sup := hCols.ColSpan(j)
+		osup := lzCols.ColSpan(j)
 		cut := len(sup) - 1
 		if cut < 1 {
 			cut = len(sup)
 		}
 
 		// Round-start data error.
-		mech.SetColSupport(j, sup)
-		obs.SetColSupport(j, osup)
+		mech[j] = sup
+		obs[j] = osup
 		prior[j] = p / 6
 
 		// Early hook: detected by the checks measured after the fault.
-		mech.SetColSupport(n+j, sup[:cut])
-		obs.SetColSupport(n+j, osup)
+		mech[n+j] = sup[:cut]
+		obs[n+j] = osup
 		prior[n+j] = p / 8
 
 		// Late hook: the trailing checks (overlapping the early hook so
 		// both keep weight ≥ 2).
 		late := sup[len(sup)-cut:]
-		mech.SetColSupport(2*n+j, late)
-		obs.SetColSupport(2*n+j, osup)
+		mech[2*n+j] = late
+		obs[2*n+j] = osup
 		prior[2*n+j] = p / 8
 
 		// Post-gate depolarizing.
-		mech.SetColSupport(3*n+j, sup)
-		obs.SetColSupport(3*n+j, osup)
+		mech[3*n+j] = sup
+		obs[3*n+j] = osup
 		prior[3*n+j] = p / 6
 	}
 	for i := 0; i < m; i++ {
-		mech.SetColSupport(4*n+i, []int{i})
+		mech[4*n+i] = []int32{int32(i)}
 		prior[4*n+i] = p / 4
-		mech.SetColSupport(4*n+m+i, []int{i})
+		mech[4*n+m+i] = []int32{int32(i)}
 		prior[4*n+m+i] = p / 8
 	}
 	return &Model{
 		Name:   fmt.Sprintf("%s circuit-level p=%g", c.Name, p),
 		NumDet: m,
 		NumObs: lz.Rows(),
-		Mech:   mech,
-		Obs:    obs,
+		Mech:   gf2.CSCFromSupports(m, mech),
+		Obs:    gf2.CSCFromSupports(lz.Rows(), obs),
 		Prior:  prior,
 	}
 }

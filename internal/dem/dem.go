@@ -28,9 +28,9 @@ type Model struct {
 	// NumObs is the number of logical observables tracked.
 	NumObs int
 	// Mech maps mechanisms to detectors: NumDet × NumMech sparse matrix.
-	Mech *gf2.SparseCols
+	Mech *gf2.CSC
 	// Obs maps mechanisms to observables: NumObs × NumMech sparse matrix.
-	Obs *gf2.SparseCols
+	Obs *gf2.CSC
 	// Prior is the firing probability of each mechanism.
 	Prior []float64
 }

@@ -62,7 +62,7 @@ func TestPhenomenologicalShape(t *testing.T) {
 	}
 	// Measurement mechanisms carry no observables.
 	for j := 7; j < 10; j++ {
-		if len(m.Obs.ColSupport(j)) != 0 {
+		if len(m.Obs.ColSpan(j)) != 0 {
 			t.Error("measurement error flips an observable")
 		}
 	}
@@ -98,15 +98,15 @@ func TestCircuitLevelShape(t *testing.T) {
 	}
 	// Hook mechanisms must have strictly smaller support than full columns.
 	n := c.N
-	fullW := len(m.Mech.ColSupport(0))
-	hookW := len(m.Mech.ColSupport(n))
+	fullW := len(m.Mech.ColSpan(0))
+	hookW := len(m.Mech.ColSpan(n))
 	if hookW >= fullW {
 		t.Errorf("early hook weight %d not smaller than full %d", hookW, fullW)
 	}
 	// All data-affecting mechanisms carry the qubit's observable column;
 	// measurement/reset mechanisms carry none.
 	for i := 0; i < m.NumDet; i++ {
-		if len(m.Obs.ColSupport(4*n+i)) != 0 {
+		if len(m.Obs.ColSpan(4*n+i)) != 0 {
 			t.Fatal("measurement mechanism flips an observable")
 		}
 	}

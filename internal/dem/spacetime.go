@@ -31,29 +31,30 @@ func SpaceTime(m *Model, rounds int) *Model {
 		NumDet: m.NumDet * rounds,
 		NumObs: m.NumObs,
 	}
-	out.Mech = gf2.NewSparseCols(out.NumDet, nm*rounds)
-	out.Obs = gf2.NewSparseCols(m.NumObs, nm*rounds)
+	mech := make([][]int32, nm*rounds)
+	obs := make([][]int32, nm*rounds)
 	out.Prior = make([]float64, nm*rounds)
 	for r := 0; r < rounds; r++ {
 		off := r * nm
-		detOff := r * m.NumDet
+		detOff := int32(r * m.NumDet)
 		for j := 0; j < nm; j++ {
-			sup := m.Mech.ColSupport(j)
-			obs := m.Obs.ColSupport(j)
-			var st []int
-			if len(sup) == 1 && len(obs) == 0 && r+1 < rounds {
+			sup := m.Mech.ColSpan(j)
+			obs[off+j] = m.Obs.ColSpan(j)
+			var st []int32
+			if len(sup) == 1 && len(obs[off+j]) == 0 && r+1 < rounds {
 				// Measurement-like mechanism: straddles two rounds.
-				st = []int{detOff + sup[0], detOff + m.NumDet + sup[0]}
+				st = []int32{detOff + sup[0], detOff + int32(m.NumDet) + sup[0]}
 			} else {
-				st = make([]int, len(sup))
+				st = make([]int32, len(sup))
 				for i, d := range sup {
 					st[i] = detOff + d
 				}
 			}
-			out.Mech.SetColSupport(off+j, st)
-			out.Obs.SetColSupport(off+j, obs)
+			mech[off+j] = st
 			out.Prior[off+j] = m.Prior[j]
 		}
 	}
+	out.Mech = gf2.CSCFromSupports(out.NumDet, mech)
+	out.Obs = gf2.CSCFromSupports(m.NumObs, obs)
 	return out
 }

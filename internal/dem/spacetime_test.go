@@ -25,27 +25,27 @@ func TestSpaceTimeMeasurementStraddle(t *testing.T) {
 	c := steane(t)
 	per := Phenomenological(c, 0.01, 0.02)
 	st := SpaceTime(per, 3)
-	n, m := 7, 3
+	n, m := 7, int32(3)
 	nm := per.NumMech()
 	// Data column of round 1: support confined to round-1 detectors.
-	dataCol := st.Mech.ColSupport(nm + 0)
+	dataCol := st.Mech.ColSpan(nm + 0)
 	for _, d := range dataCol {
 		if d < m || d >= 2*m {
 			t.Errorf("round-1 data mechanism touches detector %d outside its round", d)
 		}
 	}
 	// Measurement column of round 0: flips detector in rounds 0 and 1.
-	measCol := st.Mech.ColSupport(n)
+	measCol := st.Mech.ColSpan(n)
 	if len(measCol) != 2 || measCol[0] != 0 || measCol[1] != m {
 		t.Errorf("measurement straddle wrong: %v", measCol)
 	}
 	// Final round measurement does not straddle past the end.
-	lastMeas := st.Mech.ColSupport(2*nm + n)
+	lastMeas := st.Mech.ColSpan(2*nm + n)
 	if len(lastMeas) != 1 || lastMeas[0] != 2*m {
 		t.Errorf("final-round measurement support: %v", lastMeas)
 	}
 	// Observables carried per round copy.
-	if len(st.Obs.ColSupport(nm+0)) != len(per.Obs.ColSupport(0)) {
+	if len(st.Obs.ColSpan(nm+0)) != len(per.Obs.ColSpan(0)) {
 		t.Error("observable support lost in unrolling")
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // benchFixture approximates a circuit-level BB check matrix's shape:
 // a few hundred detectors, a few thousand sparse mechanism columns.
-func benchFixture() (*Dense, *SparseCols, *CSC, *CSR, Vec, Vec) {
+func benchFixture() (*Dense, *CSC, *CSR, Vec, Vec) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	m, n := 144, 2000
 	d := NewDense(m, n)
@@ -16,14 +16,14 @@ func benchFixture() (*Dense, *SparseCols, *CSC, *CSR, Vec, Vec) {
 			d.Set(rng.IntN(m), j, true)
 		}
 	}
-	s := SparseFromDense(d)
+	c := CSCFromDense(d)
 	x := randomVec(rng, n, 0.01)
 	out := NewVec(m)
-	return d, s, CSCFromSparse(s), CSRFromCols(s), x, out
+	return d, c, CSRFromCSC(c), x, out
 }
 
 func BenchmarkCSCMulVec(b *testing.B) {
-	_, _, csc, _, x, out := benchFixture()
+	_, csc, _, x, out := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -32,7 +32,7 @@ func BenchmarkCSCMulVec(b *testing.B) {
 }
 
 func BenchmarkCSRMulVec(b *testing.B) {
-	_, _, _, csr, x, out := benchFixture()
+	_, _, csr, x, out := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,20 +40,11 @@ func BenchmarkCSRMulVec(b *testing.B) {
 	}
 }
 
-func BenchmarkSparseColsMulVec(b *testing.B) {
-	_, s, _, _, x, out := benchFixture()
+func BenchmarkCSCFromDense(b *testing.B) {
+	d, _, _, _, _ := benchFixture()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.MulVecInto(out, x)
-	}
-}
-
-func BenchmarkSparseFromDense(b *testing.B) {
-	d, _, _, _, _, _ := benchFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SparseFromDense(d)
+		CSCFromDense(d)
 	}
 }

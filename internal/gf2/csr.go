@@ -1,43 +1,103 @@
 package gf2
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
-// Flat compressed sparse layouts. CSC and CSR store one indices array and
-// one offsets array per axis — the hardware-friendly "sparse matrix table
-// + non-zero index table" format of the paper's §5.2 — instead of the
-// pointer-per-column [][]int layout of SparseCols/SparseRows. They are
-// built once (from a SparseCols, SparseRows or Dense) and are immutable
-// afterwards, so hot decoder loops iterate contiguous int32 spans with no
-// pointer chasing and no per-call allocation.
+// CSC (by column) and CSR (by row) are the sparse GF(2) matrices: one
+// indices array and one offsets array per axis, the "sparse matrix table
+// + non-zero index table" format of the paper's §5.2. Every span is
+// strictly ascending and inside the other axis — the constructors
+// guarantee it and every kernel relies on it. A matrix is immutable once
+// built, so decoder instances share one pointer and hot loops iterate
+// contiguous int32 spans with no pointer chasing and no allocation.
 
-// CSC is a column-major flat sparse GF(2) matrix: the row indices of
-// column j occupy indices[offsets[j]:offsets[j+1]], sorted ascending.
+// CSC is a column-major sparse GF(2) matrix: the row indices of column j
+// occupy indices[offsets[j]:offsets[j+1]].
 type CSC struct {
 	rows, cols int
 	offsets    []int32 // len cols+1
 	indices    []int32 // len NNZ
 }
 
-// CSCFromSparse flattens a SparseCols into CSC form.
-func CSCFromSparse(s *SparseCols) *CSC {
-	c := &CSC{
-		rows:    s.rows,
-		cols:    s.cols,
-		offsets: make([]int32, s.cols+1),
-		indices: make([]int32, 0, s.NNZ()),
+// CSCFromSupports builds the rows × len(supports) matrix whose column j
+// is set at the row indices supports[j]. The indices are copied and
+// sorted; an index that repeats within a column or lies outside
+// [0, rows) is a bug in the caller and panics.
+func CSCFromSupports[I int | int32](rows int, supports [][]I) *CSC {
+	nnz := 0
+	for _, sup := range supports {
+		nnz += len(sup)
 	}
-	for j, col := range s.col {
-		for _, i := range col {
+	c := &CSC{
+		rows:    rows,
+		cols:    len(supports),
+		offsets: make([]int32, len(supports)+1),
+		indices: make([]int32, 0, nnz),
+	}
+	for j, sup := range supports {
+		for _, i := range sup {
+			if i < 0 || int(i) >= rows {
+				panic(fmt.Sprintf("gf2: CSCFromSupports: column %d holds index %d, outside [0, %d)", j, i, rows))
+			}
 			c.indices = append(c.indices, int32(i))
+		}
+		span := c.indices[c.offsets[j]:]
+		slices.Sort(span)
+		for k := 1; k < len(span); k++ {
+			if span[k] == span[k-1] {
+				panic(fmt.Sprintf("gf2: CSCFromSupports: column %d repeats index %d", j, span[k]))
+			}
 		}
 		c.offsets[j+1] = int32(len(c.indices))
 	}
 	return c
 }
 
-// CSCFromDense converts a dense matrix to CSC form via SparseFromDense's
-// word scan.
-func CSCFromDense(m *Dense) *CSC { return CSCFromSparse(SparseFromDense(m)) }
+// CSCFromDense converts a dense matrix to CSC form: the packed word scan
+// of CSRFromDense, transposed.
+func CSCFromDense(m *Dense) *CSC {
+	r := CSRFromDense(m)
+	c := &CSC{rows: m.rows, cols: m.cols}
+	c.offsets, c.indices = transposeSpans(r.offsets, r.indices, m.cols)
+	return c
+}
+
+// transposeSpans turns the spans of one axis into the spans of the other
+// (minor is the other axis's length): a counting pass, prefix sums, then
+// a placement pass. Spans are visited in ascending order, so each output
+// span comes out ascending.
+func transposeSpans(offsets, indices []int32, minor int) (tOffsets, tIndices []int32) {
+	tOffsets = make([]int32, minor+1)
+	tIndices = make([]int32, len(indices))
+	for _, i := range indices {
+		tOffsets[i+1]++
+	}
+	for i := 0; i < minor; i++ {
+		tOffsets[i+1] += tOffsets[i]
+	}
+	next := slices.Clone(tOffsets[:minor])
+	for j := 0; j+1 < len(offsets); j++ {
+		for _, i := range indices[offsets[j]:offsets[j+1]] {
+			tIndices[next[i]] = int32(j)
+			next[i]++
+		}
+	}
+	return tOffsets, tIndices
+}
+
+// ToDense converts to dense form.
+func (c *CSC) ToDense() *Dense {
+	m := NewDense(c.rows, c.cols)
+	for j := 0; j < c.cols; j++ {
+		for _, i := range c.ColSpan(j) {
+			m.Set(int(i), j, true)
+		}
+	}
+	return m
+}
 
 // Rows returns the number of rows.
 func (c *CSC) Rows() int { return c.rows }
@@ -107,63 +167,20 @@ func (c *CSC) MulVec(x Vec) Vec {
 	return out
 }
 
-// CSR is a row-major flat sparse GF(2) matrix: the column indices of row
-// i occupy indices[offsets[i]:offsets[i+1]], sorted ascending.
+// CSR is a row-major sparse GF(2) matrix: the column indices of row i
+// occupy indices[offsets[i]:offsets[i+1]].
 type CSR struct {
 	rows, cols int
 	offsets    []int32
 	indices    []int32
 }
 
-// CSRFromSparse flattens a SparseRows into CSR form.
-func CSRFromSparse(s *SparseRows) *CSR {
-	nnz := 0
-	for _, r := range s.row {
-		nnz += len(r)
-	}
-	c := &CSR{
-		rows:    s.rows,
-		cols:    s.cols,
-		offsets: make([]int32, s.rows+1),
-		indices: make([]int32, 0, nnz),
-	}
-	for i, r := range s.row {
-		for _, j := range r {
-			c.indices = append(c.indices, int32(j))
-		}
-		c.offsets[i+1] = int32(len(c.indices))
-	}
-	return c
-}
-
-// CSRFromCols transposes a SparseCols directly into CSR form (the row
-// adjacency of the same matrix), without a dense round trip.
-func CSRFromCols(s *SparseCols) *CSR {
-	c := &CSR{
-		rows:    s.rows,
-		cols:    s.cols,
-		offsets: make([]int32, s.rows+1),
-		indices: make([]int32, s.NNZ()),
-	}
-	// Counting pass, then prefix sums, then a placement pass. Columns are
-	// visited in ascending order, so each row span ends up sorted.
-	for _, col := range s.col {
-		for _, i := range col {
-			c.offsets[i+1]++
-		}
-	}
-	for i := 0; i < s.rows; i++ {
-		c.offsets[i+1] += c.offsets[i]
-	}
-	next := make([]int32, s.rows)
-	copy(next, c.offsets[:s.rows])
-	for j, col := range s.col {
-		for _, i := range col {
-			c.indices[next[i]] = int32(j)
-			next[i]++
-		}
-	}
-	return c
+// CSRFromCSC returns the row view of the same matrix (the counting
+// transpose, no dense round trip).
+func CSRFromCSC(c *CSC) *CSR {
+	r := &CSR{rows: c.rows, cols: c.cols}
+	r.offsets, r.indices = transposeSpans(c.offsets, c.indices, c.rows)
+	return r
 }
 
 // CSRFromDense converts a dense matrix to CSR form with a packed word

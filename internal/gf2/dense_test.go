@@ -209,33 +209,26 @@ func TestColMatchesAt(t *testing.T) {
 	}
 }
 
-func TestSparseFromDenseMatchesAt(t *testing.T) {
+func TestCSCFromDenseMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 24))
 	for _, shape := range [][2]int{{3, 70}, {65, 63}, {40, 129}} {
 		m := randDense(rng, shape[0], shape[1])
 		for j := 0; j < shape[1]; j += 3 {
 			for i := 0; i < shape[0]; i++ {
-				m.Set(i, j, false) // empty columns must stay nil
+				m.Set(i, j, false) // empty columns
 			}
 		}
-		s := SparseFromDense(m)
+		s := CSCFromDense(m)
 		for j := 0; j < m.Cols(); j++ {
 			want := m.Col(j).Ones()
-			got := s.ColSupport(j)
-			if len(want) == 0 && got != nil {
-				t.Fatalf("%v: empty column %d has non-nil support", shape, j)
-			}
+			got := s.ColSpan(j)
 			if len(got) != len(want) {
 				t.Fatalf("%v: column %d support %v, want %v", shape, j, got, want)
 			}
 			for k := range want {
-				if got[k] != want[k] {
+				if int(got[k]) != want[k] {
 					t.Fatalf("%v: column %d support %v, want %v", shape, j, got, want)
 				}
-			}
-			// Supports share one backing array; a full one must not grow into its neighbour.
-			if cap(got) != len(got) {
-				t.Fatalf("%v: column %d support has cap %d > len %d", shape, j, cap(got), len(got))
 			}
 		}
 	}

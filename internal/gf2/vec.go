@@ -99,16 +99,6 @@ func (v Vec) Xor(u Vec) {
 	}
 }
 
-// And intersects u into v in place.
-func (v Vec) And(u Vec) {
-	if v.n != u.n {
-		panic("gf2: And length mismatch")
-	}
-	for i, w := range u.w {
-		v.w[i] &= w
-	}
-}
-
 // Weight returns the number of set bits (Hamming weight).
 //
 //vegapunk:hotpath

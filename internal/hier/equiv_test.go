@@ -2,6 +2,7 @@ package hier
 
 import (
 	"math/rand/v2"
+	"sync"
 	"testing"
 
 	"vegapunk/internal/decouple"
@@ -15,14 +16,31 @@ type refBlockSol struct {
 	obj  float64
 }
 
+// refSupports is the reference's own slice-of-slices form of a sparse
+// matrix, read off its dense form once per matrix.
+func refSupports(c *gf2.CSC) [][]int {
+	if sups, ok := refSupportsOf.Load(c); ok {
+		return sups.([][]int)
+	}
+	d := c.ToDense()
+	sups := make([][]int, d.Cols())
+	for j := range sups {
+		sups[j] = d.Col(j).Ones()
+	}
+	refSupportsOf.Store(c, sups)
+	return sups
+}
+
+var refSupportsOf sync.Map // *gf2.CSC → [][]int
+
 // refGreedyGuess is the slice-of-slices GreedyGuess: same flip order and
 // floating-point accumulation sequence as the flat-span production code,
-// but iterating dec.Blocks[g].ColSupport and allocating per call.
+// but iterating its own column supports and allocating per call.
 func refGreedyGuess(dec *decouple.Decoupling, w []float64, cfg Config, g int, sl gf2.Vec) refBlockSol {
-	b := dec.Blocks[g]
+	b := refSupports(dec.Blocks[g])
 	wf := w[g*dec.ND : g*dec.ND+dec.MD]
 	wg := w[g*dec.ND+dec.MD : (g+1)*dec.ND]
-	nB := b.Cols()
+	nB := len(b)
 	f := sl.Clone()
 	gv := gf2.NewVec(nB)
 	obj := 0.0
@@ -37,7 +55,7 @@ func refGreedyGuess(dec *decouple.Decoupling, w []float64, cfg Config, g int, sl
 				continue
 			}
 			delta := wg[bit]
-			for _, r := range b.ColSupport(bit) {
+			for _, r := range b[bit] {
 				if f.Get(r) {
 					delta -= wf[r]
 				} else {
@@ -52,7 +70,7 @@ func refGreedyGuess(dec *decouple.Decoupling, w []float64, cfg Config, g int, sl
 			break
 		}
 		gv.Set(bestBit, true)
-		for _, r := range b.ColSupport(bestBit) {
+		for _, r := range b[bestBit] {
 			f.Flip(r)
 		}
 		obj += bestDelta
@@ -125,7 +143,7 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 			if rBest.Get(i) {
 				continue
 			}
-			sup := dec.A.ColSupport(i)
+			sup := refSupports(dec.A)[i]
 			delta := wa[i]
 			for _, g := range solveBlocks(sup) {
 				sol := refGreedyGuess(dec, w, cfg, g, candBlockSyn(sup, g))
@@ -138,7 +156,7 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 		if bestI < 0 || bestDelta >= 0 {
 			break
 		}
-		sup := dec.A.ColSupport(bestI)
+		sup := refSupports(dec.A)[bestI]
 		for _, g := range solveBlocks(sup) {
 			sols[g] = refGreedyGuess(dec, w, cfg, g, candBlockSyn(sup, g))
 		}

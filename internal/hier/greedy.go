@@ -32,7 +32,7 @@ type GreedyDecoder struct {
 }
 
 // NewGreedy builds the no-decoupling greedy decoder.
-func NewGreedy(h *gf2.SparseCols, weights []float64, maxFlips int) *GreedyDecoder {
+func NewGreedy(h *gf2.CSC, weights []float64, maxFlips int) *GreedyDecoder {
 	if maxFlips <= 0 {
 		maxFlips = h.Cols()
 	}
@@ -43,7 +43,7 @@ func NewGreedy(h *gf2.SparseCols, weights []float64, maxFlips int) *GreedyDecode
 		}
 	}
 	return &GreedyDecoder{
-		h:               gf2.CSCFromSparse(h),
+		h:               h,
 		w:               weights,
 		MaxFlips:        maxFlips,
 		ResidualPenalty: 2*maxW + 1,

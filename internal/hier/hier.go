@@ -159,7 +159,7 @@ func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decod
 		cfg:    cfg,
 		dec:    dec,
 		w:      dec.PermuteWeights(originalWeights),
-		blocks: dec.BlocksCSC(),
+		blocks: dec.Blocks,
 		fW:     (dec.MD + 63) / 64,
 		gW:     max(1, (dec.ND-dec.MD+63)/64),
 		pruned: true,
@@ -209,7 +209,7 @@ func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decod
 // candidate's objective delta is summed in.
 func (d *Decoder) buildTouched() {
 	md := d.dec.MD
-	a := d.dec.ACSC()
+	a := d.dec.A
 	d.touchOff = make([]int32, d.dec.NA+1)
 	for i := 0; i < d.dec.NA; i++ {
 		last := -1

@@ -119,7 +119,7 @@ func TestGreedyDecoderProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 1))
 		m := 8 + int(seed%5)
 		D := randomFeasible(rng, m, 5)
-		h := gf2.SparseFromDense(D)
+		h := gf2.CSCFromDense(D)
 		w := make([]float64, D.Cols())
 		for j := range w {
 			w[j] = 1 + rng.Float64()
@@ -144,7 +144,7 @@ func TestGreedyDecoderProperty(t *testing.T) {
 func TestGreedySolvesUnitSyndromes(t *testing.T) {
 	rng := rand.New(rand.NewPCG(105, 106))
 	D := randomFeasible(rng, 8, 10)
-	h := gf2.SparseFromDense(D)
+	h := gf2.CSCFromDense(D)
 	w := make([]float64, D.Cols())
 	for j := range w {
 		w[j] = 1

@@ -14,13 +14,13 @@ import (
 // every B and A column holding 1..maxW distinct random rows. It reaches
 // shapes the offline search does not produce on demand, such as md > 64.
 func synthDecoupling(rng *rand.Rand, k, md, nB, na, maxW int) *decouple.Decoupling {
-	randCols := func(rows, cols int) *gf2.SparseCols {
-		s := gf2.NewSparseCols(rows, cols)
-		for j := 0; j < cols; j++ {
+	randCols := func(rows, cols int) *gf2.CSC {
+		sups := make([][]int, cols)
+		for j := range sups {
 			w := 1 + rng.IntN(min(maxW, rows))
-			s.SetColSupport(j, rng.Perm(rows)[:w])
+			sups[j] = rng.Perm(rows)[:w]
 		}
-		return s
+		return gf2.CSCFromSupports(rows, sups)
 	}
 	dec := &decouple.Decoupling{
 		M: k * md, N: k*(md+nB) + na,

@@ -45,15 +45,15 @@ type Decoder struct {
 
 // New builds a BP+LSD decoder. The paper's configuration runs BP for 30
 // iterations with order-0 cluster solving.
-func New(h *gf2.SparseCols, priorLLR []float64, bpCfg bp.Config) *Decoder {
+func New(h *gf2.CSC, priorLLR []float64, bpCfg bp.Config) *Decoder {
 	if bpCfg.MaxIters == 0 {
 		bpCfg.MaxIters = 30
 	}
 	m, n := h.Rows(), h.Cols()
 	d := &Decoder{
 		bp:        bp.New(h, priorLLR, bpCfg),
-		h:         gf2.CSCFromSparse(h),
-		rows:      gf2.CSRFromCols(h),
+		h:         h,
+		rows:      gf2.CSRFromCSC(h),
 		priorLLR:  priorLLR,
 		parent:    make([]int, m),
 		inCluster: make([]bool, m),

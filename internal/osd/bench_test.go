@@ -19,7 +19,7 @@ func BenchmarkOSDDecode(b *testing.B) {
 	}
 	model := dem.CircuitLevel(c, 0.003)
 	llr := model.LLRs()
-	d := New(model.Mech.ToDense(), llr, Config{Method: CombinationSweep, Order: 7})
+	d := New(model.Mech, llr, Config{Method: CombinationSweep, Order: 7})
 	rng := rand.New(rand.NewPCG(31, 1))
 	syns := make([]gf2.Vec, 16)
 	softs := make([][]float64, 16)

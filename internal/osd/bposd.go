@@ -18,13 +18,12 @@ type BPOSD struct {
 	skipFallback bool
 }
 
-// NewBPOSD builds the combined decoder. h is consumed in both sparse
-// (BP) and dense (OSD) forms; priorLLR supplies both the BP priors and
-// the OSD objective.
-func NewBPOSD(h *gf2.SparseCols, priorLLR []float64, bpCfg bp.Config, osdCfg Config) *BPOSD {
+// NewBPOSD builds the combined decoder; priorLLR supplies both the BP
+// priors and the OSD objective.
+func NewBPOSD(h *gf2.CSC, priorLLR []float64, bpCfg bp.Config, osdCfg Config) *BPOSD {
 	return &BPOSD{
 		bp:  bp.New(h, priorLLR, bpCfg),
-		osd: New(h.ToDense(), priorLLR, osdCfg),
+		osd: New(h, priorLLR, osdCfg),
 	}
 }
 

@@ -166,7 +166,7 @@ func TestOSDEquivalentToReference(t *testing.T) {
 			{Method: CombinationSweep, Order: 5},
 			{Method: Exhaustive, Order: 4, Lambda: 3},
 		} {
-			d := New(h, llr, cfg)
+			d := New(model.Mech, llr, cfg)
 			rng := rand.New(rand.NewPCG(21, 5))
 			for shot := 0; shot < 8; shot++ {
 				syn := model.Syndrome(model.Sample(rng))

@@ -48,8 +48,7 @@ type Config struct {
 // nothing. Not safe for concurrent use; create one per goroutine.
 type Decoder struct {
 	cfg Config
-	h   *gf2.Dense
-	hc  *gf2.CSC
+	h   *gf2.CSC
 	// priorLLR is used as the minimum-weight objective.
 	priorLLR []float64
 
@@ -80,9 +79,9 @@ func (s *argSorter) Len() int           { return len(s.idx) }
 func (s *argSorter) Less(a, b int) bool { return s.key[s.idx[a]] < s.key[s.idx[b]] }
 func (s *argSorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
-// New builds an OSD decoder for a dense check matrix with the prior LLR
+// New builds an OSD decoder for a check matrix with the prior LLR
 // objective weights.
-func New(h *gf2.Dense, priorLLR []float64, cfg Config) *Decoder {
+func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.Order <= 0 {
 		cfg.Order = 7
 	}
@@ -90,11 +89,10 @@ func New(h *gf2.Dense, priorLLR []float64, cfg Config) *Decoder {
 		cfg.Lambda = 3
 	}
 	n, m := h.Cols(), h.Rows()
-	augT := gf2.HStack(h, gf2.Eye(m))
+	augT := gf2.HStack(h.ToDense(), gf2.Eye(m))
 	return &Decoder{
 		cfg:      cfg,
 		h:        h,
-		hc:       gf2.CSCFromDense(h),
 		priorLLR: priorLLR,
 		augT:     augT,
 		aug:      augT.Clone(),
@@ -223,7 +221,7 @@ func (d *Decoder) try(syndrome gf2.Vec, flips []int) {
 	m := d.h.Rows()
 	d.b.CopyFrom(syndrome)
 	for _, c := range flips {
-		d.hc.XorColInto(d.b, c)
+		d.h.XorColInto(d.b, c)
 	}
 	d.e.MulVecInto(d.rb, d.b)
 	// Consistency: rows beyond the rank must be zero.

@@ -30,7 +30,7 @@ func TestOSD0SolvesSyndrome(t *testing.T) {
 				}
 			}
 		}
-		d := New(h, uniformLLR(12, 0.01), Config{Method: OSD0})
+		d := New(gf2.CSCFromDense(h), uniformLLR(12, 0.01), Config{Method: OSD0})
 		e := gf2.NewVec(12)
 		for j := 0; j < 12; j++ {
 			if rng.IntN(6) == 0 {
@@ -68,8 +68,8 @@ func TestOSDCSNotWorseThanOSD0(t *testing.T) {
 		e.Set(rng.IntN(14), true)
 		e.Set(rng.IntN(14), true)
 		s := h.MulVec(e)
-		d0 := New(h, llr, Config{Method: OSD0})
-		dcs := New(h, llr, Config{Method: CombinationSweep, Order: 7})
+		d0 := New(gf2.CSCFromDense(h), llr, Config{Method: OSD0})
+		dcs := New(gf2.CSCFromDense(h), llr, Config{Method: CombinationSweep, Order: 7})
 		w0 := weight(d0.Decode(s, nil))
 		wcs := weight(dcs.Decode(s, nil))
 		if wcs > w0+1e-9 {
@@ -86,7 +86,7 @@ func TestOSDRecoversSingleErrors(t *testing.T) {
 		{0, 1, 1, 0, 0, 1, 1},
 		{0, 0, 0, 1, 1, 1, 1},
 	})
-	d := New(h, uniformLLR(7, 0.01), Config{Method: CombinationSweep, Order: 7})
+	d := New(gf2.CSCFromDense(h), uniformLLR(7, 0.01), Config{Method: CombinationSweep, Order: 7})
 	for q := 0; q < 7; q++ {
 		e := gf2.NewVec(7)
 		e.Set(q, true)
@@ -105,7 +105,7 @@ func TestOSDSoftInformationSteers(t *testing.T) {
 		{1, 1, 1},
 	})
 	llr := uniformLLR(3, 0.01)
-	d := New(h, llr, Config{Method: OSD0})
+	d := New(gf2.CSCFromDense(h), llr, Config{Method: OSD0})
 	s := gf2.VecFromInts([]int{1, 1}) // col 0 or col 1
 	soft := []float64{5, -5, 5}       // bit 1 likely flipped
 	got := d.Decode(s, soft)
@@ -201,8 +201,8 @@ func TestExhaustiveLambda2MatchesCS(t *testing.T) {
 		e.Set(rng.IntN(14), true)
 		e.Set(rng.IntN(14), true)
 		s := h.MulVec(e)
-		cs := New(h, llr, Config{Method: CombinationSweep, Order: 7})
-		ex := New(h, llr, Config{Method: Exhaustive, Order: 7, Lambda: 2})
+		cs := New(gf2.CSCFromDense(h), llr, Config{Method: CombinationSweep, Order: 7})
+		ex := New(gf2.CSCFromDense(h), llr, Config{Method: Exhaustive, Order: 7, Lambda: 2})
 		wCS := weight(cs.Decode(s, nil))
 		wEX := weight(ex.Decode(s, nil))
 		if diff := wCS - wEX; diff > 1e-9 || diff < -1e-9 {
@@ -235,8 +235,8 @@ func TestExhaustiveLambda3NotWorse(t *testing.T) {
 			e.Set(rng.IntN(16), true)
 		}
 		s := h.MulVec(e)
-		e2 := New(h, llr, Config{Method: Exhaustive, Order: 8, Lambda: 2})
-		e3 := New(h, llr, Config{Method: Exhaustive, Order: 8, Lambda: 3})
+		e2 := New(gf2.CSCFromDense(h), llr, Config{Method: Exhaustive, Order: 8, Lambda: 2})
+		e3 := New(gf2.CSCFromDense(h), llr, Config{Method: Exhaustive, Order: 8, Lambda: 3})
 		if w3, w2 := weight(e3.Decode(s, nil)), weight(e2.Decode(s, nil)); w3 > w2+1e-9 {
 			t.Fatalf("E(3) weight %v worse than E(2) %v", w3, w2)
 		}

@@ -64,8 +64,7 @@ type serviceMetrics struct {
 	unsatisfied Counter
 	batches     Counter
 	// batchedDecodes counts multi-request micro-batches decoded in one
-	// dispatch. (The exported help text still says "a single DecodeBatch
-	// call"; it is pinned by the /metrics golden.)
+	// dispatch.
 	batchedDecodes Counter
 	queueDepth     Gauge
 	batchSize      *Histogram
@@ -112,7 +111,7 @@ func writeServiceFamilies(w io.Writer, svcs []*Service) {
 		func(s *Service) uint64 { return s.met.unsatisfied.Load() })
 	counterFam(w, "vegapunk_serve_batches_total", "Micro-batches dispatched.", svcs,
 		func(s *Service) uint64 { return s.met.batches.Load() })
-	counterFam(w, "vegapunk_serve_batched_decodes_total", "Micro-batches decoded through a single DecodeBatch call.", svcs,
+	counterFam(w, "vegapunk_serve_batched_decodes_total", "Multi-request micro-batches decoded in one dispatch.", svcs,
 		func(s *Service) uint64 { return s.met.batchedDecodes.Load() })
 	gaugeFam(w, "vegapunk_serve_queue_depth", "Syndromes admitted but not yet decoded.", svcs,
 		func(s *Service) int64 { return s.met.queueDepth.Load() })

@@ -105,8 +105,6 @@ type Service struct {
 	key         string
 	decoderName string
 	model       *dem.Model
-	mech        *gf2.CSC
-	obs         *gf2.CSC
 	pool        *Pool
 	cfg         Config
 	met         *serviceMetrics
@@ -164,8 +162,6 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		key:         key,
 		decoderName: decoderName,
 		model:       model,
-		mech:        gf2.CSCFromSparse(model.Mech),
-		obs:         gf2.CSCFromSparse(model.Obs),
 		pool:        NewPool(factory, cfg.PoolSize),
 		cfg:         cfg,
 		met:         newServiceMetrics(),
@@ -575,9 +571,9 @@ func (s *Service) process(w *workerState, b []*request) bool {
 		req.decodeNs = decodeNs
 		est := w.outs[i]
 		gf2.CopyVec(&req.correction, est)
-		s.mech.MulVecInto(w.syn, est)
+		s.model.Mech.MulVecInto(w.syn, est)
 		req.satisfied = w.syn.Equal(req.syndrome)
-		s.obs.MulVecInto(req.observables, est)
+		s.model.Obs.MulVecInto(req.observables, est)
 		req.stats = w.stats[i]
 		t2 := obs.Tick()
 		req.copyOutNs = t2 - prev

@@ -205,7 +205,7 @@ func TestDecodeBatchInto(t *testing.T) {
 	if err := svc.DecodeBatchInto(context.Background(), results, syndromes); err != nil {
 		t.Fatal(err)
 	}
-	mech := gf2.CSCFromSparse(model.Mech)
+	mech := model.Mech
 	syn := gf2.NewVec(model.NumDet)
 	for i, res := range results {
 		mech.MulVecInto(syn, res.Correction)

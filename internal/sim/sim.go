@@ -85,10 +85,6 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 	stop := func() bool {
 		return cfg.MaxFailures > 0 && totalFails.Load() >= int64(cfg.MaxFailures)
 	}
-	// Flat read-only kernels shared by all workers for the per-round
-	// syndrome/observable products.
-	mechCSC := gf2.CSCFromSparse(model.Mech)
-	obsCSC := gf2.CSCFromSparse(model.Obs)
 	var wg sync.WaitGroup
 	perWorker := (cfg.Shots + cfg.Workers - 1) / cfg.Workers
 	for w := 0; w < cfg.Workers; w++ {
@@ -117,8 +113,8 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 				predicted.Zero()
 				for round := 0; round < cfg.Rounds; round++ {
 					model.SampleInto(mech, rng)
-					mechCSC.MulVecInto(syn, mech)
-					obsCSC.MulVecInto(obs, mech)
+					model.SyndromeInto(syn, mech)
+					model.ObservablesInto(obs, mech)
 					actual.Xor(obs)
 					// Ownership audit (see internal/README.md): est is
 					// decoder-owned and consumed by the MulVecInto below
@@ -140,7 +136,7 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 						cfg.Metrics.Record(stats.BPIters, stats.BPConverged, stats.Fallback,
 							stats.Hier.OuterIters, stats.BPGDRounds, stats.LSDMaxCluster, syn.Weight())
 					}
-					obsCSC.MulVecInto(obs, est)
+					model.ObservablesInto(obs, est)
 					predicted.Xor(obs)
 					local.sumBP += stats.BPIters
 					if stats.BPIters > local.maxBP {

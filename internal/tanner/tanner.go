@@ -23,8 +23,8 @@ type Graph struct {
 // New builds the graph of a sparse check matrix. Edges are numbered
 // column-major (variable by variable, each in column-support order), so
 // a variable's edges are consecutive and a check's edges are sorted by
-// variable — the same ordering the slice-of-slices layout produced.
-func New(h *gf2.SparseCols) *Graph {
+// variable.
+func New(h *gf2.CSC) *Graph {
 	g := &Graph{
 		NumChecks: h.Rows(),
 		NumVars:   h.Cols(),
@@ -35,8 +35,8 @@ func New(h *gf2.SparseCols) *Graph {
 	g.checkOff = make([]int32, g.NumChecks+1)
 	g.varOff = make([]int32, g.NumVars+1)
 	for v := 0; v < g.NumVars; v++ {
-		for _, c := range h.ColSupport(v) {
-			g.CheckOf = append(g.CheckOf, int32(c))
+		for _, c := range h.ColSpan(v) {
+			g.CheckOf = append(g.CheckOf, c)
 			g.VarOf = append(g.VarOf, int32(v))
 			g.checkOff[c+1]++
 		}

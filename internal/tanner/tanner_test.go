@@ -7,7 +7,7 @@ import (
 )
 
 func TestGraphStructure(t *testing.T) {
-	h := gf2.SparseFromDense(gf2.FromRows([][]int{
+	h := gf2.CSCFromDense(gf2.FromRows([][]int{
 		{1, 1, 0},
 		{0, 1, 1},
 	}))
@@ -41,9 +41,7 @@ func TestGraphStructure(t *testing.T) {
 }
 
 func TestGraphEmptyColumns(t *testing.T) {
-	h := gf2.NewSparseCols(3, 4)
-	h.SetColSupport(1, []int{0, 2})
-	g := New(h)
+	g := New(gf2.CSCFromSupports(3, [][]int{nil, {0, 2}, nil, nil}))
 	if g.NumEdges() != 2 {
 		t.Errorf("edges %d", g.NumEdges())
 	}

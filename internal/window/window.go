@@ -70,7 +70,7 @@ func (r *Runner) putDecoder(d core.Decoder) {
 // (single detector, no observable) — the same rule dem.SpaceTime uses to
 // extend signatures into the following round.
 func (r *Runner) straddles(j int) bool {
-	return len(r.per.Mech.ColSupport(j)) == 1 && len(r.per.Obs.ColSupport(j)) == 0
+	return r.per.Mech.ColWeight(j) == 1 && r.per.Obs.ColWeight(j) == 0
 }
 
 // DecodeStream consumes a full-experiment syndrome (rounds·m detectors,
@@ -114,20 +114,18 @@ func (r *Runner) DecodeStream(syndrome gf2.Vec, rounds int) gf2.Vec {
 			if rel >= commitRounds {
 				continue // stays pending; the next window re-decodes it
 			}
-			for _, o := range r.per.Obs.ColSupport(j) {
-				pred.Flip(o)
-			}
+			r.per.Obs.XorColInto(pred, j)
 			// Erase the committed mechanism's trace from detectors the
 			// following windows will see.
 			abs := t + rel
-			for _, d := range r.per.Mech.ColSupport(j) {
-				det := abs*m + d
+			for _, d := range r.per.Mech.ColSpan(j) {
+				det := abs*m + int(d)
 				if det >= (t+commitRounds)*m && det < rounds*m {
 					residual.Flip(det)
 				}
 			}
 			if r.straddles(j) && abs+1 < rounds {
-				det := (abs+1)*m + r.per.Mech.ColSupport(j)[0]
+				det := (abs+1)*m + int(r.per.Mech.ColSpan(j)[0])
 				if det >= (t+commitRounds)*m {
 					residual.Flip(det)
 				}

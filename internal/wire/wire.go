@@ -318,10 +318,6 @@ func parseVecInto(v gf2.Vec, b []byte) ([]byte, error) {
 // wordsFor mirrors gf2's packing: 64-bit words per n bits.
 func wordsFor(n int) int { return (n + 63) / 64 }
 
-// VecWireSize returns the encoded size in bytes of a vector block for
-// an n-bit vector.
-func VecWireSize(n int) int { return 4 + 8*wordsFor(n) }
-
 // ---- hello ----
 
 // AppendHello appends an OpHello frame resolving key.
