@@ -36,6 +36,7 @@ var defaultPins = []struct {
 	{"BenchmarkOSDDecode$", []string{"./internal/osd"}},
 	{"BenchmarkServiceDecode$", []string{"./internal/serve"}},
 	{"BenchmarkServiceDecodeBatch64$", []string{"./internal/serve"}},
+	{"BenchmarkServiceDecodeBatch64Serial$", []string{"./internal/serve"}},
 	{"BenchmarkServeWireDecode$", []string{"./internal/serve"}},
 	{"BenchmarkWireAppendDecode$", []string{"./internal/wire"}},
 	{"BenchmarkWireAppendDecodeTraced$", []string{"./internal/wire"}},

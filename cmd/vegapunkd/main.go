@@ -1,7 +1,7 @@
 // Command vegapunkd is the online decoding daemon: it registers one or
 // more (code, noise, decoder) models and serves syndrome decoding over
-// a JSON HTTP API with micro-batching, decoder pooling and Prometheus
-// metrics.
+// a JSON HTTP API with micro-batching onto workers that each own a
+// decoder, and Prometheus metrics.
 //
 //	vegapunkd -addr :8471 -code "BB [[72,12,6]]" -p 0.001 -decoders bp,vegapunk
 //
@@ -71,7 +71,7 @@ func run() int {
 	p := fs.Float64("p", 0.001, "physical error rate of the served noise model")
 	decoders := fs.String("decoders", "vegapunk,bp", "comma-separated decoders to register: vegapunk, bp, bp+osd, bp+lsd")
 	bpIters := fs.Int("bp-iters", 100, "BP iteration cap for the bp and bp+osd decoders (bp is Relay-BP: the cap is per leg)")
-	pool := fs.Int("pool", 0, "decoder pool size per model (0 = GOMAXPROCS)")
+	pool := fs.Int("pool", 0, "decoder instances = dispatch workers per model (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 16, "micro-batch flush size")
 	wait := fs.Duration("wait", 200*time.Microsecond, "micro-batch flush deadline under saturation")
 	inflight := fs.Int("inflight", 64, "max concurrently admitted HTTP decode requests")

@@ -47,14 +47,13 @@ type Stats struct {
 // via gf2.CopyVec). Instances are not safe for concurrent use — build
 // one per goroutine via a Factory.
 //
-// Pooling contract: instances may be handed between goroutines
-// sequentially (e.g. serve.Pool) because every decoder fully
-// re-initializes its scratch from the syndrome at the top of Decode —
-// results depend only on the argument, never on call history, so no
-// Reset hook is needed between users. Two rules make that safe: the
-// handoff must establish a happens-before edge (the pool's channel
-// does), and any result that outlives the holder's turn must be copied
-// out before the instance is released.
+// Ownership contract: an instance has one owner goroutine for its whole
+// life (a serve worker, a sim.RunMemory worker) and is never lent.
+// Every decoder fully re-initializes its scratch from the syndrome at
+// the top of Decode — results depend only on the argument, never on
+// call history — so the owner needs no Reset hook between calls, and a
+// faulty instance is replaced by building another. Any result that must
+// outlive the owner's next Decode is copied out first.
 type Decoder interface {
 	// Name identifies the decoder in experiment output.
 	Name() string

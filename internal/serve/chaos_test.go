@@ -192,7 +192,7 @@ func noServiceGoroutines(t *testing.T) {
 }
 
 // TestChaosServiceGoroutines pins the shape of a service: one batcher
-// and one worker per pooled decoder, nothing else — no decode goroutine
+// and one worker per decoder instance, nothing else — no decode goroutine
 // beside the worker, no standing watchdog — at rest and after a decode.
 func TestChaosServiceGoroutines(t *testing.T) {
 	model, factory := testModel(t)
@@ -210,6 +210,45 @@ func TestChaosServiceGoroutines(t *testing.T) {
 	}
 	svc.Close()
 	noServiceGoroutines(t)
+}
+
+// TestChaosWorkerOwnsDecoder holds the ownership rule under load: each
+// worker builds one decoder on its first dispatch and keeps it, so 16
+// clients on 3 workers build exactly 3 instances and never share one;
+// every dispatch is a hit or a miss; a panic poisons exactly one
+// instance, which never decodes again, and its worker builds exactly one
+// replacement. The ownedFixture and the two single-property tests live in
+// pool_test.go.
+func TestChaosWorkerOwnsDecoder(t *testing.T) {
+	const poolSize, clients, perClient = 3, 16, 50
+	script := make([]faultinject.Kind, clients*perClient+1)
+	script[clients*perClient] = faultinject.KindPanic // the first decode after the storm
+	f := newOwnedFixture(t, Config{PoolSize: poolSize, BreakerThreshold: -1, MaxDegradeTier: -1}, script)
+	pool := f.svc.Pool()
+
+	f.storm(t, clients, perClient)
+	// More builds than workers is the bug; fewer would mean the storm
+	// missed a worker, which then builds during the count below.
+	if built := f.built.Load(); built != poolSize {
+		t.Fatalf("factory ran %d times for %d workers, want one each", built, poolSize)
+	}
+	f.balanced(t, "after the storm")
+
+	poisoned := f.panicOnce(t)
+	// Serial decodes rotate over the workers; the poisoned one rebuilds
+	// when it next gets a dispatch.
+	for i := 0; i < 200 && f.built.Load() == poolSize; i++ {
+		f.decode(t, 1)
+	}
+	f.decode(t, 4*poolSize)
+	if got := pool.Poisoned(); got != 1 {
+		t.Errorf("Poisoned() = %d, want 1", got)
+	}
+	if got := pool.Created(); got != poolSize+1 {
+		t.Errorf("Created() = %d after one quarantine, want %d", got, poolSize+1)
+	}
+	f.balanced(t, "after the quarantine")
+	neverAfter(t, f.served(), clients*perClient+1, poisoned)
 }
 
 // cueDecoder is the BP test decoder with a test-supplied hook at the top
@@ -334,9 +373,6 @@ func testChaosBatchFault(t *testing.T, rig func(core.Factory) faultRig, faults f
 	}
 	release()
 	svc.Close()
-	if got := svc.Pool().Outstanding(); got != 0 {
-		t.Errorf("pool outstanding = %d after Close, want 0", got)
-	}
 	waitGoroutines(t, base)
 }
 
@@ -448,8 +484,8 @@ func TestChaosWatchdogPhotoFinish(t *testing.T) {
 	}
 	t.Logf("worker won %d, watchdog won %d", oks.Load(), hangs)
 	pool := svc.Pool()
-	if pool.Outstanding() != 0 || pool.Created() > int64(pool.Size())+int64(pool.Poisoned()) {
-		t.Errorf("pool outstanding=%d created=%d size=%d poisoned=%d", pool.Outstanding(), pool.Created(), pool.Size(), pool.Poisoned())
+	if pool.Created() > int64(pool.Size())+int64(pool.Poisoned()) {
+		t.Errorf("pool created=%d size=%d poisoned=%d", pool.Created(), pool.Size(), pool.Poisoned())
 	}
 	if got := svc.met.queueDepth.Load(); got != 0 {
 		t.Errorf("queue depth = %d after Close, want 0", got)
@@ -590,13 +626,14 @@ func TestChaosDegradationLadder(t *testing.T) {
 	svc := newService("chaos", model, "BP(30)+chaos", wrapped, Config{
 		MaxBatch: 4, MaxWait: 50 * time.Microsecond,
 		PoolSize:         1,
-		DegradeQueueHigh: 2, DegradeHold: 20 * time.Millisecond,
 		BreakerThreshold: -1,
 	})
 	defer svc.Close()
+	// Read by the batcher only after a request arrives on in.
+	svc.ladder.queueHigh, svc.ladder.hold = 2, int64(20*time.Millisecond)
 
 	// Storm: 32 concurrent slow requests against one worker drive the
-	// queue past DegradeQueueHigh, stepping the ladder down.
+	// queue past the ladder's queueHigh, stepping the ladder down.
 	syndromes := sampleSyndromes(model, 32, 6)
 	var wg sync.WaitGroup
 	var degraded atomic.Int64

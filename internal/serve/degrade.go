@@ -2,9 +2,14 @@ package serve
 
 import (
 	"sync/atomic"
+	"time"
 
 	"vegapunk/internal/core"
 )
+
+// degradeHold is the ladder's hysteresis: the minimum time after a tier
+// change before it steps back toward full.
+const degradeHold = 100 * time.Millisecond
 
 // ladder is the service's degradation ladder: under queue or deadline
 // pressure it steps the active core.Tier toward maxTier (cheaper, less

@@ -148,9 +148,9 @@ func writeServiceFamilies(w io.Writer, svcs []*Service) {
 		func(s *Service) uint64 { return s.breaker.trips.Load() })
 	counterFam(w, "vegapunk_serve_breaker_rejected_total", "Submissions fast-failed while the circuit breaker was open.", svcs,
 		func(s *Service) uint64 { return s.breaker.rejected.Load() })
-	counterFam(w, "vegapunk_serve_pool_hits_total", "Pool acquisitions served by an idle decoder.", svcs,
+	counterFam(w, "vegapunk_serve_pool_hits_total", "Dispatches served by the worker's decoder.", svcs,
 		func(s *Service) uint64 { return s.pool.Hits() })
-	counterFam(w, "vegapunk_serve_pool_misses_total", "Pool acquisitions that constructed a decoder.", svcs,
+	counterFam(w, "vegapunk_serve_pool_misses_total", "Dispatches that constructed the worker's decoder.", svcs,
 		func(s *Service) uint64 { return s.pool.Misses() })
 	counterFam(w, "vegapunk_serve_pool_poisoned_total", "Decoder instances removed from the pool after a fault.", svcs,
 		func(s *Service) uint64 { return s.pool.Poisoned() })

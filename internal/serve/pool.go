@@ -1,143 +1,32 @@
 package serve
 
-import (
-	"context"
-	"runtime"
-	"sync/atomic"
+import "sync/atomic"
 
-	"vegapunk/internal/core"
-)
-
-func defaultPoolSize() int { return runtime.GOMAXPROCS(0) }
-
-// Pool multiplexes single-goroutine decoder instances across concurrent
-// callers. Decoders own their scratch and their returned vectors ("owned
-// until next Decode", internal/README.md), so an instance must never be
-// used by two goroutines at once and a result must be copied out (see
-// gf2.CopyVec) before the instance is released. The pool provides the
-// exclusivity: Acquire hands a caller sole use of an instance until the
-// matching Release, constructing instances lazily up to a bound.
-//
-// Steady-state Acquire/Release is allocation-free (two channel
-// operations and an atomic counter).
+// Pool counts a service's decoder instances. There is no lending: each
+// dispatch worker owns its decoder outright (see Service.worker), builds
+// it on its first dispatch and keeps it until a fault quarantines it, so
+// at most Size instances are live and no instance is ever shared.
+// Decoders own their scratch and their returned vectors ("owned until
+// next Decode", internal/README.md), so a result must still be copied
+// out (see gf2.CopyVec) before the worker's next dispatch.
 type Pool struct {
-	factory core.Factory
-	idle    chan core.Decoder
-	permits chan struct{}
-
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	created atomic.Int64
-	// outstanding counts acquired-but-not-returned instances; it guards
-	// against Release/Poison without a matching Acquire (including a
-	// double Release of the same instance when nothing else is out).
-	outstanding atomic.Int64
-	poisoned    atomic.Uint64
+	size     int
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	poisoned atomic.Uint64
 }
 
-// NewPool builds a pool bounded at size instances (size ≤ 0 uses
-// runtime.GOMAXPROCS). No decoder is constructed until first use.
-func NewPool(factory core.Factory, size int) *Pool {
-	if size <= 0 {
-		size = defaultPoolSize()
-	}
-	p := &Pool{
-		factory: factory,
-		idle:    make(chan core.Decoder, size),
-		permits: make(chan struct{}, size),
-	}
-	for i := 0; i < size; i++ {
-		p.permits <- struct{}{} //vegapunk:allow(block) fills a freshly made buffered channel to its exact capacity; cannot block
-	}
-	return p
-}
+// Size is the instance bound: the number of dispatch workers.
+func (p *Pool) Size() int { return p.size }
 
-// Acquire returns a decoder for exclusive use until Release. It prefers
-// an idle instance (pool hit), lazily constructs one while under the
-// size bound (pool miss), and otherwise blocks until an instance is
-// released or ctx is done.
-//
-//vegapunk:hotpath
-func (p *Pool) Acquire(ctx context.Context) (core.Decoder, error) {
-	select {
-	case d := <-p.idle:
-		p.hits.Add(1)
-		p.outstanding.Add(1)
-		return d, nil
-	default:
-	}
-	select {
-	case d := <-p.idle:
-		p.hits.Add(1)
-		p.outstanding.Add(1)
-		return d, nil
-	case <-p.permits:
-		p.misses.Add(1)
-		p.created.Add(1)
-		p.outstanding.Add(1)
-		return p.factory(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
+// Created is the number of instances constructed so far: one per miss.
+func (p *Pool) Created() int64 { return int64(p.misses.Load()) }
 
-// Release returns an acquired decoder to the pool. The caller must not
-// touch the instance — or any vector it returned — afterwards. Releasing
-// nil or releasing more instances than are outstanding panics: both are
-// caller bugs that would otherwise corrupt the exclusivity invariant.
-//
-//vegapunk:hotpath
-func (p *Pool) Release(d core.Decoder) {
-	if d == nil {
-		panic("serve: Pool.Release of nil decoder")
-	}
-	if p.outstanding.Add(-1) < 0 {
-		panic("serve: Pool.Release without matching Acquire")
-	}
-	select {
-	case p.idle <- d:
-	default:
-		// idle has capacity size and at most size instances exist, so
-		// this is only reachable by double-releasing one instance while
-		// the rest of the pool is idle.
-		panic("serve: Pool.Release without matching Acquire")
-	}
-}
-
-// Poison removes an acquired instance from circulation — after a panic,
-// a hung decode, or a defective result — and returns its permit so a
-// replacement can be constructed lazily. The instance itself is simply
-// dropped (a hung decoder may still be running; it becomes garbage when
-// its goroutine returns).
-func (p *Pool) Poison(d core.Decoder) {
-	if d == nil {
-		panic("serve: Pool.Poison of nil decoder")
-	}
-	if p.outstanding.Add(-1) < 0 {
-		panic("serve: Pool.Poison without matching Acquire")
-	}
-	p.poisoned.Add(1)
-	select {
-	case p.permits <- struct{}{}:
-	default:
-		panic("serve: Pool.Poison without matching Acquire")
-	}
-}
-
-// Size is the instance bound.
-func (p *Pool) Size() int { return cap(p.idle) }
-
-// Created is the number of instances constructed so far.
-func (p *Pool) Created() int64 { return p.created.Load() }
-
-// Hits counts acquisitions served by an idle instance.
+// Hits counts dispatches served by the worker's existing decoder.
 func (p *Pool) Hits() uint64 { return p.hits.Load() }
 
-// Misses counts acquisitions that lazily constructed an instance.
+// Misses counts dispatches that constructed the worker's decoder.
 func (p *Pool) Misses() uint64 { return p.misses.Load() }
 
-// Poisoned counts instances removed from circulation by Poison.
+// Poisoned counts instances quarantined after a fault.
 func (p *Pool) Poisoned() uint64 { return p.poisoned.Load() }
-
-// Outstanding is the number of currently acquired instances.
-func (p *Pool) Outstanding() int64 { return p.outstanding.Load() }

@@ -2,164 +2,178 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"vegapunk/internal/core"
+	"vegapunk/internal/faultinject"
 	"vegapunk/internal/gf2"
 )
 
-// countingDecoder records which goroutines touch it; concurrent use of
-// one instance is the bug the pool exists to prevent.
-type countingDecoder struct {
-	mu     sync.Mutex
-	inUse  bool
-	out    gf2.Vec
-	shared *int // constructed-instance counter, guarded by the test mutex
+// ownedDecoder is one numbered decoder instance that panics if two
+// goroutines ever decode on it at once and logs which instance served
+// each call.
+type ownedDecoder struct {
+	core.Decoder
+	id   int
+	busy atomic.Bool
+	log  *servedLog
 }
 
-func (d *countingDecoder) Name() string { return "counting" }
-
-func (d *countingDecoder) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
-	d.mu.Lock()
-	if d.inUse {
-		panic("countingDecoder used concurrently")
-	}
-	d.inUse = true
-	d.mu.Unlock()
-	time.Sleep(time.Microsecond)
-	d.mu.Lock()
-	d.inUse = false
-	d.mu.Unlock()
-	return d.out, core.Stats{}
+type servedLog struct {
+	mu  sync.Mutex
+	ids []int
 }
 
-func TestPoolBoundedAndExclusive(t *testing.T) {
-	var mu sync.Mutex
-	created := 0
-	factory := func() core.Decoder {
-		mu.Lock()
-		created++
-		mu.Unlock()
-		return &countingDecoder{out: gf2.NewVec(8)}
+func (d *ownedDecoder) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
+	if !d.busy.CompareAndSwap(false, true) {
+		panic("ownedDecoder used concurrently")
 	}
-	const size = 3
-	p := NewPool(factory, size)
-	if p.Created() != 0 {
-		t.Fatal("pool constructed decoders eagerly")
-	}
+	defer d.busy.Store(false)
+	d.log.mu.Lock()
+	d.log.ids = append(d.log.ids, d.id)
+	d.log.mu.Unlock()
+	return d.Decoder.Decode(s)
+}
 
+// ownedFixture is a service over numbered ownedDecoder instances wrapping
+// the BP test decoder under a faultinject script; built counts the
+// factory's runs.
+type ownedFixture struct {
+	svc       *Service
+	syndromes []gf2.Vec
+	built     atomic.Int64
+	log       servedLog
+}
+
+func newOwnedFixture(t *testing.T, cfg Config, script []faultinject.Kind) *ownedFixture {
+	t.Helper()
+	model, factory := testModel(t)
+	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{Seed: 1, Script: script})
+	f := &ownedFixture{syndromes: sampleSyndromes(model, 16, 14)}
+	f.svc = newService("chaos", model, "BP(30)+owned", func() core.Decoder {
+		return &ownedDecoder{Decoder: wrapped(), id: int(f.built.Add(1)), log: &f.log}
+	}, cfg)
+	t.Cleanup(f.svc.Close)
+	return f
+}
+
+// decode runs n serial DecodeInto calls that must all succeed.
+func (f *ownedFixture) decode(t *testing.T, n int) {
+	t.Helper()
+	var res Result
+	for i := 0; i < n; i++ {
+		if err := f.svc.DecodeInto(context.Background(), &res, f.syndromes[i%len(f.syndromes)]); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+	}
+}
+
+// storm runs clients goroutines of perClient DecodeInto calls each.
+func (f *ownedFixture) storm(t *testing.T, clients, perClient int) {
+	t.Helper()
 	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				d, err := p.Acquire(context.Background())
-				if err != nil {
-					t.Error(err)
+			var res Result
+			for i := 0; i < perClient; i++ {
+				if err := f.svc.DecodeInto(context.Background(), &res, f.syndromes[(c+i)%len(f.syndromes)]); err != nil {
+					t.Errorf("client %d decode %d: %v", c, i, err)
 					return
 				}
-				d.Decode(gf2.NewVec(0))
-				p.Release(d)
 			}
-		}()
+		}(c)
 	}
 	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if created > size {
-		t.Fatalf("factory ran %d times, pool bound is %d", created, size)
-	}
-	if int64(created) != p.Created() {
-		t.Fatalf("Created() = %d, factory ran %d times", p.Created(), created)
-	}
-	if p.Hits()+p.Misses() != 16*50 {
-		t.Fatalf("hits+misses = %d, want %d", p.Hits()+p.Misses(), 16*50)
-	}
 }
 
-func TestPoolAcquireHonorsContext(t *testing.T) {
-	p := NewPool(func() core.Decoder { return &countingDecoder{} }, 1)
-	d, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	if _, err := p.Acquire(ctx); err != context.DeadlineExceeded {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	p.Release(d)
-	if _, err := p.Acquire(context.Background()); err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-}
-
-// mustPanic asserts f panics (release-discipline bugs must fail loudly,
-// not corrupt the pool's exclusivity invariant).
-func mustPanic(t *testing.T, name string, f func()) {
+// panicOnce runs the one decode the script makes panic and returns the
+// id of the instance it poisoned.
+func (f *ownedFixture) panicOnce(t *testing.T) int {
 	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("%s: expected panic", name)
-		}
-	}()
-	f()
+	var res Result
+	if err := f.svc.DecodeInto(context.Background(), &res, f.syndromes[0]); !errors.Is(err, ErrDecoderFault) {
+		t.Fatalf("scripted panic returned %v, want ErrDecoderFault", err)
+	}
+	ids := f.served()
+	return ids[len(ids)-1]
 }
 
-func TestPoolReleaseGuards(t *testing.T) {
-	factory := func() core.Decoder { return &countingDecoder{out: gf2.NewVec(8)} }
-
-	t.Run("nil release", func(t *testing.T) {
-		p := NewPool(factory, 2)
-		mustPanic(t, "Release(nil)", func() { p.Release(nil) })
-	})
-	t.Run("double release", func(t *testing.T) {
-		p := NewPool(factory, 2)
-		d, err := p.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Release(d)
-		mustPanic(t, "second Release", func() { p.Release(d) })
-	})
-	t.Run("release without acquire", func(t *testing.T) {
-		p := NewPool(factory, 2)
-		mustPanic(t, "unacquired Release", func() { p.Release(factory()) })
-	})
-	t.Run("poison guards", func(t *testing.T) {
-		p := NewPool(factory, 2)
-		mustPanic(t, "Poison(nil)", func() { p.Poison(nil) })
-		mustPanic(t, "unacquired Poison", func() { p.Poison(factory()) })
-	})
+// balanced checks Created() against the factory count and every dispatch
+// against exactly one hit or miss.
+func (f *ownedFixture) balanced(t *testing.T, when string) {
+	t.Helper()
+	pool := f.svc.Pool()
+	if pool.Created() != f.built.Load() {
+		t.Errorf("%s: Created() = %d, factory ran %d times", when, pool.Created(), f.built.Load())
+	}
+	if got, want := pool.Hits()+pool.Misses(), f.svc.met.batches.Load(); got != want {
+		t.Errorf("%s: hits+misses = %d, batches_total = %d", when, got, want)
+	}
 }
 
+// served returns the id of the instance that served each call, in order.
+func (f *ownedFixture) served() []int {
+	f.log.mu.Lock()
+	defer f.log.mu.Unlock()
+	return append([]int(nil), f.log.ids...)
+}
+
+// neverAfter fails if instance id served any call from index from on.
+func neverAfter(t *testing.T, ids []int, from, id int) {
+	t.Helper()
+	for i, got := range ids[from:] {
+		if got == id {
+			t.Fatalf("poisoned instance %d decoded call %d after its quarantine", id, from+i)
+		}
+	}
+}
+
+// TestPoolBoundedAndExclusive: 16 clients on 3 workers build no instance
+// before the first dispatch, at most one per worker after it, and never
+// decode on one instance from two goroutines at once.
+func TestPoolBoundedAndExclusive(t *testing.T) {
+	const size = 3
+	f := newOwnedFixture(t, Config{PoolSize: size, BreakerThreshold: -1, MaxDegradeTier: -1}, nil)
+	if f.svc.Pool().Created() != 0 || f.built.Load() != 0 {
+		t.Fatal("service constructed decoders eagerly")
+	}
+	if f.svc.Pool().Size() != size {
+		t.Fatalf("Size() = %d, want %d", f.svc.Pool().Size(), size)
+	}
+	f.storm(t, 16, 50)
+	if built := f.built.Load(); built > size {
+		t.Fatalf("factory ran %d times, pool bound is %d", built, size)
+	}
+	f.balanced(t, "after the storm")
+	if got := len(f.served()); got != 16*50 {
+		t.Fatalf("decoders served %d calls, want %d", got, 16*50)
+	}
+}
+
+// TestPoolPoisonReplaces: at bound 1, a panic poisons the only instance,
+// the worker builds a replacement on its next dispatch, and the poisoned
+// instance never decodes again.
 func TestPoolPoisonReplaces(t *testing.T) {
-	p := NewPool(func() core.Decoder { return &countingDecoder{out: gf2.NewVec(8)} }, 1)
-	d, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	f := newOwnedFixture(t, serialChaosConfig(),
+		[]faultinject.Kind{faultinject.KindNone, faultinject.KindPanic})
+	pool := f.svc.Pool()
+	f.decode(t, 1)
+	if pool.Created() != 1 || pool.Poisoned() != 0 {
+		t.Fatalf("created=%d poisoned=%d, want 1/0", pool.Created(), pool.Poisoned())
 	}
-	if p.Outstanding() != 1 {
-		t.Fatalf("outstanding = %d, want 1", p.Outstanding())
+	poisoned := f.panicOnce(t)
+	if pool.Poisoned() != 1 {
+		t.Fatalf("Poisoned() = %d, want 1", pool.Poisoned())
 	}
-	p.Poison(d)
-	if p.Outstanding() != 0 || p.Poisoned() != 1 {
-		t.Fatalf("outstanding=%d poisoned=%d, want 0/1", p.Outstanding(), p.Poisoned())
+	f.decode(t, 4)
+	if pool.Created() != 2 {
+		t.Fatalf("Created() = %d, want 2", pool.Created())
 	}
-	// The permit funds a lazily constructed replacement even at bound 1.
-	d2, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 == d {
-		t.Fatal("poisoned instance returned to circulation")
-	}
-	if p.Created() != 2 {
-		t.Fatalf("created = %d, want 2", p.Created())
-	}
-	p.Release(d2)
+	f.balanced(t, "after the replacement")
+	neverAfter(t, f.served(), 2, poisoned)
 }

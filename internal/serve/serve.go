@@ -5,14 +5,15 @@
 //
 // The package composes four pieces:
 //
-//   - Pool: a bounded decoder pool per registered model that safely
-//     multiplexes the single-goroutine, scratch-owning decoders (see
-//     internal/README.md "owned until next Decode") across concurrent
-//     requests. Lazy construction, acquire/release, and a mandatory
-//     copy-out of every decoder-owned result at the pool boundary.
-//   - Service: a micro-batching queue in front of each pool. Requests
+//   - Pool: the counters of a model's decoder instances. Nothing is
+//     lent: each of PoolSize dispatch workers owns one single-goroutine,
+//     scratch-owning decoder (see internal/README.md "owned until next
+//     Decode"), builds it on its first dispatch, keeps it across
+//     dispatches and replaces it after a fault; every decoder-owned
+//     result is copied out before the worker's next dispatch.
+//   - Service: a micro-batching queue in front of the workers. Requests
 //     accumulate until MaxBatch or MaxWait, then the whole batch goes to
-//     one long-lived worker (one per pooled decoder), which loops the
+//     one long-lived worker (the owner of one decoder), which loops the
 //     decoder over it; a single request is a batch of one. Batching is
 //     the service's dispatch, the same for every decoder: what it saves
 //     is the per-dispatch cost, and no decoder is asked for more than
@@ -32,6 +33,7 @@
 package serve
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -54,9 +56,9 @@ type Config struct {
 	// dispatch capacity it flushes immediately, so MaxWait is a
 	// saturation-regime deadline, not a floor on light-load latency.
 	MaxWait time.Duration
-	// PoolSize bounds the number of decoder instances constructed per
-	// model, and is the number of long-lived dispatch workers — one per
-	// instance (default runtime.GOMAXPROCS(0)).
+	// PoolSize is the number of long-lived dispatch workers per model,
+	// each owning one decoder instance, so it bounds the live instances
+	// (default runtime.GOMAXPROCS(0)).
 	PoolSize int
 	// MaxInFlight bounds concurrently admitted HTTP decode requests;
 	// excess requests receive 503 + Retry-After (default 64).
@@ -74,16 +76,10 @@ type Config struct {
 	// MaxDegradeTier bounds the degradation ladder: how far the service
 	// may step down from core.TierFull under pressure. 0 allows the
 	// full ladder (core.MaxTier); a negative value disables degradation
-	// entirely.
+	// entirely. Pressure is a queue deeper than 4*MaxBatch or any shed
+	// request; the ladder steps back toward full no sooner than 100ms
+	// after a tier change.
 	MaxDegradeTier int
-	// DegradeQueueHigh is the queue depth that counts as pressure for
-	// the degradation ladder (default 4*MaxBatch). Any shed request
-	// also counts as pressure regardless of depth.
-	DegradeQueueHigh int
-	// DegradeHold is the minimum time after a tier change before the
-	// ladder steps back toward full (default 100ms) — hysteresis
-	// against flapping.
-	DegradeHold time.Duration
 	// BreakerThreshold is the number of consecutive decoder
 	// quarantines (panics, hangs, defective results) that trips the
 	// circuit breaker (default 3; negative disables the breaker).
@@ -111,7 +107,7 @@ func (c Config) withDefaults() Config {
 		c.MaxWait = 200 * time.Microsecond
 	}
 	if c.PoolSize <= 0 {
-		c.PoolSize = defaultPoolSize()
+		c.PoolSize = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
@@ -121,12 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HangTimeout <= 0 {
 		c.HangTimeout = time.Second
-	}
-	if c.DegradeQueueHigh <= 0 {
-		c.DegradeQueueHigh = 4 * c.MaxBatch
-	}
-	if c.DegradeHold <= 0 {
-		c.DegradeHold = 100 * time.Millisecond
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3

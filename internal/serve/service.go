@@ -99,13 +99,15 @@ type Result struct {
 }
 
 // Service serves decode requests for one registered model: a
-// micro-batching queue in front of a decoder pool. Construct via
-// Server.Register (or newService in tests); safe for concurrent use.
+// micro-batching queue in front of PoolSize workers, each owning the
+// decoder factory builds for it. Construct via Server.Register (or
+// newService in tests); safe for concurrent use.
 type Service struct {
 	key         string
 	decoderName string
 	model       *dem.Model
-	pool        *Pool
+	factory     core.Factory
+	pool        Pool
 	cfg         Config
 	met         *serviceMetrics
 	tracer      *obs.Tracer  // never nil; disabled stand-in when unset
@@ -116,7 +118,7 @@ type Service struct {
 	// capacity MaxBatch) to the workers, one batch per worker at a time.
 	work chan []*request
 	// load counts dispatched-but-unfinished batches; load == PoolSize
-	// (one worker per pooled decoder) means saturation, the only regime
+	// (every worker busy with its decoder) means saturation, the only regime
 	// where the batcher waits to grow a batch.
 	load atomic.Int64
 
@@ -138,13 +140,6 @@ type Service struct {
 	mu     sync.RWMutex // guards closed vs. sends on in
 	closed bool
 
-	// lifeCtx is the service-lifetime context the dispatch goroutines
-	// acquire pool permits under: deliberately detached from any single
-	// request (a worker drains admitted requests during Close) and
-	// cancelled only after the workers have exited.
-	lifeCtx    context.Context
-	lifeCancel context.CancelFunc
-
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 }
@@ -162,22 +157,24 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		key:         key,
 		decoderName: decoderName,
 		model:       model,
-		pool:        NewPool(factory, cfg.PoolSize),
+		factory:     factory,
 		cfg:         cfg,
 		met:         newServiceMetrics(),
 		tracer:      tracer,
 		slow:        cfg.SlowLog,
 		in:          make(chan *request, cfg.MaxBatch),
 		work:        make(chan []*request, cfg.PoolSize),
-		reqFree:     make(chan *request, 4*cfg.MaxBatch),
-		batchFree:   make(chan []*request, 2*cfg.PoolSize+1), // every batch that can exist: queued on work, held by a worker, filling in the batcher
-		breaker:     newBreaker(cfg.BreakerThreshold, int64(cfg.BreakerCooldown)),
+		// Room for the queue's worth plus one whole call's: the 64 is
+		// DecodeBatchInto's stack array and wire's maxPipeline, the most
+		// requests one call keeps live until it collects, at any MaxBatch.
+		reqFree:   make(chan *request, 4*cfg.MaxBatch+64),
+		batchFree: make(chan []*request, 2*cfg.PoolSize+1), // every batch that can exist: queued on work, held by a worker, filling in the batcher
+		breaker:   newBreaker(cfg.BreakerThreshold, int64(cfg.BreakerCooldown)),
 	}
+	s.pool.size = cfg.PoolSize
 	s.ladder.maxTier = cfg.maxDegradeTier()
-	s.ladder.queueHigh = int64(cfg.DegradeQueueHigh)
-	s.ladder.hold = int64(cfg.DegradeHold)
-	//vegapunk:allow(ctx) service-lifetime root: workers outlive any single request; cancelled by Close after the drain
-	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
+	s.ladder.queueHigh = int64(4 * cfg.MaxBatch)
+	s.ladder.hold = int64(degradeHold)
 	s.wg.Add(1 + cfg.PoolSize)
 	go s.batcher() //vegapunk:goroutine(Service.Close) exits when Close closes in; reaped by wg.Wait
 	for i := 0; i < cfg.PoolSize; i++ {
@@ -195,8 +192,8 @@ func (s *Service) DecoderName() string { return s.decoderName }
 // Model returns the served detector error model.
 func (s *Service) Model() *dem.Model { return s.model }
 
-// Pool exposes the decoder pool (metrics, tests).
-func (s *Service) Pool() *Pool { return s.pool }
+// Pool exposes the decoder instance counters (metrics, tests).
+func (s *Service) Pool() *Pool { return &s.pool }
 
 // Tier reports the degradation tier new decodes currently run at.
 func (s *Service) Tier() core.Tier { return s.ladder.active() }
@@ -373,7 +370,6 @@ func (s *Service) Close() {
 		s.mu.Unlock()
 	})
 	s.wg.Wait()
-	s.lifeCancel()
 }
 
 // batcher accumulates requests into micro-batches, whatever the decoder.
@@ -448,28 +444,27 @@ func (s *Service) batcher() {
 	}
 }
 
-// worker is a long-lived dispatch goroutine, one per pooled decoder: per
-// batch it acquires a decoder from the pool, carries the whole batch
-// through process — the decode runs right here, under the worker's hang
-// watchdog — releases the decoder and recycles the batch. A worker the
-// watchdog abandoned mid-decode returns without an epilogue: abandon
-// already ran it and started the replacement that now holds this
-// goroutine's WaitGroup slot.
+// worker is a long-lived dispatch goroutine and the sole owner of its
+// decoder: it builds the decoder on its first dispatch (a pool miss) and
+// after every quarantine, reuses it on every other dispatch (a hit),
+// carries each batch through process — the decode runs right here,
+// under the worker's hang watchdog — and recycles the batch. A worker
+// the watchdog abandoned mid-decode returns without an epilogue: abandon
+// already ran it and started the replacement, which holds this
+// goroutine's WaitGroup slot and starts with no decoder.
 //
 //vegapunk:hotpath
 func (s *Service) worker(id uint16) {
 	w := s.newWorkerState(id) //vegapunk:allow(alloc) worker-owned lanes, scratch, span ring and watchdog timer, once per goroutine lifetime
 	for b := range s.work {
-		dec, err := s.pool.Acquire(s.lifeCtx)
-		if err != nil { // unreachable: lifeCtx is cancelled only after workers exit
-			panic(err)
+		if w.dec == nil {
+			s.pool.misses.Add(1)
+			w.dec = s.factory()
+		} else {
+			s.pool.hits.Add(1)
 		}
-		w.dec = dec
 		if !s.process(w, b) {
 			return
-		}
-		if w.dec != nil {
-			s.pool.Release(w.dec)
 		}
 		s.load.Add(-1)
 		s.putBatch(b)
@@ -478,12 +473,12 @@ func (s *Service) worker(id uint16) {
 }
 
 // quarantine handles a decoder fault: record the failure with the
-// circuit breaker, poison the faulty instance (its permit funds a
-// lazily constructed replacement) and fail every lane of the dispatch
-// with ErrDecoderFault.
-func (s *Service) quarantine(dec core.Decoder, lanes []*request) {
+// circuit breaker, count the faulty instance poisoned (its worker drops
+// it and builds a replacement on its next dispatch) and fail every lane
+// of the dispatch with ErrDecoderFault.
+func (s *Service) quarantine(lanes []*request) {
 	s.breaker.recordFailure(obs.Tick())
-	s.pool.Poison(dec)
+	s.pool.poisoned.Add(1)
 	for _, req := range lanes {
 		s.finish(req, ErrDecoderFault)
 	}
@@ -548,8 +543,8 @@ func (s *Service) process(w *workerState, b []*request) bool {
 		} else {
 			s.met.decoderBadResults.Add(1)
 		}
-		s.quarantine(w.dec, lanes)
-		w.dec = nil // poisoned, not released
+		s.quarantine(lanes)
+		w.dec = nil // poisoned: the next dispatch builds a replacement
 		return true
 	}
 	s.breaker.recordSuccess()

@@ -41,8 +41,8 @@ func sampleSyndromes(model *dem.Model, n int, seed uint64) []gf2.Vec {
 // TestConcurrentPoolMatchesSerial is the pool-correctness keystone:
 // many goroutines hammering one service must produce bit-identical
 // corrections to a single decoder run serially over the same
-// syndromes. Run under -race this also proves the acquire/release and
-// copy-out discipline has no data races.
+// syndromes. Run under -race this also proves the worker-owned decoders
+// and the copy-out discipline have no data races.
 func TestConcurrentPoolMatchesSerial(t *testing.T) {
 	model, factory := testModel(t)
 	const nSyn = 160

@@ -28,7 +28,7 @@ const (
 // replacement worker brings its own.
 type workerState struct {
 	id    uint16
-	dec   core.Decoder // held for the current batch; nil after a quarantine
+	dec   core.Decoder // owned across dispatches; nil until the first and after a quarantine
 	syn   gf2.Vec      // syndrome-check scratch
 	ring  *obs.Ring
 	syns  []gf2.Vec
@@ -155,7 +155,7 @@ func (s *Service) abandon(w *workerState) {
 		return
 	}
 	s.met.decoderHangs.Add(1)
-	s.quarantine(w.dec, w.lanes)
+	s.quarantine(w.lanes)
 	s.load.Add(-1)
 	s.putBatch(w.lanes)
 	go s.worker(w.id) //vegapunk:goroutine(Service.Close) takes over the abandoned worker's wg slot; exits when the batcher closes work

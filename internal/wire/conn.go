@@ -218,9 +218,6 @@ func NewClient(conn net.Conn, ioTimeout time.Duration) *Client {
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// Conn exposes the underlying connection (tests).
-func (c *Client) Conn() net.Conn { return c.conn }
-
 // EnableResync opts the client's stream into scan-and-resync on
 // corrupt headers (see Reader.EnableResync).
 func (c *Client) EnableResync() { c.r.EnableResync() }

@@ -148,6 +148,9 @@ func FuzzWireParseCorrupt(f *testing.F) {
 	unknown := append(append([]byte{}, traced...), 0)
 	unknown[len(unknown)-traceBlockSize-1] = TelemetryVersion + 1
 	f.Add(unknown, 72)
+	// Error frames whose status is no failure: StatusOK and undefined.
+	f.Add(AppendError(nil, 0, 2, StatusOK, ""), 72)
+	f.Add(AppendError(nil, 0, 2, Status(0xFF), "x"), 72)
 	// Mid-stream byte-flip seeds over the canonical multi-frame
 	// pipelined buffer: magic of frame 2, payload-length field of
 	// frame 1, a payload byte of frame 2, and a req-id byte of
@@ -215,8 +218,10 @@ func FuzzWireParseCorrupt(f *testing.F) {
 		if _, _, _, err := ParseHelloAck(payload); err != nil && !isProtoErr(err) {
 			t.Fatalf("unexpected error class: %v", err)
 		}
-		if _, _, err := ParseError(payload); err != nil && !isProtoErr(err) {
+		if status, _, err := ParseError(payload); err != nil && !isProtoErr(err) {
 			t.Fatalf("unexpected error class: %v", err)
+		} else if err == nil && (status == StatusOK || status >= numStatuses) {
+			t.Fatalf("error frame accepted with status byte %d", status)
 		}
 
 		// Stream pass: a resync-enabled Reader over the same bytes must

@@ -501,7 +501,7 @@ func parseResultBody(res *Result, b []byte) ([]byte, error) {
 }
 
 // ErrBadStatus rejects a result frame whose status byte is outside the
-// defined set.
+// defined set, or an error frame whose status is not a failure.
 var ErrBadStatus = errors.New("wire: invalid status code")
 
 // ---- telemetry extension ----
@@ -842,9 +842,15 @@ func AppendError(buf []byte, flags Flags, reqID uint64, status Status, msg strin
 }
 
 // ParseError decodes an OpError payload into its status and message.
+// The status must be a defined failure: an error frame claiming
+// StatusOK (a byte flipped in flight) would otherwise read as a success
+// with no result behind it.
 func ParseError(b []byte) (Status, string, error) {
 	if len(b) < 1 {
 		return 0, "", ErrTruncated
+	}
+	if b[0] == byte(StatusOK) || b[0] >= byte(numStatuses) {
+		return 0, "", ErrBadStatus
 	}
 	return Status(b[0]), string(b[1:]), nil //vegapunk:allow(alloc) error path: message materialized only on failure
 }

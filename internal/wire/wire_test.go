@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"net"
 	"testing"
+	"time"
 
 	"vegapunk/internal/gf2"
 )
@@ -241,6 +242,70 @@ func TestHelloAndErrorFrames(t *testing.T) {
 	status, msg, err := ParseError(buf[HeaderSize:])
 	if err != nil || h.Op != OpError || status != StatusUnknownModel || msg != "no such model" {
 		t.Fatalf("error frame: %+v %v %q %v", h, status, msg, err)
+	}
+}
+
+// TestParseErrorStatus: an error frame must carry a defined failure
+// status. StatusOK or an undefined byte (a flip in flight; there is no
+// checksum) is rejected rather than read as a success.
+func TestParseErrorStatus(t *testing.T) {
+	for _, tc := range []struct {
+		status byte
+		ok     bool
+	}{
+		{byte(StatusOK), false},
+		{byte(StatusUnknownModel), true},
+		{byte(StatusInternal), true},
+		{byte(numStatuses), false},
+		{0xFF, false},
+	} {
+		buf := AppendError(nil, 0, 9, Status(tc.status), "msg")
+		status, _, err := ParseError(buf[HeaderSize:])
+		switch {
+		case tc.ok && (err != nil || status != Status(tc.status)):
+			t.Errorf("status byte %d: got %v, %v", tc.status, status, err)
+		case !tc.ok && !errors.Is(err, ErrBadStatus):
+			t.Errorf("status byte %d: err = %v, want ErrBadStatus", tc.status, err)
+		}
+	}
+}
+
+// TestReadResultRejectsOKErrorFrame: an OpError frame whose status byte
+// reads StatusOK must fail ReadResult, not hand back the previous
+// result's vectors as a success.
+func TestReadResultRejectsOKErrorFrame(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+	c := NewClient(b, time.Second)
+
+	syn := gf2.NewVec(64)
+	syn.Set(3, true)
+	go func() {
+		r := NewReader(a)
+		for i := 0; i < 2; i++ {
+			if _, _, err := r.ReadFrame(); err != nil {
+				return
+			}
+		}
+		res := Result{Status: StatusOK, Correction: syn, Observables: gf2.NewVec(0)}
+		out := AppendResult(nil, 0, 1, 1, &res)
+		out = AppendError(out, 0, 2, StatusOK, "")
+		_, _ = a.Write(out)
+	}()
+
+	c.QueueDecode(1, 1, syn)
+	c.QueueDecode(1, 2, syn)
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	SizeResult(&res, 64, 0)
+	if _, err := c.ReadResult(&res); err != nil || !res.Correction.Equal(syn) {
+		t.Fatalf("first result: %v", err)
+	}
+	if h, err := c.ReadResult(&res); !errors.Is(err, ErrBadStatus) {
+		t.Fatalf("OpError with status ok: op=%s err=%v status=%s, want ErrBadStatus", h.Op, err, res.Status)
 	}
 }
 

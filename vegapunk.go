@@ -208,8 +208,9 @@ func NewVec(n int) Vec { return gf2.NewVec(n) }
 
 // ---- Online decoding service ----
 
-// ServeConfig shapes the decoding service (micro-batching, decoder
-// pooling, admission control); the zero value uses sensible defaults.
+// ServeConfig shapes the decoding service (micro-batching, dispatch
+// workers that each own one decoder, admission control); the zero value
+// uses sensible defaults.
 type ServeConfig = serve.Config
 
 // DecodeServer is the HTTP decoding service: register models, then
@@ -224,19 +225,9 @@ type DecodeService = serve.Service
 // for allocation-free steady-state serving.
 type DecodeResult = serve.Result
 
-// DecoderPool multiplexes single-goroutine decoder instances across
-// concurrent callers with acquire/release semantics.
-type DecoderPool = serve.Pool
-
 // NewDecodeServer builds an empty decoding service; register models via
 // (*DecodeServer).Register before serving.
 func NewDecodeServer(cfg ServeConfig) *DecodeServer { return serve.NewServer(cfg) }
-
-// NewDecoderPool builds a bounded lazy pool over a decoder factory
-// (size ≤ 0 uses GOMAXPROCS).
-func NewDecoderPool(factory func() Decoder, size int) *DecoderPool {
-	return serve.NewPool(core.Factory(factory), size)
-}
 
 // ServeModelKey derives the canonical model registry key used by
 // cmd/vegapunkd and cmd/decodeload.

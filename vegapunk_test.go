@@ -177,26 +177,3 @@ func TestPublicDecodeServer(t *testing.T) {
 		}
 	}
 }
-
-func TestPublicDecoderPool(t *testing.T) {
-	c, err := BBCode(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := CodeCapacityNoise(c, 0.01)
-	pool := NewDecoderPool(func() Decoder { return NewBP(model, 30) }, 2)
-	d, err := pool.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, _ := d.Decode(NewVec(model.NumDet))
-	// Pool-boundary rule: copy the decoder-owned result out before Release.
-	kept := est.Clone()
-	pool.Release(d)
-	if !kept.IsZero() {
-		t.Fatal("zero syndrome decoded to nonzero correction")
-	}
-	if pool.Created() != 1 {
-		t.Fatalf("pool created %d decoders, want 1", pool.Created())
-	}
-}
