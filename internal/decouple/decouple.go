@@ -18,19 +18,32 @@
 // resulting decoupling is exact and validated bit-for-bit against T·D·P.
 //
 // For one K the order of work is plan → rank → build → validate. Every
-// strategy returns a plan: the identity, interior and tail column lists,
-// from which the coverage K·n_D is already exact. Plans are ranked by
-// coverage; only those tied at the top are built (T, T·D, the sparse
-// blocks — the nonzero-count tie-break needs them), and none at all when
-// that coverage falls short of Options.MinCoverage; the candidate about
-// to win is validated, and one that fails to build or validate gives way
-// to the next best.
+// strategy returns a plan whose coverage K·n_D is already exact. A
+// subspace plan carries its identity, interior and tail column lists; a
+// row-partition plan carries its partition and a count of each group's
+// interior columns, since with every group of rank m_D the coverage is K
+// times the smallest count, and chooses its identity columns (the
+// pivots) only when built, failing there if a group is short of rank.
+// Plans are ranked by coverage; only those tied at the top are built (T,
+// T·D, the sparse blocks — the nonzero-count tie-break needs them), and
+// none at all when that coverage falls short of Options.MinCoverage; the
+// candidate about to win is validated, and one that fails to build or
+// validate gives way to the next best.
+//
+// The subspace search keeps the sum W₁ ⊕ … ⊕ W_K as one reduced basis
+// whose vectors are tagged with their coefficients over the raw columns
+// added, so which W_i holds a column is read off the pivots the column
+// has set (directSum).
 //
 // All strategies read one searchView of D. Its neighbour table lists,
 // per row, each distinct column of weight ≥ 2 on the row with its
-// multiplicity and other rows in one flat span; the refinement's swap
-// trials are evaluated from it and from a per-row, per-group count kept
-// up to date on accepted swaps only (refiner).
+// multiplicity and other rows in one flat span, and its pair index
+// lists, per pair of rows, the entries of the first that hold the
+// second. Affinity clustering sums row affinities from the spans of the
+// rows it assigns. The refinement's swap trials are evaluated from a
+// per-row, per-group count kept up to date on accepted swaps only,
+// corrected for the columns the two rows share by reading those entries
+// (refiner).
 package decouple
 
 import (

@@ -1,6 +1,8 @@
 package decouple
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"vegapunk/internal/code"
@@ -137,6 +139,32 @@ func TestDecoupleForceK(t *testing.T) {
 	}
 	if err := dec.Validate(D); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecoupleForceKDivisor: a ForceK that does not divide m is refused
+// before any search, naming both numbers (a K > m would otherwise panic
+// inside a search goroutine, where no caller can recover it); a divisor
+// keeps the artifact it had.
+func TestDecoupleForceKDivisor(t *testing.T) {
+	D := bbCircuit(0)(t) // m = 36
+	for _, K := range []int{37, 72, 5, 7, -3} {
+		_, err := Decouple(D, Options{ForceK: K, Seed: 3})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("ForceK %d does not divide m = 36", K)) {
+			t.Errorf("ForceK %d: error %v, want one naming %d and m = 36", K, err, K)
+		}
+	}
+	for _, tc := range []struct {
+		K      int
+		sha256 string
+	}{
+		{1, "fa98af84454a1d60e8c9480f3345feec7c0429e98438d5b7204247c81b6b9948"},
+		{2, "3d180cc47a805d02e00b47fb1c713b3378236c6e1421d30c9ef2b68f157e9063"},
+		{36, "9f0f12d89c9dda4510ee2398afb8e4116801b74bbc9a4ce558fe17f9e328421e"},
+	} {
+		if got := digest(artifactBytes(t, D, Options{ForceK: tc.K, Seed: 3})); got != tc.sha256 {
+			t.Errorf("ForceK %d: artifact digest %s, want %s", tc.K, got, tc.sha256)
+		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // Options tunes the decoupling search.
 type Options struct {
 	// ForceK pins the number of blocks (0 = the paper's divisor rule:
-	// try the largest feasible K first).
+	// try the largest feasible K first). It must divide the number of
+	// rows m, so lie in [1, m]; Decouple rejects any other value before
+	// searching.
 	ForceK int
 	// HintKs lists structure-derived block counts to try before the
 	// generic search (the paper's §4.2 analytic rules: K = t for
@@ -39,9 +41,10 @@ const refinePasses = 2
 // among partition strategies by the Eq. 11 sparsity objective. The
 // returned artifact has passed Validate(D).
 //
-// Each K is planned first and materialised last: a plan fixes the column
-// lists and hence the coverage without forming T, so a K whose best plan
-// falls short of MinCoverage costs no inverse, no T·D and no validation.
+// Each K is planned first and materialised last: a plan fixes the
+// coverage without forming T, so a K whose best plan falls short of
+// MinCoverage costs no inverse, no T·D, no validation, and no pivot
+// choice for its row partitions.
 //
 // The K values are independent searches over one shared read-only view
 // of D and run concurrently, but their results are read in the order
@@ -50,8 +53,11 @@ func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	v := newSearchView(D)
 	m, S := v.m, v.cols.MaxColWeight()
 	var ks []int
-	if opts.ForceK > 0 {
-		ks = []int{opts.ForceK}
+	if K := opts.ForceK; K != 0 {
+		if K < 1 || K > m || m%K != 0 {
+			return nil, fmt.Errorf("decouple: ForceK %d does not divide m = %d", K, m)
+		}
+		ks = []int{K}
 	} else {
 		ks = candidateKs(m, S)
 	}
@@ -261,47 +267,54 @@ func samePartition(p, q [][]int) bool {
 // affinityPartition grows K balanced groups greedily by row affinity
 // (number of columns two rows share).
 func affinityPartition(v *searchView, K int) [][]int {
-	m, aff := v.m, v.aff
+	m := v.m
 	mD := m / K
+	// addAffinity adds sign times row r's affinity with each row to acc.
+	addAffinity := func(acc []int, r, sign int) {
+		var mult int
+		var others []int32
+		for span := v.neighbours(r); len(span) > 0; {
+			mult, others, span = nextNeighbour(span)
+			for _, o := range others {
+				acc[o] += sign * mult
+			}
+		}
+	}
 	assigned := make([]bool, m)
 	groups := make([][]int, K)
 	gain := make([]int, m)
+	// mass[r] is row r's affinity to the rows not yet assigned.
+	mass := make([]int, m)
+	for r := range mass {
+		addAffinity(mass, r, +1)
+	}
+	assign := func(r int) {
+		assigned[r] = true
+		addAffinity(mass, r, -1)
+	}
 	for g := 0; g < K; g++ {
 		// Seed: unassigned row with the largest remaining affinity mass.
 		seed, bestMass := -1, -1
 		for r := 0; r < m; r++ {
-			if assigned[r] {
-				continue
-			}
-			mass := 0
-			for s := 0; s < m; s++ {
-				if !assigned[s] {
-					mass += aff[r][s]
-				}
-			}
-			if mass > bestMass {
-				seed, bestMass = r, mass
+			if !assigned[r] && mass[r] > bestMass {
+				seed, bestMass = r, mass[r]
 			}
 		}
-		groups[g] = []int{seed}
-		assigned[seed] = true
+		groups[g] = append(make([]int, 0, mD), seed)
+		assign(seed)
 		// Grow by the strongest connection to the group.
-		copy(gain, aff[seed])
+		clear(gain)
+		addAffinity(gain, seed, +1)
 		for len(groups[g]) < mD {
 			next, bestGain := -1, -1
 			for s := 0; s < m; s++ {
-				if assigned[s] {
-					continue
-				}
-				if gain[s] > bestGain {
+				if !assigned[s] && gain[s] > bestGain {
 					next, bestGain = s, gain[s]
 				}
 			}
 			groups[g] = append(groups[g], next)
-			assigned[next] = true
-			for s := 0; s < m; s++ {
-				gain[s] += aff[next][s]
-			}
+			assign(next)
+			addAffinity(gain, next, +1)
 		}
 		sort.Ints(groups[g])
 	}
@@ -360,8 +373,8 @@ func refinePartition(v *searchView, groups [][]int, passes int, seed uint64) [][
 // with multiplicity, the columns of weight ≥ 2 on row r whose other rows
 // all lie in group g: such a column is interior iff r is in g too. A
 // swap trial is then four table cells plus the columns the two rows
-// share, read from the view's neighbour spans; the table is brought up
-// to date only when a swap is accepted, which few trials are.
+// share, read from the view's pair index; the table is brought up to
+// date only when a swap is accepted, which few trials are.
 type refiner struct {
 	v        *searchView
 	K        int
@@ -407,24 +420,19 @@ func (rf *refiner) allIn(others []int32, g int, skip int32) bool {
 func (rf *refiner) gain(r, s int) int {
 	a, b := rf.groupOf[r], rf.groupOf[s]
 	d := rf.confined[r*rf.K+b] - rf.confined[r*rf.K+a] + rf.confined[s*rf.K+a] - rf.confined[s*rf.K+b]
-	if rf.v.aff[r][s] > 0 {
-		// A column holding both rows stays crossing, yet the table has
-		// it becoming interior when everything on it but r lies in b (s
-		// does), or everything but s in a.
-		d -= rf.sharedConfined(r, s, b) + rf.sharedConfined(s, r, a)
-	}
-	return d
+	// A column holding both rows stays crossing, yet the table has it
+	// becoming interior when everything on it but r lies in b (s does),
+	// or everything but s in a.
+	return d - rf.sharedConfined(r, s, b) - rf.sharedConfined(s, r, a)
 }
 
 // sharedConfined counts the columns on r that also hold s and whose
 // rows other than r all lie in group g.
 func (rf *refiner) sharedConfined(r, s, g int) int {
 	n := 0
-	var mult int
-	var others []int32
-	for span := rf.v.neighbours(r); len(span) > 0; {
-		mult, others, span = nextNeighbour(span)
-		if slices.Contains(others, int32(s)) && rf.allIn(others, g, -1) {
+	for _, at := range rf.v.shared(r, s) {
+		mult, others, _ := nextNeighbour(rf.v.nbr[at:])
+		if rf.allIn(others, g, -1) {
 			n += mult
 		}
 	}
@@ -456,12 +464,22 @@ func (rf *refiner) tally(row, skip, sign int) {
 			rf.confined[row*rf.K+g] += sign * mult
 		}
 		// For another row x of the column, the fellows are row and the
-		// others but x.
+		// others but x: all in row's group when no other row lies
+		// outside it, or x is the only one that does.
 		g := rf.groupOf[row]
+		out, outside := 0, int32(-1)
 		for _, x := range others {
-			if rf.allIn(others, g, x) {
+			if rf.groupOf[x] != g {
+				out, outside = out+1, x
+			}
+		}
+		switch out {
+		case 0:
+			for _, x := range others {
 				rf.confined[int(x)*rf.K+g] += sign * mult
 			}
+		case 1:
+			rf.confined[int(outside)*rf.K+g] += sign * mult
 		}
 	}
 }

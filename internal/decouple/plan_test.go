@@ -152,6 +152,36 @@ func TestBestReplacesFailedWinner(t *testing.T) {
 	if got := (&candidates{v: v, plans: []*plan{wide}}).best(acceptAny); got != nil {
 		t.Fatal("sole candidate returned although its build fails")
 	}
+
+	// Rank-deficient group: under rows {0,1} | {2,3} the first group has
+	// five interior columns, all e0+e1, so rank 1 < m_D = 2. The count
+	// ranks that partition first (2·min(5, 3) = 6 block columns); its
+	// build finds the rank short, and {0,2} | {1,3} (2·2 = 4) wins.
+	D = gf2.FromRows([][]int{
+		{1, 1, 1, 1, 1, 0, 0, 0, 1, 0},
+		{1, 1, 1, 1, 1, 0, 0, 0, 0, 1},
+		{0, 0, 0, 0, 0, 1, 0, 1, 1, 0},
+		{0, 0, 0, 0, 0, 0, 1, 1, 0, 1},
+	})
+	v = newSearchView(D)
+	deficient, err := planPartition(v, [][]int{{0, 1}, {2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := planPartition(v, [][]int{{0, 2}, {1, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deficient.blockCols() != 6 || full.blockCols() != 4 {
+		t.Fatalf("planned %d and %d block columns, want 6 and 4", deficient.blockCols(), full.blockCols())
+	}
+	c = &candidates{v: v, plans: []*plan{deficient, full}}
+	if got := c.best(acceptAny); got == nil || got.K*got.ND != 4 || got.Validate(D) != nil {
+		t.Fatal("rank-deficient partition plan not replaced by the next best")
+	}
+	if len(c.plans) != 0 || deficient.dec != nil {
+		t.Fatal("rank-deficient partition plan kept")
+	}
 }
 
 // TestCoversBoundary: one predicate decides coverage for plans and
@@ -185,18 +215,26 @@ func TestCoversBoundary(t *testing.T) {
 }
 
 // TestDecoupleDoesNotBuildLosers: BB72's K = 12, 9, 6 and 4 fall short
-// of the coverage bar before K = 3 clears it, and none of their plans may
-// be materialised (T, T·D, the sparse blocks): doing so again costs
-// ~13 000 allocations on top of the ~8 400 the search needs.
+// of the coverage bar before K = 3 clears it, and BB144's K = 24, 18,
+// 12, 9, 8 and 6 before K = 4 does. None of their plans may be
+// materialised (T, T·D, the sparse blocks) nor pick pivots: doing so
+// again costs thousands of allocations on top of the ~2 900 (BB72) and
+// ~5 900 (BB144) the search needs.
 func TestDecoupleDoesNotBuildLosers(t *testing.T) {
-	D := bbCircuit(0)(t)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := Decouple(D, Options{Seed: 3}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		idx   int
+		bound float64
+	}{{"BB72", 0, 4000}, {"BB144", 3, 8000}} {
+		D := bbCircuit(tc.idx)(t)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Decouple(D, Options{Seed: 3}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs >= tc.bound {
+			t.Errorf("%s: Decouple made %.0f allocations, want < %.0f", tc.name, allocs, tc.bound)
 		}
-	})
-	if allocs >= 12000 {
-		t.Errorf("Decouple made %.0f allocations, want < 12000", allocs)
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
 	}
-	t.Logf("%.0f allocations", allocs)
 }

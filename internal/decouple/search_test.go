@@ -316,3 +316,26 @@ func TestDecoupleReturnsValidatedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAffinityPartitionMatchesRescan: seeding from the running affinity
+// mass picks the rows the per-group rescan picked, for every K dividing
+// m, on random DEM-like matrices and on the circuit-level BB72/BB144.
+func TestAffinityPartitionMatchesRescan(t *testing.T) {
+	check := func(name string, v *searchView) {
+		for K := 1; K <= v.m; K++ {
+			if v.m%K != 0 {
+				continue
+			}
+			if got, want := affinityPartition(v, K), rescanAffinityPartition(v, K); !samePartition(got, want) {
+				t.Fatalf("%s K=%d: partition %v, want %v", name, K, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewPCG(161, 162))
+	for trial := 0; trial < 60; trial++ {
+		m := 6 * (1 + rng.IntN(8))
+		check("random", newSearchView(randomDEMLike(rng, m, 2+rng.IntN(120), 1+rng.IntN(6))))
+	}
+	check("BB72", newSearchView(bbCircuit(0)(t)))
+	check("BB144", newSearchView(bbCircuit(3)(t)))
+}

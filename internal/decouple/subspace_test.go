@@ -2,6 +2,7 @@ package decouple
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"vegapunk/internal/code"
@@ -111,4 +112,115 @@ func TestSubspaceRejectsBadK(t *testing.T) {
 	if _, err := subspaceDecouple(newSearchView(D), 1); err == nil {
 		t.Error("K=1 accepted")
 	}
+}
+
+// checkSubspaceHome grows a random direct sum of K subspaces of F₂^m the
+// way planSubspace does — vectors handed to random subspaces, each kept
+// only when independent of everything kept before — and asks it which
+// subspace holds every raw vector, combinations within one subspace and
+// across two, and random vectors. The reduced basis must answer what the
+// first-containing-subspace scan over the parent's echelons answers, and
+// the flat per-subspace echelons must leave the same residuals.
+func checkSubspaceHome(t *testing.T, seed uint64, mRaw, kRaw, nRaw uint8) {
+	rng := rand.New(rand.NewPCG(seed, 171))
+	m := 1 + int(mRaw)%140
+	K := 1 + int(kRaw)%6
+	words := wordsFor(m)
+	randVec := func(maxW int) bitvec {
+		v := make(bitvec, words)
+		for w := 1 + rng.IntN(maxW); w > 0; w-- {
+			r := rng.IntN(m)
+			v[r/64] ^= 1 << (uint(r) % 64)
+		}
+		return v
+	}
+	ds := newDirectSum(m)
+	subs := make([]echelon, K)
+	refs := make([]*refEchelon, K)
+	for i := range refs {
+		refs[i] = &refEchelon{}
+	}
+	all := &refEchelon{}
+	raw := make([][]bitvec, K)
+	for n := int(nRaw); n > 0; n-- {
+		vec, i := randVec(min(m, 6)), rng.IntN(K)
+		if !ds.add(vec, i) {
+			if all.residual(vec).lead() >= 0 {
+				t.Fatalf("m=%d K=%d: independent vector refused", m, K)
+			}
+			continue
+		}
+		if !all.add(vec) {
+			t.Fatalf("m=%d K=%d: dependent vector added", m, K)
+		}
+		subs[i].add(vec)
+		refs[i].add(vec)
+		raw[i] = append(raw[i], vec)
+	}
+
+	check := func(kind string, q bitvec) {
+		if q.isZero() {
+			return
+		}
+		want, wantSpanned := refHome(refs, q), all.contains(q)
+		if got, spanned := ds.home(q); got != want || spanned != wantSpanned {
+			t.Fatalf("m=%d K=%d %s: home %d (spanned %v), want %d (spanned %v)", m, K, kind, got, spanned, want, wantSpanned)
+		}
+		for i := range subs {
+			if got, want := subs[i].residual(q), refs[i].residual(q); !slices.Equal(got, want) {
+				t.Fatalf("m=%d K=%d %s: subspace %d residual %x, want %x", m, K, kind, i, got, want)
+			}
+		}
+	}
+	combo := func(vs []bitvec) bitvec {
+		q := slices.Clone(vs[rng.IntN(len(vs))])
+		for _, v := range vs {
+			if rng.IntN(2) == 0 {
+				q.xor(v)
+			}
+		}
+		return q
+	}
+	var filled []int
+	for i, vs := range raw {
+		for _, v := range vs {
+			check("raw", v)
+		}
+		if len(vs) > 0 {
+			filled = append(filled, i)
+		}
+	}
+	for q := 0; q < 60; q++ {
+		switch pick := rng.IntN(3); {
+		case pick == 0 && len(filled) > 0:
+			check("within", combo(raw[filled[rng.IntN(len(filled))]]))
+		case pick == 1 && len(filled) > 1:
+			a := rng.IntN(len(filled))
+			b := (a + 1 + rng.IntN(len(filled)-1)) % len(filled)
+			v := combo(raw[filled[a]])
+			v.xor(combo(raw[filled[b]]))
+			check("across", v)
+		default:
+			check("random", randVec(m))
+		}
+	}
+}
+
+// TestSubspaceHomeMatchesContains: the direct sum's reduced basis names
+// the subspace holding a column exactly when the per-subspace scan finds
+// one, and reports a column spread over several as held by none.
+func TestSubspaceHomeMatchesContains(t *testing.T) {
+	rng := rand.New(rand.NewPCG(172, 173))
+	for i := 0; i < 300; i++ {
+		checkSubspaceHome(t, rng.Uint64(), uint8(rng.IntN(256)), uint8(rng.IntN(256)), uint8(rng.IntN(256)))
+	}
+}
+
+func FuzzSubspaceHome(f *testing.F) {
+	f.Add(uint64(1), uint8(9), uint8(1), uint8(30))    // m=10, K=2
+	f.Add(uint64(2), uint8(63), uint8(3), uint8(200))  // m=64: one full word
+	f.Add(uint64(3), uint8(64), uint8(5), uint8(255))  // m=65, K=6: a second word
+	f.Add(uint64(4), uint8(0), uint8(0), uint8(5))     // m=1, K=1
+	f.Add(uint64(5), uint8(139), uint8(2), uint8(255)) // m=140, K=3: three words
+	f.Fuzz(checkSubspaceHome)
 }

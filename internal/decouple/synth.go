@@ -2,47 +2,56 @@ package decouple
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"vegapunk/internal/gf2"
 )
 
-// plan is a decoupling candidate decided but not yet materialised: per
-// block, the columns that become its identity and its other interior
-// columns in take order, and the tail that goes to A. Every block takes
-// as many interior columns as the scarcest block has (uniform
-// n_D = m_D + spare), so the plan already fixes the coverage; only the
-// Eq. 11 nonzero count needs the transformation, which build supplies.
+// plan is a decoupling candidate decided but not yet materialised. Every
+// block takes as many interior columns as the scarcest block has (uniform
+// n_D = m_D + spare), so the plan already fixes the coverage K·n_D; only
+// the Eq. 11 nonzero count needs the transformation, which build
+// supplies.
+//
+// A subspace plan fixes its column lists: per block, the columns that
+// become its identity and its other interior columns in take order, and
+// the tail that goes to A. A row-partition plan keeps only its partition
+// and n_D; build chooses its lists, for the plans that get built.
 type plan struct {
+	K, nD int
+	// groupOf is a row partition's group of each row, nil for a
+	// subspace plan.
+	groupOf            []int
 	identity, interior [][]int
 	tail               []int
-	spare              int
 	// dec is the built artifact, set by the selection that needed it.
 	dec *Decoupling
 }
 
-// newPlan fixes spare and checks that every column is accounted for.
+// newPlan fixes n_D from column lists and checks that every column is
+// accounted for.
 func newPlan(v *searchView, identity, interior [][]int, tail []int) (*plan, error) {
-	p := &plan{identity: identity, interior: interior, tail: tail, spare: len(interior[0])}
+	spare := len(interior[0])
 	total := len(tail)
 	for g := range identity {
-		p.spare = min(p.spare, len(interior[g]))
+		spare = min(spare, len(interior[g]))
 		total += len(identity[g]) + len(interior[g])
 	}
 	if total != v.n {
 		return nil, fmt.Errorf("decouple: column accounting %d != %d", total, v.n)
 	}
-	return p, nil
+	K := len(identity)
+	return &plan{K: K, nD: v.m/K + spare, identity: identity, interior: interior, tail: tail}, nil
 }
 
 // blockCols is K·n_D, the number of columns the blocks absorb.
-func (p *plan) blockCols() int {
-	return len(p.identity) * (len(p.identity[0]) + p.spare)
-}
+func (p *plan) blockCols() int { return p.K * p.nD }
 
 // planPartition plans the decoupling for a given row partition (groups
-// of equal size m/K). It fails when some group's interior columns cannot
-// supply an identity (rank < m_D).
+// of equal size m/K). It fails when some group has fewer than m_D
+// interior columns. When every group's interior columns have rank m_D,
+// the coverage is K times the smallest group's interior count, so the
+// plan only counts; a group short of rank fails in build instead.
 //
 // The transformation this plan builds is block-local: the pivots of a
 // group are zero outside its rows, so the inverse of the stacked pivot
@@ -83,45 +92,61 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 		}
 	}
 
-	// Classify columns: interior to a single group, or crossing (→ A).
-	// Zero columns are useless and parked in A with the crossing ones.
-	interior := make([][]int, K) // interior column ids per group
-	var crossing []int
+	count := make([]int, K) // interior columns per group
+	for _, dc := range v.distinct {
+		if g := uniformGroup(v.cols.ColSpan(dc.cols[0]), groupOf); g >= 0 {
+			count[g] += len(dc.cols)
+		}
+	}
+	for g, c := range count {
+		if c < mD {
+			return nil, fmt.Errorf("decouple: group %d has %d interior columns < %d", g, c, mD)
+		}
+	}
+	return &plan{K: K, nD: slices.Min(count), groupOf: groupOf}, nil
+}
+
+// pickPivots fills a row-partition plan's column lists. Columns
+// interior to a group go to it, the rest — crossing, and zero columns,
+// which are useless — to the tail. Per group, the first m_D independent
+// interior columns, lightest first (unit columns make the group's part
+// of T the identity), become the identity; the others follow in the
+// same order. An interior column is zero outside its group's rows, so
+// independence can be read off the full packed columns.
+func (p *plan) pickPivots(v *searchView) error {
+	mD := v.m / p.K
+	interior := make([][]int, p.K)
+	var tail []int
 	for j := 0; j < v.n; j++ {
 		g := -1
 		if sup := v.cols.ColSpan(j); len(sup) > 0 {
-			g = uniformGroup(sup, groupOf)
+			g = uniformGroup(sup, p.groupOf)
 		}
 		if g >= 0 {
 			interior[g] = append(interior[g], j)
 		} else {
-			crossing = append(crossing, j)
+			tail = append(tail, j)
 		}
 	}
-
-	// Per group: pick m_D pivot columns (lightest first — unit columns
-	// make the group's part of T the identity) that are independent. An
-	// interior column is zero outside its group's rows, so independence
-	// can be read off the full packed columns.
-	pivots := make([][]int, K)
-	for g := 0; g < K; g++ {
-		cand := interior[g]
-		sort.SliceStable(cand, func(a, b int) bool { return v.cols.ColWeight(cand[a]) < v.cols.ColWeight(cand[b]) })
+	identity := make([][]int, p.K)
+	for g, cand := range interior {
+		slices.SortStableFunc(cand, func(a, b int) int { return v.cols.ColWeight(a) - v.cols.ColWeight(b) })
 		var ech echelon
 		nonPiv := cand[:0]
 		for _, j := range cand {
 			if ech.dim() < mD && ech.add(v.vecs[j]) {
-				pivots[g] = append(pivots[g], j)
+				identity[g] = append(identity[g], j)
 			} else {
 				nonPiv = append(nonPiv, j)
 			}
 		}
 		if ech.dim() < mD {
-			return nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
+			return fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
 		}
 		interior[g] = nonPiv
 	}
-	return newPlan(v, pivots, interior, crossing)
+	p.identity, p.interior, p.tail = identity, interior, tail
+	return nil
 }
 
 // build materialises the plan: T is the inverse of the matrix whose
@@ -130,8 +155,14 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 // Each block keeps its first spare interior columns; the surplus, then
 // the tail, go to A.
 func (p *plan) build(v *searchView) (*Decoupling, error) {
-	K := len(p.identity)
+	if p.identity == nil {
+		if err := p.pickPivots(v); err != nil {
+			return nil, err
+		}
+	}
+	K := p.K
 	mD := v.m / K
+	spare := p.nD - mD
 	basis := gf2.NewDense(v.m, v.m)
 	for g, cols := range p.identity {
 		for t, j := range cols {
@@ -145,7 +176,7 @@ func (p *plan) build(v *searchView) (*Decoupling, error) {
 		return nil, fmt.Errorf("decouple: identity columns not a basis: %w", err)
 	}
 	dec := &Decoupling{
-		M: v.m, N: v.n, K: K, MD: mD, ND: mD + p.spare,
+		M: v.m, N: v.n, K: K, MD: mD, ND: p.nD,
 		T:      T,
 		TRows:  gf2.CSRFromDense(T),
 		Blocks: make([]*gf2.CSC, K),
@@ -154,13 +185,13 @@ func (p *plan) build(v *searchView) (*Decoupling, error) {
 	var colOrder, aCols []int
 	var sups []int32 // one block's B supports, end to end
 	for g := range p.identity {
-		colOrder = append(append(colOrder, p.identity[g]...), p.interior[g][:p.spare]...)
-		aCols = append(aCols, p.interior[g][p.spare:]...)
+		colOrder = append(append(colOrder, p.identity[g]...), p.interior[g][:spare]...)
+		aCols = append(aCols, p.interior[g][spare:]...)
 		// B part: transformed interior columns restricted to the
 		// block's rows.
-		b := make([][]int32, p.spare)
+		b := make([][]int32, spare)
 		sups = sups[:0]
-		for jj, j := range p.interior[g][:p.spare] {
+		for jj, j := range p.interior[g][:spare] {
 			at := len(sups)
 			for _, r := range td.ColSpan(j) {
 				if t := int(r) - g*mD; t >= 0 && t < mD {

@@ -1,8 +1,8 @@
 package decouple
 
 import (
+	"encoding/binary"
 	"slices"
-	"sort"
 
 	"vegapunk/internal/gf2"
 )
@@ -27,17 +27,22 @@ type searchView struct {
 	vecs []bitvec
 	// unitCol[r] is the first weight-1 column on row r, or -1.
 	unitCol []int
-	// aff[r][s] counts the columns rows r and s share.
-	aff [][]int
 	// distinct lists the distinct nonzero columns, most frequent first
 	// (ties in first-appearance order).
 	distinct []colGroup
-	// nbr is the swap-trial neighbour table: nbr[nbrAt[r]:nbrAt[r+1]]
-	// lists every distinct column of weight ≥ 2 on row r as
-	// (multiplicity, number of other rows, the other rows…). Unit
-	// columns are interior to any partition and never appear.
+	// nbr is the neighbour table: nbr[nbrAt[r]:nbrAt[r+1]] lists every
+	// distinct column of weight ≥ 2 on row r as (multiplicity, number of
+	// other rows, the other rows…). Unit columns are interior to any
+	// partition and never appear. The affinity of rows r and s, the
+	// number of columns they share, is the multiplicity summed over r's
+	// entries that list s.
 	nbr   []int32
 	nbrAt []int32
+	// pairs is the neighbour table's pair index: pairs[pairAt[r·m+s]:
+	// pairAt[r·m+s+1]] holds the offset in nbr of each entry on row r
+	// whose other rows include s.
+	pairs  []int32
+	pairAt []int32
 }
 
 func newSearchView(D *gf2.Dense) *searchView {
@@ -47,26 +52,21 @@ func newSearchView(D *gf2.Dense) *searchView {
 		cols:    gf2.CSCFromDense(D),
 		vecs:    make([]bitvec, n),
 		unitCol: make([]int, m),
-		aff:     make([][]int, m),
 	}
-	affCells := make([]int, m*m)
-	for r := range v.aff {
-		v.aff[r] = affCells[r*m : (r+1)*m]
+	for r := range v.unitCol {
 		v.unitCol[r] = -1
 	}
 	words := wordsFor(m)
 	packed := make(bitvec, n*words)
-	groupAt := map[string]int{}
+	// Equal columns share a key, their packed words as bytes.
+	key := make([]byte, 8*words)
+	groupAt := make(map[string]int, n)
 	for j := 0; j < n; j++ {
 		sup := v.cols.ColSpan(j)
 		vec := packed[j*words : (j+1)*words : (j+1)*words]
 		v.vecs[j] = vec
-		for a, r := range sup {
+		for _, r := range sup {
 			vec[r/64] |= 1 << (uint(r) % 64)
-			for _, s := range sup[a+1:] {
-				v.aff[r][s]++
-				v.aff[s][r]++
-			}
 		}
 		if len(sup) == 0 {
 			continue
@@ -74,15 +74,17 @@ func newSearchView(D *gf2.Dense) *searchView {
 		if len(sup) == 1 && v.unitCol[sup[0]] < 0 {
 			v.unitCol[sup[0]] = j
 		}
-		key := string(fmtKey(vec))
-		if g, ok := groupAt[key]; ok {
+		for i, w := range vec {
+			binary.LittleEndian.PutUint64(key[8*i:], w)
+		}
+		if g, ok := groupAt[string(key)]; ok {
 			v.distinct[g].cols = append(v.distinct[g].cols, j)
 			continue
 		}
-		groupAt[key] = len(v.distinct)
+		groupAt[string(key)] = len(v.distinct)
 		v.distinct = append(v.distinct, colGroup{vec: vec, cols: []int{j}})
 	}
-	sort.SliceStable(v.distinct, func(a, b int) bool { return len(v.distinct[a].cols) > len(v.distinct[b].cols) })
+	slices.SortStableFunc(v.distinct, func(a, b colGroup) int { return len(b.cols) - len(a.cols) })
 	v.buildNeighbours()
 	return v
 }
@@ -90,14 +92,21 @@ func newSearchView(D *gf2.Dense) *searchView {
 // neighbours returns row r's span of the neighbour table.
 func (v *searchView) neighbours(r int) []int32 { return v.nbr[v.nbrAt[r]:v.nbrAt[r+1]] }
 
+// shared returns the offsets in nbr of row r's entries for the columns
+// that also hold row s.
+func (v *searchView) shared(r, s int) []int32 {
+	return v.pairs[v.pairAt[r*v.m+s]:v.pairAt[r*v.m+s+1]]
+}
+
 // nextNeighbour splits the first entry off a neighbour span.
 func nextNeighbour(span []int32) (mult int, others, rest []int32) {
 	end := 2 + span[1]
 	return int(span[0]), span[2:end], span[end:]
 }
 
-// buildNeighbours fills nbr and nbrAt from the distinct columns: one
-// pass sizes each row's span, a second writes the entries.
+// buildNeighbours fills nbr and nbrAt from the distinct columns, one
+// pass sizing each row's span and a second writing the entries, then
+// the pair index the same way from nbr.
 func (v *searchView) buildNeighbours() {
 	v.nbrAt = make([]int32, v.m+1)
 	for _, g := range v.distinct {
@@ -130,15 +139,31 @@ func (v *searchView) buildNeighbours() {
 			at[r] += int32(k)
 		}
 	}
+
+	m := v.m
+	v.pairAt = make([]int32, m*m+1)
+	v.forEachPair(func(cell int, _ int32) { v.pairAt[cell+1]++ })
+	for c := 0; c < m*m; c++ {
+		v.pairAt[c+1] += v.pairAt[c]
+	}
+	v.pairs = make([]int32, v.pairAt[m*m])
+	fill := slices.Clone(v.pairAt[:m*m])
+	v.forEachPair(func(cell int, e int32) {
+		v.pairs[fill[cell]] = e
+		fill[cell]++
+	})
 }
 
-// fmtKey serializes a bitvec for map keying.
-func fmtKey(v bitvec) []byte {
-	b := make([]byte, 8*len(v))
-	for i, w := range v {
-		for k := 0; k < 8; k++ {
-			b[8*i+k] = byte(w >> (8 * k))
+// forEachPair calls f(r·m+s, offset) for every neighbour entry of every
+// row r and every other row s it lists.
+func (v *searchView) forEachPair(f func(cell int, e int32)) {
+	for r := 0; r < v.m; r++ {
+		for e := v.nbrAt[r]; e < v.nbrAt[r+1]; {
+			_, others, _ := nextNeighbour(v.nbr[e:])
+			for _, s := range others {
+				f(r*v.m+int(s), e)
+			}
+			e += 2 + int32(len(others))
 		}
 	}
-	return b
 }
