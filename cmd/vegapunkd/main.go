@@ -200,7 +200,7 @@ func run() int {
 
 	if *debugAddr != "" {
 		dbg := &http.Server{Addr: *debugAddr, Handler: obs.DebugMux(tracer)}
-		//vegapunk:goroutine(process) debug listener lives for the process; the OS reaps it when main exits
+		// Lives for the process; the OS reaps it when main exits.
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Printf("debug listener: %v", err)
@@ -212,13 +212,11 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	//vegapunk:goroutine(main) sends exactly one value into the buffered errCh when the listener exits; main selects on it
 	go func() { errCh <- srv.ListenAndServe(*addr) }()
 	logger.Printf("listening on %s", *addr)
 	var wireErrCh chan error
 	if *wireAddr != "" {
 		wireErrCh = make(chan error, 1)
-		//vegapunk:goroutine(main) sends exactly one value into the buffered wireErrCh when the listener exits; main selects on it
 		go func() { wireErrCh <- srv.ListenAndServeWire(*wireAddr) }()
 		logger.Printf("wire protocol on %s", *wireAddr)
 	}

@@ -103,7 +103,7 @@ func run() int {
 
 	if *admin != "" {
 		adm := &http.Server{Addr: *admin, Handler: rt.Handler()}
-		//vegapunk:goroutine(process) admin listener lives for the process; the OS reaps it when main exits
+		// Lives for the process; the OS reaps it when main exits.
 		go func() {
 			if err := adm.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				logger.Printf("admin listener: %v", err)
@@ -115,7 +115,6 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errCh := make(chan error, 1)
-	//vegapunk:goroutine(main) sends exactly one value into the buffered errCh when the listener exits; main selects on it
 	go func() { errCh <- rt.ListenAndServe(*listen) }()
 	logger.Printf("listening on %s", *listen)
 

@@ -42,18 +42,24 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(f.Name())
 	if err := vegapunk.SaveDecoupling(art, f); err != nil {
 		log.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 	rf, err := os.Open(f.Name())
 	if err != nil {
 		log.Fatal(err)
 	}
 	loaded, err := vegapunk.LoadDecoupling(rf)
-	rf.Close()
 	if err != nil {
+		log.Fatal(err)
+	}
+	if err := rf.Close(); err != nil {
+		log.Fatal(err)
+	}
+	if err := os.Remove(f.Name()); err != nil {
 		log.Fatal(err)
 	}
 	if err := loaded.Validate(model.CheckMatrix()); err != nil {

@@ -173,8 +173,6 @@ func (d *Decoder) MaxIters() int { return d.cfg.MaxIters }
 // depends on the cap, so this is safe between Decode calls — the
 // degradation ladder uses it to trade accuracy for latency under
 // overload.
-//
-//vegapunk:hotpath
 func (d *Decoder) SetMaxIters(n int) {
 	if n < 1 {
 		n = 1
@@ -185,8 +183,6 @@ func (d *Decoder) SetMaxIters(n int) {
 // SetLegs retunes the number of relay legs at runtime, between 0 (plain
 // min-sum, no stall exit) and the constructed Config.Legs, whose γ table
 // is the only one there is.
-//
-//vegapunk:hotpath
 func (d *Decoder) SetLegs(n int) {
 	d.cfg.Legs = max(0, min(n, len(d.gamma)))
 }
@@ -213,8 +209,6 @@ type Result struct {
 
 // Decode runs BP against the syndrome. The returned slices/vectors are
 // owned by the decoder and valid until the next Decode call.
-//
-//vegapunk:hotpath
 func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 	if d.zeroPost != nil && syndrome.IsZero() {
 		// Zero exit: what iteration 1 returns, computed once in New.
@@ -257,8 +251,6 @@ func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 
 // initMessages sets every variable-to-check message to its variable's
 // prior, the state a decode starts from.
-//
-//vegapunk:hotpath
 func (d *Decoder) initMessages() {
 	for e, v := range d.g.VarOf {
 		d.varToCheck[e] = d.prior[v]
@@ -270,8 +262,6 @@ func (d *Decoder) initMessages() {
 // reports whether the hard decision reproduced the syndrome. gamma is
 // the leg's row of memory strengths, nil for the plain leg. Under relay
 // (Legs > 0) the leg is also left, unconverged, when it stalls.
-//
-//vegapunk:hotpath
 func (d *Decoder) runLeg(syndrome gf2.Vec, gamma []float64, iters *int) bool {
 	relay := d.cfg.Legs > 0
 	t := d.probe.Tick()

@@ -87,8 +87,6 @@ func (d *Decoder) MaxRounds() int { return d.cfg.MaxRounds }
 // SetMaxRounds retunes the decimation-round cap at runtime (min 1). No
 // buffer is sized by it, so it is safe between Decode calls — the
 // serving degradation ladder lowers it under overload.
-//
-//vegapunk:hotpath
 func (d *Decoder) SetMaxRounds(n int) {
 	if n < 1 {
 		n = 1

@@ -13,7 +13,7 @@ import "sync"
 //     HedgeMaxRate tokens per forwarded batch so hedges stay a bounded
 //     fraction of traffic even when every batch is slow.
 //
-// Only arithmetic runs under the mutex (the lock-blocking contract).
+// Only arithmetic runs under the mutex: no blocking while it is held.
 type tokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
@@ -40,8 +40,6 @@ func (b *tokenBucket) refillLocked(now int64) {
 }
 
 // take withdraws n tokens at tick now, all or nothing.
-//
-//vegapunk:hotpath
 func (b *tokenBucket) take(now int64, n float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -54,8 +52,6 @@ func (b *tokenBucket) take(now int64, n float64) bool {
 }
 
 // deposit adds n tokens, capped at burst (deposit-refilled buckets).
-//
-//vegapunk:hotpath
 func (b *tokenBucket) deposit(n float64) {
 	b.mu.Lock()
 	b.tokens += n

@@ -210,15 +210,13 @@ func (f *feConn) abandonBackend(rep *replica) {
 
 // Decode copies one frame of the run out of the reader into the next
 // lane.
-//
-//vegapunk:hotpath
 func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 	f := b.f
 	f.growLanes(f.n + 1)
 	ln := &f.lanes[f.n]
 	f.n++
 	ln.reqID = reqID
-	ln.syn = append(ln.syn[:0], payload...) //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
+	ln.syn = append(ln.syn[:0], payload...)
 	ln.done = false
 	f.armTrace(ln, flags)
 }
@@ -226,8 +224,6 @@ func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 // EndRun forwards the gathered run to the rendezvous winner, retries
 // undone lanes once on the next-best sibling, and answers every lane
 // with exactly one terminal response in arrival order.
-//
-//vegapunk:hotpath
 func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	f := b.f
 	lanes := f.lanes[:f.n]
@@ -284,9 +280,9 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 			ln.op = wire.OpError
 			ln.flags = f.routerFlags()
 			if admitted {
-				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "no usable replica") //vegapunk:allow(alloc) error path
+				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "no usable replica")
 			} else {
-				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "router at capacity") //vegapunk:allow(alloc) error path
+				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "router at capacity")
 			}
 			ln.done = true
 		}
@@ -303,8 +299,6 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 // block appended to the copied payload — once, here, so the retry path
 // re-sends the identical frame — and the timing block stripped off the
 // response before it reaches the client.
-//
-//vegapunk:hotpath
 func (f *feConn) armTrace(ln *feLane, flags wire.Flags) {
 	ln.traceID, ln.sampled, ln.strip = 0, false, false
 	ln.traced = flags&wire.FlagTelemetry != 0
@@ -336,8 +330,6 @@ func (f *feConn) armTrace(ln *feLane, flags wire.Flags) {
 // means the skipped lanes' responses were destroyed by a resync — they
 // are marked lost (eligible for retry) instead of stalling the loop on
 // frames that will never arrive.
-//
-//vegapunk:hotpath
 func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried bool) (hedged bool) {
 	c, err := f.backend(b, rep)
 	if err != nil {
@@ -354,7 +346,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 				if retried {
 					ln.flags |= wire.FlagRetried
 				}
-				ln.resp = appendErrPayload(ln.resp[:0], se.Status, se.Msg) //vegapunk:allow(alloc) error path
+				ln.resp = appendErrPayload(ln.resp[:0], se.Status, se.Msg)
 				ln.done = true
 			}
 		}
@@ -555,7 +547,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		if retried {
 			ln.flags |= wire.FlagRetried
 		}
-		ln.resp = append(ln.resp[:0], rp...) //vegapunk:allow(alloc) lane scratch grows to the response size once per connection
+		ln.resp = append(ln.resp[:0], rp...)
 		ln.done = true
 		rep.decodes.Add(1)
 	}
@@ -570,8 +562,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 // network/server split and the SLO burn; an hour bounds any real stage
 // far above every configured timeout while catching random corruption
 // of the high bytes.
-//
-//vegapunk:hotpath
 func plausibleTiming(tm *wire.ServerTiming) bool {
 	const maxStageNs = int64(time.Hour)
 	return tm.QueueWaitNs >= 0 && tm.QueueWaitNs <= maxStageNs &&
@@ -581,8 +571,6 @@ func plausibleTiming(tm *wire.ServerTiming) bool {
 }
 
 // isNetTimeout reports a deadline-exceeded transport error.
-//
-//vegapunk:hotpath
 func isNetTimeout(err error) bool {
 	var nerr net.Error
 	return errors.As(err, &nerr) && nerr.Timeout()
@@ -591,13 +579,11 @@ func isNetTimeout(err error) bool {
 // growLanes sizes the lane scratch for at least n lanes.
 func (f *feConn) growLanes(n int) {
 	for len(f.lanes) < n {
-		f.lanes = append(f.lanes, feLane{}) //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
+		f.lanes = append(f.lanes, feLane{})
 	}
 }
 
 // countUndone reports how many lanes still lack a terminal response.
-//
-//vegapunk:hotpath
 func countUndone(lanes []feLane) int {
 	n := 0
 	for i := range lanes {

@@ -215,8 +215,6 @@ type replica struct {
 
 // observeTiming records one relayed decode's network-vs-server split
 // and folds the replica's clock reading into the offset estimate.
-//
-//vegapunk:hotpath
 func (r *replica) observeTiming(wallNs int64, tm *wire.ServerTiming, recvTick int64) {
 	server := tm.ServerNs()
 	net := wallNs - server
@@ -242,8 +240,6 @@ func (r *replica) observeTiming(wallNs int64, tm *wire.ServerTiming, recvTick in
 }
 
 // suspend deprioritises the replica for d after it reported overload.
-//
-//vegapunk:hotpath
 func (r *replica) suspend(now int64, d time.Duration) {
 	if d <= 0 {
 		return
@@ -445,14 +441,12 @@ func New(cfg Config) (*Router, error) {
 		rep.state.Store(int32(StateHealthy))
 		r.replicas = append(r.replicas, rep)
 	}
-	go r.probeLoop() //vegapunk:goroutine(Router.Shutdown) parks on probeStop; Shutdown closes it and receives probeDone
+	go r.probeLoop() // parks on probeStop; Shutdown closes it and receives probeDone
 	return r, nil
 }
 
 // hash64 is FNV-1a, the shard hash for replica addresses and model
 // keys.
-//
-//vegapunk:hotpath
 func hash64(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
@@ -466,8 +460,6 @@ func hash64(s string) uint64 {
 // hash and key hash combine into a per-pair score and the highest
 // scoring usable replica wins, so each key pins to one replica and a
 // membership change only remaps the keys of the lost replica.
-//
-//vegapunk:hotpath
 func mix64(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
@@ -482,8 +474,6 @@ func mix64(x uint64) uint64 {
 // the retry sibling selector. A healthy replica inside its overload
 // suspension window (Retry-After honoring) ranks as draining: still
 // usable as the last resort, but routed around while the hint holds.
-//
-//vegapunk:hotpath
 func (r *Router) pick(keyHash uint64, exclude *replica) *replica {
 	var best *replica
 	var bestScore uint64

@@ -29,8 +29,6 @@ func newSLOWindow() *sloWindow {
 }
 
 // observe records one request latency, overwriting the oldest slot.
-//
-//vegapunk:hotpath
 func (w *sloWindow) observe(ns int64) {
 	if ns < 0 {
 		ns = 0

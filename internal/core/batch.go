@@ -9,8 +9,6 @@ import "vegapunk/internal/gf2"
 // No decoder has a batch kernel and serve runs this loop itself, with
 // its fault checks inside; the function remains for benchmark/ledger.go,
 // which is frozen and times it for the *.batch64_us_per_syn rows.
-//
-//vegapunk:hotpath
 func DecodeBatch(d Decoder, syndromes []gf2.Vec, out []gf2.Vec, stats []Stats) []Stats {
 	n := len(syndromes)
 	if len(out) < n || len(stats) < n {

@@ -112,8 +112,6 @@ type DegradableDecoder interface {
 }
 
 // clampTier normalizes an out-of-range tier request.
-//
-//vegapunk:hotpath
 func clampTier(t Tier) Tier {
 	if t > MaxTier {
 		return MaxTier
@@ -123,8 +121,6 @@ func clampTier(t Tier) Tier {
 
 // tierIters scales an iteration budget for a tier: full, half, quarter
 // (never below 1).
-//
-//vegapunk:hotpath
 func tierIters(full int, t Tier) int {
 	n := full
 	switch t {
@@ -191,8 +187,6 @@ func (v *Vegapunk) Decode(s gf2.Vec) (gf2.Vec, Stats) {
 // the constructed cap (paper default 3) to full-1 and then 1. The
 // hierarchical base solve always runs, so even TierMinimal explains
 // the diagonal blocks.
-//
-//vegapunk:hotpath
 func (v *Vegapunk) SetTier(t Tier) Tier {
 	t = clampTier(t)
 	n := v.fullOuter
@@ -248,8 +242,6 @@ func (b *baseline) Decode(s gf2.Vec) (gf2.Vec, Stats) { return b.decode(s) }
 // SetTier implements DegradableDecoder: the budget scales
 // full/half/quarter and TierMinimal additionally skips the fallback
 // stage.
-//
-//vegapunk:hotpath
 func (b *baseline) SetTier(t Tier) Tier {
 	t = clampTier(t)
 	b.apply(tierIters(b.full, t), t != TierMinimal)

@@ -41,8 +41,6 @@ func TransposeBits64(a *[64]uint64) {
 // layout: dst[i] bit l = srcs[l] bit i. dst must have one word per bit
 // position (srcs[0].Len() entries); missing lanes (len(srcs) < 64) read
 // as zero. The vectors must all share one length.
-//
-//vegapunk:hotpath
 func PackLanesInto(dst []uint64, srcs []Vec) {
 	if len(srcs) == 0 {
 		return

@@ -111,8 +111,6 @@ func (c *CSC) NNZ() int { return len(c.indices) }
 // ColSpan returns the sorted nonzero row indices of column j as a
 // subslice of the shared indices array: no allocation, must not be
 // modified.
-//
-//vegapunk:hotpath
 func (c *CSC) ColSpan(j int) []int32 {
 	return c.indices[c.offsets[j]:c.offsets[j+1]]
 }
@@ -132,8 +130,6 @@ func (c *CSC) MaxColWeight() int {
 }
 
 // XorColInto flips the bits of v at the support of column j.
-//
-//vegapunk:hotpath
 func (c *CSC) XorColInto(v Vec, j int) {
 	for _, i := range c.ColSpan(j) {
 		v.Flip(int(i))
@@ -142,8 +138,6 @@ func (c *CSC) XorColInto(v Vec, j int) {
 
 // MulVecInto computes out = c·x without allocating. out must have length
 // Rows and x length Cols.
-//
-//vegapunk:hotpath
 func (c *CSC) MulVecInto(out, x Vec) {
 	if x.n != c.cols || out.n != c.rows {
 		panic("gf2: CSC.MulVecInto dimension mismatch")
@@ -217,8 +211,6 @@ func (c *CSR) NNZ() int { return len(c.indices) }
 // RowSpan returns the sorted nonzero column indices of row i as a
 // subslice of the shared indices array: no allocation, must not be
 // modified.
-//
-//vegapunk:hotpath
 func (c *CSR) RowSpan(i int) []int32 {
 	return c.indices[c.offsets[i]:c.offsets[i+1]]
 }
@@ -238,8 +230,6 @@ func (c *CSR) MaxRowWeight() int {
 }
 
 // MulVecInto computes out = c·x via per-row parity without allocating.
-//
-//vegapunk:hotpath
 func (c *CSR) MulVecInto(out, x Vec) {
 	if x.n != c.cols || out.n != c.rows {
 		panic("gf2: CSR.MulVecInto dimension mismatch")

@@ -236,7 +236,7 @@ func (m *Dense) MulVec(v Vec) Vec {
 // Rows and v length Cols.
 func (m *Dense) MulVecInto(out, v Vec) {
 	if v.n != m.cols || out.n != m.rows {
-		panic(fmt.Sprintf("gf2: MulVecInto dimension mismatch: %dx%d by %d into %d", //vegapunk:allow(alloc) cold panic path; never taken on sized buffers
+		panic(fmt.Sprintf("gf2: MulVecInto dimension mismatch: %dx%d by %d into %d",
 			m.rows, m.cols, v.n, out.n))
 	}
 	out.Zero()

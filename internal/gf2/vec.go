@@ -71,8 +71,6 @@ func (v Vec) Set(i int, b bool) {
 }
 
 // Flip toggles bit i.
-//
-//vegapunk:hotpath
 func (v Vec) Flip(i int) {
 	v.w[i/wordBits] ^= 1 << (uint(i) % wordBits)
 }
@@ -88,11 +86,9 @@ func (v Vec) Word(i int) uint64 { return v.w[i] }
 func (v Vec) SetWord(i int, w uint64) { v.w[i] = w }
 
 // Xor adds (XORs) u into v in place. The lengths must match.
-//
-//vegapunk:hotpath
 func (v Vec) Xor(u Vec) {
 	if v.n != u.n {
-		panic(fmt.Sprintf("gf2: Xor length mismatch %d != %d", v.n, u.n)) //vegapunk:allow(alloc) cold panic path; never taken on sized buffers
+		panic(fmt.Sprintf("gf2: Xor length mismatch %d != %d", v.n, u.n))
 	}
 	for i, w := range u.w {
 		v.w[i] ^= w
@@ -100,8 +96,6 @@ func (v Vec) Xor(u Vec) {
 }
 
 // Weight returns the number of set bits (Hamming weight).
-//
-//vegapunk:hotpath
 func (v Vec) Weight() int {
 	t := 0
 	for _, w := range v.w {
@@ -121,8 +115,6 @@ func (v Vec) IsZero() bool {
 }
 
 // Equal reports whether v and u hold identical bits.
-//
-//vegapunk:hotpath
 func (v Vec) Equal(u Vec) bool {
 	if v.n != u.n {
 		return false
@@ -148,19 +140,15 @@ func (v Vec) Clone() Vec {
 // next Decode on the same instance, so any result that escapes the
 // goroutine (or pool slot) owning the decoder must be copied first.
 // With a reused dst the steady state is allocation-free.
-//
-//vegapunk:hotpath
 func CopyVec(dst *Vec, src Vec) {
 	if dst.n != src.n || len(dst.w) != len(src.w) {
-		*dst = src.Clone() //vegapunk:allow(alloc) resize path; steady state takes the in-place copy below
+		*dst = src.Clone()
 		return
 	}
 	copy(dst.w, src.w)
 }
 
 // CopyFrom overwrites v with the bits of u. Lengths must match.
-//
-//vegapunk:hotpath
 func (v Vec) CopyFrom(u Vec) {
 	if v.n != u.n {
 		panic("gf2: CopyFrom length mismatch")
@@ -169,8 +157,6 @@ func (v Vec) CopyFrom(u Vec) {
 }
 
 // Zero clears every bit.
-//
-//vegapunk:hotpath
 func (v Vec) Zero() {
 	for i := range v.w {
 		v.w[i] = 0
@@ -186,13 +172,11 @@ func (v Vec) Ones() []int {
 // dst and returns the extended slice. With a caller-owned dst of
 // sufficient capacity this allocates nothing — the hot-path variant of
 // Ones.
-//
-//vegapunk:hotpath
 func (v Vec) AppendOnes(dst []int) []int {
 	for wi, w := range v.w {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			dst = append(dst, wi*wordBits+b) //vegapunk:allow(alloc) appends into caller-reserved capacity; callers size dst for Weight()
+			dst = append(dst, wi*wordBits+b)
 			w &= w - 1
 		}
 	}
@@ -201,8 +185,6 @@ func (v Vec) AppendOnes(dst []int) []int {
 
 // WeightSum returns Σ w[i] over the set bits i of v. w must cover
 // Len() entries.
-//
-//vegapunk:hotpath
 func (v Vec) WeightSum(w []float64) float64 {
 	sum := 0.0
 	for wi, word := range v.w {

@@ -244,8 +244,6 @@ func (d *Decoder) MaxIters() int { return d.cfg.MaxIters }
 // SetMaxIters retunes the outer-round cap at runtime (min 1). No
 // buffer is sized by it, so it is safe between Decode calls — the
 // serving degradation ladder lowers it under overload.
-//
-//vegapunk:hotpath
 func (d *Decoder) SetMaxIters(n int) {
 	if n < 1 {
 		n = 1
@@ -278,8 +276,6 @@ func (d *Decoder) wA() []float64 { // A columns
 // later ones return that, with the two spans the pass records. New does
 // not run it: a pass over the cold objective table is set-up time every
 // instance would pay.
-//
-//vegapunk:hotpath
 func (d *Decoder) Decode(syndrome gf2.Vec) (gf2.Vec, Trace) {
 	zero := d.pruned && syndrome.IsZero()
 	if zero && d.zeroSeen {
@@ -307,8 +303,6 @@ func (d *Decoder) blockSlice(g int) []uint64 {
 
 // sliceInto copies block g's MD bits of the transformed syndrome sp into
 // dst (fW words, bit 0 = the block's first row).
-//
-//vegapunk:hotpath
 func (d *Decoder) sliceInto(dst []uint64, sp gf2.Vec, g int) {
 	md := d.dec.MD
 	last := (sp.Len() - 1) >> 6
@@ -328,8 +322,6 @@ func (d *Decoder) sliceInto(dst []uint64, sp gf2.Vec, g int) {
 
 // reset starts a decode of the transformed syndrome sp: rBest ← 0 and
 // the block slices ← s' (Algorithm 1 line 2).
-//
-//vegapunk:hotpath
 func (d *Decoder) reset(sp gf2.Vec) {
 	clear(d.rBest)
 	for g := range d.sols {
@@ -340,8 +332,6 @@ func (d *Decoder) reset(sp gf2.Vec) {
 // baseSolve computes the baseline solution for the transformed syndrome
 // in d.sPrime: every block decoded against its slice of s' (the level-0
 // block solves).
-//
-//vegapunk:hotpath
 func (d *Decoder) baseSolve(tr *Trace) {
 	d.reset(d.sPrime)
 	t := d.probe.Tick()
@@ -364,8 +354,6 @@ func (tr *Trace) solved(sol *blockSol) {
 // 3-14) against the state prepared by reset and the level-0 solves —
 // rBest = 0, the block slices and the committed block solutions — and
 // returns the final objective value.
-//
-//vegapunk:hotpath
 func (d *Decoder) outerLoop(tr *Trace) float64 {
 	dec := d.dec
 	dMin := 0.0 // rBest = 0: the blocks' objectives are the whole sum
@@ -415,8 +403,6 @@ func (d *Decoder) outerLoop(tr *Trace) float64 {
 // assembleInto writes e = P·e' into dst (length N, original column
 // order) straight from the committed block solutions and rBest, and
 // finalizes the trace (Algorithm 1 line 15).
-//
-//vegapunk:hotpath
 func (d *Decoder) assembleInto(dst gf2.Vec, dMin float64, tr *Trace) {
 	dec := d.dec
 	dst.Zero()
@@ -429,8 +415,6 @@ func (d *Decoder) assembleInto(dst gf2.Vec, dMin float64, tr *Trace) {
 }
 
 // setOnes sets dst[order[i]] for every set bit i of words.
-//
-//vegapunk:hotpath
 func setOnes(dst gf2.Vec, order []int, words []uint64) {
 	for k, w := range words {
 		for ; w != 0; w &= w - 1 {
@@ -444,8 +428,6 @@ func setOnes(dst gf2.Vec, order []int, words []uint64) {
 // slice with the column's rows flipped in, and every other block keeps
 // its committed solution. It returns the change in the objective if bit
 // i of rBest were flipped on.
-//
-//vegapunk:hotpath
 func (d *Decoder) flipDelta(i int) float64 {
 	delta := d.wA()[i]
 	for ti := int(d.touchOff[i]); ti < int(d.touchOff[i+1]); ti++ {
@@ -461,8 +443,6 @@ func (d *Decoder) flipDelta(i int) float64 {
 // blockObj returns the objective GreedyGuess reaches on block g from
 // local syndrome sl: looked up, and solved (into d.scratch) and stored
 // on a miss. Direct-mapped, so a colliding syndrome evicts.
-//
-//vegapunk:hotpath
 func (d *Decoder) blockObj(g int, sl []uint64) float64 {
 	if d.table == nil {
 		d.greedyGuess(g, sl, &d.scratch)
@@ -486,8 +466,6 @@ func (d *Decoder) blockObj(g int, sl []uint64) float64 {
 // words (out's, preallocated to fW and gW), bits are visited in
 // ascending order and the sums accumulate in the order of the bit-level
 // reference, so the solution is bit-for-bit refGreedyGuess's.
-//
-//vegapunk:hotpath
 func (d *Decoder) greedyGuess(g int, sl []uint64, out *blockSol) {
 	b := d.blocks[g]
 	wf := d.wIdent(g)

@@ -89,8 +89,6 @@ type Result struct {
 func (d *Decoder) Probe() *obs.Probe { return d.bp.Probe() }
 
 // SetBPMaxIters retunes the BP stage's iteration cap at runtime.
-//
-//vegapunk:hotpath
 func (d *Decoder) SetBPMaxIters(n int) { d.bp.SetMaxIters(n) }
 
 // BPMaxIters reports the BP stage's current iteration cap.
@@ -99,8 +97,6 @@ func (d *Decoder) BPMaxIters() int { return d.bp.MaxIters() }
 // SetFallback toggles the cluster-solving stage. With fallback off a
 // non-converged BP decode returns the BP hard decision as-is (the
 // degraded-tier trade: bounded latency over accuracy).
-//
-//vegapunk:hotpath
 func (d *Decoder) SetFallback(on bool) { d.skipFallback = !on }
 
 // Decode runs BP and, on failure, localized cluster solving.

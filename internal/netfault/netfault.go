@@ -200,11 +200,9 @@ func Start(target string, plan Plan) (*Proxy, error) {
 		conns:  make(map[net.Conn]struct{}),
 	}
 	p.wg.Add(1)
-	//vegapunk:goroutine(Proxy.Close) accept loop exits when Close closes the listener; tracked by p.wg
 	go p.acceptLoop()
 	if len(p.plan.Script) > 0 {
 		p.wg.Add(1)
-		//vegapunk:goroutine(Proxy.Close) phase runner selects on p.done; tracked by p.wg
 		go p.phaseLoop()
 	}
 	return p, nil
@@ -291,9 +289,8 @@ func (p *Proxy) acceptLoop() {
 		idx := p.connIdx.Add(1) - 1
 		p.Counters.Conns.Add(1)
 		p.wg.Add(2)
-		//vegapunk:goroutine(Proxy.Close) pump exits when either conn closes (Close severs both); tracked by p.wg
+		// Each pump exits when either conn closes; Close severs both.
 		go p.pump(client, backend, idx, 0)
-		//vegapunk:goroutine(Proxy.Close) pump exits when either conn closes (Close severs both); tracked by p.wg
 		go p.pump(backend, client, idx, 1)
 	}
 }

@@ -15,8 +15,6 @@ import (
 type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter by n.
-//
-//vegapunk:hotpath
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Load returns the current value.
@@ -26,8 +24,6 @@ func (c *Counter) Load() uint64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Add moves the gauge by delta.
-//
-//vegapunk:hotpath
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Load returns the current value.
@@ -36,7 +32,6 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // atomicFloat accumulates a float64 sum with CAS, allocation-free.
 type atomicFloat struct{ bits atomic.Uint64 }
 
-//vegapunk:hotpath
 func (f *atomicFloat) Add(v float64) {
 	for {
 		old := f.bits.Load()
@@ -76,8 +71,6 @@ func LatencyBuckets() []float64 {
 }
 
 // Observe records one sample. Allocation-free.
-//
-//vegapunk:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
@@ -164,8 +157,6 @@ func NewDecodeMetrics() *DecodeMetrics {
 // Stage histograms observe only when their stage ran (value > 0);
 // SyndromeWeight observes every decode, including weight 0.
 // Allocation-free.
-//
-//vegapunk:hotpath
 func (m *DecodeMetrics) Record(bpIters int, bpConverged, fallback bool, hierLevels, bpgdRounds, lsdCluster, synWeight int) {
 	m.Decodes.Add(1)
 	if bpConverged {

@@ -9,19 +9,18 @@
 //     Counter/Gauge/Histogram observation, DecodeMetrics.Record and
 //     SlowLog.Offer — allocates nothing and takes no locks. Span slots
 //     are preallocated atomics, histograms are atomic buckets, and slow
-//     events travel by value through a bounded channel. Every recording
-//     entry point is `//vegapunk:hotpath`-annotated so vegacheck
-//     enforces the contract.
+//     events travel by value through a bounded channel. Ring.Record,
+//     Histogram.Observe, DecodeMetrics.Record and SlowLog.Offer each
+//     have an AllocsPerRun test that holds them to zero.
 //   - Rendering (the cold half) — WriteTrace, the Prometheus writers,
 //     the slow-log JSON encoder goroutine, the debug HTTP mux — runs
 //     off the decode path and is free to allocate.
 //
 // Timing uses a single package clock (Tick, nanoseconds since process
-// start, monotonic). The only time.Now reads live inside this package
-// behind explicit //vegapunk:allow(time) escapes: decoder hot loops call
-// Probe.Tick/Probe.SpanSince, which read the clock only while a sampled
-// decode has the probe activated, so an untraced decode pays one
-// predictable branch per span edge and nothing else.
+// start, monotonic). Decoder hot loops call Probe.Tick/Probe.SpanSince,
+// which read the clock only while a sampled decode has the probe
+// activated (TestProbeOf), so an untraced decode pays one predictable
+// branch per span edge and nothing else.
 package obs
 
 import "time"
@@ -34,16 +33,12 @@ var epoch = time.Now()
 // since process start. It is the one sanctioned wall-clock read on the
 // decode path: metrics and span edges at decode boundaries go through
 // here rather than calling time.Now directly.
-//
-//vegapunk:hotpath
 func Tick() int64 {
-	return int64(time.Since(epoch)) //vegapunk:allow(time) the package clock is the single sanctioned monotonic read
+	return int64(time.Since(epoch))
 }
 
 // DurSeconds converts a Tick difference to seconds (for the
 // _seconds-suffixed histograms).
-//
-//vegapunk:hotpath
 func DurSeconds(ns int64) float64 { return float64(ns) / 1e9 }
 
 // TickAt converts an absolute wall-clock instant (e.g. a context
@@ -51,8 +46,6 @@ func DurSeconds(ns int64) float64 { return float64(ns) / 1e9 }
 // clock: the subtraction against the process epoch uses the monotonic
 // reading already carried by t when it came from the time package.
 // Serve's deadline-budget accounting compares these against Tick.
-//
-//vegapunk:hotpath
 func TickAt(t time.Time) int64 { return int64(t.Sub(epoch)) }
 
 // Stage identifies one traced pipeline stage. The values cover the

@@ -42,8 +42,6 @@ func (r *Ring) Cap() int { return len(r.slots) }
 // Record appends one span, overwriting the oldest when full. Never
 // blocks, never allocates. Must only be called from the ring's owning
 // goroutine.
-//
-//vegapunk:hotpath
 func (r *Ring) Record(st Stage, arg int32, id uint32, start, end int64) {
 	i := r.head.Load()
 	s := &r.slots[i%uint64(len(r.slots))]
@@ -130,8 +128,6 @@ func NewTracer(cfg TracerConfig) *Tracer {
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
 // Enabled reports whether tracing is on.
-//
-//vegapunk:hotpath
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
 // Ring registers and returns a new span ring for the calling goroutine.
@@ -147,14 +143,10 @@ func (t *Tracer) Ring() *Ring {
 
 // NextID draws the next decode id. IDs are globally ordered across all
 // users of the tracer so ShouldSample gives a uniform 1-in-N sample.
-//
-//vegapunk:hotpath
 func (t *Tracer) NextID() uint64 { return t.seq.Add(1) }
 
 // ShouldSample reports whether the decode with the given id is traced:
 // tracing is enabled and the id falls on the 1-in-SampleEvery lattice.
-//
-//vegapunk:hotpath
 func (t *Tracer) ShouldSample(id uint64) bool {
 	return t.enabled.Load() && id%t.cfg.SampleEvery == 0
 }
@@ -226,8 +218,6 @@ type Probed interface{ Probe() *Probe }
 // ProbeOf returns x's probe, or a shared permanently-inactive probe if
 // x records nothing. The result is always non-nil, so call sites need
 // no nil checks.
-//
-//vegapunk:hotpath
 func ProbeOf(x any) *Probe {
 	if p, ok := x.(Probed); ok {
 		if pr := p.Probe(); pr != nil {
@@ -239,8 +229,6 @@ func ProbeOf(x any) *Probe {
 
 // Activate arms the probe for one sampled decode: spans record into r
 // under decode id.
-//
-//vegapunk:hotpath
 func (p *Probe) Activate(r *Ring, id uint64) {
 	if p.noop {
 		return
@@ -251,8 +239,6 @@ func (p *Probe) Activate(r *Ring, id uint64) {
 }
 
 // Deactivate disarms the probe after the sampled decode completes.
-//
-//vegapunk:hotpath
 func (p *Probe) Deactivate() {
 	if p.noop {
 		return
@@ -262,8 +248,6 @@ func (p *Probe) Deactivate() {
 }
 
 // Active reports whether a sampled decode is in flight.
-//
-//vegapunk:hotpath
 func (p *Probe) Active() bool { return p.active }
 
 // SetSkew offsets the probe's clock reads by ns (fault injection:
@@ -280,8 +264,6 @@ func (p *Probe) SetSkew(ns int64) {
 // Tick returns the clock if the probe is active and 0 otherwise. Hot
 // loops open their first span edge with this so an untraced decode
 // never reads the clock.
-//
-//vegapunk:hotpath
 func (p *Probe) Tick() int64 {
 	if !p.active {
 		return 0
@@ -292,8 +274,6 @@ func (p *Probe) Tick() int64 {
 // SpanSince records [start, now] for stage st and returns now, so
 // consecutive stages share a single clock read per edge. No-op
 // (returning 0) while inactive.
-//
-//vegapunk:hotpath
 func (p *Probe) SpanSince(st Stage, arg int, start int64) int64 {
 	if !p.active {
 		return 0

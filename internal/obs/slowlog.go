@@ -122,7 +122,7 @@ func NewSlowLog(w io.Writer, buffer int) *SlowLog {
 		for ev := range l.ch {
 			buf = ev.AppendJSON(buf[:0])
 			buf = append(buf, '\n')
-			w.Write(buf) //nolint:errcheck // diagnostics are best-effort
+			_, _ = w.Write(buf) // best-effort: a failed diagnostic write must not stop the log
 		}
 	}()
 	return l
@@ -131,8 +131,6 @@ func NewSlowLog(w io.Writer, buffer int) *SlowLog {
 // Offer enqueues an event without blocking; when the writer is behind
 // and the buffer is full the event is dropped and counted. Assigns
 // ev.Seq. Allocation-free.
-//
-//vegapunk:hotpath
 func (l *SlowLog) Offer(ev SlowEvent) {
 	ev.Seq = l.seq.Add(1)
 	select {

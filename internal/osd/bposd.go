@@ -42,8 +42,6 @@ type Result struct {
 func (d *BPOSD) Probe() *obs.Probe { return d.bp.Probe() }
 
 // SetBPMaxIters retunes the BP stage's iteration cap at runtime.
-//
-//vegapunk:hotpath
 func (d *BPOSD) SetBPMaxIters(n int) { d.bp.SetMaxIters(n) }
 
 // BPMaxIters reports the BP stage's current iteration cap.
@@ -52,8 +50,6 @@ func (d *BPOSD) BPMaxIters() int { return d.bp.MaxIters() }
 // SetFallback toggles the OSD post-processing stage. With fallback off
 // a non-converged BP decode returns the BP hard decision as-is (the
 // degraded-tier trade: bounded latency over accuracy).
-//
-//vegapunk:hotpath
 func (d *BPOSD) SetFallback(on bool) { d.skipFallback = !on }
 
 // Decode runs BP and, on non-convergence, OSD.

@@ -115,8 +115,6 @@ func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 // H·e = s when the syndrome is consistent; otherwise a best-effort
 // vector is returned. The returned vector is owned by the decoder and
 // valid until the next Decode call.
-//
-//vegapunk:hotpath
 func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 	n := d.h.Cols()
 	m := d.h.Rows()
@@ -156,7 +154,7 @@ func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 				d.aug.RowXor(i, r)
 			}
 		}
-		d.pivCols = append(d.pivCols, c) //vegapunk:allow(alloc) append into capacity m reserved in New
+		d.pivCols = append(d.pivCols, c) // into capacity m reserved in New
 		r++
 	}
 	// Row transform: e·H has identity on the pivot columns.
@@ -172,7 +170,7 @@ func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 	d.nonPiv = d.nonPiv[:0]
 	for _, c := range order {
 		if !d.isPivot[c] {
-			d.nonPiv = append(d.nonPiv, c) //vegapunk:allow(alloc) append into capacity n reserved in New
+			d.nonPiv = append(d.nonPiv, c) // into capacity n reserved in New
 		}
 	}
 
@@ -209,7 +207,7 @@ func (d *Decoder) sweep(syndrome gf2.Vec, start, t, lambda int) {
 		return
 	}
 	for a := start; a < t; a++ {
-		d.flips = append(d.flips, d.nonPiv[a]) //vegapunk:allow(alloc) append into capacity Lambda reserved in New
+		d.flips = append(d.flips, d.nonPiv[a]) // into capacity Lambda reserved in New
 		d.sweep(syndrome, a+1, t, lambda)
 		d.flips = d.flips[:len(d.flips)-1]
 	}

@@ -28,8 +28,6 @@ func newBreaker(threshold int, cooldown int64) *breaker {
 
 // allow reports whether a submission may proceed at tick now. A
 // disabled breaker (threshold <= 0) always allows.
-//
-//vegapunk:hotpath
 func (b *breaker) allow(now int64) bool {
 	if b.threshold <= 0 {
 		return true
@@ -58,8 +56,6 @@ func (b *breaker) recordFailure(now int64) {
 // recordSuccess resets the consecutive-failure count and closes the
 // circuit (the half-open probe succeeded). The loads keep the hot path
 // read-only in steady state.
-//
-//vegapunk:hotpath
 func (b *breaker) recordSuccess() {
 	if b.failures.Load() != 0 {
 		b.failures.Store(0)

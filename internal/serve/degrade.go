@@ -35,8 +35,6 @@ type ladder struct {
 }
 
 // active returns the tier workers decode at right now.
-//
-//vegapunk:hotpath
 func (l *ladder) active() core.Tier { return core.Tier(l.tier.Load()) }
 
 // evaluate advances the ladder one step at most, from the batcher.
@@ -45,8 +43,6 @@ func (l *ladder) active() core.Tier { return core.Tier(l.tier.Load()) }
 // queueHigh (floor 1 — the request whose batch triggered this
 // evaluation is itself still counted in the depth) with no new sheds,
 // sustained for the hold time.
-//
-//vegapunk:hotpath
 func (l *ladder) evaluate(now int64, queueDepth int64, shed uint64) {
 	if l.maxTier == 0 {
 		return

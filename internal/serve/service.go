@@ -176,9 +176,9 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 	s.ladder.queueHigh = int64(4 * cfg.MaxBatch)
 	s.ladder.hold = int64(degradeHold)
 	s.wg.Add(1 + cfg.PoolSize)
-	go s.batcher() //vegapunk:goroutine(Service.Close) exits when Close closes in; reaped by wg.Wait
+	go s.batcher() // exits when Close closes in; reaped by wg.Wait
 	for i := 0; i < cfg.PoolSize; i++ {
-		go s.worker(uint16(i)) //vegapunk:goroutine(Service.Close) exits when the batcher closes work; reaped by wg.Wait
+		go s.worker(uint16(i)) // exits when the batcher closes work; reaped by wg.Wait
 	}
 	return s
 }
@@ -201,8 +201,6 @@ func (s *Service) Tier() core.Tier { return s.ladder.active() }
 // DecodeInto decodes one syndrome, blocking until the result is ready
 // or ctx is done. res is overwritten; reusing the same Result keeps the
 // call allocation-free in steady state.
-//
-//vegapunk:hotpath
 func (s *Service) DecodeInto(ctx context.Context, res *Result, syndrome gf2.Vec) error {
 	req, err := s.submitTraced(ctx, syndrome, wireTrace{})
 	if err != nil {
@@ -251,8 +249,6 @@ type wireTrace struct {
 // sampled decides whether req's spans are recorded: the caller's
 // forced sample bit (when tracing is enabled at all) or the tracer's
 // own 1-in-N lattice.
-//
-//vegapunk:hotpath
 func (s *Service) sampled(req *request) bool {
 	if req.forceSample && s.tracer.Enabled() {
 		return true
@@ -264,14 +260,12 @@ func (s *Service) sampled(req *request) bool {
 // and enqueues it on the micro-batching queue. tc is the optional
 // external trace context (the wire path's distributed-tracing entry
 // point; the zero value means none).
-//
-//vegapunk:hotpath
 func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTrace) (*request, error) {
 	if syndrome.Len() != s.model.NumDet {
-		return nil, fmt.Errorf("serve: syndrome has %d bits, model %s wants %d", //vegapunk:allow(alloc) caller-bug error path
+		return nil, fmt.Errorf("serve: syndrome has %d bits, model %s wants %d",
 			syndrome.Len(), s.key, s.model.NumDet)
 	}
-	req := s.getReq() //vegapunk:allow(alloc) freelist miss constructs by design; steady state reuses
+	req := s.getReq()
 	req.syndrome.CopyFrom(syndrome)
 	req.state.Store(reqPending)
 	if tc.id != 0 {
@@ -300,7 +294,9 @@ func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTra
 		s.putReq(req)
 		return nil, ErrClosed
 	}
-	//vegapunk:allow(block) the RLock must span the send: it fences Close's closed+close(in) transition (send on closed chan panics); the send itself is bounded by ctx and the batcher drain
+	// The RLock must span the send: it fences Close's closed+close(in)
+	// transition (a send on a closed channel panics). The send itself is
+	// bounded by ctx and the batcher drain.
 	select {
 	case s.in <- req:
 		s.mu.RUnlock()
@@ -317,8 +313,6 @@ func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTra
 // wait blocks for the request's completion and copies the result out.
 // If ctx wins the race the request is marked abandoned and the worker
 // recycles it; if the worker already completed, the result is used.
-//
-//vegapunk:hotpath
 func (s *Service) wait(ctx context.Context, req *request, res *Result) error {
 	select {
 	case <-req.done:
@@ -338,8 +332,6 @@ func (s *Service) wait(ctx context.Context, req *request, res *Result) error {
 // at the pool boundary and recycles the request. A request that ended
 // in a terminal error (shed, decoder fault) carries no result: the
 // error is returned and res is left untouched.
-//
-//vegapunk:hotpath
 func (s *Service) collect(req *request, res *Result) error {
 	if err := req.err; err != nil {
 		s.putReq(req)
@@ -379,15 +371,13 @@ func (s *Service) Close() {
 // worker is busy, so under light load requests dispatch immediately, one
 // to each idle worker, and under saturation the backlog coalesces into
 // full batches. Each flushed batch goes to exactly one worker.
-//
-//vegapunk:hotpath
 func (s *Service) batcher() {
 	defer s.wg.Done()
-	timer := time.NewTimer(time.Hour) //vegapunk:allow(alloc) one timer per service lifetime, before the loop
+	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
 	}
-	ring := s.tracer.Ring() //vegapunk:allow(alloc) one span ring per batcher goroutine lifetime
+	ring := s.tracer.Ring()
 	for {
 		req, ok := <-s.in
 		if !ok {
@@ -395,7 +385,7 @@ func (s *Service) batcher() {
 			return
 		}
 		t0 := obs.Tick()
-		b := append(s.getBatch(), req) //vegapunk:allow(alloc) freelist miss constructs by design; the append lands in capacity reserved at construction
+		b := append(s.getBatch(), req) // the append lands in capacity reserved at construction
 		timer.Reset(s.cfg.MaxWait)
 		timerLive := true
 	fill:
@@ -405,7 +395,7 @@ func (s *Service) batcher() {
 				if !ok {
 					break fill // flush the tail; the outer receive exits
 				}
-				b = append(b, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
+				b = append(b, req) // into MaxBatch capacity reserved at construction
 			default:
 				if s.load.Load() < int64(s.cfg.PoolSize) {
 					break fill // idle worker: batching gains nothing
@@ -415,7 +405,7 @@ func (s *Service) batcher() {
 					if !ok {
 						break fill
 					}
-					b = append(b, req) //vegapunk:allow(alloc) append into MaxBatch capacity reserved at construction
+					b = append(b, req) // into MaxBatch capacity reserved at construction
 				case <-timer.C:
 					timerLive = false
 					break fill
@@ -452,10 +442,8 @@ func (s *Service) batcher() {
 // the watchdog abandoned mid-decode returns without an epilogue: abandon
 // already ran it and started the replacement, which holds this
 // goroutine's WaitGroup slot and starts with no decoder.
-//
-//vegapunk:hotpath
 func (s *Service) worker(id uint16) {
-	w := s.newWorkerState(id) //vegapunk:allow(alloc) worker-owned lanes, scratch, span ring and watchdog timer, once per goroutine lifetime
+	w := s.newWorkerState(id)
 	for b := range s.work {
 		if w.dec == nil {
 			s.pool.misses.Add(1)
@@ -502,8 +490,6 @@ const p99RefreshEvery = 64
 // decode and copy-out spans land in the worker's ring, and when the
 // lead lane is sampled the decoder's probe records its internal stages
 // there too under the lead's decode id.
-//
-//vegapunk:hotpath
 func (s *Service) process(w *workerState, b []*request) bool {
 	t0 := obs.Tick()
 	p99 := s.p99DecodeNs.Load()
@@ -614,8 +600,6 @@ func (s *Service) process(w *workerState, b []*request) bool {
 // the waiter wake-up (normal path) or the recycle (the waiter already
 // abandoned the request) happens, so every admitted request has
 // exactly one terminal owner.
-//
-//vegapunk:hotpath
 func (s *Service) finish(req *request, err error) {
 	req.err = err
 	s.met.queueDepth.Add(-1)

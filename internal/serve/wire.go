@@ -149,8 +149,6 @@ func (m *wireModel) Flags() wire.Flags { return m.c.s.wireHealthFlags(m.svc, obs
 // Decode parses one frame of the run into the next lane and submits it;
 // the lanes of a run are all submitted before EndRun waits on any, so
 // they share a micro-batch.
-//
-//vegapunk:hotpath
 func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 	c := m.c
 	c.s.wireDecodes.Add(1)
@@ -169,7 +167,7 @@ func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 		return
 	}
 	lane.tc = tc
-	c.ctx.dl = time.Now().Add(c.s.cfg.RequestTimeout) //vegapunk:allow(time) request deadline needs wall clock, once per lane
+	c.ctx.dl = time.Now().Add(c.s.cfg.RequestTimeout)
 	req, serr := m.svc.submitTraced(&c.ctx, m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
 	if serr != nil {
 		lane.status = classify(serr).wire
@@ -181,8 +179,6 @@ func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 // EndRun collects every submitted lane — each admitted request has
 // exactly one terminal outcome — and appends the responses in arrival
 // order.
-//
-//vegapunk:hotpath
 func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 	c := m.c
 	flags := c.s.wireHealthFlags(m.svc, obs.Tick())
@@ -232,7 +228,7 @@ func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 // grow sizes the lane scratch for at least n lanes.
 func (m *wireModel) grow(n int) {
 	for len(m.lanes) < n {
-		m.lanes = append(m.lanes, wireLane{})                   //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
-		m.syns = append(m.syns, gf2.NewVec(m.svc.model.NumDet)) //vegapunk:allow(alloc) lane scratch grows to pipeline depth once per connection
+		m.lanes = append(m.lanes, wireLane{})
+		m.syns = append(m.syns, gf2.NewVec(m.svc.model.NumDet))
 	}
 }

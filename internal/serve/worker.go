@@ -86,8 +86,6 @@ func (s *Service) newWorkerState(id uint16) *workerState {
 // the watchdog fired first: the lanes are failed, the batch recycled,
 // a replacement worker running, and the caller must return at once
 // without touching anything but w.
-//
-//vegapunk:hotpath
 func (w *workerState) decode(hang time.Duration, job decodeJob, lanes []*request) (o decodeOutcome, owned bool) {
 	w.lanes = lanes
 	w.phase.Store(phaseDecoding)
@@ -110,8 +108,6 @@ func (w *workerState) decode(hang time.Duration, job decodeJob, lanes []*request
 // worker-owned outs with panic isolation: a panicking decoder marks the
 // outcome instead of crashing the process, and the length check turns a
 // defective result into badLen instead of a CopyFrom panic.
-//
-//vegapunk:hotpath
 func (w *workerState) guardedDecode(job decodeJob, o *decodeOutcome) {
 	defer o.catch()
 	o.tier = core.TierFull
@@ -158,5 +154,5 @@ func (s *Service) abandon(w *workerState) {
 	s.quarantine(w.lanes)
 	s.load.Add(-1)
 	s.putBatch(w.lanes)
-	go s.worker(w.id) //vegapunk:goroutine(Service.Close) takes over the abandoned worker's wg slot; exits when the batcher closes work
+	go s.worker(w.id) // takes over the abandoned worker's wg slot; exits when the batcher closes work
 }

@@ -64,8 +64,6 @@ func (g *Graph) NumEdges() int { return len(g.CheckOf) }
 // CheckEdges returns the edge ids incident to check c (ascending, i.e.
 // sorted by variable). The span aliases the graph's storage: no
 // allocation, must not be modified.
-//
-//vegapunk:hotpath
 func (g *Graph) CheckEdges(c int) []int32 {
 	return g.checkEdges[g.checkOff[c]:g.checkOff[c+1]]
 }

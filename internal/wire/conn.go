@@ -43,7 +43,7 @@ type Reader struct {
 
 // NewReader wraps r in a framed reader.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)} //vegapunk:allow(alloc) constructor: once per connection
+	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
 }
 
 // EnableResync switches the Reader from fail-fast to scan-and-resync
@@ -66,8 +66,6 @@ func (r *Reader) Broken() error { return r.broken }
 
 // ReadFrame blocks for the next frame and returns its header and
 // payload view.
-//
-//vegapunk:hotpath
 func (r *Reader) ReadFrame() (Header, []byte, error) {
 	if r.broken != nil {
 		return Header{}, nil, r.broken
@@ -76,7 +74,7 @@ func (r *Reader) ReadFrame() (Header, []byte, error) {
 	if err != nil {
 		// Peek is non-destructive: nothing was consumed, so a timeout
 		// here (idle connection) leaves the stream retryable.
-		return Header{}, nil, err //vegapunk:allow(alloc) error path: connection closed or truncated
+		return Header{}, nil, err
 	}
 	h, err := ParseHeader(hb)
 	if err != nil {
@@ -91,17 +89,17 @@ func (r *Reader) ReadFrame() (Header, []byte, error) {
 	}
 	if _, err := r.br.Discard(HeaderSize); err != nil {
 		r.broken = err
-		return Header{}, nil, err //vegapunk:allow(alloc) error path: connection closed or truncated
+		return Header{}, nil, err
 	}
 	if cap(r.payload) < h.PayloadLen {
-		r.payload = make([]byte, h.PayloadLen) //vegapunk:allow(alloc) payload buffer grows to the connection's steady-state frame size once
+		r.payload = make([]byte, h.PayloadLen)
 	}
 	r.payload = r.payload[:h.PayloadLen]
 	if _, err := io.ReadFull(r.br, r.payload); err != nil {
 		// Mid-payload failure: part of the frame is consumed and the
 		// stream can no longer be framed. Poison.
 		r.broken = err
-		return Header{}, nil, err //vegapunk:allow(alloc) error path: connection closed or truncated
+		return Header{}, nil, err
 	}
 	return h, r.payload, nil
 }
@@ -142,8 +140,6 @@ func (r *Reader) resyncScan() (Header, error) {
 // FrameBuffered reports whether a complete frame is already buffered,
 // so a server can keep draining pipelined requests into one micro-batch
 // without blocking on the socket.
-//
-//vegapunk:hotpath
 func (r *Reader) FrameBuffered() bool {
 	if r.broken != nil {
 		return false
@@ -212,7 +208,7 @@ func Dial(addr string, dialTimeout, ioTimeout time.Duration) (*Client, error) {
 
 // NewClient wraps an established connection.
 func NewClient(conn net.Conn, ioTimeout time.Duration) *Client {
-	return &Client{conn: conn, r: NewReader(conn), ioTimeout: ioTimeout} //vegapunk:allow(alloc) constructor: once per connection
+	return &Client{conn: conn, r: NewReader(conn), ioTimeout: ioTimeout}
 }
 
 // Close closes the underlying connection.
@@ -253,8 +249,6 @@ func (c *Client) DrainPending() []uint64 {
 }
 
 // fail poisons the client with its first terminal error.
-//
-//vegapunk:hotpath
 func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
@@ -265,7 +259,7 @@ func (c *Client) deadline() time.Time {
 	if c.ioTimeout <= 0 {
 		return time.Time{}
 	}
-	return time.Now().Add(c.ioTimeout) //vegapunk:allow(time) io deadline stamp: one clock read per socket op
+	return time.Now().Add(c.ioTimeout)
 }
 
 // Hello resolves key to a connection-scoped model id and dimensions.
@@ -296,37 +290,31 @@ func (c *Client) Hello(key string) (ModelInfo, error) {
 		if perr != nil {
 			return ModelInfo{}, perr
 		}
-		return ModelInfo{}, &StatusError{Status: status, Msg: msg} //vegapunk:allow(alloc) handshake error path
+		return ModelInfo{}, &StatusError{Status: status, Msg: msg}
 	}
-	return ModelInfo{}, fmt.Errorf("wire: hello %q: unexpected %s frame", key, h.Op) //vegapunk:allow(alloc) handshake error path
+	return ModelInfo{}, fmt.Errorf("wire: hello %q: unexpected %s frame", key, h.Op)
 }
 
 // QueueDecode appends an OpDecode frame to the write buffer without
 // flushing, enabling request pipelining (the server coalesces buffered
 // frames into one micro-batch). The request id joins the in-flight
 // FIFO.
-//
-//vegapunk:hotpath
 func (c *Client) QueueDecode(modelID uint16, reqID uint64, syndrome gf2.Vec) {
 	c.wbuf = AppendDecode(c.wbuf, modelID, reqID, syndrome)
-	c.pending = append(c.pending, reqID) //vegapunk:allow(alloc) grows once to the connection's pipeline depth: readTracked pops by compacting in place, so the capacity is kept
+	c.pending = append(c.pending, reqID)
 }
 
 // QueueDecodeTraced appends an OpDecode frame carrying the telemetry
 // trace block (FlagTelemetry set) without flushing: the traced variant
 // of QueueDecode.
-//
-//vegapunk:hotpath
 func (c *Client) QueueDecodeTraced(modelID uint16, reqID uint64, syndrome gf2.Vec, tc TraceContext) {
 	c.wbuf = AppendDecodeTraced(c.wbuf, modelID, reqID, syndrome, tc)
-	c.pending = append(c.pending, reqID) //vegapunk:allow(alloc) grows once to the connection's pipeline depth: readTracked pops by compacting in place, so the capacity is kept
+	c.pending = append(c.pending, reqID)
 }
 
 // QueueFrame appends a raw, already-encoded payload under a fresh
 // header without flushing: the router's relay path. Untracked — the
 // caller owns response accounting.
-//
-//vegapunk:hotpath
 func (c *Client) QueueFrame(op Op, flags Flags, modelID uint16, reqID uint64, payload []byte) {
 	c.wbuf = AppendFrame(c.wbuf, op, flags, modelID, reqID, payload)
 }
@@ -334,11 +322,9 @@ func (c *Client) QueueFrame(op Op, flags Flags, modelID uint16, reqID uint64, pa
 // ReadFrame blocks for the next raw frame under the client's IO
 // deadline: the router's relay path. The payload aliases an internal
 // buffer and is valid only until the next read.
-//
-//vegapunk:hotpath
 func (c *Client) ReadFrame() (Header, []byte, error) {
 	if err := c.conn.SetReadDeadline(c.deadline()); err != nil {
-		return Header{}, nil, err //vegapunk:allow(alloc) error path: connection failed
+		return Header{}, nil, err
 	}
 	return c.r.ReadFrame()
 }
@@ -347,18 +333,14 @@ func (c *Client) ReadFrame() (Header, []byte, error) {
 // the client's configured IO timeout: the hedged-dispatch probe read.
 // A timeout on the frame header is non-destructive (the stream stays
 // framed) so the caller may re-read with the full deadline.
-//
-//vegapunk:hotpath
 func (c *Client) ReadFrameTimeout(d time.Duration) (Header, []byte, error) {
-	if err := c.conn.SetReadDeadline(time.Now().Add(d)); err != nil { //vegapunk:allow(time) io deadline stamp: one clock read per socket op
-		return Header{}, nil, err //vegapunk:allow(alloc) error path: connection failed
+	if err := c.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
+		return Header{}, nil, err
 	}
 	return c.r.ReadFrame()
 }
 
 // Flush writes all queued frames in one conn write.
-//
-//vegapunk:hotpath
 func (c *Client) Flush() error {
 	if c.err != nil {
 		return c.err
@@ -383,14 +365,12 @@ func (c *Client) Flush() error {
 // move to the lost list; an id we never queued means attribution is no
 // longer trustworthy and the client poisons itself — a payload is
 // never attributed to the wrong request.
-//
-//vegapunk:hotpath
 func (c *Client) readTracked() (Header, []byte, error) {
 	if c.err != nil {
 		return Header{}, nil, c.err
 	}
 	if err := c.conn.SetReadDeadline(c.deadline()); err != nil {
-		return Header{}, nil, err //vegapunk:allow(alloc) error path: connection failed
+		return Header{}, nil, err
 	}
 	h, payload, err := c.r.ReadFrame()
 	if err != nil {
@@ -411,7 +391,7 @@ func (c *Client) readTracked() (Header, []byte, error) {
 		c.fail(ErrReqIDMismatch)
 		return Header{}, nil, ErrReqIDMismatch
 	}
-	c.lost = append(c.lost, c.pending[:idx]...) //vegapunk:allow(alloc) desync path: grows once to pipeline depth
+	c.lost = append(c.lost, c.pending[:idx]...)
 	// Pop by compacting in place: re-slicing the head forward would
 	// give capacity away and make every pipelined request re-grow the
 	// queue from nothing.
@@ -424,8 +404,6 @@ func (c *Client) readTracked() (Header, []byte, error) {
 // class, so every request reaches exactly one terminal outcome through
 // the same return path; only transport and protocol failures return a
 // non-nil error.
-//
-//vegapunk:hotpath
 func (c *Client) ReadResult(res *Result) (Header, error) {
 	h, payload, err := c.readTracked()
 	if err != nil {
@@ -450,8 +428,6 @@ func (c *Client) ReadResult(res *Result) (Header, error) {
 // server-timing block into st. It reports whether st was filled.
 // OpError frames surface as a Result with the error's status class and
 // no timing, mirroring ReadResult.
-//
-//vegapunk:hotpath
 func (c *Client) ReadResultTimed(res *Result, st *ServerTiming) (Header, bool, error) {
 	h, payload, err := c.readTracked()
 	if err != nil {
@@ -475,8 +451,6 @@ func (c *Client) ReadResultTimed(res *Result, st *ServerTiming) (Header, bool, e
 // Decode is the one-shot request/response convenience: queue one
 // syndrome, flush, read its result. The response header's flags carry
 // the replica health bits.
-//
-//vegapunk:hotpath
 func (c *Client) Decode(modelID uint16, reqID uint64, syndrome gf2.Vec, res *Result) (Flags, error) {
 	c.QueueDecode(modelID, reqID, syndrome)
 	if err := c.Flush(); err != nil {

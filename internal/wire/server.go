@@ -139,8 +139,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// Snapshot under the lock, close outside it: Close/SetReadDeadline
 	// are syscalls and must not run while mu is held — a stalled socket
-	// teardown would stall every accept and handler exit too (the
-	// lock-blocking contract).
+	// teardown would stall every accept and handler exit too
+	// (TestShutdownClosesOutsideLock).
 	s.mu.Lock()
 	ls := s.ls
 	s.ls = nil
@@ -156,7 +156,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	done := make(chan struct{})
-	//vegapunk:goroutine(Server.Shutdown) drain watcher: unblocks when the last connection goroutine calls wg.Done; Shutdown always receives done before returning
+	// Both returns below receive done first, so the watcher never outlives Shutdown.
 	go func() {
 		s.wg.Wait()
 		close(done)
@@ -186,8 +186,6 @@ func (s *Server) snapshotLocked(buf []net.Conn) []net.Conn {
 
 // flags are the health bits of frames the endpoint itself originates
 // (pongs, request- and protocol-level errors).
-//
-//vegapunk:hotpath
 func (s *Server) flags() Flags {
 	if s.draining.Load() {
 		return FlagDraining
@@ -282,16 +280,14 @@ func (c *serverConn) hello(reqID uint64, key string) error {
 // was pulled off the reader, for the caller to process next. A read
 // error mid-run still finishes and answers the run; the caller closes
 // the connection after.
-//
-//vegapunk:hotpath
 func (c *serverConn) decodeRun(h Header, payload []byte) (nh Header, np []byte, pending bool, err error) {
 	id := h.ModelID
 	if int(id) >= len(c.models) {
 		// Health flags ride every response, including request-level
 		// errors: a router's passive health tracking must not be starved
 		// just because a client sent a bad model id while the peer drains.
-		c.wbuf = AppendError(c.wbuf[:0], c.srv.flags(), h.ReqID, //vegapunk:allow(alloc) error path: unknown model id
-			StatusUnknownModel, "model id not resolved on this connection") //vegapunk:allow(alloc) error path
+		c.wbuf = AppendError(c.wbuf[:0], c.srv.flags(), h.ReqID,
+			StatusUnknownModel, "model id not resolved on this connection")
 		return Header{}, nil, false, c.write()
 	}
 	b := c.models[id]
@@ -324,13 +320,11 @@ func (c *serverConn) decodeRun(h Header, payload []byte) (nh Header, np []byte, 
 }
 
 // write flushes the response buffer in one deadline-bounded conn write.
-//
-//vegapunk:hotpath
 func (c *serverConn) write() error {
 	if len(c.wbuf) == 0 {
 		return nil
 	}
-	if err := c.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil { //vegapunk:allow(time) write deadline needs wall clock, once per flush
+	if err := c.conn.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	_, err := c.conn.Write(c.wbuf)

@@ -273,6 +273,62 @@ func TestServerDrainLifecycle(t *testing.T) {
 	}
 }
 
+// stallListener is a listener whose Close parks until release is
+// closed: a socket teardown that stalls.
+type stallListener struct {
+	net.Listener
+	closing, release chan struct{}
+}
+
+func (l *stallListener) Close() error {
+	close(l.closing)
+	<-l.release
+	return l.Listener.Close()
+}
+
+// TestShutdownClosesOutsideLock: Shutdown snapshots the listeners and
+// connections under the endpoint's lock and closes them after releasing
+// it, so a stalled listener Close does not stall a connection's exit,
+// which takes that lock to untrack itself.
+func TestShutdownClosesOutsideLock(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &stallListener{Listener: inner, closing: make(chan struct{}), release: make(chan struct{})}
+	s := NewServer(func() Handler { return &stubHandler{} })
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(l) }()
+
+	c, err := Dial(inner.Addr().String(), time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	shut := make(chan error, 1)
+	go func() { shut <- s.Shutdown(context.Background()) }()
+	<-l.closing
+	_ = c.Close() // the server reads EOF and its connection goroutine exits
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Open() != 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	open := s.Open()
+	close(l.release)
+	if open != 0 {
+		t.Errorf("connection exit stalled behind a listener Close: %d still open", open)
+	}
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve after Shutdown: %v", err)
+	}
+}
+
 // FuzzServeConn throws arbitrary bytes at the shared loop: it must
 // never panic, always terminate, keep the handler contract (runs of at
 // most maxPipeline frames, never interleaved, closed exactly once) and

@@ -222,8 +222,6 @@ func IsProtocolError(err error) bool {
 // ParseHeader decodes the fixed header from b (which must hold at
 // least HeaderSize bytes) and validates magic, version and the payload
 // bound.
-//
-//vegapunk:hotpath
 func ParseHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
 		return Header{}, ErrTruncated
@@ -250,11 +248,9 @@ func ParseHeader(b []byte) (Header, error) {
 // beginFrame appends a header with a zero payload length and returns
 // the offset of the frame start; endFrame patches the length once the
 // payload has been appended.
-//
-//vegapunk:hotpath
 func beginFrame(buf []byte, op Op, flags Flags, modelID uint16, reqID uint64) ([]byte, int) {
 	start := len(buf)
-	buf = append(buf, //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	buf = append(buf,
 		byte(Magic&0xff), byte(Magic>>8), Version, byte(op),
 		byte(flags), byte(flags>>8), byte(modelID), byte(modelID>>8),
 		byte(reqID), byte(reqID>>8), byte(reqID>>16), byte(reqID>>24),
@@ -264,8 +260,6 @@ func beginFrame(buf []byte, op Op, flags Flags, modelID uint16, reqID uint64) ([
 }
 
 // endFrame patches the payload length of the frame begun at start.
-//
-//vegapunk:hotpath
 func endFrame(buf []byte, start int) []byte {
 	binary.LittleEndian.PutUint32(buf[start+16:], uint32(len(buf)-start-HeaderSize))
 	return buf
@@ -273,14 +267,12 @@ func endFrame(buf []byte, start int) []byte {
 
 // appendVec appends a vector block: uint32 bit length then the packed
 // 64-bit words.
-//
-//vegapunk:hotpath
 func appendVec(buf []byte, v gf2.Vec) []byte {
 	n := v.Len()
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24)) //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
 	for i, words := 0, wordsFor(n); i < words; i++ {
 		w := v.Word(i)
-		buf = append(buf, //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+		buf = append(buf,
 			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
 			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
 	}
@@ -291,8 +283,6 @@ func appendVec(buf []byte, v gf2.Vec) []byte {
 // sized to the expected bit length (clients size from OpHelloAck).
 // Spare bits of the last word are masked so hostile input cannot break
 // the gf2.Vec invariant. It returns the remaining payload bytes.
-//
-//vegapunk:hotpath
 func parseVecInto(v gf2.Vec, b []byte) ([]byte, error) {
 	if len(b) < 4 {
 		return nil, ErrTruncated
@@ -323,7 +313,7 @@ func wordsFor(n int) int { return (n + 63) / 64 }
 // AppendHello appends an OpHello frame resolving key.
 func AppendHello(buf []byte, reqID uint64, key string) []byte {
 	buf, start := beginFrame(buf, OpHello, 0, 0, reqID)
-	buf = append(buf, key...) //vegapunk:allow(alloc) handshake: once per model binding
+	buf = append(buf, key...)
 	return endFrame(buf, start)
 }
 
@@ -352,8 +342,6 @@ func ParseHelloAck(b []byte) (numDet, numMech, numObs int, err error) {
 
 // AppendDecode appends an OpDecode frame carrying the syndrome for
 // modelID.
-//
-//vegapunk:hotpath
 func AppendDecode(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec) []byte {
 	buf, start := beginFrame(buf, OpDecode, 0, modelID, reqID)
 	buf = appendVec(buf, syndrome)
@@ -362,8 +350,6 @@ func AppendDecode(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec) []
 
 // ParseDecodeInto reads an OpDecode payload into syn, which must be
 // sized to the model's detector count.
-//
-//vegapunk:hotpath
 func ParseDecodeInto(syn gf2.Vec, b []byte) error {
 	rest, err := parseVecInto(syn, b)
 	if err != nil {
@@ -412,8 +398,6 @@ func SizeResult(res *Result, numMech, numObs int) {
 
 // AppendResult appends an OpResult frame. A non-OK status carries only
 // the fixed prefix; StatusOK adds the correction and observable words.
-//
-//vegapunk:hotpath
 func AppendResult(buf []byte, flags Flags, modelID uint16, reqID uint64, res *Result) []byte {
 	buf, start := beginFrame(buf, OpResult, flags, modelID, reqID)
 	buf = appendResultBody(buf, res)
@@ -423,14 +407,12 @@ func AppendResult(buf []byte, flags Flags, modelID uint16, reqID uint64, res *Re
 // appendResultBody appends the fixed prefix and, on StatusOK, the
 // vector blocks (the payload shared by AppendResult and
 // AppendResultTimed).
-//
-//vegapunk:hotpath
 func appendResultBody(buf []byte, res *Result) []byte {
 	sat := byte(0)
 	if res.Satisfied {
 		sat = 1
 	}
-	buf = append(buf, //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	buf = append(buf,
 		byte(res.Status), res.Tier, sat, 0,
 		byte(res.BPIters), byte(res.BPIters>>8), byte(res.BPIters>>16), byte(res.BPIters>>24))
 	buf = appendI64(buf, res.QueueWaitNs)
@@ -443,9 +425,8 @@ func appendResultBody(buf []byte, res *Result) []byte {
 	return buf
 }
 
-//vegapunk:hotpath
 func appendI64(buf []byte, v int64) []byte {
-	return append(buf, //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	return append(buf,
 		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
@@ -453,8 +434,6 @@ func appendI64(buf []byte, v int64) []byte {
 // ParseResultInto decodes an OpResult payload into res. On StatusOK
 // the correction and observable vectors must be pre-sized to the model
 // dimensions (SizeResult); on any other status they are left untouched.
-//
-//vegapunk:hotpath
 func ParseResultInto(res *Result, b []byte) error {
 	rest, err := parseResultBody(res, b)
 	if err != nil {
@@ -469,8 +448,6 @@ func ParseResultInto(res *Result, b []byte) error {
 // parseResultBody decodes the fixed prefix and (on StatusOK) the
 // vector blocks, returning whatever payload remains — the telemetry
 // extension block when the frame carried one.
-//
-//vegapunk:hotpath
 func parseResultBody(res *Result, b []byte) ([]byte, error) {
 	if len(b) < resultFixedSize {
 		return nil, ErrTruncated
@@ -561,8 +538,6 @@ type ServerTiming struct {
 }
 
 // ServerNs is the total replica-resident time the block accounts for.
-//
-//vegapunk:hotpath
 func (t *ServerTiming) ServerNs() int64 {
 	return t.QueueWaitNs + t.DecodeNs + t.CopyOutNs
 }
@@ -570,14 +545,12 @@ func (t *ServerTiming) ServerNs() int64 {
 // AppendTraceBlock appends a raw request trace block (no header): the
 // router uses it to extend an already-copied decode payload before
 // relaying it under FlagTelemetry.
-//
-//vegapunk:hotpath
 func AppendTraceBlock(buf []byte, tc TraceContext) []byte {
 	s := byte(0)
 	if tc.Sampled {
 		s = 1
 	}
-	return append(buf, //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	return append(buf,
 		TelemetryVersion, s,
 		byte(tc.TraceID), byte(tc.TraceID>>8), byte(tc.TraceID>>16), byte(tc.TraceID>>24),
 		byte(tc.TraceID>>32), byte(tc.TraceID>>40), byte(tc.TraceID>>48), byte(tc.TraceID>>56))
@@ -585,8 +558,6 @@ func AppendTraceBlock(buf []byte, tc TraceContext) []byte {
 
 // AppendDecodeTraced appends an OpDecode frame carrying the syndrome
 // plus the trace block, with FlagTelemetry set in the header.
-//
-//vegapunk:hotpath
 func AppendDecodeTraced(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec, tc TraceContext) []byte {
 	buf, start := beginFrame(buf, OpDecode, FlagTelemetry, modelID, reqID)
 	buf = appendVec(buf, syndrome)
@@ -599,8 +570,6 @@ func AppendDecodeTraced(buf []byte, modelID uint16, reqID uint64, syndrome gf2.V
 // block with an unknown extension version parses as no-telemetry
 // (zero TraceContext); a flagged frame with a truncated block is a
 // protocol error.
-//
-//vegapunk:hotpath
 func ParseDecodeTracedInto(syn gf2.Vec, flags Flags, b []byte) (TraceContext, error) {
 	rest, err := parseVecInto(syn, b)
 	if err != nil {
@@ -632,8 +601,6 @@ func ParseDecodeTracedInto(syn gf2.Vec, flags Flags, b []byte) (TraceContext, er
 // reports false when the flag is clear, the payload is too short, or
 // the byte at the expected block offset is not a v1 version byte
 // (unknown extension versions relay untouched).
-//
-//vegapunk:hotpath
 func PeekTraceContext(flags Flags, payload []byte) (TraceContext, bool) {
 	if flags&FlagTelemetry == 0 || len(payload) < 4+traceBlockSize {
 		return TraceContext{}, false
@@ -650,12 +617,10 @@ func PeekTraceContext(flags Flags, payload []byte) (TraceContext, bool) {
 
 // AppendResultTimed appends an OpResult frame with the server-timing
 // block at the payload tail and FlagTelemetry set in the header.
-//
-//vegapunk:hotpath
 func AppendResultTimed(buf []byte, flags Flags, modelID uint16, reqID uint64, res *Result, st *ServerTiming) []byte {
 	buf, start := beginFrame(buf, OpResult, flags|FlagTelemetry, modelID, reqID)
 	buf = appendResultBody(buf, res)
-	buf = append(buf, //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	buf = append(buf,
 		TelemetryVersion, st.Tier, byte(st.WorkerID), byte(st.WorkerID>>8))
 	buf = appendI64(buf, st.QueueWaitNs)
 	buf = appendI64(buf, st.BatchAssembleNs)
@@ -668,8 +633,6 @@ func AppendResultTimed(buf []byte, flags Flags, modelID uint16, reqID uint64, re
 // parseTimingBlock decodes one server-timing block. An unknown version
 // parses as absent (ok but !present); a short v1 block is a protocol
 // error.
-//
-//vegapunk:hotpath
 func parseTimingBlock(st *ServerTiming, b []byte) (bool, error) {
 	if len(b) < 1 {
 		return false, ErrTruncated
@@ -694,8 +657,6 @@ func parseTimingBlock(st *ServerTiming, b []byte) (bool, error) {
 // flags carries FlagTelemetry, the trailing server-timing block into
 // st. It reports whether st was filled (false for unflagged frames and
 // unknown extension versions).
-//
-//vegapunk:hotpath
 func ParseResultTimedInto(res *Result, st *ServerTiming, flags Flags, b []byte) (bool, error) {
 	rest, err := parseResultBody(res, b)
 	if err != nil {
@@ -715,8 +676,6 @@ func ParseResultTimedInto(res *Result, st *ServerTiming, flags Flags, b []byte) 
 // relay path, which never re-parses vectors. It reports false when the
 // flag is clear, the payload is too short, or the byte at the expected
 // block offset is not a v1 version byte.
-//
-//vegapunk:hotpath
 func PeekServerTiming(st *ServerTiming, flags Flags, payload []byte) bool {
 	if flags&FlagTelemetry == 0 || len(payload) < resultFixedSize+timingBlockSize {
 		return false
@@ -733,8 +692,6 @@ func PeekServerTiming(st *ServerTiming, flags Flags, payload []byte) bool {
 // OpResult payload, so a router can strip telemetry it injected before
 // relaying the result to a client that never asked for it. Payloads
 // without a recognizable block are returned unchanged.
-//
-//vegapunk:hotpath
 func TrimServerTiming(flags Flags, payload []byte) []byte {
 	if flags&FlagTelemetry == 0 || len(payload) < resultFixedSize+timingBlockSize {
 		return payload
@@ -757,8 +714,6 @@ func TrimServerTiming(flags Flags, payload []byte) []byte {
 // instead of being handed to a client whose only recourse is tearing
 // down the stream. It inspects lengths only, so it stays cheap on the
 // relay hot path.
-//
-//vegapunk:hotpath
 func ValidResultPayload(flags Flags, payload []byte, numMech, numObs int) bool {
 	b := TrimServerTiming(flags, payload)
 	if len(b) < resultFixedSize || b[0] >= byte(numStatuses) {
@@ -778,8 +733,6 @@ func ValidResultPayload(flags Flags, payload []byte, numMech, numObs int) bool {
 
 // validVecBlock consumes one vector block iff it declares exactly n
 // bits, returning the remaining bytes.
-//
-//vegapunk:hotpath
 func validVecBlock(b []byte, n int) ([]byte, bool) {
 	if len(b) < 4 || int(binary.LittleEndian.Uint32(b)) != n {
 		return nil, false
@@ -795,19 +748,15 @@ func validVecBlock(b []byte, n int) ([]byte, bool) {
 // AppendFrame re-emits an already-encoded payload under a rewritten
 // header: the router relays backend responses to its clients without
 // re-parsing the vector blocks.
-//
-//vegapunk:hotpath
 func AppendFrame(buf []byte, op Op, flags Flags, modelID uint16, reqID uint64, payload []byte) []byte {
 	buf, start := beginFrame(buf, op, flags, modelID, reqID)
-	buf = append(buf, payload...) //vegapunk:allow(alloc) append into caller buffer; steady state reuses its capacity
+	buf = append(buf, payload...)
 	return endFrame(buf, start)
 }
 
 // PeekStatus reads the status class off an OpResult or OpError payload
 // (both carry it in byte 0) without a full parse: the router's retry
 // decision.
-//
-//vegapunk:hotpath
 func PeekStatus(payload []byte) (Status, error) {
 	if len(payload) < 1 {
 		return 0, ErrTruncated
@@ -852,5 +801,5 @@ func ParseError(b []byte) (Status, string, error) {
 	if b[0] == byte(StatusOK) || b[0] >= byte(numStatuses) {
 		return 0, "", ErrBadStatus
 	}
-	return Status(b[0]), string(b[1:]), nil //vegapunk:allow(alloc) error path: message materialized only on failure
+	return Status(b[0]), string(b[1:]), nil
 }
