@@ -1,53 +1,45 @@
 // Command decodeload is the load generator for vegapunkd: it samples
 // errors from the same noise model the daemon serves, sends the
-// syndromes in batches over concurrent connections, checks the
-// predicted logical observables against the truth, and prints a
-// reproducible per-run summary (QPS, latency percentiles, logical
-// failure rate).
+// syndromes over the binary wire protocol (vegapunkd -listen-wire) on
+// concurrent persistent connections, checks the predicted logical
+// observables against the truth, and prints a reproducible per-run
+// summary (QPS, latency percentiles, logical failure rate). Each request
+// is one pipelined batch of -batch decode frames.
 //
-//	decodeload -addr http://127.0.0.1:8471 -code "BB [[72,12,6]]" \
+//	decodeload -addr 127.0.0.1:8473 -code "BB [[72,12,6]]" \
 //	    -decoder bp -p 0.001 -requests 200 -batch 8 -concurrency 4 -seed 1
 //
-// With -proto binary the same workload runs over the binary wire
-// protocol (vegapunkd -listen-wire) instead of JSON HTTP: -addr is then
-// a host:port, each request is one pipelined frame batch on a
-// persistent connection. With -router the target is a vegapunkrouter
-// front end (implies -proto binary) and the summary additionally counts
-// responses the router retried on a sibling replica.
+// With -router the target is a vegapunkrouter front end instead of a
+// single daemon; the summary's retried count is the responses the
+// router re-sent to a sibling replica.
 //
-//	decodeload -proto binary -addr 127.0.0.1:8473 ...
 //	decodeload -router 127.0.0.1:9471 ...
 //
 // Every sampled error is derived from (-seed, request index), so a
 // given flag set replays the identical workload regardless of
 // concurrency — future perf PRs can track the same benchmark.
 //
-// Failed requests are reported in separate terminal classes —
-// rejected_503 (saturation / circuit breaker / overload), timeouts_504
-// (deadline exceeded or budget shed), decoder_faults (quarantined
-// decoder or internal error) and transport_errors (no daemon response
-// at all). The wire statuses map onto the same classes: Overload →
-// rejected_503, Shed/Timeout → timeouts_504, DecoderFault/Internal →
-// decoder_faults. With -chaos the run targets a `vegapunkd -chaos`
-// daemon and succeeds as long as every request reached a terminal
-// outcome and at least one decoded: rejections, sheds and faults are
-// then the resilience machinery working, not a failed run.
+// Failed requests are reported in separate terminal classes, by the
+// wire status of their first failed lane — rejected_503 (Overload:
+// saturation, circuit breaker, draining service), timeouts_504
+// (Shed/Timeout: deadline exceeded or budget shed), decoder_faults
+// (DecoderFault/Internal and any other error status) — and
+// transport_errors (no daemon response at all). With -chaos the run
+// targets a `vegapunkd -chaos` daemon and succeeds as long as every
+// request reached a terminal outcome and at least one decoded:
+// rejections, sheds and faults are then the resilience machinery
+// working, not a failed run.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand/v2"
-	"net/http"
 	"os"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,32 +50,8 @@ import (
 	"vegapunk/internal/wire"
 )
 
-type decodeRequest struct {
-	Model     string   `json:"model"`
-	Syndromes []string `json:"syndromes"`
-}
-
-type decodeResult struct {
-	Observables string `json:"observables"`
-	Satisfied   bool   `json:"satisfied"`
-	// DegradedTier is set when the daemon decoded this syndrome below
-	// full quality under its degradation ladder.
-	DegradedTier string `json:"degraded_tier"`
-	// Server-side per-stage breakdown (nanoseconds), reported by the
-	// daemon per syndrome.
-	QueueWaitNs int64 `json:"queue_wait_ns"`
-	DecodeNs    int64 `json:"decode_ns"`
-	CopyOutNs   int64 `json:"copy_out_ns"`
-}
-
-type decodeResponse struct {
-	Results []decodeResult `json:"results"`
-}
-
-// workItem is one pre-generated request with its ground truth: the JSON
-// body for -proto json, the raw syndromes for -proto binary.
+// workItem is one pre-generated request with its ground truth.
 type workItem struct {
-	body   []byte
 	syns   []gf2.Vec
 	actual []string // true observable flips per syndrome
 }
@@ -101,7 +69,7 @@ type tally struct {
 	degraded  int // syndromes decoded below full tier
 	retried   int // responses the router re-sent to a sibling replica
 	// reconnects counts wire connections re-established after transport
-	// loss (binary proto only; jittered exponential backoff per worker).
+	// loss (jittered exponential backoff per worker).
 	reconnects int
 
 	rejected503   int // capacity saturated, breaker open, overload
@@ -112,25 +80,23 @@ type tally struct {
 	// Server-reported per-stage sums (ns) across all syndromes.
 	queueWaitNs, decodeNs, copyOutNs int64
 
-	// Network-vs-server split (binary proto only, from the wire
-	// telemetry extension): per ok request, the replica-resident time is
-	// the largest lane's reported queue+decode+copy-out span (lanes of
-	// one pipelined batch decode together, so their spans overlap and
-	// must not be summed); the remainder of the client wall clock is
-	// transport + router relay.
+	// Network-vs-server split (from the wire telemetry extension): per
+	// ok request, the replica-resident time is the largest lane's
+	// reported queue+decode+copy-out span (lanes of one pipelined batch
+	// decode together, so their spans overlap and must not be summed);
+	// the remainder of the client wall clock is transport + router relay.
 	netNs, serverNs int64
 	timedReqs       int
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("decodeload", flag.ExitOnError)
-	addr := fs.String("addr", "http://127.0.0.1:8471", "daemon base URL (json) or host:port (binary)")
-	proto := fs.String("proto", "json", "request protocol: json (HTTP /v1/decode) or binary (wire frames)")
-	router := fs.String("router", "", "vegapunkrouter wire address to load instead of a single daemon (implies -proto binary)")
+	addr := fs.String("addr", "127.0.0.1:8473", "daemon wire-protocol address (host:port of vegapunkd -listen-wire)")
+	router := fs.String("router", "", "vegapunkrouter wire address to load instead of a single daemon")
 	codeName := fs.String("code", "BB [[72,12,6]]", "benchmark code name (must match the daemon)")
 	p := fs.Float64("p", 0.001, "physical error rate (must match the daemon)")
 	decoder := fs.String("decoder", "bp", "decoder flag name used at the daemon (derives the model key)")
@@ -140,22 +106,26 @@ func run() int {
 	concurrency := fs.Int("concurrency", 4, "concurrent client connections")
 	seed := fs.Uint64("seed", 1, "reproducible workload seed")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request client timeout")
-	traceSample := fs.Uint64("trace-sample", 0, "binary proto: mark one in N requests trace-sampled so the daemon/router record their spans (0 = timing blocks only, no sampling)")
+	traceSample := fs.Uint64("trace-sample", 0, "mark one in N requests trace-sampled so the daemon/router record their spans (0 = timing blocks only, no sampling)")
 	chaosMode := fs.Bool("chaos", false, "resilience run against a -chaos daemon: individual request failures are expected; exit 0 iff every request reached a terminal outcome and at least one succeeded")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	logger := log.New(os.Stderr, "decodeload ", log.LstdFlags)
 
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"requests", *requests}, {"batch", *batchSize}, {"concurrency", *concurrency}} {
+		if f.v < 1 {
+			logger.Printf("-%s %d: must be at least 1", f.name, f.v)
+			return 2
+		}
+	}
 	target := *addr
 	if *router != "" {
 		target = *router
-		*proto = "binary"
-	}
-	if *proto != "json" && *proto != "binary" {
-		logger.Printf("unknown -proto %q (want json or binary)", *proto)
-		return 2
 	}
 
 	b, ok := findBenchmark(*codeName)
@@ -179,22 +149,13 @@ func run() int {
 	e := gf2.NewVec(model.NumMech())
 	for i := range items {
 		rng := rand.New(rand.NewPCG(*seed, uint64(i)))
-		req := decodeRequest{Model: key, Syndromes: make([]string, *batchSize)}
 		items[i].syns = make([]gf2.Vec, *batchSize)
 		items[i].actual = make([]string, *batchSize)
 		for j := 0; j < *batchSize; j++ {
 			model.SampleInto(e, rng)
-			syn := model.Syndrome(e)
-			items[i].syns[j] = syn
-			req.Syndromes[j] = syn.String()
+			items[i].syns[j] = model.Syndrome(e)
 			items[i].actual[j] = model.Observables(e).String()
 		}
-		body, err := json.Marshal(req)
-		if err != nil {
-			logger.Printf("marshal: %v", err)
-			return 1
-		}
-		items[i].body = body
 	}
 
 	var (
@@ -207,11 +168,7 @@ func run() int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if *proto == "binary" {
-				binaryWorker(&tl, &next, items, target, key, *timeout, *traceSample, *seed+uint64(w), logger)
-			} else {
-				jsonWorker(&tl, &next, items, target, *timeout)
-			}
+			worker(&tl, &next, items, target, key, *timeout, *traceSample, *seed+uint64(w), logger)
 		}()
 	}
 	wg.Wait()
@@ -247,10 +204,10 @@ func run() int {
 
 	// The one-line summary is the trackable serving benchmark: keep the
 	// field set stable across PRs.
-	fmt.Printf("decodeload: model=%s proto=%s seed=%d requests=%d batch=%d concurrency=%d "+
+	fmt.Printf("decodeload: model=%s seed=%d requests=%d batch=%d concurrency=%d "+
 		"ok=%d http_errors=%d syndromes=%d elapsed=%s qps=%.1f syndromes_per_sec=%.1f "+
 		"p50=%s p99=%s max=%s logical_failures=%d failure_rate=%.3g\n",
-		key, *proto, *seed, *requests, *batchSize, *concurrency,
+		key, *seed, *requests, *batchSize, *concurrency,
 		len(tl.latencies), reqErrs, tl.syndromes, elapsed.Round(time.Millisecond), qps, sps,
 		pct(0.50), pct(0.99), tl.latencies[len(tl.latencies)-1], tl.failures, failRate)
 	// Failure-class breakdown: how the daemon's resilience machinery
@@ -262,10 +219,10 @@ func run() int {
 	// decoder call, or the pool-boundary copy-out.
 	fmt.Printf("decodeload: stages queue_wait_mean=%s decode_mean=%s copy_out_mean=%s\n",
 		perSyn(tl.queueWaitNs), perSyn(tl.decodeNs), perSyn(tl.copyOutNs))
-	// Network-vs-server split (binary proto only): server_mean is the
-	// replica-reported resident time per ok request from the wire
-	// telemetry blocks; network_mean is the rest of the client wall
-	// clock (transport plus router relay).
+	// Network-vs-server split: server_mean is the replica-reported
+	// resident time per ok request from the wire telemetry blocks;
+	// network_mean is the rest of the client wall clock (transport plus
+	// router relay).
 	if tl.timedReqs > 0 {
 		perReq := func(sum int64) time.Duration {
 			return time.Duration(sum / int64(tl.timedReqs)).Round(time.Microsecond)
@@ -290,61 +247,7 @@ func run() int {
 	return 0
 }
 
-// jsonWorker drains items over HTTP POST /v1/decode.
-func jsonWorker(tl *tally, next *atomic.Int64, items []workItem, addr string, timeout time.Duration) {
-	client := &http.Client{Timeout: timeout}
-	for {
-		i := next.Add(1) - 1
-		if i >= int64(len(items)) {
-			return
-		}
-		item := &items[i]
-		start := time.Now()
-		resp, err := client.Post(addr+"/v1/decode", "application/json", bytes.NewReader(item.body))
-		lat := time.Since(start)
-		var out decodeResponse
-		status := 0
-		bad := false
-		if err != nil {
-			bad = true
-		} else {
-			status = resp.StatusCode
-			raw, rerr := io.ReadAll(resp.Body)
-			cerr := resp.Body.Close()
-			if rerr != nil || cerr != nil || status != http.StatusOK || json.Unmarshal(raw, &out) != nil {
-				bad = true
-			}
-		}
-		tl.mu.Lock()
-		switch {
-		case !bad:
-			tl.latencies = append(tl.latencies, lat)
-			for j, res := range out.Results {
-				tl.syndromes++
-				tl.queueWaitNs += res.QueueWaitNs
-				tl.decodeNs += res.DecodeNs
-				tl.copyOutNs += res.CopyOutNs
-				if res.DegradedTier != "" {
-					tl.degraded++
-				}
-				if j < len(item.actual) && res.Observables != item.actual[j] {
-					tl.failures++
-				}
-			}
-		case status == http.StatusServiceUnavailable:
-			tl.rejected503++
-		case status == http.StatusGatewayTimeout:
-			tl.timeout504++
-		case status >= 500:
-			tl.decoderFault++
-		default:
-			tl.transportErrs++
-		}
-		tl.mu.Unlock()
-	}
-}
-
-// binaryWorker drains items over one persistent wire connection: each
+// worker drains items over one persistent wire connection: each
 // request is a pipelined frame batch. A request counts as ok only when
 // every lane in the batch decoded; otherwise it lands in the class of
 // its first failed lane (Overload → rejected_503, Shed/Timeout →
@@ -353,8 +256,7 @@ func jsonWorker(tl *tally, next *atomic.Int64, items []workItem, addr string, ti
 // a per-worker wire.Redialer — capped exponential backoff with
 // deterministic jitter, so workers hammered off a flapping daemon do
 // not redial in lockstep.
-func binaryWorker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, timeout time.Duration, traceSample, workerSeed uint64, logger *log.Logger) {
-	addr = strings.TrimPrefix(strings.TrimPrefix(addr, "http://"), "https://")
+func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, timeout time.Duration, traceSample, workerSeed uint64, logger *log.Logger) {
 	var (
 		c    *wire.Client
 		info wire.ModelInfo

@@ -1,24 +1,20 @@
 // Command vegapunkd is the online decoding daemon: it registers one or
 // more (code, noise, decoder) models and serves syndrome decoding over
-// a JSON HTTP API with micro-batching onto workers that each own a
-// decoder, and Prometheus metrics.
+// the binary wire protocol (internal/wire) with micro-batching onto
+// workers that each own a decoder, and Prometheus metrics.
 //
-//	vegapunkd -addr :8471 -code "BB [[72,12,6]]" -p 0.001 -decoders bp,vegapunk
+//	vegapunkd -addr :8471 -listen-wire :8473 -code "BB [[72,12,6]]" -p 0.001 -decoders bp,vegapunk
 //
-// Endpoints:
+// Decodes arrive on -listen-wire (default :8473): length-prefixed frames
+// carrying raw syndrome/correction words over persistent connections,
+// the protocol vegapunkrouter and decodeload speak. Pipelined frames
+// coalesce into the same micro-batches. -listen-wire "" turns the
+// listener off. The HTTP listener on -addr serves:
 //
-//	POST /v1/decode        {"model": "<key>", "syndrome": "0101..."} or {"syndromes": [...]}
 //	GET  /v1/models        registered model keys and dimensions
 //	GET  /metrics          Prometheus text format
 //	GET  /healthz          liveness
 //	GET  /debug/decodetrace  sampled decode spans as Chrome trace JSON
-//
-// With -listen-wire the daemon additionally serves the binary wire
-// protocol (internal/wire) on a second listener: length-prefixed frames
-// carrying raw syndrome/correction words over persistent connections,
-// the low-latency path used by vegapunkrouter and decodeload -proto
-// binary. Pipelined wire requests coalesce into the same micro-batches
-// as HTTP traffic.
 //
 // With -debug-addr a second localhost listener serves net/http/pprof
 // (/debug/pprof/...) plus the same decode-trace dump; with -slow-log
@@ -65,8 +61,8 @@ func main() {
 
 func run() int {
 	fs := flag.NewFlagSet("vegapunkd", flag.ExitOnError)
-	addr := fs.String("addr", ":8471", "listen address")
-	wireAddr := fs.String("listen-wire", "", "optional binary wire-protocol listener (e.g. :8473); the low-latency path used by vegapunkrouter and decodeload -proto binary")
+	addr := fs.String("addr", ":8471", "HTTP listen address (/v1/models, /metrics, /healthz)")
+	wireAddr := fs.String("listen-wire", ":8473", "binary wire-protocol listener, the one decode path (vegapunkrouter, decodeload); empty disables it")
 	codeName := fs.String("code", "BB [[72,12,6]]", "benchmark code name (see 'vegapunk codes')")
 	p := fs.Float64("p", 0.001, "physical error rate of the served noise model")
 	decoders := fs.String("decoders", "vegapunk,bp", "comma-separated decoders to register: vegapunk, bp, bp+osd, bp+lsd")
@@ -74,7 +70,6 @@ func run() int {
 	pool := fs.Int("pool", 0, "decoder instances = dispatch workers per model (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 16, "micro-batch flush size")
 	wait := fs.Duration("wait", 200*time.Microsecond, "micro-batch flush deadline under saturation")
-	inflight := fs.Int("inflight", 64, "max concurrently admitted HTTP decode requests")
 	timeout := fs.Duration("timeout", 2*time.Second, "per-request decode deadline")
 	debugAddr := fs.String("debug-addr", "", "optional localhost listener for /debug/pprof and /debug/decodetrace (e.g. 127.0.0.1:8472)")
 	traceSample := fs.Uint64("trace-sample", 8, "trace one in N decodes into the span rings (0 disables tracing)")
@@ -134,7 +129,6 @@ func run() int {
 		MaxBatch:         *batch,
 		MaxWait:          *wait,
 		PoolSize:         *pool,
-		MaxInFlight:      *inflight,
 		RequestTimeout:   *timeout,
 		Tracer:           tracer,
 		SlowLog:          slowLog,

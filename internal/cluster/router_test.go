@@ -46,7 +46,7 @@ func sampleSyndromes(model *dem.Model, n int, seed uint64) []gf2.Vec {
 func replicaConfig() serve.Config {
 	return serve.Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize: 2, MaxInFlight: 64,
+		PoolSize:       2,
 		RequestTimeout: 2 * time.Second,
 	}
 }

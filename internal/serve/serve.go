@@ -23,10 +23,11 @@
 //     stuck on (see worker.go). The steady state (pooled requests,
 //     recycled batches, reused scratch) is allocation-free on top of the
 //     decode itself.
-//   - Server: a stdlib net/http JSON API (POST /v1/decode single or
-//     batch, GET /v1/models) with request validation, per-request
-//     timeouts, bounded in-flight admission (503 + Retry-After on
-//     overload) and graceful drain.
+//   - Server: the model registry behind the binary wire protocol
+//     (ServeWire, internal/wire), the only way a decode arrives, with
+//     per-request deadlines and graceful drain; a stdlib net/http
+//     listener beside it answers GET /v1/models, /healthz and
+//     /debug/decodetrace.
 //   - Metrics: atomic counters/gauges/histograms rendered in Prometheus
 //     text format at GET /metrics, with zero allocations on the
 //     observation path.
@@ -60,8 +61,9 @@ type Config struct {
 	// each owning one decoder instance, so it bounds the live instances
 	// (default runtime.GOMAXPROCS(0)).
 	PoolSize int
-	// MaxInFlight bounds concurrently admitted HTTP decode requests;
-	// excess requests receive 503 + Retry-After (default 64).
+	// Deprecated: has no effect; decodes arrive only over the wire
+	// protocol, which has no admission bound of its own. Kept only
+	// because benchmark/spec.go still sets it.
 	MaxInFlight int
 	// RequestTimeout is the per-request decode deadline (default 2s).
 	RequestTimeout time.Duration
@@ -108,9 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 2 * time.Second

@@ -284,16 +284,21 @@ func TestDecodeContextTimeout(t *testing.T) {
 }
 
 // gatedDecoder blocks inside Decode until its gate closes — a stand-in
-// for a slow decoder in timeout/overload/drain tests.
+// for a slow decoder in timeout and drain tests. A non-nil entered
+// receives one value each time a decode reaches the gate.
 type gatedDecoder struct {
-	model *dem.Model
-	gate  chan struct{}
-	out   gf2.Vec
+	model   *dem.Model
+	gate    chan struct{}
+	entered chan struct{}
+	out     gf2.Vec
 }
 
 func (g *gatedDecoder) Name() string { return "gated" }
 
 func (g *gatedDecoder) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
+	if g.entered != nil {
+		g.entered <- struct{}{}
+	}
 	<-g.gate
 	if g.out.Len() == 0 {
 		g.out = gf2.NewVec(g.model.NumMech())

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"net/http"
 	"time"
 
 	"vegapunk/internal/core"
@@ -14,8 +13,8 @@ import (
 )
 
 // ServeWire accepts binary wire-protocol connections on l until
-// Shutdown: the persistent-connection hot path that replaces JSON
-// framing with raw syndrome/correction words. The accept/drain
+// Shutdown: the only way a decode reaches the server, as raw
+// syndrome/correction words over persistent connections. The accept/drain
 // lifecycle and the frame loop are wire.Server's; this file supplies
 // only the replica's handler (wireConn, wireModel): pipelined decode
 // frames of one run are submitted together so they coalesce into the
@@ -95,36 +94,32 @@ func (s *Server) wireHealthFlags(svc *Service, now int64) wire.Flags {
 	return f
 }
 
-// errClass is one row of the service-error table both front ends
-// answer from: the wire status, and the HTTP status, Retry-After header
-// and message, that a terminal decode error maps to.
+// errClass is one row of the service-error table: the wire status a
+// terminal decode error answers with.
 type errClass struct {
-	err        error
-	wire       wire.Status
-	http       int
-	retryAfter bool
-	msg        string // "" reports the error's own text
+	err  error
+	wire wire.Status
 }
 
 // errClasses has one row per exported Err* sentinel of the package
 // (TestErrClassesCoverSentinels), plus the caller's own deadline.
 var errClasses = [...]errClass{
-	{context.DeadlineExceeded, wire.StatusTimeout, http.StatusGatewayTimeout, false, "decode deadline exceeded"},
-	{ErrDeadlineBudget, wire.StatusShed, http.StatusGatewayTimeout, false, "request shed: deadline budget below p99 decode latency"},
-	{ErrCircuitOpen, wire.StatusOverload, http.StatusServiceUnavailable, true, "circuit breaker open after repeated decoder faults, retry later"},
-	{ErrClosed, wire.StatusOverload, http.StatusServiceUnavailable, true, "service draining"},
-	{ErrDecoderFault, wire.StatusDecoderFault, http.StatusInternalServerError, false, "decoder fault; instance quarantined, retry may succeed"},
+	{context.DeadlineExceeded, wire.StatusTimeout},
+	{ErrDeadlineBudget, wire.StatusShed},
+	{ErrCircuitOpen, wire.StatusOverload},
+	{ErrClosed, wire.StatusOverload},
+	{ErrDecoderFault, wire.StatusDecoderFault},
 }
 
-// classify returns the table row for a non-nil decode error; anything
+// classify returns the wire status for a non-nil decode error; anything
 // unlisted is an internal error.
-func classify(err error) errClass {
+func classify(err error) wire.Status {
 	for _, c := range errClasses {
 		if errors.Is(err, c.err) {
-			return c
+			return c.wire
 		}
 	}
-	return errClass{wire: wire.StatusInternal, http: http.StatusInternalServerError}
+	return wire.StatusInternal
 }
 
 // Hello resolves a model key in the registry.
@@ -170,7 +165,7 @@ func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 	c.ctx.dl = time.Now().Add(c.s.cfg.RequestTimeout)
 	req, serr := m.svc.submitTraced(&c.ctx, m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
 	if serr != nil {
-		lane.status = classify(serr).wire
+		lane.status = classify(serr)
 		return
 	}
 	lane.req = req
@@ -178,17 +173,21 @@ func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 
 // EndRun collects every submitted lane — each admitted request has
 // exactly one terminal outcome — and appends the responses in arrival
-// order.
+// order. The health flags are read once the lanes are collected, so a
+// run that finishes during a drain answers with FlagDraining.
 func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 	c := m.c
-	flags := c.s.wireHealthFlags(m.svc, obs.Tick())
 	for i := 0; i < m.n; i++ {
 		lane := &m.lanes[i]
 		if lane.req != nil {
 			if werr := m.svc.wait(&c.ctx, lane.req, &lane.res); werr != nil {
-				lane.status = classify(werr).wire
+				lane.status = classify(werr)
 			}
 		}
+	}
+	flags := c.s.wireHealthFlags(m.svc, obs.Tick())
+	for i := 0; i < m.n; i++ {
+		lane := &m.lanes[i]
 		c.wres.Status = lane.status
 		if lane.status == wire.StatusOK {
 			res := &lane.res

@@ -7,10 +7,12 @@ import (
 	"go/token"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"vegapunk/internal/core"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/wire"
 )
@@ -46,7 +48,7 @@ func startWireServer(t testing.TB, cfg Config) (*Server, string, string) {
 func wireTestConfig() Config {
 	return Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize: 2, MaxInFlight: 64,
+		PoolSize:       2,
 		RequestTimeout: 2 * time.Second,
 	}
 }
@@ -298,6 +300,80 @@ func TestWireShutdownUnblocksIdle(t *testing.T) {
 	}
 }
 
+// TestWireGracefulDrain: Shutdown waits for a wire decode already inside
+// the decoder, answers it (StatusOK, flagged draining) and only then
+// returns; the drained listener accepts no new connection.
+func TestWireGracefulDrain(t *testing.T) {
+	model, _ := testModel(t)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	srv := NewServer(Config{MaxBatch: 1, PoolSize: 1, RequestTimeout: 10 * time.Second})
+	if _, err := srv.Register("gated", model, "gated",
+		func() core.Decoder { return &gatedDecoder{model: model, gate: gate, entered: entered} }); err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.ServeWire(l) }()
+	addr := l.Addr().String()
+
+	c, err := wire.Dial(addr, time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info, err := c.Hello("gated")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		flags  wire.Flags
+		status wire.Status
+		err    error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		var res wire.Result
+		wire.SizeResult(&res, info.NumMech, info.NumObs)
+		flags, err := c.Decode(info.ID, 1, gf2.NewVec(model.NumDet), &res)
+		answered <- answer{flags, res.Status, err}
+	}()
+	<-entered
+
+	// Shutdown must wait for the in-flight decode, not drop it.
+	shutDone := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shutDone <- srv.Shutdown(ctx)
+	}()
+	for !srv.wire.Draining() {
+		runtime.Gosched()
+	}
+	close(gate)
+
+	a := <-answered
+	if a.err != nil || a.status != wire.StatusOK {
+		t.Fatalf("in-flight decode: status %s, err %v; want %s", a.status, a.err, wire.StatusOK)
+	}
+	if a.flags&wire.FlagDraining == 0 {
+		t.Fatal("in-flight decode answered during drain without FlagDraining")
+	}
+	if err := <-shutDone; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("ServeWire: %v", err)
+	}
+	if c2, err := wire.Dial(addr, time.Second, time.Second); err == nil {
+		c2.Close()
+		t.Fatal("dial after shutdown succeeded")
+	}
+}
+
 // BenchmarkServeWireDecode measures the full binary round trip against
 // a live service over loopback TCP, one request in flight; the
 // sustained, verified figure for this path is the wire-vegapunk-bb72
@@ -332,7 +408,7 @@ func BenchmarkServeWireDecode(b *testing.B) {
 
 // TestErrClassesCoverSentinels reads the package source: every exported
 // Err* variable must be the sentinel of an errClasses row, so a new
-// terminal error cannot ship without a wire status and an HTTP answer.
+// terminal error cannot ship without a wire status.
 func TestErrClassesCoverSentinels(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package wire implements the binary serving protocol: length-prefixed
-// frames over persistent connections, replacing the JSON /v1/decode
-// path on the hot serving path. A frame is a fixed 20-byte header
+// frames over persistent connections, the only way a decode reaches a
+// replica or a router. A frame is a fixed 20-byte header
 // (magic, version, opcode, health flags, model id, request id, payload
 // length) followed by a bounded payload; syndromes and corrections
 // travel as raw 64-bit words, so encode/decode is a header patch plus a

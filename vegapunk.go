@@ -209,16 +209,18 @@ func NewVec(n int) Vec { return gf2.NewVec(n) }
 // ---- Online decoding service ----
 
 // ServeConfig shapes the decoding service (micro-batching, dispatch
-// workers that each own one decoder, admission control); the zero value
-// uses sensible defaults.
+// workers that each own one decoder, deadlines, quarantine); the zero
+// value uses sensible defaults.
 type ServeConfig = serve.Config
 
-// DecodeServer is the HTTP decoding service: register models, then
-// ListenAndServe. See cmd/vegapunkd for the ready-made daemon.
+// DecodeServer is the decoding service: register models, then
+// ListenAndServeWire for the binary wire protocol (and ListenAndServe
+// for /v1/models and /metrics). See cmd/vegapunkd for the ready-made
+// daemon.
 type DecodeServer = serve.Server
 
 // DecodeService is one registered model's decode queue, usable directly
-// from Go without the HTTP layer.
+// from Go without a listener.
 type DecodeService = serve.Service
 
 // DecodeResult is a caller-owned decode result; reuse one across calls
