@@ -9,11 +9,11 @@
 //	decodeload -addr 127.0.0.1:8473 -code "BB [[72,12,6]]" \
 //	    -decoder bp -p 0.001 -requests 200 -batch 8 -concurrency 4 -seed 1
 //
-// With -router the target is a vegapunkrouter front end instead of a
-// single daemon; the summary's retried count is the responses the
-// router re-sent to a sibling replica.
+// -addr may equally name a vegapunkrouter front end instead of a single
+// daemon; the summary's retried count is then the responses the router
+// re-sent to a sibling replica.
 //
-//	decodeload -router 127.0.0.1:9471 ...
+//	decodeload -addr 127.0.0.1:9471 ...
 //
 // Every sampled error is derived from (-seed, request index), so a
 // given flag set replays the identical workload regardless of
@@ -95,8 +95,7 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("decodeload", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:8473", "daemon wire-protocol address (host:port of vegapunkd -listen-wire)")
-	router := fs.String("router", "", "vegapunkrouter wire address to load instead of a single daemon")
+	addr := fs.String("addr", "127.0.0.1:8473", "wire-protocol address: host:port of vegapunkd -listen-wire or of a vegapunkrouter")
 	codeName := fs.String("code", "BB [[72,12,6]]", "benchmark code name (must match the daemon)")
 	p := fs.Float64("p", 0.001, "physical error rate (must match the daemon)")
 	decoder := fs.String("decoder", "bp", "decoder flag name used at the daemon (derives the model key)")
@@ -123,11 +122,6 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	target := *addr
-	if *router != "" {
-		target = *router
-	}
-
 	b, ok := findBenchmark(*codeName)
 	if !ok {
 		logger.Printf("unknown code %q", *codeName)
@@ -168,7 +162,7 @@ func run(args []string) int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			worker(&tl, &next, items, target, key, *timeout, *traceSample, *seed+uint64(w), logger)
+			worker(&tl, &next, items, *addr, key, *timeout, *traceSample, *seed+uint64(w), logger)
 		}()
 	}
 	wg.Wait()
@@ -177,7 +171,7 @@ func run(args []string) int {
 	reqErrs := tl.rejected503 + tl.timeout504 + tl.decoderFault + tl.transportErrs
 	if len(tl.latencies) == 0 {
 		logger.Printf("no successful requests (rejected_503=%d timeouts_504=%d decoder_faults=%d transport_errors=%d); is the daemon up at %s with model %s?",
-			tl.rejected503, tl.timeout504, tl.decoderFault, tl.transportErrs, target, key)
+			tl.rejected503, tl.timeout504, tl.decoderFault, tl.transportErrs, *addr, key)
 		return 1
 	}
 	// Nearest-rank percentiles over the full sorted sample set: the

@@ -3,9 +3,10 @@ package decouple
 import "testing"
 
 // BenchmarkDecouple times the whole offline search (every candidate K,
-// synthesis, subspace search and validation) on the two circuit-level
-// check matrices the repo benchmark's Vegapunk workloads decouple; it is
-// the kernel-level number next to the benchmark's decouple.decouple_s.
+// its row partitions and their plans, synthesis of the winners and
+// validation) on the two circuit-level check matrices the repo
+// benchmark's Vegapunk workloads decouple; it is the kernel-level number
+// next to the benchmark's decouple.decouple_s.
 func BenchmarkDecouple(b *testing.B) {
 	for _, bc := range []struct {
 		name string

@@ -7,33 +7,29 @@
 // with every D_i the same shape m_D × n_D and A as sparse as possible
 // (the paper's Eq. 11 objective).
 //
-// The paper hands this search to an SMT solver. Here the same
-// formulation is solved by a two-stage engine (DESIGN.md §1): a row
-// partition search (greedy clustering with refinement, and an analytic
-// path for hypergraph-product structure) beside a general-T subspace
-// search,
-// followed by algebraic synthesis of T as the inverse of the columns
-// chosen to become the identities — block-local for a row partition,
-// which preserves the cross-group support of every column, so the
-// resulting decoupling is exact and validated bit-for-bit against T·D·P.
+// The paper hands this search to an SMT solver over an arbitrary
+// full-rank T. Here the formulation is approximated by row partitions
+// (DESIGN.md §1): every candidate is a partition of the rows into K
+// groups — contiguous, strided or grown by row affinity, each also
+// refined by a seeded local search — and T is synthesized as the inverse
+// of the columns chosen to become the identities. Those columns are zero
+// outside their group's rows, so every T is block-local: it preserves the
+// cross-group support of every column, and the resulting decoupling is
+// exact and validated bit-for-bit against T·D·P. On the repo's codes
+// each of the three partitions and the refinement wins somewhere, and a
+// general-T direct-sum search that used to run beside them won nowhere,
+// so it was deleted (EXPERIMENTS.md, "Which decoupling strategy wins").
 //
-// For one K the order of work is plan → rank → build → validate. Every
-// strategy returns a plan whose coverage K·n_D is already exact. A
-// subspace plan carries its identity, interior and tail column lists; a
-// row-partition plan carries its partition and a count of each group's
-// interior columns, since with every group of rank m_D the coverage is K
-// times the smallest count, and chooses its identity columns (the
-// pivots) only when built, failing there if a group is short of rank.
-// Plans are ranked by coverage; only those tied at the top are built (T,
-// T·D, the sparse blocks — the nonzero-count tie-break needs them), and
-// none at all when that coverage falls short of Options.MinCoverage; the
-// candidate about to win is validated, and one that fails to build or
-// validate gives way to the next best.
-//
-// The subspace search keeps the sum W₁ ⊕ … ⊕ W_K as one reduced basis
-// whose vectors are tagged with their coefficients over the raw columns
-// added, so which W_i holds a column is read off the pivots the column
-// has set (directSum).
+// For one K the order of work is plan → rank → build → validate. A plan
+// carries its partition and a count of each group's interior columns:
+// with every group of rank m_D its coverage K·n_D is K times the smallest
+// count, exact before anything is built. Its identity columns (the
+// pivots) are chosen only when it is built, which fails if a group is
+// short of rank. Plans are ranked by coverage; only those tied at the
+// top are built (T, T·D, the sparse blocks — the nonzero-count tie-break
+// needs them), and none at all when that coverage falls short of
+// Options.MinCoverage; the candidate about to win is validated, and one
+// that fails to build or validate gives way to the next best.
 //
 // All strategies read one searchView of D. Its neighbour table lists,
 // per row, each distinct column of weight ≥ 2 on the row with its

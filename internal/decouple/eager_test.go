@@ -22,11 +22,6 @@ func synthesize(v *searchView, groups [][]int) (*Decoupling, error) {
 	return buildPlan(v, p, err)
 }
 
-func subspaceDecouple(v *searchView, K int) (*Decoupling, error) {
-	p, err := planSubspace(v, K)
-	return buildPlan(v, p, err)
-}
-
 // eagerBestForK builds every plan of one K and returns the best valid
 // artifact.
 func eagerBestForK(v *searchView, K int, opts Options) *Decoupling {

@@ -159,26 +159,23 @@ func searchKs[R any](tries []int, search func(K int) R, success func(R) bool) []
 	return results
 }
 
-// candidates is one K's search: the plans of every strategy, in strategy
-// order, and the validated winner once best has found one.
+// candidates is one K's search: the plans of its candidate partitions, in
+// the order candidatePartitions lists them, and the validated winner once
+// best has found one.
 type candidates struct {
 	v     *searchView
 	plans []*plan
 	won   *Decoupling
 }
 
-// planK runs every strategy for one K — row partitions, whose T is
-// block-local, and the general-T direct-sum subspace search (the paper's
-// arbitrary full-rank T) — and keeps the plans that worked out.
+// planK plans every candidate row partition for one K and keeps the
+// plans that worked out.
 func planK(v *searchView, K int, seed uint64) *candidates {
 	c := &candidates{v: v}
 	for _, groups := range candidatePartitions(v, K, seed) {
 		if p, err := planPartition(v, groups); err == nil {
 			c.plans = append(c.plans, p)
 		}
-	}
-	if p, err := planSubspace(v, K); err == nil {
-		c.plans = append(c.plans, p)
 	}
 	return c
 }
@@ -232,7 +229,6 @@ func (c *candidates) best(accept func(blockCols int) bool) *Decoupling {
 // partitions give equal plans).
 func candidatePartitions(v *searchView, K int, seed uint64) [][][]int {
 	m := v.m
-	mD := m / K
 	var out [][][]int
 	add := func(p [][]int) {
 		for _, q := range out {
@@ -243,21 +239,25 @@ func candidatePartitions(v *searchView, K int, seed uint64) [][][]int {
 		out = append(out, p)
 	}
 
-	contiguous := make([][]int, K)
-	for g := 0; g < K; g++ {
-		for t := 0; t < mD; t++ {
-			contiguous[g] = append(contiguous[g], g*mD+t)
-		}
-	}
 	strided := make([][]int, K)
 	for r := 0; r < m; r++ {
 		strided[r%K] = append(strided[r%K], r)
 	}
-	for _, p := range [][][]int{contiguous, strided, affinityPartition(v, K)} {
+	for _, p := range [][][]int{contiguous(m, K), strided, affinityPartition(v, K)} {
 		add(p)
 		add(refinePartition(v, p, refinePasses, seed))
 	}
 	return out
+}
+
+// contiguous is the partition of m rows into K runs of m/K consecutive
+// rows.
+func contiguous(m, K int) [][]int {
+	groups := make([][]int, K)
+	for r := 0; r < m; r++ {
+		groups[r/(m/K)] = append(groups[r/(m/K)], r)
+	}
+	return groups
 }
 
 func samePartition(p, q [][]int) bool {

@@ -34,19 +34,6 @@ func (e *refEchelon) add(v bitvec) bool {
 	return true
 }
 
-func (e *refEchelon) contains(v bitvec) bool { return e.residual(v).isZero() }
-
-// refHome is planSubspace's containment test before the direct sum's
-// reduced basis: the first subspace whose own echelon spans vec.
-func refHome(subs []*refEchelon, vec bitvec) int {
-	for i, s := range subs {
-		if s.contains(vec) {
-			return i
-		}
-	}
-	return -1
-}
-
 // rescanAffinityPartition is affinityPartition on a dense affinity
 // matrix counted from the column supports, with each seed's mass summed
 // afresh over the unassigned rows, O(K·m²) per call.

@@ -230,16 +230,16 @@ func TestHintedKSearchedOnce(t *testing.T) {
 func TestBestValidDropsInvalidWinner(t *testing.T) {
 	D := hpPhenomenological(t)
 	v := newSearchView(D)
-	wide, err := subspaceDecouple(v, 9)
+	wide, err := synthesize(v, contiguous(v.m, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	narrow, err := subspaceDecouple(v, 3)
+	narrow, err := synthesize(v, contiguous(v.m, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wide.K*wide.ND <= narrow.K*narrow.ND {
-		wide, narrow = narrow, wide
+		t.Fatalf("K=3 covers %d columns, K=9 %d: want more at K=3", wide.K*wide.ND, narrow.K*narrow.ND)
 	}
 	if got := bestValid(D, []*Decoupling{narrow, wide}); got != wide {
 		t.Fatal("valid candidate with the larger coverage not chosen")

@@ -7,41 +7,17 @@ import (
 	"vegapunk/internal/gf2"
 )
 
-// plan is a decoupling candidate decided but not yet materialised. Every
-// block takes as many interior columns as the scarcest block has (uniform
-// n_D = m_D + spare), so the plan already fixes the coverage K·n_D; only
-// the Eq. 11 nonzero count needs the transformation, which build
-// supplies.
-//
-// A subspace plan fixes its column lists: per block, the columns that
-// become its identity and its other interior columns in take order, and
-// the tail that goes to A. A row-partition plan keeps only its partition
-// and n_D; build chooses its lists, for the plans that get built.
+// plan is a row partition's decoupling candidate, decided but not yet
+// materialised. Every block takes as many interior columns as the
+// scarcest group has (uniform n_D = m_D + spare), so the plan already
+// fixes the coverage K·n_D; only the Eq. 11 nonzero count needs the
+// transformation, which build supplies.
 type plan struct {
 	K, nD int
-	// groupOf is a row partition's group of each row, nil for a
-	// subspace plan.
-	groupOf            []int
-	identity, interior [][]int
-	tail               []int
+	// groupOf is the group of each row.
+	groupOf []int
 	// dec is the built artifact, set by the selection that needed it.
 	dec *Decoupling
-}
-
-// newPlan fixes n_D from column lists and checks that every column is
-// accounted for.
-func newPlan(v *searchView, identity, interior [][]int, tail []int) (*plan, error) {
-	spare := len(interior[0])
-	total := len(tail)
-	for g := range identity {
-		spare = min(spare, len(interior[g]))
-		total += len(identity[g]) + len(interior[g])
-	}
-	if total != v.n {
-		return nil, fmt.Errorf("decouple: column accounting %d != %d", total, v.n)
-	}
-	K := len(identity)
-	return &plan{K: K, nD: v.m/K + spare, identity: identity, interior: interior, tail: tail}, nil
 }
 
 // blockCols is K·n_D, the number of columns the blocks absorb.
@@ -93,9 +69,9 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 	}
 
 	count := make([]int, K) // interior columns per group
-	for _, dc := range v.distinct {
-		if g := uniformGroup(v.cols.ColSpan(dc.cols[0]), groupOf); g >= 0 {
-			count[g] += len(dc.cols)
+	for _, cols := range v.distinct {
+		if g := uniformGroup(v.cols.ColSpan(cols[0]), groupOf); g >= 0 {
+			count[g] += len(cols)
 		}
 	}
 	for g, c := range count {
@@ -106,17 +82,16 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 	return &plan{K: K, nD: slices.Min(count), groupOf: groupOf}, nil
 }
 
-// pickPivots fills a row-partition plan's column lists. Columns
-// interior to a group go to it, the rest — crossing, and zero columns,
-// which are useless — to the tail. Per group, the first m_D independent
-// interior columns, lightest first (unit columns make the group's part
-// of T the identity), become the identity; the others follow in the
-// same order. An interior column is zero outside its group's rows, so
-// independence can be read off the full packed columns.
-func (p *plan) pickPivots(v *searchView) error {
+// pickPivots makes the plan's column lists. Columns interior to a group
+// go to it, the rest — crossing, and zero columns, which are useless —
+// to the tail. Per group, the first m_D independent interior columns,
+// lightest first (unit columns make the group's part of T the
+// identity), become the identity; the group's other interior columns
+// follow in the same order. An interior column is zero outside its
+// group's rows, so independence can be read off the full packed columns.
+func (p *plan) pickPivots(v *searchView) (identity, interior [][]int, tail []int, err error) {
 	mD := v.m / p.K
-	interior := make([][]int, p.K)
-	var tail []int
+	interior = make([][]int, p.K)
 	for j := 0; j < v.n; j++ {
 		g := -1
 		if sup := v.cols.ColSpan(j); len(sup) > 0 {
@@ -128,7 +103,7 @@ func (p *plan) pickPivots(v *searchView) error {
 			tail = append(tail, j)
 		}
 	}
-	identity := make([][]int, p.K)
+	identity = make([][]int, p.K)
 	for g, cand := range interior {
 		slices.SortStableFunc(cand, func(a, b int) int { return v.cols.ColWeight(a) - v.cols.ColWeight(b) })
 		var ech echelon
@@ -141,12 +116,11 @@ func (p *plan) pickPivots(v *searchView) error {
 			}
 		}
 		if ech.dim() < mD {
-			return fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
+			return nil, nil, nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
 		}
 		interior[g] = nonPiv
 	}
-	p.identity, p.interior, p.tail = identity, interior, tail
-	return nil
+	return identity, interior, tail, nil
 }
 
 // build materialises the plan: T is the inverse of the matrix whose
@@ -155,16 +129,15 @@ func (p *plan) pickPivots(v *searchView) error {
 // Each block keeps its first spare interior columns; the surplus, then
 // the tail, go to A.
 func (p *plan) build(v *searchView) (*Decoupling, error) {
-	if p.identity == nil {
-		if err := p.pickPivots(v); err != nil {
-			return nil, err
-		}
+	identity, interior, tail, err := p.pickPivots(v)
+	if err != nil {
+		return nil, err
 	}
 	K := p.K
 	mD := v.m / K
 	spare := p.nD - mD
 	basis := gf2.NewDense(v.m, v.m)
-	for g, cols := range p.identity {
+	for g, cols := range identity {
 		for t, j := range cols {
 			for _, r := range v.cols.ColSpan(j) {
 				basis.Set(int(r), g*mD+t, true)
@@ -184,14 +157,14 @@ func (p *plan) build(v *searchView) (*Decoupling, error) {
 	td := gf2.CSCFromDense(T.Mul(v.D))
 	var colOrder, aCols []int
 	var sups []int32 // one block's B supports, end to end
-	for g := range p.identity {
-		colOrder = append(append(colOrder, p.identity[g]...), p.interior[g][:spare]...)
-		aCols = append(aCols, p.interior[g][spare:]...)
+	for g := range identity {
+		colOrder = append(append(colOrder, identity[g]...), interior[g][:spare]...)
+		aCols = append(aCols, interior[g][spare:]...)
 		// B part: transformed interior columns restricted to the
 		// block's rows.
 		b := make([][]int32, spare)
 		sups = sups[:0]
-		for jj, j := range p.interior[g][:spare] {
+		for jj, j := range interior[g][:spare] {
 			at := len(sups)
 			for _, r := range td.ColSpan(j) {
 				if t := int(r) - g*mD; t >= 0 && t < mD {
@@ -202,7 +175,7 @@ func (p *plan) build(v *searchView) (*Decoupling, error) {
 		}
 		dec.Blocks[g] = gf2.CSCFromSupports(mD, b)
 	}
-	aCols = append(aCols, p.tail...)
+	aCols = append(aCols, tail...)
 	dec.NA = len(aCols)
 	a := make([][]int32, dec.NA)
 	for jj, j := range aCols {

@@ -7,13 +7,6 @@ import (
 	"vegapunk/internal/gf2"
 )
 
-// colGroup is one distinct nonzero column of D with every column index
-// that carries it.
-type colGroup struct {
-	vec  bitvec
-	cols []int
-}
-
 // searchView is everything the search reads about D, extracted once per
 // Decouple call and shared read-only by every strategy for every K (and,
 // since the K candidates are searched concurrently, by every goroutine):
@@ -25,11 +18,9 @@ type searchView struct {
 	cols *gf2.CSC
 	// vecs[j] is column j packed into words.
 	vecs []bitvec
-	// unitCol[r] is the first weight-1 column on row r, or -1.
-	unitCol []int
-	// distinct lists the distinct nonzero columns, most frequent first
-	// (ties in first-appearance order).
-	distinct []colGroup
+	// distinct lists each distinct nonzero column of D as every column
+	// index that carries it, in order of first appearance.
+	distinct [][]int
 	// nbr is the neighbour table: nbr[nbrAt[r]:nbrAt[r+1]] lists every
 	// distinct column of weight ≥ 2 on row r as (multiplicity, number of
 	// other rows, the other rows…). Unit columns are interior to any
@@ -49,12 +40,8 @@ func newSearchView(D *gf2.Dense) *searchView {
 	m, n := D.Rows(), D.Cols()
 	v := &searchView{
 		D: D, m: m, n: n,
-		cols:    gf2.CSCFromDense(D),
-		vecs:    make([]bitvec, n),
-		unitCol: make([]int, m),
-	}
-	for r := range v.unitCol {
-		v.unitCol[r] = -1
+		cols: gf2.CSCFromDense(D),
+		vecs: make([]bitvec, n),
 	}
 	words := wordsFor(m)
 	packed := make(bitvec, n*words)
@@ -71,20 +58,16 @@ func newSearchView(D *gf2.Dense) *searchView {
 		if len(sup) == 0 {
 			continue
 		}
-		if len(sup) == 1 && v.unitCol[sup[0]] < 0 {
-			v.unitCol[sup[0]] = j
-		}
 		for i, w := range vec {
 			binary.LittleEndian.PutUint64(key[8*i:], w)
 		}
 		if g, ok := groupAt[string(key)]; ok {
-			v.distinct[g].cols = append(v.distinct[g].cols, j)
+			v.distinct[g] = append(v.distinct[g], j)
 			continue
 		}
 		groupAt[string(key)] = len(v.distinct)
-		v.distinct = append(v.distinct, colGroup{vec: vec, cols: []int{j}})
+		v.distinct = append(v.distinct, []int{j})
 	}
-	slices.SortStableFunc(v.distinct, func(a, b colGroup) int { return len(b.cols) - len(a.cols) })
 	v.buildNeighbours()
 	return v
 }
@@ -109,8 +92,8 @@ func nextNeighbour(span []int32) (mult int, others, rest []int32) {
 // the pair index the same way from nbr.
 func (v *searchView) buildNeighbours() {
 	v.nbrAt = make([]int32, v.m+1)
-	for _, g := range v.distinct {
-		if sup := v.cols.ColSpan(g.cols[0]); len(sup) >= 2 {
+	for _, cols := range v.distinct {
+		if sup := v.cols.ColSpan(cols[0]); len(sup) >= 2 {
 			for _, r := range sup {
 				v.nbrAt[r+1] += int32(1 + len(sup))
 			}
@@ -121,14 +104,14 @@ func (v *searchView) buildNeighbours() {
 	}
 	v.nbr = make([]int32, v.nbrAt[v.m])
 	at := slices.Clone(v.nbrAt[:v.m])
-	for _, g := range v.distinct {
-		sup := v.cols.ColSpan(g.cols[0])
+	for _, cols := range v.distinct {
+		sup := v.cols.ColSpan(cols[0])
 		if len(sup) < 2 {
 			continue
 		}
 		for _, r := range sup {
 			e := v.nbr[at[r]:]
-			e[0], e[1] = int32(len(g.cols)), int32(len(sup)-1)
+			e[0], e[1] = int32(len(cols)), int32(len(sup)-1)
 			k := 2
 			for _, o := range sup {
 				if o != r {

@@ -41,13 +41,7 @@ func Fig12(cfg Config, ws *Workspace) error {
 			continue
 		}
 		count++
-		per, err := ws.Model(b, p)
-		if err != nil {
-			return err
-		}
-		rounds := cfg.rounds(b.Rounds) * 6
-		st := dem.SpaceTime(per, rounds)
-		dcp, err := decouple.Decouple(st.CheckMatrix(), decouple.Options{Seed: cfg.Seed})
+		st, dcp, err := fig12Batch(cfg, ws, b, p)
 		if err != nil {
 			return err
 		}
@@ -73,6 +67,19 @@ func Fig12(cfg Config, ws *Workspace) error {
 	}
 	cfg.printf("(paper: decoupling improves accuracy 17.9x / 26.1x / 31.1x on three BB codes)\n\n")
 	return nil
+}
+
+// fig12Batch builds the deep space-time batch Fig12 decodes for b at
+// physical error rate p, 6·rounds(d) rounds of its per-round model, and
+// decouples it.
+func fig12Batch(cfg Config, ws *Workspace, b Benchmark, p float64) (*dem.Model, *decouple.Decoupling, error) {
+	per, err := ws.Model(b, p)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := dem.SpaceTime(per, cfg.rounds(b.Rounds)*6)
+	dcp, err := decouple.Decouple(st.CheckMatrix(), decouple.Options{Seed: cfg.Seed})
+	return st, dcp, err
 }
 
 // Fig13 reproduces the maximum-iteration ablation: latency (accelerator
