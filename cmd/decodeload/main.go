@@ -359,10 +359,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 					transport, terr = true, err
 					break
 				}
-				if want := uint64(i)<<16 | uint64(j); h.ReqID != want {
-					transport, terr = true, fmt.Errorf("response for request %#x, want %#x", h.ReqID, want)
-					break
-				}
 				lo := laneOut{status: res.Status, flags: h.Flags, tier: res.Tier,
 					queueWaitNs: res.QueueWaitNs, decodeNs: res.DecodeNs, copyOutNs: res.CopyOutNs}
 				if timed {

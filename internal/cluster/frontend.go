@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"net"
-	"time"
 
 	"vegapunk/internal/obs"
 	"vegapunk/internal/wire"
@@ -36,15 +35,6 @@ type feLane struct {
 	flags wire.Flags
 	resp  []byte // terminal response payload
 	done  bool
-
-	// Per-attempt response accounting, reset by forward: sent marks the
-	// lane as part of the attempt, answered that a response frame was
-	// consumed for it (possibly retryable, leaving done false), lost
-	// that a stream desync destroyed its response — the forward loop
-	// must not wait for a frame that will never arrive.
-	sent     bool
-	answered bool
-	lost     bool
 
 	// Telemetry relay state. A client-traced lane (the client sent
 	// FlagTelemetry) relays payloads untouched both ways under the
@@ -171,7 +161,7 @@ func (f *feConn) backend(b *feBinding, rep *replica) (*wire.Client, error) {
 				// healthy, only this key is unresolvable here.
 				return nil, err
 			}
-			f.dropBackend(rep)
+			f.failBackend(rep, err)
 			return nil, err
 		}
 		b.beID[i] = int32(info.ID)
@@ -183,22 +173,33 @@ func (f *feConn) backend(b *feBinding, rep *replica) (*wire.Client, error) {
 	return c, nil
 }
 
+// failBackend ends the connection to rep after err. A bad frame — one
+// the reader rejects, or one that does not answer the request sent
+// (wire.IsProtocolError) — means bytes were damaged in flight, not that
+// the replica is down, so the replica keeps its state. Anything else
+// (a read timeout, EOF, a reset) is a transport failure and demotes it.
+func (f *feConn) failBackend(rep *replica, err error) {
+	if wire.IsProtocolError(err) {
+		f.rt.protoErrors.Add(1)
+		f.abandonBackend(rep)
+		return
+	}
+	f.dropBackend(rep)
+}
+
 // dropBackend discards the connection to rep after a transport failure
 // and demotes the replica.
 func (f *feConn) dropBackend(rep *replica) {
-	i := rep.idx
-	if c := f.bconns[i]; c != nil {
-		rep.release(c, false)
-		f.bconns[i] = nil
-		f.breconn[i] = true
-	}
+	f.abandonBackend(rep)
 	rep.markDown()
 }
 
-// abandonBackend is the hedge's loser cancellation: the connection to
-// the slow replica is discarded (any late responses die with it) but
-// the replica is NOT demoted — slow is not down, and marking it down
-// would dogpile its whole key range onto the sibling.
+// abandonBackend discards the connection to rep without demoting the
+// replica; any late responses die with the connection, and the next
+// dial counts as a reconnect. It ends a connection that sent a bad
+// frame, and it is the hedge's loser cancellation: slow is not down,
+// and marking the replica down would dogpile its whole key range onto
+// the sibling.
 func (f *feConn) abandonBackend(rep *replica) {
 	i := rep.idx
 	if c := f.bconns[i]; c != nil {
@@ -317,19 +318,14 @@ func (f *feConn) armTrace(ln *feLane, flags wire.Flags) {
 	ln.strip = true
 }
 
-// forward sends every undone lane to rep and records terminal
-// responses. Lanes answered with a retryable status stay undone unless
-// this is already the retry attempt; a transport failure leaves all
-// unanswered lanes undone and demotes the replica. On a primary
-// attempt with hedging configured, a first response slower than
-// HedgeAfter abandons the connection (loser cancellation) and reports
-// true — the caller re-sends the undone lanes to the sibling.
-//
-// The response loop tolerates backend stream desyncs: responses arrive
-// in request order, so a frame matching a lane deeper in the attempt
-// means the skipped lanes' responses were destroyed by a resync — they
-// are marked lost (eligible for retry) instead of stalling the loop on
-// frames that will never arrive.
+// forward sends every undone lane to rep and reads exactly one response
+// per sent lane, in order. Lanes answered with a retryable status stay
+// undone unless this is already the retry attempt. A failed write or
+// read, or a bad frame, ends the attempt with the unanswered lanes
+// undone (failBackend decides whether the replica is demoted). On a
+// primary attempt with hedging configured, a first response slower
+// than HedgeAfter abandons the connection (loser cancellation) and
+// reports true — the caller re-sends the undone lanes to the sibling.
 func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried bool) (hedged bool) {
 	c, err := f.backend(b, rep)
 	if err != nil {
@@ -356,7 +352,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 	n := 0
 	for i := range lanes {
 		ln := &lanes[i]
-		ln.sent, ln.answered, ln.lost = false, false, false
 		if ln.done {
 			continue
 		}
@@ -365,7 +360,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			fl = wire.FlagTelemetry
 		}
 		c.QueueFrame(wire.OpDecode, fl, beID, ln.reqID, ln.syn)
-		ln.sent = true
 		n++
 	}
 	if n == 0 {
@@ -387,29 +381,19 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 	if armed {
 		f.rt.hedgeBucket.deposit(f.rt.cfg.HedgeMaxRate)
 	}
-	preDesyncs := c.Desyncs()
-	expect := 0 // first lane that may still receive a response
-	probed := false
-	garbage := 0
 	var tm wire.ServerTiming
-	for {
-		for expect < len(lanes) {
-			ln := &lanes[expect]
-			if ln.sent && !ln.answered && !ln.lost {
-				break
-			}
-			expect++
-		}
-		if expect >= len(lanes) {
-			break // every sent lane answered or written off as lost
+	for i := range lanes {
+		ln := &lanes[i]
+		if ln.done {
+			continue // answered by an earlier attempt, so not sent in this one
 		}
 		var rh wire.Header
 		var rp []byte
 		var rerr error
-		if armed && !probed {
+		if armed {
 			// The hedge window covers time-to-first-response: one slow
 			// head-of-line decode is the signal a congested link gives.
-			probed = true
+			armed = false
 			rh, rp, rerr = c.ReadFrameTimeout(hedgeAfter)
 			if rerr != nil && isNetTimeout(rerr) {
 				now := obs.Tick()
@@ -435,58 +419,23 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			rh, rp, rerr = c.ReadFrame()
 		}
 		if rerr != nil {
-			f.rt.desyncs.Add(c.Desyncs() - preDesyncs)
-			f.dropBackend(rep)
+			f.failBackend(rep, rerr)
 			return false
 		}
 		recvTick := obs.Tick()
-		if rh.Op != wire.OpResult && rh.Op != wire.OpError {
-			f.rt.protoErrors.Add(1)
-			f.rt.desyncs.Add(c.Desyncs() - preDesyncs)
-			f.dropBackend(rep)
-			return false
-		}
-		// In-order matching with skip-ahead: find the lane this frame
-		// answers among those still awaiting a response.
-		match := -1
-		for j := expect; j < len(lanes); j++ {
-			ln := &lanes[j]
-			if !ln.sent || ln.answered || ln.lost {
-				continue
-			}
-			if ln.reqID == rh.ReqID {
-				match = j
-				break
-			}
-		}
-		if match < 0 {
-			// No live lane wants this frame: a resync artifact. Drop
-			// it, bounded — a stream emitting only garbage is dead.
-			garbage++
-			if garbage > len(lanes)+4 {
-				f.rt.protoErrors.Add(1)
-				f.rt.desyncs.Add(c.Desyncs() - preDesyncs)
-				f.dropBackend(rep)
-				return false
-			}
-			continue
-		}
-		for j := expect; j < match; j++ {
-			ln := &lanes[j]
-			if ln.sent && !ln.answered && !ln.lost {
-				ln.lost = true // its response died upstream of the resync
-			}
-		}
+		// The frame must answer this lane: a result or error frame with
+		// the lane's request id and a valid status byte.
 		status, perr := wire.PeekStatus(rp)
+		if rh.Op != wire.OpResult && rh.Op != wire.OpError {
+			perr = wire.ErrUnexpectedFrame
+		} else if rh.ReqID != ln.reqID {
+			perr = wire.ErrReqIDMismatch
+		}
 		if perr != nil {
-			f.rt.protoErrors.Add(1)
-			f.rt.desyncs.Add(c.Desyncs() - preDesyncs)
-			f.dropBackend(rep)
+			f.failBackend(rep, perr)
 			return false
 		}
 		rep.observeFlags(rh.Flags)
-		ln := &lanes[match]
-		ln.answered = true
 		wall := recvTick - flushTick
 		peeked := status == wire.StatusOK && wire.PeekServerTiming(&tm, rh.Flags, rp)
 		timed := peeked && plausibleTiming(&tm)
@@ -499,7 +448,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			rep.suspend(recvTick, f.rt.cfg.RetryAfterHint)
 		}
 		if status.Retryable() && !retried {
-			continue // answered but undone; the sibling attempt re-sends it
+			continue // undone; the sibling attempt re-sends it
 		}
 		if (status == wire.StatusBadRequest || status == wire.StatusUnknownModel) && !retried {
 			// The router resolved this model on the backend at hello time
@@ -514,8 +463,8 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			// The router injected telemetry into this request itself, so a
 			// well-formed OK result must end in a recognizable timing
 			// block. One that does not was corrupted in flight: leave the
-			// lane answered-but-undone (retry-eligible) rather than relay
-			// a payload the client cannot parse.
+			// lane undone (retry-eligible) rather than relay a payload the
+			// client cannot parse.
 			continue
 		}
 		if peeked && !timed {
@@ -533,9 +482,10 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		}
 		if rh.Op == wire.OpResult && !wire.ValidResultPayload(relayFlags, rp, b.mech, b.nobs) {
 			// Structurally unsound payload (a flipped vector-length byte,
-			// a mangled telemetry tail): the client's only recourse would
-			// be tearing down the stream. Leave the lane answered-but-
-			// undone so the sibling pass re-decodes it.
+			// a mangled telemetry tail) or an implausible stage time in
+			// the result prefix: the client could only tear down the
+			// stream or record garbage. Leave the lane undone so the
+			// sibling pass re-decodes it.
 			continue
 		}
 		f.rt.slo.observe(wall)
@@ -551,19 +501,15 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		ln.done = true
 		rep.decodes.Add(1)
 	}
-	f.rt.desyncs.Add(c.Desyncs() - preDesyncs)
 	return false
 }
 
 // plausibleTiming rejects server-timing blocks whose stage components
-// were corrupted in flight: the wire protocol has no checksum, so a
-// flipped byte inside an i64 shows up as a negative or absurdly large
-// stage time. Feeding that into the health stats would poison the
-// network/server split and the SLO burn; an hour bounds any real stage
-// far above every configured timeout while catching random corruption
-// of the high bytes.
+// were corrupted in flight (wire.MaxStageNs gives the bound and why):
+// feeding them into the health stats would poison the network/server
+// split and the SLO burn.
 func plausibleTiming(tm *wire.ServerTiming) bool {
-	const maxStageNs = int64(time.Hour)
+	const maxStageNs = wire.MaxStageNs
 	return tm.QueueWaitNs >= 0 && tm.QueueWaitNs <= maxStageNs &&
 		tm.BatchAssembleNs >= 0 && tm.BatchAssembleNs <= maxStageNs &&
 		tm.DecodeNs >= 0 && tm.DecodeNs <= maxStageNs &&

@@ -58,8 +58,6 @@ func (r *Router) writeMetrics(w io.Writer) {
 	obs.WriteCounterSample(w, "vegapunk_router_hedges_total", "", r.hedges.Load())
 	obs.WriteHeader(w, "vegapunk_router_hedge_wins_total", "Lanes completed by the hedge target after loser cancellation.", "counter")
 	obs.WriteCounterSample(w, "vegapunk_router_hedge_wins_total", "", r.hedgeWins.Load())
-	obs.WriteHeader(w, "vegapunk_router_desync_total", "Backend stream desyncs survived by resync (corrupt frame headers scanned past).", "counter")
-	obs.WriteCounterSample(w, "vegapunk_router_desync_total", "", r.desyncs.Load())
 	obs.WriteHeader(w, "vegapunk_router_reconnects_total", "Backend connections re-established after a transport failure or hedge abandonment.", "counter")
 	obs.WriteCounterSample(w, "vegapunk_router_reconnects_total", "", r.reconnects.Load())
 	obs.WriteHeader(w, "vegapunk_router_admission_rejected_total", "Lanes refused by admission control because the in-flight bound was reached.", "counter")

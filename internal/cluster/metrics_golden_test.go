@@ -57,7 +57,6 @@ func TestRouterMetricsGolden(t *testing.T) {
 		"vegapunk_router_retry_budget_exhausted_total",
 		"vegapunk_router_hedges_total",
 		"vegapunk_router_hedge_wins_total",
-		"vegapunk_router_desync_total",
 		"vegapunk_router_reconnects_total",
 		"vegapunk_router_admission_rejected_total",
 	} {

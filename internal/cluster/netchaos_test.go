@@ -60,9 +60,10 @@ func appendSynPayload(buf []byte, syn gf2.Vec) []byte {
 }
 
 // TestNetChaosCorruptExactOutcomes injects deterministic single-byte
-// corruption on both backend links. Corrupt frame headers desync the
-// backend streams (resync scans past them), corrupt payloads are
-// detected via the router-injected timing block and retried — and in
+// corruption on both backend links. A corrupt frame header, op or
+// request id ends that backend connection (counted in protoErrors; the
+// redial in reconnects) and its unanswered lanes retry on the sibling,
+// corrupt payloads are detected via the relay gate and retried — and in
 // every case the client must receive exactly one response frame per
 // request, in order, with a parseable status. The raw-frame client
 // path is used on purpose: under payload corruption without checksums
@@ -122,9 +123,11 @@ func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 	if winProxy.Counters.Corrupts.Load()+sibProxy.Counters.Corrupts.Load() == 0 {
 		t.Fatal("plan injected no corruption; the test exercised nothing")
 	}
-	if rt.desyncs.Load() == 0 && rt.retries.Load() == 0 && rt.reconnects.Load() == 0 {
-		t.Fatal("corruption left no trace in desync/retry/reconnect counters")
+	if rt.protoErrors.Load() == 0 && rt.retries.Load() == 0 && rt.reconnects.Load() == 0 {
+		t.Fatal("corruption left no trace in protocol-error/retry/reconnect counters")
 	}
+	t.Logf("protocol errors %d, retries %d, reconnects %d",
+		rt.protoErrors.Load(), rt.retries.Load(), rt.reconnects.Load())
 }
 
 // TestNetChaosPartitionFailover blackholes the rendezvous winner's
@@ -386,6 +389,54 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 		}
 	}
 	return worst, rt
+}
+
+// TestRouterHedgeRateCap puts the rendezvous winner behind a uniformly
+// slow link with the outlier suspension off, so every batch routed to
+// it outlasts HedgeAfter and only the hedge bucket keeps it from
+// hedging. At HedgeMaxRate 0.1 the hedges stay within the bucket's
+// burst of 8 plus 0.1 per batch: a slow link cannot double the load.
+func TestRouterHedgeRateCap(t *testing.T) {
+	rt, raddr, winProxy, _ := startProxied(t, netfault.Plan{SlowFor: 10 * time.Millisecond}, Config{
+		ProbeInterval: time.Hour,
+		IOTimeout:     2 * time.Second,
+		HedgeAfter:    5 * time.Millisecond,
+		HedgeMaxRate:  0.1,
+		// A fired hedge suspends the slow replica this long; a
+		// nanosecond keeps routing every batch to it first.
+		RetryAfterHint: time.Nanosecond,
+	})
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 16, 5)
+	c, err := wire.Dial(raddr, time.Second, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info, err := c.Hello(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res wire.Result
+	wire.SizeResult(&res, info.NumMech, info.NumObs)
+
+	winProxy.SetMode(netfault.ModeSlow)
+	const batches = 32
+	for i := 1; i <= batches; i++ {
+		if _, err := c.Decode(info.ID, uint64(i), syndromes[i%16], &res); err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if res.Status != wire.StatusOK {
+			t.Fatalf("decode %d: status %s", i, res.Status)
+		}
+	}
+	hedges := rt.hedges.Load()
+	if hedges == 0 {
+		t.Fatal("hedging never fired on the slow link")
+	}
+	if limit := 8 + 0.1*batches; float64(hedges) > limit {
+		t.Fatalf("%d hedges over %d batches, above the cap %.1f", hedges, batches, limit)
+	}
 }
 
 // TestNetChaosHedgedSlowLinkP99 is the hedging keystone: with the

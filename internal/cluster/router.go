@@ -9,10 +9,11 @@
 // retry storm onto the survivors. Optional hedged dispatch re-sends a
 // slow batch to the sibling after Config.HedgeAfter (loser
 // cancellation, rate-capped), admission control bounds in-flight lanes,
-// and backend streams resync across corrupt frames, so the tier holds
-// its exactly-one-terminal-outcome invariant and p99 bound under
-// partitions, corruption, torn writes and mid-stream resets
-// (internal/netfault drives these in the network-chaos suite).
+// and a bad backend frame ends only its connection — the replica keeps
+// routing — so the tier holds its exactly-one-terminal-outcome
+// invariant and p99 bound under partitions, corruption, torn writes and
+// mid-stream resets (internal/netfault drives these in the
+// network-chaos suite).
 package cluster
 
 import (
@@ -308,10 +309,6 @@ func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
 	}
 	r.backoffNs.Store(0)
 	r.open.Add(1)
-	// A corrupt backend frame header scans forward to the next frame
-	// boundary instead of killing the connection; lanes whose responses
-	// the scan skipped are reconciled by the forward loop.
-	c.EnableResync()
 	return c, nil
 }
 
@@ -346,17 +343,16 @@ type Router struct {
 
 	retries   obs.Counter
 	noReplica obs.Counter
-	// protoErrors counts out-of-protocol backend frames; the endpoint
-	// counts the client side.
+	// protoErrors counts bad backend frames, each of which ended its
+	// connection; the endpoint counts the client side.
 	protoErrors obs.Counter
 
 	// Network-fault-tolerance accounting: hedged batches and the subset
-	// whose lanes the sibling actually completed, backend stream
-	// desyncs survived by resync, backend connections re-established
-	// after a transport failure, and lanes refused by admission control.
+	// whose lanes the sibling actually completed, backend connections
+	// re-established after a transport failure, a bad frame or a hedge,
+	// and lanes refused by admission control.
 	hedges            obs.Counter
 	hedgeWins         obs.Counter
-	desyncs           obs.Counter
 	reconnects        obs.Counter
 	admissionRejected obs.Counter
 	// hedgeBucket caps hedges as a fraction of forwarded batches;

@@ -430,13 +430,16 @@ func TestRouterDrainRejoin(t *testing.T) {
 	}
 }
 
-// TestRouterRetryOnOpenBreaker: a replica whose circuit breaker is open
-// answers StatusOverload; the router must retry those requests on the
-// sibling and mark the response FlagRetried.
-func TestRouterRetryOnOpenBreaker(t *testing.T) {
+// breakerPair starts a router over two replicas. The preferred one
+// wraps a decoder whose first decode panics, so with BreakerThreshold 1
+// its breaker opens and every later decode is answered StatusOverload.
+// The sibling drains softly (it still decodes, flagged draining), so
+// routing reaches it only as the retry target. breakerPair sends the
+// decode that trips the breaker (request 1) and returns the router, the
+// faulty replica's record and a client bound to testKey.
+func breakerPair(t *testing.T, cfg Config) (*Router, *replica, *wire.Client, wire.ModelInfo) {
+	t.Helper()
 	model, factory := clusterModel(t)
-	// The winner's first decode panics; with BreakerThreshold 1 the
-	// breaker trips and fast-fails everything after.
 	faulty, _ := faultinject.Wrap(factory, faultinject.Plan{
 		Seed:   1,
 		Script: []faultinject.Kind{faultinject.KindPanic},
@@ -446,62 +449,44 @@ func TestRouterRetryOnOpenBreaker(t *testing.T) {
 	faultyCfg.PoolSize = 1
 	faultyCfg.BreakerThreshold = 1
 	faultyCfg.BreakerCooldown = time.Hour
-
-	// Start both replicas healthy, then decide which one the router
-	// prefers and rebuild the preferred one as the faulty replica.
-	_, addrA := startReplica(t, replicaConfig(), nil)
-	_, addrB := startReplica(t, replicaConfig(), nil)
-	probe, err := New(Config{Replicas: []string{addrA, addrB}, ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	winnerAddr := probe.pick(hash64(testKey), nil).addr
-	{
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_ = probe.Shutdown(ctx)
-		cancel()
-	}
-
-	// Fresh pair: faulty server on a new address in the winner's slot.
 	_, faultyAddr := startReplica(t, faultyCfg, faulty)
-	replicas := []string{faultyAddr, addrA}
-	if winnerAddr == addrB {
-		replicas = []string{faultyAddr, addrB}
-	}
-	// Make sure the faulty replica actually wins the draw for testKey;
-	// if not, swap roles by routing only through it first.
-	rt, raddr := startRouter(t, Config{Replicas: replicas, ProbeInterval: time.Hour})
-	if rt.pick(hash64(testKey), nil).addr != faultyAddr {
-		// The healthy sibling wins: force the faulty one to be
-		// preferred by marking the sibling draining (healthy>draining).
-		for _, rep := range rt.replicas {
-			if rep.addr != faultyAddr {
-				rep.setState(StateDraining)
-			}
-		}
-	}
+	sib, sibAddr := startReplica(t, replicaConfig(), nil)
+	sib.SetWireDraining(true)
+
+	cfg.Replicas = []string{faultyAddr, sibAddr}
+	cfg.ProbeInterval = time.Hour
+	rt, raddr := startRouter(t, cfg)
+	replicaByAddr(t, rt, sibAddr).setState(StateDraining)
 
 	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { _ = c.Close() })
 	info, err := c.Hello(testKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res wire.Result
 	wire.SizeResult(&res, info.NumMech, info.NumObs)
-	syndromes := sampleSyndromes(model, 12, 41)
-
-	// First decode trips the faulty replica's breaker: its own outcome
-	// may be a decoder fault (terminal, truthful) or OK.
-	if _, err := c.Decode(info.ID, 1, syndromes[0], &res); err != nil {
-		t.Fatalf("decode 1: %v", err)
+	if _, err := c.Decode(info.ID, 1, sampleSyndromes(model, 1, 41)[0], &res); err != nil {
+		t.Fatalf("tripping decode: %v", err)
 	}
+	return rt, replicaByAddr(t, rt, faultyAddr), c, info
+}
 
-	// Everything after must come back OK via the sibling, marked
-	// retried (the faulty replica fast-fails with StatusOverload).
+// TestRouterRetryOnOpenBreaker: a replica whose circuit breaker is open
+// answers StatusOverload; the router must retry those requests on the
+// sibling and mark the response FlagRetried.
+func TestRouterRetryOnOpenBreaker(t *testing.T) {
+	rt, _, c, info := breakerPair(t, Config{})
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 12, 41)
+	var res wire.Result
+	wire.SizeResult(&res, info.NumMech, info.NumObs)
+
+	// Everything after the trip must come back OK via the sibling,
+	// marked retried (the faulty replica fast-fails with StatusOverload).
 	sawRetried := false
 	for i := uint64(2); i <= 10; i++ {
 		flags, err := c.Decode(info.ID, i, syndromes[i], &res)
@@ -520,5 +505,213 @@ func TestRouterRetryOnOpenBreaker(t *testing.T) {
 	}
 	if rt.retries.Load() == 0 {
 		t.Fatal("router retries counter never moved")
+	}
+}
+
+// TestRouterRetryBudgetExhausts: with the preferred replica's breaker
+// open, every lane it gets comes back StatusOverload and asks for a
+// sibling retry. With a budget of three tokens that does not refill,
+// exactly three lanes are retried and every later one fails terminally:
+// the budget, not the sibling's capacity, stops the retry storm.
+func TestRouterRetryBudgetExhausts(t *testing.T) {
+	_, faulty, c, info := breakerPair(t, Config{
+		RetryBudgetPerSec: 1e-9, // no refill within the test
+		RetryBudgetBurst:  3,
+		// Overload suspends the faulty replica this long; a nanosecond
+		// keeps routing every decode to it first.
+		RetryAfterHint: time.Nanosecond,
+	})
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 12, 41)
+	var res wire.Result
+	wire.SizeResult(&res, info.NumMech, info.NumObs)
+
+	retried, refused := 0, 0
+	for i := uint64(2); i <= 10; i++ {
+		flags, err := c.Decode(info.ID, i, syndromes[i], &res)
+		if err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		switch {
+		case res.Status == wire.StatusOK && flags&wire.FlagRetried != 0:
+			retried++
+		case res.Status == wire.StatusOverload:
+			refused++
+		default:
+			t.Fatalf("decode %d: status %s, flags %#x", i, res.Status, flags)
+		}
+	}
+	if retried != 3 || refused != 6 {
+		t.Fatalf("%d retried and %d refused of 9 overloaded lanes, want 3 and 6", retried, refused)
+	}
+	if got := faulty.retryExhausted.Load(); got != 6 {
+		t.Fatalf("retry_budget_exhausted_total = %d, want 6", got)
+	}
+}
+
+// answerer is a fake replica's wire.Handler and its one wire.Binding:
+// hello binds any key with the test model's dimensions, and every
+// decode frame is answered by answer as raw bytes, so a test can hand
+// the router frames no real replica sends.
+type answerer struct {
+	det, mech, obs int
+	answer         func(buf []byte, reqID uint64) []byte
+	run            []uint64
+}
+
+func (a *answerer) Hello(string) (wire.Binding, wire.Status, string) { return a, wire.StatusOK, "" }
+func (a *answerer) Close()                                           {}
+func (a *answerer) Dims() (int, int, int)                            { return a.det, a.mech, a.obs }
+func (a *answerer) Flags() wire.Flags                                { return 0 }
+func (a *answerer) Decode(_ wire.Flags, reqID uint64, _ []byte)      { a.run = append(a.run, reqID) }
+
+func (a *answerer) EndRun(buf []byte, _ uint16) []byte {
+	for _, id := range a.run {
+		buf = a.answer(buf, id)
+	}
+	a.run = a.run[:0]
+	return buf
+}
+
+// startFake serves answerers on a loopback listener until the test
+// ends and returns its address. answer is shared by every connection.
+func startFake(t *testing.T, answer func(buf []byte, reqID uint64) []byte) string {
+	t.Helper()
+	model, _ := clusterModel(t)
+	srv := wire.NewServer(func() wire.Handler {
+		return &answerer{det: model.NumDet, mech: model.NumMech(), obs: model.NumObs, answer: answer}
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = srv.Serve(l)
+	}()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+		<-done
+	})
+	return l.Addr().String()
+}
+
+// TestRouterBadBackendFrame pins the bad-frame rule. Two fake replicas
+// answer every lane OK, except that the first lane the rendezvous
+// winner answers gets one damaged frame. A bad frame — one the reader
+// rejects, or one that does not answer the lane it was read for — ends
+// that backend connection: all four lanes are answered by the sibling
+// with FlagRetried, the winner stays healthy, and the next batch reaches
+// it over a new connection counted as a reconnect. An implausible stage
+// time is not a bad frame: only its lane goes to the sibling, the
+// connection stays, and the value is never relayed.
+func TestRouterBadBackendFrame(t *testing.T) {
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 4, 13)
+	// good answers OK with stage times of 1 µs and a timing block: the
+	// router injects telemetry into untraced lanes and wants it back.
+	good := func(buf []byte, reqID uint64) []byte {
+		res := wire.Result{Status: wire.StatusOK, DecodeNs: 1000,
+			Correction: gf2.NewVec(model.NumMech()), Observables: gf2.NewVec(model.NumObs)}
+		return wire.AppendResultTimed(buf, 0, 0, reqID, &res, &wire.ServerTiming{DecodeNs: 1000})
+	}
+	flip := func(off int, mask byte) func([]byte, uint64) []byte {
+		return func(buf []byte, reqID uint64) []byte {
+			start := len(buf)
+			buf = good(buf, reqID)
+			buf[start+off] ^= mask
+			return buf
+		}
+	}
+	cases := []struct {
+		name string
+		bad  func(buf []byte, reqID uint64) []byte
+		ends bool // the frame is bad: its connection ends
+	}{
+		{"bad magic", flip(0, 0xFF), true},
+		{"unexpected op", func(buf []byte, reqID uint64) []byte { return wire.AppendPong(buf, 0, reqID) }, true},
+		{"another lane's id", func(buf []byte, reqID uint64) []byte { return good(buf, reqID+1) }, true},
+		{"bad status byte", func(buf []byte, reqID uint64) []byte {
+			return wire.AppendFrame(buf, wire.OpResult, 0, 0, reqID, []byte{0xFF})
+		}, true},
+		// Byte 23 of the result payload is decode_ns's high byte: 2^56 ns.
+		{"implausible decode_ns", flip(wire.HeaderSize+23, 0x01), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var bad atomic.Bool
+			bad.Store(true)
+			answer := func(buf []byte, reqID uint64) []byte {
+				if bad.CompareAndSwap(true, false) {
+					return tc.bad(buf, reqID)
+				}
+				return good(buf, reqID)
+			}
+			rt, raddr := startRouter(t, Config{
+				Replicas:      []string{startFake(t, answer), startFake(t, answer)},
+				ProbeInterval: time.Hour,
+			})
+			winner := rt.pick(hash64(testKey), nil)
+			c, err := wire.Dial(raddr, time.Second, 5*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			info, err := c.Hello(testKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res wire.Result
+			wire.SizeResult(&res, info.NumMech, info.NumObs)
+			batch := func(first uint64) (retried int) {
+				t.Helper()
+				for i := range syndromes {
+					c.QueueDecode(info.ID, first+uint64(i), syndromes[i])
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				for i := range syndromes {
+					h, err := c.ReadResult(&res)
+					if err != nil {
+						t.Fatalf("lane %d: %v", first+uint64(i), err)
+					}
+					if res.Status != wire.StatusOK || res.DecodeNs != 1000 {
+						t.Fatalf("lane %d: status %s, decode_ns %d", h.ReqID, res.Status, res.DecodeNs)
+					}
+					if h.Flags&wire.FlagRetried != 0 {
+						retried++
+					}
+				}
+				return retried
+			}
+
+			wantRetried, wantBad := 1, uint64(0)
+			if tc.ends {
+				wantRetried, wantBad = len(syndromes), 1
+			}
+			if got := batch(1); got != wantRetried {
+				t.Fatalf("first batch: %d lanes retried, want %d", got, wantRetried)
+			}
+			if got := rt.protoErrors.Load(); got != wantBad {
+				t.Fatalf("protocol errors = %d, want %d", got, wantBad)
+			}
+			if st := State(winner.state.Load()); st != StateHealthy {
+				t.Fatalf("winner is %s after one bad frame, want healthy", st)
+			}
+			before := winner.decodes.Load()
+			if got := batch(100); got != 0 {
+				t.Fatalf("second batch: %d lanes retried, want 0", got)
+			}
+			if got := winner.decodes.Load() - before; got != uint64(len(syndromes)) {
+				t.Fatalf("winner relayed %d lanes of the second batch, want %d", got, len(syndromes))
+			}
+			if got := rt.reconnects.Load(); got != wantBad {
+				t.Fatalf("reconnects = %d, want %d", got, wantBad)
+			}
+		})
 	}
 }

@@ -16,11 +16,6 @@ import (
 // server can coalesce it into one micro-batch.
 const readerBufSize = 64 << 10
 
-// maxResyncSkip bounds how many bytes a resync scan may discard before
-// declaring the stream unrecoverable: one maximal frame plus a header,
-// the worst case for a desync landing at the start of a full payload.
-const maxResyncSkip = MaxPayload + HeaderSize
-
 // Reader reads frames off a connection. The payload returned by
 // ReadFrame aliases an internal buffer and is valid only until the
 // next ReadFrame call — parse it (ParseDecodeInto, ParseResultInto)
@@ -28,16 +23,13 @@ const maxResyncSkip = MaxPayload + HeaderSize
 //
 // Stream discipline: the header is Peeked before being consumed, so a
 // read deadline firing mid-header leaves the stream intact and the
-// read can simply be retried. A deadline (or any read error) firing
-// mid-payload has consumed part of a frame; the Reader poisons itself
-// and every subsequent ReadFrame fails fast with the original error —
-// a half-read frame must never be re-parsed from the middle.
+// read can simply be retried. A header that fails ParseHeader, or a
+// deadline (or any read error) firing mid-payload, poisons the Reader:
+// every subsequent ReadFrame fails fast with the original error — a
+// stream that has lost its framing is never re-parsed from the middle.
 type Reader struct {
 	br      *bufio.Reader
 	payload []byte
-	resync  bool
-	desyncs uint64
-	skipped uint64
 	broken  error
 }
 
@@ -45,21 +37,6 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
 }
-
-// EnableResync switches the Reader from fail-fast to scan-and-resync
-// on a corrupt frame header: it discards bytes until the next
-// plausible header (magic, version, known op, sane length) and counts
-// the event in Desyncs. Responses that were inside the skipped region
-// are gone — callers with pipelined requests must reconcile via their
-// in-flight accounting. Off by default (a corrupt header poisons the
-// stream).
-func (r *Reader) EnableResync() { r.resync = true }
-
-// Desyncs returns how many resync scans this Reader has performed.
-func (r *Reader) Desyncs() uint64 { return r.desyncs }
-
-// SkippedBytes returns how many bytes resync scans have discarded.
-func (r *Reader) SkippedBytes() uint64 { return r.skipped }
 
 // Broken returns the terminal stream error if the Reader is poisoned.
 func (r *Reader) Broken() error { return r.broken }
@@ -78,14 +55,8 @@ func (r *Reader) ReadFrame() (Header, []byte, error) {
 	}
 	h, err := ParseHeader(hb)
 	if err != nil {
-		if !r.resync {
-			r.broken = err
-			return Header{}, nil, err
-		}
-		h, err = r.resyncScan()
-		if err != nil {
-			return Header{}, nil, err
-		}
+		r.broken = err
+		return Header{}, nil, err
 	}
 	if _, err := r.br.Discard(HeaderSize); err != nil {
 		r.broken = err
@@ -104,39 +75,6 @@ func (r *Reader) ReadFrame() (Header, []byte, error) {
 	return h, r.payload, nil
 }
 
-// resyncScan discards bytes until a plausible frame header starts at
-// the read position. It poisons the Reader when the scan window is
-// exhausted or the connection fails mid-scan.
-func (r *Reader) resyncScan() (Header, error) {
-	var skipped uint64
-	for {
-		if _, err := r.br.Discard(1); err != nil {
-			r.broken = err
-			return Header{}, err
-		}
-		skipped++
-		if skipped > maxResyncSkip {
-			r.broken = ErrDesync
-			return Header{}, ErrDesync
-		}
-		hb, err := r.br.Peek(HeaderSize)
-		if err != nil {
-			r.broken = err
-			return Header{}, err
-		}
-		h, perr := ParseHeader(hb)
-		if perr != nil {
-			continue
-		}
-		if h.Op < OpHello || h.Op > OpError {
-			continue // magic+version matched but the op is garbage
-		}
-		r.desyncs++
-		r.skipped += skipped
-		return h, nil
-	}
-}
-
 // FrameBuffered reports whether a complete frame is already buffered,
 // so a server can keep draining pipelined requests into one micro-batch
 // without blocking on the socket.
@@ -153,7 +91,7 @@ func (r *Reader) FrameBuffered() bool {
 	}
 	h, err := ParseHeader(b)
 	if err != nil {
-		// Let ReadFrame surface the protocol error (or resync).
+		// Let ReadFrame surface the protocol error and poison the stream.
 		return true
 	}
 	return r.br.Buffered() >= HeaderSize+h.PayloadLen
@@ -174,14 +112,14 @@ type ModelInfo struct {
 // for concurrent use; open one Client per goroutine.
 //
 // In-flight accounting: QueueDecode/QueueDecodeTraced record the
-// request id, and ReadResult/ReadResultTimed reconcile responses
-// against that FIFO — so when the connection dies mid-pipeline, the
-// caller can claim exactly one terminal outcome for every queued
-// request: answered ids via the normal return path, ids whose
-// responses a stream resync destroyed via TakeLost, and everything
-// still unanswered at death via DrainPending. The raw QueueFrame /
-// ReadFrame relay path is untracked — the router keeps its own lane
-// accounting.
+// request id, and ReadResult/ReadResultTimed require every response to
+// answer the oldest request still queued, since responses arrive in
+// request order. A response with any other id poisons the client
+// (ErrReqIDMismatch), as does a transport error or a frame the Reader
+// rejects: a payload is never attributed to the wrong request, and the
+// caller closes the connection with the requests still queued on it
+// unanswered. The raw QueueFrame / ReadFrame relay path is untracked —
+// the router keeps its own lane accounting.
 type Client struct {
 	conn      net.Conn
 	r         *Reader
@@ -189,7 +127,6 @@ type Client struct {
 	ioTimeout time.Duration
 	nextReqID uint64
 	pending   []uint64 // queued req-ids awaiting responses, FIFO
-	lost      []uint64 // req-ids whose responses a desync skipped
 	err       error    // terminal transport/protocol error (poison)
 }
 
@@ -214,39 +151,9 @@ func NewClient(conn net.Conn, ioTimeout time.Duration) *Client {
 // Close closes the underlying connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
-// EnableResync opts the client's stream into scan-and-resync on
-// corrupt headers (see Reader.EnableResync).
-func (c *Client) EnableResync() { c.r.EnableResync() }
-
-// Desyncs returns how many stream resyncs this connection performed.
-func (c *Client) Desyncs() uint64 { return c.r.Desyncs() }
-
 // Err returns the terminal error if the client poisoned itself after a
 // transport or attribution failure; nil while the connection is usable.
 func (c *Client) Err() error { return c.err }
-
-// Pending returns how many queued requests still await a response.
-func (c *Client) Pending() int { return len(c.pending) }
-
-// TakeLost returns the request ids whose responses were destroyed by a
-// stream desync (skipped during resync) and clears the list. The
-// returned slice aliases internal storage; consume it before the next
-// read.
-func (c *Client) TakeLost() []uint64 {
-	l := c.lost
-	c.lost = c.lost[:0]
-	return l
-}
-
-// DrainPending returns every request id still awaiting a response and
-// clears the accounting — the terminal-outcome sweep a caller runs
-// when the connection dies mid-pipeline. The returned slice aliases
-// internal storage; consume it before reusing the client.
-func (c *Client) DrainPending() []uint64 {
-	p := c.pending
-	c.pending = c.pending[:0]
-	return p
-}
 
 // fail poisons the client with its first terminal error.
 func (c *Client) fail(err error) {
@@ -278,6 +185,10 @@ func (c *Client) Hello(key string) (ModelInfo, error) {
 		c.fail(err)
 		return ModelInfo{}, err
 	}
+	if h.ReqID != id {
+		c.fail(ErrReqIDMismatch)
+		return ModelInfo{}, ErrReqIDMismatch
+	}
 	switch h.Op {
 	case OpHelloAck:
 		det, mech, obs, err := ParseHelloAck(payload)
@@ -292,7 +203,7 @@ func (c *Client) Hello(key string) (ModelInfo, error) {
 		}
 		return ModelInfo{}, &StatusError{Status: status, Msg: msg}
 	}
-	return ModelInfo{}, fmt.Errorf("wire: hello %q: unexpected %s frame", key, h.Op)
+	return ModelInfo{}, fmt.Errorf("wire: hello %q: %w: %s", key, ErrUnexpectedFrame, h.Op)
 }
 
 // QueueDecode appends an OpDecode frame to the write buffer without
@@ -359,12 +270,10 @@ func (c *Client) Flush() error {
 	return err
 }
 
-// readTracked reads the next response frame and reconciles it against
-// the in-flight FIFO: in-order ids pop normally; an id deeper in the
-// FIFO means the stream resynced over the skipped responses, which
-// move to the lost list; an id we never queued means attribution is no
-// longer trustworthy and the client poisons itself — a payload is
-// never attributed to the wrong request.
+// readTracked reads the next response frame and checks it against the
+// in-flight FIFO: it must answer the oldest queued request. Any other
+// id means attribution is no longer trustworthy and the client poisons
+// itself — a payload is never attributed to the wrong request.
 func (c *Client) readTracked() (Header, []byte, error) {
 	if c.err != nil {
 		return Header{}, nil, c.err
@@ -380,22 +289,14 @@ func (c *Client) readTracked() (Header, []byte, error) {
 	if len(c.pending) == 0 {
 		return h, payload, nil // untracked usage (raw frames only)
 	}
-	idx := -1
-	for i, id := range c.pending {
-		if id == h.ReqID {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	if h.ReqID != c.pending[0] {
 		c.fail(ErrReqIDMismatch)
 		return Header{}, nil, ErrReqIDMismatch
 	}
-	c.lost = append(c.lost, c.pending[:idx]...)
 	// Pop by compacting in place: re-slicing the head forward would
 	// give capacity away and make every pipelined request re-grow the
 	// queue from nothing.
-	c.pending = c.pending[:copy(c.pending, c.pending[idx+1:])]
+	c.pending = c.pending[:copy(c.pending, c.pending[1:])]
 	return h, payload, nil
 }
 
@@ -492,14 +393,11 @@ func (c *Client) Ping() (Flags, error) {
 	return h.Flags, nil
 }
 
-// Connection-level protocol errors.
+// Connection-level protocol errors: a frame that does not answer the
+// request it should. IsProtocolError reports both.
 var (
 	ErrUnexpectedFrame = errors.New("wire: unexpected frame type")
 	ErrReqIDMismatch   = errors.New("wire: response request id does not match")
-	// ErrDesync marks a stream whose resync scan found no plausible
-	// frame header within the scan window: the connection is
-	// unrecoverable and must be redialed.
-	ErrDesync = errors.New("wire: stream desync: no frame boundary found")
 )
 
 // StatusError is a request-level failure carried by an OpError frame:

@@ -83,60 +83,35 @@ func TestReaderPartialPayloadPoisons(t *testing.T) {
 	}
 }
 
-// TestReaderResync proves the opt-in resync scan recovers the stream
-// after a corrupted frame header, counts the desync, and that the
-// default reader fails fast instead.
-func TestReaderResync(t *testing.T) {
+// TestReaderBadHeaderPoisons proves a corrupted frame header poisons
+// the reader: the intact frame behind it is never returned, because a
+// stream that lost its framing cannot be trusted to find it again.
+func TestReaderBadHeaderPoisons(t *testing.T) {
 	f1 := AppendDecode(nil, 1, 1, synPattern(128, 2))
 	f2 := AppendDecode(nil, 1, 2, synPattern(128, 3))
 	buf := append(append([]byte{}, f1...), f2...)
 	buf[0] ^= 0xFF // corrupt frame 1's magic
 
-	// Default: fail fast and poison.
 	r := NewReader(bytes.NewReader(buf))
 	if _, _, err := r.ReadFrame(); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("default reader error = %v, want ErrBadMagic", err)
+		t.Fatalf("error = %v, want ErrBadMagic", err)
 	}
 	if r.Broken() == nil {
-		t.Fatal("default reader did not poison on bad magic")
+		t.Fatal("reader did not poison on bad magic")
 	}
-
-	// Resync: frame 1 is lost, frame 2 comes back intact.
-	r = NewReader(bytes.NewReader(buf))
-	r.EnableResync()
-	h, payload, err := r.ReadFrame()
-	if err != nil {
-		t.Fatalf("resync read: %v", err)
+	if _, _, err := r.ReadFrame(); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("read after bad magic = %v, want the poison error", err)
 	}
-	if h.ReqID != 2 || !bytes.Equal(payload, f2[HeaderSize:]) {
-		t.Fatalf("resync recovered the wrong frame: %+v", h)
-	}
-	if r.Desyncs() != 1 {
-		t.Fatalf("desyncs = %d, want 1", r.Desyncs())
-	}
-	if r.SkippedBytes() != uint64(len(f1)) {
-		t.Fatalf("skipped = %d, want %d", r.SkippedBytes(), len(f1))
+	if r.FrameBuffered() {
+		t.Fatal("poisoned reader claims a buffered frame")
 	}
 }
 
-// TestReaderResyncExhausted proves a stream with no recoverable frame
-// boundary terminates with ErrDesync instead of scanning forever.
-func TestReaderResyncExhausted(t *testing.T) {
-	junk := bytes.Repeat([]byte{0x13, 0x37}, 2048)
-	r := NewReader(bytes.NewReader(junk))
-	r.EnableResync()
-	if _, _, err := r.ReadFrame(); err == nil {
-		t.Fatal("ReadFrame accepted pure junk")
-	}
-	if r.Broken() == nil {
-		t.Fatal("exhausted resync did not poison the stream")
-	}
-}
-
-// TestClientInFlightAccounting proves the pending FIFO yields exactly
-// one terminal outcome per queued request across the three exits:
-// answered, lost-to-desync, and unanswered-at-death.
-func TestClientInFlightAccounting(t *testing.T) {
+// TestClientOutOfOrderReqIDPoisons proves responses must answer the
+// queued requests in order: a response for a later request than the
+// oldest unanswered one poisons the client instead of writing the
+// skipped request off.
+func TestClientOutOfOrderReqIDPoisons(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
@@ -146,53 +121,32 @@ func TestClientInFlightAccounting(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Drain the client's flush, then answer req 2 and 4 only —
-		// as if a desync destroyed 1 and 3's responses. The wire
-		// level simulates this by simply never sending them.
+		// Drain the client's flush, then answer req 2 before req 1.
 		r := NewReader(a)
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 2; i++ {
 			if _, _, err := r.ReadFrame(); err != nil {
 				return
 			}
 		}
 		res := Result{Status: StatusOK, Correction: syn, Observables: gf2.NewVec(0)}
 		out := AppendResult(nil, 0, 1, 2, &res)
-		out = AppendResult(out, 0, 1, 4, &res)
+		out = AppendResult(out, 0, 1, 1, &res)
 		_, _ = a.Write(out)
 	}()
 
-	for id := uint64(1); id <= 4; id++ {
-		c.QueueDecode(1, id, syn)
-	}
+	c.QueueDecode(1, 1, syn)
+	c.QueueDecode(1, 2, syn)
 	if err := c.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if c.Pending() != 4 {
-		t.Fatalf("pending = %d, want 4", c.Pending())
-	}
-
 	var res Result
 	SizeResult(&res, 64, 0)
-	h, err := c.ReadResult(&res)
-	if err != nil {
-		t.Fatalf("read result: %v", err)
+	if _, err := c.ReadResult(&res); !errors.Is(err, ErrReqIDMismatch) {
+		t.Fatalf("out-of-order id error = %v, want ErrReqIDMismatch", err)
 	}
-	if h.ReqID != 2 {
-		t.Fatalf("first answered id = %d, want 2", h.ReqID)
-	}
-	if lost := c.TakeLost(); len(lost) != 1 || lost[0] != 1 {
-		t.Fatalf("lost = %v, want [1]", lost)
-	}
-	h, err = c.ReadResult(&res)
-	if err != nil || h.ReqID != 4 {
-		t.Fatalf("second answered id = %d (%v), want 4", h.ReqID, err)
-	}
-	if lost := c.TakeLost(); len(lost) != 1 || lost[0] != 3 {
-		t.Fatalf("lost = %v, want [3]", lost)
-	}
-	// 1 and 3 lost, 2 and 4 answered: nothing pending at death.
-	if p := c.DrainPending(); len(p) != 0 {
-		t.Fatalf("pending at exit = %v, want none", p)
+	// Poisoned: the in-order response behind it is never attributed.
+	if _, err := c.ReadResult(&res); !errors.Is(err, ErrReqIDMismatch) {
+		t.Fatalf("read after poison = %v, want ErrReqIDMismatch", err)
 	}
 	<-done
 }
@@ -225,9 +179,6 @@ func TestClientUnknownReqIDPoisons(t *testing.T) {
 	}
 	if c.Err() == nil {
 		t.Fatal("client did not poison on unknown req id")
-	}
-	if p := c.DrainPending(); len(p) != 1 || p[0] != 5 {
-		t.Fatalf("pending at death = %v, want [5]", p)
 	}
 }
 
@@ -329,8 +280,8 @@ func TestClientPipelineAllocFree(t *testing.T) {
 				t.Fatalf("response %d: id %d timed %v err %v", id, h.ReqID, timed, err)
 			}
 		}
-		if c.Pending() != 0 {
-			t.Fatalf("pending = %d after a full cycle", c.Pending())
+		if len(c.pending) != 0 {
+			t.Fatalf("pending = %d after a full cycle", len(c.pending))
 		}
 	}
 	cycle() // warm-up: write buffer, read buffer and FIFO grow to the pipeline depth once

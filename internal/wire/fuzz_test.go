@@ -154,8 +154,9 @@ func FuzzWireParseCorrupt(f *testing.F) {
 	// Mid-stream byte-flip seeds over the canonical multi-frame
 	// pipelined buffer: magic of frame 2, payload-length field of
 	// frame 1, a payload byte of frame 2, and a req-id byte of
-	// frame 3 — the desync classes the resync scanner must survive.
-	pipe, bounds, _ := resyncPipeline()
+	// frame 3 — bad frames a stream reader must stop at without
+	// misattributing any frame.
+	pipe, bounds, _ := flipPipeline()
 	for _, off := range []int{bounds[1].start, 16, bounds[1].start + HeaderSize + 3, bounds[2].start + 8} {
 		flipped := append([]byte{}, pipe...)
 		flipped[off] ^= 0xFF
@@ -224,8 +225,8 @@ func FuzzWireParseCorrupt(f *testing.F) {
 			t.Fatalf("error frame accepted with status byte %d", status)
 		}
 
-		// Stream pass: a resync-enabled Reader over the same bytes must
-		// terminate without panicking, and — when raw is the canonical
+		// Stream pass: a Reader over the same bytes must terminate
+		// without panicking, and — when raw is the canonical
 		// pipelined buffer with exactly ONE byte flipped — must never
 		// attribute a payload to the wrong req-id: any yielded frame
 		// whose original byte range the flip did not touch has to come
@@ -233,19 +234,19 @@ func FuzzWireParseCorrupt(f *testing.F) {
 		// corrupt that frame arbitrarily, including its req-id; no
 		// checksum exists to catch that, so only untouched frames are
 		// held to the attribution bar.)
-		checkStreamResync(t, raw)
+		checkStream(t, raw)
 	})
 }
 
 // frameSpan is one frame's byte range inside the canonical pipelined
-// buffer built by resyncPipeline.
+// buffer built by flipPipeline.
 type frameSpan struct{ start, end int }
 
-// resyncPipeline builds the canonical 3-frame pipelined decode buffer
-// (req-ids 1..3) used by the byte-flip resync seeds. The syndromes are
+// flipPipeline builds the canonical 3-frame pipelined decode buffer
+// (req-ids 1..3) used by the byte-flip seeds. The syndromes are
 // alternating-bit patterns, so no single-byte flip can fabricate a
 // spurious frame magic inside a payload.
-func resyncPipeline() (buf []byte, bounds [3]frameSpan, payloads [3][]byte) {
+func flipPipeline() (buf []byte, bounds [3]frameSpan, payloads [3][]byte) {
 	for i := 0; i < 3; i++ {
 		syn := gf2.NewVec(128)
 		for j := 1; j < 128; j += 2 {
@@ -259,12 +260,12 @@ func resyncPipeline() (buf []byte, bounds [3]frameSpan, payloads [3][]byte) {
 	return buf, bounds, payloads
 }
 
-// checkStreamResync drains raw through a resync-enabled Reader and
-// enforces the no-misattribution invariant against the canonical
-// pipelined buffer when raw is one flip away from it.
-func checkStreamResync(t *testing.T, raw []byte) {
+// checkStream drains raw through a Reader and enforces the
+// no-misattribution invariant against the canonical pipelined buffer
+// when raw is one flip away from it.
+func checkStream(t *testing.T, raw []byte) {
 	t.Helper()
-	pipe, bounds, payloads := resyncPipeline()
+	pipe, bounds, payloads := flipPipeline()
 	flip := -1
 	if len(raw) == len(pipe) {
 		diffs := 0
@@ -282,13 +283,12 @@ func checkStreamResync(t *testing.T, raw []byte) {
 		}
 	}
 	r := NewReader(bytes.NewReader(raw))
-	r.EnableResync()
 	// Every successful ReadFrame consumes at least HeaderSize bytes, so
 	// a terminating reader yields at most len(raw)/HeaderSize frames.
 	for i := 0; i <= len(raw)/HeaderSize+1; i++ {
 		h, payload, err := r.ReadFrame()
 		if err != nil {
-			return // terminal: EOF, proto error or exhausted resync
+			return // terminal: EOF or a bad frame
 		}
 		if flip < 0 || h.ReqID < 1 || h.ReqID > 3 {
 			continue
@@ -301,7 +301,7 @@ func checkStreamResync(t *testing.T, raw []byte) {
 			t.Fatalf("payload misattributed to req-id %d after flip at %d", h.ReqID, flip)
 		}
 	}
-	t.Fatalf("resync reader did not terminate over %d bytes", len(raw))
+	t.Fatalf("reader did not terminate over %d bytes", len(raw))
 }
 
 func isProtoErr(err error) bool {

@@ -342,7 +342,7 @@ func FuzzServeConn(f *testing.F) {
 	syn.Set(3, true)
 	res := Result{Status: StatusOK, Correction: syn, Observables: gf2.NewVec(12)}
 	traced := AppendDecodeTraced(nil, 0, 2, syn, TraceContext{TraceID: 99, Sampled: true})
-	pipe, bounds, _ := resyncPipeline()
+	pipe, bounds, _ := flipPipeline()
 	seeds := [][]byte{
 		AppendDecode(nil, 0, 2, syn),
 		AppendResult(nil, 0, 1, 2, &res),

@@ -32,6 +32,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"time"
 
 	"vegapunk/internal/gf2"
 )
@@ -212,11 +213,16 @@ var (
 	ErrDimMismatch = errors.New("wire: vector length does not match model dimensions")
 )
 
-// IsProtocolError reports frame-level protocol violations (as opposed
-// to ordinary connection teardown).
+// IsProtocolError reports a bad frame — one the reader rejects, or one
+// that does not answer the request it should — as opposed to ordinary
+// connection teardown (timeouts, EOF, resets). Either ends the
+// connection, but a bad frame says the bytes were damaged, not that the
+// peer is down.
 func IsProtocolError(err error) bool {
 	return errors.Is(err, ErrBadMagic) || errors.Is(err, ErrBadVersion) ||
-		errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated)
+		errors.Is(err, ErrOversize) || errors.Is(err, ErrTruncated) ||
+		errors.Is(err, ErrBadStatus) || errors.Is(err, ErrUnexpectedFrame) ||
+		errors.Is(err, ErrReqIDMismatch)
 }
 
 // ParseHeader decodes the fixed header from b (which must hold at
@@ -704,20 +710,35 @@ func TrimServerTiming(flags Flags, payload []byte) []byte {
 
 // ---- relay ----
 
+// MaxStageNs bounds a plausible stage time (queue wait, batch assembly,
+// decode, copy-out). The wire protocol has no checksum, so a flipped
+// byte inside an i64 shows up as a negative or absurdly large stage
+// time; an hour bounds any real stage far above every configured
+// timeout while catching random corruption of the high bytes.
+const MaxStageNs = int64(time.Hour)
+
 // ValidResultPayload reports whether an OpResult payload would parse at
 // a client bound to a model with numMech mechanism and numObs
-// observable bits: after trimming any recognizable server-timing block,
-// the fixed prefix plus — on StatusOK — exactly the two vector blocks
-// with the expected bit lengths, and nothing else. The router uses it
-// as a relay gate: a payload corrupted in flight (a flipped
-// vector-length byte, a mangled telemetry tail) is retried upstream
-// instead of being handed to a client whose only recourse is tearing
-// down the stream. It inspects lengths only, so it stays cheap on the
-// relay hot path.
+// observable bits, with plausible stage times: after trimming any
+// recognizable server-timing block, the fixed prefix — its queue-wait,
+// decode and copy-out times each in [0, MaxStageNs] — plus, on
+// StatusOK, exactly the two vector blocks with the expected bit
+// lengths, and nothing else. The router uses it as a relay gate: a
+// payload corrupted in flight (a flipped vector-length byte, a mangled
+// telemetry tail, a flipped high byte of a stage time) is retried
+// upstream instead of being handed to a client whose only recourse is
+// tearing down the stream or recording garbage. It inspects lengths and
+// three integers only, so it stays cheap on the relay hot path.
 func ValidResultPayload(flags Flags, payload []byte, numMech, numObs int) bool {
 	b := TrimServerTiming(flags, payload)
 	if len(b) < resultFixedSize || b[0] >= byte(numStatuses) {
 		return false
+	}
+	// The prefix ends in the three stage times.
+	for off := resultFixedSize - 24; off < resultFixedSize; off += 8 {
+		if ns := int64(binary.LittleEndian.Uint64(b[off:])); ns < 0 || ns > MaxStageNs {
+			return false
+		}
 	}
 	if Status(b[0]) != StatusOK {
 		return len(b) == resultFixedSize

@@ -74,7 +74,10 @@ func TestIsProtocolError(t *testing.T) {
 		{fmt.Errorf("read frame: %w", ErrBadMagic), true},
 		{io.EOF, false},
 		{net.ErrClosed, false},
-		{ErrDesync, false},
+		{ErrBadStatus, true},
+		{ErrUnexpectedFrame, true},
+		{fmt.Errorf("hello: %w", ErrReqIDMismatch), true},
+		{ErrDimMismatch, false},
 	}
 	for _, c := range cases {
 		if got := IsProtocolError(c.err); got != c.want {
@@ -205,6 +208,19 @@ func TestValidResultPayload(t *testing.T) {
 	badTail[len(badTail)-timingBlockSize] ^= 0xFF
 	if ValidResultPayload(FlagTelemetry, badTail, 144, 12) {
 		t.Fatal("mangled telemetry tail accepted")
+	}
+
+	// A flipped high byte of a stage time still parses, but as a
+	// negative or absurd duration the client would record.
+	for _, f := range []struct {
+		off  int
+		mask byte
+	}{{15, 0x80}, {23, 0x01}, {31, 0x80}} { // queue_wait, decode, copy_out
+		stage := append([]byte(nil), plain...)
+		stage[f.off] ^= f.mask
+		if ValidResultPayload(0, stage, 144, 12) {
+			t.Fatalf("implausible stage time (byte %d ^ %#x) accepted", f.off, f.mask)
+		}
 	}
 
 	// Non-OK payloads are exactly the fixed prefix.
