@@ -2,11 +2,11 @@ package decouple
 
 import "testing"
 
-// BenchmarkDecouple times the whole offline search (every candidate K,
-// its row partitions and their plans, synthesis of the winners and
-// validation) on the two circuit-level check matrices the repo
-// benchmark's Vegapunk workloads decouple; it is the kernel-level number
-// next to the benchmark's decouple.decouple_s.
+// BenchmarkDecouple times the whole offline search (the view, every K
+// its coverage bound leaves, their row partitions and plans, and the
+// build and validation of the winning K only) on the two circuit-level
+// check matrices the repo benchmark's Vegapunk workloads decouple; it is
+// the kernel-level number next to the benchmark's decouple.decouple_s.
 func BenchmarkDecouple(b *testing.B) {
 	for _, bc := range []struct {
 		name string

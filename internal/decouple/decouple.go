@@ -31,14 +31,24 @@
 // Options.MinCoverage; the candidate about to win is validated, and one
 // that fails to build or validate gives way to the next best.
 //
-// All strategies read one searchView of D. Its neighbour table lists,
-// per row, each distinct column of weight ≥ 2 on the row with its
-// multiplicity and other rows in one flat span, and its pair index
-// lists, per pair of rows, the entries of the first that hold the
-// second. Affinity clustering sums row affinities from the spans of the
-// rows it assigns. The refinement's swap trials are evaluated from a
-// per-row, per-group count kept up to date on accepted swaps only,
-// corrected for the columns the two rows share by reading those entries
+// Across Ks the search does only the work the returned artifact depends
+// on. A K whose coverage bound (searchView.coverageBound, an upper limit
+// on the interior columns of any partition into groups of m/K rows)
+// falls short of MinCoverage is not planned. The other Ks are planned
+// concurrently but resolved in order, each only once every K before it
+// has fallen short, so no K after the winner is built or validated.
+//
+// All strategies read one searchView of D, built once per call: the
+// distinct columns with their multiplicities, each row's unit-column
+// count, the refinement's swap-trial sequence, the affinity row mass,
+// the bound, and a neighbour table listing, per row, each distinct column
+// of weight ≥ 2 on the row with its multiplicity and other rows in one
+// flat span, with a pair index listing, per pair of rows, the entries of
+// the first that hold the second. Affinity clustering sums row
+// affinities from the spans of the rows it assigns. The refinement's
+// swap trials are evaluated from a per-row, per-group count kept up to
+// date on accepted swaps only, corrected for the columns the two rows
+// share by reading those entries only when the count promises a gain
 // (refiner).
 package decouple
 

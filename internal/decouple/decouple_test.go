@@ -170,13 +170,13 @@ func TestDecoupleForceKDivisor(t *testing.T) {
 
 func TestSynthesizeRejectsBadPartitions(t *testing.T) {
 	D := gf2.Eye(4)
-	if _, err := synthesize(newSearchView(D), [][]int{{0, 1}, {2}}); err == nil {
+	if _, err := synthesize(newSearchView(D, 0), [][]int{{0, 1}, {2}}); err == nil {
 		t.Error("unequal groups accepted")
 	}
-	if _, err := synthesize(newSearchView(D), [][]int{{0, 1}, {1, 2}}); err == nil {
+	if _, err := synthesize(newSearchView(D, 0), [][]int{{0, 1}, {1, 2}}); err == nil {
 		t.Error("overlapping groups accepted")
 	}
-	if _, err := synthesize(newSearchView(D), [][]int{{0, 1}, {2, 2}}); err == nil {
+	if _, err := synthesize(newSearchView(D, 0), [][]int{{0, 1}, {2, 2}}); err == nil {
 		t.Error("duplicated row accepted")
 	}
 }
@@ -191,7 +191,7 @@ func TestSynthesizeFailsWithoutInteriorRank(t *testing.T) {
 		{1, 0},
 		{0, 1},
 	})
-	if _, err := synthesize(newSearchView(D), [][]int{{0, 1}, {2, 3}}); err == nil {
+	if _, err := synthesize(newSearchView(D, 0), [][]int{{0, 1}, {2, 3}}); err == nil {
 		t.Error("expected interior-rank failure")
 	}
 }

@@ -10,6 +10,16 @@ import (
 // unbuilt — materialise every candidate, then pick the best that
 // validates. Tests compare the plan-first selection against it.
 
+// contiguous is the partition of m rows into K runs of m/K consecutive
+// rows.
+func contiguous(m, K int) [][]int {
+	groups := make([][]int, K)
+	for r := 0; r < m; r++ {
+		groups[r/(m/K)] = append(groups[r/(m/K)], r)
+	}
+	return groups
+}
+
 func buildPlan(v *searchView, p *plan, err error) (*Decoupling, error) {
 	if err != nil {
 		return nil, err
@@ -26,7 +36,7 @@ func synthesize(v *searchView, groups [][]int) (*Decoupling, error) {
 // artifact.
 func eagerBestForK(v *searchView, K int, opts Options) *Decoupling {
 	var cands []*Decoupling
-	for _, p := range planK(v, K, opts.Seed).plans {
+	for _, p := range planK(v, K, new(scratch)).plans {
 		if dec, err := p.build(v); err == nil {
 			cands = append(cands, dec)
 		}

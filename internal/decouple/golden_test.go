@@ -131,15 +131,17 @@ func TestDecoupleGoldenRandomMatrices(t *testing.T) {
 }
 
 // TestDecoupleDeterministicAcrossGOMAXPROCS: the candidate K values are
-// searched concurrently but consumed in K order, so neither the number
-// of processors nor the schedule may change a byte of the artifact.
+// planned concurrently but resolved in K order, so neither the number
+// of processors nor the schedule may change a byte of the artifact —
+// on every golden case, the hinted, forced, fallback (every K planned,
+// the skipped ones last) and window ones included.
 func TestDecoupleDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	reps := 20
 	if testing.Short() {
 		reps = 3
 	}
-	for _, gc := range goldenCases[:2] {
+	for _, gc := range goldenCases {
 		D := gc.matrix(t)
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)

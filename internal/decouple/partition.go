@@ -2,12 +2,10 @@ package decouple
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"vegapunk/internal/gf2"
 )
@@ -44,13 +42,15 @@ const refinePasses = 2
 // Each K is planned first and materialised last: a plan fixes the
 // coverage without forming T, so a K whose best plan falls short of
 // MinCoverage costs no inverse, no T·D, no validation, and no pivot
-// choice for its row partitions.
+// choice for its row partitions. A K whose coverage bound (the view's
+// coverageBound) already falls short is not planned at all.
 //
-// The K values are independent searches over one shared read-only view
-// of D and run concurrently, but their results are read in the order
-// above, so the artifact does not depend on scheduling or GOMAXPROCS.
+// The K values are planned concurrently over one shared read-only view
+// of D but resolved in the order above, each only once every K before it
+// has fallen short, so no K after the winner is built and the artifact
+// does not depend on scheduling or GOMAXPROCS.
 func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
-	v := newSearchView(D)
+	v := newSearchView(D, opts.Seed)
 	m, S := v.m, v.cols.MaxColWeight()
 	var ks []int
 	if K := opts.ForceK; K != 0 {
@@ -76,22 +76,30 @@ func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	// columns — small blocks with decent coverage are exactly what keeps
 	// GreedyGuess effective and the hardware parallel. If no K clears
 	// the bar, fall back to the best coverage seen among the rule's Ks.
-	order := searchOrder(m, opts.HintKs, ks)
-	results := searchKs(order, func(K int) *candidates {
-		c := planK(v, K, opts.Seed)
+	searched := slices.DeleteFunc(searchOrder(m, opts.HintKs, ks), func(K int) bool {
+		return !success(v.coverageBound(m / K))
+	})
+	results, won := searchKs(searched, func(K int, sc *scratch) *candidates {
+		return planK(v, K, sc)
+	}, func(c *candidates) bool {
 		c.won = c.best(success)
-		return c
-	}, func(c *candidates) bool { return c.won != nil })
-	for _, c := range results {
-		if c != nil && c.won != nil {
-			return c.won, nil
-		}
+		return c.won != nil
+	})
+	if won >= 0 {
+		return results[won].won, nil
 	}
-	// No success, so every K was searched and none built a plan below
-	// the bar; build those now.
+	// No success, so every searched K was planned and none built a plan
+	// below the bar; plan the skipped Ks too and build the best of all.
 	var fallback *Decoupling
+	var sc scratch
 	for _, K := range ks {
-		dec := results[slices.Index(order, K)].best(func(int) bool { return true })
+		var c *candidates
+		if i := slices.Index(searched, K); i >= 0 {
+			c = results[i]
+		} else {
+			c = planK(v, K, &sc)
+		}
+		dec := c.best(func(int) bool { return true })
 		if dec != nil && (fallback == nil || dec.K*dec.ND > fallback.K*fallback.ND) {
 			fallback = dec
 		}
@@ -126,37 +134,65 @@ func searchOrder(m int, hintKs, ks []int) []int {
 	return order
 }
 
-// searchKs evaluates search(tries[i]) on min(GOMAXPROCS, len(tries))
-// goroutines, handing indices out in order and handing out no more once
-// any result is a success (everything before it is already running or
-// done, and nothing after it can be chosen). Every goroutine has exited
-// when it returns; slots that were never started stay zero, and all of
-// them lie after the first success.
-func searchKs[R any](tries []int, search func(K int) R, success func(R) bool) []R {
-	results := make([]R, len(tries))
+// searchKs plans every tries[i] on min(GOMAXPROCS, len(tries))
+// goroutines, each with its own scratch, handing indices out in order,
+// and resolves the plans in the same order: resolve(results[i]) runs
+// only once every earlier result has resolved false, on whichever
+// goroutine finds it next in line. The first true ends the search: no
+// index is handed out after it and none after it is resolved, though
+// plans already handed out still finish. It returns every result (slots
+// never handed out stay zero) and the index of the first true, or -1.
+// Every goroutine has exited when it returns.
+func searchKs[R any](tries []int, plan func(K int, sc *scratch) R, resolve func(R) bool) (results []R, won int) {
+	results = make([]R, len(tries))
+	won = -1
 	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
+		mu        sync.Mutex
+		planned   = make([]bool, len(tries))
+		next      int  // next index to hand out
+		due       int  // next index to resolve
+		resolving bool // a goroutine is resolving due
+		wg        sync.WaitGroup
 	)
 	for w := min(runtime.GOMAXPROCS(0), len(tries)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(tries) {
+			var sc scratch
+			for {
+				mu.Lock()
+				if won >= 0 || next == len(tries) {
+					mu.Unlock()
 					return
 				}
-				results[i] = search(tries[i])
-				if success(results[i]) {
-					stop.Store(true)
+				i := next
+				next++
+				mu.Unlock()
+
+				r := plan(tries[i], &sc)
+
+				mu.Lock()
+				results[i], planned[i] = r, true
+				if !resolving {
+					resolving = true
+					for won < 0 && due < len(tries) && planned[due] {
+						mu.Unlock()
+						ok := resolve(results[due])
+						mu.Lock()
+						if ok {
+							won = due
+						} else {
+							due++
+						}
+					}
+					resolving = false
 				}
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	return results
+	return results, won
 }
 
 // candidates is one K's search: the plans of its candidate partitions, in
@@ -170,9 +206,9 @@ type candidates struct {
 
 // planK plans every candidate row partition for one K and keeps the
 // plans that worked out.
-func planK(v *searchView, K int, seed uint64) *candidates {
+func planK(v *searchView, K int, sc *scratch) *candidates {
 	c := &candidates{v: v}
-	for _, groups := range candidatePartitions(v, K, seed) {
+	for _, groups := range candidatePartitions(v, K, sc) {
 		if p, err := planPartition(v, groups); err == nil {
 			c.plans = append(c.plans, p)
 		}
@@ -222,13 +258,58 @@ func (c *candidates) best(accept func(blockCols int) bool) *Decoupling {
 	return nil
 }
 
+// scratch is one search goroutine's reusable buffers: the refiner's
+// table, the affinity clustering's tallies, and the rows of the
+// partitions candidatePartitions hands out for one K.
+type scratch struct {
+	rf         refiner
+	assigned   []bool
+	gain, mass []int
+	rows       []int
+	heads      [][]int
+}
+
+// partitionsPerK is the most partitions candidatePartitions lists.
+const partitionsPerK = 6
+
+// partition carves K empty groups with room for m/K rows each out of
+// the scratch rows. The groups stay valid until candidatePartitions
+// starts the next K.
+func (sc *scratch) partition(m, K int) [][]int {
+	if len(sc.rows)+m > cap(sc.rows) {
+		sc.rows = make([]int, 0, partitionsPerK*m)
+	}
+	if len(sc.heads)+K > cap(sc.heads) {
+		sc.heads = make([][]int, 0, partitionsPerK*K)
+	}
+	rows := sc.rows[len(sc.rows) : len(sc.rows)+m]
+	heads := sc.heads[len(sc.heads) : len(sc.heads)+K]
+	sc.rows, sc.heads = sc.rows[:len(sc.rows)+m], sc.heads[:len(sc.heads)+K]
+	mD := m / K
+	for g := range heads {
+		heads[g] = rows[g*mD : g*mD : (g+1)*mD]
+	}
+	return heads
+}
+
+// resize returns buf with length n, reallocated only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // candidatePartitions generates the distinct row partitions to try for
 // a given K: contiguous chunks, strided rows, greedy affinity
 // clustering, and the refined variant of each (dropped when refinement
 // accepted no swap, or lands on a partition already listed — equal
-// partitions give equal plans).
-func candidatePartitions(v *searchView, K int, seed uint64) [][][]int {
-	m := v.m
+// partitions give equal plans). The partitions live in sc until the
+// next call.
+func candidatePartitions(v *searchView, K int, sc *scratch) [][][]int {
+	m, mD := v.m, v.m/K
+	sc.rows, sc.heads = sc.rows[:0], sc.heads[:0]
 	var out [][][]int
 	add := func(p [][]int) {
 		for _, q := range out {
@@ -239,25 +320,16 @@ func candidatePartitions(v *searchView, K int, seed uint64) [][][]int {
 		out = append(out, p)
 	}
 
-	strided := make([][]int, K)
+	contiguous, strided := sc.partition(m, K), sc.partition(m, K)
 	for r := 0; r < m; r++ {
+		contiguous[r/mD] = append(contiguous[r/mD], r)
 		strided[r%K] = append(strided[r%K], r)
 	}
-	for _, p := range [][][]int{contiguous(m, K), strided, affinityPartition(v, K)} {
+	for _, p := range [][][]int{contiguous, strided, affinityPartition(v, K, sc)} {
 		add(p)
-		add(refinePartition(v, p, refinePasses, seed))
+		add(refinePartition(v, p, v.trials, sc))
 	}
 	return out
-}
-
-// contiguous is the partition of m rows into K runs of m/K consecutive
-// rows.
-func contiguous(m, K int) [][]int {
-	groups := make([][]int, K)
-	for r := 0; r < m; r++ {
-		groups[r/(m/K)] = append(groups[r/(m/K)], r)
-	}
-	return groups
 }
 
 func samePartition(p, q [][]int) bool {
@@ -266,7 +338,7 @@ func samePartition(p, q [][]int) bool {
 
 // affinityPartition grows K balanced groups greedily by row affinity
 // (number of columns two rows share).
-func affinityPartition(v *searchView, K int) [][]int {
+func affinityPartition(v *searchView, K int, sc *scratch) [][]int {
 	m := v.m
 	mD := m / K
 	// addAffinity adds sign times row r's affinity with each row to acc.
@@ -280,18 +352,18 @@ func affinityPartition(v *searchView, K int) [][]int {
 			}
 		}
 	}
-	assigned := make([]bool, m)
-	groups := make([][]int, K)
-	gain := make([]int, m)
+	sc.assigned = resize(sc.assigned, m)
+	sc.gain = resize(sc.gain, m)
+	sc.mass = resize(sc.mass, m)
+	assigned, gain, mass := sc.assigned, sc.gain, sc.mass
+	clear(assigned)
 	// mass[r] is row r's affinity to the rows not yet assigned.
-	mass := make([]int, m)
-	for r := range mass {
-		addAffinity(mass, r, +1)
-	}
+	copy(mass, v.mass)
 	assign := func(r int) {
 		assigned[r] = true
 		addAffinity(mass, r, -1)
 	}
+	groups := sc.partition(m, K)
 	for g := 0; g < K; g++ {
 		// Seed: unassigned row with the largest remaining affinity mass.
 		seed, bestMass := -1, -1
@@ -300,7 +372,7 @@ func affinityPartition(v *searchView, K int) [][]int {
 				seed, bestMass = r, mass[r]
 			}
 		}
-		groups[g] = append(make([]int, 0, mD), seed)
+		groups[g] = append(groups[g], seed)
 		assign(seed)
 		// Grow by the strongest connection to the group.
 		clear(gain)
@@ -334,23 +406,22 @@ func uniformGroup(sup []int32, groupOf []int) int {
 }
 
 // refinePartition performs randomized local search: swap rows across
-// groups when the number of interior columns increases. groups is not
-// modified.
-func refinePartition(v *searchView, groups [][]int, passes int, seed uint64) [][]int {
+// groups when the number of interior columns increases, trying the
+// swaps in the order trials lists them (newTrials) and stopping after a
+// pass that accepts none. groups is not modified; the result lives in
+// sc.
+func refinePartition(v *searchView, groups [][]int, trials []int32, sc *scratch) [][]int {
 	m := v.m
-	rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
-	rf := newRefiner(v, groups)
-	for pass := 0; pass < passes; pass++ {
+	rf := &sc.rf
+	rf.reset(v, groups)
+	block := 1 + trialsPerRow
+	for pass := 0; pass < len(trials)/max(m*block, 1); pass++ {
 		improved := false
-		order := rng.Perm(m)
-		for _, r := range order {
-			for trial := 0; trial < 8; trial++ {
-				s := rng.IntN(m)
-				if rf.groupOf[r] == rf.groupOf[s] {
-					continue
-				}
-				if rf.gain(r, s) > 0 {
-					rf.swap(r, s)
+		for seq := trials[pass*m*block : (pass+1)*m*block]; len(seq) > 0; seq = seq[block:] {
+			r := int(seq[0])
+			for _, s := range seq[1:block] {
+				if rf.groupOf[r] != rf.groupOf[s] && rf.accepts(r, int(s)) {
+					rf.swap(r, int(s))
 					improved = true
 				}
 			}
@@ -359,10 +430,7 @@ func refinePartition(v *searchView, groups [][]int, passes int, seed uint64) [][
 			break
 		}
 	}
-	out := make([][]int, len(groups))
-	for g := range out {
-		out[g] = make([]int, 0, len(groups[g]))
-	}
+	out := sc.partition(m, len(groups))
 	for r := 0; r < m; r++ {
 		out[rf.groupOf[r]] = append(out[rf.groupOf[r]], r)
 	}
@@ -382,48 +450,66 @@ type refiner struct {
 	confined []int
 }
 
-func newRefiner(v *searchView, groups [][]int) *refiner {
-	rf := &refiner{v: v, K: len(groups), groupOf: make([]int, v.m), confined: make([]int, v.m*len(groups))}
+// reset loads the partition groups into rf, reusing its buffers.
+func (rf *refiner) reset(v *searchView, groups [][]int) {
+	rf.v, rf.K = v, len(groups)
+	rf.groupOf = resize(rf.groupOf, v.m)
+	rf.confined = resize(rf.confined, v.m*rf.K)
+	clear(rf.confined)
 	for g, rs := range groups {
 		for _, r := range rs {
 			rf.groupOf[r] = g
 		}
 	}
-	var mult int
-	var others []int32
-	for r := 0; r < v.m; r++ {
-		for span := v.neighbours(r); len(span) > 0; {
-			mult, others, span = nextNeighbour(span)
-			if g := rf.groupOf[others[0]]; rf.allIn(others, g, -1) {
-				rf.confined[r*rf.K+g] += mult
-			}
-		}
+	for i, j := range v.repr {
+		sup := v.cols.ColSpan(int(j))
+		rf.tally(sup[0], sup[1:], int(v.mult[i]))
 	}
-	return rf
 }
 
-// allIn reports whether every row of others except skip lies in group g.
-func (rf *refiner) allIn(others []int32, g int, skip int32) bool {
+// allIn reports whether every row of others lies in group g.
+func (rf *refiner) allIn(others []int32, g int) bool {
 	for _, o := range others {
-		if o != skip && rf.groupOf[o] != g {
+		if rf.groupOf[o] != g {
 			return false
 		}
 	}
 	return true
 }
 
+// cells is the change the table alone predicts for the interior
+// columns if rows r and s trade places: on r, a column becomes interior
+// when the rest of it lies in s's group and stops being interior when
+// the rest lies in r's, and likewise on s.
+func (rf *refiner) cells(r, s int) int {
+	a, b := rf.groupOf[r], rf.groupOf[s]
+	return rf.confined[r*rf.K+b] - rf.confined[r*rf.K+a] + rf.confined[s*rf.K+a] - rf.confined[s*rf.K+b]
+}
+
 // gain returns the change in the number of interior columns if rows r
 // and s, which lie in different groups, trade places. Only a column on r
-// or s can change: on r it becomes interior when the rest of it lies in
-// s's group and stops being interior when the rest lies in r's, and
-// likewise on s.
+// or s can change, and cells counts those but for the columns holding
+// both rows: such a column stays crossing, yet the table has it becoming
+// interior when everything on it but r lies in b (s does), or
+// everything but s in a.
 func (rf *refiner) gain(r, s int) int {
 	a, b := rf.groupOf[r], rf.groupOf[s]
-	d := rf.confined[r*rf.K+b] - rf.confined[r*rf.K+a] + rf.confined[s*rf.K+a] - rf.confined[s*rf.K+b]
-	// A column holding both rows stays crossing, yet the table has it
-	// becoming interior when everything on it but r lies in b (s does),
-	// or everything but s in a.
-	return d - rf.sharedConfined(r, s, b) - rf.sharedConfined(s, r, a)
+	return rf.cells(r, s) - rf.sharedConfined(r, s, b) - rf.sharedConfined(s, r, a)
+}
+
+// accepts reports whether gain(r, s) > 0. The shared-column
+// corrections are never negative, so they are read only while the cells
+// still promise a gain.
+func (rf *refiner) accepts(r, s int) bool {
+	d := rf.cells(r, s)
+	if d <= 0 {
+		return false
+	}
+	a, b := rf.groupOf[r], rf.groupOf[s]
+	if d -= rf.sharedConfined(r, s, b); d <= 0 {
+		return false
+	}
+	return d > rf.sharedConfined(s, r, a)
 }
 
 // sharedConfined counts the columns on r that also hold s and whose
@@ -432,54 +518,108 @@ func (rf *refiner) sharedConfined(r, s, g int) int {
 	n := 0
 	for _, at := range rf.v.shared(r, s) {
 		mult, others, _ := nextNeighbour(rf.v.nbr[at:])
-		if rf.allIn(others, g, -1) {
+		if rf.allIn(others, g) {
 			n += mult
 		}
 	}
 	return n
 }
 
-// swap trades the groups of rows r and s and updates the table for the
-// rows of every column on either.
+// swap trades the groups of rows r and s and updates the table: the
+// columns holding both are taken out under the old groups and put back
+// under the new, and every other column on r or s in one pass per row.
 func (rf *refiner) swap(r, s int) {
-	rf.tally(r, -1, -1)
-	rf.tally(s, r, -1)
-	rf.groupOf[r], rf.groupOf[s] = rf.groupOf[s], rf.groupOf[r]
-	rf.tally(r, -1, +1)
-	rf.tally(s, r, +1)
+	a, b := rf.groupOf[r], rf.groupOf[s]
+	for _, at := range rf.v.shared(r, s) {
+		mult, others, _ := nextNeighbour(rf.v.nbr[at:])
+		rf.tally(int32(r), others, -mult)
+		rf.groupOf[r], rf.groupOf[s] = b, a
+		rf.tally(int32(r), others, mult)
+		rf.groupOf[r], rf.groupOf[s] = a, b
+	}
+	rf.move(r, s, a, b)
+	rf.move(s, r, b, a)
+	rf.groupOf[r], rf.groupOf[s] = b, a
 }
 
-// tally adds sign·multiplicity to the table for every column on row,
-// except those that also hold skip, in the cell of each of its rows
-// whose fellow rows all lie in one group.
-func (rf *refiner) tally(row, skip, sign int) {
-	var mult int
-	var others []int32
-	for span := rf.v.neighbours(row); len(span) > 0; {
-		mult, others, span = nextNeighbour(span)
-		if slices.Contains(others, int32(skip)) {
+// move updates the table for row leaving group from for group to, over
+// the columns on row that do not hold peer: their other rows stay put,
+// so each column's split is read once and its cells moved.
+func (rf *refiner) move(row, peer, from, to int) {
+	v := rf.v
+	skip := v.shared(row, peer) // ascending, like the entries
+	for e, end := v.nbrAt[row], v.nbrAt[row+1]; e < end; {
+		mult, others, _ := nextNeighbour(v.nbr[e:])
+		at := e
+		e += 2 + int32(len(others))
+		if len(skip) > 0 && skip[0] == at {
+			skip = skip[1:]
 			continue
 		}
-		if g := rf.groupOf[others[0]]; rf.allIn(others, g, -1) {
-			rf.confined[row*rf.K+g] += sign * mult
+		if sp, ok := rf.split(others); ok {
+			rf.add(sp, int32(row), others, from, -mult)
+			rf.add(sp, int32(row), others, to, mult)
 		}
-		// For another row x of the column, the fellows are row and the
-		// others but x: all in row's group when no other row lies
-		// outside it, or x is the only one that does.
-		g := rf.groupOf[row]
-		out, outside := 0, int32(-1)
+	}
+}
+
+// tally adds mult to the table for one column of weight ≥ 2, its rows
+// row and others, in the current groups.
+func (rf *refiner) tally(row int32, others []int32, mult int) {
+	if sp, ok := rf.split(others); ok {
+		rf.add(sp, row, others, rf.groupOf[row], mult)
+	}
+}
+
+// split is how a column's rows but one lie in the groups: c1 rows in g1
+// and c2 in g2 (c2 = 0: all in g1), y1 and y2 the last row seen in each.
+type split struct {
+	g1, g2, c1, c2 int
+	y1, y2         int32
+}
+
+// split reads the groups of others; ok is false when they span three or
+// more, so no row of the column can count it wherever the last row is.
+func (rf *refiner) split(others []int32) (sp split, ok bool) {
+	sp.g1, sp.g2 = rf.groupOf[others[0]], -1
+	for _, x := range others {
+		switch g := rf.groupOf[x]; {
+		case g == sp.g1:
+			sp.c1, sp.y1 = sp.c1+1, x
+		case sp.g2 < 0 || g == sp.g2:
+			sp.g2, sp.c2, sp.y2 = g, sp.c2+1, x
+		default:
+			return sp, false
+		}
+	}
+	return sp, true
+}
+
+// add adds mult to the table cells that count a column whose rows are
+// row, in group X, and others, split as sp. A row's cell of group g
+// counts the column when every other row of it lies in g: so with all
+// rows in one group each counts it there, with two groups a row alone in
+// its group counts it in the other, and with three none does.
+func (rf *refiner) add(sp split, row int32, others []int32, X, mult int) {
+	K := rf.K
+	switch {
+	case sp.c2 == 0 && X == sp.g1:
+		rf.confined[int(row)*K+X] += mult
 		for _, x := range others {
-			if rf.groupOf[x] != g {
-				out, outside = out+1, x
-			}
+			rf.confined[int(x)*K+X] += mult
 		}
-		switch out {
-		case 0:
-			for _, x := range others {
-				rf.confined[int(x)*rf.K+g] += sign * mult
-			}
-		case 1:
-			rf.confined[int(outside)*rf.K+g] += sign * mult
+	case sp.c2 == 0:
+		rf.confined[int(row)*K+sp.g1] += mult
+		if sp.c1 == 1 {
+			rf.confined[int(sp.y1)*K+X] += mult
+		}
+	case X == sp.g1:
+		if sp.c2 == 1 {
+			rf.confined[int(sp.y2)*K+X] += mult
+		}
+	case X == sp.g2:
+		if sp.c1 == 1 {
+			rf.confined[int(sp.y1)*K+X] += mult
 		}
 	}
 }

@@ -3,6 +3,8 @@ package decouple
 import (
 	"bytes"
 	"math/rand/v2"
+	"runtime"
+	"sync"
 	"testing"
 
 	"vegapunk/internal/gf2"
@@ -25,11 +27,11 @@ func acceptAny(int) bool { return true }
 // selection with the eager reference, with and without a coverage bar.
 func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) {
 	t.Helper()
-	v := newSearchView(D)
+	v := newSearchView(D, opts.Seed)
 	want := eagerBestForK(v, K, opts)
 
 	// Every plan knows the coverage its artifact will have.
-	for i, p := range planK(v, K, opts.Seed).plans {
+	for i, p := range planK(v, K, new(scratch)).plans {
 		dec, err := p.build(v)
 		if err != nil {
 			t.Fatalf("K=%d plan %d: %v", K, i, err)
@@ -39,14 +41,14 @@ func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) 
 		}
 	}
 
-	if got := planK(v, K, opts.Seed).best(acceptAny); !bytes.Equal(serialized(t, got), serialized(t, want)) {
+	if got := planK(v, K, new(scratch)).best(acceptAny); !bytes.Equal(serialized(t, got), serialized(t, want)) {
 		t.Fatalf("K=%d: plan-first selection differs from the eager one", K)
 	}
 
 	// Behind a bar: the same artifact if it clears it; otherwise nothing,
 	// nothing built, and the fallback selection still finds it.
 	success := func(blockCols int) bool { return covers(blockCols, v.n, 0.5) }
-	c := planK(v, K, opts.Seed)
+	c := planK(v, K, new(scratch))
 	got := c.best(success)
 	if want != nil && success(want.K*want.ND) {
 		if !bytes.Equal(serialized(t, got), serialized(t, want)) {
@@ -92,7 +94,7 @@ func TestPlanFirstEqualsEager(t *testing.T) {
 // next best takes its place, so nothing unvalidated is ever returned.
 func TestBestReplacesFailedWinner(t *testing.T) {
 	D := hpPhenomenological(t)
-	v := newSearchView(D)
+	v := newSearchView(D, 0)
 	plans := func() (wide, narrow *plan) {
 		wide, err := planPartition(v, contiguous(v.m, 3))
 		if err != nil {
@@ -146,7 +148,7 @@ func TestBestReplacesFailedWinner(t *testing.T) {
 		{0, 0, 0, 0, 0, 1, 0, 1, 1, 0},
 		{0, 0, 0, 0, 0, 0, 1, 1, 0, 1},
 	})
-	v = newSearchView(D)
+	v = newSearchView(D, 0)
 	deficient, err := planPartition(v, [][]int{{0, 1}, {2, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -205,17 +207,42 @@ func TestCoversBoundary(t *testing.T) {
 
 // TestDecoupleDoesNotBuildLosers: BB72's K = 12, 9, 6 and 4 fall short
 // of the coverage bar before K = 3 clears it, and BB144's K = 24, 18,
-// 12, 9, 8 and 6 before K = 4 does. None of their plans may be
-// materialised (T, T·D, the sparse blocks) nor pick pivots: doing so
-// costs hundreds to thousands of allocations on top of the ~1 500 (BB72)
-// and ~2 800 (BB144) the search needs.
+// 12, 9, 8 and 6 before K = 4 does. Only the winning K may be
+// materialised (T, T·D, the sparse blocks, the pivots) — not a losing K
+// before it, and not a K after it that an idle goroutine had already
+// planned — at every GOMAXPROCS. Allocations stay near the ~330 (BB72)
+// and ~450 (BB144) the search needs.
 func TestDecoupleDoesNotBuildLosers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var mu sync.Mutex
+	built := map[int]int{}
+	buildHook = func(K int) {
+		mu.Lock()
+		built[K]++
+		mu.Unlock()
+	}
+	defer func() { buildHook = nil }()
 	for _, tc := range []struct {
 		name  string
 		idx   int
+		wantK int
 		bound float64
-	}{{"BB72", 0, 1800}, {"BB144", 3, 3400}} {
+	}{{"BB72", 0, 3, 500}, {"BB144", 3, 4, 650}} {
 		D := bbCircuit(tc.idx)(t)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 20; rep++ {
+				clear(built)
+				dec, err := Decouple(D, Options{Seed: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dec.K != tc.wantK || len(built) != 1 || built[tc.wantK] == 0 {
+					t.Fatalf("%s GOMAXPROCS=%d: K=%d won, built %v; want only K=%d built", tc.name, procs, dec.K, built, tc.wantK)
+				}
+			}
+		}
+		// AllocsPerRun measures at GOMAXPROCS 1.
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := Decouple(D, Options{Seed: 3}); err != nil {
 				t.Fatal(err)

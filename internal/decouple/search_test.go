@@ -37,7 +37,7 @@ func TestRefinePartitionProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		K := 2 + rng.IntN(4)
 		m := K * (2 + rng.IntN(6))
-		v := newSearchView(randomDEMLike(rng, m, 5+rng.IntN(80), 1+rng.IntN(4)))
+		v := newSearchView(randomDEMLike(rng, m, 5+rng.IntN(80), 1+rng.IntN(4)), 0)
 		rows := rng.Perm(m)
 		groups := make([][]int, K)
 		for g := range groups {
@@ -45,7 +45,7 @@ func TestRefinePartitionProperty(t *testing.T) {
 		}
 		before := clonePartition(groups)
 		passes, seed := 1+rng.IntN(4), rng.Uint64()
-		refined := refinePartition(v, groups, passes, seed)
+		refined := refinePartition(v, groups, newTrials(m, passes, seed), new(scratch))
 
 		if !samePartition(groups, before) {
 			t.Fatalf("trial %d: input partition modified", trial)
@@ -65,7 +65,7 @@ func TestRefinePartitionProperty(t *testing.T) {
 		if a, b := interiorColumns(v, groups), interiorColumns(v, refined); b < a {
 			t.Fatalf("trial %d: interior columns %d → %d", trial, a, b)
 		}
-		if again := refinePartition(v, groups, passes, seed); !samePartition(refined, again) {
+		if again := refinePartition(v, groups, newTrials(m, passes, seed), new(scratch)); !samePartition(refined, again) {
 			t.Fatalf("trial %d: same arguments, different partition", trial)
 		}
 	}
@@ -79,22 +79,50 @@ func clonePartition(p [][]int) [][]int {
 	return out
 }
 
-// TestRefinePartitionAllocsIndependentOfTrials: 8·m swap trials per pass
-// used to build a set each; now a call allocates its fixed scratch, one
-// row order per pass and the K output groups, however many trials run.
+// TestRefinePartitionAllocsIndependentOfTrials: the swap trials are drawn
+// once per Decouple call and the refiner's table lives in the scratch,
+// so a refinement with warm scratch allocates nothing however many
+// trials it runs (its result, too, is carved from the scratch).
 func TestRefinePartitionAllocsIndependentOfTrials(t *testing.T) {
-	v := newSearchView(bbCircuit(0)(t)) // 36 × 360
+	v := newSearchView(bbCircuit(0)(t), 0) // 36 × 360
 	const K, passes = 4, 6
 	groups := make([][]int, K)
 	for r := 0; r < v.m; r++ {
 		groups[r%K] = append(groups[r%K], r)
 	}
-	trials := 8 * v.m // per pass, before same-group skips
-	allocs := testing.AllocsPerRun(10, func() { refinePartition(v, groups, passes, 9) })
-	if limit := float64(K + passes + 10); allocs > limit {
-		t.Errorf("refinePartition made %.0f allocations for up to %d trials; want ≤ %.0f", allocs, trials*passes, limit)
+	trials := newTrials(v.m, passes, 9)
+	sc := new(scratch)
+	allocs := testing.AllocsPerRun(10, func() {
+		sc.rows, sc.heads = sc.rows[:0], sc.heads[:0]
+		refinePartition(v, groups, trials, sc)
+	})
+	if allocs != 0 {
+		t.Errorf("refinePartition made %.0f allocations for up to %d trials; want 0", allocs, trialsPerRow*v.m*passes)
 	}
-	t.Logf("%.0f allocations, %d trials per pass", allocs, trials)
+}
+
+// TestNewTrialsMatchesDraws: the precomputed trial sequence is the one
+// the refinement used to draw as it went: per pass a row order from
+// rng.Perm, then trialsPerRow partners per row from rng.IntN.
+func TestNewTrialsMatchesDraws(t *testing.T) {
+	for _, tc := range []struct {
+		m, passes int
+		seed      uint64
+	}{{1, 1, 0}, {36, 2, 3}, {72, 2, 1234}, {7, 5, 99}} {
+		rng := rand.New(rand.NewPCG(tc.seed, 0x9e3779b97f4a7c15))
+		var want []int32
+		for pass := 0; pass < tc.passes; pass++ {
+			for _, r := range rng.Perm(tc.m) {
+				want = append(want, int32(r))
+				for trial := 0; trial < 8; trial++ {
+					want = append(want, int32(rng.IntN(tc.m)))
+				}
+			}
+		}
+		if got := newTrials(tc.m, tc.passes, tc.seed); !slices.Equal(got, want) {
+			t.Errorf("m=%d passes=%d seed=%d: trials differ from the drawn sequence", tc.m, tc.passes, tc.seed)
+		}
+	}
 }
 
 // trialCase is a random matrix and partition for the swap-trial checks:
@@ -125,15 +153,17 @@ func trialCase(seed uint64, kRaw, mdRaw, colsRaw uint8) (*searchView, [][]int) {
 	for g := range groups {
 		groups[g] = rows[g*m/K : (g+1)*m/K]
 	}
-	return newSearchView(D), groups
+	return newSearchView(D, 0), groups
 }
 
 // checkTrialGains walks a refiner through every cross-group pair of rows,
 // comparing each trial's gain with a recount of the interior columns
-// after the swap, and accepts every third trial whatever its gain so the
-// table is also checked after updates refinePartition would not make.
+// after the swap and the accept test with gain > 0, and accepts every
+// third trial whatever its gain so the table is also checked after
+// updates refinePartition would not make.
 func checkTrialGains(t *testing.T, v *searchView, groups [][]int) {
-	rf := newRefiner(v, groups)
+	rf := new(refiner)
+	rf.reset(v, groups)
 	partition := func() [][]int {
 		p := make([][]int, len(groups))
 		for r, g := range rf.groupOf {
@@ -149,6 +179,9 @@ func checkTrialGains(t *testing.T, v *searchView, groups [][]int) {
 			}
 			before := interiorColumns(v, partition())
 			got := rf.gain(r, s)
+			if rf.accepts(r, s) != (got > 0) {
+				t.Fatalf("trial %d: swapping rows %d and %d gains %d, accepted %v", trial, r, s, got, rf.accepts(r, s))
+			}
 			rf.swap(r, s)
 			if want := interiorColumns(v, partition()) - before; got != want {
 				t.Fatalf("trial %d: swapping rows %d and %d gains %d interior columns, evaluated as %d", trial, r, s, want, got)
@@ -161,14 +194,16 @@ func checkTrialGains(t *testing.T, v *searchView, groups [][]int) {
 }
 
 // TestRefineTrialGainMatchesRecount: the table-driven trial evaluation
-// agrees with counting interior columns before and after the swap.
+// agrees with counting interior columns before and after the swap, and
+// the accept test, which skips the shared-column correction when the
+// table cells promise no gain, accepts exactly the trials that gain.
 func TestRefineTrialGainMatchesRecount(t *testing.T) {
 	rng := rand.New(rand.NewPCG(152, 153))
 	for i := 0; i < 150; i++ {
 		v, groups := trialCase(rng.Uint64(), uint8(rng.IntN(256)), uint8(rng.IntN(256)), uint8(rng.IntN(256)))
 		checkTrialGains(t, v, groups)
 	}
-	v := newSearchView(bbCircuit(0)(t))
+	v := newSearchView(bbCircuit(0)(t), 0)
 	groups := make([][]int, 4)
 	for r := 0; r < v.m; r++ {
 		groups[r%4] = append(groups[r%4], r)
@@ -210,7 +245,7 @@ func TestHintedKSearchedOnce(t *testing.T) {
 		}
 		var mu sync.Mutex
 		searches := map[int]int{}
-		searchKs(order, func(K int) int {
+		searchKs(order, func(K int, _ *scratch) int {
 			mu.Lock()
 			defer mu.Unlock()
 			searches[K]++
@@ -229,7 +264,7 @@ func TestHintedKSearchedOnce(t *testing.T) {
 // takes its place, so nothing unvalidated is ever returned.
 func TestBestValidDropsInvalidWinner(t *testing.T) {
 	D := hpPhenomenological(t)
-	v := newSearchView(D)
+	v := newSearchView(D, 0)
 	wide, err := synthesize(v, contiguous(v.m, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +291,12 @@ func TestBestValidDropsInvalidWinner(t *testing.T) {
 	}
 }
 
-// TestSearchKsOrderAndStop drives the concurrent K search with a
-// synthetic per-K function: everything before the first success has been
-// searched, the first success in list order is the same for every
-// GOMAXPROCS, and a lone worker starts nothing after it (with several,
-// the Ks already handed out still finish, so only a floor holds).
+// TestSearchKsOrderAndStop drives the concurrent K search with synthetic
+// plan and resolve functions: resolution runs in list order, one index
+// at a time, and stops at the first success; every index before it has
+// been planned and resolved, none after it is resolved, and the winner is
+// the same for every GOMAXPROCS. A lone worker also plans nothing after
+// it (with several, the Ks already handed out still finish planning).
 func TestSearchKsOrderAndStop(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	tries := []int{24, 18, 12, 9, 8, 6, 4, 3, 2}
@@ -272,31 +308,56 @@ func TestSearchKsOrderAndStop(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 50; rep++ {
-			var started atomic.Int64
-			results := searchKs(tries, func(K int) *Decoupling {
-				started.Add(1)
+			var (
+				planned  atomic.Int64
+				mu       sync.Mutex
+				resolved []int
+				inside   atomic.Int64
+			)
+			results, won := searchKs(tries, func(K int, _ *scratch) *Decoupling {
+				planned.Add(1)
 				if K == 12 {
 					return nil // a K with no valid structure
 				}
 				return marker[K]
-			}, success)
-			first := -1
-			for i, d := range results {
-				if success(d) {
-					first = i
-					break
+			}, func(d *Decoupling) bool {
+				if inside.Add(1) != 1 {
+					t.Error("two resolutions ran at once")
 				}
+				defer inside.Add(-1)
+				mu.Lock()
+				K := 12
+				if d != nil {
+					K = d.K
+				}
+				resolved = append(resolved, K)
+				mu.Unlock()
+				return success(d)
+			})
+			if won != 4 || results[won] != marker[8] {
+				t.Fatalf("procs %d: won at index %d, want 4 (K=8)", procs, won)
+			}
+			if !slices.Equal(resolved, tries[:won+1]) {
+				t.Fatalf("procs %d: resolved %v, want %v", procs, resolved, tries[:won+1])
+			}
+			for i, d := range results[:won] {
 				if d != marker[tries[i]] && tries[i] != 12 {
-					t.Fatalf("procs %d: K=%d before the first success was not searched", procs, tries[i])
+					t.Fatalf("procs %d: K=%d before the winner was not planned", procs, tries[i])
 				}
 			}
-			if first != 4 {
-				t.Fatalf("procs %d: first success at index %d, want 4 (K=8)", procs, first)
-			}
-			if n := int(started.Load()); n < first+1 || (procs == 1 && n != first+1) {
-				t.Fatalf("procs %d: %d searches started, first success at index %d", procs, n, first)
+			if n := int(planned.Load()); n < won+1 || (procs == 1 && n != won+1) {
+				t.Fatalf("procs %d: %d plans ran, winner at index %d", procs, n, won)
 			}
 		}
+	}
+	// No success: everything is planned and resolved, in order.
+	var resolved []int
+	results, won := searchKs(tries, func(K int, _ *scratch) int { return K }, func(K int) bool {
+		resolved = append(resolved, K)
+		return false
+	})
+	if won != -1 || !slices.Equal(results, tries) || !slices.Equal(resolved, tries) {
+		t.Fatalf("no success: won %d, results %v, resolved %v", won, results, resolved)
 	}
 }
 
@@ -326,7 +387,7 @@ func TestAffinityPartitionMatchesRescan(t *testing.T) {
 			if v.m%K != 0 {
 				continue
 			}
-			if got, want := affinityPartition(v, K), rescanAffinityPartition(v, K); !samePartition(got, want) {
+			if got, want := affinityPartition(v, K, new(scratch)), rescanAffinityPartition(v, K); !samePartition(got, want) {
 				t.Fatalf("%s K=%d: partition %v, want %v", name, K, got, want)
 			}
 		}
@@ -334,8 +395,8 @@ func TestAffinityPartitionMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(161, 162))
 	for trial := 0; trial < 60; trial++ {
 		m := 6 * (1 + rng.IntN(8))
-		check("random", newSearchView(randomDEMLike(rng, m, 2+rng.IntN(120), 1+rng.IntN(6))))
+		check("random", newSearchView(randomDEMLike(rng, m, 2+rng.IntN(120), 1+rng.IntN(6)), 0))
 	}
-	check("BB72", newSearchView(bbCircuit(0)(t)))
-	check("BB144", newSearchView(bbCircuit(3)(t)))
+	check("BB72", newSearchView(bbCircuit(0)(t), 0))
+	check("BB144", newSearchView(bbCircuit(3)(t), 0))
 }

@@ -69,9 +69,12 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 	}
 
 	count := make([]int, K) // interior columns per group
-	for _, cols := range v.distinct {
-		if g := uniformGroup(v.cols.ColSpan(cols[0]), groupOf); g >= 0 {
-			count[g] += len(cols)
+	for r, g := range groupOf {
+		count[g] += v.units[r]
+	}
+	for i, j := range v.repr {
+		if g := uniformGroup(v.cols.ColSpan(int(j)), groupOf); g >= 0 {
+			count[g] += int(v.mult[i])
 		}
 	}
 	for g, c := range count {
@@ -109,7 +112,7 @@ func (p *plan) pickPivots(v *searchView) (identity, interior [][]int, tail []int
 		var ech echelon
 		nonPiv := cand[:0]
 		for _, j := range cand {
-			if ech.dim() < mD && ech.add(v.vecs[j]) {
+			if ech.dim() < mD && ech.add(v.vec(j)) {
 				identity[g] = append(identity[g], j)
 			} else {
 				nonPiv = append(nonPiv, j)
@@ -123,12 +126,19 @@ func (p *plan) pickPivots(v *searchView) (identity, interior [][]int, tail []int
 	return identity, interior, tail, nil
 }
 
+// buildHook, when set, is called with K by every build. Tests set it to
+// count the Ks a search materialises; it must be safe for concurrent use.
+var buildHook func(K int)
+
 // build materialises the plan: T is the inverse of the matrix whose
 // column i·m_D+t is identity column t of block i (so those columns become
 // the identities), T·D is formed once and read through one sparse pass.
 // Each block keeps its first spare interior columns; the surplus, then
 // the tail, go to A.
 func (p *plan) build(v *searchView) (*Decoupling, error) {
+	if buildHook != nil {
+		buildHook(p.K)
+	}
 	identity, interior, tail, err := p.pickPivots(v)
 	if err != nil {
 		return nil, err

@@ -262,7 +262,8 @@ func (m *Dense) CopyFrom(other *Dense) {
 
 // SubmatrixInto copies the rectangle rows [r0,r1) × cols [c0,c1) into
 // out, which must already have shape (r1-r0)×(c1-c0). The allocation-free
-// variant of Submatrix.
+// variant of Submatrix. Each output word is two source words shifted
+// together.
 func (m *Dense) SubmatrixInto(out *Dense, r0, r1, c0, c1 int) {
 	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 > r1 || c0 > c1 {
 		panic("gf2: SubmatrixInto out of range")
@@ -270,23 +271,23 @@ func (m *Dense) SubmatrixInto(out *Dense, r0, r1, c0, c1 int) {
 	if out.rows != r1-r0 || out.cols != c1-c0 {
 		panic("gf2: SubmatrixInto shape mismatch")
 	}
-	for i := range out.w {
-		out.w[i] = 0
+	w0, sh := c0/wordBits, uint(c0)%wordBits
+	var last uint64 = ^uint64(0) // bits of the last word inside the rectangle
+	if rem := uint(c1-c0) % wordBits; rem != 0 {
+		last = 1<<rem - 1
 	}
 	for i := r0; i < r1; i++ {
-		src := m.row(i)
+		src := m.row(i)[w0:]
 		dst := out.row(i - r0)
-		for wi, w := range src {
-			base := wi * wordBits
-			for w != 0 {
-				j := base + bits.TrailingZeros64(w)
-				w &= w - 1
-				if j < c0 || j >= c1 {
-					continue
-				}
-				jj := j - c0
-				dst[jj/wordBits] |= 1 << (uint(jj) % wordBits)
+		for k := range dst {
+			w := src[k] >> sh
+			if sh != 0 && k+1 < len(src) {
+				w |= src[k+1] << (wordBits - sh)
 			}
+			dst[k] = w
+		}
+		if len(dst) > 0 {
+			dst[len(dst)-1] &= last
 		}
 	}
 }
@@ -419,13 +420,7 @@ func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 		panic("gf2: Submatrix out of range")
 	}
 	out := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		for j := c0; j < c1; j++ {
-			if m.At(i, j) {
-				out.Set(i-r0, j-c0, true)
-			}
-		}
-	}
+	m.SubmatrixInto(out, r0, r1, c0, c1)
 	return out
 }
 

@@ -1,6 +1,9 @@
 package gf2
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Perm is a permutation of {0..n-1}. p[i] = j means position i of the
 // output takes element j of the input, i.e. applying p to a vector v
@@ -36,16 +39,24 @@ func (p Perm) ApplyToSlice(xs []float64) []float64 {
 }
 
 // PermuteCols returns a copy of m with columns permuted so that output
-// column i is input column p[i] (i.e. m·Pᵀ).
+// column i is input column p[i] (i.e. m·Pᵀ). p must be a permutation:
+// each set bit is moved once, through the inverse of p.
 func (m *Dense) PermuteCols(p Perm) *Dense {
 	if len(p) != m.cols {
 		panic("gf2: PermuteCols length mismatch")
 	}
+	inv := make([]int32, len(p))
+	for i, src := range p {
+		inv[src] = int32(i)
+	}
 	out := NewDense(m.rows, m.cols)
 	for i := 0; i < m.rows; i++ {
-		for jj, src := range p {
-			if m.At(i, src) {
-				out.Set(i, jj, true)
+		dst := out.row(i)
+		for wi, w := range m.row(i) {
+			for w != 0 {
+				j := inv[wi*wordBits+bits.TrailingZeros64(w)]
+				w &= w - 1
+				dst[j/wordBits] |= 1 << (uint(j) % wordBits)
 			}
 		}
 	}

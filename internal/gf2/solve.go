@@ -1,6 +1,9 @@
 package gf2
 
-import "errors"
+import (
+	"errors"
+	"math/bits"
+)
 
 // ErrSingular is returned when an inverse of a singular matrix is requested
 // or a linear system has no solution.
@@ -9,36 +12,57 @@ var ErrSingular = errors.New("gf2: matrix is singular / system unsolvable")
 // RowReduce transforms m in place to reduced row echelon form and returns
 // the pivot column of each pivot row, in order. Rows below the rank are
 // zero after the call.
-func (m *Dense) RowReduce() (pivots []int) {
+//
+// The pivot search reads a word of every row at or below the next pivot
+// row at once: their OR, above the current column, holds the next pivot
+// column or says the word has none. The rows at or below the pivot row
+// are zero left of its column, so elimination starts at its word.
+func (m *Dense) RowReduce() (pivots []int) { return m.eliminate(true) }
+
+// eliminate brings m to row echelon form in place and returns the pivot
+// columns, clearing each pivot column above its pivot row as well when
+// reduced is set (RowReduce) and only below it otherwise (Rank).
+func (m *Dense) eliminate(reduced bool) (pivots []int) {
 	r := 0
-	for c := 0; c < m.cols && r < m.rows; c++ {
-		// Find a pivot at or below row r in column c.
-		p := -1
+	for c := 0; c < m.cols && r < m.rows; {
+		wc := c / wordBits
+		var cand uint64
 		for i := r; i < m.rows; i++ {
-			if m.At(i, c) {
-				p = i
-				break
-			}
+			cand |= m.w[i*m.stride+wc]
 		}
-		if p < 0 {
+		if cand &= ^uint64(0) << (uint(c) % wordBits); cand == 0 {
+			c = (wc + 1) * wordBits
 			continue
 		}
+		c = wc*wordBits + bits.TrailingZeros64(cand)
+		mask := uint64(1) << (uint(c) % wordBits)
+		p := r
+		for m.w[p*m.stride+wc]&mask == 0 {
+			p++
+		}
 		m.SwapRows(r, p)
-		for i := 0; i < m.rows; i++ {
-			if i != r && m.At(i, c) {
-				m.RowXor(i, r)
+		piv := m.w[r*m.stride+wc : (r+1)*m.stride]
+		first := r + 1
+		if reduced {
+			first = 0
+		}
+		for i := first; i < m.rows; i++ {
+			if row := m.w[i*m.stride+wc : (i+1)*m.stride]; i != r && row[0]&mask != 0 {
+				for k, w := range piv {
+					row[k] ^= w
+				}
 			}
 		}
 		pivots = append(pivots, c)
 		r++
+		c++
 	}
 	return pivots
 }
 
 // Rank returns the GF(2) rank of m without modifying it.
 func (m *Dense) Rank() int {
-	c := m.Clone()
-	return len(c.RowReduce())
+	return len(m.Clone().eliminate(false))
 }
 
 // Inverse returns m⁻¹ for a square full-rank matrix, or ErrSingular.
@@ -153,42 +177,29 @@ func (m *Dense) RowSpaceContains(v Vec) bool {
 }
 
 // IndependentRows returns indices of a maximal linearly independent subset
-// of the rows of m, in increasing order.
+// of the rows of m, in increasing order. Each row is reduced against the
+// rows kept before it, stored end to end, and kept when a bit survives.
 func (m *Dense) IndependentRows() []int {
-	work := NewDense(0, m.cols)
-	basis := make([][]uint64, 0)
-	pivcols := make([]int, 0)
-	_ = work
+	var basis []uint64
+	var leads []int
 	var out []int
+	r := make([]uint64, m.stride)
 	for i := 0; i < m.rows; i++ {
-		r := make([]uint64, m.stride)
 		copy(r, m.row(i))
-		// Reduce against current basis.
-		for bi, b := range basis {
-			c := pivcols[bi]
+		for bi, c := range leads {
 			if r[c/wordBits]>>(uint(c)%wordBits)&1 == 1 {
-				for k := range r {
-					r[k] ^= b[k]
+				for k, w := range basis[bi*m.stride : (bi+1)*m.stride] {
+					r[k] ^= w
 				}
 			}
 		}
-		// Find leading one.
-		lead := -1
 		for wi, w := range r {
 			if w != 0 {
-				for b := 0; b < wordBits; b++ {
-					if w>>uint(b)&1 == 1 {
-						lead = wi*wordBits + b
-						break
-					}
-				}
+				basis = append(basis, r...)
+				leads = append(leads, wi*wordBits+bits.TrailingZeros64(w))
+				out = append(out, i)
 				break
 			}
-		}
-		if lead >= 0 {
-			basis = append(basis, r)
-			pivcols = append(pivcols, lead)
-			out = append(out, i)
 		}
 	}
 	return out
