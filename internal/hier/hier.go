@@ -13,9 +13,12 @@
 // GreedyGuess (one kernel, every block shape) keeps f in those words and
 // g in ⌈(ND−MD)/64⌉. Scoring a candidate needs only each touched block's
 // objective, which is a function of (block, local syndrome) and nothing
-// else, so it is looked up in a fixed-size direct-mapped table — the CPU
-// form of the accelerator's GDC (§5.3) — and solved only on a miss; the
-// winner's blocks are solved for real when it is committed.
+// else, so it is looked up in a direct-mapped table — the CPU form of the
+// accelerator's GDC (§5.3) — and solved only on a miss; the winner's
+// blocks are solved for real when it is committed. The table grows inside
+// one allocation: it starts at a few slots per block and quadruples as
+// misses accumulate, up to tableBudget, so a fresh decoder's first answer
+// touches kilobytes of it rather than all of it.
 //
 // The all-zero syndrome — most of the traffic at the paper's error rates
 // — is answered in front of all that, from the trace the first full pass
@@ -103,8 +106,14 @@ type Decoder struct {
 	// objective is a function of (block, local syndrome) alone — weights
 	// and InnerIters are fixed at New — so an entry never goes stale.
 	// nil unless the local syndrome is one word (fW = 1), the key.
-	table     []objEntry
-	tableBits uint
+	// Only the prefix table[:K<<tableBits] is in use: grow widens it 4×,
+	// up to maxBits, once sinceGrow misses reach half of it.
+	table              []objEntry
+	tableBits, maxBits uint
+	sinceGrow          int
+	// zeroObj is each block's objective on the all-zero local syndrome,
+	// which slot 0 of every block holds (see grow).
+	zeroObj []float64
 	// probes and misses count table lookups; the tests that report the
 	// table's first-pass hit share read them, nothing else does.
 	probes, misses int
@@ -143,9 +152,15 @@ type objEntry struct {
 	obj float64
 }
 
-// tableBudget is the objective table's size per decoder, in entries
-// (256 KiB), split evenly over the K blocks.
+// tableBudget caps the objective table per decoder, in entries
+// (256 KiB), split evenly over the K blocks. New allocates the cap at
+// once; the table grows inside that one allocation from tableStartBits
+// slots per block, so the decoder touches only the prefix in use.
 const tableBudget = 1 << 14
+
+// tableStartBits sizes a fresh decoder's table: 1<<tableStartBits slots
+// per block (or the cap, if smaller).
+const tableStartBits = 6
 
 // fibHash spreads a local syndrome over the high bits (2^64/φ); the
 // table index is the top tableBits of key·fibHash, so key 0 is slot 0.
@@ -191,16 +206,47 @@ func New(dec *decouple.Decoupling, originalWeights []float64, cfg Config) *Decod
 		}
 	}
 	if d.fW == 1 && dec.K <= tableBudget {
-		d.tableBits = uint(min(bits.Len(uint(tableBudget/dec.K))-1, dec.MD))
-		d.table = make([]objEntry, dec.K<<d.tableBits)
-		// Unused slots hold key 0, which only slot 0 can be asked for:
-		// seed it with the zero syndrome's real objective.
+		d.maxBits = uint(min(bits.Len(uint(tableBudget/dec.K))-1, dec.MD))
+		d.tableBits = min(tableStartBits, d.maxBits)
+		d.table = make([]objEntry, dec.K<<d.maxBits)
+		d.zeroObj = make([]float64, dec.K)
 		for g := range d.blocks {
 			d.greedyGuess(g, d.cand, &d.scratch)
-			d.table[g<<d.tableBits].obj = d.scratch.obj
+			d.zeroObj[g] = d.scratch.obj
 		}
+		d.seedZero()
 	}
 	return d
+}
+
+// seedZero fills slot 0 of every block in the table's prefix unless it
+// holds another key. Unused slots hold key 0, which only slot 0 can be
+// asked for, so it must hold the zero syndrome's real objective (not 0
+// under signed weights).
+func (d *Decoder) seedZero() {
+	for g, obj := range d.zeroObj {
+		if e := &d.table[g<<d.tableBits]; e.key == 0 {
+			e.obj = obj
+		}
+	}
+}
+
+// grow widens the table's prefix 4× (capped at maxBits) and keeps its
+// entries. Slot p of the old prefix is block p>>old's slot p&(1<<old−1),
+// the top old bits of its key's hash, so in the wider prefix the key
+// lands in one of the 1<<up slots from p<<up. Those lie at or above p:
+// moving from the top down never overwrites an entry still to be moved.
+func (d *Decoder) grow() {
+	old := d.tableBits
+	d.tableBits = min(old+2, d.maxBits)
+	d.sinceGrow = 0
+	up := d.tableBits - old
+	for p := d.dec.K<<old - 1; p >= 0; p-- {
+		e := d.table[p]
+		clear(d.table[p<<up : (p+1)<<up])
+		d.table[p<<up|int(e.key*fibHash>>(64-d.tableBits))&(1<<up-1)] = e
+	}
+	d.seedZero()
 }
 
 // buildTouched groups every column of A by block. ColSpan is sorted,
@@ -442,21 +488,32 @@ func (d *Decoder) flipDelta(i int) float64 {
 
 // blockObj returns the objective GreedyGuess reaches on block g from
 // local syndrome sl: looked up, and solved (into d.scratch) and stored
-// on a miss. Direct-mapped, so a colliding syndrome evicts.
+// on a miss. Direct-mapped, so a colliding syndrome evicts; a miss that
+// brings the misses since the last growth to half the prefix grows the
+// table first.
 func (d *Decoder) blockObj(g int, sl []uint64) float64 {
 	if d.table == nil {
 		d.greedyGuess(g, sl, &d.scratch)
 		return d.scratch.obj
 	}
 	key := sl[0]
-	e := &d.table[uint64(g)<<d.tableBits|key*fibHash>>(64-d.tableBits)]
+	e := d.slot(g, key)
 	d.probes++
 	if e.key != key {
 		d.misses++
 		d.greedyGuess(g, sl, &d.scratch)
+		if d.sinceGrow++; d.tableBits < d.maxBits && 2*d.sinceGrow >= d.dec.K<<d.tableBits {
+			d.grow()
+			e = d.slot(g, key)
+		}
 		*e = objEntry{key, d.scratch.obj}
 	}
 	return e.obj
+}
+
+// slot is block g's table entry for local syndrome key.
+func (d *Decoder) slot(g int, key uint64) *objEntry {
+	return &d.table[uint64(g)<<d.tableBits|key*fibHash>>(64-d.tableBits)]
 }
 
 // greedyGuess solves D_i·l = s_l for one block (paper Fig. 6): with

@@ -121,6 +121,10 @@ type Service struct {
 	// (every worker busy with its decoder) means saturation, the only regime
 	// where the batcher waits to grow a batch.
 	load atomic.Int64
+	// idle wakes a batcher holding a batch to grow it: whoever lowers
+	// load (a worker done with a batch, or abandon) sends without
+	// blocking, so the batch leaves as soon as a worker is free.
+	idle chan struct{}
 
 	// Resilience: the degradation ladder, the decoder-fault circuit
 	// breaker, and the cached p99 decode latency used for deadline
@@ -149,8 +153,9 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 	tracer := cfg.Tracer
 	if tracer == nil {
 		// A permanently disabled tracer keeps the hot path free of nil
-		// checks: ShouldSample is one atomic load returning false.
-		tracer = obs.NewTracer(obs.TracerConfig{})
+		// checks: ShouldSample is one atomic load returning false. Nothing
+		// records into its rings, so they get the minimum capacity.
+		tracer = obs.NewTracer(obs.TracerConfig{RingSpans: 1})
 		tracer.SetEnabled(false)
 	}
 	s := &Service{
@@ -164,6 +169,7 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		slow:        cfg.SlowLog,
 		in:          make(chan *request, cfg.MaxBatch),
 		work:        make(chan []*request, cfg.PoolSize),
+		idle:        make(chan struct{}, 1),
 		// Room for the queue's worth plus one whole call's: the 64 is
 		// DecodeBatchInto's stack array and wire's maxPipeline, the most
 		// requests one call keeps live until it collects, at any MaxBatch.
@@ -406,6 +412,8 @@ func (s *Service) batcher() {
 						break fill
 					}
 					b = append(b, req) // into MaxBatch capacity reserved at construction
+				case <-s.idle:
+					// A worker freed up: the load check above flushes.
 				case <-timer.C:
 					timerLive = false
 					break fill
@@ -455,6 +463,7 @@ func (s *Service) worker(id uint16) {
 			return
 		}
 		s.load.Add(-1)
+		s.signalIdle()
 		s.putBatch(b)
 	}
 	s.wg.Done()
@@ -608,6 +617,15 @@ func (s *Service) finish(req *request, err error) {
 	} else {
 		// The waiter abandoned the request (ctx); recycle it here.
 		s.putReq(req)
+	}
+}
+
+// signalIdle tells the batcher that load just dropped; a token already
+// pending says the same, so the send never blocks.
+func (s *Service) signalIdle() {
+	select {
+	case s.idle <- struct{}{}:
+	default:
 	}
 }
 

@@ -3,6 +3,8 @@ package serve
 import (
 	"context"
 	"math/rand/v2"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -280,6 +282,79 @@ func TestDecodeContextTimeout(t *testing.T) {
 	err := svc.DecodeInto(ctx, &res, gf2.NewVec(model.NumDet))
 	if err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestHeldBatchLeavesWhenAWorkerFrees saturates a one-worker service,
+// queues request B while the worker is inside A's decode, and releases
+// A: the batcher, holding B to grow a batch, must dispatch it as soon as
+// the worker goes idle rather than at the MaxWait deadline (an hour).
+func TestHeldBatchLeavesWhenAWorkerFrees(t *testing.T) {
+	model, _ := testModel(t)
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	factory := func() core.Decoder { return &gatedDecoder{model: model, gate: gate, entered: entered} }
+	svc := newService("test", model, "gated", factory, Config{PoolSize: 1, MaxWait: time.Hour})
+	defer svc.Close()
+	ctx := context.Background()
+	syn := gf2.NewVec(model.NumDet)
+
+	a, err := svc.submitTraced(ctx, syn, wireTrace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the only worker is busy: load == PoolSize
+	b, err := svc.submitTraced(ctx, syn, wireTrace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; !batcherHolding(); i++ {
+		if i == 10000 {
+			t.Fatal("the batcher never blocked holding B")
+		}
+		runtime.Gosched()
+	}
+	close(gate)
+	var res Result
+	if err := svc.wait(ctx, a, &res); err != nil {
+		t.Fatalf("A: %v", err)
+	}
+	bctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := svc.wait(bctx, b, &res); err != nil {
+		t.Fatalf("B, held to grow a batch, was not dispatched when the worker went idle: %v", err)
+	}
+}
+
+// batcherHolding reports whether a batcher is blocked in its fill loop,
+// holding a batch to grow it: the only select it blocks in.
+func batcherHolding() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.HasPrefix(g, "goroutine ") && strings.Contains(g, " [select") &&
+			strings.Contains(g, "vegapunk/internal/serve.(*Service).batcher(") {
+			return true
+		}
+	}
+	return false
+}
+
+// TestUntracedServiceAllocatesSmallRings bounds what newService
+// allocates without Config.Tracer: the batcher and every worker register
+// a span ring with the disabled stand-in tracer, which nothing can write,
+// so each gets the minimum ring instead of a 32 KiB one.
+func TestUntracedServiceAllocatesSmallRings(t *testing.T) {
+	model, factory := testModel(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	svc := newService("test", model, "BP(30)", factory, Config{PoolSize: 8})
+	svc.Close() // every goroutine has built its state once Close returns
+	runtime.ReadMemStats(&after)
+	const limit = 128 << 10
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("newService with 8 workers and no tracer allocated %d B", n)
+	if n > limit {
+		t.Errorf("newService with 8 workers and no tracer allocated %d B, want <= %d", n, limit)
 	}
 }
 

@@ -153,6 +153,7 @@ func (s *Service) abandon(w *workerState) {
 	s.met.decoderHangs.Add(1)
 	s.quarantine(w.lanes)
 	s.load.Add(-1)
+	s.signalIdle()
 	s.putBatch(w.lanes)
 	go s.worker(w.id) // takes over the abandoned worker's wg slot; exits when the batcher closes work
 }
