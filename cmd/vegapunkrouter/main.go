@@ -17,10 +17,10 @@
 // -hedge-rate), and admission control bounds the lanes in flight so a
 // partitioned replica cannot queue-collapse the front end. The admin
 // listener serves /metrics (per-replica health, retries, failovers,
-// open connections, network-vs-server latency split, SLO burn) and
-// /healthz; with -replica-traces it also serves /debug/clustertrace,
-// a Chrome trace_event document merging the router's forwarding spans
-// with each replica's stage spans, clock-offset aligned.
+// open connections, network-vs-server latency split) and /healthz;
+// with -replica-traces it also serves /debug/clustertrace, a Chrome
+// trace_event document merging the router's forwarding spans with each
+// replica's stage spans, clock-offset aligned.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight batches finish, then the
 // process exits 0.
@@ -54,8 +54,6 @@ func run() int {
 	poolSize := fs.Int("pool", 4, "idle backend connections kept per replica")
 	replicaTraces := fs.String("replica-traces", "", "comma-separated replica debug base URLs (parallel to -replicas, entries may be empty) for /debug/clustertrace merging")
 	traceSample := fs.Uint64("trace-sample", 8, "trace one in every N router-originated requests (1 traces everything)")
-	sloTarget := fs.Duration("slo-target", 5*time.Millisecond, "per-request latency target for the rolling SLO window")
-	sloBudget := fs.Float64("slo-budget", 0.01, "tolerated fraction of requests over -slo-target")
 	retryPerSec := fs.Float64("retry-budget-per-sec", 50, "per-replica retry token refill rate; an empty bucket fails lanes terminally instead of amplifying load")
 	retryBurst := fs.Float64("retry-budget-burst", 100, "per-replica retry token bucket capacity")
 	hedgeAfter := fs.Duration("hedge-after", 0, "re-send a slow batch to the sibling after this long without a first response (0 disables hedging)")
@@ -86,8 +84,6 @@ func run() int {
 		PoolSize:         *poolSize,
 		TraceURLs:        traceURLs,
 		TraceSampleEvery: *traceSample,
-		SLOTarget:        *sloTarget,
-		SLOBudget:        *sloBudget,
 
 		RetryBudgetPerSec: *retryPerSec,
 		RetryBudgetBurst:  *retryBurst,

@@ -488,7 +488,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			// sibling pass re-decodes it.
 			continue
 		}
-		f.rt.slo.observe(wall)
 		if ln.sampled {
 			f.ring.Record(obs.StageRouterForward, int32(rep.idx), uint32(ln.traceID), flushTick, recvTick)
 		}
@@ -507,7 +506,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 // plausibleTiming rejects server-timing blocks whose stage components
 // were corrupted in flight (wire.MaxStageNs gives the bound and why):
 // feeding them into the health stats would poison the network/server
-// split and the SLO burn.
+// split.
 func plausibleTiming(tm *wire.ServerTiming) bool {
 	const maxStageNs = wire.MaxStageNs
 	return tm.QueueWaitNs >= 0 && tm.QueueWaitNs <= maxStageNs &&

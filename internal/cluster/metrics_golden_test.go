@@ -49,10 +49,6 @@ func TestRouterMetricsGolden(t *testing.T) {
 	for _, fam := range []string{
 		"vegapunk_router_replica_network_seconds",
 		"vegapunk_router_replica_server_seconds",
-		"vegapunk_router_replica_clock_offset_seconds",
-		"vegapunk_router_slo_target_seconds",
-		"vegapunk_router_slo_window_requests",
-		"vegapunk_router_slo_burn",
 		"vegapunk_router_retry_budget_tokens",
 		"vegapunk_router_retry_budget_exhausted_total",
 		"vegapunk_router_hedges_total",
@@ -80,5 +76,25 @@ func TestRouterMetricsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("metrics exposition drifted from testdata/metrics.golden; run with -update if deliberate.\ngot:\n%s", got)
+	}
+}
+
+// TestFamilyTablesWellFormed: every family of the router's exposition
+// sets exactly one reader and no name repeats within a table (the
+// golden's lint catches a name repeated across tables), and the check
+// does catch a duplicated or readerless entry.
+func TestFamilyTablesWellFormed(t *testing.T) {
+	problems := append(obs.CheckFamilies(routerFamilies), obs.CheckFamilies(replicaFamilies)...)
+	if len(problems) > 0 {
+		t.Errorf("family tables:\n  %s", strings.Join(problems, "\n  "))
+	}
+	dup := append(append([]obs.Family[*replica](nil), replicaFamilies...), replicaFamilies[0])
+	if len(obs.CheckFamilies(dup)) == 0 {
+		t.Error("a duplicated replica family passed the check")
+	}
+	bare := append([]obs.Family[*Router](nil), routerFamilies...)
+	bare[0].Counter = nil
+	if len(obs.CheckFamilies(bare)) == 0 {
+		t.Error("a readerless router family passed the check")
 	}
 }

@@ -13,7 +13,8 @@
 // routing — so the tier holds its exactly-one-terminal-outcome
 // invariant and p99 bound under partitions, corruption, torn writes and
 // mid-stream resets (internal/netfault drives these in the
-// network-chaos suite).
+// network-chaos suite). The admin /metrics page renders two obs.Family
+// tables, router-wide and per replica (metrics.go).
 package cluster
 
 import (
@@ -55,14 +56,6 @@ type Config struct {
 	// arrive with their own telemetry block keep the client's sampling
 	// decision.
 	TraceSampleEvery uint64
-	// SLOTarget is the per-request router latency target the rolling
-	// SLO window scores against (default 5ms).
-	SLOTarget time.Duration
-	// SLOBudget is the tolerated fraction of requests over SLOTarget
-	// (default 0.01). The exported vegapunk_router_slo_burn gauge is
-	// observed-violation-rate / SLOBudget: sustained > 1 means the
-	// error budget is burning faster than allowed.
-	SLOBudget float64
 
 	// RetryBudgetPerSec refills each replica's retry token bucket
 	// (default 50/s), capped at RetryBudgetBurst (default 100). A lane
@@ -116,12 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceSampleEvery == 0 {
 		c.TraceSampleEvery = 8
-	}
-	if c.SLOTarget <= 0 {
-		c.SLOTarget = 5 * time.Millisecond
-	}
-	if c.SLOBudget <= 0 {
-		c.SLOBudget = 0.01
 	}
 	if c.RetryBudgetPerSec <= 0 {
 		c.RetryBudgetPerSec = 50
@@ -364,10 +351,8 @@ type Router struct {
 
 	// tracer records the router's own forward spans (one ring per
 	// client connection) and issues trace ids for requests that arrive
-	// without one; slo scores every relayed request against the
-	// configured latency target.
+	// without one.
 	tracer *obs.Tracer
-	slo    *sloWindow
 
 	// ringFree recycles span rings across client connections: a ring
 	// registers with the tracer once and is then handed from closed
@@ -414,7 +399,6 @@ func New(cfg Config) (*Router, error) {
 		probeDone:        make(chan struct{}),
 		maxInflightLanes: maxInflightLanes,
 		tracer:           obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
-		slo:              newSLOWindow(),
 	}
 	r.wire = wire.NewServer(func() wire.Handler { return newFEConn(r) })
 	now := obs.Tick()

@@ -163,11 +163,7 @@ func TestClusterTraceMerge(t *testing.T) {
 	// The trace blocks were router-originated: none of the client-side
 	// responses should have leaked a telemetry flag or timing block —
 	// res was parsed by plain ReadResult above, which rejects trailing
-	// bytes, so reaching here already proves the strip. Spot-check the
-	// SLO window saw the traffic too.
-	if _, seen := rt.slo.burn(int64(rt.cfg.SLOTarget), rt.cfg.SLOBudget); seen == 0 {
-		t.Fatal("SLO window never observed a relayed request")
-	}
+	// bytes, so reaching here already proves the strip.
 }
 
 // TestClusterTraceClientPropagated: a client-supplied trace context

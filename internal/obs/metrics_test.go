@@ -66,11 +66,11 @@ func TestDecodeMetricsRecordDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestWriteDecodeFamiliesLintsClean(t *testing.T) {
+func TestDecodeFamiliesLintClean(t *testing.T) {
 	m := NewDecodeMetrics()
 	m.Record(12, true, false, 2, 0, 0, 3)
 	var buf bytes.Buffer
-	WriteDecodeFamilies(&buf, []LabelledDecodeMetrics{{Labels: `model="test"`, M: m}})
+	WriteFamilies(&buf, DecodeFamilies, []*DecodeMetrics{m}, []string{`model="test"`})
 	out := buf.String()
 	for _, want := range []string{
 		"# HELP vegapunk_decode_total",
@@ -85,6 +85,128 @@ func TestWriteDecodeFamiliesLintsClean(t *testing.T) {
 	}
 	if problems := LintExposition(strings.NewReader(out)); len(problems) > 0 {
 		t.Errorf("lint violations: %v", problems)
+	}
+	if problems := CheckFamilies(DecodeFamilies); len(problems) > 0 {
+		t.Errorf("DecodeFamilies: %v", problems)
+	}
+}
+
+// famInst carries one value per reader kind for the renderer tests.
+type famInst struct {
+	c uint64
+	g int64
+	f float64
+	h *Histogram
+}
+
+var famTable = []Family[*famInst]{
+	{Name: "x_total", Help: "A counter.", Counter: func(in *famInst) uint64 { return in.c }},
+	{Name: "x_depth", Help: "A gauge.", Gauge: func(in *famInst) int64 { return in.g }},
+	{Name: "x_level", Help: "A float gauge.", Float: func(in *famInst) float64 { return in.f }},
+	{Name: "x_seconds", Help: "A histogram.", Hist: func(in *famInst) *Histogram { return in.h }},
+}
+
+// TestWriteFamilies pins the renderer byte for byte: HELP/TYPE once per
+// family with the TYPE fixed by the reader kind, then one sample set
+// per instance, unlabelled or labelled; integers in full decimal,
+// floats and histogram bounds and sums in %g.
+func TestWriteFamilies(t *testing.T) {
+	a := &famInst{c: 1<<64 - 1, g: -3, f: 1e-7, h: NewHistogram(0.5, 2)}
+	for _, v := range []float64{0.25, 1, 7} {
+		a.h.Observe(v)
+	}
+	b := &famInst{g: 42, f: 100, h: NewHistogram(0.5, 2)}
+
+	var buf bytes.Buffer
+	WriteFamilies(&buf, famTable, []*famInst{a}, nil)
+	want := `# HELP x_total A counter.
+# TYPE x_total counter
+x_total 18446744073709551615
+# HELP x_depth A gauge.
+# TYPE x_depth gauge
+x_depth -3
+# HELP x_level A float gauge.
+# TYPE x_level gauge
+x_level 1e-07
+# HELP x_seconds A histogram.
+# TYPE x_seconds histogram
+x_seconds_bucket{le="0.5"} 1
+x_seconds_bucket{le="2"} 2
+x_seconds_bucket{le="+Inf"} 3
+x_seconds_sum 8.25
+x_seconds_count 3
+`
+	if got := buf.String(); got != want {
+		t.Errorf("unlabelled exposition:\n%s\nwant:\n%s", got, want)
+	}
+
+	buf.Reset()
+	WriteFamilies(&buf, famTable, []*famInst{a, b}, []string{`k="a"`, `k="b"`})
+	want = `# HELP x_total A counter.
+# TYPE x_total counter
+x_total{k="a"} 18446744073709551615
+x_total{k="b"} 0
+# HELP x_depth A gauge.
+# TYPE x_depth gauge
+x_depth{k="a"} -3
+x_depth{k="b"} 42
+# HELP x_level A float gauge.
+# TYPE x_level gauge
+x_level{k="a"} 1e-07
+x_level{k="b"} 100
+# HELP x_seconds A histogram.
+# TYPE x_seconds histogram
+x_seconds_bucket{k="a",le="0.5"} 1
+x_seconds_bucket{k="a",le="2"} 2
+x_seconds_bucket{k="a",le="+Inf"} 3
+x_seconds_sum{k="a"} 8.25
+x_seconds_count{k="a"} 3
+x_seconds_bucket{k="b",le="0.5"} 0
+x_seconds_bucket{k="b",le="2"} 0
+x_seconds_bucket{k="b",le="+Inf"} 0
+x_seconds_sum{k="b"} 0
+x_seconds_count{k="b"} 0
+`
+	got := buf.String()
+	if got != want {
+		t.Errorf("labelled exposition:\n%s\nwant:\n%s", got, want)
+	}
+	// The histogram samples are exactly the bucket writer's output.
+	var hist bytes.Buffer
+	a.h.writeProm(&hist, "x_seconds", `k="a"`)
+	b.h.writeProm(&hist, "x_seconds", `k="b"`)
+	if !strings.HasSuffix(got, hist.String()) {
+		t.Errorf("histogram samples differ from writeProm:\n%s", hist.String())
+	}
+	if problems := LintExposition(strings.NewReader(got)); len(problems) > 0 {
+		t.Errorf("lint violations: %v", problems)
+	}
+}
+
+// TestCheckFamilies: a well-formed table passes; a readerless entry, an
+// entry with two readers and a repeated name are each reported.
+func TestCheckFamilies(t *testing.T) {
+	if problems := CheckFamilies(famTable); len(problems) > 0 {
+		t.Fatalf("well-formed table flagged: %v", problems)
+	}
+	bare := append([]Family[*famInst](nil), famTable...)
+	bare[1].Gauge = nil
+	two := append([]Family[*famInst](nil), famTable...)
+	two[0].Gauge = famTable[1].Gauge
+	dup := append(append([]Family[*famInst](nil), famTable...), famTable[2])
+	for _, tc := range []struct {
+		name string
+		fams []Family[*famInst]
+		want string
+	}{
+		{"readerless", bare, "x_depth: 0 readers"},
+		{"two readers", two, "x_total: 2 readers"},
+		{"duplicate", dup, "x_level: family declared twice"},
+	} {
+		problems := CheckFamilies(tc.fams)
+		if len(problems) != 1 || !strings.Contains(problems[0], tc.want) {
+			t.Errorf("%s: got %v, want one problem containing %q", tc.name, problems, tc.want)
+		}
 	}
 }
 
@@ -115,6 +237,9 @@ func TestLintExpositionCatchesViolations(t *testing.T) {
 		{"bad character",
 			"# HELP x-y help\n# TYPE x-y gauge\nx-y 1\n",
 			"invalid metric name character"},
+		{"declared twice",
+			"# HELP x help\n# TYPE x gauge\nx 1\n# HELP x help\n# TYPE x gauge\nx 2\n",
+			"declared twice"},
 	}
 	for _, tc := range cases {
 		problems := LintExposition(strings.NewReader(tc.in))

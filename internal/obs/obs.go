@@ -12,7 +12,7 @@
 //     events travel by value through a bounded channel. Ring.Record,
 //     Histogram.Observe, DecodeMetrics.Record and SlowLog.Offer each
 //     have an AllocsPerRun test that holds them to zero.
-//   - Rendering (the cold half) — WriteTrace, the Prometheus writers,
+//   - Rendering (the cold half) — WriteTrace, WriteFamilies,
 //     the slow-log JSON encoder goroutine, the debug HTTP mux — runs
 //     off the decode path and is free to allocate.
 //

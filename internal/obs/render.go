@@ -4,50 +4,94 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
-// Prometheus text exposition rendering. Each metric family is rendered
-// once (# HELP / # TYPE header followed by one sample set per label
-// set). The rendering path is cold and free to allocate.
+// Prometheus text exposition rendering. Every family of every
+// exposition is one Family row in a table, and WriteFamilies renders
+// the tables: # HELP / # TYPE once per family, then one sample set per
+// instance. The rendering path is cold and free to allocate.
 
-// WriteHeader emits the HELP/TYPE preamble for one family.
-func WriteHeader(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+// Family is one metric family: its name, its HELP text and exactly one
+// reader, whose kind fixes the TYPE line (Counter → counter, Gauge and
+// Float → gauge, Hist → histogram).
+type Family[T any] struct {
+	Name, Help string
+	Counter    func(T) uint64
+	Gauge      func(T) int64
+	Float      func(T) float64
+	Hist       func(T) *Histogram
 }
 
-// WriteCounterSample emits one counter sample (no header). labels is a
-// pre-rendered `k="v",…` string or empty.
-func WriteCounterSample(w io.Writer, name, labels string, v uint64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %d\n", name, v)
-		return
+func (f *Family[T]) typ() string {
+	switch {
+	case f.Counter != nil:
+		return "counter"
+	case f.Hist != nil:
+		return "histogram"
 	}
-	fmt.Fprintf(w, "%s{%s} %d\n", name, labels, v)
+	return "gauge"
 }
 
-// WriteGaugeSample emits one gauge sample (no header).
-func WriteGaugeSample(w io.Writer, name, labels string, v int64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %d\n", name, v)
-		return
+// WriteFamilies renders every family of fams over insts. labels[i] is
+// the pre-rendered `k="v",…` set of insts[i]; a nil labels renders
+// unlabelled samples.
+func WriteFamilies[T any](w io.Writer, fams []Family[T], insts []T, labels []string) {
+	for i := range fams {
+		f := &fams[i]
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.typ())
+		for j, in := range insts {
+			var lbl string
+			if labels != nil {
+				lbl = labels[j]
+			}
+			if f.Hist != nil {
+				f.Hist(in).writeProm(w, f.Name, lbl)
+				continue
+			}
+			series := f.Name
+			if lbl != "" {
+				series += "{" + lbl + "}"
+			}
+			switch {
+			case f.Counter != nil:
+				fmt.Fprintf(w, "%s %s\n", series, strconv.FormatUint(f.Counter(in), 10))
+			case f.Gauge != nil:
+				fmt.Fprintf(w, "%s %s\n", series, strconv.FormatInt(f.Gauge(in), 10))
+			default:
+				fmt.Fprintf(w, "%s %g\n", series, f.Float(in))
+			}
+		}
 	}
-	fmt.Fprintf(w, "%s{%s} %d\n", name, labels, v)
 }
 
-// WriteFloatGauge emits one float-valued gauge sample (no header):
-// SLO burn rates, clock offsets, token-bucket levels.
-func WriteFloatGauge(w io.Writer, name, labels string, v float64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %g\n", name, v)
-		return
+// CheckFamilies reports every entry of fams that does not set exactly
+// one reader or repeats an earlier entry's name.
+func CheckFamilies[T any](fams []Family[T]) []string {
+	var problems []string
+	seen := map[string]bool{}
+	for _, f := range fams {
+		n := 0
+		for _, set := range []bool{f.Counter != nil, f.Gauge != nil, f.Float != nil, f.Hist != nil} {
+			if set {
+				n++
+			}
+		}
+		if n != 1 {
+			problems = append(problems, fmt.Sprintf("%s: %d readers, want exactly 1", f.Name, n))
+		}
+		if seen[f.Name] {
+			problems = append(problems, fmt.Sprintf("%s: family declared twice", f.Name))
+		}
+		seen[f.Name] = true
 	}
-	fmt.Fprintf(w, "%s{%s} %g\n", name, labels, v)
+	return problems
 }
 
-// WriteProm renders the histogram's cumulative buckets, _sum and
+// writeProm renders the histogram's cumulative buckets, _sum and
 // _count under the given family name and label set (no header).
-func (h *Histogram) WriteProm(w io.Writer, name, labels string) {
+func (h *Histogram) writeProm(w io.Writer, name, labels string) {
 	sep := ""
 	if labels != "" {
 		sep = ","
@@ -68,58 +112,32 @@ func (h *Histogram) WriteProm(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.count.Load())
 }
 
-// LabelledDecodeMetrics pairs one DecodeMetrics instance with its
-// pre-rendered label set (e.g. `model="bb-72-12-6/bp/p0.001"`).
-type LabelledDecodeMetrics struct {
-	Labels string
-	M      *DecodeMetrics
-}
-
-// decodeFamilies is the export schema of DecodeMetrics; the renderer
-// walks it so the server (many labelled instances) and the experiment
-// harness (one) emit identical family sets.
-var decodeFamilies = []struct {
-	name, help, typ string
-	counter         func(*DecodeMetrics) *Counter
-	hist            func(*DecodeMetrics) *Histogram
-}{
-	{name: "vegapunk_decode_total", help: "Decode calls observed by the decoder telemetry.", typ: "counter",
-		counter: func(m *DecodeMetrics) *Counter { return &m.Decodes }},
-	{name: "vegapunk_decode_bp_converged_total", help: "Decodes where plain BP reproduced the syndrome.", typ: "counter",
-		counter: func(m *DecodeMetrics) *Counter { return &m.BPConverged }},
-	{name: "vegapunk_decode_fallback_total", help: "Decodes that engaged OSD/LSD fallback post-processing.", typ: "counter",
-		counter: func(m *DecodeMetrics) *Counter { return &m.Fallback }},
-	{name: "vegapunk_decode_bp_iterations", help: "BP message-passing iterations per decode.", typ: "histogram",
-		hist: func(m *DecodeMetrics) *Histogram { return m.BPIters }},
-	{name: "vegapunk_decode_hier_levels", help: "Hierarchical outer levels per Vegapunk decode.", typ: "histogram",
-		hist: func(m *DecodeMetrics) *Histogram { return m.HierLevels }},
-	{name: "vegapunk_decode_bpgd_rounds", help: "Guided-decimation rounds per BPGD decode.", typ: "histogram",
-		hist: func(m *DecodeMetrics) *Histogram { return m.BPGDRounds }},
-	{name: "vegapunk_decode_lsd_cluster_checks", help: "Largest LSD cluster check count per fallback decode.", typ: "histogram",
-		hist: func(m *DecodeMetrics) *Histogram { return m.LSDClusterChecks }},
-	{name: "vegapunk_decode_syndrome_weight", help: "Hamming weight of decoded syndromes.", typ: "histogram",
-		hist: func(m *DecodeMetrics) *Histogram { return m.SyndromeWeight }},
-}
-
-// WriteDecodeFamilies renders every DecodeMetrics family across the
-// given labelled instances, HELP/TYPE once per family.
-func WriteDecodeFamilies(w io.Writer, insts []LabelledDecodeMetrics) {
-	for _, f := range decodeFamilies {
-		WriteHeader(w, f.name, f.help, f.typ)
-		for _, in := range insts {
-			if f.counter != nil {
-				WriteCounterSample(w, f.name, in.Labels, f.counter(in.M).Load())
-			} else {
-				f.hist(in.M).WriteProm(w, f.name, in.Labels)
-			}
-		}
-	}
+// DecodeFamilies is the export schema of DecodeMetrics: the replica
+// renders it with one labelled sample set per served model.
+var DecodeFamilies = []Family[*DecodeMetrics]{
+	{Name: "vegapunk_decode_total", Help: "Decode calls observed by the decoder telemetry.",
+		Counter: func(m *DecodeMetrics) uint64 { return m.Decodes.Load() }},
+	{Name: "vegapunk_decode_bp_converged_total", Help: "Decodes where plain BP reproduced the syndrome.",
+		Counter: func(m *DecodeMetrics) uint64 { return m.BPConverged.Load() }},
+	{Name: "vegapunk_decode_fallback_total", Help: "Decodes that engaged OSD/LSD fallback post-processing.",
+		Counter: func(m *DecodeMetrics) uint64 { return m.Fallback.Load() }},
+	{Name: "vegapunk_decode_bp_iterations", Help: "BP message-passing iterations per decode.",
+		Hist: func(m *DecodeMetrics) *Histogram { return m.BPIters }},
+	{Name: "vegapunk_decode_hier_levels", Help: "Hierarchical outer levels per Vegapunk decode.",
+		Hist: func(m *DecodeMetrics) *Histogram { return m.HierLevels }},
+	{Name: "vegapunk_decode_bpgd_rounds", Help: "Guided-decimation rounds per BPGD decode.",
+		Hist: func(m *DecodeMetrics) *Histogram { return m.BPGDRounds }},
+	{Name: "vegapunk_decode_lsd_cluster_checks", Help: "Largest LSD cluster check count per fallback decode.",
+		Hist: func(m *DecodeMetrics) *Histogram { return m.LSDClusterChecks }},
+	{Name: "vegapunk_decode_syndrome_weight", Help: "Hamming weight of decoded syndromes.",
+		Hist: func(m *DecodeMetrics) *Histogram { return m.SyndromeWeight }},
 }
 
 // LintExposition audits a Prometheus text exposition for the repo's
 // naming conventions and returns one message per violation:
 //
-//   - every sample's family must have # HELP and # TYPE lines;
+//   - every sample's family must have # HELP and # TYPE lines, and no
+//     family may be TYPEd twice;
 //   - counter families must end in _total, non-counters must not;
 //   - family names must not end in the reserved _bucket/_sum/_count
 //     suffixes (histogram internals are derived, never declared);
@@ -149,6 +167,9 @@ func LintExposition(r io.Reader) []string {
 			if len(fields) != 2 {
 				problems = append(problems, fmt.Sprintf("malformed TYPE line: %q", line))
 				continue
+			}
+			if _, dup := typeOf[fields[0]]; dup {
+				problems = append(problems, fmt.Sprintf("%s: family declared twice", fields[0]))
 			}
 			typeOf[fields[0]] = fields[1]
 		case line == "" || strings.HasPrefix(line, "#"):

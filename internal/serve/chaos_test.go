@@ -85,8 +85,8 @@ func TestChaosPanicQuarantineAndRecovery(t *testing.T) {
 	if got := svc.met.decoderPanics.Load(); got != 1 {
 		t.Errorf("decoder_panics_total = %d, want 1", got)
 	}
-	if got := svc.Pool().Poisoned(); got != 1 {
-		t.Errorf("pool poisoned = %d, want 1", got)
+	if got := quarantines(svc); got != 1 {
+		t.Errorf("quarantines = %d, want 1", got)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestChaosWrongLengthQuarantine(t *testing.T) {
 	if got := svc.met.decoderBadResults.Load(); got != 1 {
 		t.Errorf("decoder_bad_results_total = %d, want 1", got)
 	}
-	if got := svc.Pool().Poisoned(); got != 1 {
-		t.Errorf("pool poisoned = %d, want 1", got)
+	if got := quarantines(svc); got != 1 {
+		t.Errorf("quarantines = %d, want 1", got)
 	}
 }
 
@@ -241,11 +241,11 @@ func TestChaosWorkerOwnsDecoder(t *testing.T) {
 		f.decode(t, 1)
 	}
 	f.decode(t, 4*poolSize)
-	if got := pool.Poisoned(); got != 1 {
-		t.Errorf("Poisoned() = %d, want 1", got)
+	if got := quarantines(f.svc); got != 1 {
+		t.Errorf("quarantines = %d, want 1", got)
 	}
-	if got := pool.Created(); got != poolSize+1 {
-		t.Errorf("Created() = %d after one quarantine, want %d", got, poolSize+1)
+	if got := pool.Misses(); got != poolSize+1 {
+		t.Errorf("Misses() = %d after one quarantine, want %d", got, poolSize+1)
 	}
 	f.balanced(t, "after the quarantine")
 	neverAfter(t, f.served(), clients*perClient+1, poisoned)
@@ -358,8 +358,8 @@ func testChaosBatchFault(t *testing.T, rig func(core.Factory) faultRig, faults f
 	if got := faults(svc); got != 1 {
 		t.Errorf("fault counter = %d, want 1", got)
 	}
-	if got := svc.Pool().Poisoned(); got != 1 {
-		t.Errorf("pool poisoned = %d, want 1", got)
+	if got := quarantines(svc); got != 1 {
+		t.Errorf("quarantines = %d, want 1", got)
 	}
 	// The replacement serves the next 8 (while a hung call is still stuck).
 	results := make([]Result, lanes)
@@ -484,8 +484,8 @@ func TestChaosWatchdogPhotoFinish(t *testing.T) {
 	}
 	t.Logf("worker won %d, watchdog won %d", oks.Load(), hangs)
 	pool := svc.Pool()
-	if pool.Created() > int64(pool.Size())+int64(pool.Poisoned()) {
-		t.Errorf("pool created=%d size=%d poisoned=%d", pool.Created(), pool.Size(), pool.Poisoned())
+	if pool.Misses() > uint64(pool.Size())+quarantines(svc) {
+		t.Errorf("pool misses=%d size=%d quarantines=%d", pool.Misses(), pool.Size(), quarantines(svc))
 	}
 	if got := svc.met.queueDepth.Load(); got != 0 {
 		t.Errorf("queue depth = %d after Close, want 0", got)

@@ -33,7 +33,7 @@ type Server struct {
 	// wire is the binary-protocol endpoint: listeners, connections, the
 	// drain flag and the frame loop; wire.go supplies its handler.
 	wire        *wire.Server
-	wireDecodes Counter
+	wireDecodes obs.Counter
 }
 
 // NewServer builds an empty server; register models before serving.
@@ -167,21 +167,18 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	}{out})
 }
 
+// handleMetrics renders the replica's exposition: the per-model
+// families of every service, then the listener-wide wire families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeServiceFamilies(w, s.snapshot())
-	promHeader(w, "vegapunk_serve_wire_connections_total", "Wire protocol connections accepted.", "counter")
-	fmt.Fprintf(w, "vegapunk_serve_wire_connections_total %d\n", s.wire.Accepted())
-	promHeader(w, "vegapunk_serve_wire_open_connections", "Wire protocol connections currently open.", "gauge")
-	fmt.Fprintf(w, "vegapunk_serve_wire_open_connections %d\n", s.wire.Open())
-	promHeader(w, "vegapunk_serve_wire_decodes_total", "Decode frames received over the wire protocol.", "counter")
-	fmt.Fprintf(w, "vegapunk_serve_wire_decodes_total %d\n", s.wireDecodes.Load())
-	promHeader(w, "vegapunk_serve_wire_protocol_errors_total", "Wire connections terminated by a protocol error.", "counter")
-	fmt.Fprintf(w, "vegapunk_serve_wire_protocol_errors_total %d\n", s.wire.ProtocolErrors())
-	promHeader(w, "vegapunk_serve_wire_draining", "Whether the wire listener is draining (responses carry the drain flag).", "gauge")
-	var draining int64
-	if s.wire.Draining() {
-		draining = 1
+	svcs := s.snapshot()
+	labels := make([]string, len(svcs))
+	decs := make([]*obs.DecodeMetrics, len(svcs))
+	for i, svc := range svcs {
+		labels[i] = fmt.Sprintf("model=%q", svc.key)
+		decs[i] = svc.met.dec
 	}
-	fmt.Fprintf(w, "vegapunk_serve_wire_draining %d\n", draining)
+	obs.WriteFamilies(w, serviceFamilies, svcs, labels)
+	obs.WriteFamilies(w, obs.DecodeFamilies, decs, labels)
+	obs.WriteFamilies(w, wireFamilies, []*Server{s}, nil)
 }

@@ -1,166 +1,118 @@
 package serve
 
-import (
-	"fmt"
-	"io"
-
-	"vegapunk/internal/obs"
-)
-
-// The metric primitives (counters, gauges, fixed-bucket histograms and
-// the Prometheus text rendering) live in internal/obs so the simulator
-// and the experiment harness report the same telemetry as the server;
-// the aliases below keep serve's call sites unchanged.
-
-// Counter is a monotonically increasing metric (alias of obs.Counter).
-type Counter = obs.Counter
-
-// Gauge is a value that can go up and down (alias of obs.Gauge).
-type Gauge = obs.Gauge
-
-// Histogram is a fixed-boundary histogram (alias of obs.Histogram).
-type Histogram = obs.Histogram
-
-// NewHistogram builds a histogram with the given ascending upper
-// bounds.
-func NewHistogram(bounds ...float64) *Histogram { return obs.NewHistogram(bounds...) }
-
-// promHeader emits the HELP/TYPE preamble for one family.
-func promHeader(w io.Writer, name, help, typ string) { obs.WriteHeader(w, name, help, typ) }
-
-// modelLabels renders the service's label set.
-func modelLabels(s *Service) string { return fmt.Sprintf("model=%q", s.key) }
-
-// counterFam renders one counter family across all services.
-func counterFam(w io.Writer, name, help string, svcs []*Service, get func(*Service) uint64) {
-	promHeader(w, name, help, "counter")
-	for _, s := range svcs {
-		obs.WriteCounterSample(w, name, modelLabels(s), get(s))
-	}
-}
-
-// gaugeFam renders one gauge family across all services.
-func gaugeFam(w io.Writer, name, help string, svcs []*Service, get func(*Service) int64) {
-	promHeader(w, name, help, "gauge")
-	for _, s := range svcs {
-		obs.WriteGaugeSample(w, name, modelLabels(s), get(s))
-	}
-}
-
-// histFam renders one histogram family across all services (cumulative
-// buckets, _sum, _count).
-func histFam(w io.Writer, name, help string, svcs []*Service, get func(*Service) *Histogram) {
-	promHeader(w, name, help, "histogram")
-	for _, s := range svcs {
-		get(s).WriteProm(w, name, modelLabels(s))
-	}
-}
+import "vegapunk/internal/obs"
 
 // serviceMetrics is the per-model metric set: the queue/dispatch
 // counters plus one latency histogram per pipeline stage and the shared
 // decoder telemetry (obs.DecodeMetrics).
 type serviceMetrics struct {
-	requests    Counter
-	unsatisfied Counter
-	batches     Counter
+	requests    obs.Counter
+	unsatisfied obs.Counter
+	batches     obs.Counter
 	// batchedDecodes counts multi-request micro-batches decoded in one
 	// dispatch.
-	batchedDecodes Counter
-	queueDepth     Gauge
-	batchSize      *Histogram
+	batchedDecodes obs.Counter
+	queueDepth     obs.Gauge
+	batchSize      *obs.Histogram
 	// Per-stage latencies: admission to dispatch (queueWaitSeconds),
 	// first enqueue to batch flush (assembleSeconds), the decoder call
 	// (decodeSeconds), and the pool-boundary copy-out plus syndrome
 	// check (copyOutSeconds).
-	queueWaitSeconds *Histogram
-	assembleSeconds  *Histogram
-	decodeSeconds    *Histogram
-	copyOutSeconds   *Histogram
+	queueWaitSeconds *obs.Histogram
+	assembleSeconds  *obs.Histogram
+	decodeSeconds    *obs.Histogram
+	copyOutSeconds   *obs.Histogram
 	// dec aggregates decoder execution metadata (BP iterations,
 	// convergence, fallback engagement, …).
 	dec *obs.DecodeMetrics
 	// Resilience counters: requests shed on deadline budget, requests
 	// decoded at a degraded tier, and decoder quarantine causes.
-	shed              Counter
-	degraded          Counter
-	decoderPanics     Counter
-	decoderHangs      Counter
-	decoderBadResults Counter
+	shed              obs.Counter
+	degraded          obs.Counter
+	decoderPanics     obs.Counter
+	decoderHangs      obs.Counter
+	decoderBadResults obs.Counter
 }
 
 func newServiceMetrics() *serviceMetrics {
 	return &serviceMetrics{
-		batchSize:        NewHistogram(1, 2, 4, 8, 16, 32, 64),
-		queueWaitSeconds: NewHistogram(obs.LatencyBuckets()...),
-		assembleSeconds:  NewHistogram(obs.LatencyBuckets()...),
-		decodeSeconds:    NewHistogram(obs.LatencyBuckets()...),
-		copyOutSeconds:   NewHistogram(obs.LatencyBuckets()...),
+		batchSize:        obs.NewHistogram(1, 2, 4, 8, 16, 32, 64),
+		queueWaitSeconds: obs.NewHistogram(obs.LatencyBuckets()...),
+		assembleSeconds:  obs.NewHistogram(obs.LatencyBuckets()...),
+		decodeSeconds:    obs.NewHistogram(obs.LatencyBuckets()...),
+		copyOutSeconds:   obs.NewHistogram(obs.LatencyBuckets()...),
 		dec:              obs.NewDecodeMetrics(),
 	}
 }
 
-// DecodeMetrics exposes the service's decoder telemetry (tests, cmd).
-func (s *Service) DecodeMetrics() *obs.DecodeMetrics { return s.met.dec }
+// serviceFamilies is the per-model half of the replica's /metrics
+// page, one sample per registered service.
+var serviceFamilies = []obs.Family[*Service]{
+	{Name: "vegapunk_serve_requests_total", Help: "Syndromes decoded.",
+		Counter: func(s *Service) uint64 { return s.met.requests.Load() }},
+	{Name: "vegapunk_serve_unsatisfied_total", Help: "Decodes whose estimate did not reproduce the syndrome.",
+		Counter: func(s *Service) uint64 { return s.met.unsatisfied.Load() }},
+	{Name: "vegapunk_serve_batches_total", Help: "Micro-batches dispatched.",
+		Counter: func(s *Service) uint64 { return s.met.batches.Load() }},
+	{Name: "vegapunk_serve_batched_decodes_total", Help: "Multi-request micro-batches decoded in one dispatch.",
+		Counter: func(s *Service) uint64 { return s.met.batchedDecodes.Load() }},
+	{Name: "vegapunk_serve_queue_depth", Help: "Syndromes admitted but not yet decoded.",
+		Gauge: func(s *Service) int64 { return s.met.queueDepth.Load() }},
+	{Name: "vegapunk_serve_batch_size", Help: "Syndromes per dispatched micro-batch.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.batchSize }},
+	{Name: "vegapunk_serve_queue_wait_seconds", Help: "Admission-to-dispatch wait per syndrome.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.queueWaitSeconds }},
+	{Name: "vegapunk_serve_batch_assemble_seconds", Help: "First-enqueue-to-flush assembly time per micro-batch.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.assembleSeconds }},
+	{Name: "vegapunk_serve_decode_seconds", Help: "Per-syndrome decode latency (decoder call only).",
+		Hist: func(s *Service) *obs.Histogram { return s.met.decodeSeconds }},
+	{Name: "vegapunk_serve_copy_out_seconds", Help: "Pool-boundary copy-out and syndrome-check time per syndrome.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.copyOutSeconds }},
+	{Name: "vegapunk_serve_shed_total", Help: "Requests shed because the deadline budget could not cover p99 decode latency.",
+		Counter: func(s *Service) uint64 { return s.met.shed.Load() }},
+	{Name: "vegapunk_serve_degraded_total", Help: "Requests decoded at a degraded tier.",
+		Counter: func(s *Service) uint64 { return s.met.degraded.Load() }},
+	{Name: "vegapunk_serve_degradation_tier", Help: "Active degradation tier (0 full, 1 degraded, 2 minimal).",
+		Gauge: func(s *Service) int64 { return int64(s.Tier()) }},
+	{Name: "vegapunk_serve_decoder_panics_total", Help: "Decoder instances quarantined after a panic.",
+		Counter: func(s *Service) uint64 { return s.met.decoderPanics.Load() }},
+	{Name: "vegapunk_serve_decoder_hangs_total", Help: "Decoder instances quarantined after a hung decode.",
+		Counter: func(s *Service) uint64 { return s.met.decoderHangs.Load() }},
+	{Name: "vegapunk_serve_decoder_bad_results_total", Help: "Decoder instances quarantined after a wrong-length result.",
+		Counter: func(s *Service) uint64 { return s.met.decoderBadResults.Load() }},
+	{Name: "vegapunk_serve_breaker_open", Help: "Whether the decoder-fault circuit breaker is open (1) or closed (0).",
+		Gauge: func(s *Service) int64 { return boolGauge(s.breaker.open(obs.Tick())) }},
+	{Name: "vegapunk_serve_breaker_trips_total", Help: "Circuit breaker trips after repeated decoder quarantines.",
+		Counter: func(s *Service) uint64 { return s.breaker.trips.Load() }},
+	{Name: "vegapunk_serve_breaker_rejected_total", Help: "Submissions fast-failed while the circuit breaker was open.",
+		Counter: func(s *Service) uint64 { return s.breaker.rejected.Load() }},
+	{Name: "vegapunk_serve_pool_hits_total", Help: "Dispatches served by the worker's decoder.",
+		Counter: func(s *Service) uint64 { return s.pool.Hits() }},
+	{Name: "vegapunk_serve_pool_misses_total", Help: "Dispatches that constructed the worker's decoder.",
+		Counter: func(s *Service) uint64 { return s.pool.Misses() }},
+	{Name: "vegapunk_serve_pool_size", Help: "Decoder instance bound.",
+		Gauge: func(s *Service) int64 { return int64(s.pool.Size()) }},
+}
 
-// writeServiceFamilies renders every per-model metric family over the
-// given services.
-func writeServiceFamilies(w io.Writer, svcs []*Service) {
-	counterFam(w, "vegapunk_serve_requests_total", "Syndromes decoded.", svcs,
-		func(s *Service) uint64 { return s.met.requests.Load() })
-	counterFam(w, "vegapunk_serve_unsatisfied_total", "Decodes whose estimate did not reproduce the syndrome.", svcs,
-		func(s *Service) uint64 { return s.met.unsatisfied.Load() })
-	counterFam(w, "vegapunk_serve_batches_total", "Micro-batches dispatched.", svcs,
-		func(s *Service) uint64 { return s.met.batches.Load() })
-	counterFam(w, "vegapunk_serve_batched_decodes_total", "Multi-request micro-batches decoded in one dispatch.", svcs,
-		func(s *Service) uint64 { return s.met.batchedDecodes.Load() })
-	gaugeFam(w, "vegapunk_serve_queue_depth", "Syndromes admitted but not yet decoded.", svcs,
-		func(s *Service) int64 { return s.met.queueDepth.Load() })
-	histFam(w, "vegapunk_serve_batch_size", "Syndromes per dispatched micro-batch.", svcs,
-		func(s *Service) *Histogram { return s.met.batchSize })
-	histFam(w, "vegapunk_serve_queue_wait_seconds", "Admission-to-dispatch wait per syndrome.", svcs,
-		func(s *Service) *Histogram { return s.met.queueWaitSeconds })
-	histFam(w, "vegapunk_serve_batch_assemble_seconds", "First-enqueue-to-flush assembly time per micro-batch.", svcs,
-		func(s *Service) *Histogram { return s.met.assembleSeconds })
-	histFam(w, "vegapunk_serve_decode_seconds", "Per-syndrome decode latency (decoder call only).", svcs,
-		func(s *Service) *Histogram { return s.met.decodeSeconds })
-	histFam(w, "vegapunk_serve_copy_out_seconds", "Pool-boundary copy-out and syndrome-check time per syndrome.", svcs,
-		func(s *Service) *Histogram { return s.met.copyOutSeconds })
-	counterFam(w, "vegapunk_serve_shed_total", "Requests shed because the deadline budget could not cover p99 decode latency.", svcs,
-		func(s *Service) uint64 { return s.met.shed.Load() })
-	counterFam(w, "vegapunk_serve_degraded_total", "Requests decoded at a degraded tier.", svcs,
-		func(s *Service) uint64 { return s.met.degraded.Load() })
-	gaugeFam(w, "vegapunk_serve_degradation_tier", "Active degradation tier (0 full, 1 degraded, 2 minimal).", svcs,
-		func(s *Service) int64 { return int64(s.Tier()) })
-	counterFam(w, "vegapunk_serve_decoder_panics_total", "Decoder instances quarantined after a panic.", svcs,
-		func(s *Service) uint64 { return s.met.decoderPanics.Load() })
-	counterFam(w, "vegapunk_serve_decoder_hangs_total", "Decoder instances quarantined after a hung decode.", svcs,
-		func(s *Service) uint64 { return s.met.decoderHangs.Load() })
-	counterFam(w, "vegapunk_serve_decoder_bad_results_total", "Decoder instances quarantined after a wrong-length result.", svcs,
-		func(s *Service) uint64 { return s.met.decoderBadResults.Load() })
-	gaugeFam(w, "vegapunk_serve_breaker_open", "Whether the decoder-fault circuit breaker is open (1) or closed (0).", svcs,
-		func(s *Service) int64 {
-			if s.breaker.open(obs.Tick()) {
-				return 1
-			}
-			return 0
-		})
-	counterFam(w, "vegapunk_serve_breaker_trips_total", "Circuit breaker trips after repeated decoder quarantines.", svcs,
-		func(s *Service) uint64 { return s.breaker.trips.Load() })
-	counterFam(w, "vegapunk_serve_breaker_rejected_total", "Submissions fast-failed while the circuit breaker was open.", svcs,
-		func(s *Service) uint64 { return s.breaker.rejected.Load() })
-	counterFam(w, "vegapunk_serve_pool_hits_total", "Dispatches served by the worker's decoder.", svcs,
-		func(s *Service) uint64 { return s.pool.Hits() })
-	counterFam(w, "vegapunk_serve_pool_misses_total", "Dispatches that constructed the worker's decoder.", svcs,
-		func(s *Service) uint64 { return s.pool.Misses() })
-	counterFam(w, "vegapunk_serve_pool_poisoned_total", "Decoder instances removed from the pool after a fault.", svcs,
-		func(s *Service) uint64 { return s.pool.Poisoned() })
-	gaugeFam(w, "vegapunk_serve_pool_size", "Decoder instance bound.", svcs,
-		func(s *Service) int64 { return int64(s.pool.Size()) })
-	gaugeFam(w, "vegapunk_serve_pool_created", "Decoder instances constructed.", svcs,
-		func(s *Service) int64 { return s.pool.Created() })
-	insts := make([]obs.LabelledDecodeMetrics, len(svcs))
-	for i, s := range svcs {
-		insts[i] = obs.LabelledDecodeMetrics{Labels: modelLabels(s), M: s.met.dec}
+// wireFamilies is the listener-wide half of the replica's /metrics
+// page, unlabelled.
+var wireFamilies = []obs.Family[*Server]{
+	{Name: "vegapunk_serve_wire_connections_total", Help: "Wire protocol connections accepted.",
+		Counter: func(s *Server) uint64 { return s.wire.Accepted() }},
+	{Name: "vegapunk_serve_wire_open_connections", Help: "Wire protocol connections currently open.",
+		Gauge: func(s *Server) int64 { return s.wire.Open() }},
+	{Name: "vegapunk_serve_wire_decodes_total", Help: "Decode frames received over the wire protocol.",
+		Counter: func(s *Server) uint64 { return s.wireDecodes.Load() }},
+	{Name: "vegapunk_serve_wire_protocol_errors_total", Help: "Wire connections terminated by a protocol error.",
+		Counter: func(s *Server) uint64 { return s.wire.ProtocolErrors() }},
+	{Name: "vegapunk_serve_wire_draining", Help: "Whether the wire listener is draining (responses carry the drain flag).",
+		Gauge: func(s *Server) int64 { return boolGauge(s.wire.Draining()) }},
+}
+
+// boolGauge renders a flag as a 0/1 gauge value.
+func boolGauge(b bool) int64 {
+	if b {
+		return 1
 	}
-	obs.WriteDecodeFamilies(w, insts)
+	return 0
 }

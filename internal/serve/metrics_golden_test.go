@@ -66,6 +66,26 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestFamilyTablesWellFormed: every family of the replica's exposition
+// sets exactly one reader and no name repeats within a table (the
+// golden's lint catches a name repeated across tables), and the check
+// does catch a duplicated or readerless entry.
+func TestFamilyTablesWellFormed(t *testing.T) {
+	problems := append(obs.CheckFamilies(serviceFamilies), obs.CheckFamilies(wireFamilies)...)
+	if len(problems) > 0 {
+		t.Errorf("family tables:\n  %s", strings.Join(problems, "\n  "))
+	}
+	dup := append(append([]obs.Family[*Service](nil), serviceFamilies...), serviceFamilies[0])
+	if len(obs.CheckFamilies(dup)) == 0 {
+		t.Error("a duplicated service family passed the check")
+	}
+	bare := append([]obs.Family[*Server](nil), wireFamilies...)
+	bare[0].Counter = nil
+	if len(obs.CheckFamilies(bare)) == 0 {
+		t.Error("a readerless wire family passed the check")
+	}
+}
+
 // diffLines renders a minimal line diff for golden mismatches.
 func diffLines(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")

@@ -10,23 +10,17 @@ import "sync/atomic"
 // next Decode", internal/README.md), so a result must still be copied
 // out (see gf2.CopyVec) before the worker's next dispatch.
 type Pool struct {
-	size     int
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	poisoned atomic.Uint64
+	size   int
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // Size is the instance bound: the number of dispatch workers.
 func (p *Pool) Size() int { return p.size }
 
-// Created is the number of instances constructed so far: one per miss.
-func (p *Pool) Created() int64 { return int64(p.misses.Load()) }
-
 // Hits counts dispatches served by the worker's existing decoder.
 func (p *Pool) Hits() uint64 { return p.hits.Load() }
 
-// Misses counts dispatches that constructed the worker's decoder.
+// Misses counts dispatches that constructed the worker's decoder: one
+// per instance built.
 func (p *Pool) Misses() uint64 { return p.misses.Load() }
-
-// Poisoned counts instances quarantined after a fault.
-func (p *Pool) Poisoned() uint64 { return p.poisoned.Load() }

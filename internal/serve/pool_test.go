@@ -103,13 +103,13 @@ func (f *ownedFixture) panicOnce(t *testing.T) int {
 	return ids[len(ids)-1]
 }
 
-// balanced checks Created() against the factory count and every dispatch
-// against exactly one hit or miss.
+// balanced checks Misses() against the factory count and every
+// dispatch against exactly one hit or miss.
 func (f *ownedFixture) balanced(t *testing.T, when string) {
 	t.Helper()
 	pool := f.svc.Pool()
-	if pool.Created() != f.built.Load() {
-		t.Errorf("%s: Created() = %d, factory ran %d times", when, pool.Created(), f.built.Load())
+	if pool.Misses() != uint64(f.built.Load()) {
+		t.Errorf("%s: Misses() = %d, factory ran %d times", when, pool.Misses(), f.built.Load())
 	}
 	if got, want := pool.Hits()+pool.Misses(), f.svc.met.batches.Load(); got != want {
 		t.Errorf("%s: hits+misses = %d, batches_total = %d", when, got, want)
@@ -121,6 +121,12 @@ func (f *ownedFixture) served() []int {
 	f.log.mu.Lock()
 	defer f.log.mu.Unlock()
 	return append([]int(nil), f.log.ids...)
+}
+
+// quarantines sums the quarantine-cause counters: every quarantined
+// instance bumps exactly one of them.
+func quarantines(s *Service) uint64 {
+	return s.met.decoderPanics.Load() + s.met.decoderHangs.Load() + s.met.decoderBadResults.Load()
 }
 
 // neverAfter fails if instance id served any call from index from on.
@@ -139,7 +145,7 @@ func neverAfter(t *testing.T, ids []int, from, id int) {
 func TestPoolBoundedAndExclusive(t *testing.T) {
 	const size = 3
 	f := newOwnedFixture(t, Config{PoolSize: size, BreakerThreshold: -1, MaxDegradeTier: -1}, nil)
-	if f.svc.Pool().Created() != 0 || f.built.Load() != 0 {
+	if f.svc.Pool().Misses() != 0 || f.built.Load() != 0 {
 		t.Fatal("service constructed decoders eagerly")
 	}
 	if f.svc.Pool().Size() != size {
@@ -163,16 +169,16 @@ func TestPoolPoisonReplaces(t *testing.T) {
 		[]faultinject.Kind{faultinject.KindNone, faultinject.KindPanic})
 	pool := f.svc.Pool()
 	f.decode(t, 1)
-	if pool.Created() != 1 || pool.Poisoned() != 0 {
-		t.Fatalf("created=%d poisoned=%d, want 1/0", pool.Created(), pool.Poisoned())
+	if pool.Misses() != 1 || quarantines(f.svc) != 0 {
+		t.Fatalf("misses=%d quarantines=%d, want 1/0", pool.Misses(), quarantines(f.svc))
 	}
 	poisoned := f.panicOnce(t)
-	if pool.Poisoned() != 1 {
-		t.Fatalf("Poisoned() = %d, want 1", pool.Poisoned())
+	if got := quarantines(f.svc); got != 1 {
+		t.Fatalf("quarantines = %d, want 1", got)
 	}
 	f.decode(t, 4)
-	if pool.Created() != 2 {
-		t.Fatalf("Created() = %d, want 2", pool.Created())
+	if pool.Misses() != 2 {
+		t.Fatalf("Misses() = %d, want 2", pool.Misses())
 	}
 	f.balanced(t, "after the replacement")
 	neverAfter(t, f.served(), 2, poisoned)

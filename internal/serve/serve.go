@@ -28,9 +28,9 @@
 //     per-request deadlines and graceful drain; a stdlib net/http
 //     listener beside it answers GET /v1/models, /healthz and
 //     /debug/decodetrace.
-//   - Metrics: atomic counters/gauges/histograms rendered in Prometheus
-//     text format at GET /metrics, with zero allocations on the
-//     observation path.
+//   - Metrics: atomic counters/gauges/histograms with zero allocations
+//     on the observation path, rendered in Prometheus text format at
+//     GET /metrics from two obs.Family tables (metrics.go).
 package serve
 
 import (

@@ -469,13 +469,12 @@ func (s *Service) worker(id uint16) {
 	s.wg.Done()
 }
 
-// quarantine handles a decoder fault: record the failure with the
-// circuit breaker, count the faulty instance poisoned (its worker drops
-// it and builds a replacement on its next dispatch) and fail every lane
-// of the dispatch with ErrDecoderFault.
+// quarantine handles a decoder fault whose cause the caller has
+// counted: record the failure with the circuit breaker and fail every
+// lane of the dispatch with ErrDecoderFault. The worker drops the
+// faulty instance and builds a replacement on its next dispatch.
 func (s *Service) quarantine(lanes []*request) {
 	s.breaker.recordFailure(obs.Tick())
-	s.pool.poisoned.Add(1)
 	for _, req := range lanes {
 		s.finish(req, ErrDecoderFault)
 	}

@@ -91,7 +91,7 @@ func TestConcurrentPoolMatchesSerial(t *testing.T) {
 			t.Fatalf("syndrome %d: pooled correction differs from serial reference", i)
 		}
 	}
-	if created := svc.Pool().Created(); created > 4 {
+	if created := svc.Pool().Misses(); created > 4 {
 		t.Fatalf("pool constructed %d decoders, bound is 4", created)
 	}
 	if svc.met.requests.Load() != nSyn {
