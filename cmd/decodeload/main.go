@@ -66,7 +66,6 @@ type tally struct {
 	latencies []time.Duration
 	failures  int
 	syndromes int
-	degraded  int // syndromes decoded below full tier
 	retried   int // responses the router re-sent to a sibling replica
 	// reconnects counts wire connections re-established after transport
 	// loss (jittered exponential backoff per worker).
@@ -206,8 +205,8 @@ func run(args []string) int {
 		pct(0.50), pct(0.99), tl.latencies[len(tl.latencies)-1], tl.failures, failRate)
 	// Failure-class breakdown: how the daemon's resilience machinery
 	// resolved the requests that did not decode at full quality.
-	fmt.Printf("decodeload: classes rejected_503=%d timeouts_504=%d decoder_faults=%d transport_errors=%d degraded_syndromes=%d retried=%d reconnects=%d\n",
-		tl.rejected503, tl.timeout504, tl.decoderFault, tl.transportErrs, tl.degraded, tl.retried, tl.reconnects)
+	fmt.Printf("decodeload: classes rejected_503=%d timeouts_504=%d decoder_faults=%d transport_errors=%d retried=%d reconnects=%d\n",
+		tl.rejected503, tl.timeout504, tl.decoderFault, tl.transportErrs, tl.retried, tl.reconnects)
 	// Server-side stage breakdown (mean per syndrome): where the latency
 	// budget actually goes — waiting in the micro-batch queue, the
 	// decoder call, or the pool-boundary copy-out.
@@ -337,7 +336,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 		type laneOut struct {
 			status      wire.Status
 			flags       wire.Flags
-			tier        uint8
 			match       bool
 			timed       bool
 			queueWaitNs int64
@@ -359,7 +357,7 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 					transport, terr = true, err
 					break
 				}
-				lo := laneOut{status: res.Status, flags: h.Flags, tier: res.Tier,
+				lo := laneOut{status: res.Status, flags: h.Flags,
 					queueWaitNs: res.QueueWaitNs, decodeNs: res.DecodeNs, copyOutNs: res.CopyOutNs}
 				if timed {
 					lo.timed = true
@@ -406,9 +404,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 					if s := lo.serverNs; s > serverReqNs {
 						serverReqNs = s
 					}
-				}
-				if lo.tier > 0 {
-					tl.degraded++
 				}
 				if !lo.match {
 					tl.failures++

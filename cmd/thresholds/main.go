@@ -21,7 +21,7 @@ import (
 
 func main() {
 	var (
-		shots    = flag.Int("shots", 6000, "shots per sweep point (BP+OSD uses half)")
+		shots    = flag.Int("shots", 6000, "shots per sweep point (BP+OSD-CS(7) uses half)")
 		maxN     = flag.Int("maxn", 300, "largest code size to fit")
 		maxRound = flag.Int("rounds", 6, "cap on memory rounds")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel workers")
@@ -50,7 +50,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		for _, decName := range []string{"BP", "BP+OSD", "Vegapunk"} {
+		for _, decName := range []string{"BP", exp.DecBPOSD, "Vegapunk"} {
 			t0 := time.Now()
 			var pls []float64
 			var rows string
@@ -65,7 +65,7 @@ func main() {
 				switch decName {
 				case "BP":
 					f = func() core.Decoder { return core.NewMinSumBP(model, 200) }
-				case "BP+OSD":
+				case exp.DecBPOSD:
 					f = func() core.Decoder { return core.NewBPOSD(model, 200, 7) }
 					n = *shots / 2
 				default:
@@ -87,7 +87,7 @@ func main() {
 			default:
 				fitStr = fmt.Sprintf("n/a (k=%.2f)", fit.K)
 			}
-			fmt.Printf("  %-8s%s  | %s  [%.0fs]\n", decName, rows, fitStr, time.Since(t0).Seconds())
+			fmt.Printf("  %-12s%s  | %s  [%.0fs]\n", decName, rows, fitStr, time.Since(t0).Seconds())
 		}
 	}
 }

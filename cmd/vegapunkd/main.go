@@ -26,9 +26,10 @@
 // -chaos-seed: a small fraction of decodes run slow, panic, return
 // wrong-length results, stall past the watchdog, or skew their trace
 // clock. This exercises the resilience machinery — worker quarantine,
-// hang watchdog, circuit breaker, deadline shedding and the
-// degradation ladder — against a live daemon; injected fault totals
-// are logged at shutdown.
+// hang watchdog, circuit breaker and deadline shedding — against a live
+// daemon; injected fault totals are logged at shutdown. Every decode
+// runs its decoder's constructed configuration: there is no cheaper
+// tier to fall back to under load, only shedding.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, queues
 // flush, then the process exits 0.
@@ -76,7 +77,6 @@ func run() int {
 	slowLogPath := fs.String("slow-log", "", "append slow-request JSON lines to this file ('-' for stderr)")
 	slowThreshold := fs.Duration("slow-threshold", 10*time.Millisecond, "end-to-end latency above which a request is logged as slow")
 	hangTimeout := fs.Duration("hang-timeout", time.Second, "decode watchdog: quarantine a decoder instance that has not returned after this long")
-	maxDegradeTier := fs.Int("max-degrade-tier", 0, "degradation ladder ceiling (0 = full ladder, negative disables degradation)")
 	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive decoder faults that trip the circuit breaker (negative disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "how long a tripped breaker fast-fails before probing again")
 	chaos := fs.Bool("chaos", false, "wrap every decoder in a deterministic fault injector (testing only)")
@@ -134,7 +134,6 @@ func run() int {
 		SlowLog:          slowLog,
 		SlowThreshold:    *slowThreshold,
 		HangTimeout:      *hangTimeout,
-		MaxDegradeTier:   *maxDegradeTier,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 	})
@@ -275,9 +274,9 @@ func buildFactory(ws *exp.Workspace, b exp.Benchmark, model *dem.Model, name str
 		return func() core.Decoder { return core.NewVegapunkFrom(model, dcp, hier.Config{}) }, nil
 	case "bp":
 		return func() core.Decoder { return core.NewBP(model, bpIters) }, nil
-	case "bp+osd", "bposd":
+	case "bp+osd":
 		return func() core.Decoder { return core.NewBPOSD(model, bpIters, 7) }, nil
-	case "bp+lsd", "bplsd":
+	case "bp+lsd":
 		return func() core.Decoder { return core.NewBPLSD(model) }, nil
 	}
 	return nil, fmt.Errorf("unknown decoder %q (want vegapunk, bp, bp+osd or bp+lsd)", name)

@@ -8,7 +8,7 @@
 //	    -replicas 127.0.0.1:8473,127.0.0.1:8474
 //
 // Replica health is tracked passively from response flags (breaker
-// open, degraded, draining) and actively by ping probes; requests that
+// open, draining) and actively by ping probes; requests that
 // a replica sheds or fast-fails are retried on the next-best healthy
 // sibling under a per-replica token-bucket retry budget
 // (-retry-budget-per-sec), with the retry flagged in the response.

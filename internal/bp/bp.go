@@ -166,27 +166,6 @@ func (d *Decoder) Clone() *Decoder {
 // Probe exposes the decoder's span-recording handle (obs.Probed).
 func (d *Decoder) Probe() *obs.Probe { return d.probe }
 
-// MaxIters reports the current iteration cap.
-func (d *Decoder) MaxIters() int { return d.cfg.MaxIters }
-
-// SetMaxIters retunes the iteration cap at runtime (min 1). No buffer
-// depends on the cap, so this is safe between Decode calls — the
-// degradation ladder uses it to trade accuracy for latency under
-// overload.
-func (d *Decoder) SetMaxIters(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.cfg.MaxIters = n
-}
-
-// SetLegs retunes the number of relay legs at runtime, between 0 (plain
-// min-sum, no stall exit) and the constructed Config.Legs, whose γ table
-// is the only one there is.
-func (d *Decoder) SetLegs(n int) {
-	d.cfg.Legs = max(0, min(n, len(d.gamma)))
-}
-
 // Result reports a BP decode.
 type Result struct {
 	// Error is the correction: under relay the lightest solution found,

@@ -139,30 +139,3 @@ func TestRelayDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestSetLegs pins the runtime knob the degradation ladder uses: 0 is
-// plain min-sum to the letter, and a request above the constructed legs
-// clamps to them.
-func TestSetLegs(t *testing.T) {
-	model := relayModel(t)
-	plain := New(model.Mech, model.LLRs(), Config{MaxIters: 30})
-	d := New(model.Mech, model.LLRs(), Config{MaxIters: 30, Legs: 8})
-	full := make([]gf2.Vec, 0, 64)
-	syns := stallingPool(t, model, 30, 64, 5)
-	for _, s := range syns {
-		full = append(full, d.Decode(s).Error.Clone())
-	}
-	d.SetLegs(0)
-	for i, s := range syns {
-		want := plain.Decode(s)
-		if got := d.Decode(s); !got.Error.Equal(want.Error) || got.Iters != want.Iters || got.Converged != want.Converged {
-			t.Fatalf("syndrome %d: SetLegs(0) is not plain min-sum", i)
-		}
-	}
-	d.SetLegs(100)
-	for i, s := range syns {
-		if !d.Decode(s).Error.Equal(full[i]) {
-			t.Fatalf("syndrome %d: SetLegs above the constructed legs does not restore them", i)
-		}
-	}
-}

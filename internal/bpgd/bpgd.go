@@ -81,19 +81,6 @@ const decimatedLLR = 50.0
 // round spans share it, so one activation traces the whole decode.
 func (d *Decoder) Probe() *obs.Probe { return d.inner.Probe() }
 
-// MaxRounds reports the current decimation-round cap.
-func (d *Decoder) MaxRounds() int { return d.cfg.MaxRounds }
-
-// SetMaxRounds retunes the decimation-round cap at runtime (min 1). No
-// buffer is sized by it, so it is safe between Decode calls — the
-// serving degradation ladder lowers it under overload.
-func (d *Decoder) SetMaxRounds(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.cfg.MaxRounds = n
-}
-
 // Decode runs guided decimation against the syndrome.
 func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 	copy(d.work, d.prior)

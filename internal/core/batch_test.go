@@ -39,7 +39,7 @@ func TestDecodeBatchHelperMatchesSerial(t *testing.T) {
 	}{
 		{veg, refVeg},
 		{NewBP(model, 30), NewBP(model, 30)},
-		{NewBPGD(model), NewBPGD(model)},
+		{NewBPGD(model, 0, 0), NewBPGD(model, 0, 0)},
 	}
 	for _, tc := range cases {
 		syns, out, stats := batchFixture(t, model, 70, 4)

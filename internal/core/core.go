@@ -65,85 +65,22 @@ type Decoder interface {
 // goroutine).
 type Factory func() Decoder
 
-// Tier is a degradation level: how much accuracy a decoder may trade
-// for latency when the serving layer is under deadline or queue
-// pressure. TierFull is the constructed configuration; higher tiers
-// are strictly cheaper and strictly less accurate.
+// Tier is always TierFull: every decoder runs the configuration it
+// was built with. The type stays only because benchmark/workload.go
+// compares serve.Result.Tier and wire.Result.Tier with TierFull.
 type Tier uint8
 
-// Degradation tiers, cheapest last.
-const (
-	// TierFull decodes with the constructed configuration.
-	TierFull Tier = iota
-	// TierDegraded halves the iteration budgets (BP iterations, BPGD
-	// rounds, hierarchical outer rounds) but keeps OSD/LSD fallback.
-	TierDegraded
-	// TierMinimal quarters the iteration budgets and skips the fallback
-	// stage entirely (OSD/LSD post-processing, Relay-BP's memory legs):
-	// bounded worst-case latency, plain-BP accuracy.
-	TierMinimal
-)
-
-// MaxTier is the cheapest tier any decoder supports.
-const MaxTier = TierMinimal
-
-// String names the tier for metrics and logs.
-func (t Tier) String() string {
-	switch t {
-	case TierFull:
-		return "full"
-	case TierDegraded:
-		return "degraded"
-	case TierMinimal:
-		return "minimal"
-	}
-	return "invalid"
-}
-
-// DegradableDecoder is implemented by decoders that support the tier
-// ladder. SetTier reconfigures subsequent Decode calls and returns the
-// tier actually applied (requests above MaxTier clamp); it must be
-// cheap and allocation-free — the serving worker calls it before every
-// decode. Like Decode, it is not safe for concurrent use on one
-// instance.
-type DegradableDecoder interface {
-	Decoder
-	SetTier(t Tier) Tier
-}
-
-// clampTier normalizes an out-of-range tier request.
-func clampTier(t Tier) Tier {
-	if t > MaxTier {
-		return MaxTier
-	}
-	return t
-}
-
-// tierIters scales an iteration budget for a tier: full, half, quarter
-// (never below 1).
-func tierIters(full int, t Tier) int {
-	n := full
-	switch t {
-	case TierDegraded:
-		n = full / 2
-	case TierMinimal:
-		n = full / 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// TierFull is the only tier: the constructed configuration.
+const TierFull Tier = 0
 
 // ---- Vegapunk ----
 
 // Vegapunk is the paper's decoder: offline decoupling + online
 // hierarchical decoding.
 type Vegapunk struct {
-	name      string
-	dec       *decouple.Decoupling
-	online    *hier.Decoder
-	fullOuter int // constructed outer-round cap (TierFull)
+	name   string
+	dec    *decouple.Decoupling
+	online *hier.Decoder
 }
 
 // BuildVegapunk runs the offline stage on the model's check matrix and
@@ -162,12 +99,10 @@ func BuildVegapunk(model *dem.Model, dopts decouple.Options, cfg hier.Config) (*
 // decoupling artifact — the deployment flow: decouple offline, load
 // online.
 func NewVegapunkFrom(model *dem.Model, dec *decouple.Decoupling, cfg hier.Config) *Vegapunk {
-	online := hier.New(dec, model.LLRs(), cfg)
 	return &Vegapunk{
-		name:      "Vegapunk",
-		dec:       dec,
-		online:    online,
-		fullOuter: online.MaxIters(),
+		name:   "Vegapunk",
+		dec:    dec,
+		online: hier.New(dec, model.LLRs(), cfg),
 	}
 }
 
@@ -183,26 +118,6 @@ func (v *Vegapunk) Decode(s gf2.Vec) (gf2.Vec, Stats) {
 	return e, Stats{Hier: tr}
 }
 
-// SetTier implements DegradableDecoder: outer rounds step down from
-// the constructed cap (paper default 3) to full-1 and then 1. The
-// hierarchical base solve always runs, so even TierMinimal explains
-// the diagonal blocks.
-func (v *Vegapunk) SetTier(t Tier) Tier {
-	t = clampTier(t)
-	n := v.fullOuter
-	switch t {
-	case TierDegraded:
-		n = v.fullOuter - 1
-	case TierMinimal:
-		n = 1
-	}
-	if n < 1 {
-		n = 1
-	}
-	v.online.SetMaxIters(n)
-	return t
-}
-
 // Decoupling exposes the offline artifact (for the accelerator model and
 // Table 2/3 reporting).
 func (v *Vegapunk) Decoupling() *decouple.Decoupling { return v.dec }
@@ -210,25 +125,12 @@ func (v *Vegapunk) Decoupling() *decouple.Decoupling { return v.dec }
 // ---- BP-family baselines ----
 
 // baseline adapts one BP-family decoder (BP, BP+OSD, BP+LSD, BPGD) to
-// Decoder and DegradableDecoder. The families differ only in the three
-// functions; the tier ladder is applied once, here.
+// Decoder: a name, the inner BP decoder's probe and a decode that
+// translates the family's result into Stats.
 type baseline struct {
-	name  string
-	probe *obs.Probe
-	full  int // constructed budget (TierFull): BP iterations, or BPGD rounds
-	// decode runs one decode and translates its result.
+	name   string
+	probe  *obs.Probe
 	decode func(s gf2.Vec) (gf2.Vec, Stats)
-	// limit reads the budget currently applied, apply sets a scaled one
-	// and switches the fallback stage — OSD/LSD post-processing, relay
-	// legs — (ignored where there is none).
-	limit func() int
-	apply func(budget int, fallback bool)
-}
-
-// newBaseline records the constructed budget as the TierFull one.
-func newBaseline(name string, probe *obs.Probe, decode func(gf2.Vec) (gf2.Vec, Stats),
-	limit func() int, apply func(int, bool)) *baseline {
-	return &baseline{name: name, probe: probe, full: limit(), decode: decode, limit: limit, apply: apply}
 }
 
 func (b *baseline) Name() string { return b.name }
@@ -239,15 +141,6 @@ func (b *baseline) Probe() *obs.Probe { return b.probe }
 
 func (b *baseline) Decode(s gf2.Vec) (gf2.Vec, Stats) { return b.decode(s) }
 
-// SetTier implements DegradableDecoder: the budget scales
-// full/half/quarter and TierMinimal additionally skips the fallback
-// stage.
-func (b *baseline) SetTier(t Tier) Tier {
-	t = clampTier(t)
-	b.apply(tierIters(b.full, t), t != TierMinimal)
-	return t
-}
-
 // relayLegs is the number of memory legs NewBP may relay a syndrome
 // through after the plain one.
 const relayLegs = 8
@@ -257,9 +150,7 @@ const relayLegs = 8
 // whose first solution, unless provably of minimum weight, is weighed
 // against the next four the chain finds (see package bp). maxIters caps
 // each leg and names the decoder; maxIters ≤ 0 uses the paper's default
-// of n. On the tier ladder the memory legs are the fallback stage:
-// TierMinimal runs the plain leg alone. The paper's inaccurate BP
-// baseline is NewMinSumBP.
+// of n. The paper's inaccurate BP baseline is NewMinSumBP.
 func NewBP(model *dem.Model, maxIters int) Decoder {
 	return newBP(model, bp.Config{MaxIters: maxIters, Legs: relayLegs})
 }
@@ -276,19 +167,10 @@ func newBP(model *dem.Model, cfg bp.Config) Decoder {
 		name = fmt.Sprintf("BP(%d)", cfg.MaxIters)
 	}
 	d := bp.New(model.Mech, model.LLRs(), cfg)
-	return newBaseline(name, d.Probe(),
-		func(s gf2.Vec) (gf2.Vec, Stats) {
-			r := d.Decode(s)
-			return r.Error, Stats{BPIters: r.Iters, BPConverged: r.Converged}
-		},
-		d.MaxIters, func(n int, fallback bool) {
-			d.SetMaxIters(n)
-			if fallback {
-				d.SetLegs(cfg.Legs)
-			} else {
-				d.SetLegs(0)
-			}
-		})
+	return &baseline{name: name, probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
+		r := d.Decode(s)
+		return r.Error, Stats{BPIters: r.Iters, BPConverged: r.Converged}
+	}}
 }
 
 // NewBPOSD wraps BP+OSD-CS(t), the accuracy baseline. order ≤ 0 uses the
@@ -300,44 +182,35 @@ func NewBPOSD(model *dem.Model, bpIters, order int) Decoder {
 	d := osd.NewBPOSD(model.Mech, model.LLRs(),
 		bp.Config{MaxIters: bpIters},
 		osd.Config{Method: osd.CombinationSweep, Order: order})
-	return newBaseline(fmt.Sprintf("BP+OSD-CS(%d)", order), d.Probe(),
-		func(s gf2.Vec) (gf2.Vec, Stats) {
-			r := d.Decode(s)
-			return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged}
-		},
-		d.BPMaxIters, func(n int, fallback bool) { d.SetBPMaxIters(n); d.SetFallback(fallback) })
+	return &baseline{name: fmt.Sprintf("BP+OSD-CS(%d)", order), probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
+		r := d.Decode(s)
+		return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged}
+	}}
 }
 
 // NewBPLSD wraps BP+LSD (30 BP iterations, order 0), per the paper's
 // baseline configuration.
 func NewBPLSD(model *dem.Model) Decoder {
 	d := lsd.New(model.Mech, model.LLRs(), bp.Config{MaxIters: 30})
-	return newBaseline("BP+LSD", d.Probe(),
-		func(s gf2.Vec) (gf2.Vec, Stats) {
-			r := d.Decode(s)
-			return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged, LSDMaxCluster: r.MaxClusterChecks}
-		},
-		d.BPMaxIters, func(n int, fallback bool) { d.SetBPMaxIters(n); d.SetFallback(fallback) })
+	return &baseline{name: "BP+LSD", probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
+		r := d.Decode(s)
+		return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged, LSDMaxCluster: r.MaxClusterChecks}
+	}}
 }
 
-// NewBPGD wraps BP guided decimation (100 BP iterations per round, up to
-// n rounds), per the paper's baseline configuration.
-func NewBPGD(model *dem.Model) Decoder { return NewBPGDWith(model, 0, 0) }
-
-// NewBPGDWith wraps BPGD with explicit round/iteration budgets (the
-// experiment harness scales these with its quality setting); a budget
-// ≤ 0 takes bpgd's default. The tier ladder scales the round cap.
-func NewBPGDWith(model *dem.Model, maxRounds, itersPerRound int) Decoder {
+// NewBPGD wraps BP guided decimation with up to maxRounds decimation
+// rounds of itersPerRound BP iterations each (the experiment harness
+// scales both with its quality setting); a budget ≤ 0 takes the paper's
+// baseline configuration, n rounds of 100 iterations.
+func NewBPGD(model *dem.Model, maxRounds, itersPerRound int) Decoder {
 	d := bpgd.New(model.Mech, model.LLRs(), bpgd.Config{
 		MaxRounds:     maxRounds,
 		ItersPerRound: itersPerRound,
 	})
-	return newBaseline("BPGD", d.Probe(),
-		func(s gf2.Vec) (gf2.Vec, Stats) {
-			r := d.Decode(s)
-			return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged, BPGDRounds: r.Rounds}
-		},
-		d.MaxRounds, func(n int, _ bool) { d.SetMaxRounds(n) })
+	return &baseline{name: "BPGD", probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
+		r := d.Decode(s)
+		return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged, BPGDRounds: r.Rounds}
+	}}
 }
 
 // ---- Greedy (Vegapunk without decoupling, Figure 12 ablation) ----
@@ -347,19 +220,11 @@ type greedyDecoder struct {
 }
 
 // NewGreedyNoDecouple wraps the ablation baseline: Vegapunk's greedy
-// search run directly on the undecoupled check matrix.
+// search run directly on the undecoupled check matrix. Like Algorithm 1
+// with zero diagonal blocks, a syndrome that cannot be fully explained
+// within the flip budget is a failed decode (zero correction returned).
 func NewGreedyNoDecouple(model *dem.Model, maxFlips int) Decoder {
 	return &greedyDecoder{d: hier.NewGreedy(model.Mech, model.LLRs(), maxFlips)}
-}
-
-// NewGreedyNoDecoupleStrict is the constraint-faithful ablation variant:
-// like Algorithm 1 with zero diagonal blocks, a syndrome that cannot be
-// fully explained within the flip budget is a failed decode (zero
-// correction returned).
-func NewGreedyNoDecoupleStrict(model *dem.Model, maxFlips int) Decoder {
-	g := hier.NewGreedy(model.Mech, model.LLRs(), maxFlips)
-	g.Strict = true
-	return &greedyDecoder{d: g}
 }
 
 func (g *greedyDecoder) Name() string { return "Vegapunk-NoDecouple" }

@@ -53,7 +53,7 @@ func Fig12(cfg Config, ws *Workspace) error {
 			return core.NewVegapunkFrom(st, dcp, hier.Config{MaxIters: 3})
 		}, mc)
 		rN := sim.RunMemory(st, func() core.Decoder {
-			return core.NewGreedyNoDecoupleStrict(st, 3)
+			return core.NewGreedyNoDecouple(st, 3)
 		}, mc)
 		imp := "n/a"
 		if rV.LER > 0 {

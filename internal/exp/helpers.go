@@ -33,13 +33,12 @@ func (c Config) rounds(d int) int {
 
 // DecoderNames used across experiments.
 const (
-	DecBP         = "BP"
-	DecBPCapped   = "BP(1us)"
-	DecBPOSD      = "BP+OSD-CS(7)"
-	DecVegapunk   = "Vegapunk"
-	DecBPLSD      = "BP+LSD"
-	DecBPGD       = "BPGD"
-	DecNoDecouple = "Vegapunk w/o decoupling"
+	DecBP       = "BP"
+	DecBPCapped = "BP(1us)"
+	DecBPOSD    = "BP+OSD-CS(7)"
+	DecVegapunk = "Vegapunk"
+	DecBPLSD    = "BP+LSD"
+	DecBPGD     = "BPGD"
 )
 
 // factory builds a worker-local decoder by name for the benchmark's
@@ -66,12 +65,7 @@ func (w *Workspace) factory(cfg Config, b Benchmark, model *dem.Model, name stri
 		return func() core.Decoder { return core.NewBPLSD(model) }, nil
 	case DecBPGD:
 		rounds, iters := cfg.bpgdBudget(model.NumMech())
-		return func() core.Decoder { return core.NewBPGDWith(model, rounds, iters) }, nil
-	case DecNoDecouple:
-		// Same greedy budget as Vegapunk's outer loop (M = 3): the whole
-		// point of decoupling is that M flips suffice for the right
-		// error only.
-		return func() core.Decoder { return core.NewGreedyNoDecouple(model, 3) }, nil
+		return func() core.Decoder { return core.NewBPGD(model, rounds, iters) }, nil
 	}
 	return nil, fmt.Errorf("exp: unknown decoder %q", name)
 }

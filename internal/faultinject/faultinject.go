@@ -2,8 +2,8 @@
 // seeded fault plan: slow decodes, panics, wrong-length results,
 // stalled workers, and clock skew on the decoder's probe. The serving
 // layer's chaos tests and `decodeload -chaos` use it to prove the
-// resilience machinery (quarantine, watchdog, circuit breaker,
-// degradation ladder) under reproducible failure sequences.
+// resilience machinery (quarantine, watchdog, circuit breaker, deadline
+// shedding) under reproducible failure sequences.
 //
 // Determinism: each wrapped instance draws from its own PCG stream
 // seeded with (Plan.Seed, instance index), so a fixed plan plus a fixed
@@ -142,7 +142,6 @@ func (c *Counters) Injected() uint64 {
 // decoder, an instance is not safe for concurrent use.
 type Decoder struct {
 	inner    core.Decoder
-	degrade  core.DegradableDecoder // nil when inner is not degradable
 	plan     Plan
 	rng      *rand.Rand
 	counters *Counters
@@ -155,14 +154,12 @@ func New(inner core.Decoder, plan Plan, instance uint64, counters *Counters) *De
 	if counters == nil {
 		counters = &Counters{}
 	}
-	d := &Decoder{
+	return &Decoder{
 		inner:    inner,
 		plan:     plan.withDefaults(),
 		rng:      rand.New(rand.NewPCG(plan.Seed, instance)),
 		counters: counters,
 	}
-	d.degrade, _ = inner.(core.DegradableDecoder)
-	return d
 }
 
 // Wrap derives a factory whose instances share one plan and one
@@ -181,15 +178,6 @@ func (d *Decoder) Name() string { return d.inner.Name() + "+chaos" }
 // Probe forwards the inner decoder's recording handle, so tracing works
 // through the wrapper.
 func (d *Decoder) Probe() *obs.Probe { return obs.ProbeOf(d.inner) }
-
-// SetTier forwards degradation to the inner decoder; wrapping never
-// removes ladder support.
-func (d *Decoder) SetTier(t core.Tier) core.Tier {
-	if d.degrade == nil {
-		return core.TierFull
-	}
-	return d.degrade.SetTier(t)
-}
 
 // Counters exposes the shared fault counters.
 func (d *Decoder) Counters() *Counters { return d.counters }

@@ -192,18 +192,6 @@ func TestSkewAppliesForOneDecode(t *testing.T) {
 	}
 }
 
-func TestSetTierForwards(t *testing.T) {
-	model := testModel(t)
-	f, _ := Wrap(testFactory(model), Plan{Seed: 1})
-	d := f().(core.DegradableDecoder)
-	if got := d.SetTier(core.TierDegraded); got != core.TierDegraded {
-		t.Errorf("SetTier through wrapper = %v", got)
-	}
-	if got := d.SetTier(core.TierFull); got != core.TierFull {
-		t.Errorf("SetTier restore = %v", got)
-	}
-}
-
 func TestSlowDelaysDecode(t *testing.T) {
 	model := testModel(t)
 	f, _ := Wrap(testFactory(model), Plan{Seed: 1, Script: []Kind{KindSlow}, SlowFor: 10 * time.Millisecond})

@@ -10,18 +10,18 @@ import (
 // space. Each round flips the single mechanism that most reduces the
 // weighted objective (residual syndrome weight plus error weight),
 // until the syndrome is consumed or the iteration budget is exhausted.
+//
+// It keeps Algorithm 1's constraint semantics: when the residual
+// syndrome is not fully explained within the budget, the decode is
+// declared failed and the zero correction is returned (no valid
+// solution exists in the search space). Without block structure this is
+// the common case for heavier syndromes — the degeneracy-driven failure
+// mode the decoupling ablation measures.
 type GreedyDecoder struct {
 	h *gf2.CSC
 	w []float64
 	// MaxFlips caps the number of greedy flips (default n).
 	MaxFlips int
-	// Strict enforces Algorithm 1's constraint semantics: when the
-	// residual syndrome is not fully explained within the budget, the
-	// decode is declared failed and the zero correction is returned
-	// (no valid solution exists in the search space). Without block
-	// structure this is the common case for heavier syndromes — the
-	// degeneracy-driven failure mode the decoupling ablation measures.
-	Strict bool
 	// ResidualPenalty weights unexplained syndrome bits in the
 	// objective; it must exceed typical column weights for the greedy
 	// search to prioritize syndrome consumption.
@@ -53,9 +53,9 @@ func NewGreedy(h *gf2.CSC, weights []float64, maxFlips int) *GreedyDecoder {
 	}
 }
 
-// Decode greedily explains the syndrome. The result is best-effort: it
-// may not satisfy the syndrome (exactly the weakness decoupling fixes).
-// The returned vector is owned by the decoder and valid until the next
+// Decode greedily explains the syndrome, or returns the zero correction
+// when the flip budget runs out first (exactly the weakness decoupling
+// fixes). The returned vector is owned by the decoder and valid until the next
 // Decode call.
 func (d *GreedyDecoder) Decode(syndrome gf2.Vec) gf2.Vec {
 	n := d.h.Cols()
@@ -90,7 +90,7 @@ func (d *GreedyDecoder) Decode(syndrome gf2.Vec) gf2.Vec {
 		e.Set(best, true)
 		d.h.XorColInto(resid, best)
 	}
-	if d.Strict && !resid.IsZero() {
+	if !resid.IsZero() {
 		return d.zero
 	}
 	return e

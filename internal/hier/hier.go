@@ -284,19 +284,6 @@ func newBlockSols(d *Decoder, n int) []blockSol {
 // Probe exposes the decoder's span-recording handle (obs.Probed).
 func (d *Decoder) Probe() *obs.Probe { return d.probe }
 
-// MaxIters reports the current outer-round cap (the paper's M).
-func (d *Decoder) MaxIters() int { return d.cfg.MaxIters }
-
-// SetMaxIters retunes the outer-round cap at runtime (min 1). No
-// buffer is sized by it, so it is safe between Decode calls — the
-// serving degradation ladder lowers it under overload.
-func (d *Decoder) SetMaxIters(n int) {
-	if n < 1 {
-		n = 1
-	}
-	d.cfg.MaxIters = n
-}
-
 // weight regions.
 func (d *Decoder) wIdent(g int) []float64 { // identity part of block g
 	return d.w[g*d.dec.ND : g*d.dec.ND+d.dec.MD]

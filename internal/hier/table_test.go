@@ -108,27 +108,20 @@ func TestTableEvictionKeepsAnswers(t *testing.T) {
 	}
 }
 
-// TestTableSurvivesMaxItersChanges retunes the outer-round cap between
-// decodes on one decoder (what core's SetTier does under overload): the
-// table's entries depend on neither, so each answer and trace equals a
-// decoder built with that cap.
+// TestTableSurvivesMaxItersChanges pins the table at every outer-round
+// cap Figure 13 sweeps the bottom of: the table's entries depend on no
+// cap, so a decoder built at M = 1, 2 or 3 answers as refHierDecode does
+// at that M, on BB144 at p = 0.01 where later rounds often run.
 func TestTableSurvivesMaxItersChanges(t *testing.T) {
 	model, dec := bb144Fixture(t, 0.01)
-	d := New(dec, model.LLRs(), Config{})
-	fresh := map[int]*Decoder{}
+	syns := sampleSyndromes(model, 100, 5)
 	for _, m := range []int{1, 2, 3} {
-		fresh[m] = New(dec, model.LLRs(), Config{MaxIters: m})
-	}
-	for shot, syn := range sampleSyndromes(model, 600, 5) {
-		m := 1 + (shot*7)%3
-		d.SetMaxIters(m)
-		got, gotTr := d.Decode(syn)
-		want, wantTr := fresh[m].Decode(syn)
-		if !got.Equal(want) || gotTr != wantTr {
-			t.Fatalf("shot %d at MaxIters %d: retuned decoder %+v differs from a fresh one %+v", shot, m, gotTr, wantTr)
-		}
-		if ref := refHierDecode(dec, model.LLRs(), Config{MaxIters: m}, syn, false); shot < 100 && !got.Equal(ref) {
-			t.Fatalf("shot %d at MaxIters %d: decode differs from the reference", shot, m)
+		d := New(dec, model.LLRs(), Config{MaxIters: m})
+		for shot, syn := range syns {
+			got, _ := d.Decode(syn)
+			if want := refHierDecode(dec, model.LLRs(), Config{MaxIters: m}, syn, false); !got.Equal(want) {
+				t.Fatalf("shot %d at MaxIters %d: decode differs from the reference", shot, m)
+			}
 		}
 	}
 }

@@ -32,51 +32,48 @@ func TestZeroExitEqualsFullPass(t *testing.T) {
 	t.Run("spans", zeroExitSpans)
 }
 
-// zeroExitAnswers: at every outer-round cap SetTier can set, on a decoder
-// whose first decode is the zero syndrome and on one that has decoded
-// others before, zero syndromes interleaved with sampled ones come back
-// with the correction and the Trace of a decoder that never takes the
-// exit — including after the cap moved under a trace recorded at another
-// one. The exit arms on the first zero syndrome and is taken from the
-// second on.
+// zeroExitAnswers: at every outer-round cap M ∈ {1, 2, 3}, on a
+// decoder whose first decode is the zero syndrome and on one that has
+// decoded others before, zero syndromes interleaved with sampled ones
+// come back with the correction and the Trace of a decoder built at the
+// same cap that never takes the exit. The exit arms on the first zero
+// syndrome and is taken from the second on.
 func zeroExitAnswers(t *testing.T) {
 	for _, fix := range zeroFixtures {
 		model, dec := fix(t)
 		zero := gf2.NewVec(model.NumDet)
-		for _, used := range []bool{false, true} {
-			d := New(dec, model.LLRs(), Config{})
-			ref := New(dec, model.LLRs(), Config{})
-			check := func(when string, s gf2.Vec) {
-				t.Helper()
-				want, wantTr := fullPass(ref, s)
-				got, gotTr := d.Decode(s)
-				if !got.Equal(want) || gotTr != wantTr {
-					t.Fatalf("%s used=%v %s: %+v, full pass %+v", model.Name, used, when, gotTr, wantTr)
-				}
-			}
-			syns := sampleSyndromes(model, 256, 26)
-			if used {
-				for _, s := range syns {
-					if !s.IsZero() {
-						check("warm-up", s)
+		syns := sampleSyndromes(model, 256, 26)
+		for _, m := range []int{1, 2, 3} {
+			for _, used := range []bool{false, true} {
+				d := New(dec, model.LLRs(), Config{MaxIters: m})
+				ref := New(dec, model.LLRs(), Config{MaxIters: m})
+				check := func(when string, s gf2.Vec) {
+					t.Helper()
+					want, wantTr := fullPass(ref, s)
+					got, gotTr := d.Decode(s)
+					if !got.Equal(want) || gotTr != wantTr {
+						t.Fatalf("%s M=%d used=%v %s: %+v, full pass %+v", model.Name, m, used, when, gotTr, wantTr)
 					}
 				}
-			}
-			if d.zeroSeen {
-				t.Fatalf("%s used=%v: exit armed before any zero syndrome", model.Name, used)
-			}
-			check("first zero", zero)
-			if !d.zeroSeen {
-				t.Fatalf("%s used=%v: the first zero syndrome did not arm the exit", model.Name, used)
-			}
-			probes := d.probes
-			check("second zero", zero)
-			if d.probes != probes {
-				t.Fatalf("%s used=%v: the second zero syndrome ran the pass (%d table probes)", model.Name, used, d.probes-probes)
-			}
-			for _, m := range []int{1, 2, 3, 1} {
-				d.SetMaxIters(m)
-				ref.SetMaxIters(m)
+				if used {
+					for _, s := range syns {
+						if !s.IsZero() {
+							check("warm-up", s)
+						}
+					}
+				}
+				if d.zeroSeen {
+					t.Fatalf("%s M=%d used=%v: exit armed before any zero syndrome", model.Name, m, used)
+				}
+				check("first zero", zero)
+				if !d.zeroSeen {
+					t.Fatalf("%s M=%d used=%v: the first zero syndrome did not arm the exit", model.Name, m, used)
+				}
+				probes := d.probes
+				check("second zero", zero)
+				if d.probes != probes {
+					t.Fatalf("%s M=%d used=%v: the second zero syndrome ran the pass (%d table probes)", model.Name, m, used, d.probes-probes)
+				}
 				for i, s := range syns[:64] {
 					check("sampled", s)
 					if i%3 == 0 {

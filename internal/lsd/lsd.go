@@ -23,10 +23,6 @@ type Decoder struct {
 	h        *gf2.CSC
 	rows     *gf2.CSR
 	priorLLR []float64
-	// skipFallback returns the BP hard decision even on
-	// non-convergence (degraded serving tiers drop cluster solving to
-	// stay inside the deadline budget).
-	skipFallback bool
 
 	// Cluster scratch, reused across decodes.
 	parent    []int   // union-find over checks
@@ -88,25 +84,11 @@ type Result struct {
 // spans share it, so one activation traces the whole chain.
 func (d *Decoder) Probe() *obs.Probe { return d.bp.Probe() }
 
-// SetBPMaxIters retunes the BP stage's iteration cap at runtime.
-func (d *Decoder) SetBPMaxIters(n int) { d.bp.SetMaxIters(n) }
-
-// BPMaxIters reports the BP stage's current iteration cap.
-func (d *Decoder) BPMaxIters() int { return d.bp.MaxIters() }
-
-// SetFallback toggles the cluster-solving stage. With fallback off a
-// non-converged BP decode returns the BP hard decision as-is (the
-// degraded-tier trade: bounded latency over accuracy).
-func (d *Decoder) SetFallback(on bool) { d.skipFallback = !on }
-
 // Decode runs BP and, on failure, localized cluster solving.
 func (d *Decoder) Decode(syndrome gf2.Vec) Result {
 	r := d.bp.Decode(syndrome)
 	if r.Converged {
 		return Result{Error: r.Error, BPConverged: true, BPIters: r.Iters}
-	}
-	if d.skipFallback {
-		return Result{Error: r.Error, BPIters: r.Iters}
 	}
 	p := d.bp.Probe()
 	t := p.Tick()

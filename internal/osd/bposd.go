@@ -12,10 +12,6 @@ import (
 type BPOSD struct {
 	bp  *bp.Decoder
 	osd *Decoder
-	// skipFallback returns the BP hard decision even on
-	// non-convergence (degraded serving tiers drop the expensive OSD
-	// stage to stay inside the deadline budget).
-	skipFallback bool
 }
 
 // NewBPOSD builds the combined decoder; priorLLR supplies both the BP
@@ -41,25 +37,11 @@ type Result struct {
 // spans share it, so one activation traces the whole chain.
 func (d *BPOSD) Probe() *obs.Probe { return d.bp.Probe() }
 
-// SetBPMaxIters retunes the BP stage's iteration cap at runtime.
-func (d *BPOSD) SetBPMaxIters(n int) { d.bp.SetMaxIters(n) }
-
-// BPMaxIters reports the BP stage's current iteration cap.
-func (d *BPOSD) BPMaxIters() int { return d.bp.MaxIters() }
-
-// SetFallback toggles the OSD post-processing stage. With fallback off
-// a non-converged BP decode returns the BP hard decision as-is (the
-// degraded-tier trade: bounded latency over accuracy).
-func (d *BPOSD) SetFallback(on bool) { d.skipFallback = !on }
-
 // Decode runs BP and, on non-convergence, OSD.
 func (d *BPOSD) Decode(syndrome gf2.Vec) Result {
 	r := d.bp.Decode(syndrome)
 	if r.Converged {
 		return Result{Error: r.Error, BPConverged: true, BPIters: r.Iters}
-	}
-	if d.skipFallback {
-		return Result{Error: r.Error, BPIters: r.Iters}
 	}
 	p := d.bp.Probe()
 	t := p.Tick()

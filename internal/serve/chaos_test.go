@@ -1,8 +1,8 @@
 package serve
 
 // The chaos suite drives the resilience machinery — worker quarantine,
-// hang watchdog, circuit breaker, deadline shedding and the degradation
-// ladder — with deterministic fault schedules from internal/faultinject.
+// hang watchdog, circuit breaker and deadline shedding — with
+// deterministic fault schedules from internal/faultinject.
 // Run with -race (CI does): every scenario also doubles as a
 // concurrency soak over the request state machine.
 
@@ -50,7 +50,6 @@ func serialChaosConfig() Config {
 		PoolSize:         1,
 		BreakerThreshold: -1,
 		HangTimeout:      time.Second,
-		MaxDegradeTier:   -1,
 	}
 }
 
@@ -223,7 +222,7 @@ func TestChaosWorkerOwnsDecoder(t *testing.T) {
 	const poolSize, clients, perClient = 3, 16, 50
 	script := make([]faultinject.Kind, clients*perClient+1)
 	script[clients*perClient] = faultinject.KindPanic // the first decode after the storm
-	f := newOwnedFixture(t, Config{PoolSize: poolSize, BreakerThreshold: -1, MaxDegradeTier: -1}, script)
+	f := newOwnedFixture(t, Config{PoolSize: poolSize, BreakerThreshold: -1}, script)
 	pool := f.svc.Pool()
 
 	f.storm(t, clients, perClient)
@@ -321,7 +320,7 @@ func testChaosBatchFault(t *testing.T, rig func(core.Factory) faultRig, faults f
 	base := runtime.NumGoroutine()
 	svc := newService("chaos", model, "BP(30)+cue", r.factory, Config{
 		MaxBatch: lanes, MaxWait: time.Second, PoolSize: 1,
-		BreakerThreshold: -1, HangTimeout: 300 * time.Millisecond, MaxDegradeTier: -1,
+		BreakerThreshold: -1, HangTimeout: 300 * time.Millisecond,
 	})
 
 	ctx := context.Background()
@@ -444,7 +443,7 @@ func TestChaosWatchdogPhotoFinish(t *testing.T) {
 	const requests, clients = 300, 2
 	cfg := Config{
 		MaxBatch: 1, PoolSize: clients, BreakerThreshold: -1,
-		HangTimeout: 2 * time.Millisecond, MaxDegradeTier: -1,
+		HangTimeout: 2 * time.Millisecond,
 	}
 	mu, rng := new(sync.Mutex), rand.New(rand.NewPCG(20, 0))
 	base := runtime.NumGoroutine()
@@ -615,62 +614,6 @@ func TestChaosDeadlineShedding(t *testing.T) {
 	defer cancel2()
 	if err := svc.DecodeInto(ctx2, &res, syndromes[0]); err != nil {
 		t.Fatalf("generous-deadline decode: %v", err)
-	}
-}
-
-func TestChaosDegradationLadder(t *testing.T) {
-	model, factory := testModel(t)
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
-		Seed: 1, PSlow: 1, SlowFor: time.Millisecond,
-	})
-	svc := newService("chaos", model, "BP(30)+chaos", wrapped, Config{
-		MaxBatch: 4, MaxWait: 50 * time.Microsecond,
-		PoolSize:         1,
-		BreakerThreshold: -1,
-	})
-	defer svc.Close()
-	// Read by the batcher only after a request arrives on in.
-	svc.ladder.queueHigh, svc.ladder.hold = 2, int64(20*time.Millisecond)
-
-	// Storm: 32 concurrent slow requests against one worker drive the
-	// queue past the ladder's queueHigh, stepping the ladder down.
-	syndromes := sampleSyndromes(model, 32, 6)
-	var wg sync.WaitGroup
-	var degraded atomic.Int64
-	for i := range syndromes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var res Result
-			if err := svc.DecodeInto(context.Background(), &res, syndromes[i]); err != nil {
-				t.Errorf("storm decode %d: %v", i, err)
-				return
-			}
-			if res.Tier > 0 {
-				degraded.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if degraded.Load() == 0 {
-		t.Error("no request decoded at a degraded tier under saturation")
-	}
-	if got := svc.met.degraded.Load(); got == 0 {
-		t.Error("degraded_total did not count the degraded decodes")
-	}
-
-	// Relief: with the queue idle, trickled requests step the ladder
-	// back to full once the hold time passes.
-	deadline := time.Now().Add(5 * time.Second)
-	var res Result
-	for svc.Tier() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("ladder stuck at tier %v after relief", svc.Tier())
-		}
-		time.Sleep(10 * time.Millisecond)
-		if err := svc.DecodeInto(context.Background(), &res, syndromes[0]); err != nil {
-			t.Fatalf("relief decode: %v", err)
-		}
 	}
 }
 

@@ -25,10 +25,9 @@ type serviceMetrics struct {
 	// dec aggregates decoder execution metadata (BP iterations,
 	// convergence, fallback engagement, …).
 	dec *obs.DecodeMetrics
-	// Resilience counters: requests shed on deadline budget, requests
-	// decoded at a degraded tier, and decoder quarantine causes.
+	// Resilience counters: requests shed on deadline budget and decoder
+	// quarantine causes.
 	shed              obs.Counter
-	degraded          obs.Counter
 	decoderPanics     obs.Counter
 	decoderHangs      obs.Counter
 	decoderBadResults obs.Counter
@@ -70,10 +69,6 @@ var serviceFamilies = []obs.Family[*Service]{
 		Hist: func(s *Service) *obs.Histogram { return s.met.copyOutSeconds }},
 	{Name: "vegapunk_serve_shed_total", Help: "Requests shed because the deadline budget could not cover p99 decode latency.",
 		Counter: func(s *Service) uint64 { return s.met.shed.Load() }},
-	{Name: "vegapunk_serve_degraded_total", Help: "Requests decoded at a degraded tier.",
-		Counter: func(s *Service) uint64 { return s.met.degraded.Load() }},
-	{Name: "vegapunk_serve_degradation_tier", Help: "Active degradation tier (0 full, 1 degraded, 2 minimal).",
-		Gauge: func(s *Service) int64 { return int64(s.Tier()) }},
 	{Name: "vegapunk_serve_decoder_panics_total", Help: "Decoder instances quarantined after a panic.",
 		Counter: func(s *Service) uint64 { return s.met.decoderPanics.Load() }},
 	{Name: "vegapunk_serve_decoder_hangs_total", Help: "Decoder instances quarantined after a hung decode.",

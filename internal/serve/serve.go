@@ -39,7 +39,6 @@ import (
 	"strings"
 	"time"
 
-	"vegapunk/internal/core"
 	"vegapunk/internal/obs"
 )
 
@@ -75,13 +74,6 @@ type Config struct {
 	// served family, BP+OSD-CS(7), measures at most 3.9 ms for one decode
 	// on BB [[144,12,12]], 0.25 s at 64 lanes.
 	HangTimeout time.Duration
-	// MaxDegradeTier bounds the degradation ladder: how far the service
-	// may step down from core.TierFull under pressure. 0 allows the
-	// full ladder (core.MaxTier); a negative value disables degradation
-	// entirely. Pressure is a queue deeper than 4*MaxBatch or any shed
-	// request; the ladder steps back toward full no sooner than 100ms
-	// after a tier change.
-	MaxDegradeTier int
 	// BreakerThreshold is the number of consecutive decoder
 	// quarantines (panics, hangs, defective results) that trips the
 	// circuit breaker (default 3; negative disables the breaker).
@@ -127,19 +119,6 @@ func (c Config) withDefaults() Config {
 		c.SlowThreshold = 10 * time.Millisecond
 	}
 	return c
-}
-
-// maxDegradeTier translates the MaxDegradeTier knob into a core.Tier
-// bound for the ladder.
-func (c Config) maxDegradeTier() core.Tier {
-	switch {
-	case c.MaxDegradeTier < 0:
-		return core.TierFull
-	case c.MaxDegradeTier == 0 || c.MaxDegradeTier > int(core.MaxTier):
-		return core.MaxTier
-	default:
-		return core.Tier(c.MaxDegradeTier)
-	}
 }
 
 // ModelKey derives the canonical registry key for a (code, decoder,

@@ -52,11 +52,10 @@ type request struct {
 	state       atomic.Int32
 	done        chan struct{}
 
-	// Resilience: the caller's deadline as an obs tick (0 = none), the
-	// degradation tier the decode ran at, and the terminal error for
-	// requests that never produced a result (shed, decoder fault).
+	// Resilience: the caller's deadline as an obs tick (0 = none) and
+	// the terminal error for requests that never produced a result
+	// (shed, decoder fault).
 	deadline int64
-	tier     core.Tier
 	err      error
 
 	// Observability: the decode id (tracer-issued, or the caller's wire
@@ -90,8 +89,9 @@ type Result struct {
 	// dispatch, the micro-batch assembly window the request rode in,
 	// the decoder call, and the pool-boundary copy-out.
 	QueueWaitNs, BatchAssembleNs, DecodeNs, CopyOutNs int64
-	// Tier is the degradation tier the decode actually ran at
-	// (core.TierFull unless the service was under pressure).
+	// Deprecated: always core.TierFull, since every decode runs the
+	// decoder's constructed configuration. Kept only because
+	// benchmark/workload.go still reads it.
 	Tier core.Tier
 	// WorkerID identifies the worker goroutine that ran the decode
 	// (reported in the wire server-timing block).
@@ -126,12 +126,10 @@ type Service struct {
 	// blocking, so the batch leaves as soon as a worker is free.
 	idle chan struct{}
 
-	// Resilience: the degradation ladder, the decoder-fault circuit
-	// breaker, and the cached p99 decode latency used for deadline
-	// shedding (refreshed from the decode histogram every
-	// p99RefreshEvery successful decodes; 0 until the first refresh,
-	// which disables shedding during warmup).
-	ladder      ladder
+	// Resilience: the decoder-fault circuit breaker and the cached p99
+	// decode latency used for deadline shedding (refreshed from the
+	// decode histogram every p99RefreshEvery successful decodes; 0 until
+	// the first refresh, which disables shedding during warmup).
 	breaker     *breaker
 	p99DecodeNs atomic.Int64
 	decodes     atomic.Uint64
@@ -178,9 +176,6 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		breaker:   newBreaker(cfg.BreakerThreshold, int64(cfg.BreakerCooldown)),
 	}
 	s.pool.size = cfg.PoolSize
-	s.ladder.maxTier = cfg.maxDegradeTier()
-	s.ladder.queueHigh = int64(4 * cfg.MaxBatch)
-	s.ladder.hold = int64(degradeHold)
 	s.wg.Add(1 + cfg.PoolSize)
 	go s.batcher() // exits when Close closes in; reaped by wg.Wait
 	for i := 0; i < cfg.PoolSize; i++ {
@@ -200,9 +195,6 @@ func (s *Service) Model() *dem.Model { return s.model }
 
 // Pool exposes the decoder instance counters (metrics, tests).
 func (s *Service) Pool() *Pool { return &s.pool }
-
-// Tier reports the degradation tier new decodes currently run at.
-func (s *Service) Tier() core.Tier { return s.ladder.active() }
 
 // DecodeInto decodes one syndrome, blocking until the result is ready
 // or ctx is done. res is overwritten; reusing the same Result keeps the
@@ -284,7 +276,6 @@ func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTra
 	req.workerID = 0
 	req.enq = obs.Tick()
 	req.err = nil
-	req.tier = core.TierFull
 	req.deadline = 0
 	if dl, ok := ctx.Deadline(); ok {
 		req.deadline = obs.TickAt(dl)
@@ -351,7 +342,6 @@ func (s *Service) collect(req *request, res *Result) error {
 	res.BatchAssembleNs = req.batchAssembleNs
 	res.DecodeNs = req.decodeNs
 	res.CopyOutNs = req.copyOutNs
-	res.Tier = req.tier
 	res.WorkerID = req.workerID
 	s.putReq(req)
 	return nil
@@ -438,7 +428,6 @@ func (s *Service) batcher() {
 		s.met.batches.Add(1)
 		s.met.batchSize.Observe(float64(len(b)))
 		s.work <- b
-		s.ladder.evaluate(now, s.met.queueDepth.Load(), s.met.shed.Load())
 	}
 }
 
@@ -526,7 +515,7 @@ func (s *Service) process(w *workerState, b []*request) bool {
 	lanes := b[:n]
 	lead := lanes[0]
 	sampled := s.sampled(lead)
-	o, owned := w.decode(s.cfg.HangTimeout, decodeJob{tier: s.ladder.active(), sampled: sampled, id: lead.id}, lanes)
+	o, owned := w.decode(s.cfg.HangTimeout, decodeJob{sampled: sampled, id: lead.id}, lanes)
 	if !owned {
 		return false
 	}
@@ -551,12 +540,7 @@ func (s *Service) process(w *workerState, b []*request) bool {
 	decodeNs := t1 - t0
 	s.met.decodeSeconds.Observe(obs.DurSeconds(decodeNs))
 	prev := t1
-	degraded := o.tier > core.TierFull
 	for i, req := range lanes {
-		req.tier = o.tier
-		if degraded {
-			s.met.degraded.Add(1)
-		}
 		req.decodeNs = decodeNs
 		est := w.outs[i]
 		gf2.CopyVec(&req.correction, est)

@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"vegapunk/internal/core"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
 	"vegapunk/internal/wire"
@@ -76,16 +75,12 @@ func (c *wireCtx) Err() error                  { return nil }
 func (c *wireCtx) Value(any) any               { return nil }
 
 // wireHealthFlags derives the health bits a response for svc carries:
-// breaker state and degradation tier from the service, the drain flag
-// from the server.
+// breaker state from the service, the drain flag from the server.
 func (s *Server) wireHealthFlags(svc *Service, now int64) wire.Flags {
 	var f wire.Flags
 	if svc != nil {
 		if svc.breaker.open(now) {
 			f |= wire.FlagBreakerOpen
-		}
-		if svc.Tier() > core.TierFull {
-			f |= wire.FlagDegraded
 		}
 	}
 	if s.wire.Draining() {
@@ -191,7 +186,6 @@ func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 		c.wres.Status = lane.status
 		if lane.status == wire.StatusOK {
 			res := &lane.res
-			c.wres.Tier = uint8(res.Tier)
 			c.wres.Satisfied = res.Satisfied
 			c.wres.BPIters = uint32(res.Stats.BPIters)
 			c.wres.QueueWaitNs = res.QueueWaitNs
@@ -208,7 +202,6 @@ func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 			tm := wire.ServerTiming{ServerTick: obs.Tick()}
 			if lane.status == wire.StatusOK {
 				res := &lane.res
-				tm.Tier = uint8(res.Tier)
 				tm.WorkerID = res.WorkerID
 				tm.QueueWaitNs = res.QueueWaitNs
 				tm.BatchAssembleNs = res.BatchAssembleNs

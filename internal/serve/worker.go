@@ -50,15 +50,13 @@ type workerState struct {
 // wins the phase CAS the requests may be failed and recycled under it,
 // so nothing they own is read in between.
 type decodeJob struct {
-	tier    core.Tier
 	sampled bool
 	id      uint64
 }
 
 // decodeOutcome reports one dispatch; the results are in outs/stats.
 type decodeOutcome struct {
-	tier     core.Tier // tier actually applied by the decoder
-	badLen   bool      // the decoder returned a vector that is not of mechanism length
+	badLen   bool // the decoder returned a vector that is not of mechanism length
 	panicked bool
 }
 
@@ -103,17 +101,13 @@ func (w *workerState) decode(hang time.Duration, job decodeJob, lanes []*request
 	return o, true
 }
 
-// guardedDecode applies the degradation tier, arms the probe on a
-// sampled decode and loops the decoder over syns[:len(lanes)] into the
-// worker-owned outs with panic isolation: a panicking decoder marks the
-// outcome instead of crashing the process, and the length check turns a
-// defective result into badLen instead of a CopyFrom panic.
+// guardedDecode arms the probe on a sampled decode and loops the
+// decoder over syns[:len(lanes)] into the worker-owned outs with panic
+// isolation: a panicking decoder marks the outcome instead of crashing
+// the process, and the length check turns a defective result into
+// badLen instead of a CopyFrom panic.
 func (w *workerState) guardedDecode(job decodeJob, o *decodeOutcome) {
 	defer o.catch()
-	o.tier = core.TierFull
-	if dd, ok := w.dec.(core.DegradableDecoder); ok {
-		o.tier = dd.SetTier(job.tier)
-	}
 	probe := obs.ProbeOf(w.dec)
 	if job.sampled {
 		probe.Activate(w.ring, job.id)

@@ -9,7 +9,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vegapunk/internal/core"
@@ -44,7 +43,9 @@ type MemoryConfig struct {
 	// Shots is the number of independent memory experiments.
 	Shots int
 	// MaxFailures stops early once this many logical failures are seen
-	// (0 = run all shots).
+	// (0 = run all shots). Each worker stops at its own share,
+	// ⌈MaxFailures/Workers⌉, checked every 32 shots, so the result does
+	// not depend on how the workers are scheduled.
 	MaxFailures int
 	// Workers bounds the parallel shot workers (0 = 1; each worker gets
 	// its own decoder from the factory).
@@ -78,15 +79,12 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 		maxInner     int
 	}
 	var (
-		mu         sync.Mutex
-		global     tally
-		totalFails atomic.Int64
+		mu     sync.Mutex
+		global tally
 	)
-	stop := func() bool {
-		return cfg.MaxFailures > 0 && totalFails.Load() >= int64(cfg.MaxFailures)
-	}
 	var wg sync.WaitGroup
 	perWorker := (cfg.Shots + cfg.Workers - 1) / cfg.Workers
+	failShare := (cfg.MaxFailures + cfg.Workers - 1) / cfg.Workers
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -106,7 +104,7 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 			actual := gf2.NewVec(model.NumObs)
 			predicted := gf2.NewVec(model.NumObs)
 			for shot := 0; shot < perWorker; shot++ {
-				if shot%32 == 0 && stop() {
+				if shot%32 == 0 && cfg.MaxFailures > 0 && local.fails >= failShare {
 					break
 				}
 				actual.Zero()
@@ -151,7 +149,6 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 				local.shots++
 				if !actual.Equal(predicted) {
 					local.fails++
-					totalFails.Add(1)
 				}
 			}
 			mu.Lock()

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"vegapunk/internal/code"
@@ -94,6 +96,44 @@ func TestRunMemoryEarlyStop(t *testing.T) {
 	}
 	if res.Failures < 50 {
 		t.Errorf("stopped with only %d failures", res.Failures)
+	}
+}
+
+// slowDecoder is zeroDecoder that yields its processor a thousand times
+// per decode: the worker that owns it falls far behind the others.
+type slowDecoder struct{ zeroDecoder }
+
+func (d slowDecoder) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
+	for range 1000 {
+		runtime.Gosched()
+	}
+	return d.zeroDecoder.Decode(s)
+}
+
+// TestRunMemoryEarlyStopIgnoresScheduling slows one worker's decoder,
+// then another's: an early stop that read a failure count shared across
+// workers would let the fast worker end the slow one's run, and the
+// result would depend on which worker was slow.
+func TestRunMemoryEarlyStopIgnoresScheduling(t *testing.T) {
+	model := steaneModel(t, 0.1)
+	cfg := MemoryConfig{Rounds: 1, Shots: 100000, MaxFailures: 100, Workers: 2, Seed: 9}
+	run := func(slow uint64) LERResult {
+		var built atomic.Uint64
+		return RunMemory(model, func() core.Decoder {
+			if built.Add(1) == slow {
+				return slowDecoder{zeroDecoder{model.NumMech()}}
+			}
+			return zeroDecoder{model.NumMech()}
+		}, cfg)
+	}
+	want := run(0)
+	if want.Failures < cfg.MaxFailures || want.Shots >= cfg.Shots {
+		t.Fatalf("early stop: %d failures in %d shots", want.Failures, want.Shots)
+	}
+	for _, slow := range []uint64{1, 2} {
+		if got := run(slow); got != want {
+			t.Errorf("instance %d slowed: %+v, unslowed %+v", slow, got, want)
+		}
 	}
 }
 

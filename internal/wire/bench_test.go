@@ -83,7 +83,7 @@ func BenchmarkWireParseResultTimed(b *testing.B) {
 		Observables: randVec(12, rng),
 	}
 	tm := ServerTiming{
-		Tier: 1, WorkerID: 3,
+		WorkerID:    3,
 		QueueWaitNs: 1000, BatchAssembleNs: 200, DecodeNs: 50000, CopyOutNs: 800,
 		ServerTick: 1 << 40,
 	}

@@ -70,16 +70,16 @@ func TestTimedResultRoundTrip(t *testing.T) {
 		Observables: testSyndrome(12),
 	}
 	tm := ServerTiming{
-		Tier: 1, WorkerID: 5,
+		WorkerID:    5,
 		QueueWaitNs: 1200, BatchAssembleNs: 300, DecodeNs: 48000, CopyOutNs: 700,
 		ServerTick: 123456789,
 	}
-	buf := AppendResultTimed(nil, FlagDegraded, 2, 41, &res, &tm)
+	buf := AppendResultTimed(nil, FlagBreakerOpen, 2, 41, &res, &tm)
 	h, err := ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Op != OpResult || h.Flags&FlagTelemetry == 0 || h.Flags&FlagDegraded == 0 {
+	if h.Op != OpResult || h.Flags&FlagTelemetry == 0 || h.Flags&FlagBreakerOpen == 0 {
 		t.Fatalf("timed result header: %+v", h)
 	}
 
@@ -204,7 +204,7 @@ func TestPeekAndTrim(t *testing.T) {
 	}
 
 	res := Result{Status: StatusOK, Correction: testSyndrome(216), Observables: testSyndrome(12)}
-	tm := ServerTiming{Tier: 2, WorkerID: 3, QueueWaitNs: 10, DecodeNs: 20, CopyOutNs: 30, ServerTick: 40}
+	tm := ServerTiming{WorkerID: 3, QueueWaitNs: 10, DecodeNs: 20, CopyOutNs: 30, ServerTick: 40}
 	rbuf := AppendResultTimed(nil, 0, 1, 7, &res, &tm)
 	var peeked ServerTiming
 	if !PeekServerTiming(&peeked, FlagTelemetry, rbuf[HeaderSize:]) || peeked != tm {

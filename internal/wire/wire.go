@@ -13,7 +13,7 @@
 //	                        ←      OpHelloAck (model id, dimensions)
 //	OpDecode (syndrome)     →                              ┐ pipelined
 //	OpDecode (syndrome)     →                              ┘ frames batch
-//	                        ←      OpResult (status, tier, stats, words)
+//	                        ←      OpResult (status, stats, words)
 //	                        ←      OpResult
 //	OpPing                  →
 //	                        ←      OpPong (health flags)
@@ -21,7 +21,7 @@
 // Model ids are assigned per connection by the server at OpHello time;
 // a client resolves each model key once and reuses the id for the
 // connection's lifetime. Every server→client frame carries health flags
-// (breaker open, degraded tier, draining) so a router can derive
+// (breaker open, draining) so a router can derive
 // replica health passively from response traffic.
 //
 // Encoders append into a caller-owned buffer and parsers read in place,
@@ -64,7 +64,7 @@ const (
 	// OpDecode submits one syndrome (payload: bit length + words) for
 	// the header's model id.
 	OpDecode
-	// OpResult answers OpDecode: status/tier/stats plus, on success,
+	// OpResult answers OpDecode: status/stats plus, on success,
 	// the correction and observable words.
 	OpResult
 	// OpPing requests a health probe.
@@ -167,9 +167,9 @@ const (
 	// FlagBreakerOpen reports the model's decoder-fault circuit breaker
 	// is open.
 	FlagBreakerOpen Flags = 1 << iota
-	// FlagDegraded reports the model is decoding below TierFull under
-	// the degradation ladder.
-	FlagDegraded
+	// Bit 1 is reserved and never set; the blank keeps the values of
+	// the flags after it on the wire.
+	_
 	// FlagDraining reports the server is shutting down; the connection
 	// closes after in-flight responses flush.
 	FlagDraining
@@ -370,17 +370,20 @@ func ParseDecodeInto(syn gf2.Vec, b []byte) error {
 // ---- result ----
 
 // resultFixedSize is the fixed prefix of an OpResult payload: status,
-// tier, satisfied, reserved, bp iterations, and the three stage
-// latencies.
+// tier (always 0), satisfied, reserved, bp iterations, and the three
+// stage latencies.
 const resultFixedSize = 1 + 1 + 1 + 1 + 4 + 8 + 8 + 8
 
 // Result is one decode outcome on the wire: the status/error class,
-// the degradation tier and stage latencies from serve.Result's Stats,
-// and — on StatusOK — the correction and observable words. Correction
+// the stage latencies from serve.Result's Stats, and — on StatusOK —
+// the correction and observable words. Correction
 // and Observables are caller-owned and must be pre-sized to the model
 // dimensions (see SizeResult); ParseResultInto fills them in place.
 type Result struct {
-	Status      Status
+	Status Status
+	// Deprecated: always 0 (core.TierFull) from a replica, since every
+	// decode runs the decoder's constructed configuration. Kept only
+	// because benchmark/workload.go still reads it.
 	Tier        uint8
 	Satisfied   bool
 	BPIters     uint32
@@ -501,7 +504,7 @@ var ErrBadStatus = errors.New("wire: invalid status code")
 //	OpResult tail (timingBlockSize = 44 bytes):
 //	  off size field
 //	    0    1 extension version (TelemetryVersion)
-//	    1    1 degradation tier the decode ran at
+//	    1    1 reserved (written 0, ignored on read)
 //	    2    2 worker id (u16)
 //	    4    8 queue_wait_ns (i64)
 //	   12    8 batch_assemble_ns (i64)
@@ -533,8 +536,8 @@ type TraceContext struct {
 // breakdown a router subtracts from its wall clock to split latency
 // into network and server time, plus the replica's own clock reading
 // (ServerTick) used to estimate the per-connection clock offset.
+// The block's second byte is reserved: written 0, ignored on read.
 type ServerTiming struct {
-	Tier            uint8
 	WorkerID        uint16
 	QueueWaitNs     int64
 	BatchAssembleNs int64
@@ -627,7 +630,7 @@ func AppendResultTimed(buf []byte, flags Flags, modelID uint16, reqID uint64, re
 	buf, start := beginFrame(buf, OpResult, flags|FlagTelemetry, modelID, reqID)
 	buf = appendResultBody(buf, res)
 	buf = append(buf,
-		TelemetryVersion, st.Tier, byte(st.WorkerID), byte(st.WorkerID>>8))
+		TelemetryVersion, 0, byte(st.WorkerID), byte(st.WorkerID>>8))
 	buf = appendI64(buf, st.QueueWaitNs)
 	buf = appendI64(buf, st.BatchAssembleNs)
 	buf = appendI64(buf, st.DecodeNs)
@@ -649,7 +652,6 @@ func parseTimingBlock(st *ServerTiming, b []byte) (bool, error) {
 	if len(b) != timingBlockSize {
 		return false, ErrTruncated
 	}
-	st.Tier = b[1]
 	st.WorkerID = binary.LittleEndian.Uint16(b[2:])
 	st.QueueWaitNs = int64(binary.LittleEndian.Uint64(b[4:]))
 	st.BatchAssembleNs = int64(binary.LittleEndian.Uint64(b[12:]))

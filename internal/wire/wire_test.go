@@ -125,12 +125,12 @@ func TestResultFrameRoundTrip(t *testing.T) {
 		Correction:  randVec(144, rng),
 		Observables: randVec(12, rng),
 	}
-	buf := AppendResult(nil, FlagDegraded, 3, 99, &res)
+	buf := AppendResult(nil, FlagBreakerOpen, 3, 99, &res)
 	h, err := ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Op != OpResult || h.Flags != FlagDegraded || h.ModelID != 3 || h.ReqID != 99 {
+	if h.Op != OpResult || h.Flags != FlagBreakerOpen || h.ModelID != 3 || h.ReqID != 99 {
 		t.Fatalf("header %+v", h)
 	}
 	var got Result
@@ -171,7 +171,7 @@ func TestValidResultPayload(t *testing.T) {
 		Correction:  randVec(144, rng),
 		Observables: randVec(12, rng),
 	}
-	st := ServerTiming{Tier: 1, QueueWaitNs: 100, DecodeNs: 200, CopyOutNs: 50, ServerTick: 7}
+	st := ServerTiming{QueueWaitNs: 100, DecodeNs: 200, CopyOutNs: 50, ServerTick: 7}
 
 	plain := AppendResult(nil, 0, 3, 1, &res)[HeaderSize:]
 	timedBuf := AppendResultTimed(nil, 0, 3, 1, &res, &st)[HeaderSize:]

@@ -152,7 +152,7 @@ func NewBPOSD(model *Model, bpIters, order int) Decoder { return core.NewBPOSD(m
 func NewBPLSD(model *Model) Decoder { return core.NewBPLSD(model) }
 
 // NewBPGD builds the BP-guided-decimation baseline.
-func NewBPGD(model *Model) Decoder { return core.NewBPGD(model) }
+func NewBPGD(model *Model) Decoder { return core.NewBPGD(model, 0, 0) }
 
 // ---- Evaluation ----
 
