@@ -1,54 +1,52 @@
-// Command netfaultproxy exposes internal/netfault as a standalone TCP
-// fault proxy: it listens on a local port, forwards every connection to
-// -target, and injects a deterministic, seeded schedule of network
-// faults — single-byte corruption, torn writes, mid-stream RSTs,
-// latency spikes, bandwidth throttling and scripted link phases such as
-// partitions. The CI network-chaos smoke puts it between the router and
-// a replica; it is equally usable by hand to watch any wire-protocol
-// peer survive a bad network.
+// Command netfaultproxy exposes the link layer of internal/fault as a
+// standalone TCP fault proxy: it listens on a local port, forwards
+// every connection to -target, and injects a deterministic, seeded
+// schedule of network faults — single-byte corruption, torn writes,
+// mid-stream RSTs and latency spikes at drawn byte offsets, and
+// scripted link phases such as partitions. The CI network-chaos smoke
+// puts it between the router and a replica; it is equally usable by
+// hand to watch any wire-protocol peer survive a bad network.
 //
 //	netfaultproxy -target 127.0.0.1:8473 -seed 7 \
-//	    -fault-every 4096 -w-corrupt 3 -w-tear 1 -w-reset 1 \
+//	    -fault-every 4096 -mix corrupt:3,tear:1,crash:1 \
 //	    -script pass:2s,blackhole:1s,corrupt:2s,slow:2s
 //
-// The proxy prints its listen address on stdout (port is picked by the
-// OS), logs phase flips and a fault-counter summary on exit, and
-// terminates on SIGINT/SIGTERM or after -run-for elapses.
+// The proxy prints its listen address on stdout (the OS picks the
+// port), logs a fault-counter summary ending in phase_flips= on exit,
+// and terminates on SIGINT/SIGTERM or after -run-for elapses.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
+	"slices"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"vegapunk/internal/netfault"
+	"vegapunk/internal/fault"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
-	fs := flag.NewFlagSet("netfaultproxy", flag.ExitOnError)
+func run(args []string) int {
+	fs := flag.NewFlagSet("netfaultproxy", flag.ContinueOnError)
 	target := fs.String("target", "", "address to forward proxied connections to (required)")
 	seed := fs.Uint64("seed", 1, "seed for the per-connection fault schedule PCG streams")
-	faultEvery := fs.Int("fault-every", 0, "mean forwarded-byte gap between byte-offset faults per direction (0 disables)")
-	wCorrupt := fs.Int("w-corrupt", 0, "weight of single-byte corruption at fault offsets")
-	wTear := fs.Int("w-tear", 0, "weight of torn writes at fault offsets")
-	wReset := fs.Int("w-reset", 0, "weight of mid-stream RSTs at fault offsets")
-	wLatency := fs.Int("w-latency", 0, "weight of latency stalls at fault offsets")
-	slowFor := fs.Duration("slow-for", 20*time.Millisecond, "stall applied by latency faults and per chunk in slow mode")
-	tearPause := fs.Duration("tear-pause", 2*time.Millisecond, "pause between the halves of a torn write")
-	throttle := fs.Int("throttle-bps", 0, "per-direction bandwidth cap in bytes/sec (0 = unlimited)")
-	script := fs.String("script", "", "wall-clock phase schedule, e.g. pass:2s,blackhole:1s,corrupt:2s,slow:2s (mode returns to pass after the last phase)")
+	faultEvery := fs.Int("fault-every", 0, "mean forwarded-byte gap between offset faults per direction (0 disables)")
+	mixFlag := fs.String("mix", "", "kind weights at fault offsets, e.g. corrupt:3,tear:1 (kinds: corrupt, tear, crash, slow)")
+	script := fs.String("script", "", "wall-clock phase schedule, e.g. pass:2s,blackhole:1s,corrupt:2s,slow:2s (kinds: pass, slow, corrupt, blackhole)")
 	runFor := fs.Duration("run-for", 0, "exit after this long (0 = run until signalled)")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	logger := log.New(os.Stderr, "netfaultproxy ", log.LstdFlags|log.Lmicroseconds)
@@ -56,25 +54,31 @@ func run() int {
 		logger.Printf("-target is required")
 		return 2
 	}
-
-	phases, err := parseScript(*script)
-	if err != nil {
-		logger.Printf("%v", err)
+	mix := map[fault.Kind]float64{}
+	if err := parseList(*mixFlag, []fault.Kind{fault.Corrupt, fault.Tear, fault.Crash, fault.Slow}, func(k fault.Kind, v string) error {
+		w, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(w >= 0) || math.IsInf(w, 1) {
+			return errors.New("want a finite weight >= 0")
+		}
+		mix[k] = w
+		return nil
+	}); err != nil {
+		logger.Printf("-mix %v", err)
 		return 2
 	}
-	plan := netfault.Plan{
-		Seed:        *seed,
-		FaultEvery:  *faultEvery,
-		WCorrupt:    *wCorrupt,
-		WTear:       *wTear,
-		WReset:      *wReset,
-		WLatency:    *wLatency,
-		SlowFor:     *slowFor,
-		TearPause:   *tearPause,
-		ThrottleBps: *throttle,
-		Script:      phases,
+	var phases []fault.Phase
+	if err := parseList(*script, []fault.Kind{fault.Pass, fault.Slow, fault.Corrupt, fault.Blackhole}, func(k fault.Kind, v string) error {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			return errors.New("want a duration >= 0")
+		}
+		phases = append(phases, fault.Phase{Kind: k, For: d})
+		return nil
+	}); err != nil {
+		logger.Printf("-script %v", err)
+		return 2
 	}
-	p, err := netfault.Start(*target, plan)
+	p, err := fault.Start(*target, fault.Plan{Seed: *seed, Mix: mix, FaultEvery: *faultEvery, Phases: phases})
 	if err != nil {
 		logger.Printf("start: %v", err)
 		return 1
@@ -93,33 +97,29 @@ func run() int {
 	<-ctx.Done()
 
 	_ = p.Close() // best-effort: exiting anyway
-	conns, fwd, disc, corr, tears, resets, lats := p.Counters.Snapshot()
-	logger.Printf("done: conns=%d forwarded=%d discarded=%d corrupts=%d tears=%d resets=%d latencies=%d phase_flips=%d",
-		conns, fwd, disc, corr, tears, resets, lats, p.Counters.PhaseFlips.Load())
+	logger.Printf("done: %s phase_flips=%d", &p.Counters, p.Phases.Load())
 	return 0
 }
 
-// parseScript decodes a "mode:duration,mode:duration" phase schedule.
-func parseScript(s string) ([]netfault.Phase, error) {
+// parseList walks a "kind:value,kind:value" list, admitting only the
+// kinds in allowed and handing each value to set.
+func parseList(s string, allowed []fault.Kind, set func(fault.Kind, string) error) error {
 	if s == "" {
-		return nil, nil
+		return nil
 	}
-	var phases []netfault.Phase
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		name, durStr, ok := strings.Cut(part, ":")
+		name, v, ok := strings.Cut(part, ":")
 		if !ok {
-			return nil, fmt.Errorf("script phase %q: want mode:duration", part)
+			return fmt.Errorf("%q: want kind:value", part)
 		}
-		mode, ok := netfault.ParseMode(name)
-		if !ok {
-			return nil, fmt.Errorf("script phase %q: unknown mode (pass, slow, corrupt, blackhole)", part)
+		k, ok := fault.ParseKind(name)
+		if !ok || !slices.Contains(allowed, k) {
+			return fmt.Errorf("%q: kind not one of %v", part, allowed)
 		}
-		d, err := time.ParseDuration(durStr)
-		if err != nil {
-			return nil, fmt.Errorf("script phase %q: %v", part, err)
+		if err := set(k, v); err != nil {
+			return fmt.Errorf("%q: %w", part, err)
 		}
-		phases = append(phases, netfault.Phase{Mode: mode, For: d})
 	}
-	return phases, nil
+	return nil
 }

@@ -22,7 +22,7 @@
 // file as one JSON line.
 //
 // With -chaos every registered decoder factory is wrapped in a
-// deterministic fault injector (internal/faultinject) seeded by
+// deterministic fault injector (internal/fault) seeded by
 // -chaos-seed: a small fraction of decodes run slow, panic, return
 // wrong-length results, stall past the watchdog, or skew their trace
 // clock. This exercises the resilience machinery — worker quarantine,
@@ -50,7 +50,7 @@ import (
 	"vegapunk/internal/core"
 	"vegapunk/internal/dem"
 	"vegapunk/internal/exp"
-	"vegapunk/internal/faultinject"
+	"vegapunk/internal/fault"
 	"vegapunk/internal/hier"
 	"vegapunk/internal/obs"
 	"vegapunk/internal/serve"
@@ -140,21 +140,9 @@ func run() int {
 	// Low but lively default mix: mostly-healthy traffic with every fault
 	// kind represented, so a chaos run exercises shedding, quarantine,
 	// the watchdog and the breaker without drowning the service.
-	chaosPlan := faultinject.Plan{
-		Seed:      *chaosSeed,
-		PSlow:     0.02,
-		PPanic:    0.005,
-		PWrongLen: 0.005,
-		PStall:    0.002,
-		PSkew:     0.01,
-		SlowFor:   2 * time.Millisecond,
-		StallFor:  3 * time.Second,
-	}
-	type chaosModel struct {
-		key      string
-		counters *faultinject.Counters
-	}
-	var chaosModels []chaosModel
+	chaosPlan := fault.Plan{Seed: *chaosSeed, Mix: map[fault.Kind]float64{
+		fault.Slow: 0.02, fault.Crash: 0.005, fault.Corrupt: 0.005, fault.Stall: 0.002, fault.Skew: 0.01,
+	}}
 	for _, name := range strings.Split(*decoders, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
@@ -167,9 +155,9 @@ func run() int {
 		}
 		key := serve.ModelKey(b.Name, name, *p)
 		if *chaos {
-			var counters *faultinject.Counters
-			factory, counters = faultinject.Wrap(factory, chaosPlan)
-			chaosModels = append(chaosModels, chaosModel{key: key, counters: counters})
+			var counters *fault.Counters
+			factory, counters = fault.Wrap(factory, chaosPlan)
+			defer func() { logger.Printf("chaos totals model=%s %s", key, counters) }()
 		}
 		display := factory().Name()
 		if _, err := srv.Register(key, model, display, factory); err != nil {
@@ -181,14 +169,6 @@ func run() int {
 	}
 	if *chaos {
 		logger.Printf("CHAOS MODE: fault injection enabled (seed=%d); do not use in production", *chaosSeed)
-		defer func() {
-			for _, cm := range chaosModels {
-				c := cm.counters
-				logger.Printf("chaos totals model=%s decodes=%d injected=%d slow=%d panics=%d wronglen=%d stalls=%d skews=%d",
-					cm.key, c.Decodes.Load(), c.Injected(), c.Slow.Load(), c.Panics.Load(),
-					c.WrongLen.Load(), c.Stalls.Load(), c.Skews.Load())
-			}
-		}()
 	}
 
 	if *debugAddr != "" {

@@ -7,31 +7,31 @@ import (
 	"testing"
 	"time"
 
+	"vegapunk/internal/fault"
 	"vegapunk/internal/gf2"
-	"vegapunk/internal/netfault"
 	"vegapunk/internal/wire"
 )
 
-// The network-chaos suite drives the router through internal/netfault
+// The network-chaos suite drives the router through internal/fault
 // proxies and pins the tier's fault-tolerance contract: every client
 // request reaches exactly one terminal outcome (a response frame — OK
 // or error — never a client-side transport failure), goroutines return
 // to baseline, and hedged dispatch bounds the p99 of a slow link.
 
-// startProxied brings up two replicas, each behind its own netfault
+// startProxied brings up two replicas, each behind its own fault
 // proxy under plan, and a router that only knows the proxy addresses.
 // It returns the router, its client-facing address, and the proxies of
 // the rendezvous winner and sibling for testKey.
-func startProxied(t *testing.T, plan netfault.Plan, cfg Config) (rt *Router, raddr string, winProxy, sibProxy *netfault.Proxy) {
+func startProxied(t *testing.T, plan fault.Plan, cfg Config) (rt *Router, raddr string, winProxy, sibProxy *fault.Proxy) {
 	t.Helper()
 	_, addrA := startReplica(t, replicaConfig(), nil)
 	_, addrB := startReplica(t, replicaConfig(), nil)
-	pa, err := netfault.Start(addrA, plan)
+	pa, err := fault.Start(addrA, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = pa.Close() })
-	pb, err := netfault.Start(addrB, plan)
+	pb, err := fault.Start(addrB, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func appendSynPayload(buf []byte, syn gf2.Vec) []byte {
 // path is used on purpose: under payload corruption without checksums
 // the bits may be garbage, but the framing contract must hold.
 func TestNetChaosCorruptExactOutcomes(t *testing.T) {
-	plan := netfault.Plan{Seed: 0xC0FFEE, FaultEvery: 4096, WCorrupt: 1}
+	plan := fault.Plan{Seed: 0xC0FFEE, FaultEvery: 4096, Mix: map[fault.Kind]float64{fault.Corrupt: 1}}
 	rt, raddr, winProxy, sibProxy := startProxied(t, plan, Config{
 		ProbeInterval:     20 * time.Millisecond,
 		RedialBackoff:     10 * time.Millisecond,
@@ -120,7 +120,7 @@ func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 		}
 	}
 
-	if winProxy.Counters.Corrupts.Load()+sibProxy.Counters.Corrupts.Load() == 0 {
+	if winProxy.Counters.Of(fault.Corrupt)+sibProxy.Counters.Of(fault.Corrupt) == 0 {
 		t.Fatal("plan injected no corruption; the test exercised nothing")
 	}
 	if rt.protoErrors.Load() == 0 && rt.retries.Load() == 0 && rt.reconnects.Load() == 0 {
@@ -166,11 +166,11 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 	}
 	_ = warms
 
-	pa, err := netfault.Start(addrA, netfault.Plan{})
+	pa, err := fault.Start(addrA, fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := netfault.Start(addrB, netfault.Plan{})
+	pb, err := fault.Start(addrB, fault.Plan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 
 	// Partition: the link exists but moves nothing. The first in-flight
 	// request rides the IO timeout, fails over, and demotes the winner.
-	winProxy.SetMode(netfault.ModeBlackhole)
+	winProxy.SetKind(fault.Blackhole)
 	sawRetried := false
 	for i := uint64(5); i <= 20; i++ {
 		if decode(i)&wire.FlagRetried != 0 {
@@ -241,7 +241,7 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 	waitState(t, rt, winner.addr, StateDown)
 
 	// Heal: probes bring the winner back and traffic returns to it.
-	winProxy.SetMode(netfault.ModePass)
+	winProxy.SetKind(fault.Pass)
 	waitState(t, rt, winner.addr, StateHealthy)
 	before := winner.decodes.Load()
 	for i := uint64(21); i <= 24; i++ {
@@ -272,12 +272,10 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 // downed replica rejoins before the run ends does not depend on how
 // the probe ticker's period compares with the run's wall-clock length.
 func TestNetChaosTornWritesAndResets(t *testing.T) {
-	plan := netfault.Plan{
+	plan := fault.Plan{
 		Seed:       7,
 		FaultEvery: 1024,
-		WTear:      3,
-		WReset:     1,
-		WLatency:   1,
+		Mix:        map[fault.Kind]float64{fault.Tear: 3, fault.Crash: 1, fault.Slow: 1},
 		SlowFor:    time.Millisecond,
 		TearPause:  time.Millisecond,
 	}
@@ -331,8 +329,8 @@ func TestNetChaosTornWritesAndResets(t *testing.T) {
 	if ok < n/2 {
 		t.Fatalf("too few successes under torn writes and resets: %d ok, %d errors", ok, errs)
 	}
-	tears := winProxy.Counters.Tears.Load() + sibProxy.Counters.Tears.Load()
-	resets := winProxy.Counters.Resets.Load() + sibProxy.Counters.Resets.Load()
+	tears := winProxy.Counters.Of(fault.Tear) + sibProxy.Counters.Of(fault.Tear)
+	resets := winProxy.Counters.Of(fault.Crash) + sibProxy.Counters.Of(fault.Crash)
 	if tears == 0 || resets == 0 {
 		t.Fatalf("plan injected tears=%d resets=%d; the test exercised nothing", tears, resets)
 	}
@@ -354,7 +352,7 @@ func TestNetChaosTornWritesAndResets(t *testing.T) {
 // disables hedged dispatch.
 func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt *Router) {
 	t.Helper()
-	plan := netfault.Plan{SlowFor: 25 * time.Millisecond}
+	plan := fault.Plan{SlowFor: 25 * time.Millisecond}
 	rt, raddr, winProxy, _ := startProxied(t, plan, Config{
 		ProbeInterval:     20 * time.Millisecond,
 		IOTimeout:         2 * time.Second,
@@ -379,8 +377,8 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 	var res wire.Result
 	wire.SizeResult(&res, info.NumMech, info.NumObs)
 
-	winProxy.SetMode(netfault.ModeSlow)
-	defer winProxy.SetMode(netfault.ModePass)
+	winProxy.SetKind(fault.Slow)
+	defer winProxy.SetKind(fault.Pass)
 	const n = 24
 	for i := 1; i <= n; i++ {
 		start := time.Now()
@@ -403,7 +401,7 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 // hedging. At HedgeMaxRate 0.1 the hedges stay within the bucket's
 // burst of 8 plus 0.1 per batch: a slow link cannot double the load.
 func TestRouterHedgeRateCap(t *testing.T) {
-	rt, raddr, winProxy, _ := startProxied(t, netfault.Plan{SlowFor: 10 * time.Millisecond}, Config{
+	rt, raddr, winProxy, _ := startProxied(t, fault.Plan{SlowFor: 10 * time.Millisecond}, Config{
 		ProbeInterval: time.Hour,
 		IOTimeout:     2 * time.Second,
 		HedgeAfter:    5 * time.Millisecond,
@@ -426,7 +424,7 @@ func TestRouterHedgeRateCap(t *testing.T) {
 	var res wire.Result
 	wire.SizeResult(&res, info.NumMech, info.NumObs)
 
-	winProxy.SetMode(netfault.ModeSlow)
+	winProxy.SetKind(fault.Slow)
 	const batches = 32
 	for i := 1; i <= batches; i++ {
 		if _, err := c.Decode(info.ID, uint64(i), syndromes[i%16], &res); err != nil {

@@ -12,7 +12,7 @@
 // and a bad backend frame ends only its connection — the replica keeps
 // routing — so the tier holds its exactly-one-terminal-outcome
 // invariant and p99 bound under partitions, corruption, torn writes and
-// mid-stream resets (internal/netfault drives these in the
+// mid-stream resets (internal/fault drives these in the
 // network-chaos suite). The admin /metrics page renders two obs.Family
 // tables, router-wide and per replica (metrics.go).
 package cluster

@@ -12,7 +12,7 @@ import (
 	"vegapunk/internal/code"
 	"vegapunk/internal/core"
 	"vegapunk/internal/dem"
-	"vegapunk/internal/faultinject"
+	"vegapunk/internal/fault"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/serve"
 	"vegapunk/internal/wire"
@@ -440,9 +440,9 @@ func TestRouterDrainRejoin(t *testing.T) {
 func breakerPair(t *testing.T, cfg Config) (*Router, *replica, *wire.Client, wire.ModelInfo) {
 	t.Helper()
 	model, factory := clusterModel(t)
-	faulty, _ := faultinject.Wrap(factory, faultinject.Plan{
+	faulty, _ := fault.Wrap(factory, fault.Plan{
 		Seed:   1,
-		Script: []faultinject.Kind{faultinject.KindPanic},
+		Script: []fault.Kind{fault.Crash},
 	})
 	faultyCfg := replicaConfig()
 	faultyCfg.MaxBatch = 1

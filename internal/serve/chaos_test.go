@@ -2,7 +2,7 @@ package serve
 
 // The chaos suite drives the resilience machinery — worker quarantine,
 // hang watchdog, circuit breaker and deadline shedding — with
-// deterministic fault schedules from internal/faultinject.
+// deterministic fault schedules from internal/fault.
 // Run with -race (CI does): every scenario also doubles as a
 // concurrency soak over the request state machine.
 
@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"vegapunk/internal/core"
-	"vegapunk/internal/faultinject"
+	"vegapunk/internal/fault"
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
 )
@@ -55,9 +55,9 @@ func serialChaosConfig() Config {
 
 func TestChaosPanicQuarantineAndRecovery(t *testing.T) {
 	model, factory := testModel(t)
-	wrapped, counters := faultinject.Wrap(factory, faultinject.Plan{
+	wrapped, counters := fault.Wrap(factory, fault.Plan{
 		Seed:   1,
-		Script: []faultinject.Kind{faultinject.KindNone, faultinject.KindPanic},
+		Script: []fault.Kind{fault.Pass, fault.Crash},
 	})
 	svc := newService("chaos", model, "BP(30)+chaos", wrapped, serialChaosConfig())
 	defer svc.Close()
@@ -78,8 +78,8 @@ func TestChaosPanicQuarantineAndRecovery(t *testing.T) {
 	if faults != 1 || oks != 7 {
 		t.Errorf("oks=%d faults=%d, want 7/1", oks, faults)
 	}
-	if counters.Panics.Load() != 1 {
-		t.Errorf("injected panics = %d, want 1", counters.Panics.Load())
+	if counters.Of(fault.Crash) != 1 {
+		t.Errorf("injected panics = %d, want 1", counters.Of(fault.Crash))
 	}
 	if got := svc.met.decoderPanics.Load(); got != 1 {
 		t.Errorf("decoder_panics_total = %d, want 1", got)
@@ -91,9 +91,9 @@ func TestChaosPanicQuarantineAndRecovery(t *testing.T) {
 
 func TestChaosWrongLengthQuarantine(t *testing.T) {
 	model, factory := testModel(t)
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
+	wrapped, _ := fault.Wrap(factory, fault.Plan{
 		Seed:   1,
-		Script: []faultinject.Kind{faultinject.KindWrongLen},
+		Script: []fault.Kind{fault.Corrupt},
 	})
 	svc := newService("chaos", model, "BP(30)+chaos", wrapped, serialChaosConfig())
 	defer svc.Close()
@@ -120,9 +120,9 @@ func TestChaosWrongLengthQuarantine(t *testing.T) {
 func TestChaosHangWatchdog(t *testing.T) {
 	model, factory := testModel(t)
 	release := make(chan struct{})
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
+	wrapped, _ := fault.Wrap(factory, fault.Plan{
 		Seed:         1,
-		Script:       []faultinject.Kind{faultinject.KindStall},
+		Script:       []fault.Kind{fault.Stall},
 		StallRelease: release,
 	})
 	base := runtime.NumGoroutine()
@@ -220,8 +220,8 @@ func TestChaosServiceGoroutines(t *testing.T) {
 // pool_test.go.
 func TestChaosWorkerOwnsDecoder(t *testing.T) {
 	const poolSize, clients, perClient = 3, 16, 50
-	script := make([]faultinject.Kind, clients*perClient+1)
-	script[clients*perClient] = faultinject.KindPanic // the first decode after the storm
+	script := make([]fault.Kind, clients*perClient+1)
+	script[clients*perClient] = fault.Crash // the first decode after the storm
 	f := newOwnedFixture(t, Config{PoolSize: poolSize, BreakerThreshold: -1}, script)
 	pool := f.svc.Pool()
 
@@ -289,19 +289,19 @@ func cueRig(factory core.Factory, fault func(syn gf2.Vec)) faultRig {
 	}
 }
 
-// injectRig is the same schedule from a faultinject script, the panic in
+// injectRig is the same schedule from a fault script, the panic in
 // the batch's third decode: lanes decoded before it fail with the rest.
 func injectRig(factory core.Factory) faultRig {
 	plug := make(chan struct{})
-	wrapped, counters := faultinject.Wrap(factory, faultinject.Plan{
+	wrapped, counters := fault.Wrap(factory, fault.Plan{
 		Seed:         1,
-		Script:       []faultinject.Kind{faultinject.KindStall, faultinject.KindNone, faultinject.KindNone, faultinject.KindPanic},
+		Script:       []fault.Kind{fault.Stall, fault.Pass, fault.Pass, fault.Crash},
 		StallRelease: plug,
 	})
 	return faultRig{
 		factory: wrapped,
 		plugged: func() {
-			for counters.Stalls.Load() == 0 {
+			for counters.Of(fault.Stall) == 0 {
 				runtime.Gosched()
 			}
 		},
@@ -407,7 +407,7 @@ func TestChaosBatchPanic(t *testing.T) {
 			return cueRig(f, func(gf2.Vec) { panic("cue: injected batch panic") })
 		}, panics, func() {})
 	})
-	// A faultinject-wrapped decoder meets multi-lane dispatches like any
+	// A fault-wrapped decoder meets multi-lane dispatches like any
 	// other (what `vegapunkd -chaos` serves).
 	t.Run("faultinject", func(t *testing.T) {
 		testChaosBatchFault(t, injectRig, panics, func() {})
@@ -502,9 +502,9 @@ func TestChaosWatchdogPhotoFinish(t *testing.T) {
 func TestChaosCloseDuringHang(t *testing.T) {
 	model, factory := testModel(t)
 	release := make(chan struct{})
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
+	wrapped, _ := fault.Wrap(factory, fault.Plan{
 		Seed:         1,
-		Script:       []faultinject.Kind{faultinject.KindStall},
+		Script:       []fault.Kind{fault.Stall},
 		StallRelease: release,
 	})
 	base := runtime.NumGoroutine()
@@ -536,9 +536,9 @@ func TestChaosCloseDuringHang(t *testing.T) {
 
 func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 	model, factory := testModel(t)
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
+	wrapped, _ := fault.Wrap(factory, fault.Plan{
 		Seed:   1,
-		Script: []faultinject.Kind{faultinject.KindPanic, faultinject.KindPanic, faultinject.KindPanic},
+		Script: []fault.Kind{fault.Crash, fault.Crash, fault.Crash},
 	})
 	cfg := serialChaosConfig()
 	cfg.BreakerThreshold = 3
@@ -579,8 +579,8 @@ func TestChaosBreakerTripsAndRecovers(t *testing.T) {
 
 func TestChaosDeadlineShedding(t *testing.T) {
 	model, factory := testModel(t)
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{
-		Seed: 1, PSlow: 1, SlowFor: 2 * time.Millisecond,
+	wrapped, _ := fault.Wrap(factory, fault.Plan{
+		Seed: 1, Mix: map[fault.Kind]float64{fault.Slow: 1}, SlowFor: 2 * time.Millisecond,
 	})
 	svc := newService("chaos", model, "BP(30)+chaos", wrapped, serialChaosConfig())
 	defer svc.Close()
@@ -664,13 +664,11 @@ func TestChaosCloseRaceSoak(t *testing.T) {
 
 func TestChaosSkewedProbeTraceClamp(t *testing.T) {
 	model, factory := testModel(t)
-	script := make([]faultinject.Kind, 8)
+	script := make([]fault.Kind, 8)
 	for i := range script {
-		script[i] = faultinject.KindSkew
+		script[i] = fault.Skew
 	}
-	wrapped, counters := faultinject.Wrap(factory, faultinject.Plan{
-		Seed: 1, Script: script, SkewNs: -int64(time.Millisecond),
-	})
+	wrapped, counters := fault.Wrap(factory, fault.Plan{Seed: 1, Script: script})
 	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
 	cfg := serialChaosConfig()
 	cfg.Tracer = tracer
@@ -684,8 +682,8 @@ func TestChaosSkewedProbeTraceClamp(t *testing.T) {
 			t.Fatalf("skewed decode %d: %v", i, err)
 		}
 	}
-	if counters.Skews.Load() != 8 {
-		t.Fatalf("injected skews = %d, want 8", counters.Skews.Load())
+	if counters.Of(fault.Skew) != 8 {
+		t.Fatalf("injected skews = %d, want 8", counters.Of(fault.Skew))
 	}
 	var buf bytes.Buffer
 	if err := tracer.WriteTrace(&buf, 0); err != nil {

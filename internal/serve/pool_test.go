@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"vegapunk/internal/core"
-	"vegapunk/internal/faultinject"
+	"vegapunk/internal/fault"
 	"vegapunk/internal/gf2"
 )
 
@@ -39,7 +39,7 @@ func (d *ownedDecoder) Decode(s gf2.Vec) (gf2.Vec, core.Stats) {
 }
 
 // ownedFixture is a service over numbered ownedDecoder instances wrapping
-// the BP test decoder under a faultinject script; built counts the
+// the BP test decoder under a fault script; built counts the
 // factory's runs.
 type ownedFixture struct {
 	svc       *Service
@@ -48,10 +48,10 @@ type ownedFixture struct {
 	log       servedLog
 }
 
-func newOwnedFixture(t *testing.T, cfg Config, script []faultinject.Kind) *ownedFixture {
+func newOwnedFixture(t *testing.T, cfg Config, script []fault.Kind) *ownedFixture {
 	t.Helper()
 	model, factory := testModel(t)
-	wrapped, _ := faultinject.Wrap(factory, faultinject.Plan{Seed: 1, Script: script})
+	wrapped, _ := fault.Wrap(factory, fault.Plan{Seed: 1, Script: script})
 	f := &ownedFixture{syndromes: sampleSyndromes(model, 16, 14)}
 	f.svc = newService("chaos", model, "BP(30)+owned", func() core.Decoder {
 		return &ownedDecoder{Decoder: wrapped(), id: int(f.built.Add(1)), log: &f.log}
@@ -166,7 +166,7 @@ func TestPoolBoundedAndExclusive(t *testing.T) {
 // instance never decodes again.
 func TestPoolPoisonReplaces(t *testing.T) {
 	f := newOwnedFixture(t, serialChaosConfig(),
-		[]faultinject.Kind{faultinject.KindNone, faultinject.KindPanic})
+		[]fault.Kind{fault.Pass, fault.Crash})
 	pool := f.svc.Pool()
 	f.decode(t, 1)
 	if pool.Misses() != 1 || quarantines(f.svc) != 0 {
