@@ -98,12 +98,10 @@ func run(args []string) int {
 	codeName := fs.String("code", "BB [[72,12,6]]", "benchmark code name (must match the daemon)")
 	p := fs.Float64("p", 0.001, "physical error rate (must match the daemon)")
 	decoder := fs.String("decoder", "bp", "decoder flag name used at the daemon (derives the model key)")
-	modelKey := fs.String("model", "", "explicit model key (overrides -code/-decoder/-p derivation)")
 	requests := fs.Int("requests", 200, "number of requests to send")
 	batchSize := fs.Int("batch", 8, "syndromes per request")
 	concurrency := fs.Int("concurrency", 4, "concurrent client connections")
 	seed := fs.Uint64("seed", 1, "reproducible workload seed")
-	timeout := fs.Duration("timeout", 10*time.Second, "per-request client timeout")
 	traceSample := fs.Uint64("trace-sample", 0, "mark one in N requests trace-sampled so the daemon/router record their spans (0 = timing blocks only, no sampling)")
 	chaosMode := fs.Bool("chaos", false, "resilience run against a -chaos daemon: individual request failures are expected; exit 0 iff every request reached a terminal outcome and at least one succeeded")
 	if err := fs.Parse(args); err != nil {
@@ -111,7 +109,10 @@ func run(args []string) int {
 	}
 
 	logger := log.New(os.Stderr, "decodeload ", log.LstdFlags)
-
+	if err := exp.CheckP(*p); err != nil {
+		logger.Printf("%v", err)
+		return 2
+	}
 	for _, f := range []struct {
 		name string
 		v    int
@@ -121,7 +122,7 @@ func run(args []string) int {
 			return 2
 		}
 	}
-	b, ok := findBenchmark(*codeName)
+	b, ok := exp.BenchmarkByName(*codeName)
 	if !ok {
 		logger.Printf("unknown code %q", *codeName)
 		return 2
@@ -131,10 +132,7 @@ func run(args []string) int {
 		logger.Printf("build model: %v", err)
 		return 1
 	}
-	key := *modelKey
-	if key == "" {
-		key = serve.ModelKey(b.Name, *decoder, *p)
-	}
+	key := serve.ModelKey(b.Name, *decoder, *p)
 
 	// Pre-generate the whole workload so concurrency cannot change what
 	// is sampled: request i always carries the same syndromes.
@@ -161,7 +159,7 @@ func run(args []string) int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			worker(&tl, &next, items, *addr, key, *timeout, *traceSample, *seed+uint64(w), logger)
+			worker(&tl, &next, items, *addr, key, *traceSample, *seed+uint64(w), logger)
 		}()
 	}
 	wg.Wait()
@@ -249,7 +247,7 @@ func run(args []string) int {
 // a per-worker wire.Redialer — capped exponential backoff with
 // deterministic jitter, so workers hammered off a flapping daemon do
 // not redial in lockstep.
-func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, timeout time.Duration, traceSample, workerSeed uint64, logger *log.Logger) {
+func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, traceSample, workerSeed uint64, logger *log.Logger) {
 	var (
 		c    *wire.Client
 		info wire.ModelInfo
@@ -258,7 +256,7 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 	rd := &wire.Redialer{
 		Addr:        addr,
 		DialTimeout: 2 * time.Second,
-		IOTimeout:   timeout,
+		IOTimeout:   10 * time.Second, // per-request client timeout
 		BackoffMin:  25 * time.Millisecond,
 		BackoffMax:  time.Second,
 		Seed:        workerSeed,
@@ -429,13 +427,4 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 		}
 		tl.mu.Unlock()
 	}
-}
-
-func findBenchmark(name string) (exp.Benchmark, bool) {
-	for _, b := range exp.Benchmarks() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return exp.Benchmark{}, false
 }

@@ -45,15 +45,6 @@ func usage() {
   vegapunk decode   -code <name> [-p 0.002] [-shots 5] [-seed 1]`)
 }
 
-func findBenchmark(name string) (exp.Benchmark, bool) {
-	for _, b := range exp.Benchmarks() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return exp.Benchmark{}, false
-}
-
 func cmdCodes() int {
 	ws := exp.NewWorkspace()
 	fmt.Printf("%-18s %-6s %6s %4s %4s %10s\n", "name", "family", "n", "k", "d", "noise")
@@ -79,7 +70,7 @@ func cmdDecouple(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	b, ok := findBenchmark(*name)
+	b, ok := exp.BenchmarkByName(*name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown code %q\n", *name)
 		return 2
@@ -119,7 +110,7 @@ func cmdDump(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	b, ok := findBenchmark(*name)
+	b, ok := exp.BenchmarkByName(*name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown code %q\n", *name)
 		return 2
@@ -142,7 +133,11 @@ func cmdDecode(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	b, ok := findBenchmark(*name)
+	if err := exp.CheckP(*p); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	b, ok := exp.BenchmarkByName(*name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown code %q\n", *name)
 		return 2

@@ -8,8 +8,8 @@
 // Decodes arrive on -listen-wire (default :8473): length-prefixed frames
 // carrying raw syndrome/correction words over persistent connections,
 // the protocol vegapunkrouter and decodeload speak. Pipelined frames
-// coalesce into the same micro-batches. -listen-wire "" turns the
-// listener off. The HTTP listener on -addr serves:
+// coalesce into the same micro-batches. The HTTP listener on -addr
+// serves:
 //
 //	GET  /v1/models        registered model keys and dimensions
 //	GET  /metrics          Prometheus text format
@@ -18,8 +18,9 @@
 //
 // With -debug-addr a second localhost listener serves net/http/pprof
 // (/debug/pprof/...) plus the same decode-trace dump; with -slow-log
-// every request slower than -slow-threshold is appended to the given
-// file as one JSON line.
+// every request slower than 10 ms end to end is appended to the given
+// file as one JSON line. Pool size, flush and request deadlines and the
+// circuit breaker are internal/serve's defaults.
 //
 // With -chaos every registered decoder factory is wrapped in a
 // deterministic fault injector (internal/fault) seeded by
@@ -63,22 +64,15 @@ func main() {
 func run() int {
 	fs := flag.NewFlagSet("vegapunkd", flag.ExitOnError)
 	addr := fs.String("addr", ":8471", "HTTP listen address (/v1/models, /metrics, /healthz)")
-	wireAddr := fs.String("listen-wire", ":8473", "binary wire-protocol listener, the one decode path (vegapunkrouter, decodeload); empty disables it")
+	wireAddr := fs.String("listen-wire", ":8473", "binary wire-protocol listener, the one decode path (vegapunkrouter, decodeload)")
 	codeName := fs.String("code", "BB [[72,12,6]]", "benchmark code name (see 'vegapunk codes')")
 	p := fs.Float64("p", 0.001, "physical error rate of the served noise model")
 	decoders := fs.String("decoders", "vegapunk,bp", "comma-separated decoders to register: vegapunk, bp, bp+osd, bp+lsd")
-	bpIters := fs.Int("bp-iters", 100, "BP iteration cap for the bp and bp+osd decoders (bp is Relay-BP: the cap is per leg)")
-	pool := fs.Int("pool", 0, "decoder instances = dispatch workers per model (0 = GOMAXPROCS)")
 	batch := fs.Int("batch", 16, "micro-batch flush size")
-	wait := fs.Duration("wait", 200*time.Microsecond, "micro-batch flush deadline under saturation")
-	timeout := fs.Duration("timeout", 2*time.Second, "per-request decode deadline")
 	debugAddr := fs.String("debug-addr", "", "optional localhost listener for /debug/pprof and /debug/decodetrace (e.g. 127.0.0.1:8472)")
 	traceSample := fs.Uint64("trace-sample", 8, "trace one in N decodes into the span rings (0 disables tracing)")
 	slowLogPath := fs.String("slow-log", "", "append slow-request JSON lines to this file ('-' for stderr)")
-	slowThreshold := fs.Duration("slow-threshold", 10*time.Millisecond, "end-to-end latency above which a request is logged as slow")
 	hangTimeout := fs.Duration("hang-timeout", time.Second, "decode watchdog: quarantine a decoder instance that has not returned after this long")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "consecutive decoder faults that trip the circuit breaker (negative disables)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "how long a tripped breaker fast-fails before probing again")
 	chaos := fs.Bool("chaos", false, "wrap every decoder in a deterministic fault injector (testing only)")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "fault injector base seed (with -chaos)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
@@ -86,6 +80,14 @@ func run() int {
 	}
 
 	logger := log.New(os.Stderr, "vegapunkd ", log.LstdFlags|log.Lmicroseconds)
+	if err := exp.CheckP(*p); err != nil {
+		logger.Printf("%v", err)
+		return 2
+	}
+	if *wireAddr == "" {
+		logger.Printf("-listen-wire is empty: it is the one decode path")
+		return 2
+	}
 
 	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: *traceSample})
 	if *traceSample == 0 {
@@ -113,7 +115,7 @@ func run() int {
 		defer slowLog.Close()
 	}
 
-	b, ok := findBenchmark(*codeName)
+	b, ok := exp.BenchmarkByName(*codeName)
 	if !ok {
 		logger.Printf("unknown code %q; run 'vegapunk codes' for the registry", *codeName)
 		return 2
@@ -126,16 +128,10 @@ func run() int {
 	}
 
 	srv := serve.NewServer(serve.Config{
-		MaxBatch:         *batch,
-		MaxWait:          *wait,
-		PoolSize:         *pool,
-		RequestTimeout:   *timeout,
-		Tracer:           tracer,
-		SlowLog:          slowLog,
-		SlowThreshold:    *slowThreshold,
-		HangTimeout:      *hangTimeout,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
+		MaxBatch:    *batch,
+		Tracer:      tracer,
+		SlowLog:     slowLog,
+		HangTimeout: *hangTimeout,
 	})
 	// Low but lively default mix: mostly-healthy traffic with every fault
 	// kind represented, so a chaos run exercises shedding, quarantine,
@@ -148,7 +144,7 @@ func run() int {
 		if name == "" {
 			continue
 		}
-		factory, err := buildFactory(ws, b, model, name, *bpIters)
+		factory, err := buildFactory(ws, b, model, name)
 		if err != nil {
 			logger.Printf("%v", err)
 			return 1
@@ -184,26 +180,15 @@ func run() int {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2) // one per listener
 	go func() { errCh <- srv.ListenAndServe(*addr) }()
-	logger.Printf("listening on %s", *addr)
-	var wireErrCh chan error
-	if *wireAddr != "" {
-		wireErrCh = make(chan error, 1)
-		go func() { wireErrCh <- srv.ListenAndServeWire(*wireAddr) }()
-		logger.Printf("wire protocol on %s", *wireAddr)
-	}
+	go func() { errCh <- srv.ListenAndServeWire(*wireAddr) }()
+	logger.Printf("listening on %s, wire protocol on %s", *addr, *wireAddr)
 
 	select {
 	case err := <-errCh:
 		if err != nil {
 			logger.Printf("serve: %v", err)
-			return 1
-		}
-		return 0
-	case err := <-wireErrCh:
-		if err != nil {
-			logger.Printf("serve wire: %v", err)
 			return 1
 		}
 		return 0
@@ -216,13 +201,9 @@ func run() int {
 		logger.Printf("shutdown: %v", err)
 		return 1
 	}
-	if err := <-errCh; err != nil {
-		logger.Printf("serve: %v", err)
-		return 1
-	}
-	if wireErrCh != nil {
-		if err := <-wireErrCh; err != nil {
-			logger.Printf("serve wire: %v", err)
+	for range 2 {
+		if err := <-errCh; err != nil {
+			logger.Printf("serve: %v", err)
 			return 1
 		}
 	}
@@ -230,21 +211,16 @@ func run() int {
 	return 0
 }
 
-func findBenchmark(name string) (exp.Benchmark, bool) {
-	for _, b := range exp.Benchmarks() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return exp.Benchmark{}, false
-}
+// bpIters caps BP iterations of the bp and bp+osd decoders (bp is
+// Relay-BP: the cap is per leg).
+const bpIters = 100
 
 // buildFactory maps a decoder flag name to a per-goroutine decoder
 // factory, mirroring the baseline configurations of internal/exp. BPGD
 // is not among them: one decode takes tens to hundreds of milliseconds
 // (p99 0.9–1.3 s on BB [[144,12,12]]), which the hang watchdog's budget
 // for a whole dispatch cannot tell from a hung decoder.
-func buildFactory(ws *exp.Workspace, b exp.Benchmark, model *dem.Model, name string, bpIters int) (core.Factory, error) {
+func buildFactory(ws *exp.Workspace, b exp.Benchmark, model *dem.Model, name string) (core.Factory, error) {
 	switch strings.ToLower(name) {
 	case "vegapunk":
 		dcp, err := ws.Decoupling(b)

@@ -12,7 +12,7 @@ import (
 // any unknown name, and the error lists the four that remain.
 func TestBuildFactoryRejectsUnservedDecoders(t *testing.T) {
 	for _, name := range []string{"bpgd", "BPGD", "nope"} {
-		f, err := buildFactory(nil, exp.Benchmark{}, nil, name, 30)
+		f, err := buildFactory(nil, exp.Benchmark{}, nil, name)
 		if err == nil || f != nil {
 			t.Fatalf("-decoders %s: accepted", name)
 		}
@@ -21,7 +21,7 @@ func TestBuildFactoryRejectsUnservedDecoders(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"bp", "bp+osd", "bp+lsd"} {
-		if f, err := buildFactory(nil, exp.Benchmark{}, nil, name, 30); err != nil || f == nil {
+		if f, err := buildFactory(nil, exp.Benchmark{}, nil, name); err != nil || f == nil {
 			t.Errorf("-decoders %s: %v", name, err)
 		}
 	}

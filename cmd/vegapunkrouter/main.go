@@ -8,19 +8,21 @@
 //	    -replicas 127.0.0.1:8473,127.0.0.1:8474
 //
 // Replica health is tracked passively from response flags (breaker
-// open, draining) and actively by ping probes; requests that
-// a replica sheds or fast-fails are retried on the next-best healthy
-// sibling under a per-replica token-bucket retry budget
-// (-retry-budget-per-sec), with the retry flagged in the response.
-// -hedge-after arms hedged dispatch: a batch without a first response
-// inside the window is re-sent to the sibling (rate-capped by
-// -hedge-rate), and admission control bounds the lanes in flight so a
-// partitioned replica cannot queue-collapse the front end. The admin
+// open, draining) and actively by ping probes every 250 ms; requests
+// that a replica sheds or fast-fails are retried on the next-best
+// healthy sibling under a per-replica token-bucket retry budget (50
+// tokens a second, bursts of 100), with the retry flagged in the
+// response. -hedge-after arms hedged dispatch: a batch without a first
+// response inside the window is re-sent to the sibling (at most one
+// hedge per ten forwarded batches), and admission control bounds the
+// lanes in flight so a partitioned replica cannot queue-collapse the
+// front end. These budgets are internal/cluster's defaults. The admin
 // listener serves /metrics (per-replica health, retries, failovers,
 // open connections, network-vs-server latency split) and /healthz;
-// with -replica-traces it also serves /debug/clustertrace, a Chrome
-// trace_event document merging the router's forwarding spans with each
-// replica's stage spans, clock-offset aligned.
+// with -replica-traces (one debug base URL per -replicas entry, in the
+// same order) it also serves /debug/clustertrace, a Chrome trace_event
+// document merging the router's forwarding spans with each replica's
+// stage spans, clock-offset aligned.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight batches finish, then the
 // process exits 0.
@@ -29,10 +31,12 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -41,55 +45,39 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
 	fs := flag.NewFlagSet("vegapunkrouter", flag.ExitOnError)
 	listen := fs.String("listen", ":9471", "client-facing wire-protocol listen address")
 	admin := fs.String("admin", "", "optional admin HTTP listener for /metrics and /healthz (e.g. 127.0.0.1:9472)")
 	replicas := fs.String("replicas", "", "comma-separated wire-protocol replica addresses (required)")
 	ioTimeout := fs.Duration("io-timeout", 10*time.Second, "backend read/write timeout")
-	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "active health-probe period")
-	poolSize := fs.Int("pool", 4, "idle backend connections kept per replica")
-	replicaTraces := fs.String("replica-traces", "", "comma-separated replica debug base URLs (parallel to -replicas, entries may be empty) for /debug/clustertrace merging")
+	replicaTraces := fs.String("replica-traces", "", "comma-separated replica debug base URLs, one per -replicas entry (an entry may be empty) for /debug/clustertrace merging")
 	traceSample := fs.Uint64("trace-sample", 8, "trace one in every N router-originated requests (1 traces everything)")
-	retryPerSec := fs.Float64("retry-budget-per-sec", 50, "per-replica retry token refill rate; an empty bucket fails lanes terminally instead of amplifying load")
-	retryBurst := fs.Float64("retry-budget-burst", 100, "per-replica retry token bucket capacity")
 	hedgeAfter := fs.Duration("hedge-after", 0, "re-send a slow batch to the sibling after this long without a first response (0 disables hedging)")
-	hedgeRate := fs.Float64("hedge-rate", 0.1, "hedge tokens earned per forwarded batch; caps hedges as a fraction of traffic")
-	retryAfter := fs.Duration("retry-after-hint", 25*time.Millisecond, "how long to route around a replica after it reports overload or loses a hedge race")
-	if err := fs.Parse(os.Args[1:]); err != nil {
+	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	logger := log.New(os.Stderr, "vegapunkrouter ", log.LstdFlags|log.Lmicroseconds)
 
-	var addrs []string
-	for _, a := range strings.Split(*replicas, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
+	if *traceSample == 0 {
+		logger.Printf("-trace-sample 0: must be at least 1")
+		return 2
 	}
-	var traceURLs []string
-	if *replicaTraces != "" {
-		for _, u := range strings.Split(*replicaTraces, ",") {
-			traceURLs = append(traceURLs, strings.TrimSpace(u))
-		}
+	addrs, traceURLs, err := replicaLists(*replicas, *replicaTraces)
+	if err != nil {
+		logger.Printf("%v", err)
+		return 2
 	}
 	rt, err := cluster.New(cluster.Config{
 		Replicas:         addrs,
 		IOTimeout:        *ioTimeout,
-		ProbeInterval:    *probeInterval,
-		PoolSize:         *poolSize,
 		TraceURLs:        traceURLs,
 		TraceSampleEvery: *traceSample,
-
-		RetryBudgetPerSec: *retryPerSec,
-		RetryBudgetBurst:  *retryBurst,
-		HedgeAfter:        *hedgeAfter,
-		HedgeMaxRate:      *hedgeRate,
-		RetryAfterHint:    *retryAfter,
+		HedgeAfter:       *hedgeAfter,
 	})
 	if err != nil {
 		logger.Printf("%v", err)
@@ -136,4 +124,32 @@ func run() int {
 	}
 	logger.Printf("drained, bye")
 	return 0
+}
+
+// replicaLists splits -replicas and -replica-traces by position, so
+// trace URL i belongs to replica i. An empty replica entry (no
+// -replicas at all included) and a trace list of another length are
+// errors, not silently shifted entries.
+func replicaLists(replicas, traces string) (addrs, traceURLs []string, err error) {
+	addrs = splitList(replicas)
+	if slices.Contains(addrs, "") {
+		return nil, nil, fmt.Errorf("-replicas %q: every entry must be an address", replicas)
+	}
+	if traces == "" {
+		return addrs, nil, nil
+	}
+	if traceURLs = splitList(traces); len(traceURLs) != len(addrs) {
+		return nil, nil, fmt.Errorf("-replica-traces has %d entries, -replicas %d", len(traceURLs), len(addrs))
+	}
+	return addrs, traceURLs, nil
+}
+
+// splitList splits a comma-separated flag value, trimming each entry
+// and keeping empty ones in place.
+func splitList(s string) []string {
+	out := strings.Split(s, ",")
+	for i := range out {
+		out[i] = strings.TrimSpace(out[i])
+	}
+	return out
 }

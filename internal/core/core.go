@@ -34,8 +34,6 @@ type Stats struct {
 	Fallback bool
 	// Hier is the hierarchical decode trace (Vegapunk only).
 	Hier hier.Trace
-	// BPGDRounds is the decimation round count (BPGD only).
-	BPGDRounds int
 	// LSDMaxCluster is the largest cluster size (BP+LSD only).
 	LSDMaxCluster int
 }
@@ -209,7 +207,7 @@ func NewBPGD(model *dem.Model, maxRounds, itersPerRound int) Decoder {
 	})
 	return &baseline{name: "BPGD", probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
 		r := d.Decode(s)
-		return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged, BPGDRounds: r.Rounds}
+		return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged}
 	}}
 }
 

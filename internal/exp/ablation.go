@@ -94,15 +94,10 @@ func Fig13(cfg Config, ws *Workspace) error {
 	if cfg.Quality == Quick {
 		targets = []string{"BB [[72,12,6]]", "HP [[162,2,4]]"}
 	}
-	for _, b := range Benchmarks() {
-		selected := false
-		for _, t := range targets {
-			if b.Name == t {
-				selected = true
-			}
-		}
-		if !selected {
-			continue
+	for _, t := range targets {
+		b, ok := BenchmarkByName(t)
+		if !ok {
+			return fmt.Errorf("fig13: no benchmark %s", t)
 		}
 		dcp, err := ws.Decoupling(b)
 		if err != nil {

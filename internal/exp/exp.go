@@ -124,6 +124,26 @@ func Benchmarks() []Benchmark {
 	return out
 }
 
+// BenchmarkByName looks a Table 2 code up by its name, e.g.
+// "BB [[72,12,6]]" (see 'vegapunk codes').
+func BenchmarkByName(name string) (Benchmark, bool) {
+	for _, b := range Benchmarks() {
+		if b.Name == name {
+			return b, true
+		}
+	}
+	return Benchmark{}, false
+}
+
+// CheckP rejects a physical error rate outside (0, 1), NaN included:
+// the noise model's LLRs log((1−p)/p) would be ±Inf or NaN.
+func CheckP(p float64) error {
+	if !(p > 0 && p < 1) {
+		return fmt.Errorf("-p %g: physical error rate must be in (0, 1)", p)
+	}
+	return nil
+}
+
 // Workspace caches codes, models and decouplings across experiments
 // (they are p-independent up to prior scaling).
 type Workspace struct {

@@ -74,23 +74,16 @@ func TestFig12Decouplings(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	for _, w := range want {
-		b := benchmarkNamed(t, w.name)
+		b, ok := BenchmarkByName(w.name)
+		if !ok {
+			t.Fatalf("no benchmark %s", w.name)
+		}
 		_, d, err := fig12Batch(Config{Quality: w.quality, Seed: 2025}, ws, b, 3e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkArtifact(t, b.Name, d, w.K, w.ND, w.sha256)
 	}
-}
-
-func benchmarkNamed(t *testing.T, name string) Benchmark {
-	for _, b := range Benchmarks() {
-		if b.Name == name {
-			return b
-		}
-	}
-	t.Fatalf("no benchmark %s", name)
-	return Benchmark{}
 }
 
 // checkArtifact compares d's K, n_D and serialized SHA-256 with the

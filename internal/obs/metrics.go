@@ -117,8 +117,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // DecodeMetrics is the per-decoder telemetry set promoted out of
 // core.Stats: one instance aggregates every decode of one registered
-// model (server), one experiment run (sim), or one capture. All methods
-// are safe for concurrent use.
+// model. All methods are safe for concurrent use.
 type DecodeMetrics struct {
 	// Decodes counts Decode calls.
 	Decodes Counter
@@ -132,8 +131,6 @@ type DecodeMetrics struct {
 	// HierLevels observes the hierarchical outer-level count
 	// (Vegapunk).
 	HierLevels *Histogram
-	// BPGDRounds observes guided-decimation round counts (BPGD).
-	BPGDRounds *Histogram
 	// LSDClusterChecks observes the largest cluster's check count
 	// (BP+LSD).
 	LSDClusterChecks *Histogram
@@ -146,7 +143,6 @@ func NewDecodeMetrics() *DecodeMetrics {
 	return &DecodeMetrics{
 		BPIters:          NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
 		HierLevels:       NewHistogram(1, 2, 3, 4, 6, 8),
-		BPGDRounds:       NewHistogram(1, 2, 4, 8, 16, 32, 64),
 		LSDClusterChecks: NewHistogram(1, 2, 4, 8, 16, 32, 64, 128),
 		SyndromeWeight:   NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
 	}
@@ -157,7 +153,7 @@ func NewDecodeMetrics() *DecodeMetrics {
 // Stage histograms observe only when their stage ran (value > 0);
 // SyndromeWeight observes every decode, including weight 0.
 // Allocation-free.
-func (m *DecodeMetrics) Record(bpIters int, bpConverged, fallback bool, hierLevels, bpgdRounds, lsdCluster, synWeight int) {
+func (m *DecodeMetrics) Record(bpIters int, bpConverged, fallback bool, hierLevels, lsdCluster, synWeight int) {
 	m.Decodes.Add(1)
 	if bpConverged {
 		m.BPConverged.Add(1)
@@ -170,9 +166,6 @@ func (m *DecodeMetrics) Record(bpIters int, bpConverged, fallback bool, hierLeve
 	}
 	if hierLevels > 0 {
 		m.HierLevels.Observe(float64(hierLevels))
-	}
-	if bpgdRounds > 0 {
-		m.BPGDRounds.Observe(float64(bpgdRounds))
 	}
 	if lsdCluster > 0 {
 		m.LSDClusterChecks.Observe(float64(lsdCluster))

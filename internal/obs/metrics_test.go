@@ -35,10 +35,10 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 
 func TestDecodeMetricsRecordGating(t *testing.T) {
 	m := NewDecodeMetrics()
-	// A BP-only decode: no hier/BPGD/LSD stages ran.
-	m.Record(12, true, false, 0, 0, 0, 3)
+	// A BP-only decode: no hier/LSD stages ran.
+	m.Record(12, true, false, 0, 0, 3)
 	// A Vegapunk decode with fallback.
-	m.Record(30, false, true, 2, 0, 5, 0)
+	m.Record(30, false, true, 2, 5, 0)
 	if m.Decodes.Load() != 2 || m.BPConverged.Load() != 1 || m.Fallback.Load() != 1 {
 		t.Errorf("counters: decodes=%d converged=%d fallback=%d",
 			m.Decodes.Load(), m.BPConverged.Load(), m.Fallback.Load())
@@ -46,9 +46,9 @@ func TestDecodeMetricsRecordGating(t *testing.T) {
 	if m.BPIters.Count() != 2 {
 		t.Errorf("BPIters observed %d, want 2", m.BPIters.Count())
 	}
-	if m.HierLevels.Count() != 1 || m.BPGDRounds.Count() != 0 || m.LSDClusterChecks.Count() != 1 {
-		t.Errorf("stage histograms must observe only when the stage ran: hier=%d bpgd=%d lsd=%d",
-			m.HierLevels.Count(), m.BPGDRounds.Count(), m.LSDClusterChecks.Count())
+	if m.HierLevels.Count() != 1 || m.LSDClusterChecks.Count() != 1 {
+		t.Errorf("stage histograms must observe only when the stage ran: hier=%d lsd=%d",
+			m.HierLevels.Count(), m.LSDClusterChecks.Count())
 	}
 	// Weight-0 syndromes are real decodes and must be observed.
 	if m.SyndromeWeight.Count() != 2 {
@@ -59,7 +59,7 @@ func TestDecodeMetricsRecordGating(t *testing.T) {
 func TestDecodeMetricsRecordDoesNotAllocate(t *testing.T) {
 	m := NewDecodeMetrics()
 	allocs := testing.AllocsPerRun(1000, func() {
-		m.Record(12, true, false, 2, 1, 5, 3)
+		m.Record(12, true, false, 2, 5, 3)
 	})
 	if allocs != 0 {
 		t.Fatalf("Record allocates %.1f times per call, want 0", allocs)
@@ -68,7 +68,7 @@ func TestDecodeMetricsRecordDoesNotAllocate(t *testing.T) {
 
 func TestDecodeFamiliesLintClean(t *testing.T) {
 	m := NewDecodeMetrics()
-	m.Record(12, true, false, 2, 0, 0, 3)
+	m.Record(12, true, false, 2, 0, 3)
 	var buf bytes.Buffer
 	WriteFamilies(&buf, DecodeFamilies, []*DecodeMetrics{m}, []string{`model="test"`})
 	out := buf.String()

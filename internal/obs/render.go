@@ -125,8 +125,6 @@ var DecodeFamilies = []Family[*DecodeMetrics]{
 		Hist: func(m *DecodeMetrics) *Histogram { return m.BPIters }},
 	{Name: "vegapunk_decode_hier_levels", Help: "Hierarchical outer levels per Vegapunk decode.",
 		Hist: func(m *DecodeMetrics) *Histogram { return m.HierLevels }},
-	{Name: "vegapunk_decode_bpgd_rounds", Help: "Guided-decimation rounds per BPGD decode.",
-		Hist: func(m *DecodeMetrics) *Histogram { return m.BPGDRounds }},
 	{Name: "vegapunk_decode_lsd_cluster_checks", Help: "Largest LSD cluster check count per fallback decode.",
 		Hist: func(m *DecodeMetrics) *Histogram { return m.LSDClusterChecks }},
 	{Name: "vegapunk_decode_syndrome_weight", Help: "Hamming weight of decoded syndromes.",

@@ -561,7 +561,7 @@ func (s *Service) process(w *workerState, b []*request) bool {
 		synWeight := req.syndrome.Weight()
 		s.met.copyOutSeconds.Observe(obs.DurSeconds(req.copyOutNs))
 		s.met.dec.Record(req.stats.BPIters, req.stats.BPConverged, req.stats.Fallback,
-			req.stats.Hier.OuterIters, req.stats.BPGDRounds, req.stats.LSDMaxCluster, synWeight)
+			req.stats.Hier.OuterIters, req.stats.LSDMaxCluster, synWeight)
 		if !req.satisfied {
 			s.met.unsatisfied.Add(1)
 		}

@@ -52,11 +52,8 @@ type MemoryConfig struct {
 	Workers int
 	// Seed drives the reproducible PCG randomness.
 	Seed uint64
-	// Metrics, when set, aggregates every decode's execution metadata
-	// (the same telemetry the serving stack exports at /metrics).
-	Metrics *obs.DecodeMetrics
 	// Tracer, when set, samples decodes into per-worker span rings for
-	// Chrome trace export. Neither knob changes decode results.
+	// Chrome trace export. It does not change decode results.
 	Tracer *obs.Tracer
 }
 
@@ -129,10 +126,6 @@ func RunMemory(model *dem.Model, factory core.Factory, cfg MemoryConfig) LERResu
 					est, stats := dec.Decode(syn)
 					if sampled {
 						probe.Deactivate()
-					}
-					if cfg.Metrics != nil {
-						cfg.Metrics.Record(stats.BPIters, stats.BPConverged, stats.Fallback,
-							stats.Hier.OuterIters, stats.BPGDRounds, stats.LSDMaxCluster, syn.Weight())
 					}
 					model.ObservablesInto(obs, est)
 					predicted.Xor(obs)
