@@ -68,7 +68,8 @@ func TestHPBlockDiagonalStructure(t *testing.T) {
 }
 
 func TestHPKFormula(t *testing.T) {
-	// k = k1·k2 + k1ᵀ·k2ᵀ; for square circulants k1ᵀ = k1.
+	// n = n1·n2 + m1·m2 and k = k1·k2 + k1ᵀ·k2ᵀ; for square circulants
+	// m = n and k1ᵀ = k1.
 	cases := []struct {
 		l1 int
 		a1 []int
@@ -77,6 +78,7 @@ func TestHPKFormula(t *testing.T) {
 	}{
 		{6, []int{0, 1}, 7, []int{0, 1}},
 		{12, []int{0, 3}, 12, []int{0, 1, 2}},
+		{5, []int{0, 1}, 5, []int{0, 1}},
 	}
 	for _, cse := range cases {
 		k1 := CirculantDim(cse.l1, cse.a1)
@@ -84,6 +86,9 @@ func TestHPKFormula(t *testing.T) {
 		c, err := NewHP("t", Circulant(cse.l1, cse.a1), Circulant(cse.l2, cse.a2), 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := 2 * cse.l1 * cse.l2; c.N != want {
+			t.Errorf("HP n = %d, want %d", c.N, want)
 		}
 		if want := 2 * k1 * k2; c.K != want {
 			t.Errorf("HP k = %d, want %d", c.K, want)

@@ -26,14 +26,8 @@ func batchFixture(t *testing.T, model *dem.Model, n int, seed uint64) (syns, out
 // and stats are exactly those of per-syndrome Decode calls.
 func TestDecodeBatchHelperMatchesSerial(t *testing.T) {
 	model := bb72Model(t)
-	veg, err := BuildVegapunk(model, decouple.Options{Seed: 1}, hier.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refVeg, err := BuildVegapunk(model, decouple.Options{Seed: 1}, hier.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	veg := buildVegapunk(t, model, decouple.Options{Seed: 1}, hier.Config{})
+	refVeg := buildVegapunk(t, model, decouple.Options{Seed: 1}, hier.Config{})
 	cases := []struct {
 		d, ref Decoder
 	}{

@@ -1,5 +1,5 @@
-// Package core assembles the complete Vegapunk decoder — offline
-// SMT-style decoupling plus the online hierarchical algorithm — and wraps
+// Package core assembles the complete Vegapunk decoder — an offline
+// decoupling artifact plus the online hierarchical algorithm — and wraps
 // every baseline decoder behind one interface, Decoder, so the simulation
 // harness, the accelerator models and the serving layer can treat them
 // uniformly. Decoder (one syndrome in, one correction out) is the whole
@@ -79,18 +79,6 @@ type Vegapunk struct {
 	name   string
 	dec    *decouple.Decoupling
 	online *hier.Decoder
-}
-
-// BuildVegapunk runs the offline stage on the model's check matrix and
-// readies the online decoder. The decoupling is computed once (Decouple
-// returns it already validated against the check matrix); clone the
-// returned decoder for concurrent use via NewVegapunkFrom.
-func BuildVegapunk(model *dem.Model, dopts decouple.Options, cfg hier.Config) (*Vegapunk, error) {
-	dec, err := decouple.Decouple(model.CheckMatrix(), dopts)
-	if err != nil {
-		return nil, fmt.Errorf("vegapunk offline stage: %w", err)
-	}
-	return NewVegapunkFrom(model, dec, cfg), nil
 }
 
 // NewVegapunkFrom builds the online decoder from a pre-computed (stored)

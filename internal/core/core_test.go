@@ -20,12 +20,20 @@ func bb72Model(t *testing.T) *dem.Model {
 	return dem.CircuitLevel(c, 0.003)
 }
 
-func TestAllDecodersSatisfyInterface(t *testing.T) {
-	model := bb72Model(t)
-	veg, err := BuildVegapunk(model, decouple.Options{Seed: 1}, hier.Config{})
+// buildVegapunk runs the offline stage on the model's check matrix and
+// readies the online decoder from the artifact.
+func buildVegapunk(t *testing.T, model *dem.Model, dopts decouple.Options, cfg hier.Config) *Vegapunk {
+	t.Helper()
+	dcp, err := decouple.Decouple(model.CheckMatrix(), dopts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return NewVegapunkFrom(model, dcp, cfg)
+}
+
+func TestAllDecodersSatisfyInterface(t *testing.T) {
+	model := bb72Model(t)
+	veg := buildVegapunk(t, model, decouple.Options{Seed: 1}, hier.Config{})
 	decoders := []Decoder{
 		veg,
 		NewBP(model, 72),
@@ -69,10 +77,7 @@ func TestDecoderNames(t *testing.T) {
 
 func TestVegapunkStatsPopulated(t *testing.T) {
 	model := bb72Model(t)
-	veg, err := BuildVegapunk(model, decouple.Options{Seed: 2}, hier.Config{MaxIters: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	veg := buildVegapunk(t, model, decouple.Options{Seed: 2}, hier.Config{MaxIters: 3})
 	rng := rand.New(rand.NewPCG(2, 2))
 	sawOuter := false
 	for i := 0; i < 10; i++ {
@@ -96,10 +101,7 @@ func TestVegapunkStatsPopulated(t *testing.T) {
 
 func TestVegapunkDecodeSatisfiesSyndrome(t *testing.T) {
 	model := bb72Model(t)
-	veg, err := BuildVegapunk(model, decouple.Options{Seed: 3}, hier.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	veg := buildVegapunk(t, model, decouple.Options{Seed: 3}, hier.Config{})
 	H := model.CheckMatrix()
 	rng := rand.New(rand.NewPCG(3, 3))
 	for i := 0; i < 25; i++ {
@@ -109,6 +111,19 @@ func TestVegapunkDecodeSatisfiesSyndrome(t *testing.T) {
 		if !H.MulVec(est).Equal(s) {
 			t.Fatal("Vegapunk violated the syndrome through the core API")
 		}
+	}
+
+	// A single measurement error on check 7 (CircuitLevel's column 4n+7)
+	// is decoded to a correction with the same logical effect.
+	e := gf2.NewVec(model.NumMech())
+	e.Set(4*72+7, true)
+	s := model.Syndrome(e)
+	est, _ := veg.Decode(s)
+	if !H.MulVec(est).Equal(s) {
+		t.Fatal("single measurement error: syndrome violated")
+	}
+	if !model.Observables(est).Equal(model.Observables(e)) {
+		t.Fatal("single measurement error: observables flipped")
 	}
 }
 

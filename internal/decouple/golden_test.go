@@ -64,9 +64,8 @@ var goldenCases = []goldenCase{
 		"3d180cc47a805d02e00b47fb1c713b3378236c6e1421d30c9ef2b68f157e9063"},
 	{"BB144-circuit-fallback", bbCircuit(3), Options{Seed: 3, MinCoverage: 0.99},
 		"e192a4f7faadfe4e033db0e39a29a88912aabd1415c322e8a86c0caaea2a3f92"},
-	// Generated with the general-T subspace search still in place: the
-	// 4-round HP162 window of examples/slidingwindow (seed 0) and
-	// BenchmarkSlidingWindowDecode (seed 7).
+	// Generated with the general-T subspace search still in place:
+	// hpWindow4's 4-round HP162 window, decoupled at seeds 0 and 7.
 	{"HP162-window4-seed0", hpWindow4, Options{},
 		"f912390935e0d364dcdfeeeb33b1e2291b44c07a344caebc9aee8f6245349866"},
 	{"HP162-window4-seed7", hpWindow4, Options{Seed: 7},

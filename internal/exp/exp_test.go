@@ -111,9 +111,10 @@ func TestTable4RunsEverywhere(t *testing.T) {
 }
 
 func TestFig12RunnerRegistered(t *testing.T) {
-	// Fig12 decodes deep space-time batches and is exercised by the
-	// bench suite (BenchmarkFig12DecouplingAblation) rather than unit
-	// tests; here we only check its registration and title.
+	// Fig12 decodes deep space-time batches and is run end to end by
+	// CI's "Paper exhibits smoke" step (`experiments -run all -quality
+	// quick`) rather than unit tests; here we only check its
+	// registration and title.
 	r, ok := ByID("fig12")
 	if !ok || r.Run == nil {
 		t.Fatal("fig12 runner missing")

@@ -20,9 +20,6 @@ func refOSDDecode(h *gf2.Dense, priorLLR []float64, cfg Config, syndrome gf2.Vec
 	if cfg.Order <= 0 {
 		cfg.Order = 7
 	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 3
-	}
 	n, m := h.Cols(), h.Rows()
 	if soft == nil {
 		soft = priorLLR
@@ -110,15 +107,12 @@ func refOSDDecode(h *gf2.Dense, priorLLR []float64, cfg Config, syndrome gf2.Vec
 	}
 
 	try(nil)
-	if cfg.Method == CombinationSweep || cfg.Method == Exhaustive {
+	if cfg.Method == CombinationSweep {
 		t := cfg.Order
 		if t > len(nonPiv) {
 			t = len(nonPiv)
 		}
-		lambda := 2
-		if cfg.Method == Exhaustive {
-			lambda = cfg.Lambda
-		}
+		const lambda = 2
 		var flips []int
 		var sweep func(start int)
 		sweep = func(start int) {
@@ -164,7 +158,6 @@ func TestOSDEquivalentToReference(t *testing.T) {
 		for _, cfg := range []Config{
 			{Method: OSD0},
 			{Method: CombinationSweep, Order: 5},
-			{Method: Exhaustive, Order: 4, Lambda: 3},
 		} {
 			d := New(model.Mech, llr, cfg)
 			rng := rand.New(rand.NewPCG(21, 5))

@@ -23,21 +23,16 @@ const (
 	// CombinationSweep additionally tries all 1- and 2-bit flips among
 	// the Order least-reliable non-pivot positions (BP+OSD-CS(t)).
 	CombinationSweep
-	// Exhaustive tries every subset of size ≤ Lambda among the Order
-	// least-reliable non-pivot positions (OSD-E(λ)); Lambda = 2
-	// coincides with CombinationSweep, Lambda = 3 trades latency for a
-	// little more accuracy — the natural extension the paper's accuracy
-	// ceiling points at.
-	Exhaustive
 )
+
+// sweepDepth is the largest flip subset CombinationSweep tries.
+const sweepDepth = 2
 
 // Config parameterizes OSD.
 type Config struct {
 	Method Method
 	// Order is the t in CS(t); the paper uses t = 7.
 	Order int
-	// Lambda is the maximum flip-subset size for Exhaustive (default 3).
-	Lambda int
 }
 
 // Decoder performs OSD against one check matrix. The Gaussian
@@ -85,9 +80,6 @@ func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 	if cfg.Order <= 0 {
 		cfg.Order = 7
 	}
-	if cfg.Lambda <= 0 {
-		cfg.Lambda = 3
-	}
 	n, m := h.Cols(), h.Rows()
 	augT := gf2.HStack(h.ToDense(), gf2.Eye(m))
 	return &Decoder{
@@ -101,7 +93,7 @@ func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 		pivCols:  make([]int, 0, m),
 		isPivot:  make([]bool, n),
 		nonPiv:   make([]int, 0, n),
-		flips:    make([]int, 0, cfg.Lambda),
+		flips:    make([]int, 0, sweepDepth),
 		b:        gf2.NewVec(m),
 		rb:       gf2.NewVec(m),
 		cand:     gf2.NewVec(n),
@@ -176,17 +168,13 @@ func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 
 	d.bestW = math.Inf(1)
 	d.try(syndrome, nil)
-	if d.cfg.Method == CombinationSweep || d.cfg.Method == Exhaustive {
+	if d.cfg.Method == CombinationSweep {
 		t := d.cfg.Order
 		if t > len(d.nonPiv) {
 			t = len(d.nonPiv)
 		}
-		lambda := 2
-		if d.cfg.Method == Exhaustive {
-			lambda = d.cfg.Lambda
-		}
 		d.flips = d.flips[:0]
-		d.sweep(syndrome, 0, t, lambda)
+		d.sweep(syndrome, 0, t)
 	}
 	if math.IsInf(d.bestW, 1) {
 		// Inconsistent system (should not happen for sampled syndromes);
@@ -196,19 +184,19 @@ func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 	return d.best
 }
 
-// sweep recursively tries every flip subset of size ≤ lambda among the t
-// least-reliable non-pivot positions, reusing d.flips as the subset
-// stack.
-func (d *Decoder) sweep(syndrome gf2.Vec, start, t, lambda int) {
+// sweep recursively tries every flip subset of size ≤ sweepDepth among
+// the t least-reliable non-pivot positions, reusing d.flips as the
+// subset stack.
+func (d *Decoder) sweep(syndrome gf2.Vec, start, t int) {
 	if len(d.flips) > 0 {
 		d.try(syndrome, d.flips)
 	}
-	if len(d.flips) == lambda {
+	if len(d.flips) == sweepDepth {
 		return
 	}
 	for a := start; a < t; a++ {
-		d.flips = append(d.flips, d.nonPiv[a]) // into capacity Lambda reserved in New
-		d.sweep(syndrome, a+1, t, lambda)
+		d.flips = append(d.flips, d.nonPiv[a]) // into capacity sweepDepth reserved in New
+		d.sweep(syndrome, a+1, t)
 		d.flips = d.flips[:len(d.flips)-1]
 	}
 }

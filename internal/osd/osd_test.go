@@ -177,68 +177,3 @@ func TestBPOSDMoreAccurateThanBP(t *testing.T) {
 	}
 	t.Logf("BP failures: %d/%d, BP+OSD failures: %d/%d", bpFail, trials, comboFail, trials)
 }
-
-func TestExhaustiveLambda2MatchesCS(t *testing.T) {
-	rng := rand.New(rand.NewPCG(8, 8))
-	llr := uniformLLR(14, 0.02)
-	weight := func(v gf2.Vec) float64 {
-		w := 0.0
-		for _, j := range v.Ones() {
-			w += llr[j]
-		}
-		return w
-	}
-	for trial := 0; trial < 25; trial++ {
-		h := gf2.NewDense(6, 14)
-		for i := 0; i < 6; i++ {
-			for j := 0; j < 14; j++ {
-				if rng.IntN(3) == 0 {
-					h.Set(i, j, true)
-				}
-			}
-		}
-		e := gf2.NewVec(14)
-		e.Set(rng.IntN(14), true)
-		e.Set(rng.IntN(14), true)
-		s := h.MulVec(e)
-		cs := New(gf2.CSCFromDense(h), llr, Config{Method: CombinationSweep, Order: 7})
-		ex := New(gf2.CSCFromDense(h), llr, Config{Method: Exhaustive, Order: 7, Lambda: 2})
-		wCS := weight(cs.Decode(s, nil))
-		wEX := weight(ex.Decode(s, nil))
-		if diff := wCS - wEX; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("E(2) weight %v != CS weight %v", wEX, wCS)
-		}
-	}
-}
-
-func TestExhaustiveLambda3NotWorse(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	llr := uniformLLR(16, 0.02)
-	weight := func(v gf2.Vec) float64 {
-		w := 0.0
-		for _, j := range v.Ones() {
-			w += llr[j]
-		}
-		return w
-	}
-	for trial := 0; trial < 20; trial++ {
-		h := gf2.NewDense(6, 16)
-		for i := 0; i < 6; i++ {
-			for j := 0; j < 16; j++ {
-				if rng.IntN(3) == 0 {
-					h.Set(i, j, true)
-				}
-			}
-		}
-		e := gf2.NewVec(16)
-		for k := 0; k < 3; k++ {
-			e.Set(rng.IntN(16), true)
-		}
-		s := h.MulVec(e)
-		e2 := New(gf2.CSCFromDense(h), llr, Config{Method: Exhaustive, Order: 8, Lambda: 2})
-		e3 := New(gf2.CSCFromDense(h), llr, Config{Method: Exhaustive, Order: 8, Lambda: 3})
-		if w3, w2 := weight(e3.Decode(s, nil)), weight(e2.Decode(s, nil)); w3 > w2+1e-9 {
-			t.Fatalf("E(3) weight %v worse than E(2) %v", w3, w2)
-		}
-	}
-}
