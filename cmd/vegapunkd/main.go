@@ -19,18 +19,19 @@
 // With -debug-addr a second localhost listener serves net/http/pprof
 // (/debug/pprof/...) plus the same decode-trace dump; with -slow-log
 // every request slower than 10 ms end to end is appended to the given
-// file as one JSON line. Pool size, flush and request deadlines and the
-// circuit breaker are internal/serve's defaults.
+// file as one JSON line. Pool size, the flush deadline and the circuit
+// breaker are internal/serve's defaults; a wire request carries no
+// deadline, and the hang watchdog bounds every dispatch.
 //
 // With -chaos every registered decoder factory is wrapped in a
 // deterministic fault injector (internal/fault) seeded by
 // -chaos-seed: a small fraction of decodes run slow, panic, return
 // wrong-length results, stall past the watchdog, or skew their trace
 // clock. This exercises the resilience machinery — worker quarantine,
-// hang watchdog, circuit breaker and deadline shedding — against a live
+// hang watchdog and circuit breaker — against a live
 // daemon; injected fault totals are logged at shutdown. Every decode
 // runs its decoder's constructed configuration: there is no cheaper
-// tier to fall back to under load, only shedding.
+// tier to fall back to under load, and nothing is shed.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, queues
 // flush, then the process exits 0.
@@ -134,8 +135,8 @@ func run() int {
 		HangTimeout: *hangTimeout,
 	})
 	// Low but lively default mix: mostly-healthy traffic with every fault
-	// kind represented, so a chaos run exercises shedding, quarantine,
-	// the watchdog and the breaker without drowning the service.
+	// kind represented, so a chaos run exercises quarantine, the
+	// watchdog and the breaker without drowning the service.
 	chaosPlan := fault.Plan{Seed: *chaosSeed, Mix: map[fault.Kind]float64{
 		fault.Slow: 0.02, fault.Crash: 0.005, fault.Corrupt: 0.005, fault.Stall: 0.002, fault.Skew: 0.01,
 	}}

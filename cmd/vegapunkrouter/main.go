@@ -9,16 +9,18 @@
 //
 // Replica health is tracked passively from response flags (breaker
 // open, draining) and actively by ping probes every 250 ms; requests
-// that a replica sheds or fast-fails are retried on the next-best
-// healthy sibling under a per-replica token-bucket retry budget (50
-// tokens a second, bursts of 100), with the retry flagged in the
-// response. -hedge-after arms hedged dispatch: a batch without a first
-// response inside the window is re-sent to the sibling (at most one
-// hedge per ten forwarded batches), and admission control bounds the
-// lanes in flight so a partitioned replica cannot queue-collapse the
-// front end. These budgets are internal/cluster's defaults. The admin
-// listener serves /metrics (per-replica health, retries, failovers,
-// open connections, network-vs-server latency split) and /healthz;
+// that a replica fast-fails or loses to a decoder fault are
+// retried on the next-best healthy sibling under a per-replica
+// token-bucket retry budget (50 tokens a second, bursts of 100), with
+// the retry flagged in the response; a replica that fast-fails or
+// faults is routed around for 25 ms. -hedge-after arms hedged
+// dispatch: a batch without a first response inside the window is
+// re-sent to the sibling (at most one hedge per ten forwarded batches),
+// and admission control bounds the lanes in flight so a partitioned
+// replica cannot queue-collapse the front end. These budgets are
+// internal/cluster's defaults. The admin listener serves /metrics
+// (per-replica health, retries, failovers, open connections,
+// network-vs-server latency split) and /healthz;
 // with -replica-traces (one debug base URL per -replicas entry, in the
 // same order) it also serves /debug/clustertrace, a Chrome trace_event
 // document merging the router's forwarding spans with each replica's

@@ -163,14 +163,11 @@ func (p Params) VegapunkLatency(dec *decouple.Decoupling, outerIters, innerIters
 // WorstCase reports the Table 2 "worst case" latency: every outer round
 // executes with the configured maxima.
 func (p Params) WorstCase(dec *decouple.Decoupling, cfg hier.Config) Report {
-	m, inner := cfg.MaxIters, cfg.InnerIters
+	m := cfg.MaxIters
 	if m <= 0 {
 		m = 3
 	}
-	if inner <= 0 {
-		inner = 3
-	}
-	return p.VegapunkLatency(dec, m, inner)
+	return p.VegapunkLatency(dec, m, hier.InnerIters)
 }
 
 // FromTrace reports the latency of an observed decode.

@@ -28,7 +28,7 @@ func TestVegapunkLatencySubMicrosecond(t *testing.T) {
 	// The headline claim: worst-case decode below 1 µs for BB codes.
 	p := DefaultParams()
 	dec := bbDecoupling(t, 0)
-	rep := p.WorstCase(dec, hier.Config{MaxIters: 3, InnerIters: 3})
+	rep := p.WorstCase(dec, hier.Config{MaxIters: 3})
 	if rep.Latency >= time.Microsecond {
 		t.Errorf("worst-case latency %v not under 1µs", rep.Latency)
 	}

@@ -24,8 +24,8 @@ func TestFunctionalMatchesSoftware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := hier.New(dcp, model.LLRs(), hier.Config{MaxIters: 3, InnerIters: 3})
-	hw := NewFunctional(dcp, model.LLRs(), 3, 3)
+	sw := hier.New(dcp, model.LLRs(), hier.Config{MaxIters: 3})
+	hw := NewFunctional(dcp, model.LLRs(), 3, hier.InnerIters)
 	rng := rand.New(rand.NewPCG(6, 6))
 	H := model.CheckMatrix()
 	for trial := 0; trial < 60; trial++ {
@@ -53,8 +53,8 @@ func TestFunctionalMatchesSoftwareHP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := hier.New(dcp, model.LLRs(), hier.Config{MaxIters: 2, InnerIters: 2})
-	hw := NewFunctional(dcp, model.LLRs(), 2, 2)
+	sw := hier.New(dcp, model.LLRs(), hier.Config{MaxIters: 2})
+	hw := NewFunctional(dcp, model.LLRs(), 2, hier.InnerIters)
 	rng := rand.New(rand.NewPCG(7, 7))
 	for trial := 0; trial < 40; trial++ {
 		e := model.Sample(rng)

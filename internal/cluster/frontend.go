@@ -442,9 +442,10 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		if timed {
 			rep.observeTiming(wall, &tm, recvTick)
 		}
-		if status == wire.StatusOverload {
+		if status == wire.StatusOverload || status == wire.StatusDecoderFault {
 			// Retry-After honoring: the replica asked for breathing
-			// room; deprioritise it until the hint expires.
+			// room, or is replacing a faulty decoder; deprioritise it
+			// until the hint expires.
 			rep.suspend(recvTick, f.rt.cfg.RetryAfterHint)
 		}
 		if status.Retryable() && !retried {

@@ -15,7 +15,7 @@ var routerFamilies = []obs.Family[*Router]{
 		Counter: func(r *Router) uint64 { return r.wire.Accepted() }},
 	{Name: "vegapunk_router_open_connections", Help: "Client wire connections currently open.",
 		Gauge: func(r *Router) int64 { return r.wire.Open() }},
-	{Name: "vegapunk_router_retries_total", Help: "Requests re-sent to a sibling replica after a shed, overload or transport failure.",
+	{Name: "vegapunk_router_retries_total", Help: "Requests re-sent to a sibling replica after an overload, decoder fault or transport failure.",
 		Counter: func(r *Router) uint64 { return r.retries.Load() }},
 	{Name: "vegapunk_router_no_replica_total", Help: "Requests failed because no usable replica remained.",
 		Counter: func(r *Router) uint64 { return r.noReplica.Load() }},

@@ -3,10 +3,10 @@
 // requests out across replica vegapunkd processes. Model keys shard by
 // rendezvous (highest-random-weight) hashing, replica health is tracked
 // passively from response flags and actively by ping probes, and
-// shed/overload/transport outcomes retry on the next-best healthy
-// sibling under a per-replica token-bucket retry budget so one slow or
-// dying replica does not surface to clients — and cannot trigger a
-// retry storm onto the survivors. Optional hedged dispatch re-sends a
+// overload, decoder-fault and transport outcomes retry on the next-best
+// healthy sibling under a per-replica token-bucket retry budget so one
+// slow or dying replica does not surface to clients — and cannot
+// trigger a retry storm onto the survivors. Optional hedged dispatch re-sends a
 // slow batch to the sibling after Config.HedgeAfter (loser
 // cancellation, rate-capped), admission control bounds in-flight lanes,
 // and a bad backend frame ends only its connection — the replica keeps
@@ -76,9 +76,10 @@ type Config struct {
 	// double the fleet's load.
 	HedgeMaxRate float64
 	// RetryAfterHint is how long routing deprioritises a replica after
-	// it answers StatusOverload (default 25ms) — the wire protocol's
-	// Retry-After: the replica asked for breathing room, so prefer the
-	// sibling until the hint expires. A fired hedge applies the same
+	// it answers StatusOverload or StatusDecoderFault (default 25ms) —
+	// the wire protocol's Retry-After: the replica asked for breathing
+	// room or is replacing a faulty decoder, so prefer the sibling until
+	// the hint expires. A fired hedge applies the same
 	// suspension to the slow replica (outlier ejection), and a suspended
 	// replica is never chosen as a hedge target.
 	RetryAfterHint time.Duration
@@ -180,8 +181,8 @@ type replica struct {
 	budget         tokenBucket
 	retryExhausted obs.Counter
 	// suspendUntil deprioritises routing to this replica until the obs
-	// tick it holds: set when the replica answers StatusOverload
-	// (Retry-After honoring). A suspended healthy replica ranks as
+	// tick it holds: set when the replica answers StatusOverload or
+	// StatusDecoderFault (Retry-After honoring). A suspended healthy replica ranks as
 	// draining in pick, so it still serves as the last resort.
 	suspendUntil atomic.Int64
 
@@ -227,7 +228,8 @@ func (r *replica) observeTiming(wallNs int64, tm *wire.ServerTiming, recvTick in
 	}
 }
 
-// suspend deprioritises the replica for d after it reported overload.
+// suspend deprioritises the replica for d after it reported overload
+// or a decoder fault.
 func (r *replica) suspend(now int64, d time.Duration) {
 	if d <= 0 {
 		return
@@ -451,8 +453,8 @@ func mix64(x uint64) uint64 {
 
 // pick returns the rendezvous winner for keyHash among usable replicas
 // (healthy preferred over draining, down excluded), skipping exclude —
-// the retry sibling selector. A healthy replica inside its overload
-// suspension window (Retry-After honoring) ranks as draining: still
+// the retry sibling selector. A healthy replica inside its suspension
+// window (Retry-After honoring) ranks as draining: still
 // usable as the last resort, but routed around while the hint holds.
 func (r *Router) pick(keyHash uint64, exclude *replica) *replica {
 	var best *replica

@@ -14,6 +14,7 @@ import (
 	"vegapunk/internal/dem"
 	"vegapunk/internal/fault"
 	"vegapunk/internal/gf2"
+	"vegapunk/internal/obs"
 	"vegapunk/internal/serve"
 	"vegapunk/internal/wire"
 )
@@ -46,8 +47,7 @@ func sampleSyndromes(model *dem.Model, n int, seed uint64) []gf2.Vec {
 func replicaConfig() serve.Config {
 	return serve.Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize:       2,
-		RequestTimeout: 2 * time.Second,
+		PoolSize: 2,
 	}
 }
 
@@ -472,7 +472,12 @@ func breakerPair(t *testing.T, cfg Config) (*Router, *replica, *wire.Client, wir
 	if _, err := c.Decode(info.ID, 1, sampleSyndromes(model, 1, 41)[0], &res); err != nil {
 		t.Fatalf("tripping decode: %v", err)
 	}
-	return rt, replicaByAddr(t, rt, faultyAddr), c, info
+	// The tripping fault was retried on the sibling and suspended the
+	// faulty replica; lift the suspension so the next decode meets the
+	// open breaker first.
+	rep := replicaByAddr(t, rt, faultyAddr)
+	rep.suspendUntil.Store(0)
+	return rt, rep, c, info
 }
 
 // TestRouterRetryOnOpenBreaker: a replica whose circuit breaker is open
@@ -508,27 +513,123 @@ func TestRouterRetryOnOpenBreaker(t *testing.T) {
 	}
 }
 
-// TestRouterRetryBudgetExhausts: with the preferred replica's breaker
-// open, every lane it gets comes back StatusOverload and asks for a
-// sibling retry. With a budget of three tokens that does not refill,
-// exactly three lanes are retried and every later one fails terminally:
-// the budget, not the sibling's capacity, stops the retry storm.
+// faultyPair is a router over two replicas and a client bound to
+// testKey through it. The preferred replica wraps a decoder that panics
+// on every decode and has no circuit breaker, so every lane it gets is
+// answered StatusDecoderFault; faults counts its decodes. The sibling
+// drains softly (it still decodes, flagged draining), so routing
+// reaches it only as the retry target.
+type faultyPair struct {
+	rt          *Router
+	faulty, sib *replica
+	faults      *fault.Counters
+	sibSrv      *serve.Server
+	c           *wire.Client
+	info        wire.ModelInfo
+}
+
+func newFaultyPair(t *testing.T, cfg Config) faultyPair {
+	t.Helper()
+	_, factory := clusterModel(t)
+	faulty, faults := fault.Wrap(factory, fault.Plan{
+		Seed: 1,
+		Mix:  map[fault.Kind]float64{fault.Crash: 1},
+	})
+	faultyCfg := replicaConfig()
+	faultyCfg.MaxBatch = 1
+	faultyCfg.PoolSize = 1
+	faultyCfg.BreakerThreshold = -1
+	_, faultyAddr := startReplica(t, faultyCfg, faulty)
+	sib, sibAddr := startReplica(t, replicaConfig(), nil)
+	sib.SetWireDraining(true)
+
+	cfg.Replicas = []string{faultyAddr, sibAddr}
+	cfg.ProbeInterval = time.Hour
+	rt, raddr := startRouter(t, cfg)
+	sibRep := replicaByAddr(t, rt, sibAddr)
+	sibRep.setState(StateDraining)
+
+	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	info, err := c.Hello(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return faultyPair{rt: rt, faulty: replicaByAddr(t, rt, faultyAddr), sib: sibRep,
+		faults: faults, sibSrv: sib, c: c, info: info}
+}
+
+// TestRouterRetryOnDecoderFault: a replica whose decoder faults answers
+// StatusDecoderFault; the router must retry the request on the sibling,
+// mark the response FlagRetried, and suspend the faulty replica for
+// RetryAfterHint, so that while the hint holds routing sends the key's
+// traffic to the sibling without trying the faulty replica first.
+func TestRouterRetryOnDecoderFault(t *testing.T) {
+	p := newFaultyPair(t, Config{RetryAfterHint: time.Hour})
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 12, 41)
+	var res wire.Result
+	wire.SizeResult(&res, p.info.NumMech, p.info.NumObs)
+
+	flags, err := p.c.Decode(p.info.ID, 1, syndromes[1], &res)
+	if err != nil {
+		t.Fatalf("decode 1: %v", err)
+	}
+	if res.Status != wire.StatusOK || flags&wire.FlagRetried == 0 {
+		t.Fatalf("decode 1: status %s flags %#x, want OK and FlagRetried via the sibling", res.Status, flags)
+	}
+	if got := p.faults.Of(fault.Crash); got != 1 {
+		t.Fatalf("faulty replica crashed %d times, want 1", got)
+	}
+	if got := p.rt.retries.Load(); got != 1 {
+		t.Fatalf("router retries = %d, want 1", got)
+	}
+	if p.faulty.suspendUntil.Load() <= obs.Tick() {
+		t.Fatal("the decoder fault did not suspend the faulty replica")
+	}
+
+	// With the sibling healthy again, the suspension routes the key
+	// straight to it: no retry, and no decode reaches the faulty replica.
+	p.sibSrv.SetWireDraining(false)
+	p.sib.setState(StateHealthy)
+	for i := uint64(2); i <= 10; i++ {
+		flags, err := p.c.Decode(p.info.ID, i, syndromes[i], &res)
+		if err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if res.Status != wire.StatusOK || flags&wire.FlagRetried != 0 {
+			t.Fatalf("decode %d: status %s flags %#x, want OK from the sibling directly", i, res.Status, flags)
+		}
+	}
+	if got := p.faults.Ops.Load(); got != 1 {
+		t.Fatalf("the suspended replica decoded %d times, want 1", got)
+	}
+}
+
+// TestRouterRetryBudgetExhausts: every lane the faulty replica gets
+// comes back StatusDecoderFault and asks for a sibling retry. With a
+// budget of three tokens that does not refill, exactly three lanes are
+// retried and every later one fails terminally: the budget, not the
+// sibling's capacity, stops the retry storm.
 func TestRouterRetryBudgetExhausts(t *testing.T) {
-	_, faulty, c, info := breakerPair(t, Config{
+	p := newFaultyPair(t, Config{
 		RetryBudgetPerSec: 1e-9, // no refill within the test
 		RetryBudgetBurst:  3,
-		// Overload suspends the faulty replica this long; a nanosecond
+		// A fault suspends the faulty replica this long; a nanosecond
 		// keeps routing every decode to it first.
 		RetryAfterHint: time.Nanosecond,
 	})
 	model, _ := clusterModel(t)
 	syndromes := sampleSyndromes(model, 12, 41)
 	var res wire.Result
-	wire.SizeResult(&res, info.NumMech, info.NumObs)
+	wire.SizeResult(&res, p.info.NumMech, p.info.NumObs)
 
 	retried, refused := 0, 0
-	for i := uint64(2); i <= 10; i++ {
-		flags, err := c.Decode(info.ID, i, syndromes[i], &res)
+	for i := uint64(1); i <= 9; i++ {
+		flags, err := p.c.Decode(p.info.ID, i, syndromes[i], &res)
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
@@ -542,9 +643,9 @@ func TestRouterRetryBudgetExhausts(t *testing.T) {
 		}
 	}
 	if retried != 3 || refused != 6 {
-		t.Fatalf("%d retried and %d refused of 9 overloaded lanes, want 3 and 6", retried, refused)
+		t.Fatalf("%d retried and %d refused of 9 faulted lanes, want 3 and 6", retried, refused)
 	}
-	if got := faulty.retryExhausted.Load(); got != 6 {
+	if got := p.faulty.retryExhausted.Load(); got != 6 {
 		t.Fatalf("retry_budget_exhausted_total = %d, want 6", got)
 	}
 }

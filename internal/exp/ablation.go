@@ -112,7 +112,7 @@ func Fig13(cfg Config, ws *Workspace) error {
 			}
 			mm := m
 			fac := func() core.Decoder {
-				return core.NewVegapunkFrom(model, dcp, hier.Config{MaxIters: mm, InnerIters: 3})
+				return core.NewVegapunkFrom(model, dcp, hier.Config{MaxIters: mm})
 			}
 			r := sim.RunMemory(model, fac, sim.MemoryConfig{
 				Rounds:  cfg.rounds(b.Rounds),

@@ -91,7 +91,7 @@ func Table2(cfg Config, ws *Workspace) error {
 		}
 		latOSD := sim.MeasureLatency(model, fOSD(), cfg.shots(40), cfg.Seed)
 		latV := sim.MeasureLatency(model, fV(), cfg.shots(80), cfg.Seed)
-		wc := params.WorstCase(dcp, hier.Config{MaxIters: 3, InnerIters: 3})
+		wc := params.WorstCase(dcp, hier.Config{MaxIters: 3})
 		cfg.printf("%-18s %12v %14v | %14v %12v %14v\n", b.Name,
 			params.BPLatency(rBP.MeanBPIters), latOSD.Mean,
 			latV.Mean, params.GPULatency(model.NumMech()), wc.Latency)

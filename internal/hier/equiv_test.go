@@ -47,7 +47,7 @@ func refGreedyGuess(dec *decouple.Decoupling, w []float64, cfg Config, g int, sl
 	for _, r := range f.Ones() {
 		obj += wf[r]
 	}
-	for round := 1; round <= cfg.InnerIters; round++ {
+	for round := 1; round <= InnerIters; round++ {
 		bestBit := -1
 		bestDelta := 0.0
 		for bit := 0; bit < nB; bit++ {

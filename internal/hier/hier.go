@@ -42,16 +42,14 @@ type Config struct {
 	// MaxIters is the paper's M: outer right-error guessing rounds
 	// (default 3, the paper's production setting).
 	MaxIters int
-	// InnerIters caps GreedyGuess rounds per block (default 3).
-	InnerIters int
 }
+
+// InnerIters caps GreedyGuess rounds per block.
+const InnerIters = 3
 
 func (c Config) withDefaults() Config {
 	if c.MaxIters <= 0 {
 		c.MaxIters = 3
-	}
-	if c.InnerIters <= 0 {
-		c.InnerIters = 3
 	}
 	return c
 }
@@ -103,8 +101,8 @@ type Decoder struct {
 
 	// table memoizes block objectives: the 1<<tableBits entries from
 	// g<<tableBits are block g's, direct-mapped by local syndrome. The
-	// objective is a function of (block, local syndrome) alone — weights
-	// and InnerIters are fixed at New — so an entry never goes stale.
+	// objective is a function of (block, local syndrome) alone — the
+	// weights are fixed at New — so an entry never goes stale.
 	// nil unless the local syndrome is one word (fW = 1), the key.
 	// Only the prefix table[:K<<tableBits] is in use: grow widens it 4×,
 	// up to maxBits, once sinceGrow misses reach half of it.
@@ -524,7 +522,7 @@ func (d *Decoder) greedyGuess(g int, sl []uint64, out *blockSol) {
 		}
 	}
 	inner := 0
-	for round := 1; round <= d.cfg.InnerIters; round++ {
+	for round := 1; round <= InnerIters; round++ {
 		// Bits worth scoring this round: every unset one, or (with
 		// nonnegative weights) only those incident to the residual.
 		if d.pruned {

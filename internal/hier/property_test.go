@@ -45,7 +45,7 @@ func TestDecodeConstraintProperty(t *testing.T) {
 		for j := range w {
 			w[j] = 0.5 + 5*rng.Float64()
 		}
-		d := New(dec, w, Config{MaxIters: 1 + rng.IntN(4), InnerIters: 1 + rng.IntN(4)})
+		d := New(dec, w, Config{MaxIters: 1 + rng.IntN(4)})
 		for k := 0; k < 8; k++ {
 			// Any syndrome reachable by some error (identity block makes
 			// every syndrome reachable).

@@ -25,9 +25,7 @@ type serviceMetrics struct {
 	// dec aggregates decoder execution metadata (BP iterations,
 	// convergence, fallback engagement, …).
 	dec *obs.DecodeMetrics
-	// Resilience counters: requests shed on deadline budget and decoder
-	// quarantine causes.
-	shed              obs.Counter
+	// Resilience counters: decoder quarantine causes.
 	decoderPanics     obs.Counter
 	decoderHangs      obs.Counter
 	decoderBadResults obs.Counter
@@ -67,8 +65,6 @@ var serviceFamilies = []obs.Family[*Service]{
 		Hist: func(s *Service) *obs.Histogram { return s.met.decodeSeconds }},
 	{Name: "vegapunk_serve_copy_out_seconds", Help: "Pool-boundary copy-out and syndrome-check time per syndrome.",
 		Hist: func(s *Service) *obs.Histogram { return s.met.copyOutSeconds }},
-	{Name: "vegapunk_serve_shed_total", Help: "Requests shed because the deadline budget could not cover p99 decode latency.",
-		Counter: func(s *Service) uint64 { return s.met.shed.Load() }},
 	{Name: "vegapunk_serve_decoder_panics_total", Help: "Decoder instances quarantined after a panic.",
 		Counter: func(s *Service) uint64 { return s.met.decoderPanics.Load() }},
 	{Name: "vegapunk_serve_decoder_hangs_total", Help: "Decoder instances quarantined after a hung decode.",

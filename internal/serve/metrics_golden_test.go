@@ -22,8 +22,7 @@ func TestMetricsGolden(t *testing.T) {
 	model, factory := testModel(t)
 	srv := NewServer(Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize:       2,
-		RequestTimeout: time.Second,
+		PoolSize: 2,
 	})
 	if _, err := srv.Register("golden/bp/p0.010", model, "BP(30)", factory); err != nil {
 		t.Fatal(err)

@@ -25,9 +25,8 @@
 //     decode itself.
 //   - Server: the model registry behind the binary wire protocol
 //     (ServeWire, internal/wire), the only way a decode arrives, with
-//     per-request deadlines and graceful drain; a stdlib net/http
-//     listener beside it answers GET /v1/models, /healthz and
-//     /debug/decodetrace.
+//     graceful drain; a stdlib net/http listener beside it answers GET
+//     /v1/models, /healthz and /debug/decodetrace.
 //   - Metrics: atomic counters/gauges/histograms with zero allocations
 //     on the observation path, rendered in Prometheus text format at
 //     GET /metrics from two obs.Family tables (metrics.go).
@@ -64,8 +63,6 @@ type Config struct {
 	// protocol, which has no admission bound of its own. Kept only
 	// because benchmark/spec.go still sets it.
 	MaxInFlight int
-	// RequestTimeout is the per-request decode deadline (default 2s).
-	RequestTimeout time.Duration
 	// HangTimeout is how long one dispatch — up to MaxBatch decodes in
 	// a row — may run before the worker's watchdog declares the decoder
 	// hung, quarantines it, fails the dispatch's requests with
@@ -102,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = runtime.GOMAXPROCS(0)
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
 	}
 	if c.HangTimeout <= 0 {
 		c.HangTimeout = time.Second

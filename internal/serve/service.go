@@ -17,11 +17,6 @@ import (
 // ErrClosed is returned by decode calls on a closed (drained) service.
 var ErrClosed = errors.New("serve: service closed")
 
-// ErrDeadlineBudget is returned for a request shed because its
-// remaining deadline budget could not cover the observed p99 decode
-// latency — failing fast beats decoding a result nobody can use.
-var ErrDeadlineBudget = errors.New("serve: deadline budget exhausted before decode")
-
 // ErrDecoderFault is returned when the decoder serving a request
 // panicked, hung past Config.HangTimeout, or produced a wrong-length
 // result. The faulty instance is quarantined; retrying is reasonable.
@@ -52,11 +47,9 @@ type request struct {
 	state       atomic.Int32
 	done        chan struct{}
 
-	// Resilience: the caller's deadline as an obs tick (0 = none) and
-	// the terminal error for requests that never produced a result
-	// (shed, decoder fault).
-	deadline int64
-	err      error
+	// Resilience: the terminal error for requests that never produced
+	// a result (decoder fault).
+	err error
 
 	// Observability: the decode id (tracer-issued, or the caller's wire
 	// trace id), whether the caller forced span sampling (distributed
@@ -126,13 +119,8 @@ type Service struct {
 	// blocking, so the batch leaves as soon as a worker is free.
 	idle chan struct{}
 
-	// Resilience: the decoder-fault circuit breaker and the cached p99
-	// decode latency used for deadline shedding (refreshed from the
-	// decode histogram every p99RefreshEvery successful decodes; 0 until
-	// the first refresh, which disables shedding during warmup).
-	breaker     *breaker
-	p99DecodeNs atomic.Int64
-	decodes     atomic.Uint64
+	// Resilience: the decoder-fault circuit breaker.
+	breaker *breaker
 
 	// Freelists are bounded channels rather than sync.Pools so the
 	// steady state stays allocation-free even across GC cycles.
@@ -276,10 +264,6 @@ func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTra
 	req.workerID = 0
 	req.enq = obs.Tick()
 	req.err = nil
-	req.deadline = 0
-	if dl, ok := ctx.Deadline(); ok {
-		req.deadline = obs.TickAt(dl)
-	}
 	if !s.breaker.allow(req.enq) {
 		s.putReq(req)
 		return nil, ErrCircuitOpen
@@ -327,7 +311,7 @@ func (s *Service) wait(ctx context.Context, req *request, res *Result) error {
 
 // collect copies the finished request's result into the caller's Result
 // at the pool boundary and recycles the request. A request that ended
-// in a terminal error (shed, decoder fault) carries no result: the
+// in a terminal error (decoder fault) carries no result: the
 // error is returned and res is left untouched.
 func (s *Service) collect(req *request, res *Result) error {
 	if err := req.err; err != nil {
@@ -469,50 +453,33 @@ func (s *Service) quarantine(lanes []*request) {
 	}
 }
 
-// p99RefreshEvery is how many successful decodes pass between refreshes
-// of the cached p99 decode latency (the deadline-shedding estimate).
-const p99RefreshEvery = 64
-
 // process is the one dispatch path: it carries a micro-batch — a single
 // request is a batch of one — through one decode on this worker and
 // copies everything each caller needs out of the worker-owned outputs
 // before the decoder can be reused (the pool boundary ownership rule).
-// Admission work happens per lane: queue-wait accounting, and shedding
-// of requests whose remaining deadline budget cannot cover the observed
-// p99 decode latency. The decode, fault quarantine (panic, wrong-length
-// result) and breaker bookkeeping happen once per dispatch. It reports
-// false when the hang watchdog took the dispatch (and the worker) over
-// mid-decode; the caller must then return at once. Stage boundaries are
-// measured with the obs package clock; a sampled lane's queue-wait,
-// decode and copy-out spans land in the worker's ring, and when the
-// lead lane is sampled the decoder's probe records its internal stages
-// there too under the lead's decode id.
-func (s *Service) process(w *workerState, b []*request) bool {
+// Per lane it accounts queue wait and stages the syndrome; the decode,
+// fault quarantine (panic, wrong-length result) and breaker bookkeeping
+// happen once per dispatch. It reports false when the hang watchdog
+// took the dispatch (and the worker) over mid-decode; the caller must
+// then return at once. Stage boundaries are measured with the obs
+// package clock; a sampled lane's queue-wait, decode and copy-out spans
+// land in the worker's ring, and when the lead lane is sampled the
+// decoder's probe records its internal stages there too under the
+// lead's decode id.
+func (s *Service) process(w *workerState, lanes []*request) bool {
 	t0 := obs.Tick()
-	p99 := s.p99DecodeNs.Load()
-	n := 0
-	for _, req := range b {
+	for i, req := range lanes {
 		req.queueWaitNs = t0 - req.enq
 		req.workerID = w.id
 		s.met.queueWaitSeconds.Observe(obs.DurSeconds(req.queueWaitNs))
-		if req.deadline != 0 && p99 > 0 && t0+p99 > req.deadline {
-			s.met.shed.Add(1)
-			s.finish(req, ErrDeadlineBudget)
-			continue
-		}
 		if s.sampled(req) {
 			w.ring.Record(obs.StageQueueWait, 0, uint32(req.id), req.enq, t0)
 		}
 		// Staged into worker-owned lanes: the decoder never sees request
 		// memory, so an abandoned decode cannot touch a recycled request.
-		w.syns[n].CopyFrom(req.syndrome)
-		b[n] = req // compact the un-shed lanes to the front (n never passes the read index)
-		n++
+		w.syns[i].CopyFrom(req.syndrome)
 	}
-	if n == 0 {
-		return true // every lane shed
-	}
-	lanes := b[:n]
+	n := len(lanes)
 	lead := lanes[0]
 	sampled := s.sampled(lead)
 	o, owned := w.decode(s.cfg.HangTimeout, decodeJob{sampled: sampled, id: lead.id}, lanes)
@@ -581,9 +548,6 @@ func (s *Service) process(w *workerState, b []*request) bool {
 			})
 		}
 		s.finish(req, nil)
-	}
-	if nn := s.decodes.Add(uint64(n)); nn%p99RefreshEvery < uint64(n) {
-		s.p99DecodeNs.Store(int64(s.met.decodeSeconds.Quantile(0.99) * 1e9))
 	}
 	return true
 }

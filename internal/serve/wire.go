@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"time"
 
 	"vegapunk/internal/gf2"
 	"vegapunk/internal/obs"
@@ -35,7 +34,6 @@ func (s *Server) SetWireDraining(v bool) { s.wire.SetDraining(v) }
 // the scratch its bindings share.
 type wireConn struct {
 	s    *Server
-	ctx  wireCtx
 	wres wire.Result
 }
 
@@ -62,18 +60,6 @@ type wireLane struct {
 	tc     wire.TraceContext
 }
 
-// wireCtx is a reusable deadline-only context for wire submissions:
-// Deadline drives the service's budget shedding, while Done stays nil
-// so a submitted request is always collected by its lane (the decoder
-// watchdog, not client cancellation, bounds the wait). Reusing one
-// instance per connection keeps the hot path allocation-free.
-type wireCtx struct{ dl time.Time }
-
-func (c *wireCtx) Deadline() (time.Time, bool) { return c.dl, !c.dl.IsZero() }
-func (c *wireCtx) Done() <-chan struct{}       { return nil }
-func (c *wireCtx) Err() error                  { return nil }
-func (c *wireCtx) Value(any) any               { return nil }
-
 // wireHealthFlags derives the health bits a response for svc carries:
 // breaker state from the service, the drain flag from the server.
 func (s *Server) wireHealthFlags(svc *Service, now int64) wire.Flags {
@@ -97,10 +83,8 @@ type errClass struct {
 }
 
 // errClasses has one row per exported Err* sentinel of the package
-// (TestErrClassesCoverSentinels), plus the caller's own deadline.
+// (TestErrClassesCoverSentinels).
 var errClasses = [...]errClass{
-	{context.DeadlineExceeded, wire.StatusTimeout},
-	{ErrDeadlineBudget, wire.StatusShed},
 	{ErrCircuitOpen, wire.StatusOverload},
 	{ErrClosed, wire.StatusOverload},
 	{ErrDecoderFault, wire.StatusDecoderFault},
@@ -157,8 +141,10 @@ func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 		return
 	}
 	lane.tc = tc
-	c.ctx.dl = time.Now().Add(c.s.cfg.RequestTimeout)
-	req, serr := m.svc.submitTraced(&c.ctx, m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
+	// Wire submissions carry no deadline and are never cancelled: every
+	// submitted request is collected by its lane, and the decoder
+	// watchdog, not the client, bounds the wait.
+	req, serr := m.svc.submitTraced(context.Background(), m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
 	if serr != nil {
 		lane.status = classify(serr)
 		return
@@ -175,7 +161,7 @@ func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 	for i := 0; i < m.n; i++ {
 		lane := &m.lanes[i]
 		if lane.req != nil {
-			if werr := m.svc.wait(&c.ctx, lane.req, &lane.res); werr != nil {
+			if werr := m.svc.wait(context.Background(), lane.req, &lane.res); werr != nil {
 				lane.status = classify(werr)
 			}
 		}

@@ -48,8 +48,7 @@ func startWireServer(t testing.TB, cfg Config) (*Server, string, string) {
 func wireTestConfig() Config {
 	return Config{
 		MaxBatch: 8, MaxWait: 50 * time.Microsecond,
-		PoolSize:       2,
-		RequestTimeout: 2 * time.Second,
+		PoolSize: 2,
 	}
 }
 
@@ -307,7 +306,7 @@ func TestWireGracefulDrain(t *testing.T) {
 	model, _ := testModel(t)
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 1)
-	srv := NewServer(Config{MaxBatch: 1, PoolSize: 1, RequestTimeout: 10 * time.Second})
+	srv := NewServer(Config{MaxBatch: 1, PoolSize: 1})
 	if _, err := srv.Register("gated", model, "gated",
 		func() core.Decoder { return &gatedDecoder{model: model, gate: gate, entered: entered} }); err != nil {
 		t.Fatal(err)

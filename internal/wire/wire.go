@@ -116,11 +116,13 @@ const (
 	// circuit breaker open, service draining, or queue saturation.
 	// Retryable on a sibling replica.
 	StatusOverload
-	// StatusShed fails a request dropped by deadline-budget shedding.
+	// StatusShed fails a request dropped by deadline-budget shedding;
+	// no replica sheds any more, and the value keeps the later ones.
 	// Retryable on a sibling replica.
 	StatusShed
 	// StatusDecoderFault fails a request whose decoder panicked, hung
 	// or produced a defective result; the instance was quarantined.
+	// Retryable on a sibling replica.
 	StatusDecoderFault
 	// StatusTimeout fails a request that exceeded its decode deadline.
 	StatusTimeout
@@ -156,7 +158,7 @@ func (s Status) String() string {
 // Retryable reports whether a sibling replica might serve the request
 // that failed with this status: the router's single-retry policy.
 func (s Status) Retryable() bool {
-	return s == StatusOverload || s == StatusShed
+	return s == StatusOverload || s == StatusShed || s == StatusDecoderFault
 }
 
 // Flags is the header flag word. On server→client frames it carries

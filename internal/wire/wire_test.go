@@ -326,7 +326,7 @@ func TestReadResultRejectsOKErrorFrame(t *testing.T) {
 }
 
 func TestStatusRetryable(t *testing.T) {
-	retryable := map[Status]bool{StatusOverload: true, StatusShed: true}
+	retryable := map[Status]bool{StatusOverload: true, StatusShed: true, StatusDecoderFault: true}
 	for s := StatusOK; s < numStatuses; s++ {
 		if got := s.Retryable(); got != retryable[s] {
 			t.Errorf("%s.Retryable() = %v", s, got)
