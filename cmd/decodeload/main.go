@@ -20,14 +20,13 @@
 // concurrency — future perf PRs can track the same benchmark.
 //
 // Failed requests are reported in separate terminal classes, by the
-// wire status of their first failed lane — rejected_503 (Overload:
-// saturation, circuit breaker, draining service), timeouts_504
-// (Shed/Timeout: deadline exceeded or budget shed), decoder_faults
-// (DecoderFault/Internal and any other error status) — and
-// transport_errors (no daemon response at all). With -chaos the run
-// targets a `vegapunkd -chaos` daemon and succeeds as long as every
-// request reached a terminal outcome and at least one decoded:
-// rejections, sheds and faults are then the resilience machinery
+// wire status of their first failed lane — rejected_503 (Overload: a
+// draining service, or a router with no usable replica or at its
+// in-flight bound), decoder_faults (DecoderFault/Internal and any other
+// error status) — and transport_errors (no daemon response at all).
+// With -chaos the run targets a `vegapunkd -chaos` daemon and succeeds
+// as long as every request reached a terminal outcome and at least one
+// decoded: rejections and faults are then the resilience machinery
 // working, not a failed run.
 package main
 
@@ -57,10 +56,10 @@ type workItem struct {
 }
 
 // tally aggregates terminal outcomes across workers. Every request
-// lands in exactly one of ok (latencies), rejected503, timeout504,
-// decoderFault or transportErrs — the split tells a resilience run
-// apart from an outage (a rejection storm is the breaker working;
-// transport errors mean the daemon is gone).
+// lands in exactly one of ok (latencies), rejected503, decoderFault or
+// transportErrs — the split tells a resilience run apart from an
+// outage (a fault storm is quarantine working; transport errors mean
+// the daemon is gone).
 type tally struct {
 	mu        sync.Mutex
 	latencies []time.Duration
@@ -71,8 +70,7 @@ type tally struct {
 	// loss (jittered exponential backoff per worker).
 	reconnects int
 
-	rejected503   int // capacity saturated, breaker open, overload
-	timeout504    int // server-side deadline exceeded or budget shed
+	rejected503   int // draining service, router without a usable replica or at capacity
 	decoderFault  int // quarantined decoder or internal server error
 	transportErrs int // client timeout, connection or parse failure
 
@@ -165,10 +163,10 @@ func run(args []string) int {
 	wg.Wait()
 	elapsed := time.Since(t0)
 
-	reqErrs := tl.rejected503 + tl.timeout504 + tl.decoderFault + tl.transportErrs
+	reqErrs := tl.rejected503 + tl.decoderFault + tl.transportErrs
 	if len(tl.latencies) == 0 {
-		logger.Printf("no successful requests (rejected_503=%d timeouts_504=%d decoder_faults=%d transport_errors=%d); is the daemon up at %s with model %s?",
-			tl.rejected503, tl.timeout504, tl.decoderFault, tl.transportErrs, *addr, key)
+		logger.Printf("no successful requests (rejected_503=%d decoder_faults=%d transport_errors=%d); is the daemon up at %s with model %s?",
+			tl.rejected503, tl.decoderFault, tl.transportErrs, *addr, key)
 		return 1
 	}
 	// Nearest-rank percentiles over the full sorted sample set: the
@@ -203,8 +201,8 @@ func run(args []string) int {
 		pct(0.50), pct(0.99), tl.latencies[len(tl.latencies)-1], tl.failures, failRate)
 	// Failure-class breakdown: how the daemon's resilience machinery
 	// resolved the requests that did not decode at full quality.
-	fmt.Printf("decodeload: classes rejected_503=%d timeouts_504=%d decoder_faults=%d transport_errors=%d retried=%d reconnects=%d\n",
-		tl.rejected503, tl.timeout504, tl.decoderFault, tl.transportErrs, tl.retried, tl.reconnects)
+	fmt.Printf("decodeload: classes rejected_503=%d decoder_faults=%d transport_errors=%d retried=%d reconnects=%d\n",
+		tl.rejected503, tl.decoderFault, tl.transportErrs, tl.retried, tl.reconnects)
 	// Server-side stage breakdown (mean per syndrome): where the latency
 	// budget actually goes — waiting in the micro-batch queue, the
 	// decoder call, or the pool-boundary copy-out.
@@ -241,8 +239,8 @@ func run(args []string) int {
 // worker drains items over one persistent wire connection: each
 // request is a pipelined frame batch. A request counts as ok only when
 // every lane in the batch decoded; otherwise it lands in the class of
-// its first failed lane (Overload → rejected_503, Shed/Timeout →
-// timeouts_504, DecoderFault/Internal → decoder_faults). On transport
+// its first failed lane (Overload → rejected_503, DecoderFault/Internal
+// → decoder_faults). On transport
 // loss the worker reconnects once per item before failing it, through
 // a per-worker wire.Redialer — capped exponential backoff with
 // deterministic jitter, so workers hammered off a flapping daemon do
@@ -311,8 +309,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 					tl.transportErrs++
 				case se.Status == wire.StatusOverload:
 					tl.rejected503++
-				case se.Status == wire.StatusShed || se.Status == wire.StatusTimeout:
-					tl.timeout504++
 				default:
 					tl.decoderFault++
 				}
@@ -416,8 +412,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 			}
 		case firstBad == wire.StatusOverload:
 			tl.rejected503++
-		case firstBad == wire.StatusShed || firstBad == wire.StatusTimeout:
-			tl.timeout504++
 		default:
 			// DecoderFault, Internal, BadRequest, UnknownModel, …: the
 			// daemon answered terminally, so whatever the status, this is

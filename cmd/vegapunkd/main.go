@@ -19,16 +19,19 @@
 // With -debug-addr a second localhost listener serves net/http/pprof
 // (/debug/pprof/...) plus the same decode-trace dump; with -slow-log
 // every request slower than 10 ms end to end is appended to the given
-// file as one JSON line. Pool size, the flush deadline and the circuit
-// breaker are internal/serve's defaults; a wire request carries no
-// deadline, and the hang watchdog bounds every dispatch.
+// file as one JSON line. Pool size and the flush deadline are
+// internal/serve's defaults; a wire request carries no deadline, and
+// the hang watchdog bounds every dispatch. A faulting decoder is
+// quarantined and rebuilt, and the replica keeps admitting work: backing
+// off a replica that keeps faulting is vegapunkrouter's job, where a
+// sibling can take the traffic.
 //
 // With -chaos every registered decoder factory is wrapped in a
 // deterministic fault injector (internal/fault) seeded by
 // -chaos-seed: a small fraction of decodes run slow, panic, return
 // wrong-length results, stall past the watchdog, or skew their trace
 // clock. This exercises the resilience machinery — worker quarantine,
-// hang watchdog and circuit breaker — against a live
+// hang watchdog and decoder rebuild — against a live
 // daemon; injected fault totals are logged at shutdown. Every decode
 // runs its decoder's constructed configuration: there is no cheaper
 // tier to fall back to under load, and nothing is shed.
@@ -136,7 +139,7 @@ func run() int {
 	})
 	// Low but lively default mix: mostly-healthy traffic with every fault
 	// kind represented, so a chaos run exercises quarantine, the
-	// watchdog and the breaker without drowning the service.
+	// watchdog and the rebuild without drowning the service.
 	chaosPlan := fault.Plan{Seed: *chaosSeed, Mix: map[fault.Kind]float64{
 		fault.Slow: 0.02, fault.Crash: 0.005, fault.Corrupt: 0.005, fault.Stall: 0.002, fault.Skew: 0.01,
 	}}

@@ -7,13 +7,16 @@
 //	vegapunkrouter -listen :9471 -admin 127.0.0.1:9472 \
 //	    -replicas 127.0.0.1:8473,127.0.0.1:8474
 //
-// Replica health is tracked passively from response flags (breaker
-// open, draining) and actively by ping probes every 250 ms; requests
-// that a replica fast-fails or loses to a decoder fault are
-// retried on the next-best healthy sibling under a per-replica
-// token-bucket retry budget (50 tokens a second, bursts of 100), with
-// the retry flagged in the response; a replica that fast-fails or
-// faults is routed around for 25 ms. -hedge-after arms hedged
+// Replica health is tracked passively from the response drain flag and
+// actively by ping probes every 250 ms; requests that a replica
+// fast-fails or loses to a decoder fault are retried on the next-best
+// healthy sibling under a per-replica token-bucket retry budget (50
+// tokens a second, bursts of 100), with the retry flagged in the
+// response, and a lane the budget refuses gets the replica's own
+// answer. A replica that fast-fails is routed around for 25 ms; one
+// that faults is routed around for 25 ms doubled per consecutive
+// faulting batch, up to 1.6 s, until a batch comes back without a
+// fault. -hedge-after arms hedged
 // dispatch: a batch without a first response inside the window is
 // re-sent to the sibling (at most one hedge per ten forwarded batches),
 // and admission control bounds the lanes in flight so a partitioned

@@ -33,7 +33,7 @@ type feLane struct {
 	syn   []byte // copied request payload: survives reader reuse, enables retry
 	op    wire.Op
 	flags wire.Flags
-	resp  []byte // terminal response payload
+	resp  []byte // terminal response payload; on an undone lane, the first replica's retryable answer or empty
 	done  bool
 
 	// Telemetry relay state. A client-traced lane (the client sent
@@ -69,14 +69,6 @@ func newFEConn(rt *Router) *feConn {
 		breconn: make([]bool, len(rt.replicas)),
 		ring:    rt.acquireRing(),
 	}
-}
-
-// flags carries the router's own health bits on frames it originates.
-func (f *feConn) routerFlags() wire.Flags {
-	if f.rt.wire.Draining() {
-		return wire.FlagDraining
-	}
-	return 0
 }
 
 // Close returns the backend connections to their pools and the span
@@ -131,8 +123,6 @@ func (f *feConn) Hello(key string) (wire.Binding, wire.Status, string) {
 }
 
 func (b *feBinding) Dims() (numDet, numMech, numObs int) { return b.det, b.mech, b.nobs }
-
-func (b *feBinding) Flags() wire.Flags { return b.f.routerFlags() }
 
 // backend returns a live backend connection to rep with the binding's
 // model id resolved on it, dialing and helloing as needed.
@@ -218,13 +208,16 @@ func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 	f.n++
 	ln.reqID = reqID
 	ln.syn = append(ln.syn[:0], payload...)
+	ln.resp = ln.resp[:0]
 	ln.done = false
 	f.armTrace(ln, flags)
 }
 
 // EndRun forwards the gathered run to the rendezvous winner, retries
 // undone lanes once on the next-best sibling, and answers every lane
-// with exactly one terminal response in arrival order.
+// with exactly one terminal response in arrival order. A lane the
+// retry could not settle relays the first replica's own answer; the
+// router answers only the lanes no replica answered.
 func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	f := b.f
 	lanes := f.lanes[:f.n]
@@ -277,15 +270,14 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	f.rt.inflightLanes.Add(-k)
 	for i := range lanes {
 		ln := &lanes[i]
-		if !ln.done {
+		if !ln.done && len(ln.resp) == 0 {
 			ln.op = wire.OpError
-			ln.flags = f.routerFlags()
+			ln.flags = f.rt.wire.Flags()
 			if admitted {
 				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "no usable replica")
 			} else {
 				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "router at capacity")
 			}
-			ln.done = true
 		}
 		buf = wire.AppendFrame(buf, ln.op, ln.flags, clientID, ln.reqID, ln.resp)
 	}
@@ -320,7 +312,11 @@ func (f *feConn) armTrace(ln *feLane, flags wire.Flags) {
 
 // forward sends every undone lane to rep and reads exactly one response
 // per sent lane, in order. Lanes answered with a retryable status stay
-// undone unless this is already the retry attempt. A failed write or
+// undone, holding that answer, unless this is already the retry
+// attempt. The first decoder fault of a forward extends rep's fault
+// streak and suspends it for RetryAfterHint doubled per earlier
+// faulting forward in the streak; a forward that reads every frame
+// without one ends the streak. A failed write or
 // read, or a bad frame, ends the attempt with the unanswered lanes
 // undone (failBackend decides whether the replica is demoted). On a
 // primary attempt with hedging configured, a first response slower
@@ -338,7 +334,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 					continue
 				}
 				ln.op = wire.OpError
-				ln.flags = f.routerFlags()
+				ln.flags = f.rt.wire.Flags()
 				if retried {
 					ln.flags |= wire.FlagRetried
 				}
@@ -382,6 +378,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		f.rt.hedgeBucket.deposit(f.rt.cfg.HedgeMaxRate)
 	}
 	var tm wire.ServerTiming
+	faulted := false
 	for i := range lanes {
 		ln := &lanes[i]
 		if ln.done {
@@ -442,14 +439,18 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		if timed {
 			rep.observeTiming(wall, &tm, recvTick)
 		}
-		if status == wire.StatusOverload || status == wire.StatusDecoderFault {
+		switch {
+		case status == wire.StatusOverload:
 			// Retry-After honoring: the replica asked for breathing
-			// room, or is replacing a faulty decoder; deprioritise it
-			// until the hint expires.
+			// room; deprioritise it until the hint expires.
 			rep.suspend(recvTick, f.rt.cfg.RetryAfterHint)
-		}
-		if status.Retryable() && !retried {
-			continue // undone; the sibling attempt re-sends it
+		case status == wire.StatusDecoderFault && !faulted:
+			// The replica is replacing a faulty decoder. One that keeps
+			// faulting is backed off longer each time, counted once per
+			// forward so a batch of faulted lanes is one fault.
+			faulted = true
+			streak := rep.faultStreak.Add(1)
+			rep.suspend(recvTick, f.rt.cfg.RetryAfterHint<<min(streak-1, maxFaultShift))
 		}
 		if (status == wire.StatusBadRequest || status == wire.StatusUnknownModel) && !retried {
 			// The router resolved this model on the backend at hello time
@@ -489,17 +490,25 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			// sibling pass re-decodes it.
 			continue
 		}
+		ln.op = rh.Op
+		ln.flags = relayFlags
+		ln.resp = append(ln.resp[:0], rp...)
+		if status.Retryable() && !retried {
+			// Undone: the sibling attempt re-sends it, and the held
+			// answer is relayed if the retry budget refuses it.
+			continue
+		}
 		if ln.sampled {
 			f.ring.Record(obs.StageRouterForward, int32(rep.idx), uint32(ln.traceID), flushTick, recvTick)
 		}
-		ln.op = rh.Op
-		ln.flags = relayFlags
 		if retried {
 			ln.flags |= wire.FlagRetried
 		}
-		ln.resp = append(ln.resp[:0], rp...)
 		ln.done = true
 		rep.decodes.Add(1)
+	}
+	if !faulted && rep.faultStreak.Load() != 0 {
+		rep.faultStreak.Store(0)
 	}
 	return false
 }

@@ -6,7 +6,9 @@
 // overload, decoder-fault and transport outcomes retry on the next-best
 // healthy sibling under a per-replica token-bucket retry budget so one
 // slow or dying replica does not surface to clients — and cannot
-// trigger a retry storm onto the survivors. Optional hedged dispatch re-sends a
+// trigger a retry storm onto the survivors. A replica that keeps
+// faulting is routed around for a suspension that doubles with each
+// consecutive faulting forward. Optional hedged dispatch re-sends a
 // slow batch to the sibling after Config.HedgeAfter (loser
 // cancellation, rate-capped), admission control bounds in-flight lanes,
 // and a bad backend frame ends only its connection — the replica keeps
@@ -79,9 +81,11 @@ type Config struct {
 	// it answers StatusOverload or StatusDecoderFault (default 25ms) —
 	// the wire protocol's Retry-After: the replica asked for breathing
 	// room or is replacing a faulty decoder, so prefer the sibling until
-	// the hint expires. A fired hedge applies the same
-	// suspension to the slow replica (outlier ejection), and a suspended
-	// replica is never chosen as a hedge target.
+	// the hint expires. A replica that keeps faulting is backed off
+	// longer: each consecutive forward that meets a decoder fault
+	// doubles the hint, up to 64× (1.6s at the default). A fired hedge
+	// applies the flat hint to the slow replica (outlier ejection), and
+	// a suspended replica is never chosen as a hedge target.
 	RetryAfterHint time.Duration
 }
 
@@ -93,6 +97,8 @@ const (
 	// Excess lanes fail fast with StatusOverload so a partitioned
 	// replica cannot queue-collapse the front end.
 	maxInflightLanes = 4096
+	// maxFaultShift caps the decoder-fault backoff at RetryAfterHint<<6.
+	maxFaultShift = 6
 )
 
 func (c Config) withDefaults() Config {
@@ -185,6 +191,10 @@ type replica struct {
 	// StatusDecoderFault (Retry-After honoring). A suspended healthy replica ranks as
 	// draining in pick, so it still serves as the last resort.
 	suspendUntil atomic.Int64
+	// faultStreak counts consecutive forwards that met a decoder fault;
+	// each doubles the suspension the next fault sets, up to
+	// maxFaultShift doublings.
+	faultStreak atomic.Uint32
 
 	// Telemetry split: router wall clock per relayed decode minus the
 	// replica-reported decode-path time (queue wait + decode + copy

@@ -430,93 +430,10 @@ func TestRouterDrainRejoin(t *testing.T) {
 	}
 }
 
-// breakerPair starts a router over two replicas. The preferred one
-// wraps a decoder whose first decode panics, so with BreakerThreshold 1
-// its breaker opens and every later decode is answered StatusOverload.
-// The sibling drains softly (it still decodes, flagged draining), so
-// routing reaches it only as the retry target. breakerPair sends the
-// decode that trips the breaker (request 1) and returns the router, the
-// faulty replica's record and a client bound to testKey.
-func breakerPair(t *testing.T, cfg Config) (*Router, *replica, *wire.Client, wire.ModelInfo) {
-	t.Helper()
-	model, factory := clusterModel(t)
-	faulty, _ := fault.Wrap(factory, fault.Plan{
-		Seed:   1,
-		Script: []fault.Kind{fault.Crash},
-	})
-	faultyCfg := replicaConfig()
-	faultyCfg.MaxBatch = 1
-	faultyCfg.PoolSize = 1
-	faultyCfg.BreakerThreshold = 1
-	faultyCfg.BreakerCooldown = time.Hour
-	_, faultyAddr := startReplica(t, faultyCfg, faulty)
-	sib, sibAddr := startReplica(t, replicaConfig(), nil)
-	sib.SetWireDraining(true)
-
-	cfg.Replicas = []string{faultyAddr, sibAddr}
-	cfg.ProbeInterval = time.Hour
-	rt, raddr := startRouter(t, cfg)
-	replicaByAddr(t, rt, sibAddr).setState(StateDraining)
-
-	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	info, err := c.Hello(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res wire.Result
-	wire.SizeResult(&res, info.NumMech, info.NumObs)
-	if _, err := c.Decode(info.ID, 1, sampleSyndromes(model, 1, 41)[0], &res); err != nil {
-		t.Fatalf("tripping decode: %v", err)
-	}
-	// The tripping fault was retried on the sibling and suspended the
-	// faulty replica; lift the suspension so the next decode meets the
-	// open breaker first.
-	rep := replicaByAddr(t, rt, faultyAddr)
-	rep.suspendUntil.Store(0)
-	return rt, rep, c, info
-}
-
-// TestRouterRetryOnOpenBreaker: a replica whose circuit breaker is open
-// answers StatusOverload; the router must retry those requests on the
-// sibling and mark the response FlagRetried.
-func TestRouterRetryOnOpenBreaker(t *testing.T) {
-	rt, _, c, info := breakerPair(t, Config{})
-	model, _ := clusterModel(t)
-	syndromes := sampleSyndromes(model, 12, 41)
-	var res wire.Result
-	wire.SizeResult(&res, info.NumMech, info.NumObs)
-
-	// Everything after the trip must come back OK via the sibling,
-	// marked retried (the faulty replica fast-fails with StatusOverload).
-	sawRetried := false
-	for i := uint64(2); i <= 10; i++ {
-		flags, err := c.Decode(info.ID, i, syndromes[i], &res)
-		if err != nil {
-			t.Fatalf("decode %d: %v", i, err)
-		}
-		if res.Status != wire.StatusOK {
-			t.Fatalf("decode %d: status %s, want OK via sibling retry", i, res.Status)
-		}
-		if flags&wire.FlagRetried != 0 {
-			sawRetried = true
-		}
-	}
-	if !sawRetried {
-		t.Fatal("no response carried FlagRetried; breaker retries did not engage")
-	}
-	if rt.retries.Load() == 0 {
-		t.Fatal("router retries counter never moved")
-	}
-}
-
 // faultyPair is a router over two replicas and a client bound to
 // testKey through it. The preferred replica wraps a decoder that panics
-// on every decode and has no circuit breaker, so every lane it gets is
-// answered StatusDecoderFault; faults counts its decodes. The sibling
+// on every decode, so every lane it gets is answered
+// StatusDecoderFault; faults counts its decodes. The sibling
 // drains softly (it still decodes, flagged draining), so routing
 // reaches it only as the retry target.
 type faultyPair struct {
@@ -538,7 +455,6 @@ func newFaultyPair(t *testing.T, cfg Config) faultyPair {
 	faultyCfg := replicaConfig()
 	faultyCfg.MaxBatch = 1
 	faultyCfg.PoolSize = 1
-	faultyCfg.BreakerThreshold = -1
 	_, faultyAddr := startReplica(t, faultyCfg, faulty)
 	sib, sibAddr := startReplica(t, replicaConfig(), nil)
 	sib.SetWireDraining(true)
@@ -612,8 +528,9 @@ func TestRouterRetryOnDecoderFault(t *testing.T) {
 // TestRouterRetryBudgetExhausts: every lane the faulty replica gets
 // comes back StatusDecoderFault and asks for a sibling retry. With a
 // budget of three tokens that does not refill, exactly three lanes are
-// retried and every later one fails terminally: the budget, not the
-// sibling's capacity, stops the retry storm.
+// retried and every later one fails terminally with the replica's own
+// answer: the budget, not the sibling's capacity, stops the retry
+// storm, and the client sees a fault, not a router overload.
 func TestRouterRetryBudgetExhausts(t *testing.T) {
 	p := newFaultyPair(t, Config{
 		RetryBudgetPerSec: 1e-9, // no refill within the test
@@ -636,7 +553,7 @@ func TestRouterRetryBudgetExhausts(t *testing.T) {
 		switch {
 		case res.Status == wire.StatusOK && flags&wire.FlagRetried != 0:
 			retried++
-		case res.Status == wire.StatusOverload:
+		case res.Status == wire.StatusDecoderFault && flags&wire.FlagRetried == 0:
 			refused++
 		default:
 			t.Fatalf("decode %d: status %s, flags %#x", i, res.Status, flags)
@@ -647,6 +564,79 @@ func TestRouterRetryBudgetExhausts(t *testing.T) {
 	}
 	if got := p.faulty.retryExhausted.Load(); got != 6 {
 		t.Fatalf("retry_budget_exhausted_total = %d, want 6", got)
+	}
+}
+
+// TestRouterFaultBackoff: each consecutive forward that meets a decoder
+// fault doubles the faulty replica's suspension, a forward with several
+// faulted lanes extends the streak once, and a forward without a fault
+// ends the streak. It drives a router connection's handler directly, so
+// each EndRun is exactly one forward to the faulty replica (its
+// suspension lifted first, so routing prefers it) and one retry on the
+// sibling.
+func TestRouterFaultBackoff(t *testing.T) {
+	const hint = time.Hour
+	p := newFaultyPair(t, Config{RetryAfterHint: hint})
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 4, 41)
+	f := newFEConn(p.rt)
+	t.Cleanup(f.Close)
+	bnd, status, msg := f.Hello(testKey)
+	if bnd == nil {
+		t.Fatalf("hello: %s %s", status, msg)
+	}
+	b := bnd.(*feBinding)
+	reqID := uint64(0)
+	// run sends lanes decodes as one run and checks that the sibling
+	// answered each. The faulty replica's suspension is recvTick + d
+	// for a receive tick read between before and after, so d lies in
+	// [until-after, until-before].
+	run := func(lanes int, want time.Duration) {
+		t.Helper()
+		p.faulty.suspendUntil.Store(0)
+		for i := 0; i < lanes; i++ {
+			reqID++
+			frame := wire.AppendDecode(nil, 0, reqID, syndromes[i])
+			b.Decode(0, reqID, frame[wire.HeaderSize:])
+		}
+		before := obs.Tick()
+		buf := b.EndRun(nil, 1)
+		after := obs.Tick()
+		for i := 0; i < lanes; i++ {
+			h, err := wire.ParseHeader(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := wire.HeaderSize + h.PayloadLen
+			st, err := wire.PeekStatus(buf[wire.HeaderSize:end])
+			if err != nil || st != wire.StatusOK || h.Flags&wire.FlagRetried == 0 {
+				t.Fatalf("lane %d: status %s (%v) flags %#x, want OK via the sibling", i, st, err, h.Flags)
+			}
+			buf = buf[end:]
+		}
+		until := p.faulty.suspendUntil.Load()
+		if lo, hi := time.Duration(until-after), time.Duration(until-before); want < lo || want > hi {
+			t.Fatalf("suspension in [%v, %v], want %v", lo, hi, want)
+		}
+	}
+
+	for k := 1; k <= 3; k++ {
+		run(1, hint<<(k-1))
+		if got := p.faulty.faultStreak.Load(); got != uint32(k) {
+			t.Fatalf("after %d faulting forwards the streak is %d", k, got)
+		}
+	}
+	// Four faulted lanes in one forward are one more fault.
+	run(4, hint<<3)
+	if got := p.faulty.faultStreak.Load(); got != 4 {
+		t.Fatalf("a 4-lane faulting forward left the streak at %d, want 4", got)
+	}
+	// Every retry forward on the sibling read its frames without a
+	// fault, so it ends whatever streak the sibling had.
+	p.sib.faultStreak.Store(5)
+	run(1, hint<<4)
+	if got := p.sib.faultStreak.Load(); got != 0 {
+		t.Fatalf("a clean forward left the sibling's streak at %d, want 0", got)
 	}
 }
 
@@ -663,7 +653,6 @@ type answerer struct {
 func (a *answerer) Hello(string) (wire.Binding, wire.Status, string) { return a, wire.StatusOK, "" }
 func (a *answerer) Close()                                           {}
 func (a *answerer) Dims() (int, int, int)                            { return a.det, a.mech, a.obs }
-func (a *answerer) Flags() wire.Flags                                { return 0 }
 func (a *answerer) Decode(_ wire.Flags, reqID uint64, _ []byte)      { a.run = append(a.run, reqID) }
 
 func (a *answerer) EndRun(buf []byte, _ uint16) []byte {

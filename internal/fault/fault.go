@@ -3,7 +3,7 @@
 // proxy on a link between router and replica (or any client and
 // server). The serving layer's chaos tests, the cluster's
 // network-chaos suite, `vegapunkd -chaos` and cmd/netfaultproxy use it
-// to prove quarantine, watchdog, breaker, failover and hedging under
+// to prove quarantine, watchdog, rebuild, failover and hedging under
 // reproducible failure sequences.
 //
 // Both layers share one Kind vocabulary, one Plan and one draw: every

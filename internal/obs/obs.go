@@ -41,13 +41,6 @@ func Tick() int64 {
 // _seconds-suffixed histograms).
 func DurSeconds(ns int64) float64 { return float64(ns) / 1e9 }
 
-// TickAt converts an absolute wall-clock instant (e.g. a context
-// deadline) into the package clock's tick space without reading the
-// clock: the subtraction against the process epoch uses the monotonic
-// reading already carried by t when it came from the time package.
-// Serve's deadline-budget accounting compares these against Tick.
-func TickAt(t time.Time) int64 { return int64(t.Sub(epoch)) }
-
 // Stage identifies one traced pipeline stage. The values cover the
 // decoder pipeline (BP rounds, hierarchical levels, fallback
 // post-processing) and the serving pipeline (queue wait, batch

@@ -7,22 +7,6 @@ import (
 	"time"
 )
 
-// TestTickAt pins the wall-to-tick conversion: an instant read "now"
-// converts to (approximately) the current tick without TickAt itself
-// reading the clock.
-func TestTickAt(t *testing.T) {
-	now := time.Now()
-	tick := Tick()
-	at := TickAt(now)
-	if diff := at - tick; diff < -int64(time.Second) || diff > int64(time.Second) {
-		t.Fatalf("TickAt(now)=%d vs Tick()=%d, diff %d out of tolerance", at, tick, diff)
-	}
-	future := TickAt(now.Add(time.Hour))
-	if future-at < int64(59*time.Minute) {
-		t.Fatalf("TickAt one hour ahead advanced only %d ns", future-at)
-	}
-}
-
 // TestProbeSkew pins the fault-injection clock-skew hook: an active
 // probe's clock reads shift by the configured skew, the shared disabled
 // probe ignores it, and deactivation leaves the skew harmless.

@@ -1,7 +1,7 @@
 package serve
 
 // The chaos suite drives the resilience machinery — worker quarantine,
-// hang watchdog and circuit breaker — with
+// hang watchdog and decoder rebuild — with
 // deterministic fault schedules from internal/fault.
 // Run with -race (CI does): every scenario also doubles as a
 // concurrency soak over the request state machine.
@@ -47,9 +47,8 @@ func waitGoroutines(t *testing.T, base int) {
 func serialChaosConfig() Config {
 	return Config{
 		MaxBatch: 1, MaxWait: 50 * time.Microsecond,
-		PoolSize:         1,
-		BreakerThreshold: -1,
-		HangTimeout:      time.Second,
+		PoolSize:    1,
+		HangTimeout: time.Second,
 	}
 }
 
@@ -222,7 +221,7 @@ func TestChaosWorkerOwnsDecoder(t *testing.T) {
 	const poolSize, clients, perClient = 3, 16, 50
 	script := make([]fault.Kind, clients*perClient+1)
 	script[clients*perClient] = fault.Crash // the first decode after the storm
-	f := newOwnedFixture(t, Config{PoolSize: poolSize, BreakerThreshold: -1}, script)
+	f := newOwnedFixture(t, Config{PoolSize: poolSize}, script)
 	pool := f.svc.Pool()
 
 	f.storm(t, clients, perClient)
@@ -320,7 +319,7 @@ func testChaosBatchFault(t *testing.T, rig func(core.Factory) faultRig, faults f
 	base := runtime.NumGoroutine()
 	svc := newService("chaos", model, "BP(30)+cue", r.factory, Config{
 		MaxBatch: lanes, MaxWait: time.Second, PoolSize: 1,
-		BreakerThreshold: -1, HangTimeout: 300 * time.Millisecond,
+		HangTimeout: 300 * time.Millisecond,
 	})
 
 	ctx := context.Background()
@@ -442,7 +441,7 @@ func TestChaosWatchdogPhotoFinish(t *testing.T) {
 	model, factory := testModel(t)
 	const requests, clients = 300, 2
 	cfg := Config{
-		MaxBatch: 1, PoolSize: clients, BreakerThreshold: -1,
+		MaxBatch: 1, PoolSize: clients,
 		HangTimeout: 2 * time.Millisecond,
 	}
 	mu, rng := new(sync.Mutex), rand.New(rand.NewPCG(20, 0))
@@ -534,46 +533,36 @@ func TestChaosCloseDuringHang(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-func TestChaosBreakerTripsAndRecovers(t *testing.T) {
+// TestChaosRepeatedFaultsStillDecode: a service whose decoder faults
+// on three dispatches in a row fails exactly those three requests and
+// decodes the fourth. Each fault quarantines its instance and the next
+// dispatch builds a fresh one; nothing in the service refuses healthy
+// work after a run of faults (backing off a faulting replica is the
+// router's job, where a sibling exists).
+func TestChaosRepeatedFaultsStillDecode(t *testing.T) {
 	model, factory := testModel(t)
-	wrapped, _ := fault.Wrap(factory, fault.Plan{
+	wrapped, counters := fault.Wrap(factory, fault.Plan{
 		Seed:   1,
 		Script: []fault.Kind{fault.Crash, fault.Crash, fault.Crash},
 	})
-	cfg := serialChaosConfig()
-	cfg.BreakerThreshold = 3
-	cfg.BreakerCooldown = 50 * time.Millisecond
-	svc := newService("chaos", model, "BP(30)+chaos", wrapped, cfg)
+	svc := newService("chaos", model, "BP(30)+chaos", wrapped, serialChaosConfig())
 	defer svc.Close()
 
-	syndromes := sampleSyndromes(model, 6, 4)
+	syndromes := sampleSyndromes(model, 4, 4)
 	var res Result
 	for i := 0; i < 3; i++ {
 		if err := svc.DecodeInto(context.Background(), &res, syndromes[i]); !errors.Is(err, ErrDecoderFault) {
 			t.Fatalf("decode %d: %v, want ErrDecoderFault", i, err)
 		}
 	}
-	// Three consecutive quarantines tripped the circuit: submissions
-	// fast-fail without touching the queue.
-	if err := svc.DecodeInto(context.Background(), &res, syndromes[3]); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open-circuit decode returned %v, want ErrCircuitOpen", err)
+	if err := svc.DecodeInto(context.Background(), &res, syndromes[3]); err != nil {
+		t.Fatalf("decode after three faults: %v", err)
 	}
-	if got := svc.breaker.trips.Load(); got != 1 {
-		t.Errorf("breaker trips = %d, want 1", got)
+	if got := counters.Of(fault.Crash); got != 3 {
+		t.Errorf("crashes = %d, want 3", got)
 	}
-	if got := svc.breaker.rejected.Load(); got == 0 {
-		t.Error("breaker rejected nothing while open")
-	}
-	// After the cooldown the half-open probe goes through; the fault
-	// schedule is exhausted, so it succeeds and closes the circuit.
-	time.Sleep(cfg.BreakerCooldown + 20*time.Millisecond)
-	for i := 4; i < 6; i++ {
-		if err := svc.DecodeInto(context.Background(), &res, syndromes[i]); err != nil {
-			t.Fatalf("decode %d after cooldown: %v", i, err)
-		}
-	}
-	if svc.breaker.open(obs.Tick()) {
-		t.Error("breaker still open after a successful probe")
+	if got := svc.met.decoderPanics.Load(); got != 3 {
+		t.Errorf("decoder_panics_total = %d, want 3", got)
 	}
 }
 

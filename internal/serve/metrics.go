@@ -71,12 +71,6 @@ var serviceFamilies = []obs.Family[*Service]{
 		Counter: func(s *Service) uint64 { return s.met.decoderHangs.Load() }},
 	{Name: "vegapunk_serve_decoder_bad_results_total", Help: "Decoder instances quarantined after a wrong-length result.",
 		Counter: func(s *Service) uint64 { return s.met.decoderBadResults.Load() }},
-	{Name: "vegapunk_serve_breaker_open", Help: "Whether the decoder-fault circuit breaker is open (1) or closed (0).",
-		Gauge: func(s *Service) int64 { return boolGauge(s.breaker.open(obs.Tick())) }},
-	{Name: "vegapunk_serve_breaker_trips_total", Help: "Circuit breaker trips after repeated decoder quarantines.",
-		Counter: func(s *Service) uint64 { return s.breaker.trips.Load() }},
-	{Name: "vegapunk_serve_breaker_rejected_total", Help: "Submissions fast-failed while the circuit breaker was open.",
-		Counter: func(s *Service) uint64 { return s.breaker.rejected.Load() }},
 	{Name: "vegapunk_serve_pool_hits_total", Help: "Dispatches served by the worker's decoder.",
 		Counter: func(s *Service) uint64 { return s.pool.Hits() }},
 	{Name: "vegapunk_serve_pool_misses_total", Help: "Dispatches that constructed the worker's decoder.",

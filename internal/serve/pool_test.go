@@ -144,7 +144,7 @@ func neverAfter(t *testing.T, ids []int, from, id int) {
 // decode on one instance from two goroutines at once.
 func TestPoolBoundedAndExclusive(t *testing.T) {
 	const size = 3
-	f := newOwnedFixture(t, Config{PoolSize: size, BreakerThreshold: -1}, nil)
+	f := newOwnedFixture(t, Config{PoolSize: size}, nil)
 	if f.svc.Pool().Misses() != 0 || f.built.Load() != 0 {
 		t.Fatal("service constructed decoders eagerly")
 	}

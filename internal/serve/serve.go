@@ -20,9 +20,12 @@
 //     core.Decoder. The worker decodes on its own goroutine, from lanes
 //     it owns, under a per-worker watchdog timer: a service runs
 //     1 + PoolSize goroutines, and a hung decoder costs the one it is
-//     stuck on (see worker.go). The steady state (pooled requests,
-//     recycled batches, reused scratch) is allocation-free on top of the
-//     decode itself.
+//     stuck on (see worker.go). A fault fails only its own dispatch:
+//     the instance is quarantined and rebuilt, and the service never
+//     refuses work because of earlier faults (routing around a replica
+//     that keeps faulting is internal/cluster's job, where a sibling
+//     exists). The steady state (pooled requests, recycled batches,
+//     reused scratch) is allocation-free on top of the decode itself.
 //   - Server: the model registry behind the binary wire protocol
 //     (ServeWire, internal/wire), the only way a decode arrives, with
 //     graceful drain; a stdlib net/http listener beside it answers GET
@@ -71,14 +74,6 @@ type Config struct {
 	// served family, BP+OSD-CS(7), measures at most 3.9 ms for one decode
 	// on BB [[144,12,12]], 0.25 s at 64 lanes.
 	HangTimeout time.Duration
-	// BreakerThreshold is the number of consecutive decoder
-	// quarantines (panics, hangs, defective results) that trips the
-	// circuit breaker (default 3; negative disables the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker fast-fails
-	// submissions with ErrCircuitOpen before letting a half-open probe
-	// request through (default 2s).
-	BreakerCooldown time.Duration
 	// Tracer, when set, samples decode requests into per-goroutine span
 	// rings (GET /debug/decodetrace). Nil disables span recording.
 	Tracer *obs.Tracer
@@ -102,12 +97,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HangTimeout <= 0 {
 		c.HangTimeout = time.Second
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	if c.SlowThreshold <= 0 {
 		c.SlowThreshold = 10 * time.Millisecond

@@ -22,11 +22,6 @@ var ErrClosed = errors.New("serve: service closed")
 // result. The faulty instance is quarantined; retrying is reasonable.
 var ErrDecoderFault = errors.New("serve: decoder fault")
 
-// ErrCircuitOpen is returned while the circuit breaker is open after
-// repeated decoder faults; submissions fast-fail until the cooldown
-// passes.
-var ErrCircuitOpen = errors.New("serve: circuit breaker open")
-
 // request state machine: a waiter and a worker race on completion.
 const (
 	reqPending   int32 = iota // worker will complete, waiter is waiting
@@ -119,9 +114,6 @@ type Service struct {
 	// blocking, so the batch leaves as soon as a worker is free.
 	idle chan struct{}
 
-	// Resilience: the decoder-fault circuit breaker.
-	breaker *breaker
-
 	// Freelists are bounded channels rather than sync.Pools so the
 	// steady state stays allocation-free even across GC cycles.
 	reqFree   chan *request
@@ -161,7 +153,6 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 		// requests one call keeps live until it collects, at any MaxBatch.
 		reqFree:   make(chan *request, 4*cfg.MaxBatch+64),
 		batchFree: make(chan []*request, 2*cfg.PoolSize+1), // every batch that can exist: queued on work, held by a worker, filling in the batcher
-		breaker:   newBreaker(cfg.BreakerThreshold, int64(cfg.BreakerCooldown)),
 	}
 	s.pool.size = cfg.PoolSize
 	s.wg.Add(1 + cfg.PoolSize)
@@ -264,10 +255,6 @@ func (s *Service) submitTraced(ctx context.Context, syndrome gf2.Vec, tc wireTra
 	req.workerID = 0
 	req.enq = obs.Tick()
 	req.err = nil
-	if !s.breaker.allow(req.enq) {
-		s.putReq(req)
-		return nil, ErrCircuitOpen
-	}
 
 	s.mu.RLock()
 	if s.closed {
@@ -443,11 +430,10 @@ func (s *Service) worker(id uint16) {
 }
 
 // quarantine handles a decoder fault whose cause the caller has
-// counted: record the failure with the circuit breaker and fail every
-// lane of the dispatch with ErrDecoderFault. The worker drops the
-// faulty instance and builds a replacement on its next dispatch.
+// counted: fail every lane of the dispatch with ErrDecoderFault. The
+// worker drops the faulty instance and builds a replacement on its next
+// dispatch.
 func (s *Service) quarantine(lanes []*request) {
-	s.breaker.recordFailure(obs.Tick())
 	for _, req := range lanes {
 		s.finish(req, ErrDecoderFault)
 	}
@@ -457,11 +443,11 @@ func (s *Service) quarantine(lanes []*request) {
 // request is a batch of one — through one decode on this worker and
 // copies everything each caller needs out of the worker-owned outputs
 // before the decoder can be reused (the pool boundary ownership rule).
-// Per lane it accounts queue wait and stages the syndrome; the decode,
-// fault quarantine (panic, wrong-length result) and breaker bookkeeping
-// happen once per dispatch. It reports false when the hang watchdog
-// took the dispatch (and the worker) over mid-decode; the caller must
-// then return at once. Stage boundaries are measured with the obs
+// Per lane it accounts queue wait and stages the syndrome; the decode
+// and fault quarantine (panic, wrong-length result) happen once per
+// dispatch. It reports false when the hang watchdog took the dispatch
+// (and the worker) over mid-decode; the caller must then return at
+// once. Stage boundaries are measured with the obs
 // package clock; a sampled lane's queue-wait, decode and copy-out spans
 // land in the worker's ring, and when the lead lane is sampled the
 // decoder's probe records its internal stages there too under the
@@ -497,7 +483,6 @@ func (s *Service) process(w *workerState, lanes []*request) bool {
 		w.dec = nil // poisoned: the next dispatch builds a replacement
 		return true
 	}
-	s.breaker.recordSuccess()
 	if n > 1 {
 		s.met.batchedDecodes.Add(1)
 		if sampled {

@@ -60,21 +60,6 @@ type wireLane struct {
 	tc     wire.TraceContext
 }
 
-// wireHealthFlags derives the health bits a response for svc carries:
-// breaker state from the service, the drain flag from the server.
-func (s *Server) wireHealthFlags(svc *Service, now int64) wire.Flags {
-	var f wire.Flags
-	if svc != nil {
-		if svc.breaker.open(now) {
-			f |= wire.FlagBreakerOpen
-		}
-	}
-	if s.wire.Draining() {
-		f |= wire.FlagDraining
-	}
-	return f
-}
-
 // errClass is one row of the service-error table: the wire status a
 // terminal decode error answers with.
 type errClass struct {
@@ -85,7 +70,6 @@ type errClass struct {
 // errClasses has one row per exported Err* sentinel of the package
 // (TestErrClassesCoverSentinels).
 var errClasses = [...]errClass{
-	{ErrCircuitOpen, wire.StatusOverload},
 	{ErrClosed, wire.StatusOverload},
 	{ErrDecoderFault, wire.StatusDecoderFault},
 }
@@ -117,8 +101,6 @@ func (m *wireModel) Dims() (numDet, numMech, numObs int) {
 	dm := m.svc.Model()
 	return dm.NumDet, dm.NumMech(), dm.NumObs
 }
-
-func (m *wireModel) Flags() wire.Flags { return m.c.s.wireHealthFlags(m.svc, obs.Tick()) }
 
 // Decode parses one frame of the run into the next lane and submits it;
 // the lanes of a run are all submitted before EndRun waits on any, so
@@ -166,7 +148,7 @@ func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 			}
 		}
 	}
-	flags := c.s.wireHealthFlags(m.svc, obs.Tick())
+	flags := c.s.wire.Flags()
 	for i := 0; i < m.n; i++ {
 		lane := &m.lanes[i]
 		c.wres.Status = lane.status

@@ -54,7 +54,7 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			Correction:  syn,
 			Observables: got,
 		}
-		buf = AppendResult(buf[:0], FlagBreakerOpen, modelID, reqID, &res)
+		buf = AppendResult(buf[:0], FlagRetried, modelID, reqID, &res)
 		var back Result
 		SizeResult(&back, n, n)
 		if err := ParseResultInto(&back, buf[HeaderSize:]); err != nil {
@@ -95,7 +95,7 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			QueueWaitNs: int64(reqID) ^ 7, BatchAssembleNs: int64(iters),
 			DecodeNs: int64(n), CopyOutNs: -int64(tier), ServerTick: int64(reqID >> 1),
 		}
-		buf = AppendResultTimed(buf[:0], FlagBreakerOpen, modelID, reqID, &res, &tm)
+		buf = AppendResultTimed(buf[:0], FlagRetried, modelID, reqID, &res, &tm)
 		rh, err := ParseHeader(buf)
 		if err != nil {
 			t.Fatalf("ParseHeader on timed encoding: %v", err)
@@ -116,7 +116,7 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			t.Fatalf("peek server timing drift: %+v", ptm)
 		}
 		// Trimming the block must recover the exact plain payload.
-		plain := AppendResult(nil, FlagBreakerOpen, modelID, reqID, &res)
+		plain := AppendResult(nil, FlagRetried, modelID, reqID, &res)
 		trimmed := TrimServerTiming(rh.Flags, buf[HeaderSize:])
 		if !bytes.Equal(trimmed, plain[HeaderSize:]) {
 			t.Fatal("trimmed timed payload differs from the plain encoding")

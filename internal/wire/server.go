@@ -39,10 +39,9 @@ type Handler interface {
 // Binding is one resolved model on one connection. The Server feeds it
 // runs of pipelined decode frames: one Decode per frame, then EndRun.
 type Binding interface {
-	// Dims and Flags fill the hello ack: the model's detector,
-	// mechanism and observable counts and the tier's health bits.
+	// Dims fills the hello ack: the model's detector, mechanism and
+	// observable counts.
 	Dims() (numDet, numMech, numObs int)
-	Flags() Flags
 	// Decode takes the next frame of the current run. payload aliases
 	// the read buffer and is valid only during the call.
 	Decode(flags Flags, reqID uint64, payload []byte)
@@ -184,9 +183,9 @@ func (s *Server) snapshotLocked(buf []net.Conn) []net.Conn {
 	return buf
 }
 
-// flags are the health bits of frames the endpoint itself originates
-// (pongs, request- and protocol-level errors).
-func (s *Server) flags() Flags {
+// Flags are the health bits every frame the endpoint sends carries:
+// the drain flag, or none.
+func (s *Server) Flags() Flags {
 	if s.draining.Load() {
 		return FlagDraining
 	}
@@ -227,7 +226,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if err != nil {
 				if IsProtocolError(err) {
 					s.protoErrors.Add(1)
-					c.wbuf = AppendError(c.wbuf[:0], s.flags(), 0, StatusBadRequest, err.Error())
+					c.wbuf = AppendError(c.wbuf[:0], s.Flags(), 0, StatusBadRequest, err.Error())
 					_ = c.write() // best-effort: the conn is terminal either way
 				}
 				return
@@ -238,13 +237,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		case OpHello:
 			err = c.hello(h.ReqID, string(payload))
 		case OpPing:
-			c.wbuf = AppendPong(c.wbuf[:0], s.flags(), h.ReqID)
+			c.wbuf = AppendPong(c.wbuf[:0], s.Flags(), h.ReqID)
 			err = c.write()
 		case OpDecode:
 			h, payload, pending, err = c.decodeRun(h, payload)
 		default:
 			s.protoErrors.Add(1)
-			c.wbuf = AppendError(c.wbuf[:0], s.flags(), h.ReqID, StatusBadRequest, "unexpected opcode")
+			c.wbuf = AppendError(c.wbuf[:0], s.Flags(), h.ReqID, StatusBadRequest, "unexpected opcode")
 			_ = c.write() // best-effort: closing after protocol error
 			return
 		}
@@ -257,19 +256,19 @@ func (s *Server) serveConn(conn net.Conn) {
 // hello binds key to the next connection-scoped model id.
 func (c *serverConn) hello(reqID uint64, key string) error {
 	if len(c.models) >= maxModels {
-		c.wbuf = AppendError(c.wbuf[:0], c.srv.flags(), reqID,
+		c.wbuf = AppendError(c.wbuf[:0], c.srv.Flags(), reqID,
 			StatusBadRequest, "model id space exhausted on this connection")
 		return c.write()
 	}
 	b, status, msg := c.h.Hello(key)
 	if b == nil {
-		c.wbuf = AppendError(c.wbuf[:0], c.srv.flags(), reqID, status, msg)
+		c.wbuf = AppendError(c.wbuf[:0], c.srv.Flags(), reqID, status, msg)
 		return c.write()
 	}
 	id := uint16(len(c.models))
 	c.models = append(c.models, b)
 	det, mech, nobs := b.Dims()
-	c.wbuf = AppendHelloAck(c.wbuf[:0], b.Flags(), id, reqID, det, mech, nobs)
+	c.wbuf = AppendHelloAck(c.wbuf[:0], c.srv.Flags(), id, reqID, det, mech, nobs)
 	return c.write()
 }
 
@@ -286,7 +285,7 @@ func (c *serverConn) decodeRun(h Header, payload []byte) (nh Header, np []byte, 
 		// Health flags ride every response, including request-level
 		// errors: a router's passive health tracking must not be starved
 		// just because a client sent a bad model id while the peer drains.
-		c.wbuf = AppendError(c.wbuf[:0], c.srv.flags(), h.ReqID,
+		c.wbuf = AppendError(c.wbuf[:0], c.srv.Flags(), h.ReqID,
 			StatusUnknownModel, "model id not resolved on this connection")
 		return Header{}, nil, false, c.write()
 	}

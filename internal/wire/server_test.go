@@ -61,7 +61,6 @@ func (h *stubHandler) Close() {
 }
 
 func (b *stubBinding) Dims() (int, int, int) { return 72, 36, 12 }
-func (b *stubBinding) Flags() Flags          { return FlagBreakerOpen }
 
 func (b *stubBinding) Decode(_ Flags, reqID uint64, _ []byte) {
 	if b.h.current != nil && b.h.current != b {
@@ -165,7 +164,7 @@ func TestServeConnRuns(t *testing.T) {
 		if !reflect.DeepEqual(rs, want) {
 			t.Fatalf("replies = %+v\nwant %+v", rs, want)
 		}
-		if hs[1].ModelID != 1 || hs[4].ModelID != 1 || hs[0].Flags != FlagBreakerOpen {
+		if hs[1].ModelID != 1 || hs[4].ModelID != 1 || hs[0].Flags != 0 {
 			t.Fatalf("hello acks / results carry ids %d,%d flags %v", hs[1].ModelID, hs[4].ModelID, hs[0].Flags)
 		}
 	})

@@ -74,12 +74,12 @@ func TestTimedResultRoundTrip(t *testing.T) {
 		QueueWaitNs: 1200, BatchAssembleNs: 300, DecodeNs: 48000, CopyOutNs: 700,
 		ServerTick: 123456789,
 	}
-	buf := AppendResultTimed(nil, FlagBreakerOpen, 2, 41, &res, &tm)
+	buf := AppendResultTimed(nil, FlagRetried, 2, 41, &res, &tm)
 	h, err := ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Op != OpResult || h.Flags&FlagTelemetry == 0 || h.Flags&FlagBreakerOpen == 0 {
+	if h.Op != OpResult || h.Flags&FlagTelemetry == 0 || h.Flags&FlagRetried == 0 {
 		t.Fatalf("timed result header: %+v", h)
 	}
 

@@ -20,9 +20,9 @@
 //
 // Model ids are assigned per connection by the server at OpHello time;
 // a client resolves each model key once and reuses the id for the
-// connection's lifetime. Every server→client frame carries health flags
-// (breaker open, draining) so a router can derive
-// replica health passively from response traffic.
+// connection's lifetime. Every server→client frame carries the drain
+// flag so a router can derive replica health passively from response
+// traffic.
 //
 // Encoders append into a caller-owned buffer and parsers read in place,
 // so the steady state on both sides is allocation-free (pinned by the
@@ -112,20 +112,19 @@ const (
 	// StatusBadRequest rejects a malformed request (wrong syndrome
 	// length, truncated payload).
 	StatusBadRequest
-	// StatusOverload fast-fails a request the server cannot admit:
-	// circuit breaker open, service draining, or queue saturation.
-	// Retryable on a sibling replica.
+	// StatusOverload fast-fails a request the server cannot admit: a
+	// closed (draining) service, or a router with no usable replica or
+	// at its in-flight bound. Retryable on a sibling replica.
 	StatusOverload
-	// StatusShed fails a request dropped by deadline-budget shedding;
-	// no replica sheds any more, and the value keeps the later ones.
-	// Retryable on a sibling replica.
-	StatusShed
+	// Status 4 is reserved and never sent; the blank keeps the values
+	// of the statuses after it on the wire.
+	_
 	// StatusDecoderFault fails a request whose decoder panicked, hung
 	// or produced a defective result; the instance was quarantined.
 	// Retryable on a sibling replica.
 	StatusDecoderFault
-	// StatusTimeout fails a request that exceeded its decode deadline.
-	StatusTimeout
+	// Status 6 is reserved and never sent, like 4.
+	_
 	// StatusInternal is any other server-side failure.
 	StatusInternal
 
@@ -143,12 +142,8 @@ func (s Status) String() string {
 		return "bad_request"
 	case StatusOverload:
 		return "overload"
-	case StatusShed:
-		return "shed"
 	case StatusDecoderFault:
 		return "decoder_fault"
-	case StatusTimeout:
-		return "timeout"
 	case StatusInternal:
 		return "internal"
 	}
@@ -158,7 +153,7 @@ func (s Status) String() string {
 // Retryable reports whether a sibling replica might serve the request
 // that failed with this status: the router's single-retry policy.
 func (s Status) Retryable() bool {
-	return s == StatusOverload || s == StatusShed || s == StatusDecoderFault
+	return s == StatusOverload || s == StatusDecoderFault
 }
 
 // Flags is the header flag word. On server→client frames it carries
@@ -166,11 +161,9 @@ func (s Status) Retryable() bool {
 type Flags uint16
 
 const (
-	// FlagBreakerOpen reports the model's decoder-fault circuit breaker
-	// is open.
-	FlagBreakerOpen Flags = 1 << iota
-	// Bit 1 is reserved and never set; the blank keeps the values of
-	// the flags after it on the wire.
+	// Bits 0 and 1 are reserved and never set; the blanks keep the
+	// values of the flags after them on the wire.
+	_ Flags = 1 << iota
 	_
 	// FlagDraining reports the server is shutting down; the connection
 	// closes after in-flight responses flush.

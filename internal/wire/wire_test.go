@@ -25,14 +25,14 @@ func randVec(n int, rng *rand.Rand) gf2.Vec {
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
-	buf, start := beginFrame(nil, OpDecode, FlagBreakerOpen|FlagRetried, 513, 0xdeadbeefcafe)
+	buf, start := beginFrame(nil, OpDecode, FlagDraining|FlagRetried, 513, 0xdeadbeefcafe)
 	buf = append(buf, 1, 2, 3)
 	buf = endFrame(buf, start)
 	h, err := ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Op != OpDecode || h.Flags != FlagBreakerOpen|FlagRetried || h.ModelID != 513 ||
+	if h.Op != OpDecode || h.Flags != FlagDraining|FlagRetried || h.ModelID != 513 ||
 		h.ReqID != 0xdeadbeefcafe || h.PayloadLen != 3 {
 		t.Fatalf("header round trip: %+v", h)
 	}
@@ -125,12 +125,12 @@ func TestResultFrameRoundTrip(t *testing.T) {
 		Correction:  randVec(144, rng),
 		Observables: randVec(12, rng),
 	}
-	buf := AppendResult(nil, FlagBreakerOpen, 3, 99, &res)
+	buf := AppendResult(nil, FlagRetried, 3, 99, &res)
 	h, err := ParseHeader(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Op != OpResult || h.Flags != FlagBreakerOpen || h.ModelID != 3 || h.ReqID != 99 {
+	if h.Op != OpResult || h.Flags != FlagRetried || h.ModelID != 3 || h.ReqID != 99 {
 		t.Fatalf("header %+v", h)
 	}
 	var got Result
@@ -148,7 +148,7 @@ func TestResultFrameRoundTrip(t *testing.T) {
 	}
 
 	// Non-OK results carry no vectors.
-	res.Status = StatusShed
+	res.Status = StatusDecoderFault
 	buf = AppendResult(nil, 0, 3, 100, &res)
 	h, _ = ParseHeader(buf)
 	if h.PayloadLen != resultFixedSize {
@@ -158,7 +158,7 @@ func TestResultFrameRoundTrip(t *testing.T) {
 	if err := ParseResultInto(&errRes, buf[HeaderSize:]); err != nil {
 		t.Fatal(err)
 	}
-	if errRes.Status != StatusShed {
+	if errRes.Status != StatusDecoderFault {
 		t.Fatalf("status %v", errRes.Status)
 	}
 }
@@ -224,7 +224,7 @@ func TestValidResultPayload(t *testing.T) {
 	}
 
 	// Non-OK payloads are exactly the fixed prefix.
-	res.Status = StatusShed
+	res.Status = StatusDecoderFault
 	shed := AppendResult(nil, 0, 3, 2, &res)[HeaderSize:]
 	if !ValidResultPayload(0, shed, 144, 12) {
 		t.Fatal("well-formed non-OK payload rejected")
@@ -326,7 +326,7 @@ func TestReadResultRejectsOKErrorFrame(t *testing.T) {
 }
 
 func TestStatusRetryable(t *testing.T) {
-	retryable := map[Status]bool{StatusOverload: true, StatusShed: true, StatusDecoderFault: true}
+	retryable := map[Status]bool{StatusOverload: true, StatusDecoderFault: true}
 	for s := StatusOK; s < numStatuses; s++ {
 		if got := s.Retryable(); got != retryable[s] {
 			t.Errorf("%s.Retryable() = %v", s, got)
