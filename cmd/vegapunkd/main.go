@@ -29,12 +29,12 @@
 // With -chaos every registered decoder factory is wrapped in a
 // deterministic fault injector (internal/fault) seeded by
 // -chaos-seed: a small fraction of decodes run slow, panic, return
-// wrong-length results, stall past the watchdog, or skew their trace
-// clock. This exercises the resilience machinery — worker quarantine,
-// hang watchdog and decoder rebuild — against a live
-// daemon; injected fault totals are logged at shutdown. Every decode
-// runs its decoder's constructed configuration: there is no cheaper
-// tier to fall back to under load, and nothing is shed.
+// wrong-length results, or stall past the watchdog. This exercises the
+// resilience machinery — worker quarantine, hang watchdog and decoder
+// rebuild — against a live daemon; injected fault totals are logged at
+// shutdown. Every decode runs its decoder's constructed configuration:
+// there is no cheaper tier to fall back to under load, and nothing is
+// shed.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, queues
 // flush, then the process exits 0.
@@ -141,7 +141,7 @@ func run() int {
 	// kind represented, so a chaos run exercises quarantine, the
 	// watchdog and the rebuild without drowning the service.
 	chaosPlan := fault.Plan{Seed: *chaosSeed, Mix: map[fault.Kind]float64{
-		fault.Slow: 0.02, fault.Crash: 0.005, fault.Corrupt: 0.005, fault.Stall: 0.002, fault.Skew: 0.01,
+		fault.Slow: 0.02, fault.Crash: 0.005, fault.Corrupt: 0.005, fault.Stall: 0.002,
 	}}
 	for _, name := range strings.Split(*decoders, ",") {
 		name = strings.TrimSpace(name)

@@ -9,19 +9,17 @@
 //
 // Replica health is tracked passively from the response drain flag and
 // actively by ping probes every 250 ms; requests that a replica
-// fast-fails or loses to a decoder fault are retried on the next-best
-// healthy sibling under a per-replica token-bucket retry budget (50
-// tokens a second, bursts of 100), with the retry flagged in the
-// response, and a lane the budget refuses gets the replica's own
-// answer. A replica that fast-fails is routed around for 25 ms; one
-// that faults is routed around for 25 ms doubled per consecutive
-// faulting batch, up to 1.6 s, until a batch comes back without a
-// fault. -hedge-after arms hedged
-// dispatch: a batch without a first response inside the window is
-// re-sent to the sibling (at most one hedge per ten forwarded batches),
-// and admission control bounds the lanes in flight so a partitioned
-// replica cannot queue-collapse the front end. These budgets are
-// internal/cluster's defaults. The admin listener serves /metrics
+// fast-fails or loses to a decoder fault are retried once on the
+// next-best healthy sibling, with the retry flagged in the response,
+// and a lane the sibling cannot settle, or that has no sibling, gets
+// the replica's own answer. A replica that fast-fails is routed around
+// for 25 ms; one that faults is routed around for 25 ms doubled per
+// consecutive faulting batch, up to 1.6 s, until a batch comes back
+// without a fault. -hedge-after arms hedged dispatch: a batch without a
+// first response inside the window is re-sent to the sibling (at most
+// one hedge per ten forwarded batches), and admission control bounds
+// the lanes in flight so a partitioned replica cannot queue-collapse
+// the front end. These bounds are internal/cluster's defaults. The admin listener serves /metrics
 // (per-replica health, retries, failovers, open connections,
 // network-vs-server latency split) and /healthz;
 // with -replica-traces (one debug base URL per -replicas entry, in the

@@ -235,24 +235,14 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	} else {
 		// First attempt on the rendezvous winner. A fired hedge leaves
 		// its undone lanes for the sibling pass below — the hedge IS
-		// the retry, pre-authorised by the hedge bucket, so it bypasses
-		// the failing-replica retry budget.
+		// the retry, pre-authorised by the hedge bucket.
 		first := f.rt.pick(b.keyHash, nil)
 		hedged := false
 		if first != nil {
 			hedged = f.forward(b, first, lanes, false)
 		}
 		if undone := countUndone(lanes); undone > 0 {
-			sib := f.rt.pick(b.keyHash, first)
-			allowed := sib != nil
-			if allowed && first != nil && !hedged &&
-				!first.budget.take(obs.Tick(), float64(undone)) {
-				// Retry budget exhausted: fail terminally rather than
-				// amplify load while the replica set is degraded.
-				first.retryExhausted.Add(uint64(undone))
-				allowed = false
-			}
-			if allowed {
+			if sib := f.rt.pick(b.keyHash, first); sib != nil {
 				if !hedged {
 					f.rt.retries.Add(uint64(undone))
 				}
@@ -262,7 +252,7 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 						f.rt.hedgeWins.Add(uint64(won))
 					}
 				}
-			} else if first == nil && sib == nil {
+			} else if first == nil {
 				f.rt.noReplica.Add(uint64(undone))
 			}
 		}
@@ -397,7 +387,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 				sib := f.rt.pick(b.keyHash, rep)
 				if sib != nil && State(sib.state.Load()) == StateHealthy &&
 					sib.suspendUntil.Load() <= now &&
-					f.rt.hedgeBucket.take(now, 1) {
+					f.rt.hedgeBucket.take(1) {
 					f.rt.hedges.Add(1)
 					// A fired hedge is outlier ejection: deprioritise the
 					// slow replica for RetryAfterHint so the next batches
@@ -495,7 +485,8 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		ln.resp = append(ln.resp[:0], rp...)
 		if status.Retryable() && !retried {
 			// Undone: the sibling attempt re-sends it, and the held
-			// answer is relayed if the retry budget refuses it.
+			// answer is relayed if there is no sibling or the sibling
+			// cannot settle the lane.
 			continue
 		}
 		if ln.sampled {

@@ -53,10 +53,6 @@ var replicaFamilies = []obs.Family[*replica]{
 		Counter: func(rep *replica) uint64 { return rep.dialErrors.Load() }},
 	{Name: "vegapunk_router_replica_open_connections", Help: "Backend wire connections open to this replica.",
 		Gauge: func(rep *replica) int64 { return rep.open.Load() }},
-	{Name: "vegapunk_router_retry_budget_exhausted_total", Help: "Retries suppressed because this replica's retry budget was empty.",
-		Counter: func(rep *replica) uint64 { return rep.retryExhausted.Load() }},
-	{Name: "vegapunk_router_retry_budget_tokens", Help: "Retry tokens currently available for failures of this replica.",
-		Float: func(rep *replica) float64 { return rep.budget.level(obs.Tick()) }},
 	{Name: "vegapunk_router_replica_network_seconds", Help: "Network share of relayed decode latency: router flush-to-response wall clock minus the replica-reported decode-path time.",
 		Hist: func(rep *replica) *obs.Histogram { return rep.netSeconds }},
 	{Name: "vegapunk_router_replica_server_seconds", Help: "Replica-reported decode-path time (queue wait + decode + copy out) of relayed decodes.",

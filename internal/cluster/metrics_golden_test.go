@@ -49,8 +49,6 @@ func TestRouterMetricsGolden(t *testing.T) {
 	for _, fam := range []string{
 		"vegapunk_router_replica_network_seconds",
 		"vegapunk_router_replica_server_seconds",
-		"vegapunk_router_retry_budget_tokens",
-		"vegapunk_router_retry_budget_exhausted_total",
 		"vegapunk_router_hedges_total",
 		"vegapunk_router_hedge_wins_total",
 		"vegapunk_router_reconnects_total",

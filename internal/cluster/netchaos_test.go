@@ -71,11 +71,9 @@ func appendSynPayload(buf []byte, syn gf2.Vec) []byte {
 func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 	plan := fault.Plan{Seed: 0xC0FFEE, FaultEvery: 4096, Mix: map[fault.Kind]float64{fault.Corrupt: 1}}
 	rt, raddr, winProxy, sibProxy := startProxied(t, plan, Config{
-		ProbeInterval:     20 * time.Millisecond,
-		RedialBackoff:     10 * time.Millisecond,
-		IOTimeout:         2 * time.Second,
-		RetryBudgetPerSec: 1000,
-		RetryBudgetBurst:  1000,
+		ProbeInterval: 20 * time.Millisecond,
+		RedialBackoff: 10 * time.Millisecond,
+		IOTimeout:     2 * time.Second,
 	})
 	model, _ := clusterModel(t)
 	syndromes := sampleSyndromes(model, 32, 97)
@@ -178,12 +176,10 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	rt, raddr := startRouter(t, Config{
-		Replicas:          []string{pa.Addr(), pb.Addr()},
-		ProbeInterval:     20 * time.Millisecond,
-		RedialBackoff:     10 * time.Millisecond,
-		IOTimeout:         400 * time.Millisecond,
-		RetryBudgetPerSec: 1000,
-		RetryBudgetBurst:  1000,
+		Replicas:      []string{pa.Addr(), pb.Addr()},
+		ProbeInterval: 20 * time.Millisecond,
+		RedialBackoff: 10 * time.Millisecond,
+		IOTimeout:     400 * time.Millisecond,
 	})
 	winner := rt.pick(hash64(testKey), nil)
 	winProxy, sibRep := pa, replicaByAddr(t, rt, pb.Addr())
@@ -280,11 +276,9 @@ func TestNetChaosTornWritesAndResets(t *testing.T) {
 		TearPause:  time.Millisecond,
 	}
 	rt, raddr, winProxy, sibProxy := startProxied(t, plan, Config{
-		ProbeInterval:     time.Hour,
-		RedialBackoff:     10 * time.Millisecond,
-		IOTimeout:         500 * time.Millisecond,
-		RetryBudgetPerSec: 1000,
-		RetryBudgetBurst:  1000,
+		ProbeInterval: time.Hour,
+		RedialBackoff: 10 * time.Millisecond,
+		IOTimeout:     500 * time.Millisecond,
 	})
 	model, _ := clusterModel(t)
 	syndromes := sampleSyndromes(model, 32, 41)
@@ -354,13 +348,11 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 	t.Helper()
 	plan := fault.Plan{SlowFor: 25 * time.Millisecond}
 	rt, raddr, winProxy, _ := startProxied(t, plan, Config{
-		ProbeInterval:     20 * time.Millisecond,
-		IOTimeout:         2 * time.Second,
-		HedgeAfter:        hedge,
-		HedgeMaxRate:      1,
-		RetryAfterHint:    10 * time.Second,
-		RetryBudgetPerSec: 1000,
-		RetryBudgetBurst:  1000,
+		ProbeInterval:  20 * time.Millisecond,
+		IOTimeout:      2 * time.Second,
+		HedgeAfter:     hedge,
+		HedgeMaxRate:   1,
+		RetryAfterHint: 10 * time.Second,
 	})
 	model, _ := clusterModel(t)
 	syndromes := sampleSyndromes(model, 16, 5)

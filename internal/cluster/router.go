@@ -3,20 +3,19 @@
 // requests out across replica vegapunkd processes. Model keys shard by
 // rendezvous (highest-random-weight) hashing, replica health is tracked
 // passively from response flags and actively by ping probes, and
-// overload, decoder-fault and transport outcomes retry on the next-best
-// healthy sibling under a per-replica token-bucket retry budget so one
-// slow or dying replica does not surface to clients — and cannot
-// trigger a retry storm onto the survivors. A replica that keeps
-// faulting is routed around for a suspension that doubles with each
-// consecutive faulting forward. Optional hedged dispatch re-sends a
-// slow batch to the sibling after Config.HedgeAfter (loser
-// cancellation, rate-capped), admission control bounds in-flight lanes,
-// and a bad backend frame ends only its connection — the replica keeps
-// routing — so the tier holds its exactly-one-terminal-outcome
-// invariant and p99 bound under partitions, corruption, torn writes and
-// mid-stream resets (internal/fault drives these in the
-// network-chaos suite). The admin /metrics page renders two obs.Family
-// tables, router-wide and per replica (metrics.go).
+// overload, decoder-fault and transport outcomes retry once on the
+// next-best sibling so one slow or dying replica does not surface to
+// clients. A replica that keeps faulting is routed around for a
+// suspension that doubles with each consecutive faulting forward.
+// Optional hedged dispatch re-sends a slow batch to the sibling after
+// Config.HedgeAfter (loser cancellation, rate-capped), admission
+// control bounds in-flight lanes, and a bad backend frame ends only its
+// connection — the replica keeps routing — so the tier holds its
+// exactly-one-terminal-outcome invariant and p99 bound under
+// partitions, corruption, torn writes and mid-stream resets
+// (internal/fault drives these in the network-chaos suite). The admin
+// /metrics page renders two obs.Family tables, router-wide and per
+// replica (metrics.go).
 package cluster
 
 import (
@@ -59,13 +58,6 @@ type Config struct {
 	// decision.
 	TraceSampleEvery uint64
 
-	// RetryBudgetPerSec refills each replica's retry token bucket
-	// (default 50/s), capped at RetryBudgetBurst (default 100). A lane
-	// is retried on the sibling only while the failing replica's bucket
-	// has tokens; an empty bucket fails the lane terminally instead of
-	// amplifying load onto the survivors during a brown-out.
-	RetryBudgetPerSec float64
-	RetryBudgetBurst  float64
 	// HedgeAfter, when > 0, arms hedged dispatch: if the primary
 	// replica has not produced the first response of a batch within
 	// HedgeAfter, the router abandons that connection (loser
@@ -116,12 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TraceSampleEvery == 0 {
 		c.TraceSampleEvery = 8
-	}
-	if c.RetryBudgetPerSec <= 0 {
-		c.RetryBudgetPerSec = 50
-	}
-	if c.RetryBudgetBurst <= 0 {
-		c.RetryBudgetBurst = 100
 	}
 	if c.HedgeMaxRate <= 0 {
 		c.HedgeMaxRate = 0.1
@@ -182,10 +168,6 @@ type replica struct {
 	dialErrors obs.Counter
 	open       obs.Gauge
 
-	// budget is the retry token bucket: retries of lanes this replica
-	// failed draw from it, and exhaustion fails the lane terminally.
-	budget         tokenBucket
-	retryExhausted obs.Counter
 	// suspendUntil deprioritises routing to this replica until the obs
 	// tick it holds: set when the replica answers StatusOverload or
 	// StatusDecoderFault (Retry-After honoring). A suspended healthy replica ranks as
@@ -413,10 +395,9 @@ func New(cfg Config) (*Router, error) {
 		tracer:           obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
 	}
 	r.wire = wire.NewServer(func() wire.Handler { return newFEConn(r) })
-	now := obs.Tick()
 	// The hedge bucket earns HedgeMaxRate per batch; a burst of 8
 	// absorbs a short slow spell without exceeding the long-run rate.
-	r.hedgeBucket.init(0, 8, now)
+	r.hedgeBucket.init(8)
 	for i, addr := range cfg.Replicas {
 		rep := &replica{
 			addr:          addr,
@@ -429,7 +410,6 @@ func New(cfg Config) (*Router, error) {
 		if i < len(cfg.TraceURLs) {
 			rep.traceURL = cfg.TraceURLs[i]
 		}
-		rep.budget.init(cfg.RetryBudgetPerSec, cfg.RetryBudgetBurst, now)
 		rep.state.Store(int32(StateHealthy))
 		r.replicas = append(r.replicas, rep)
 	}

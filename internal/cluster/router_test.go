@@ -525,45 +525,74 @@ func TestRouterRetryOnDecoderFault(t *testing.T) {
 	}
 }
 
-// TestRouterRetryBudgetExhausts: every lane the faulty replica gets
-// comes back StatusDecoderFault and asks for a sibling retry. With a
-// budget of three tokens that does not refill, exactly three lanes are
-// retried and every later one fails terminally with the replica's own
-// answer: the budget, not the sibling's capacity, stops the retry
-// storm, and the client sees a fault, not a router overload.
-func TestRouterRetryBudgetExhausts(t *testing.T) {
-	p := newFaultyPair(t, Config{
-		RetryBudgetPerSec: 1e-9, // no refill within the test
-		RetryBudgetBurst:  3,
-		// A fault suspends the faulty replica this long; a nanosecond
-		// keeps routing every decode to it first.
-		RetryAfterHint: time.Nanosecond,
-	})
+// TestRouterRetriesEveryFaultedLane: every lane the faulty replica gets
+// comes back StatusDecoderFault and asks for a sibling retry. Under the
+// default config each of 150 faulted lanes is retried once on the
+// sibling and answered: no token count refuses a retry while a sibling
+// can still answer, however many faults came before.
+func TestRouterRetriesEveryFaultedLane(t *testing.T) {
+	// A fault suspends the faulty replica this long; a nanosecond keeps
+	// routing every decode to it first.
+	p := newFaultyPair(t, Config{RetryAfterHint: time.Nanosecond})
 	model, _ := clusterModel(t)
-	syndromes := sampleSyndromes(model, 12, 41)
+	const lanes = 150
+	syndromes := sampleSyndromes(model, lanes, 41)
 	var res wire.Result
 	wire.SizeResult(&res, p.info.NumMech, p.info.NumObs)
 
-	retried, refused := 0, 0
-	for i := uint64(1); i <= 9; i++ {
+	for i := uint64(0); i < lanes; i++ {
 		flags, err := p.c.Decode(p.info.ID, i, syndromes[i], &res)
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
-		switch {
-		case res.Status == wire.StatusOK && flags&wire.FlagRetried != 0:
-			retried++
-		case res.Status == wire.StatusDecoderFault && flags&wire.FlagRetried == 0:
-			refused++
-		default:
-			t.Fatalf("decode %d: status %s, flags %#x", i, res.Status, flags)
+		if res.Status != wire.StatusOK || flags&wire.FlagRetried == 0 {
+			t.Fatalf("decode %d: status %s flags %#x, want OK and FlagRetried via the sibling", i, res.Status, flags)
 		}
 	}
-	if retried != 3 || refused != 6 {
-		t.Fatalf("%d retried and %d refused of 9 faulted lanes, want 3 and 6", retried, refused)
+	if got := p.faults.Of(fault.Crash); got != lanes {
+		t.Fatalf("faulty replica crashed %d times, want %d", got, lanes)
 	}
-	if got := p.faulty.retryExhausted.Load(); got != 6 {
-		t.Fatalf("retry_budget_exhausted_total = %d, want 6", got)
+	if got := p.rt.retries.Load(); got != lanes {
+		t.Fatalf("router retries = %d, want %d", got, lanes)
+	}
+}
+
+// TestRouterRelaysFaultWithoutSibling: a router over one replica whose
+// decoder panics on every decode has no sibling to retry on, so it
+// relays the replica's own StatusDecoderFault answer instead of
+// inventing a "no usable replica" overload.
+func TestRouterRelaysFaultWithoutSibling(t *testing.T) {
+	_, factory := clusterModel(t)
+	faulty, _ := fault.Wrap(factory, fault.Plan{
+		Seed: 1,
+		Mix:  map[fault.Kind]float64{fault.Crash: 1},
+	})
+	_, addr := startReplica(t, replicaConfig(), faulty)
+	rt, raddr := startRouter(t, Config{Replicas: []string{addr}, ProbeInterval: time.Hour})
+	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	info, err := c.Hello(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 4, 41)
+	var res wire.Result
+	wire.SizeResult(&res, info.NumMech, info.NumObs)
+	for i := range syndromes {
+		flags, err := c.Decode(info.ID, uint64(i), syndromes[i], &res)
+		if err != nil {
+			t.Fatalf("decode %d: %v", i, err)
+		}
+		if res.Status != wire.StatusDecoderFault || flags&wire.FlagRetried != 0 {
+			t.Fatalf("decode %d: status %s flags %#x, want the replica's own StatusDecoderFault", i, res.Status, flags)
+		}
+	}
+	if got := rt.retries.Load(); got != 0 {
+		t.Fatalf("router retries = %d with no sibling, want 0", got)
 	}
 }
 

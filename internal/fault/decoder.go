@@ -67,7 +67,7 @@ func (d *decoder) next() Kind {
 func (d *decoder) Decode(syndrome gf2.Vec) (gf2.Vec, core.Stats) {
 	k := d.next()
 	d.counters.Ops.Add(1)
-	if k == Pass || k > Skew { // the link-only kinds pass too
+	if k == Pass || k > Stall { // the link-only kinds pass too
 		return d.inner.Decode(syndrome)
 	}
 	d.counters.add(k)
@@ -88,10 +88,6 @@ func (d *decoder) Decode(syndrome gf2.Vec) (gf2.Vec, core.Stats) {
 		} else {
 			time.Sleep(3 * time.Second)
 		}
-	case Skew:
-		p := obs.ProbeOf(d.inner)
-		p.SetSkew(-int64(time.Millisecond))
-		defer p.SetSkew(0)
 	}
 	return d.inner.Decode(syndrome)
 }

@@ -52,7 +52,7 @@ func TestPassthroughEquivalence(t *testing.T) {
 
 func TestDeterministicSchedule(t *testing.T) {
 	model := testModel(t)
-	plan := Plan{Seed: 42, Mix: map[Kind]float64{Slow: 0.3, Corrupt: 0.2, Skew: 0.1}, SlowFor: time.Microsecond}
+	plan := Plan{Seed: 42, Mix: map[Kind]float64{Slow: 0.3, Corrupt: 0.2}, SlowFor: time.Microsecond}
 	run := func() []uint64 {
 		f, c := Wrap(testFactory(model), plan)
 		d := f()
@@ -60,7 +60,7 @@ func TestDeterministicSchedule(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			d.Decode(s)
 		}
-		return []uint64{c.Of(Slow), c.Of(Corrupt), c.Of(Skew)}
+		return []uint64{c.Of(Slow), c.Of(Corrupt)}
 	}
 	a, b := run(), run()
 	for i := range a {
@@ -68,8 +68,8 @@ func TestDeterministicSchedule(t *testing.T) {
 			t.Fatalf("schedule not deterministic: run1=%v run2=%v", a, b)
 		}
 	}
-	if a[0] == 0 || a[1] == 0 || a[2] == 0 {
-		t.Errorf("200 decodes at (0.3,0.2,0.1) injected none of some kind: %v", a)
+	if a[0] == 0 || a[1] == 0 {
+		t.Errorf("200 decodes at (0.3,0.2) injected none of some kind: %v", a)
 	}
 }
 
@@ -177,18 +177,6 @@ func TestStallBlocksUntilRelease(t *testing.T) {
 	}
 	if c.Of(Stall) != 1 {
 		t.Errorf("stall count = %d", c.Of(Stall))
-	}
-}
-
-func TestSkewAppliesForOneDecode(t *testing.T) {
-	model := testModel(t)
-	f, c := Wrap(testFactory(model), Plan{Seed: 1, Script: []Kind{Skew, Pass}})
-	d := f()
-	s := gf2.NewVec(model.NumDet)
-	d.Decode(s) // skewed
-	d.Decode(s) // skew must be reset
-	if c.Of(Skew) != 1 {
-		t.Errorf("skew count = %d", c.Of(Skew))
 	}
 }
 

@@ -41,9 +41,6 @@ const (
 	// Stall holds a decode until Plan.StallRelease is closed, or for 3 s
 	// when it is nil: the hung-worker path. Decoder only.
 	Stall
-	// Skew sets the decoder's probe clock skew to −1 ms for one decode,
-	// so the trace duration clamp runs. Decoder only.
-	Skew
 	// Tear splits a forwarded write at the fault offset and pauses
 	// Plan.TearPause between the halves. Link only.
 	Tear
@@ -54,7 +51,7 @@ const (
 	numKinds
 )
 
-var kindNames = [numKinds]string{"pass", "slow", "crash", "corrupt", "stall", "skew", "tear", "blackhole"}
+var kindNames = [numKinds]string{"pass", "slow", "crash", "corrupt", "stall", "tear", "blackhole"}
 
 // String names the kind for logs, counters and command-line lists.
 func (k Kind) String() string {

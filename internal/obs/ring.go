@@ -197,12 +197,6 @@ type Probe struct {
 	id     uint32
 	active bool
 	noop   bool // the shared disabled probe; Activate is ignored
-	// skew offsets every clock read while the probe is active. It
-	// models a skewed time source (fault injection): span edges shift
-	// and can even run backwards relative to spans recorded by an
-	// unskewed goroutine, which the renderers must tolerate. Zero in
-	// production.
-	skew int64
 }
 
 // NewProbe returns an inactive probe (decoder construction time).
@@ -250,17 +244,6 @@ func (p *Probe) Deactivate() {
 // Active reports whether a sampled decode is in flight.
 func (p *Probe) Active() bool { return p.active }
 
-// SetSkew offsets the probe's clock reads by ns (fault injection:
-// "clock skew on the probe"). Call only while holding the probe's
-// decoder exclusively — same ownership rule as Activate. No-op on the
-// shared disabled probe.
-func (p *Probe) SetSkew(ns int64) {
-	if p.noop {
-		return
-	}
-	p.skew = ns
-}
-
 // Tick returns the clock if the probe is active and 0 otherwise. Hot
 // loops open their first span edge with this so an untraced decode
 // never reads the clock.
@@ -268,7 +251,7 @@ func (p *Probe) Tick() int64 {
 	if !p.active {
 		return 0
 	}
-	return Tick() + p.skew
+	return Tick()
 }
 
 // SpanSince records [start, now] for stage st and returns now, so
@@ -278,7 +261,7 @@ func (p *Probe) SpanSince(st Stage, arg int, start int64) int64 {
 	if !p.active {
 		return 0
 	}
-	now := Tick() + p.skew
+	now := Tick()
 	p.ring.Record(st, int32(arg), p.id, start, now)
 	return now
 }

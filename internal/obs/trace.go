@@ -56,8 +56,9 @@ func (t *Tracer) Events(pid, maxSpans int) []TraceEvent {
 	var events []TraceEvent
 	for tid, spans := range perRing {
 		for _, s := range spans {
-			// A skewed probe (fault injection) can record End < Start;
-			// Chrome's viewer rejects negative durations, so clamp.
+			// Record stores whatever edges its caller passes, so End <
+			// Start is representable; Chrome's viewer rejects negative
+			// durations, so clamp.
 			dur := s.End - s.Start
 			if dur < 0 {
 				dur = 0

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 // decodedTrace mirrors the trace_event JSON for test decoding.
@@ -113,6 +114,32 @@ func TestDebugMuxServesPprof(t *testing.T) {
 		mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 		if rec.Code != 200 {
 			t.Errorf("GET %s: status %d", path, rec.Code)
+		}
+	}
+}
+
+// TestTraceClampsNegativeDurations records a span whose end precedes
+// its start and asserts the Chrome export clamps the duration at zero
+// instead of emitting a negative one.
+func TestTraceClampsNegativeDurations(t *testing.T) {
+	tr := NewTracer(TracerConfig{SampleEvery: 1})
+	start := Tick()
+	tr.Ring().Record(StageDecode, 0, 7, start, start-int64(time.Hour))
+
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	var out decodedTrace
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.TraceEvents) == 0 {
+		t.Fatal("no trace events exported")
+	}
+	for i, ev := range out.TraceEvents {
+		if ev.Dur < 0 {
+			t.Fatalf("event %d has negative duration %g", i, ev.Dur)
 		}
 	}
 }

@@ -7,9 +7,7 @@ package serve
 // concurrency soak over the request state machine.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"math/rand/v2"
 	"runtime"
@@ -647,50 +645,4 @@ func TestChaosCloseRaceSoak(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
-}
-
-func TestChaosSkewedProbeTraceClamp(t *testing.T) {
-	model, factory := testModel(t)
-	script := make([]fault.Kind, 8)
-	for i := range script {
-		script[i] = fault.Skew
-	}
-	wrapped, counters := fault.Wrap(factory, fault.Plan{Seed: 1, Script: script})
-	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
-	cfg := serialChaosConfig()
-	cfg.Tracer = tracer
-	svc := newService("chaos", model, "BP(30)+chaos", wrapped, cfg)
-	defer svc.Close()
-
-	syndromes := sampleSyndromes(model, 8, 8)
-	var res Result
-	for i, syn := range syndromes {
-		if err := svc.DecodeInto(context.Background(), &res, syn); err != nil {
-			t.Fatalf("skewed decode %d: %v", i, err)
-		}
-	}
-	if counters.Of(fault.Skew) != 8 {
-		t.Fatalf("injected skews = %d, want 8", counters.Of(fault.Skew))
-	}
-	var buf bytes.Buffer
-	if err := tracer.WriteTrace(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Dur  float64 `json:"dur"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &tf); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(tf.TraceEvents) == 0 {
-		t.Fatal("skewed decodes produced no trace spans")
-	}
-	for _, ev := range tf.TraceEvents {
-		if ev.Dur < 0 {
-			t.Errorf("span %s has negative duration %v after clamp", ev.Name, ev.Dur)
-		}
-	}
 }
