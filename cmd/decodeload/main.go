@@ -21,9 +21,9 @@
 //
 // Failed requests are reported in separate terminal classes, by the
 // wire status of their first failed lane — rejected_503 (Overload: a
-// draining service, or a router with no usable replica or at its
-// in-flight bound), decoder_faults (DecoderFault/Internal and any other
-// error status) — and transport_errors (no daemon response at all).
+// draining service, or a router with no usable replica), decoder_faults
+// (DecoderFault/Internal and any other error status) — and
+// transport_errors (no daemon response at all).
 // With -chaos the run targets a `vegapunkd -chaos` daemon and succeeds
 // as long as every request reached a terminal outcome and at least one
 // decoded: rejections and faults are then the resilience machinery
@@ -70,7 +70,7 @@ type tally struct {
 	// loss (jittered exponential backoff per worker).
 	reconnects int
 
-	rejected503   int // draining service, router without a usable replica or at capacity
+	rejected503   int // draining service, or router without a usable replica
 	decoderFault  int // quarantined decoder or internal server error
 	transportErrs int // client timeout, connection or parse failure
 

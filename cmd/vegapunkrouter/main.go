@@ -17,9 +17,10 @@
 // consecutive faulting batch, up to 1.6 s, until a batch comes back
 // without a fault. -hedge-after arms hedged dispatch: a batch without a
 // first response inside the window is re-sent to the sibling (at most
-// one hedge per ten forwarded batches), and admission control bounds
-// the lanes in flight so a partitioned replica cannot queue-collapse
-// the front end. These bounds are internal/cluster's defaults. The admin listener serves /metrics
+// one hedge per ten forwarded batches). These bounds are
+// internal/cluster's defaults. No lane is refused for capacity: each
+// client connection forwards its own run, so a partitioned replica
+// holds only the lanes keyed to it. The admin listener serves /metrics
 // (per-replica health, retries, failovers, open connections,
 // network-vs-server latency split) and /healthz;
 // with -replica-traces (one debug base URL per -replicas entry, in the

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"io"
 	"net"
 	"reflect"
@@ -155,70 +154,5 @@ func TestWireConformance(t *testing.T) {
 				t.Errorf("router:  %+v\nwant     %+v", rtr, c.want)
 			}
 		})
-	}
-}
-
-// TestRouterAdmissionControl lowers the in-flight lane bound so that
-// every batch is over the limit: each lane must be answered with a
-// terminal overload, counted, and leave no occupancy behind.
-func TestRouterAdmissionControl(t *testing.T) {
-	model, _ := clusterModel(t)
-	syndromes := sampleSyndromes(model, 8, 3)
-	_, a1 := startReplica(t, replicaConfig(), nil)
-	rt, err := New(Config{Replicas: []string{a1}, ProbeInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.maxInflightLanes = 0 // before Serve starts any connection goroutine
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		_ = rt.Serve(l)
-	}()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = rt.Shutdown(ctx)
-		<-served
-	}()
-
-	c, err := wire.Dial(l.Addr().String(), time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	info, err := c.Hello(testKey)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, syn := range syndromes {
-		c.QueueDecode(info.ID, uint64(i+1), syn)
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range syndromes {
-		h, payload, err := c.ReadFrame()
-		if err != nil {
-			t.Fatalf("lane %d: %v", i, err)
-		}
-		status, msg, err := wire.ParseError(payload)
-		if h.Op != wire.OpError || err != nil || h.ReqID != uint64(i+1) ||
-			status != wire.StatusOverload || msg != "router at capacity" {
-			t.Fatalf("lane %d: op %s req %d status %s %q (%v)", i, h.Op, h.ReqID, status, msg, err)
-		}
-	}
-	if got := rt.admissionRejected.Load(); got != uint64(len(syndromes)) {
-		t.Errorf("admission_rejected_total = %d, want %d", got, len(syndromes))
-	}
-	if got := rt.inflightLanes.Load(); got != 0 {
-		t.Errorf("inflightLanes = %d after the batch, want 0", got)
-	}
-	if got := rt.replicas[0].decodes.Load(); got != 0 {
-		t.Errorf("%d lanes reached the replica past a closed admission gate", got)
 	}
 }

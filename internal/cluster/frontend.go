@@ -217,59 +217,48 @@ func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 // undone lanes once on the next-best sibling, and answers every lane
 // with exactly one terminal response in arrival order. A lane the
 // retry could not settle relays the first replica's own answer; the
-// router answers only the lanes no replica answered.
+// router answers only the lanes no replica answered, and counts them.
+// The run is forwarded on this connection's goroutine over its own
+// backend connections, so it waits for no other connection's lanes.
 func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	f := b.f
 	lanes := f.lanes[:f.n]
-	k := int64(f.n)
 	f.n = 0
 
-	// Admission control: a batch that would push the router past its
-	// in-flight lane bound fails fast with a terminal overload instead
-	// of queueing — a partitioned replica holds its lanes for a full IO
-	// timeout each, and unbounded queueing behind that collapses the
-	// front end for every client.
-	admitted := f.rt.inflightLanes.Add(k) <= f.rt.maxInflightLanes
-	if !admitted {
-		f.rt.admissionRejected.Add(uint64(k))
-	} else {
-		// First attempt on the rendezvous winner. A fired hedge leaves
-		// its undone lanes for the sibling pass below — the hedge IS
-		// the retry, pre-authorised by the hedge bucket.
-		first := f.rt.pick(b.keyHash, nil)
-		hedged := false
-		if first != nil {
-			hedged = f.forward(b, first, lanes, false)
-		}
-		if undone := countUndone(lanes); undone > 0 {
-			if sib := f.rt.pick(b.keyHash, first); sib != nil {
-				if !hedged {
-					f.rt.retries.Add(uint64(undone))
+	// First attempt on the rendezvous winner. A fired hedge leaves its
+	// undone lanes for the sibling pass below — the hedge IS the retry,
+	// pre-authorised by the hedge bucket.
+	first := f.rt.pick(b.keyHash, nil)
+	hedged := false
+	if first != nil {
+		hedged = f.forward(b, first, lanes, false)
+	}
+	if undone := countUndone(lanes); undone > 0 {
+		if sib := f.rt.pick(b.keyHash, first); sib != nil {
+			if !hedged {
+				f.rt.retries.Add(uint64(undone))
+			}
+			f.forward(b, sib, lanes, true)
+			if hedged {
+				if won := undone - countUndone(lanes); won > 0 {
+					f.rt.hedgeWins.Add(uint64(won))
 				}
-				f.forward(b, sib, lanes, true)
-				if hedged {
-					if won := undone - countUndone(lanes); won > 0 {
-						f.rt.hedgeWins.Add(uint64(won))
-					}
-				}
-			} else if first == nil {
-				f.rt.noReplica.Add(uint64(undone))
 			}
 		}
 	}
-	f.rt.inflightLanes.Add(-k)
+	unanswered := 0
 	for i := range lanes {
 		ln := &lanes[i]
 		if !ln.done && len(ln.resp) == 0 {
+			unanswered++
 			ln.op = wire.OpError
 			ln.flags = f.rt.wire.Flags()
-			if admitted {
-				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "no usable replica")
-			} else {
-				ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "router at capacity")
-			}
+			ln.resp = appendErrPayload(ln.resp[:0], wire.StatusOverload, "no usable replica")
 		}
 		buf = wire.AppendFrame(buf, ln.op, ln.flags, clientID, ln.reqID, ln.resp)
+	}
+	if unanswered > 0 {
+		f.rt.noReplica.Add(uint64(unanswered))
 	}
 	return buf
 }

@@ -34,10 +34,11 @@ var routerFamilies = []obs.Family[*Router]{
 		Counter: func(r *Router) uint64 { return r.hedgeWins.Load() }},
 	{Name: "vegapunk_router_reconnects_total", Help: "Backend connections re-established after a transport failure or hedge abandonment.",
 		Counter: func(r *Router) uint64 { return r.reconnects.Load() }},
-	{Name: "vegapunk_router_admission_rejected_total", Help: "Lanes refused by admission control because the in-flight bound was reached.",
-		Counter: func(r *Router) uint64 { return r.admissionRejected.Load() }},
-	{Name: "vegapunk_router_inflight_lanes", Help: "Lanes currently being forwarded (admission-control occupancy).",
-		Gauge: func(r *Router) int64 { return r.inflightLanes.Load() }},
+	// Deprecated: always 0, since the router has no admission control
+	// (each client connection forwards its own run). Kept only because
+	// benchmark/ledger.go fails a traced router run without it.
+	{Name: "vegapunk_router_admission_rejected_total", Help: "Deprecated, always 0: the router refuses no lanes for capacity.",
+		Counter: func(*Router) uint64 { return 0 }},
 }
 
 // replicaFamilies is the per-replica half of the /metrics page, one

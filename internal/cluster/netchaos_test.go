@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sort"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"vegapunk/internal/fault"
 	"vegapunk/internal/gf2"
+	"vegapunk/internal/serve"
 	"vegapunk/internal/wire"
 )
 
@@ -387,51 +389,188 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 	return worst, rt
 }
 
-// TestRouterHedgeRateCap puts the rendezvous winner behind a uniformly
-// slow link with the outlier suspension off, so every batch routed to
-// it outlasts HedgeAfter and only the hedge bucket keeps it from
-// hedging. At HedgeMaxRate 0.1 the hedges stay within the bucket's
+// TestRouterHedgeRateCap slows the links so that batches outlast
+// HedgeAfter and only the hedge bucket keeps the router from hedging
+// every one. At HedgeMaxRate 0.1 the hedges stay within the bucket's
 // burst of 8 plus 0.1 per batch: a slow link cannot double the load.
+// The first case slows the rendezvous winner alone with the outlier
+// suspension off, so every batch routes to it first; the second slows
+// both links under the shipped suspension, where each fired hedge
+// suspends its primary and the next batch starts on the other link.
 func TestRouterHedgeRateCap(t *testing.T) {
-	rt, raddr, winProxy, _ := startProxied(t, fault.Plan{SlowFor: 10 * time.Millisecond}, Config{
+	for _, tc := range []struct {
+		name     string
+		bothSlow bool
+		hint     time.Duration // Config.RetryAfterHint; 0 ships the default
+		batches  int
+	}{
+		// A fired hedge suspends the slow replica for the hint; a
+		// nanosecond keeps routing every batch to it first.
+		{name: "winner slow, suspension off", hint: time.Nanosecond, batches: 32},
+		{name: "both slow, default suspension", bothSlow: true, batches: 48},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, raddr, winProxy, sibProxy := startProxied(t, fault.Plan{SlowFor: 10 * time.Millisecond}, Config{
+				ProbeInterval:  time.Hour,
+				IOTimeout:      2 * time.Second,
+				HedgeAfter:     5 * time.Millisecond,
+				HedgeMaxRate:   0.1,
+				RetryAfterHint: tc.hint,
+			})
+			model, _ := clusterModel(t)
+			syndromes := sampleSyndromes(model, 16, 5)
+			c, err := wire.Dial(raddr, time.Second, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			info, err := c.Hello(testKey)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res wire.Result
+			wire.SizeResult(&res, info.NumMech, info.NumObs)
+
+			winProxy.SetKind(fault.Slow)
+			if tc.bothSlow {
+				sibProxy.SetKind(fault.Slow)
+			}
+			for i := 1; i <= tc.batches; i++ {
+				if _, err := c.Decode(info.ID, uint64(i), syndromes[i%16], &res); err != nil {
+					t.Fatalf("decode %d: %v", i, err)
+				}
+				if res.Status != wire.StatusOK {
+					t.Fatalf("decode %d: status %s", i, res.Status)
+				}
+			}
+			hedges := rt.hedges.Load()
+			if hedges == 0 {
+				t.Fatal("hedging never fired on the slow link")
+			}
+			if limit := 8 + 0.1*float64(tc.batches); float64(hedges) > limit {
+				t.Fatalf("%d hedges over %d batches, above the cap %.1f", hedges, tc.batches, limit)
+			}
+			t.Logf("%d hedges over %d batches", hedges, tc.batches)
+		})
+	}
+}
+
+// TestRouterStalledReplicaKeepsSiblingKeys blackholes one replica's
+// link while 64 client connections keyed to it each hold a 64-lane run
+// in flight: 4 096 lanes, each waiting out the IO timeout. A 65th
+// connection keyed to the healthy sibling must be answered StatusOK on
+// every lane meanwhile, because each connection forwards its own run
+// over its own backend connections and nothing the stalled replica
+// holds is in its way. The stalled runs then fail over to the sibling.
+func TestRouterStalledReplicaKeepsSiblingKeys(t *testing.T) {
+	model, factory := clusterModel(t)
+	srvA, addrA := startReplica(t, replicaConfig(), nil)
+	srvB, addrB := startReplica(t, replicaConfig(), nil)
+	var proxies []*fault.Proxy
+	for _, addr := range []string{addrA, addrB} {
+		p, err := fault.Start(addr, fault.Plan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = p.Close() })
+		proxies = append(proxies, p)
+	}
+	rt, raddr := startRouter(t, Config{
+		Replicas:      []string{proxies[0].Addr(), proxies[1].Addr()},
 		ProbeInterval: time.Hour,
 		IOTimeout:     2 * time.Second,
-		HedgeAfter:    5 * time.Millisecond,
-		HedgeMaxRate:  0.1,
-		// A fired hedge suspends the slow replica this long; a
-		// nanosecond keeps routing every batch to it first.
-		RetryAfterHint: time.Nanosecond,
 	})
-	model, _ := clusterModel(t)
-	syndromes := sampleSyndromes(model, 16, 5)
+	stalled := rt.pick(hash64(testKey), nil)
+	stalledProxy := proxies[stalled.idx]
+	// A second key whose rendezvous winner is the sibling.
+	sibKey := ""
+	for i := 0; sibKey == ""; i++ {
+		if k := fmt.Sprintf("%s/sib%d", testKey, i); rt.pick(hash64(k), nil) != stalled {
+			sibKey = k
+		}
+	}
+	for _, srv := range []*serve.Server{srvA, srvB} {
+		if _, err := srv.Register(sibKey, model, "BP(30)", factory); err != nil {
+			t.Fatal(err)
+		}
+	}
+	syndromes := sampleSyndromes(model, 64, 17)
+
+	const conns = 64
+	held := make([]*wire.Client, conns)
+	ids := make([]uint16, conns)
+	for i := range held {
+		c, err := wire.Dial(raddr, time.Second, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		info, err := c.Hello(testKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held[i], ids[i] = c, info.ID
+	}
+	stalledProxy.SetKind(fault.Blackhole)
+	for i, c := range held {
+		for j, syn := range syndromes {
+			c.QueueDecode(ids[i], uint64(j+1), syn)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every held run has reached the stalled link once the link has
+	// swallowed a chunk per connection.
+	deadline := time.Now().Add(5 * time.Second)
+	for stalledProxy.Counters.Of(fault.Blackhole) < conns {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d chunks reached the stalled link", stalledProxy.Counters.Of(fault.Blackhole))
+		}
+		runtime.Gosched()
+	}
+
 	c, err := wire.Dial(raddr, time.Second, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	info, err := c.Hello(testKey)
+	info, err := c.Hello(sibKey)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res wire.Result
 	wire.SizeResult(&res, info.NumMech, info.NumObs)
+	start := time.Now()
+	for j, syn := range syndromes {
+		c.QueueDecode(info.ID, uint64(j+1), syn)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for j := range syndromes {
+		h, err := c.ReadResult(&res)
+		if err != nil {
+			t.Fatalf("sibling lane %d: %v", j, err)
+		}
+		if h.ReqID != uint64(j+1) || res.Status != wire.StatusOK {
+			t.Fatalf("sibling lane %d: req %d status %s, want StatusOK", j, h.ReqID, res.Status)
+		}
+	}
+	if d := time.Since(start); d >= 2*time.Second {
+		t.Fatalf("sibling run took %v, not inside the stalled runs' IO timeout", d)
+	}
 
-	winProxy.SetKind(fault.Slow)
-	const batches = 32
-	for i := 1; i <= batches; i++ {
-		if _, err := c.Decode(info.ID, uint64(i), syndromes[i%16], &res); err != nil {
-			t.Fatalf("decode %d: %v", i, err)
+	for i, c := range held {
+		for j := range syndromes {
+			h, err := c.ReadResult(&res)
+			if err != nil {
+				t.Fatalf("held conn %d lane %d: %v", i, j, err)
+			}
+			if h.ReqID != uint64(j+1) || res.Status != wire.StatusOK {
+				t.Fatalf("held conn %d lane %d: req %d status %s, want the sibling's StatusOK", i, j, h.ReqID, res.Status)
+			}
 		}
-		if res.Status != wire.StatusOK {
-			t.Fatalf("decode %d: status %s", i, res.Status)
-		}
-	}
-	hedges := rt.hedges.Load()
-	if hedges == 0 {
-		t.Fatal("hedging never fired on the slow link")
-	}
-	if limit := 8 + 0.1*batches; float64(hedges) > limit {
-		t.Fatalf("%d hedges over %d batches, above the cap %.1f", hedges, batches, limit)
 	}
 }
 

@@ -8,9 +8,11 @@
 // clients. A replica that keeps faulting is routed around for a
 // suspension that doubles with each consecutive faulting forward.
 // Optional hedged dispatch re-sends a slow batch to the sibling after
-// Config.HedgeAfter (loser cancellation, rate-capped), admission
-// control bounds in-flight lanes, and a bad backend frame ends only its
-// connection — the replica keeps routing — so the tier holds its
+// Config.HedgeAfter (loser cancellation, rate-capped), and a bad
+// backend frame ends only its connection — the replica keeps routing.
+// Each client connection forwards its own run over its own backend
+// connections, so a stalled replica holds only the lanes keyed to it
+// and no other key's lanes wait behind them. The tier holds its
 // exactly-one-terminal-outcome invariant and p99 bound under
 // partitions, corruption, torn writes and mid-stream resets
 // (internal/fault drives these in the network-chaos suite). The admin
@@ -85,10 +87,6 @@ type Config struct {
 const (
 	// dialTimeout bounds one backend dial.
 	dialTimeout = 2 * time.Second
-	// maxInflightLanes bounds router-wide concurrently forwarded lanes.
-	// Excess lanes fail fast with StatusOverload so a partitioned
-	// replica cannot queue-collapse the front end.
-	maxInflightLanes = 4096
 	// maxFaultShift caps the decoder-fault backoff at RetryAfterHint<<6.
 	maxFaultShift = 6
 )
@@ -329,19 +327,14 @@ type Router struct {
 	protoErrors obs.Counter
 
 	// Network-fault-tolerance accounting: hedged batches and the subset
-	// whose lanes the sibling actually completed, backend connections
-	// re-established after a transport failure, a bad frame or a hedge,
-	// and lanes refused by admission control.
-	hedges            obs.Counter
-	hedgeWins         obs.Counter
-	reconnects        obs.Counter
-	admissionRejected obs.Counter
-	// hedgeBucket caps hedges as a fraction of forwarded batches;
-	// inflightLanes is the admission-control occupancy and
-	// maxInflightLanes its bound (a field so a test can lower it).
-	hedgeBucket      tokenBucket
-	inflightLanes    atomic.Int64
-	maxInflightLanes int64
+	// whose lanes the sibling actually completed, and backend
+	// connections re-established after a transport failure, a bad frame
+	// or a hedge.
+	hedges     obs.Counter
+	hedgeWins  obs.Counter
+	reconnects obs.Counter
+	// hedgeBucket caps hedges as a fraction of forwarded batches.
+	hedgeBucket tokenBucket
 
 	// tracer records the router's own forward spans (one ring per
 	// client connection) and issues trace ids for requests that arrive
@@ -388,11 +381,10 @@ func New(cfg Config) (*Router, error) {
 		return nil, errors.New("cluster: at least one replica address required")
 	}
 	r := &Router{
-		cfg:              cfg,
-		probeStop:        make(chan struct{}),
-		probeDone:        make(chan struct{}),
-		maxInflightLanes: maxInflightLanes,
-		tracer:           obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
+		cfg:       cfg,
+		probeStop: make(chan struct{}),
+		probeDone: make(chan struct{}),
+		tracer:    obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
 	}
 	r.wire = wire.NewServer(func() wire.Handler { return newFEConn(r) })
 	// The hedge bucket earns HedgeMaxRate per batch; a burst of 8

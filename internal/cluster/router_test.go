@@ -596,6 +596,53 @@ func TestRouterRelaysFaultWithoutSibling(t *testing.T) {
 	}
 }
 
+// TestRouterCountsUnansweredLanes: the only replica shuts down after the
+// client's hello, so the next run's forward fails in transport and the
+// router answers its lanes itself with overload "no usable replica".
+// Each of those lanes is counted in vegapunk_router_no_replica_total,
+// though pick found the replica usable when the run began.
+func TestRouterCountsUnansweredLanes(t *testing.T) {
+	srv, addr := startReplica(t, replicaConfig(), nil)
+	rt, raddr := startRouter(t, Config{Replicas: []string{addr}, ProbeInterval: time.Hour})
+	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	info, err := c.Hello(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	model, _ := clusterModel(t)
+	syndromes := sampleSyndromes(model, 4, 43)
+	for i, syn := range syndromes {
+		c.QueueDecode(info.ID, uint64(i+1), syn)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range syndromes {
+		h, payload, err := c.ReadFrame()
+		if err != nil {
+			t.Fatalf("lane %d: %v", i, err)
+		}
+		status, msg, err := wire.ParseError(payload)
+		if h.Op != wire.OpError || err != nil || h.ReqID != uint64(i+1) ||
+			status != wire.StatusOverload || msg != "no usable replica" {
+			t.Fatalf("lane %d: op %s req %d status %s %q (%v)", i, h.Op, h.ReqID, status, msg, err)
+		}
+	}
+	if got := rt.noReplica.Load(); got != uint64(len(syndromes)) {
+		t.Fatalf("no_replica_total = %d, want %d", got, len(syndromes))
+	}
+}
+
 // TestRouterFaultBackoff: each consecutive forward that meets a decoder
 // fault doubles the faulty replica's suspension, a forward with several
 // faulted lanes extends the streak once, and a forward without a fault

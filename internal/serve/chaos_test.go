@@ -343,7 +343,7 @@ func testChaosBatchFault(t *testing.T, rig func(core.Factory) faultRig, faults f
 			t.Fatalf("lane %d of the faulted dispatch returned %v, want ErrDecoderFault", i, err)
 		}
 	}
-	if got := svc.met.batches.Load(); got != 2 {
+	if got := svc.met.batchSize.Count(); got != 2 {
 		t.Fatalf("%d dispatches for the plug and the %d faulted lanes, want 2: the fault did not meet all lanes at once", got, lanes)
 	}
 	// Each lane was settled exactly once: a second finish would drive
@@ -561,6 +561,51 @@ func TestChaosRepeatedFaultsStillDecode(t *testing.T) {
 	}
 	if got := svc.met.decoderPanics.Load(); got != 3 {
 		t.Errorf("decoder_panics_total = %d, want 3", got)
+	}
+}
+
+// TestChaosBatchCallMarksFaultedLanes: one scripted crash inside a
+// 64-lane DecodeBatchInto call fails exactly the lanes of the dispatch
+// it hit, and Result.Err tells the caller which: the first decode
+// crashes, so the faulted lanes are a prefix of at most MaxBatch, and
+// every other lane carries a nil Err and a satisfied answer. A call on
+// a closed service marks every lane with the submission error.
+func TestChaosBatchCallMarksFaultedLanes(t *testing.T) {
+	model, factory := testModel(t)
+	wrapped, _ := fault.Wrap(factory, fault.Plan{Seed: 1, Script: []fault.Kind{fault.Crash}})
+	const maxBatch = 16
+	svc := newService("chaos", model, "BP(30)+chaos", wrapped, Config{MaxBatch: maxBatch, PoolSize: 1})
+	defer svc.Close()
+
+	syndromes := sampleSyndromes(model, 64, 21)
+	res := make([]Result, len(syndromes))
+	if err := svc.DecodeBatchInto(context.Background(), res, syndromes); !errors.Is(err, ErrDecoderFault) {
+		t.Fatalf("DecodeBatchInto: %v, want ErrDecoderFault", err)
+	}
+	faulted := 0
+	for faulted < len(res) && errors.Is(res[faulted].Err, ErrDecoderFault) {
+		faulted++
+	}
+	if faulted == 0 || faulted > maxBatch {
+		t.Fatalf("%d leading lanes faulted, want the 1..%d of the first dispatch", faulted, maxBatch)
+	}
+	for i := faulted; i < len(res); i++ {
+		if res[i].Err != nil || !res[i].Satisfied {
+			t.Fatalf("lane %d after the faulted dispatch: Err %v, satisfied %v", i, res[i].Err, res[i].Satisfied)
+		}
+	}
+	if got := svc.met.decoderPanics.Load(); got != 1 {
+		t.Errorf("decoder_panics_total = %d, want 1", got)
+	}
+
+	svc.Close()
+	if err := svc.DecodeBatchInto(context.Background(), res, syndromes); !errors.Is(err, ErrClosed) {
+		t.Fatalf("DecodeBatchInto on a closed service: %v, want ErrClosed", err)
+	}
+	for i := range res {
+		if !errors.Is(res[i].Err, ErrClosed) {
+			t.Fatalf("lane %d on a closed service: Err %v, want ErrClosed", i, res[i].Err)
+		}
 	}
 }
 

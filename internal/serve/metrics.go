@@ -8,7 +8,6 @@ import "vegapunk/internal/obs"
 type serviceMetrics struct {
 	requests    obs.Counter
 	unsatisfied obs.Counter
-	batches     obs.Counter
 	// batchedDecodes counts multi-request micro-batches decoded in one
 	// dispatch.
 	batchedDecodes obs.Counter
@@ -49,8 +48,6 @@ var serviceFamilies = []obs.Family[*Service]{
 		Counter: func(s *Service) uint64 { return s.met.requests.Load() }},
 	{Name: "vegapunk_serve_unsatisfied_total", Help: "Decodes whose estimate did not reproduce the syndrome.",
 		Counter: func(s *Service) uint64 { return s.met.unsatisfied.Load() }},
-	{Name: "vegapunk_serve_batches_total", Help: "Micro-batches dispatched.",
-		Counter: func(s *Service) uint64 { return s.met.batches.Load() }},
 	{Name: "vegapunk_serve_batched_decodes_total", Help: "Multi-request micro-batches decoded in one dispatch.",
 		Counter: func(s *Service) uint64 { return s.met.batchedDecodes.Load() }},
 	{Name: "vegapunk_serve_queue_depth", Help: "Syndromes admitted but not yet decoded.",

@@ -111,8 +111,8 @@ func (f *ownedFixture) balanced(t *testing.T, when string) {
 	if pool.Misses() != uint64(f.built.Load()) {
 		t.Errorf("%s: Misses() = %d, factory ran %d times", when, pool.Misses(), f.built.Load())
 	}
-	if got, want := pool.Hits()+pool.Misses(), f.svc.met.batches.Load(); got != want {
-		t.Errorf("%s: hits+misses = %d, batches_total = %d", when, got, want)
+	if got, want := pool.Hits()+pool.Misses(), f.svc.met.batchSize.Count(); got != want {
+		t.Errorf("%s: hits+misses = %d, batch_size_count = %d", when, got, want)
 	}
 }
 

@@ -62,6 +62,10 @@ type request struct {
 // Result is a caller-owned decode result. Reusing one Result across
 // calls keeps the copy-out at the pool boundary allocation-free.
 type Result struct {
+	// Err is the lane's terminal error (a decoder fault, the caller's
+	// context, a closed service), or nil when the fields below hold
+	// this decode's answer. A failed lane leaves them as they were.
+	Err error
 	// Correction is the estimated mechanism vector (copied out of the
 	// decoder at the pool boundary; the caller owns it).
 	Correction gf2.Vec
@@ -188,9 +192,11 @@ func (s *Service) DecodeInto(ctx context.Context, res *Result, syndrome gf2.Vec)
 
 // DecodeBatchInto submits all syndromes before collecting any result,
 // so one call can fill a whole micro-batch. res must be at least as
-// long as syndromes; res[i] receives syndromes[i]'s result. On error
-// every submitted request is still collected (results before the error
-// remain valid).
+// long as syndromes; res[i] receives syndromes[i]'s result, and
+// res[i].Err says whether that lane was answered. On error every
+// submitted request is still collected, a lane that was never
+// submitted carries the submission error, and the call returns the
+// first error.
 func (s *Service) DecodeBatchInto(ctx context.Context, res []Result, syndromes []gf2.Vec) error {
 	if len(res) < len(syndromes) {
 		return fmt.Errorf("serve: %d results for %d syndromes", len(res), len(syndromes))
@@ -210,6 +216,9 @@ func (s *Service) DecodeBatchInto(ctx context.Context, res []Result, syndromes [
 		if err := s.wait(ctx, req, &res[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	for i := len(reqs); i < len(syndromes); i++ {
+		res[i].Err = firstErr
 	}
 	return firstErr
 }
@@ -287,7 +296,8 @@ func (s *Service) wait(ctx context.Context, req *request, res *Result) error {
 		return s.collect(req, res)
 	case <-ctx.Done():
 		if req.state.CompareAndSwap(reqPending, reqAbandoned) {
-			return ctx.Err()
+			res.Err = ctx.Err()
+			return res.Err
 		}
 		// The worker completed concurrently; its done signal is
 		// buffered and must be drained before recycling.
@@ -298,12 +308,13 @@ func (s *Service) wait(ctx context.Context, req *request, res *Result) error {
 
 // collect copies the finished request's result into the caller's Result
 // at the pool boundary and recycles the request. A request that ended
-// in a terminal error (decoder fault) carries no result: the
-// error is returned and res is left untouched.
+// in a terminal error (decoder fault) carries no result: the error is
+// returned and set as res.Err, and the rest of res is left untouched.
 func (s *Service) collect(req *request, res *Result) error {
-	if err := req.err; err != nil {
+	res.Err = req.err
+	if res.Err != nil {
 		s.putReq(req)
-		return err
+		return res.Err
 	}
 	gf2.CopyVec(&res.Correction, req.correction)
 	gf2.CopyVec(&res.Observables, req.observables)
@@ -396,7 +407,6 @@ func (s *Service) batcher() {
 			ring.Record(obs.StageBatchAssemble, int32(len(b)), uint32(req.id), t0, now)
 		}
 		s.load.Add(1)
-		s.met.batches.Add(1)
 		s.met.batchSize.Observe(float64(len(b)))
 		s.work <- b
 	}

@@ -215,7 +215,7 @@ func TestDecodeBatchInto(t *testing.T) {
 			t.Fatalf("result %d: Satisfied=%v but syndrome check says %v", i, res.Satisfied, sat)
 		}
 	}
-	if svc.met.batches.Load() == 0 {
+	if svc.met.batchSize.Count() == 0 {
 		t.Fatal("no batches recorded")
 	}
 }

@@ -113,8 +113,8 @@ const (
 	// length, truncated payload).
 	StatusBadRequest
 	// StatusOverload fast-fails a request the server cannot admit: a
-	// closed (draining) service, or a router with no usable replica or
-	// at its in-flight bound. Retryable on a sibling replica.
+	// closed (draining) service, or a router with no usable replica.
+	// Retryable on a sibling replica.
 	StatusOverload
 	// Status 4 is reserved and never sent; the blank keeps the values
 	// of the statuses after it on the wire.
