@@ -255,8 +255,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 		Addr:        addr,
 		DialTimeout: 2 * time.Second,
 		IOTimeout:   10 * time.Second, // per-request client timeout
-		BackoffMin:  25 * time.Millisecond,
-		BackoffMax:  time.Second,
 		Seed:        workerSeed,
 	}
 	dialed := 0

@@ -101,7 +101,7 @@ func run() int {
 	switch *slowLogPath {
 	case "":
 	case "-":
-		slowLog = obs.NewSlowLog(os.Stderr, 0)
+		slowLog = obs.NewSlowLog(os.Stderr)
 	default:
 		f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -113,7 +113,7 @@ func run() int {
 				logger.Printf("close slow log: %v", cerr)
 			}
 		}()
-		slowLog = obs.NewSlowLog(f, 0)
+		slowLog = obs.NewSlowLog(f)
 	}
 	if slowLog != nil {
 		defer slowLog.Close()

@@ -3,7 +3,7 @@ package cluster
 import "sync"
 
 // tokenBucket is the hedge-rate cap: each forwarded primary batch
-// deposits HedgeMaxRate tokens and each fired hedge takes one, so
+// deposits hedgeMaxRate tokens and each fired hedge takes one, so
 // hedges stay a bounded fraction of traffic even when every batch is
 // slow. Only arithmetic runs under the mutex: no blocking while it is
 // held.

@@ -354,7 +354,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 	hedgeAfter := f.rt.cfg.HedgeAfter
 	armed := !retried && hedgeAfter > 0
 	if armed {
-		f.rt.hedgeBucket.deposit(f.rt.cfg.HedgeMaxRate)
+		f.rt.hedgeBucket.deposit(hedgeMaxRate)
 	}
 	var tm wire.ServerTiming
 	faulted := false

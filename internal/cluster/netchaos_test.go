@@ -74,7 +74,6 @@ func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 	plan := fault.Plan{Seed: 0xC0FFEE, FaultEvery: 4096, Mix: map[fault.Kind]float64{fault.Corrupt: 1}}
 	rt, raddr, winProxy, sibProxy := startProxied(t, plan, Config{
 		ProbeInterval: 20 * time.Millisecond,
-		RedialBackoff: 10 * time.Millisecond,
 		IOTimeout:     2 * time.Second,
 	})
 	model, _ := clusterModel(t)
@@ -180,7 +179,6 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 	rt, raddr := startRouter(t, Config{
 		Replicas:      []string{pa.Addr(), pb.Addr()},
 		ProbeInterval: 20 * time.Millisecond,
-		RedialBackoff: 10 * time.Millisecond,
 		IOTimeout:     400 * time.Millisecond,
 	})
 	winner := rt.pick(hash64(testKey), nil)
@@ -279,7 +277,6 @@ func TestNetChaosTornWritesAndResets(t *testing.T) {
 	}
 	rt, raddr, winProxy, sibProxy := startProxied(t, plan, Config{
 		ProbeInterval: time.Hour,
-		RedialBackoff: 10 * time.Millisecond,
 		IOTimeout:     500 * time.Millisecond,
 	})
 	model, _ := clusterModel(t)
@@ -345,7 +342,9 @@ func TestNetChaosTornWritesAndResets(t *testing.T) {
 // measureSlowLink runs sequential decodes through a router whose
 // rendezvous winner sits behind a uniformly slow link (25ms per chunk,
 // both directions) and returns the worst observed latency. hedge == 0
-// disables hedged dispatch.
+// disables hedged dispatch. The one hedge that fires draws on the
+// bucket's initial burst; the 10s suspension it sets then routes every
+// later batch to the sibling first.
 func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt *Router) {
 	t.Helper()
 	plan := fault.Plan{SlowFor: 25 * time.Millisecond}
@@ -353,7 +352,6 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 		ProbeInterval:  20 * time.Millisecond,
 		IOTimeout:      2 * time.Second,
 		HedgeAfter:     hedge,
-		HedgeMaxRate:   1,
 		RetryAfterHint: 10 * time.Second,
 	})
 	model, _ := clusterModel(t)
@@ -391,8 +389,8 @@ func measureSlowLink(t *testing.T, hedge time.Duration) (worst time.Duration, rt
 
 // TestRouterHedgeRateCap slows the links so that batches outlast
 // HedgeAfter and only the hedge bucket keeps the router from hedging
-// every one. At HedgeMaxRate 0.1 the hedges stay within the bucket's
-// burst of 8 plus 0.1 per batch: a slow link cannot double the load.
+// every one. The hedges stay within the bucket's burst of hedgeBurst
+// plus hedgeMaxRate per batch: a slow link cannot double the load.
 // The first case slows the rendezvous winner alone with the outlier
 // suspension off, so every batch routes to it first; the second slows
 // both links under the shipped suspension, where each fired hedge
@@ -414,7 +412,6 @@ func TestRouterHedgeRateCap(t *testing.T) {
 				ProbeInterval:  time.Hour,
 				IOTimeout:      2 * time.Second,
 				HedgeAfter:     5 * time.Millisecond,
-				HedgeMaxRate:   0.1,
 				RetryAfterHint: tc.hint,
 			})
 			model, _ := clusterModel(t)
@@ -447,7 +444,7 @@ func TestRouterHedgeRateCap(t *testing.T) {
 			if hedges == 0 {
 				t.Fatal("hedging never fired on the slow link")
 			}
-			if limit := 8 + 0.1*float64(tc.batches); float64(hedges) > limit {
+			if limit := hedgeBurst + hedgeMaxRate*float64(tc.batches); float64(hedges) > limit {
 				t.Fatalf("%d hedges over %d batches, above the cap %.1f", hedges, tc.batches, limit)
 			}
 			t.Logf("%d hedges over %d batches", hedges, tc.batches)

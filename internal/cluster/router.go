@@ -32,7 +32,8 @@ import (
 	"vegapunk/internal/wire"
 )
 
-// Config parameterises a Router.
+// Config parameterises a Router. The redial backoff (redialBackoff)
+// and the hedge rate cap (hedgeMaxRate) are constants, not fields.
 type Config struct {
 	// Replicas are the wire-protocol addresses of the backend
 	// vegapunkd processes. At least one is required.
@@ -44,9 +45,6 @@ type Config struct {
 	// PoolSize is the idle backend connections kept per replica
 	// (default 4).
 	PoolSize int
-	// RedialBackoff is the initial wait after a failed dial (default
-	// 100ms); it doubles per consecutive failure up to maxRedialBackoff.
-	RedialBackoff time.Duration
 
 	// TraceURLs are the base URLs of each replica's debug listener
 	// (e.g. "http://127.0.0.1:18472"), parallel to Replicas; entries
@@ -65,12 +63,8 @@ type Config struct {
 	// HedgeAfter, the router abandons that connection (loser
 	// cancellation — the slow replica is NOT marked down) and re-sends
 	// the undone lanes to the healthy sibling. Zero disables hedging.
+	// Hedges are capped at hedgeMaxRate of forwarded batches.
 	HedgeAfter time.Duration
-	// HedgeMaxRate caps hedges as a fraction of forwarded batches
-	// (default 0.1): each primary batch earns that many hedge tokens
-	// and firing a hedge spends one, so a uniformly slow link cannot
-	// double the fleet's load.
-	HedgeMaxRate float64
 	// RetryAfterHint is how long routing deprioritises a replica after
 	// it answers StatusOverload or StatusDecoderFault (default 25ms) —
 	// the wire protocol's Retry-After: the replica asked for breathing
@@ -89,6 +83,12 @@ const (
 	dialTimeout = 2 * time.Second
 	// maxFaultShift caps the decoder-fault backoff at RetryAfterHint<<6.
 	maxFaultShift = 6
+	// hedgeMaxRate caps hedges as a fraction of forwarded batches: each
+	// primary batch earns that many hedge tokens and firing a hedge
+	// spends one, so a uniformly slow link cannot double the fleet's
+	// load. The bucket starts full at hedgeBurst.
+	hedgeMaxRate = 0.1
+	hedgeBurst   = 8
 )
 
 func (c Config) withDefaults() Config {
@@ -101,14 +101,8 @@ func (c Config) withDefaults() Config {
 	if c.PoolSize <= 0 {
 		c.PoolSize = 4
 	}
-	if c.RedialBackoff <= 0 {
-		c.RedialBackoff = 100 * time.Millisecond
-	}
 	if c.TraceSampleEvery == 0 {
 		c.TraceSampleEvery = 8
-	}
-	if c.HedgeMaxRate <= 0 {
-		c.HedgeMaxRate = 0.1
 	}
 	if c.RetryAfterHint <= 0 {
 		c.RetryAfterHint = 25 * time.Millisecond
@@ -254,8 +248,13 @@ func (r *replica) markDown() {
 	}
 }
 
-// maxRedialBackoff caps the doubling wait between failed dials.
-const maxRedialBackoff = 5 * time.Second
+// A failed dial closes the replica to dials for redialBackoff, doubled
+// per consecutive failure up to maxRedialBackoff; a successful dial
+// resets it.
+const (
+	redialBackoff    = 100 * time.Millisecond
+	maxRedialBackoff = 5 * time.Second
+)
 
 // acquire returns a pooled backend connection, dialing one if the
 // backoff window allows.
@@ -274,7 +273,7 @@ func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
 		r.dialErrors.Add(1)
 		bo := r.backoffNs.Load()
 		if bo <= 0 {
-			bo = int64(cfg.RedialBackoff)
+			bo = int64(redialBackoff)
 		} else if bo < int64(maxRedialBackoff) {
 			bo *= 2
 			if bo > int64(maxRedialBackoff) {
@@ -387,9 +386,9 @@ func New(cfg Config) (*Router, error) {
 		tracer:    obs.NewTracer(obs.TracerConfig{SampleEvery: cfg.TraceSampleEvery}),
 	}
 	r.wire = wire.NewServer(func() wire.Handler { return newFEConn(r) })
-	// The hedge bucket earns HedgeMaxRate per batch; a burst of 8
-	// absorbs a short slow spell without exceeding the long-run rate.
-	r.hedgeBucket.init(8)
+	// The burst absorbs a short slow spell without exceeding the
+	// long-run rate.
+	r.hedgeBucket.init(hedgeBurst)
 	for i, addr := range cfg.Replicas {
 		rep := &replica{
 			addr:          addr,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -202,6 +203,77 @@ func TestRouterPick(t *testing.T) {
 	}
 }
 
+// TestReplicaRedialBackoff walks the redial schedule against a port
+// that refuses connections. Each real dial that fails counts one dial
+// error and closes the replica to dials for redialBackoff, doubled per
+// consecutive failure up to maxRedialBackoff; while the window is open
+// acquire answers errBackoff without dialing. A successful dial resets
+// the schedule. The test clears nextDial instead of waiting a window out.
+func TestReplicaRedialBackoff(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := l.Addr().String()
+	_ = l.Close() // nothing listens there now, so dials are refused
+	live, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+
+	rep := &replica{addr: refused, idle: make(chan *wire.Client, 1)}
+	cfg := Config{IOTimeout: time.Second}
+	fails := uint64(0)
+	failOnce := func(want time.Duration) {
+		t.Helper()
+		rep.nextDial.Store(0)
+		before := obs.Tick()
+		if _, err := rep.acquire(&cfg); err == nil || errors.Is(err, errBackoff) {
+			t.Fatalf("dial %d to a refused port: error %v, want a dial error", fails+1, err)
+		}
+		after := obs.Tick()
+		fails++
+		if got := rep.dialErrors.Load(); got != fails {
+			t.Fatalf("dial errors %d, want %d", got, fails)
+		}
+		if got := time.Duration(rep.backoffNs.Load()); got != want {
+			t.Fatalf("dial %d: backoff %v, want %v", fails, got, want)
+		}
+		if next := rep.nextDial.Load(); next < before+int64(want) || next > after+int64(want) {
+			t.Fatalf("dial %d: window ends %v after the dial, want %v", fails, time.Duration(next-before), want)
+		}
+		if _, err := rep.acquire(&cfg); !errors.Is(err, errBackoff) {
+			t.Fatalf("acquire inside the window: error %v, want errBackoff", err)
+		}
+		if got := rep.dialErrors.Load(); got != fails {
+			t.Fatalf("acquire inside the window dialed: %d dial errors, want %d", got, fails)
+		}
+	}
+
+	want := redialBackoff
+	for range 8 { // 100ms doubles to 3.2s, then two at the 5s cap
+		failOnce(want)
+		want = min(2*want, maxRedialBackoff)
+	}
+	if want != maxRedialBackoff {
+		t.Fatalf("schedule never reached the cap: %v", want)
+	}
+
+	rep.addr = live.Addr().String()
+	rep.nextDial.Store(0)
+	c, err := rep.acquire(&cfg)
+	if err != nil {
+		t.Fatalf("dial to a live port: %v", err)
+	}
+	_ = c.Close()
+	if got := rep.backoffNs.Load(); got != 0 {
+		t.Fatalf("backoff %v after a successful dial, want 0", time.Duration(got))
+	}
+	rep.addr = refused
+	failOnce(redialBackoff)
+}
+
 // TestRouterEndToEnd: corrections served through the router must be
 // bit-identical to a serial decoder run on the same syndromes.
 func TestRouterEndToEnd(t *testing.T) {
@@ -273,7 +345,6 @@ func TestRouterFailoverKill(t *testing.T) {
 	rt, raddr := startRouter(t, Config{
 		Replicas:      []string{addrA, addrB},
 		ProbeInterval: 20 * time.Millisecond,
-		RedialBackoff: 20 * time.Millisecond,
 	})
 
 	model, _ := clusterModel(t)

@@ -89,7 +89,7 @@ func randomBoundCase(rng *rand.Rand) (D *gf2.Dense, blockSize int) {
 }
 
 // TestCoverageBoundAdmissible: skipping a K whose bound falls short of
-// MinCoverage is safe only if no partition the search plans beats the
+// minCoverage is safe only if no partition the search plans beats the
 // bound. Checked on the twelve Table 2 codes under their Table 2 model
 // and code capacity, the HP162 4-round window, Fig12's Quick space-time
 // batches, and 2 000 random matrices, a third of them block diagonal,

@@ -28,13 +28,13 @@
 // short of rank. Plans are ranked by coverage; only those tied at the
 // top are built (T, T·D, the sparse blocks — the nonzero-count tie-break
 // needs them), and none at all when that coverage falls short of
-// Options.MinCoverage; the candidate about to win is validated, and one
+// minCoverage; the candidate about to win is validated, and one
 // that fails to build or validate gives way to the next best.
 //
 // Across Ks the search does only the work the returned artifact depends
 // on. A K whose coverage bound (searchView.coverageBound, an upper limit
 // on the interior columns of any partition into groups of m/K rows)
-// falls short of MinCoverage is not planned. The other Ks are planned
+// falls short of minCoverage is not planned. The other Ks are planned
 // concurrently but resolved in order, each only once every K before it
 // has fallen short, so no K after the winner is built or validated.
 //

@@ -51,25 +51,75 @@ var goldenCases = []goldenCase{
 		"a02d80c0c7173578eb304c1af97b4dc98e4f8c3303cb2999a444f450d0401881"},
 	{"HP162-hint9", hpPhenomenological, Options{HintKs: []int{9}, Seed: 1234},
 		"8a297ecb038c369bfdf6ca6c20edcc9e67e97947cf9074eb1183420ffc3b6538"},
-	{"HP162-force3", hpPhenomenological, Options{ForceK: 3, Seed: 5},
-		"b095cbe5085bbb110f9262b2bb68237e1240f0241411a5d2ac5b0951ee3b85f6"},
 	// Generated on PR 15's parent (5c6b0b1): exp.Benchmarks()' BB hints,
-	// both of which fall short and are also rule Ks, and the
-	// best-coverage fallback when no K clears the bar.
+	// both of which fall short and are also rule Ks.
 	{"BB72-circuit-hints12-6", bbCircuit(0), Options{HintKs: []int{12, 6}, Seed: 1234},
 		"5b8c4a7a3dd70a209292e5b08950da4e4fbeb7025b596e0ae2f6d9126d6930b9"},
 	{"BB144-circuit-hints12-6", bbCircuit(3), Options{HintKs: []int{12, 6}, Seed: 1234},
 		"60971c418b31c26adb0b1f8167e97e99d41aea9aae99e9fed7b83020fde211a4"},
-	{"BB72-circuit-fallback", bbCircuit(0), Options{Seed: 3, MinCoverage: 0.99},
-		"3d180cc47a805d02e00b47fb1c713b3378236c6e1421d30c9ef2b68f157e9063"},
-	{"BB144-circuit-fallback", bbCircuit(3), Options{Seed: 3, MinCoverage: 0.99},
-		"e192a4f7faadfe4e033db0e39a29a88912aabd1415c322e8a86c0caaea2a3f92"},
+	// Generated at ee6e294, while the coverage bar was still an option:
+	// the best-coverage fallback when no K clears the bar. Both matrices
+	// have Ks whose coverage bound skips them and Ks planned in vain.
+	{"crossing36-fallback", crossing(36, 180, 3, 5), Options{Seed: 3},
+		"07ed5fa9803837e78b65fcf0f00b0f45d9d8f1f962aabdcaf27d1756014881e3"},
+	{"crossing72-fallback", crossing(72, 360, 3, 4), Options{Seed: 3},
+		"ad549c4bf6dd9f85206a6d81d540c5cbf93bf06894b7c88fc868e8d51ddfc96e"},
 	// Generated with the general-T subspace search still in place:
 	// hpWindow4's 4-round HP162 window, decoupled at seeds 0 and 7.
 	{"HP162-window4-seed0", hpWindow4, Options{},
 		"f912390935e0d364dcdfeeeb33b1e2291b44c07a344caebc9aee8f6245349866"},
 	{"HP162-window4-seed7", hpWindow4, Options{Seed: 7},
 		"f912390935e0d364dcdfeeeb33b1e2291b44c07a344caebc9aee8f6245349866"},
+}
+
+// oneKCase pins the artifact decoupleK builds for one K.
+type oneKCase struct {
+	name   string
+	matrix func(t testing.TB) *gf2.Dense
+	K      int
+	seed   uint64
+	sha256 string
+}
+
+// oneKCases were recorded when Decouple could be pinned to one K: HP162
+// at K = 3, and on BB72 two Ks the rule never tries (1 and m = 36) and
+// one it passes over for K = 3 (2, which the BB72 fallback chose at a
+// 0.99 bar).
+var oneKCases = []oneKCase{
+	{"HP162-force3", hpPhenomenological, 3, 5,
+		"b095cbe5085bbb110f9262b2bb68237e1240f0241411a5d2ac5b0951ee3b85f6"},
+	{"BB72-circuit-force1", bbCircuit(0), 1, 3,
+		"fa98af84454a1d60e8c9480f3345feec7c0429e98438d5b7204247c81b6b9948"},
+	{"BB72-circuit-force2", bbCircuit(0), 2, 3,
+		"3d180cc47a805d02e00b47fb1c713b3378236c6e1421d30c9ef2b68f157e9063"},
+	{"BB72-circuit-force36", bbCircuit(0), 36, 3,
+		"9f0f12d89c9dda4510ee2398afb8e4116801b74bbc9a4ce558fe17f9e328421e"},
+}
+
+// decoupleK plans and builds one K the way Decouple does when K is its
+// only candidate: planK, then the best of every plan with no coverage
+// bar. It returns nil when no partition into K blocks validates.
+func decoupleK(D *gf2.Dense, K int, seed uint64) *Decoupling {
+	return planK(newSearchView(D, seed), K, new(scratch)).best(acceptAny)
+}
+
+// crossing is m detectors, each with one weight-1 column, plus n−m
+// columns on w distinct random rows: too many crossing columns for any
+// K's blocks to absorb half of them, so Decouple falls back.
+func crossing(m, n, w int, seed uint64) func(testing.TB) *gf2.Dense {
+	return func(testing.TB) *gf2.Dense {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		D := gf2.NewDense(m, n)
+		for i := 0; i < m; i++ {
+			D.Set(i, i, true)
+		}
+		for j := m; j < n; j++ {
+			for _, r := range rng.Perm(m)[:w] {
+				D.Set(r, j, true)
+			}
+		}
+		return D
+	}
 }
 
 // hpWindow4 is the space-time matrix of a 4-round window over HP162's
@@ -99,13 +149,29 @@ func digest(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestDecoupleGoldenDigests pins the exact bytes of the chosen artifact.
+// TestDecoupleGoldenDigests pins the exact bytes of the chosen artifact,
+// and of the one-K builds.
 func TestDecoupleGoldenDigests(t *testing.T) {
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {
 			got := digest(artifactBytes(t, gc.matrix(t), gc.opts))
 			if got != gc.sha256 {
 				t.Errorf("artifact digest %s, want %s", got, gc.sha256)
+			}
+		})
+	}
+	for _, oc := range oneKCases {
+		t.Run(oc.name, func(t *testing.T) {
+			D := oc.matrix(t)
+			dec := decoupleK(D, oc.K, oc.seed)
+			if dec == nil || dec.K != oc.K {
+				t.Fatalf("no artifact with K = %d", oc.K)
+			}
+			if err := dec.Validate(D); err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(serialized(t, dec)); got != oc.sha256 {
+				t.Errorf("artifact digest %s, want %s", got, oc.sha256)
 			}
 		})
 	}
@@ -132,8 +198,8 @@ func TestDecoupleGoldenRandomMatrices(t *testing.T) {
 // TestDecoupleDeterministicAcrossGOMAXPROCS: the candidate K values are
 // planned concurrently but resolved in K order, so neither the number
 // of processors nor the schedule may change a byte of the artifact —
-// on every golden case, the hinted, forced, fallback (every K planned,
-// the skipped ones last) and window ones included.
+// on every golden case, the hinted, fallback (every K planned, the
+// skipped ones last) and window ones included.
 func TestDecoupleDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	reps := 20

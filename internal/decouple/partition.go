@@ -10,13 +10,10 @@ import (
 	"vegapunk/internal/gf2"
 )
 
-// Options tunes the decoupling search.
+// Options tunes the decoupling search. The K rule itself is fixed: the
+// paper's divisor rule, largest feasible K first, and a K succeeds once
+// its blocks absorb minCoverage of the columns.
 type Options struct {
-	// ForceK pins the number of blocks (0 = the paper's divisor rule:
-	// try the largest feasible K first). It must divide the number of
-	// rows m, so lie in [1, m]; Decouple rejects any other value before
-	// searching.
-	ForceK int
 	// HintKs lists structure-derived block counts to try before the
 	// generic search (the paper's §4.2 analytic rules: K = t for
 	// hypergraph products, K near min(l, m) for BB codes). The first
@@ -24,11 +21,12 @@ type Options struct {
 	HintKs []int
 	// Seed drives the randomized refinement.
 	Seed uint64
-	// MinCoverage is the fraction of columns the diagonal blocks must
-	// absorb for a K to count as successful (default 0.5); the search
-	// accepts the largest successful K, per the paper's selection rule.
-	MinCoverage float64
 }
+
+// minCoverage is the fraction of columns the diagonal blocks must
+// absorb for a K to count as successful; the search accepts the
+// largest successful K, per the paper's selection rule.
+const minCoverage = 0.5
 
 // refinePasses is the number of local-search sweeps over row swaps.
 const refinePasses = 2
@@ -41,7 +39,7 @@ const refinePasses = 2
 //
 // Each K is planned first and materialised last: a plan fixes the
 // coverage without forming T, so a K whose best plan falls short of
-// MinCoverage costs no inverse, no T·D, no validation, and no pivot
+// minCoverage costs no inverse, no T·D, no validation, and no pivot
 // choice for its row partitions. A K whose coverage bound (the view's
 // coverageBound) already falls short is not planned at all.
 //
@@ -52,27 +50,15 @@ const refinePasses = 2
 func Decouple(D *gf2.Dense, opts Options) (*Decoupling, error) {
 	v := newSearchView(D, opts.Seed)
 	m, S := v.m, v.cols.MaxColWeight()
-	var ks []int
-	if K := opts.ForceK; K != 0 {
-		if K < 1 || K > m || m%K != 0 {
-			return nil, fmt.Errorf("decouple: ForceK %d does not divide m = %d", K, m)
-		}
-		ks = []int{K}
-	} else {
-		ks = candidateKs(m, S)
-	}
+	ks := candidateKs(m, S)
 	if len(ks) == 0 {
 		return nil, fmt.Errorf("decouple: no feasible K for m=%d, S=%d", m, S)
 	}
-	minCover := opts.MinCoverage
-	if minCover <= 0 {
-		minCover = 0.5
-	}
-	success := func(blockCols int) bool { return covers(blockCols, v.n, minCover) }
+	success := func(blockCols int) bool { return covers(blockCols, v.n, minCoverage) }
 
 	// Structure hints first, in the caller's preference order, then the
 	// paper's rule: largest K first, accepting the first success.
-	// "Success" here means the blocks absorb at least MinCoverage of the
+	// "Success" here means the blocks absorb at least minCoverage of the
 	// columns — small blocks with decent coverage are exactly what keeps
 	// GreedyGuess effective and the hardware parallel. If no K clears
 	// the bar, fall back to the best coverage seen among the rule's Ks.

@@ -47,7 +47,7 @@ func checkPlanFirstEqualsEager(t *testing.T, D *gf2.Dense, K int, opts Options) 
 
 	// Behind a bar: the same artifact if it clears it; otherwise nothing,
 	// nothing built, and the fallback selection still finds it.
-	success := func(blockCols int) bool { return covers(blockCols, v.n, 0.5) }
+	success := func(blockCols int) bool { return covers(blockCols, v.n, minCoverage) }
 	c := planK(v, K, new(scratch))
 	got := c.best(success)
 	if want != nil && success(want.K*want.ND) {

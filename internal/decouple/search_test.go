@@ -363,14 +363,25 @@ func TestSearchKsOrderAndStop(t *testing.T) {
 
 // TestDecoupleReturnsValidatedFallback: when no K clears the coverage
 // bar the best-coverage fallback is returned, and it too has passed
-// validation.
+// validation. The fixture has rule Ks that the coverage bound skips, so
+// the fallback also plans those.
 func TestDecoupleReturnsValidatedFallback(t *testing.T) {
-	D := bbCircuit(0)(t)
-	dec, err := Decouple(D, Options{Seed: 3, MinCoverage: 0.99})
+	D := crossing(36, 180, 3, 5)(t)
+	v := newSearchView(D, 3)
+	skipped := 0
+	for _, K := range candidateKs(v.m, v.cols.MaxColWeight()) {
+		if !covers(v.coverageBound(v.m/K), v.n, minCoverage) {
+			skipped++
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("the coverage bound skips no K: the fixture misses the skipped-K fallback")
+	}
+	dec, err := Decouple(D, Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cover := float64(dec.K*dec.ND) / float64(dec.N); cover >= 0.99 {
+	if cover := float64(dec.K*dec.ND) / float64(dec.N); cover >= minCoverage {
 		t.Fatalf("coverage %.2f: not the fallback path", cover)
 	}
 	if err := dec.Validate(D); err != nil {

@@ -64,9 +64,9 @@ func TestReadRejectsMalformedArtifacts(t *testing.T) {
 		{1, 1, 0, 0, 1},
 		{0, 0, 1, 1, 1},
 	})
-	dec, err := Decouple(D, Options{ForceK: 2})
-	if err != nil {
-		t.Fatal(err)
+	dec := decoupleK(D, 2, 0)
+	if dec == nil {
+		t.Fatal("fixture has no K = 2 decoupling")
 	}
 	if dec.NA == 0 {
 		t.Fatal("fixture has no A column to corrupt")

@@ -115,15 +115,10 @@ func Table3(cfg Config, ws *Workspace) error {
 		if !showcase[b.Name] {
 			continue
 		}
-		dcp, err := ws.Decoupling(b)
-		if err != nil {
+		cfg.printf("\n")
+		if err := DumpDecoupling(cfg, ws, b); err != nil {
 			return err
 		}
-		cfg.printf("\n%s  (K=%d blocks of [%d,%d], A is [%d,%d])\n",
-			b.Name, dcp.K, dcp.MD, dcp.ND, dcp.M, dcp.NA)
-		cfg.printf("off-diagonal matrix A:\n%s\n", asciiMatrix(dcp.A.ToDense(), 60, 20))
-		first := gf2.HStack(gf2.Eye(dcp.MD), dcp.Blocks[0].ToDense())
-		cfg.printf("diagonal block D_1 = (I|B):\n%s\n", asciiMatrix(first, 60, 20))
 	}
 	cfg.printf("\n")
 	return nil
@@ -322,8 +317,8 @@ func Table4(cfg Config, ws *Workspace) error {
 	return nil
 }
 
-// DumpDecoupling prints one code's Table-3 style density plots (used by
-// the vegapunk CLI's dump subcommand).
+// DumpDecoupling prints one code's Table 3 density plots (for Table3
+// and the vegapunk CLI's dump subcommand).
 func DumpDecoupling(cfg Config, ws *Workspace, b Benchmark) error {
 	dcp, err := ws.Decoupling(b)
 	if err != nil {

@@ -140,9 +140,12 @@ func TestWeightedObjectivePrefersLikelyMechanisms(t *testing.T) {
 		{1, 1, 0, 0},
 		{0, 0, 1, 1},
 	})
-	dec, err := decouple.Decouple(D, decouple.Options{ForceK: 2})
+	dec, err := decouple.Decouple(D, decouple.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if dec.K != 2 {
+		t.Fatalf("fixture decoupled into K = %d blocks, want 2", dec.K)
 	}
 	// Column 0 and 1 are syndrome-identical; make column 1 far likelier.
 	w := []float64{5.0, 1.0, 5.0, 1.0}

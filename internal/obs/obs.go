@@ -43,8 +43,8 @@ func DurSeconds(ns int64) float64 { return float64(ns) / 1e9 }
 
 // Stage identifies one traced pipeline stage. The values cover the
 // decoder pipeline (BP rounds, hierarchical levels, fallback
-// post-processing) and the serving pipeline (queue wait, batch
-// assembly, dispatch, decode, copy-out).
+// post-processing), the serving pipeline (queue wait, batch assembly,
+// decode, copy-out) and the router's forward.
 type Stage uint8
 
 // Traced pipeline stages.
@@ -66,8 +66,6 @@ const (
 	// StageBatchAssemble spans a micro-batch's first-request-to-flush
 	// assembly window.
 	StageBatchAssemble
-	// StageDispatch spans flush-to-worker-pickup of one batch.
-	StageDispatch
 	// StageDecode spans one Decoder.Decode call at the pool boundary.
 	StageDecode
 	// StageCopyOut spans the post-decode verify/copy-out work.
@@ -95,7 +93,6 @@ var stageNames = [numStages]string{
 	"bpgd_round",
 	"queue_wait",
 	"batch_assemble",
-	"dispatch",
 	"decode",
 	"copy_out",
 	"decode_batch",

@@ -105,15 +105,17 @@ type SlowLog struct {
 	once sync.Once
 }
 
-// NewSlowLog starts a slow log writing JSON lines to w. buffer bounds
-// the in-flight event queue (default 256). Close flushes and stops the
-// writer goroutine.
-func NewSlowLog(w io.Writer, buffer int) *SlowLog {
-	if buffer <= 0 {
-		buffer = 256
-	}
+// slowLogBuffer bounds the events queued for the writer: room for a
+// burst of slow requests while one write is in progress, past which
+// Offer drops and counts rather than block a decode.
+const slowLogBuffer = 256
+
+// NewSlowLog starts a slow log writing JSON lines to w, with up to
+// slowLogBuffer events queued. Close flushes and stops the writer
+// goroutine.
+func NewSlowLog(w io.Writer) *SlowLog {
 	l := &SlowLog{
-		ch:   make(chan SlowEvent, buffer),
+		ch:   make(chan SlowEvent, slowLogBuffer),
 		done: make(chan struct{}),
 	}
 	go func() {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -61,49 +62,59 @@ func (g *gateWriter) Write(p []byte) (int, error) {
 	return g.buf.Write(p)
 }
 
+// fillSlowLog parks the writer inside its Write of a first event, then
+// fills the queue behind it, so the next Offer has to drop.
+func fillSlowLog(g *gateWriter) *SlowLog {
+	l := NewSlowLog(g)
+	l.Offer(SlowEvent{Model: "first"})
+	<-g.entered // writer now blocked inside Write with the first event
+	for range slowLogBuffer {
+		l.Offer(SlowEvent{Model: "queued"})
+	}
+	return l
+}
+
+// drainSlowLog releases the writer and closes the log once it has
+// written everything queued.
+func drainSlowLog(g *gateWriter, l *SlowLog) {
+	close(g.release)
+	go func() {
+		for range g.entered { // the writer's remaining round-trips
+		}
+	}()
+	l.Close()
+	close(g.entered)
+}
+
 func TestSlowLogDropsWhenFull(t *testing.T) {
 	g := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
-	l := NewSlowLog(g, 1)
-	l.Offer(SlowEvent{Model: "m1"})
-	<-g.entered                     // writer now blocked inside Write with event 1
-	l.Offer(SlowEvent{Model: "m2"}) // fills the 1-slot buffer
-	l.Offer(SlowEvent{Model: "m3"}) // must drop, not block
+	l := fillSlowLog(g)
+	l.Offer(SlowEvent{Model: "dropped"}) // must drop, not block
 	if got := l.Dropped(); got != 1 {
 		t.Fatalf("Dropped() = %d, want 1", got)
 	}
-	close(g.release)
-	<-g.entered // writer enters Write for event 2
-	l.Close()
+	drainSlowLog(g, l)
 	out := g.buf.String()
-	if n := strings.Count(out, "\n"); n != 2 {
-		t.Fatalf("wrote %d lines, want 2:\n%s", n, out)
+	if n := strings.Count(out, "\n"); n != 1+slowLogBuffer {
+		t.Fatalf("wrote %d lines, want %d", n, 1+slowLogBuffer)
 	}
-	if !strings.Contains(out, `"seq":1`) || !strings.Contains(out, `"seq":2`) {
+	if !strings.Contains(out, `"seq":1,`) || !strings.Contains(out, fmt.Sprintf(`"seq":%d,`, 1+slowLogBuffer)) {
 		t.Errorf("missing sequence numbers:\n%s", out)
 	}
-	if strings.Contains(out, "m3") {
+	if strings.Contains(out, "dropped") {
 		t.Errorf("dropped event was written:\n%s", out)
 	}
 }
 
 func TestSlowLogOfferDoesNotAllocate(t *testing.T) {
 	g := &gateWriter{entered: make(chan struct{}), release: make(chan struct{})}
-	l := NewSlowLog(g, 1)
-	l.Offer(SlowEvent{Model: "warm"})
-	<-g.entered // park the writer so later Offers drop (worst case)
-	l.Offer(SlowEvent{Model: "fill"})
+	l := fillSlowLog(g) // later Offers drop (worst case)
 	ev := SlowEvent{Model: "bb-72/bp/p0.001", Decoder: "BP(30)", TotalNs: 1e7}
 	allocs := testing.AllocsPerRun(1000, func() { l.Offer(ev) })
 	if allocs != 0 {
 		t.Fatalf("Offer allocates %.1f times per call, want 0", allocs)
 	}
-	close(g.release)
-	go func() {
-		for range g.entered { // drain remaining writer round-trips
-		}
-	}()
-	l.Close()
-	close(g.entered)
+	drainSlowLog(g, l)
 }
 
 func FuzzSlowLogJSON(f *testing.F) {

@@ -5,26 +5,41 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"vegapunk/internal/fault"
 	"vegapunk/internal/obs"
 )
 
 // TestServiceTracingAndSlowLog drives a traced, slow-logged service
 // end to end: sampled decodes must land spans in the tracer, the
 // /debug/decodetrace route must serve them as valid trace JSON, and
-// every decode (threshold 1ns) must emit one parseable slow-log line.
+// the slow log must hold one parseable line for each request that
+// reached slowThreshold and none for the rest. Every other decode is
+// held past the threshold by an injected Slow fault; the decodes between
+// them are fast. Requests go one at a time, so each rides a dispatch of
+// its own and its end-to-end time is exactly the sum of its stages: the
+// test knows which requests the threshold must keep, even when the host
+// stalls a fast one past it.
 func TestServiceTracingAndSlowLog(t *testing.T) {
 	model, factory := testModel(t)
+	const nSyn = 24
+	slowFor := slowThreshold + time.Millisecond
+	script := make([]fault.Kind, nSyn)
+	for i := 0; i < nSyn; i += 2 {
+		script[i] = fault.Slow
+	}
+	factory, _ = fault.Wrap(factory, fault.Plan{Script: script, SlowFor: slowFor})
 	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
 	var logBuf syncBuffer
-	slow := obs.NewSlowLog(&logBuf, 0)
+	slow := obs.NewSlowLog(&logBuf)
 	srv := NewServer(Config{
 		MaxBatch: 4, MaxWait: 50 * time.Microsecond, PoolSize: 2,
-		Tracer: tracer, SlowLog: slow, SlowThreshold: time.Nanosecond,
+		Tracer: tracer, SlowLog: slow,
 	})
 	svc, err := srv.Register("trace/bp/p0.010", model, "BP(30)", factory)
 	if err != nil {
@@ -32,16 +47,25 @@ func TestServiceTracingAndSlowLog(t *testing.T) {
 	}
 	defer svc.Close()
 
-	const nSyn = 24
 	syndromes := sampleSyndromes(model, nSyn, 11)
 	var res Result
-	for _, syn := range syndromes {
+	var wantTotals []int64 // end-to-end times the slow log must hold
+	for i, syn := range syndromes {
 		if err := svc.DecodeInto(context.Background(), &res, syn); err != nil {
 			t.Fatal(err)
 		}
 		if res.DecodeNs <= 0 {
 			t.Fatalf("per-stage breakdown missing: %+v", res)
 		}
+		if script[i] == fault.Slow && res.DecodeNs < int64(slowFor) {
+			t.Fatalf("decode %d took %v under a Slow fault of %v", i, time.Duration(res.DecodeNs), slowFor)
+		}
+		if total := res.QueueWaitNs + res.DecodeNs + res.CopyOutNs; total >= int64(slowThreshold) {
+			wantTotals = append(wantTotals, total)
+		}
+	}
+	if extra := len(wantTotals) - nSyn/2; extra != 0 {
+		t.Logf("%d fast requests reached the threshold on their own", extra)
 	}
 
 	spans := tracer.Spans()
@@ -66,19 +90,28 @@ func TestServiceTracingAndSlowLog(t *testing.T) {
 
 	slow.Close()
 	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
-	if len(lines) != nSyn {
-		t.Fatalf("slow log has %d lines, want %d (threshold 1ns catches every decode)", len(lines), nSyn)
+	if len(lines) != len(wantTotals) {
+		t.Fatalf("slow log has %d lines, want %d: one per request at or over %v", len(lines), len(wantTotals), slowThreshold)
 	}
-	var ev struct {
-		Model   string `json:"model"`
-		Decoder string `json:"decoder"`
-		TotalNs int64  `json:"total_ns"`
+	var gotTotals []int64
+	for _, line := range lines {
+		var ev struct {
+			Model   string `json:"model"`
+			Decoder string `json:"decoder"`
+			TotalNs int64  `json:"total_ns"`
+		}
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("slow-log line is not JSON: %v (%s)", err, line)
+		}
+		if ev.Model != "trace/bp/p0.010" || ev.Decoder != "BP(30)" {
+			t.Errorf("slow-log event = %+v", ev)
+		}
+		gotTotals = append(gotTotals, ev.TotalNs)
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
-		t.Fatalf("slow-log line is not JSON: %v (%s)", err, lines[0])
-	}
-	if ev.Model != "trace/bp/p0.010" || ev.Decoder != "BP(30)" || ev.TotalNs <= 0 {
-		t.Errorf("slow-log event = %+v", ev)
+	slices.Sort(gotTotals)
+	slices.Sort(wantTotals)
+	if !slices.Equal(gotTotals, wantTotals) {
+		t.Errorf("slow log holds end-to-end times %v, want %v", gotTotals, wantTotals)
 	}
 }
 

@@ -45,7 +45,8 @@ import (
 )
 
 // Config shapes the serving subsystem. The zero value is usable;
-// unset fields take the defaults documented per field.
+// unset fields take the defaults documented per field. The slow-log
+// threshold is the constant slowThreshold.
 type Config struct {
 	// MaxBatch flushes the micro-batching queue once this many
 	// syndromes are pending (default 16), for every decoder. One
@@ -78,12 +79,14 @@ type Config struct {
 	// rings (GET /debug/decodetrace). Nil disables span recording.
 	Tracer *obs.Tracer
 	// SlowLog, when set, receives a structured JSON-lines event for
-	// every request slower end-to-end than SlowThreshold.
+	// every request whose end-to-end service latency reaches
+	// slowThreshold.
 	SlowLog *obs.SlowLog
-	// SlowThreshold is the slow-request latency bar (default 10ms; only
-	// meaningful with SlowLog set).
-	SlowThreshold time.Duration
 }
+
+// slowThreshold is the latency at which a request is reported to
+// Config.SlowLog.
+const slowThreshold = 10 * time.Millisecond
 
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
@@ -97,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HangTimeout <= 0 {
 		c.HangTimeout = time.Second
-	}
-	if c.SlowThreshold <= 0 {
-		c.SlowThreshold = 10 * time.Millisecond
 	}
 	return c
 }

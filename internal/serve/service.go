@@ -527,7 +527,7 @@ func (s *Service) process(w *workerState, lanes []*request) bool {
 		if !req.satisfied {
 			s.met.unsatisfied.Add(1)
 		}
-		if total := t2 - req.enq; s.slow != nil && total >= int64(s.cfg.SlowThreshold) {
+		if total := t2 - req.enq; s.slow != nil && total >= int64(slowThreshold) {
 			s.slow.Offer(obs.SlowEvent{
 				ID:             req.id,
 				Model:          s.key,

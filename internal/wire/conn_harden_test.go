@@ -183,27 +183,24 @@ func TestClientUnknownReqIDPoisons(t *testing.T) {
 }
 
 // TestRedialerBackoff proves the reconnect schedule: no pause on the
-// first attempt, jittered exponential growth in [0.5b, 1.5b), and the
-// hard cap.
+// first attempt, then 25ms doubling to the 1s cap, each jittered into
+// [0.5b, 1.5b).
 func TestRedialerBackoff(t *testing.T) {
-	d := &Redialer{Addr: "127.0.0.1:1", BackoffMin: 10 * time.Millisecond, BackoffMax: 80 * time.Millisecond, Seed: 7}
+	d := &Redialer{Addr: "127.0.0.1:1", Seed: 7}
 	if b := d.Backoff(); b != 0 {
 		t.Fatalf("fresh backoff = %v, want 0", b)
 	}
-	for want, fails := 10*time.Millisecond, 1; fails <= 6; fails++ {
+	for want, fails := 25*time.Millisecond, 1; fails <= 9; fails++ {
 		d.fails = fails
 		b := d.Backoff()
 		lo, hi := want/2, want+want/2
 		if b < lo || b >= hi {
 			t.Fatalf("fails=%d backoff %v outside [%v, %v)", fails, b, lo, hi)
 		}
-		if want < 80*time.Millisecond {
-			want *= 2
-		}
+		want = min(2*want, time.Second)
 	}
 	// A live dial failure grows the counter; success resets it.
 	d.fails = 0
-	d.BackoffMin = time.Millisecond
 	if _, err := d.Dial(); err == nil {
 		t.Fatal("dial to port 1 succeeded")
 	}

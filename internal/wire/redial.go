@@ -8,18 +8,15 @@ import (
 // Redialer dials a wire listener with capped exponential backoff and
 // deterministic jitter: the reconnect policy shared by cmd/decodeload
 // and anything else that must survive a dead or flapping peer without
-// hot-looping against it. Not safe for concurrent use; one Redialer
-// per connection slot.
+// hot-looping against it. The backoff starts at redialMin and doubles
+// up to redialMax. Not safe for concurrent use; one Redialer per
+// connection slot.
 type Redialer struct {
 	// Addr is the wire listener to dial.
 	Addr string
 	// DialTimeout and IOTimeout configure the resulting Client.
 	DialTimeout time.Duration
 	IOTimeout   time.Duration
-	// BackoffMin seeds the exponential backoff (default 50ms), capped
-	// at BackoffMax (default 2s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Seed keys the jitter stream so reconnect storms are reproducible
 	// in tests; distinct workers should use distinct seeds so they do
 	// not redial in lockstep.
@@ -29,29 +26,25 @@ type Redialer struct {
 	fails int
 }
 
+// The redial backoff's first step and its cap.
+const (
+	redialMin = 25 * time.Millisecond
+	redialMax = time.Second
+)
+
 // Backoff returns the jittered pause the next Dial will take before
 // attempting, given the failures since the last success: zero after a
-// success, then min*2^k scaled by a jitter factor in [0.5, 1.5),
-// capped at max.
+// success, then redialMin·2^k, capped at redialMax, scaled by a jitter
+// factor in [0.5, 1.5).
 func (d *Redialer) Backoff() time.Duration {
 	if d.fails == 0 {
 		return 0
-	}
-	min, max := d.BackoffMin, d.BackoffMax
-	if min <= 0 {
-		min = 50 * time.Millisecond
-	}
-	if max <= 0 {
-		max = 2 * time.Second
 	}
 	shift := d.fails - 1
 	if shift > 20 {
 		shift = 20 // past this the cap always wins; avoid overflow
 	}
-	b := min << shift
-	if b > max || b <= 0 {
-		b = max
-	}
+	b := min(redialMin<<shift, redialMax)
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewPCG(d.Seed, 0x52454449414c)) // "REDIAL"
 	}
