@@ -77,26 +77,23 @@ func (c *CSS) LogicalX() *gf2.Dense {
 	return c.lx
 }
 
-// logicalOps returns k rows spanning ker(hKer) / rowspace(hMod).
+// logicalOps returns k rows spanning ker(hKer) / rowspace(hMod): an
+// echelon seeded with hMod's rows takes, in order, the rows of
+// ker(hKer)'s basis that extend it, up to the k-th.
 func logicalOps(hKer, hMod *gf2.Dense, k int) *gf2.Dense {
+	var ech gf2.Echelon
+	for i := 0; i < hMod.Rows(); i++ {
+		ech.AddRow(hMod, i)
+	}
+	base := ech.Dim()
 	kernel := hKer.NullSpace() // rows span ker(hKer); contains rowspace(hMod)
-	// Select kernel vectors independent of rowspace(hMod) by extending a
-	// basis: start from the rows of hMod, add kernel rows that increase
-	// the rank.
-	stack := gf2.VStack(hMod, kernel)
-	base := hMod.Rank()
-	idx := stack.IndependentRows()
 	out := gf2.NewDense(k, hKer.Cols())
 	got := 0
-	for _, i := range idx {
-		if i < hMod.Rows() {
-			continue // part of the stabilizer row space
+	for i := 0; i < kernel.Rows() && got < k; i++ {
+		if ech.AddRow(kernel, i) {
+			out.SetRow(got, kernel.Row(i))
+			got++
 		}
-		if got == k {
-			break
-		}
-		out.SetRow(got, stack.Row(i))
-		got++
 	}
 	if got != k {
 		panic(fmt.Sprintf("code: expected %d logical operators, found %d (base rank %d)", k, got, base))

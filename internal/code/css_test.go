@@ -62,7 +62,7 @@ func TestLogicalOperators(t *testing.T) {
 		t.Error("logical Z does not commute with X stabilizers")
 	}
 	// Not in the Z stabilizer row space (it is a genuine logical).
-	if c.HZ.RowSpaceContains(lz.Row(0)) {
+	if !outsideRowSpace(c.HZ, lz) {
 		t.Error("logical Z lies in stabilizer group")
 	}
 	// Logical X and Z anticommute in pairs: LX·LZᵀ has full rank k.
@@ -70,6 +70,22 @@ func TestLogicalOperators(t *testing.T) {
 	if got := lx.Mul(lz.Transpose()).Rank(); got != c.K {
 		t.Errorf("LX·LZᵀ rank = %d, want %d", got, c.K)
 	}
+}
+
+// outsideRowSpace reports whether the rows of l are independent of each
+// other and of the rows of h: whether an echelon holding h's rows takes
+// every row of l.
+func outsideRowSpace(h, l *gf2.Dense) bool {
+	var e gf2.Echelon
+	for i := 0; i < h.Rows(); i++ {
+		e.AddRow(h, i)
+	}
+	for i := 0; i < l.Rows(); i++ {
+		if !e.AddRow(l, i) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCheckMatrixConvention(t *testing.T) {

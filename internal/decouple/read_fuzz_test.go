@@ -12,8 +12,10 @@ import (
 )
 
 // FuzzReadArtifact holds Read to its contract on outside input: it never
-// panics, and an artifact it accepts is one the online decoder can be
-// built from and run on (hier.New plus a decode of the zero syndrome).
+// panics, and an artifact it accepts is one Validate can check without
+// panicking (against the zero matrix of its shape) and the online decoder
+// can be built from and run on (hier.New plus a decode of the zero
+// syndrome).
 // It lives in the external test package because hier imports decouple.
 func FuzzReadArtifact(f *testing.F) {
 	c, err := code.NewBBByIndex(0)
@@ -36,12 +38,14 @@ func FuzzReadArtifact(f *testing.F) {
 	f.Add([]byte(`{"version":1}`))
 	f.Add([]byte(`{"version":1,"m":1,"n":2,"k":1,"md":1,"nd":1,"na":1,"t_rows":[[0]],"col_order":[1,0],"blocks":[[]],"a":[[0]]}`))
 	f.Add([]byte(`{"version":1,"m":1,"n":2,"k":1,"md":1,"nd":1,"na":1,"t_rows":[[0]],"col_order":[1,0],"blocks":[[]],"a":[[0,0]]}`))
+	f.Add([]byte(`{"version":1,"m":0,"n":0,"k":0,"md":0,"nd":0,"na":0,"t_rows":[],"col_order":[],"blocks":[],"a":[]}`))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dec, err := decouple.Read(bytes.NewReader(raw))
 		if err != nil {
 			return
 		}
+		_ = dec.Validate(gf2.NewDense(dec.M, dec.N)) // any error is fine; a panic is not
 		weights := make([]float64, dec.N)
 		for i := range weights {
 			weights[i] = 1

@@ -6,34 +6,6 @@ import "sort"
 // search computed before it read them from an index. Tests compare the
 // production code against them.
 
-// refEchelon is the slice-of-vectors echelon the flat one replaced:
-// each added vector is cloned, each lead kept as a bit index.
-type refEchelon struct {
-	vecs  []bitvec
-	leads []int
-}
-
-func (e *refEchelon) residual(v bitvec) bitvec {
-	r := append(bitvec(nil), v...)
-	for i, b := range e.vecs {
-		if r[e.leads[i]/64]>>(uint(e.leads[i])%64)&1 == 1 {
-			r.xor(b)
-		}
-	}
-	return r
-}
-
-func (e *refEchelon) add(v bitvec) bool {
-	r := e.residual(v)
-	lead := r.lead()
-	if lead < 0 {
-		return false
-	}
-	e.vecs = append(e.vecs, r)
-	e.leads = append(e.leads, lead)
-	return true
-}
-
 // rescanAffinityPartition is affinityPartition on a dense affinity
 // matrix counted from the column supports, with each seed's mass summed
 // afresh over the unassigned rows, O(K·m²) per call.

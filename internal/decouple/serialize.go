@@ -101,8 +101,8 @@ func Read(r io.Reader) (*Decoupling, error) {
 // keep the products from overflowing.
 func (art *artifactJSON) check() error {
 	switch {
-	case art.M < 0 || art.N < 0 || art.K < 0 || art.MD < 0 || art.ND < 0 || art.NA < 0:
-		return errors.New("negative dimension")
+	case art.M <= 0 || art.N < 0 || art.K < 0 || art.MD < 0 || art.ND < 0 || art.NA < 0:
+		return errors.New("empty matrix or negative dimension")
 	case len(art.TRows) != art.M:
 		return fmt.Errorf("%d t_rows, header says m = %d", len(art.TRows), art.M)
 	case len(art.ColOrder) != art.N:

@@ -93,6 +93,7 @@ func TestReadRejectsMalformedArtifacts(t *testing.T) {
 		{"block with an extra column", func(a *artifactJSON) { a.Blocks[1] = append(a.Blocks[1], []int{0}) }},
 		{"k·md != m", func(a *artifactJSON) { a.MD++ }},
 		{"k·nd+na != n", func(a *artifactJSON) { a.NA++; a.A = append(a.A, []int{0}) }},
+		{"empty matrix", func(a *artifactJSON) { *a = artifactJSON{Version: 1} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,7 +91,7 @@ func planPartition(v *searchView, groups [][]int) (*plan, error) {
 // lightest first (unit columns make the group's part of T the
 // identity), become the identity; the group's other interior columns
 // follow in the same order. An interior column is zero outside its
-// group's rows, so independence can be read off the full packed columns.
+// group's rows, so independence can be read off the full columns.
 func (p *plan) pickPivots(v *searchView) (identity, interior [][]int, tail []int, err error) {
 	mD := v.m / p.K
 	interior = make([][]int, p.K)
@@ -109,17 +109,17 @@ func (p *plan) pickPivots(v *searchView) (identity, interior [][]int, tail []int
 	identity = make([][]int, p.K)
 	for g, cand := range interior {
 		slices.SortStableFunc(cand, func(a, b int) int { return v.cols.ColWeight(a) - v.cols.ColWeight(b) })
-		var ech echelon
+		var ech gf2.Echelon
 		nonPiv := cand[:0]
 		for _, j := range cand {
-			if ech.dim() < mD && ech.add(v.vec(j)) {
+			if ech.Dim() < mD && ech.AddRow(v.colRows, j) {
 				identity[g] = append(identity[g], j)
 			} else {
 				nonPiv = append(nonPiv, j)
 			}
 		}
-		if ech.dim() < mD {
-			return nil, nil, nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.dim(), mD)
+		if ech.Dim() < mD {
+			return nil, nil, nil, fmt.Errorf("decouple: group %d interior rank %d < %d", g, ech.Dim(), mD)
 		}
 		interior[g] = nonPiv
 	}

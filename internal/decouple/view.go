@@ -17,8 +17,8 @@ type searchView struct {
 	m, n int
 	// cols holds the column supports (sorted rows; len = column weight).
 	cols *gf2.CSC
-	// packed holds every column packed into words (vec).
-	packed bitvec
+	// colRows is Dᵀ: column j of D packed as row j, for gf2.Echelon.
+	colRows *gf2.Dense
 	// units[r] counts the weight-1 columns on row r, interior to every
 	// partition; unitTotal is their sum.
 	units     []int
@@ -54,9 +54,9 @@ func newSearchView(D *gf2.Dense, seed uint64) *searchView {
 	m, n := D.Rows(), D.Cols()
 	v := &searchView{
 		D: D, m: m, n: n,
-		cols:   gf2.CSCFromDense(D),
-		packed: make(bitvec, n*wordsFor(m)),
-		units:  make([]int, m),
+		cols:    gf2.CSCFromDense(D),
+		colRows: D.Transpose(),
+		units:   make([]int, m),
 	}
 	// Equal columns of weight ≥ 2 meet in an open-addressed table keyed
 	// by a hash of their support; slot holds 1 + their index in repr.
@@ -64,10 +64,6 @@ func newSearchView(D *gf2.Dense, seed uint64) *searchView {
 	mask := uint64(len(slots) - 1)
 	for j := 0; j < n; j++ {
 		sup := v.cols.ColSpan(j)
-		vec := v.vec(j)
-		for _, r := range sup {
-			vec[r/64] |= 1 << (uint(r) % 64)
-		}
 		if len(sup) == 1 {
 			v.units[sup[0]]++
 			v.unitTotal++
@@ -103,12 +99,6 @@ func newSearchView(D *gf2.Dense, seed uint64) *searchView {
 	v.trials = newTrials(m, refinePasses, seed)
 	v.buildBound()
 	return v
-}
-
-// vec returns column j packed into words.
-func (v *searchView) vec(j int) bitvec {
-	words := wordsFor(v.m)
-	return v.packed[j*words : (j+1)*words : (j+1)*words]
 }
 
 // supportHash mixes a column support into 64 bits (FNV-1a over the row

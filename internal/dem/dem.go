@@ -106,18 +106,3 @@ func (m *Model) Observables(mechs gf2.Vec) gf2.Vec { return m.Obs.MulVec(mechs) 
 // ObservablesInto writes the logical observable flips caused by a
 // mechanism vector into o (length NumObs), allocation-free.
 func (m *Model) ObservablesInto(o, mechs gf2.Vec) { m.Obs.MulVecInto(o, mechs) }
-
-// Scale returns a copy of the model with every prior multiplied by
-// factor (clamped below 0.5), used for physical-error-rate sweeps.
-func (m *Model) Scale(factor float64) *Model {
-	out := *m
-	out.Prior = make([]float64, len(m.Prior))
-	for j, p := range m.Prior {
-		q := p * factor
-		if q >= 0.5 {
-			q = 0.499
-		}
-		out.Prior[j] = q
-	}
-	return &out
-}

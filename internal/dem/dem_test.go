@@ -147,24 +147,6 @@ func TestSampleRate(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	c := steane(t)
-	m := CodeCapacity(c, 0.01)
-	s := m.Scale(3)
-	if s.Prior[0] != 0.03 {
-		t.Errorf("scaled prior %v", s.Prior[0])
-	}
-	// Original untouched.
-	if m.Prior[0] != 0.01 {
-		t.Error("Scale mutated original")
-	}
-	// Clamped.
-	cl := m.Scale(1000)
-	if cl.Prior[0] >= 0.5 {
-		t.Error("Scale did not clamp")
-	}
-}
-
 func TestValidateCatchesBadPrior(t *testing.T) {
 	c := steane(t)
 	m := CodeCapacity(c, 0.01)

@@ -9,22 +9,42 @@ import (
 // or a linear system has no solution.
 var ErrSingular = errors.New("gf2: matrix is singular / system unsolvable")
 
-// RowReduce transforms m in place to reduced row echelon form and returns
-// the pivot column of each pivot row, in order. Rows below the rank are
-// zero after the call.
+// RowReduce transforms m in place to reduced row echelon form and
+// returns the pivot column of each pivot row, in order, appended to
+// pivots[:0]. Only the columns visited pivot: those of order, in turn,
+// or with order nil the columns left of bound, left to right, so [A | b]
+// reduced with bound A.Cols() keeps b out of the pivots. Each pivot is
+// the first row at or below the next pivot row that holds the column.
+// Rows below the rank are zero on every visited column after the call.
 //
-// The pivot search reads a word of every row at or below the next pivot
-// row at once: their OR, above the current column, holds the next pivot
-// column or says the word has none. The rows at or below the pivot row
-// are zero left of its column, so elimination starts at its word.
-func (m *Dense) RowReduce() (pivots []int) { return m.eliminate(true) }
-
-// eliminate brings m to row echelon form in place and returns the pivot
-// columns, clearing each pivot column above its pivot row as well when
-// reduced is set (RowReduce) and only below it otherwise (Rank).
-func (m *Dense) eliminate(reduced bool) (pivots []int) {
+// Left to right, the pivot search reads a word of every row at or below
+// the next pivot row at once: their OR, above the current column, holds
+// the next pivot column or says the word has none. The pivot row is
+// then zero left of its column, so elimination starts at its word. In a
+// given order a pivot row may hold bits left of its column, so whole
+// rows are XORed.
+func (m *Dense) RowReduce(pivots, order []int, bound int) []int {
+	pivots = pivots[:0]
 	r := 0
-	for c := 0; c < m.cols && r < m.rows; {
+	if order != nil {
+		for _, c := range order {
+			if r == m.rows {
+				break
+			}
+			wc, mask := c/wordBits, uint64(1)<<(uint(c)%wordBits)
+			p := r
+			for p < m.rows && m.w[p*m.stride+wc]&mask == 0 {
+				p++
+			}
+			if p < m.rows {
+				m.pivot(r, p, wc, mask, 0)
+				pivots = append(pivots, c)
+				r++
+			}
+		}
+		return pivots
+	}
+	for c := 0; c < bound && r < m.rows; {
 		wc := c / wordBits
 		var cand uint64
 		for i := r; i < m.rows; i++ {
@@ -34,25 +54,15 @@ func (m *Dense) eliminate(reduced bool) (pivots []int) {
 			c = (wc + 1) * wordBits
 			continue
 		}
-		c = wc*wordBits + bits.TrailingZeros64(cand)
+		if c = wc*wordBits + bits.TrailingZeros64(cand); c >= bound {
+			break
+		}
 		mask := uint64(1) << (uint(c) % wordBits)
 		p := r
 		for m.w[p*m.stride+wc]&mask == 0 {
 			p++
 		}
-		m.SwapRows(r, p)
-		piv := m.w[r*m.stride+wc : (r+1)*m.stride]
-		first := r + 1
-		if reduced {
-			first = 0
-		}
-		for i := first; i < m.rows; i++ {
-			if row := m.w[i*m.stride+wc : (i+1)*m.stride]; i != r && row[0]&mask != 0 {
-				for k, w := range piv {
-					row[k] ^= w
-				}
-			}
-		}
+		m.pivot(r, p, wc, mask, wc)
 		pivots = append(pivots, c)
 		r++
 		c++
@@ -60,20 +70,35 @@ func (m *Dense) eliminate(reduced bool) (pivots []int) {
 	return pivots
 }
 
+// pivot swaps row p into row r and adds it to every other row holding
+// the pivot bit (word wc, mask), from word from on.
+func (m *Dense) pivot(r, p, wc int, mask uint64, from int) {
+	m.SwapRows(r, p)
+	piv := m.w[r*m.stride+from : (r+1)*m.stride]
+	for i := 0; i < m.rows; i++ {
+		if i != r && m.w[i*m.stride+wc]&mask != 0 {
+			row := m.w[i*m.stride+from : (i+1)*m.stride]
+			for k, w := range piv {
+				row[k] ^= w
+			}
+		}
+	}
+}
+
 // Rank returns the GF(2) rank of m without modifying it.
 func (m *Dense) Rank() int {
-	return len(m.Clone().eliminate(false))
+	return len(m.Clone().RowReduce(nil, nil, m.cols))
 }
 
 // Inverse returns m⁻¹ for a square full-rank matrix, or ErrSingular.
+// The inverse of the 0×0 matrix is itself.
 func (m *Dense) Inverse() (*Dense, error) {
 	if m.rows != m.cols {
 		return nil, errors.New("gf2: Inverse of non-square matrix")
 	}
 	n := m.rows
 	aug := HStack(m, Eye(n))
-	pivots := aug.RowReduce()
-	if len(pivots) != n || pivots[n-1] != n-1 {
+	if len(aug.RowReduce(nil, nil, n)) != n {
 		return nil, ErrSingular
 	}
 	return aug.Submatrix(0, n, n, 2*n), nil
@@ -93,31 +118,9 @@ func (m *Dense) Solve(b Vec) (Vec, error) {
 			aug.Set(i, m.cols, true)
 		}
 	}
-	// Eliminate, but never pivot on the augmented column.
-	r := 0
-	var pivots []int
-	for c := 0; c < m.cols && r < m.rows; c++ {
-		p := -1
-		for i := r; i < m.rows; i++ {
-			if aug.At(i, c) {
-				p = i
-				break
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		aug.SwapRows(r, p)
-		for i := 0; i < m.rows; i++ {
-			if i != r && aug.At(i, c) {
-				aug.RowXor(i, r)
-			}
-		}
-		pivots = append(pivots, c)
-		r++
-	}
+	pivots := aug.RowReduce(nil, nil, m.cols)
 	// Inconsistent if a zero row has RHS 1.
-	for i := r; i < m.rows; i++ {
+	for i := len(pivots); i < m.rows; i++ {
 		if aug.At(i, m.cols) {
 			return Vec{}, ErrSingular
 		}
@@ -135,7 +138,7 @@ func (m *Dense) Solve(b Vec) (Vec, error) {
 // {x : m·x = 0}. The result has Cols() == m.Cols() and Rows() == nullity.
 func (m *Dense) NullSpace() *Dense {
 	work := m.Clone()
-	pivots := work.RowReduce()
+	pivots := work.RowReduce(nil, nil, m.cols)
 	isPivot := make([]bool, m.cols)
 	for _, c := range pivots {
 		isPivot[c] = true
@@ -160,47 +163,52 @@ func (m *Dense) NullSpace() *Dense {
 	return basis
 }
 
-// RowSpaceContains reports whether v lies in the row space of m.
-func (m *Dense) RowSpaceContains(v Vec) bool {
-	if v.n != m.cols {
-		panic("gf2: RowSpaceContains length mismatch")
-	}
-	work := m.Clone()
-	pivots := work.RowReduce()
-	res := v.Clone()
-	for i, c := range pivots {
-		if res.Get(c) {
-			res.Xor(work.Row(i))
-		}
-	}
-	return res.IsZero()
+// Echelon is a basis built one row at a time in echelon form: every
+// vector in it is zero at the leads of the vectors added before it. The
+// vectors are stored end to end, and each lead as the word that holds
+// it and the mask that selects it. The zero value is an empty basis;
+// every row added must have the same width.
+type Echelon struct {
+	vecs    []uint64
+	leadW   []int
+	leadM   []uint64
+	scratch []uint64
 }
 
-// IndependentRows returns indices of a maximal linearly independent subset
-// of the rows of m, in increasing order. Each row is reduced against the
-// rows kept before it, stored end to end, and kept when a bit survives.
-func (m *Dense) IndependentRows() []int {
-	var basis []uint64
-	var leads []int
-	var out []int
-	r := make([]uint64, m.stride)
-	for i := 0; i < m.rows; i++ {
-		copy(r, m.row(i))
-		for bi, c := range leads {
-			if r[c/wordBits]>>(uint(c)%wordBits)&1 == 1 {
-				for k, w := range basis[bi*m.stride : (bi+1)*m.stride] {
-					r[k] ^= w
-				}
-			}
+// AddRow reduces row i of m against the basis and adds the remainder
+// when it is not zero, reporting whether it did: whether the row lies
+// outside the span of the rows added before it.
+func (e *Echelon) AddRow(m *Dense, i int) bool {
+	r := e.residual(m.row(i))
+	for wi, w := range r {
+		if w != 0 {
+			e.vecs = append(e.vecs, r...)
+			e.leadW = append(e.leadW, wi)
+			e.leadM = append(e.leadM, w&-w)
+			return true
 		}
-		for wi, w := range r {
-			if w != 0 {
-				basis = append(basis, r...)
-				leads = append(leads, wi*wordBits+bits.TrailingZeros64(w))
-				out = append(out, i)
-				break
+	}
+	return false
+}
+
+// Dim returns the number of vectors in the basis.
+func (e *Echelon) Dim() int { return len(e.leadW) }
+
+// residual reduces v against the basis and returns the remainder, held
+// in a buffer the next residual or AddRow call overwrites.
+func (e *Echelon) residual(v []uint64) []uint64 {
+	words := len(v)
+	if len(e.scratch) != words {
+		e.scratch = make([]uint64, words)
+	}
+	r := e.scratch
+	copy(r, v)
+	for i, w := range e.leadW {
+		if r[w]&e.leadM[i] != 0 {
+			for k, b := range e.vecs[i*words : (i+1)*words] {
+				r[k] ^= b
 			}
 		}
 	}
-	return out
+	return r
 }

@@ -2,6 +2,7 @@ package gf2
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -59,6 +60,9 @@ func TestInverseSingular(t *testing.T) {
 	if _, err := NewDense(2, 3).Inverse(); err == nil {
 		t.Error("expected error for non-square matrix")
 	}
+	if inv, err := NewDense(0, 0).Inverse(); err != nil || inv.Rows() != 0 || inv.Cols() != 0 {
+		t.Errorf("0×0 Inverse = %v, %v; want the 0×0 identity", inv, err)
+	}
 }
 
 func TestSolveSatisfiesSystem(t *testing.T) {
@@ -111,24 +115,29 @@ func TestNullSpace(t *testing.T) {
 	}
 }
 
+// TestRowSpaceContains: an echelon holding m's rows rejects exactly the
+// vectors of m's row space.
 func TestRowSpaceContains(t *testing.T) {
 	m := FromRows([][]int{
 		{1, 0, 1, 0},
 		{0, 1, 1, 0},
 	})
-	sum := m.Row(0).Clone()
-	sum.Xor(m.Row(1))
-	if !m.RowSpaceContains(m.Row(0)) || !m.RowSpaceContains(sum) {
-		t.Error("row space should contain rows and their sums")
-	}
-	if m.RowSpaceContains(VecFromInts([]int{0, 0, 0, 1})) {
-		t.Error("row space should not contain e4")
-	}
-	if !m.RowSpaceContains(NewVec(4)) {
-		t.Error("row space should contain zero")
+	q := FromRows([][]int{
+		{1, 0, 1, 0}, // row 0
+		{1, 1, 0, 0}, // row 0 + row 1
+		{0, 0, 0, 0},
+		{0, 0, 0, 1}, // e4
+	})
+	e, _ := echelonRows(m)
+	for i, want := range []bool{false, false, false, true} {
+		if got := e.AddRow(q, i); got != want {
+			t.Errorf("query row %d: AddRow = %v, want %v", i, got, want)
+		}
 	}
 }
 
+// TestIndependentRows: the echelon takes each row outside the span of
+// the rows before it.
 func TestIndependentRows(t *testing.T) {
 	m := FromRows([][]int{
 		{1, 0, 1},
@@ -136,8 +145,8 @@ func TestIndependentRows(t *testing.T) {
 		{0, 1, 0},
 		{1, 1, 1}, // row0+row2
 	})
-	idx := m.IndependentRows()
-	if len(idx) != 2 || idx[0] != 0 || idx[1] != 2 {
-		t.Errorf("IndependentRows = %v, want [0 2]", idx)
+	e, idx := echelonRows(m)
+	if !slices.Equal(idx, []int{0, 2}) || e.Dim() != 2 {
+		t.Errorf("echelon took rows %v (dim %d), want [0 2]", idx, e.Dim())
 	}
 }

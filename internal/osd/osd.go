@@ -124,31 +124,7 @@ func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 	// Eliminate [H | I] with pivot preference following the order. The
 	// row transform E lets us solve for arbitrary right-hand sides.
 	d.aug.CopyFrom(d.augT)
-	d.pivCols = d.pivCols[:0]
-	r := 0
-	for _, c := range order {
-		if r >= m {
-			break
-		}
-		p := -1
-		for i := r; i < m; i++ {
-			if d.aug.At(i, c) {
-				p = i
-				break
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		d.aug.SwapRows(r, p)
-		for i := 0; i < m; i++ {
-			if i != r && d.aug.At(i, c) {
-				d.aug.RowXor(i, r)
-			}
-		}
-		d.pivCols = append(d.pivCols, c) // into capacity m reserved in New
-		r++
-	}
+	d.pivCols = d.aug.RowReduce(d.pivCols, order, n) // into capacity m reserved in New
 	// Row transform: e·H has identity on the pivot columns.
 	d.aug.SubmatrixInto(d.e, 0, m, n, n+m)
 
