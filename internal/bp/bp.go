@@ -148,21 +148,6 @@ func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
 	return d
 }
 
-// Clone returns an independent decoder sharing the immutable graph.
-func (d *Decoder) Clone() *Decoder {
-	c := *d
-	c.varToCheck = make([]float64, len(d.varToCheck))
-	c.checkToVar = make([]float64, len(d.checkToVar))
-	c.posterior = make([]float64, len(d.posterior))
-	c.hard = gf2.NewVec(d.g.NumVars)
-	c.prev1 = gf2.NewVec(d.g.NumVars)
-	c.prev2 = gf2.NewVec(d.g.NumVars)
-	c.best = gf2.NewVec(d.g.NumVars)
-	c.syn = gf2.NewVec(d.g.NumChecks)
-	c.probe = obs.NewProbe()
-	return &c
-}
-
 // Probe exposes the decoder's span-recording handle (obs.Probed).
 func (d *Decoder) Probe() *obs.Probe { return d.probe }
 

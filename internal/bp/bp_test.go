@@ -129,24 +129,6 @@ func TestBPDefaultConfig(t *testing.T) {
 	}
 }
 
-func TestBPCloneIndependence(t *testing.T) {
-	h, llr := hammingModel()
-	d := New(h, llr, Config{MaxIters: 50})
-	c := d.Clone()
-	e := gf2.NewVec(7)
-	e.Set(1, true)
-	s := h.MulVec(e)
-	r1 := d.Decode(s)
-	r2 := c.Decode(gf2.NewVec(3))
-	// d's result must not have been clobbered by c's decode.
-	if !r1.Error.Equal(e) {
-		t.Error("clone decode clobbered original buffers")
-	}
-	if !r2.Error.IsZero() {
-		t.Error("clone decode wrong")
-	}
-}
-
 func TestBPDegeneracyFailure(t *testing.T) {
 	// On a quantum code with heavy degeneracy BP should fail (converge to
 	// the wrong coset or not converge) noticeably often — this is the

@@ -64,7 +64,6 @@ func TestZeroExitEqualsKernel(t *testing.T) {
 			}
 			d.Decode(sampleSyndromesSeed(model, 1, 9)[0]) // leave state behind
 			sameResult(t, model.Name+" zero exit", d.Decode(zero), want)
-			sameResult(t, model.Name+" zero exit on a clone", d.Clone().Decode(zero), want)
 
 			d = New(model.Mech, negated, cfg)
 			if d.zeroPost != nil {

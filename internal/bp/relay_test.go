@@ -119,20 +119,19 @@ func TestRelayStallRule(t *testing.T) {
 }
 
 // TestRelayDeterministic pins that a correction depends on the syndrome
-// alone: two constructions and a clone share one γ table, so serve's
-// pooled decoders and the router's retry and hedge paths return the same
-// bytes whichever instance answers. Every third syndrome of the pool
-// needs the memory legs.
+// alone: two constructions share one γ table, so serve's pooled decoders
+// and the router's retry and hedge paths return the same bytes whichever
+// instance answers. Every third syndrome of the pool needs the memory
+// legs.
 func TestRelayDeterministic(t *testing.T) {
 	model := relayModel(t)
 	cfg := Config{MaxIters: 30, Legs: 8}
 	a := New(model.Mech, model.LLRs(), cfg)
 	b := New(model.Mech, model.LLRs(), cfg)
-	c := a.Clone()
 	for i, s := range stallingPool(t, model, cfg.MaxIters, 256, 11) {
 		ra := a.Decode(s)
 		want, wantIters := ra.Error.Clone(), ra.Iters
-		for name, d := range map[string]*Decoder{"second New": b, "Clone": c, "same instance again": a} {
+		for name, d := range map[string]*Decoder{"second New": b, "same instance again": a} {
 			if r := d.Decode(s); !r.Error.Equal(want) || r.Iters != wantIters {
 				t.Fatalf("syndrome %d: %s differs (iters %d, want %d)", i, name, r.Iters, wantIters)
 			}

@@ -8,9 +8,9 @@ import (
 	"vegapunk/internal/wire"
 )
 
-// BenchmarkRouterPick pins the rendezvous shard selector at 0
-// allocs/op (cmd/allocgate): it runs once per forwarded batch and per
-// retry, on the router's hot path.
+// BenchmarkRouterPick measures the rendezvous shard selector: it runs
+// once per forwarded batch and per retry, on the router's hot path.
+// TestRouterRelayAllocatesNothing holds it at 0 allocs/op.
 func BenchmarkRouterPick(b *testing.B) {
 	rt, err := New(Config{
 		Replicas: []string{

@@ -17,7 +17,9 @@ type Options struct {
 	// HintKs lists structure-derived block counts to try before the
 	// generic search (the paper's §4.2 analytic rules: K = t for
 	// hypergraph products, K near min(l, m) for BB codes). The first
-	// hint that yields a valid decoupling wins.
+	// hint that yields a valid decoupling wins. The BB rule fails on the
+	// repo's BB matrices: K = 2·min(l, m) and K = min(l, m) never reach
+	// minCoverage, so only the HP rule changes a result (ROADMAP item 3).
 	HintKs []int
 	// Seed drives the randomized refinement.
 	Seed uint64

@@ -10,7 +10,7 @@ import (
 )
 
 // TestTable2Decouplings pins the offline artifact of every Table 2 code as
-// the workspace builds it (exp's hints, seed 1234): K, n_D and the SHA-256
+// the workspace builds it (HP's K = t hint, seed 1234): K, n_D and the SHA-256
 // of the serialized decoupling, in Benchmarks() order. The digests were
 // recorded while the decoupling search still ran a general-T subspace
 // search beside its row partitions; that search never won here, and these

@@ -9,31 +9,49 @@ import (
 
 // BenchmarkServiceDecode measures the full steady-state serving hot
 // path — submit, micro-batch dispatch, pooled decode, copy-out, collect
-// — excluding the JSON layer. The target is 0 allocs/op on top of the
-// decoder itself (which is itself allocation-free, see
-// internal/README.md).
+// — excluding the JSON layer. TestDecodeIntoAllocatesNothing holds it at
+// 0 allocs/op on top of the decoder, which is itself allocation-free.
 func BenchmarkServiceDecode(b *testing.B) {
-	model, factory := testModel(b)
-	svc := newService("bench", model, "BP(30)", factory, Config{
-		MaxBatch: 1, PoolSize: 2,
-	})
-	defer svc.Close()
-	syndromes := sampleSyndromes(model, 64, 5)
-	ctx := context.Background()
-	var res Result
-	// Warm the request/batch freelists and the result buffers.
-	for _, s := range syndromes {
-		if err := svc.DecodeInto(ctx, &res, s); err != nil {
-			b.Fatal(err)
-		}
-	}
+	decodeOne := serviceDecode(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := svc.DecodeInto(ctx, &res, syndromes[i&63]); err != nil {
-			b.Fatal(err)
-		}
+		decodeOne()
 	}
+}
+
+// TestDecodeIntoAllocatesNothing pins BenchmarkServiceDecode's
+// 0 allocs/op as a test: one DecodeInto at MaxBatch 1 allocates nothing
+// in steady state, on the caller's side or on the service's goroutines.
+func TestDecodeIntoAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, serviceDecode(t)); n != 0 {
+		t.Errorf("DecodeInto allocates %v per call", n)
+	}
+}
+
+// serviceDecode returns one DecodeInto, cycling through 64 syndromes,
+// against a warm MaxBatch 1 service: every request is its own dispatch.
+func serviceDecode(tb testing.TB) (decodeOne func()) {
+	model, factory := testModel(tb)
+	svc := newService("bench", model, "BP(30)", factory, Config{
+		MaxBatch: 1, PoolSize: 2,
+	})
+	tb.Cleanup(svc.Close)
+	syndromes := sampleSyndromes(model, 64, 5)
+	ctx := context.Background()
+	var res Result
+	i := 0
+	decodeOne = func() {
+		if err := svc.DecodeInto(ctx, &res, syndromes[i&63]); err != nil {
+			tb.Fatal(err)
+		}
+		i++
+	}
+	// Warm the request/batch freelists and the result buffers.
+	for range syndromes {
+		decodeOne()
+	}
+	return decodeOne
 }
 
 // BenchmarkServiceDecodeBatch64 measures micro-batched dispatch

@@ -115,6 +115,51 @@ func TestServiceTracingAndSlowLog(t *testing.T) {
 	}
 }
 
+// TestBatchedProbeSpansCarryEachLanesID traces a micro-batched service
+// at SampleEvery 2 and checks the decoder's bp_iter spans lane by lane:
+// each sampled lane records exactly its own BP iterations under its own
+// decode id, and no unsampled lane records any, whichever lane leads its
+// dispatch. The first decode is held by a Slow fault, so the other 63
+// requests queue behind it and ride dispatches of up to MaxBatch lanes.
+func TestBatchedProbeSpansCarryEachLanesID(t *testing.T) {
+	model, factory := testModel(t)
+	factory, _ = fault.Wrap(factory, fault.Plan{Script: []fault.Kind{fault.Slow}, SlowFor: 20 * time.Millisecond})
+	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 2, RingSpans: 1 << 15})
+	svc := newService("probe", model, "BP(30)", factory, Config{
+		MaxBatch: 8, MaxWait: 50 * time.Microsecond, PoolSize: 1, Tracer: tracer,
+	})
+	defer svc.Close()
+	syndromes := sampleSyndromes(model, 64, 3)
+	results := make([]Result, len(syndromes))
+	if err := svc.DecodeBatchInto(context.Background(), results, syndromes); err != nil {
+		t.Fatal(err)
+	}
+	if svc.met.batchedDecodes.Load() == 0 {
+		t.Fatal("no dispatch carried more than one lane")
+	}
+	iters := map[uint32]int{}
+	for _, sp := range tracer.Spans() {
+		if sp.Stage == obs.StageBPIter {
+			iters[sp.ID]++
+		}
+	}
+	for i, res := range results {
+		id := uint64(i + 1) // the tracer issues ids 1, 2, … in submission order
+		want := 0
+		if tracer.ShouldSample(id) {
+			want = res.Stats.BPIters
+		}
+		if got := iters[uint32(id)]; got != want {
+			t.Errorf("lane %d (sampled %v): %d bp_iter spans under its id, want %d",
+				id, tracer.ShouldSample(id), got, want)
+		}
+		delete(iters, uint32(id))
+	}
+	for id, n := range iters {
+		t.Errorf("%d bp_iter spans under id %d, which no lane has", n, id)
+	}
+}
+
 // syncBuffer is a mutex-guarded bytes.Buffer (the slow-log writer
 // goroutine races the test's read otherwise).
 type syncBuffer struct {

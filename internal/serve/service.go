@@ -459,26 +459,26 @@ func (s *Service) quarantine(lanes []*request) {
 // (and the worker) over mid-decode; the caller must then return at
 // once. Stage boundaries are measured with the obs
 // package clock; a sampled lane's queue-wait, decode and copy-out spans
-// land in the worker's ring, and when the lead lane is sampled the
-// decoder's probe records its internal stages there too under the
-// lead's decode id.
+// land in the worker's ring, and the decoder's probe records the lane's
+// internal stages there too under the lane's own decode id.
 func (s *Service) process(w *workerState, lanes []*request) bool {
 	t0 := obs.Tick()
 	for i, req := range lanes {
 		req.queueWaitNs = t0 - req.enq
 		req.workerID = w.id
 		s.met.queueWaitSeconds.Observe(obs.DurSeconds(req.queueWaitNs))
-		if s.sampled(req) {
+		sampled := s.sampled(req)
+		if sampled {
 			w.ring.Record(obs.StageQueueWait, 0, uint32(req.id), req.enq, t0)
 		}
 		// Staged into worker-owned lanes: the decoder never sees request
 		// memory, so an abandoned decode cannot touch a recycled request.
 		w.syns[i].CopyFrom(req.syndrome)
+		w.jobs[i] = decodeJob{sampled: sampled, id: req.id}
 	}
 	n := len(lanes)
 	lead := lanes[0]
-	sampled := s.sampled(lead)
-	o, owned := w.decode(s.cfg.HangTimeout, decodeJob{sampled: sampled, id: lead.id}, lanes)
+	o, owned := w.decode(s.cfg.HangTimeout, lanes)
 	if !owned {
 		return false
 	}
@@ -495,7 +495,7 @@ func (s *Service) process(w *workerState, lanes []*request) bool {
 	}
 	if n > 1 {
 		s.met.batchedDecodes.Add(1)
-		if sampled {
+		if w.jobs[0].sampled {
 			w.ring.Record(obs.StageDecodeBatch, int32(n), uint32(lead.id), t0, t1)
 		}
 	}

@@ -376,33 +376,60 @@ func TestWireGracefulDrain(t *testing.T) {
 // BenchmarkServeWireDecode measures the full binary round trip against
 // a live service over loopback TCP, one request in flight; the
 // sustained, verified figure for this path is the wire-vegapunk-bb72
-// workload of `go run ./benchmark`.
+// workload of `go run ./benchmark`. TestServeWireDecodeAllocatesNothing
+// holds it at 0 allocs/op.
 func BenchmarkServeWireDecode(b *testing.B) {
-	_, addr, key := startWireServer(b, wireTestConfig())
-	model, _ := testModel(b)
+	roundTrip := wireRoundTrip(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+}
+
+// TestServeWireDecodeAllocatesNothing pins the untraced binary round
+// trip at zero allocations in steady state, counted process-wide: the
+// client's encode and parse, and the server's read, dispatch, decode and
+// answer.
+func TestServeWireDecodeAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, wireRoundTrip(t)); n != 0 {
+		t.Errorf("a wire round trip allocates %v times", n)
+	}
+}
+
+// wireRoundTrip returns one untraced decode round trip, cycling through
+// 64 syndromes, on a warm connection to a live wire server.
+func wireRoundTrip(tb testing.TB) func() {
+	_, addr, key := startWireServer(tb, wireTestConfig())
+	model, _ := testModel(tb)
 	syndromes := sampleSyndromes(model, 64, 17)
 
 	c, err := wire.Dial(addr, time.Second, 10*time.Second)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer c.Close()
+	tb.Cleanup(func() { c.Close() })
 	info, err := c.Hello(key)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var res wire.Result
 	wire.SizeResult(&res, info.NumMech, info.NumObs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(info.ID, uint64(i+1), syndromes[i%len(syndromes)], &res); err != nil {
-			b.Fatal(err)
+	n := 0
+	roundTrip := func() {
+		n++
+		if _, err := c.Decode(info.ID, uint64(n), syndromes[n%len(syndromes)], &res); err != nil {
+			tb.Fatal(err)
 		}
 		if res.Status != wire.StatusOK {
-			b.Fatalf("status %s", res.Status)
+			tb.Fatalf("status %s", res.Status)
 		}
 	}
+	// Grow the connection's buffers and the service's freelists.
+	for range syndromes {
+		roundTrip()
+	}
+	return roundTrip
 }
 
 // TestErrClassesCoverSentinels reads the package source: every exported

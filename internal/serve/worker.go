@@ -21,17 +21,18 @@ const (
 // workerState is everything one worker goroutine owns. The decode runs
 // on the worker itself, so what makes a hung decoder survivable is
 // ownership: the worker decodes from its own copies of the syndromes
-// (syns) into its own outputs (outs, stats) and records into its own
-// single-writer span ring. When the watchdog abandons it, the failed
-// requests are recycled at once while the stuck decoder may use these
-// lanes for as long as it likes — nothing else ever will, because the
-// replacement worker brings its own.
+// (syns) and trace decisions (jobs) into its own outputs (outs, stats)
+// and records into its own single-writer span ring. When the watchdog
+// abandons it, the failed requests are recycled at once while the stuck
+// decoder may use these lanes for as long as it likes — nothing else
+// ever will, because the replacement worker brings its own.
 type workerState struct {
 	id    uint16
 	dec   core.Decoder // owned across dispatches; nil until the first and after a quarantine
 	syn   gf2.Vec      // syndrome-check scratch
 	ring  *obs.Ring
 	syns  []gf2.Vec
+	jobs  []decodeJob
 	outs  []gf2.Vec
 	stats []core.Stats
 
@@ -45,10 +46,11 @@ type workerState struct {
 	lanes []*request
 }
 
-// decodeJob is what guardedDecode needs to know about a dispatch. It is
-// computed before the watchdog is armed: from the arm until the worker
-// wins the phase CAS the requests may be failed and recycled under it,
-// so nothing they own is read in between.
+// decodeJob is what guardedDecode needs to know about one lane: whether
+// it is sampled and the decode id its probe spans carry. It is staged
+// before the watchdog is armed: from the arm until the worker wins the
+// phase CAS the requests may be failed and recycled under it, so nothing
+// they own is read in between.
 type decodeJob struct {
 	sampled bool
 	id      uint64
@@ -66,6 +68,7 @@ func (s *Service) newWorkerState(id uint16) *workerState {
 		syn:   gf2.NewVec(s.model.NumDet),
 		ring:  s.tracer.Ring(),
 		syns:  make([]gf2.Vec, s.cfg.MaxBatch),
+		jobs:  make([]decodeJob, s.cfg.MaxBatch),
 		outs:  make([]gf2.Vec, s.cfg.MaxBatch),
 		stats: make([]core.Stats, s.cfg.MaxBatch),
 		fired: make(chan struct{}, 1),
@@ -79,16 +82,16 @@ func (s *Service) newWorkerState(id uint16) *workerState {
 	return w
 }
 
-// decode runs one dispatch over syns[:len(lanes)] under the hang
-// watchdog and reports whether the worker still owns it. false means
-// the watchdog fired first: the lanes are failed, the batch recycled,
-// a replacement worker running, and the caller must return at once
-// without touching anything but w.
-func (w *workerState) decode(hang time.Duration, job decodeJob, lanes []*request) (o decodeOutcome, owned bool) {
+// decode runs one dispatch over the lanes staged in syns and jobs under
+// the hang watchdog and reports whether the worker still owns it. false
+// means the watchdog fired first: the lanes are failed, the batch
+// recycled, a replacement worker running, and the caller must return at
+// once without touching anything but w.
+func (w *workerState) decode(hang time.Duration, lanes []*request) (o decodeOutcome, owned bool) {
 	w.lanes = lanes
 	w.phase.Store(phaseDecoding)
 	w.timer.Reset(hang)
-	w.guardedDecode(job, &o)
+	w.guardedDecode(&o)
 	if !w.phase.CompareAndSwap(phaseDecoding, phaseIdle) {
 		return o, false
 	}
@@ -101,20 +104,21 @@ func (w *workerState) decode(hang time.Duration, job decodeJob, lanes []*request
 	return o, true
 }
 
-// guardedDecode arms the probe on a sampled decode and loops the
-// decoder over syns[:len(lanes)] into the worker-owned outs with panic
-// isolation: a panicking decoder marks the outcome instead of crashing
-// the process, and the length check turns a defective result into
-// badLen instead of a CopyFrom panic.
-func (w *workerState) guardedDecode(job decodeJob, o *decodeOutcome) {
+// guardedDecode loops the decoder over syns[:len(lanes)] into the
+// worker-owned outs, arming the probe for each sampled lane under that
+// lane's id, with panic isolation: a panicking decoder marks the outcome
+// instead of crashing the process, and the length check turns a
+// defective result into badLen instead of a CopyFrom panic.
+func (w *workerState) guardedDecode(o *decodeOutcome) {
 	defer o.catch()
 	probe := obs.ProbeOf(w.dec)
-	if job.sampled {
-		probe.Activate(w.ring, job.id)
-	}
 	n := len(w.lanes) // the slice header is the worker's; the requests behind it are not read
 	for i := 0; i < n; i++ {
+		if job := w.jobs[i]; job.sampled {
+			probe.Activate(w.ring, job.id)
+		}
 		est, stats := w.dec.Decode(w.syns[i])
+		probe.Deactivate()
 		if est.Len() != w.outs[i].Len() {
 			o.badLen = true
 			break
@@ -122,7 +126,6 @@ func (w *workerState) guardedDecode(job decodeJob, o *decodeOutcome) {
 		w.outs[i].CopyFrom(est)
 		w.stats[i] = stats
 	}
-	probe.Deactivate()
 }
 
 // catch records a recovered decoder panic (deferred from guardedDecode).

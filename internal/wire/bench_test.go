@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkWireAppendDecode pins the request encode hot path at
-// 0 allocs/op (cmd/allocgate): header + syndrome words into a reused
-// buffer, sized for the standard serving model (72 detectors).
+// BenchmarkWireAppendDecode measures the request encode hot path:
+// header + syndrome words into a reused buffer, sized for the standard
+// serving model (72 detectors). cluster's TestRouterRelayAllocatesNothing
+// holds it at 0 allocs/op.
 func BenchmarkWireAppendDecode(b *testing.B) {
 	syn := randVec(72, rand.New(rand.NewPCG(1, 2)))
 	buf := AppendDecode(nil, 1, 0, syn) // reach steady-state capacity
@@ -19,9 +20,10 @@ func BenchmarkWireAppendDecode(b *testing.B) {
 	_ = buf
 }
 
-// BenchmarkWireAppendDecodeTraced pins the telemetry-bearing request
-// encode at 0 allocs/op: the trace block must ride the same reused
-// buffer as the plain frame (the <2% telemetry cost claim).
+// BenchmarkWireAppendDecodeTraced measures the telemetry-bearing
+// request encode: the trace block must ride the same reused buffer as
+// the plain frame (the <2% telemetry cost claim).
+// TestClientPipelineAllocFree holds it at 0 allocs/op.
 func BenchmarkWireAppendDecodeTraced(b *testing.B) {
 	syn := randVec(72, rand.New(rand.NewPCG(1, 2)))
 	tc := TraceContext{TraceID: 7, Sampled: true}
@@ -35,10 +37,10 @@ func BenchmarkWireAppendDecodeTraced(b *testing.B) {
 	_ = buf
 }
 
-// BenchmarkWireParseResult pins the response decode hot path at
-// 0 allocs/op: header parse + result parse into pre-sized vectors,
-// sized for the standard serving model (216 mechanisms, 12
-// observables).
+// BenchmarkWireParseResult measures the response decode hot path:
+// header parse + result parse into pre-sized vectors, sized for the
+// standard serving model (216 mechanisms, 12 observables). cluster's
+// TestRouterRelayAllocatesNothing holds it at 0 allocs/op.
 func BenchmarkWireParseResult(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	res := Result{
@@ -67,9 +69,9 @@ func BenchmarkWireParseResult(b *testing.B) {
 	}
 }
 
-// BenchmarkWireParseResultTimed pins the telemetry-bearing response
-// parse at 0 allocs/op: result body plus server-timing block into
-// pre-sized destinations.
+// BenchmarkWireParseResultTimed measures the telemetry-bearing
+// response parse: result body plus server-timing block into pre-sized
+// destinations. TestClientPipelineAllocFree holds it at 0 allocs/op.
 func BenchmarkWireParseResultTimed(b *testing.B) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	res := Result{

@@ -18,7 +18,7 @@ const readerBufSize = 64 << 10
 
 // Reader reads frames off a connection. The payload returned by
 // ReadFrame aliases an internal buffer and is valid only until the
-// next ReadFrame call — parse it (ParseDecodeInto, ParseResultInto)
+// next ReadFrame call — parse it (ParseDecodeTracedInto, ParseResultInto)
 // before reading on. Not safe for concurrent use.
 //
 // Stream discipline: the header is Peeked before being consumed, so a

@@ -36,8 +36,8 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			t.Fatalf("header drift: %+v", h)
 		}
 		got := gf2.NewVec(n)
-		if err := ParseDecodeInto(got, buf[HeaderSize:]); err != nil {
-			t.Fatalf("ParseDecodeInto on own encoding: %v", err)
+		if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); err != nil {
+			t.Fatalf("ParseDecodeTracedInto on an untraced frame: %v", err)
 		}
 		if !got.Equal(syn) {
 			t.Fatal("syndrome round trip corrupted bits")
@@ -174,7 +174,7 @@ func FuzzWireParseCorrupt(f *testing.F) {
 		payload := raw[HeaderSize:]
 
 		v := gf2.NewVec(n)
-		if err := ParseDecodeInto(v, payload); err == nil {
+		if _, err := ParseDecodeTracedInto(v, 0, payload); err == nil {
 			// Accepted: the invariant must hold (spare bits zero).
 			if words := (n + 63) / 64; n%64 != 0 && v.Word(words-1)>>(uint(n%64)) != 0 {
 				t.Fatal("accepted decode frame broke the Vec invariant")

@@ -42,8 +42,8 @@ func TestTracedDecodeRoundTrip(t *testing.T) {
 		t.Fatal("syndrome corrupted by trace block")
 	}
 
-	// The plain parser must not silently swallow the block.
-	if err := ParseDecodeInto(got, buf[HeaderSize:]); !errors.Is(err, ErrTruncated) {
+	// Parsed without FlagTelemetry, the block must not be silently swallowed.
+	if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("plain parse of traced frame: %v, want ErrTruncated", err)
 	}
 	// The traced parser on a plain frame degrades to a zero context.

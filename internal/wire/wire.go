@@ -25,8 +25,9 @@
 // traffic.
 //
 // Encoders append into a caller-owned buffer and parsers read in place,
-// so the steady state on both sides is allocation-free (pinned by the
-// package benchmarks and cmd/allocgate).
+// so the steady state on both sides is allocation-free (pinned by
+// TestClientPipelineAllocFree here and by the serve and cluster
+// round-trip tests).
 package wire
 
 import (
@@ -347,19 +348,6 @@ func AppendDecode(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec) []
 	buf, start := beginFrame(buf, OpDecode, 0, modelID, reqID)
 	buf = appendVec(buf, syndrome)
 	return endFrame(buf, start)
-}
-
-// ParseDecodeInto reads an OpDecode payload into syn, which must be
-// sized to the model's detector count.
-func ParseDecodeInto(syn gf2.Vec, b []byte) error {
-	rest, err := parseVecInto(syn, b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrTruncated
-	}
-	return nil
 }
 
 // ---- result ----

@@ -99,14 +99,14 @@ func TestDecodeFrameRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: header %+v", n, h)
 		}
 		got := gf2.NewVec(n)
-		if err := ParseDecodeInto(got, buf[HeaderSize:]); err != nil {
+		if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !got.Equal(syn) {
 			t.Fatalf("n=%d: syndrome corrupted in transit", n)
 		}
 		// Wrong receiver size must be rejected, not silently truncated.
-		if err := ParseDecodeInto(gf2.NewVec(n+1), buf[HeaderSize:]); !errors.Is(err, ErrDimMismatch) {
+		if _, err := ParseDecodeTracedInto(gf2.NewVec(n+1), 0, buf[HeaderSize:]); !errors.Is(err, ErrDimMismatch) {
 			t.Fatalf("n=%d: dim mismatch not detected: %v", n, err)
 		}
 	}
@@ -364,7 +364,7 @@ func TestReaderPipelined(t *testing.T) {
 		if h.ReqID != uint64(i) {
 			t.Fatalf("frame %d: req id %d", i, h.ReqID)
 		}
-		if err := ParseDecodeInto(got, payload); err != nil {
+		if _, err := ParseDecodeTracedInto(got, 0, payload); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(syns[i]) {
@@ -387,7 +387,7 @@ func TestParseVecMasksSpareBits(t *testing.T) {
 	// Corrupt the last vector word's high bits beyond bit 10.
 	buf[len(buf)-1] = 0xff
 	got := gf2.NewVec(10)
-	if err := ParseDecodeInto(got, buf[HeaderSize:]); err != nil {
+	if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); err != nil {
 		t.Fatal(err)
 	}
 	// The corrupted byte covers bits 56-63, all beyond Len: masking
