@@ -77,13 +77,15 @@ type tally struct {
 	// Server-reported per-stage sums (ns) across all syndromes.
 	queueWaitNs, decodeNs, copyOutNs int64
 
-	// Network-vs-server split (from the wire telemetry extension): per
-	// ok request, the replica-resident time is the largest lane's
+	// Network-vs-server split (from the timing every result carries):
+	// per ok request, the replica-resident time is the largest lane's
 	// reported queue+decode+copy-out span (lanes of one pipelined batch
 	// decode together, so their spans overlap and must not be summed);
 	// the remainder of the client wall clock is transport + router relay.
 	netNs, serverNs int64
-	timedReqs       int
+	// timedReqs counts the ok requests whose replica reported a positive
+	// server time: all of them, unless timing was lost on the way.
+	timedReqs int
 }
 
 func main() {
@@ -100,7 +102,7 @@ func run(args []string) int {
 	batchSize := fs.Int("batch", 8, "syndromes per request")
 	concurrency := fs.Int("concurrency", 4, "concurrent client connections")
 	seed := fs.Uint64("seed", 1, "reproducible workload seed")
-	traceSample := fs.Uint64("trace-sample", 0, "mark one in N requests trace-sampled so the daemon/router record their spans (0 = timing blocks only, no sampling)")
+	traceSample := fs.Uint64("trace-sample", 0, "mark one in N requests trace-sampled so the daemon/router record their spans (0 = no sampling)")
 	chaosMode := fs.Bool("chaos", false, "resilience run against a -chaos daemon: individual request failures are expected; exit 0 iff every request reached a terminal outcome and at least one succeeded")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -209,16 +211,14 @@ func run(args []string) int {
 	fmt.Printf("decodeload: stages queue_wait_mean=%s decode_mean=%s copy_out_mean=%s\n",
 		perSyn(tl.queueWaitNs), perSyn(tl.decodeNs), perSyn(tl.copyOutNs))
 	// Network-vs-server split: server_mean is the replica-reported
-	// resident time per ok request from the wire telemetry blocks;
-	// network_mean is the rest of the client wall clock (transport plus
-	// router relay).
-	if tl.timedReqs > 0 {
-		perReq := func(sum int64) time.Duration {
-			return time.Duration(sum / int64(tl.timedReqs)).Round(time.Microsecond)
-		}
-		fmt.Printf("decodeload: split network_mean=%s server_mean=%s timed_requests=%d\n",
-			perReq(tl.netNs), perReq(tl.serverNs), tl.timedReqs)
+	// resident time per ok request from the result timing; network_mean
+	// is the rest of the client wall clock (transport plus router
+	// relay).
+	perReq := func(sum int64) time.Duration {
+		return time.Duration(sum / int64(len(tl.latencies))).Round(time.Microsecond)
 	}
+	fmt.Printf("decodeload: split network_mean=%s server_mean=%s timed_requests=%d\n",
+		perReq(tl.netNs), perReq(tl.serverNs), tl.timedReqs)
 	if *chaosMode {
 		// Chaos contract: shed, rejected and faulted requests are the
 		// resilience machinery doing its job; the run only fails if the
@@ -315,9 +315,9 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 			}
 		}
 
-		// Every request carries a telemetry block (so the server reports
-		// timings back); the sampled bit — which makes the daemon and
-		// router record spans — is set on one in -trace-sample requests.
+		// Every request carries a trace id; the sampled bit — which makes
+		// the daemon and router record spans — is set on one in
+		// -trace-sample requests.
 		sampled := traceSample > 0 && uint64(i)%traceSample == 0
 		start := time.Now()
 		for j, syn := range item.syns {
@@ -329,7 +329,6 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 			status      wire.Status
 			flags       wire.Flags
 			match       bool
-			timed       bool
 			queueWaitNs int64
 			decodeNs    int64
 			copyOutNs   int64
@@ -342,19 +341,15 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 			transport, terr = true, err
 		}
 		if !transport {
-			var tm wire.ServerTiming
 			for j := range item.syns {
-				h, timed, err := c.ReadResultTimed(&res, &tm)
+				h, err := c.ReadResult(&res)
 				if err != nil {
 					transport, terr = true, err
 					break
 				}
 				lo := laneOut{status: res.Status, flags: h.Flags,
-					queueWaitNs: res.QueueWaitNs, decodeNs: res.DecodeNs, copyOutNs: res.CopyOutNs}
-				if timed {
-					lo.timed = true
-					lo.serverNs = tm.ServerNs()
-				}
+					queueWaitNs: res.QueueWaitNs, decodeNs: res.DecodeNs, copyOutNs: res.CopyOutNs,
+					serverNs: res.ServerNs()}
 				if res.Status == wire.StatusOK {
 					lo.match = res.Observables.String() == item.actual[j]
 				}
@@ -385,28 +380,23 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 			tl.transportErrs++
 		case firstBad == wire.StatusOK:
 			tl.latencies = append(tl.latencies, lat)
-			serverReqNs, anyTimed := int64(0), false
+			serverReqNs := int64(0)
 			for _, lo := range lanes {
 				tl.syndromes++
 				tl.queueWaitNs += lo.queueWaitNs
 				tl.decodeNs += lo.decodeNs
 				tl.copyOutNs += lo.copyOutNs
-				if lo.timed {
-					anyTimed = true
-					if s := lo.serverNs; s > serverReqNs {
-						serverReqNs = s
-					}
-				}
+				serverReqNs = max(serverReqNs, lo.serverNs)
 				if !lo.match {
 					tl.failures++
 				}
 			}
-			if anyTimed {
+			tl.serverNs += serverReqNs
+			if serverReqNs > 0 {
 				tl.timedReqs++
-				tl.serverNs += serverReqNs
-				if net := lat.Nanoseconds() - serverReqNs; net > 0 {
-					tl.netNs += net
-				}
+			}
+			if net := lat.Nanoseconds() - serverReqNs; net > 0 {
+				tl.netNs += net
 			}
 		case firstBad == wire.StatusOverload:
 			tl.rejected503++

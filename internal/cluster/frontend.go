@@ -36,16 +36,8 @@ type feLane struct {
 	resp  []byte // terminal response payload; on an undone lane, the first replica's retryable answer or empty
 	done  bool
 
-	// Telemetry relay state. A client-traced lane (the client sent
-	// FlagTelemetry) relays payloads untouched both ways under the
-	// client's trace id; an untraced lane gets a router-originated trace
-	// block appended once to syn at gather time (so a retry re-sends the
-	// same id) and the replica's timing block stripped before the
-	// response relays back (strip).
-	traceID uint64
-	traced  bool // forward carries FlagTelemetry
-	sampled bool // router records a forward span for this lane
-	strip   bool // router-originated telemetry: trim before relaying
+	traceID uint64 // the trace block's id: the client's, or one the router issued
+	sampled bool   // router records a forward span for this lane
 }
 
 // feConn is the router's wire.Handler for one client connection: it
@@ -201,7 +193,7 @@ func (f *feConn) abandonBackend(rep *replica) {
 
 // Decode copies one frame of the run out of the reader into the next
 // lane.
-func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
+func (b *feBinding) Decode(reqID uint64, payload []byte) {
 	f := b.f
 	f.growLanes(f.n + 1)
 	ln := &f.lanes[f.n]
@@ -210,7 +202,7 @@ func (b *feBinding) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 	ln.syn = append(ln.syn[:0], payload...)
 	ln.resp = ln.resp[:0]
 	ln.done = false
-	f.armTrace(ln, flags)
+	f.armTrace(ln)
 }
 
 // EndRun forwards the gathered run to the rendezvous winner, retries
@@ -263,30 +255,23 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	return buf
 }
 
-// armTrace sets a gathered lane's telemetry relay state. Client-traced
-// lanes (flag set, parseable v1 block at the payload tail) keep the
-// client's trace id and sampling bit and relay untouched both ways; a
-// flag with an unknown block version relays untouched too, with no
-// router-side sampling. Untraced lanes get a router-originated trace
-// block appended to the copied payload — once, here, so the retry path
-// re-sends the identical frame — and the timing block stripped off the
-// response before it reaches the client.
-func (f *feConn) armTrace(ln *feLane, flags wire.Flags) {
-	ln.traceID, ln.sampled, ln.strip = 0, false, false
-	ln.traced = flags&wire.FlagTelemetry != 0
-	if ln.traced {
-		if tc, ok := wire.PeekTraceContext(flags, ln.syn); ok {
-			ln.traceID = tc.TraceID
-			ln.sampled = tc.Sampled && f.rt.tracer.Enabled()
-		}
-		return
+// armTrace reads a gathered lane's trace block. A client trace id
+// relays untouched, and the router records a forward span under it
+// when the client's sampled bit is set. A zero id gets a router-issued
+// one, sampled by the client's bit or the router's lattice, written into
+// the copied payload in place — once, here, so a retry re-sends the
+// identical frame and the replica records its spans under the same id.
+// A payload too short to hold a block relays untouched for the replica
+// to reject.
+func (f *feConn) armTrace(ln *feLane) {
+	tc, ok := wire.PeekTraceContext(ln.syn)
+	if ok && tc.TraceID == 0 {
+		tc.TraceID = f.rt.tracer.NextID()
+		tc.Sampled = tc.Sampled || f.rt.tracer.ShouldSample(tc.TraceID)
+		wire.PutTraceContext(ln.syn, tc)
 	}
-	id := f.rt.tracer.NextID()
-	ln.traceID = id
-	ln.sampled = f.rt.tracer.ShouldSample(id)
-	ln.syn = wire.AppendTraceBlock(ln.syn, wire.TraceContext{TraceID: id, Sampled: ln.sampled})
-	ln.traced = true
-	ln.strip = true
+	ln.traceID = tc.TraceID
+	ln.sampled = tc.Sampled && f.rt.tracer.Enabled()
 }
 
 // forward sends every undone lane to rep and reads exactly one response
@@ -330,11 +315,7 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		if ln.done {
 			continue
 		}
-		var fl wire.Flags
-		if ln.traced {
-			fl = wire.FlagTelemetry
-		}
-		c.QueueFrame(wire.OpDecode, fl, beID, ln.reqID, ln.syn)
+		c.QueueFrame(wire.OpDecode, 0, beID, ln.reqID, ln.syn)
 		n++
 	}
 	if n == 0 {
@@ -412,12 +393,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			return false
 		}
 		rep.observeFlags(rh.Flags)
-		wall := recvTick - flushTick
-		peeked := status == wire.StatusOK && wire.PeekServerTiming(&tm, rh.Flags, rp)
-		timed := peeked && plausibleTiming(&tm)
-		if timed {
-			rep.observeTiming(wall, &tm, recvTick)
-		}
 		switch {
 		case status == wire.StatusOverload:
 			// Retry-After honoring: the replica asked for breathing
@@ -440,37 +415,22 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			// turns terminal.
 			continue
 		}
-		if ln.strip && status == wire.StatusOK && !timed {
-			// The router injected telemetry into this request itself, so a
-			// well-formed OK result must end in a recognizable timing
-			// block. One that does not was corrupted in flight: leave the
-			// lane undone (retry-eligible) rather than relay a payload the
-			// client cannot parse.
-			continue
-		}
-		if peeked && !timed {
-			// A v1 timing block whose stage values fail the plausibility
-			// bound was corrupted in flight; on a client-traced lane the
-			// garbage would flow straight into the client's split stats.
-			continue
-		}
-		relayFlags := rh.Flags
-		if ln.strip {
-			// Router-originated telemetry: the client never asked for it,
-			// so the timing block and flag must not leak downstream.
-			relayFlags &^= wire.FlagTelemetry
-			rp = wire.TrimServerTiming(rh.Flags, rp)
-		}
-		if rh.Op == wire.OpResult && !wire.ValidResultPayload(relayFlags, rp, b.mech, b.nobs) {
-			// Structurally unsound payload (a flipped vector-length byte,
-			// a mangled telemetry tail) or an implausible stage time in
-			// the result prefix: the client could only tear down the
-			// stream or record garbage. Leave the lane undone so the
-			// sibling pass re-decodes it.
-			continue
+		if rh.Op == wire.OpResult {
+			if !wire.ValidResultPayload(rp, b.mech, b.nobs) {
+				// Structurally unsound payload (a flipped vector-length
+				// byte) or an implausible stage time in the result prefix:
+				// the client could only tear down the stream or record
+				// garbage. Leave the lane undone so the sibling pass
+				// re-decodes it.
+				continue
+			}
+			if status == wire.StatusOK {
+				wire.PeekServerTiming(&tm, rp)
+				rep.observeTiming(recvTick-flushTick, &tm, recvTick)
+			}
 		}
 		ln.op = rh.Op
-		ln.flags = relayFlags
+		ln.flags = rh.Flags
 		ln.resp = append(ln.resp[:0], rp...)
 		if status.Retryable() && !retried {
 			// Undone: the sibling attempt re-sends it, and the held
@@ -491,18 +451,6 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 		rep.faultStreak.Store(0)
 	}
 	return false
-}
-
-// plausibleTiming rejects server-timing blocks whose stage components
-// were corrupted in flight (wire.MaxStageNs gives the bound and why):
-// feeding them into the health stats would poison the network/server
-// split.
-func plausibleTiming(tm *wire.ServerTiming) bool {
-	const maxStageNs = wire.MaxStageNs
-	return tm.QueueWaitNs >= 0 && tm.QueueWaitNs <= maxStageNs &&
-		tm.BatchAssembleNs >= 0 && tm.BatchAssembleNs <= maxStageNs &&
-		tm.DecodeNs >= 0 && tm.DecodeNs <= maxStageNs &&
-		tm.CopyOutNs >= 0 && tm.CopyOutNs <= maxStageNs
 }
 
 // isNetTimeout reports a deadline-exceeded transport error.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vegapunk/internal/fault"
-	"vegapunk/internal/gf2"
 	"vegapunk/internal/serve"
 	"vegapunk/internal/wire"
 )
@@ -47,29 +46,18 @@ func startProxied(t *testing.T, plan fault.Plan, cfg Config) (rt *Router, raddr 
 	return rt, raddr, winProxy, sibProxy
 }
 
-// appendSynPayload encodes an OpDecode payload (one vector block) the
-// way wire.AppendDecode does, for the raw-frame client path.
-func appendSynPayload(buf []byte, syn gf2.Vec) []byte {
-	n := syn.Len()
-	buf = append(buf, byte(n), byte(n>>8), byte(n>>16), byte(n>>24))
-	for i, words := 0, (n+63)/64; i < words; i++ {
-		w := syn.Word(i)
-		buf = append(buf,
-			byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-			byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-	}
-	return buf
-}
-
 // TestNetChaosCorruptExactOutcomes injects deterministic single-byte
 // corruption on both backend links. A corrupt frame header, op or
 // request id ends that backend connection (counted in protoErrors; the
 // redial in reconnects) and its unanswered lanes retry on the sibling,
 // corrupt payloads are detected via the relay gate and retried — and in
 // every case the client must receive exactly one response frame per
-// request, in order, with a parseable status. The raw-frame client
-// path is used on purpose: under payload corruption without checksums
-// the bits may be garbage, but the framing contract must hold.
+// request, in order, with a parseable status, and every result relayed
+// must pass the relay gate: a corrupted stage time anywhere in the
+// prefix (batch-assemble included) never reaches the client. The
+// raw-frame client path is used on purpose: under payload corruption
+// without checksums the correction bits may be garbage, but the framing
+// contract must hold.
 func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 	plan := fault.Plan{Seed: 0xC0FFEE, FaultEvery: 4096, Mix: map[fault.Kind]float64{fault.Corrupt: 1}}
 	rt, raddr, winProxy, sibProxy := startProxied(t, plan, Config{
@@ -90,14 +78,14 @@ func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 	}
 
 	const rounds, batch = 60, 8
-	payload := make([]byte, 0, 64)
+	var frame []byte
 	reqID := uint64(0)
 	for r := 0; r < rounds; r++ {
 		base := reqID
 		for j := 0; j < batch; j++ {
 			reqID++
-			payload = appendSynPayload(payload[:0], syndromes[int(reqID)%len(syndromes)])
-			c.QueueFrame(wire.OpDecode, 0, info.ID, reqID, payload)
+			frame = wire.AppendDecode(frame[:0], 0, 0, syndromes[int(reqID)%len(syndromes)])
+			c.QueueFrame(wire.OpDecode, 0, info.ID, reqID, frame[wire.HeaderSize:])
 		}
 		if err := c.Flush(); err != nil {
 			t.Fatalf("flush round %d: %v", r, err)
@@ -115,6 +103,9 @@ func TestNetChaosCorruptExactOutcomes(t *testing.T) {
 			}
 			if _, err := wire.PeekStatus(p); err != nil {
 				t.Fatalf("round %d req %d: unparseable status: %v", r, h.ReqID, err)
+			}
+			if h.Op == wire.OpResult && !wire.ValidResultPayload(p, info.NumMech, info.NumObs) {
+				t.Fatalf("round %d req %d: relayed a result the relay gate rejects", r, h.ReqID)
 			}
 		}
 	}

@@ -52,9 +52,9 @@ type Config struct {
 	// /debug/decodetrace from here and merges it with the router's own
 	// spans.
 	TraceURLs []string
-	// TraceSampleEvery traces one in every N router-originated requests
-	// end to end (default 8; 1 traces everything). Client requests that
-	// arrive with their own telemetry block keep the client's sampling
+	// TraceSampleEvery traces one in every N requests whose trace id
+	// the router issues (default 8; 1 traces everything). Client requests
+	// that arrive with their own trace id keep the client's sampling
 	// decision.
 	TraceSampleEvery uint64
 
@@ -170,7 +170,7 @@ type replica struct {
 	// maxFaultShift doublings.
 	faultStreak atomic.Uint32
 
-	// Telemetry split: router wall clock per relayed decode minus the
+	// Network/server split: router wall clock per relayed decode minus the
 	// replica-reported decode-path time (queue wait + decode + copy
 	// out) is network time; the remainder is server time.
 	netSeconds    *obs.Histogram

@@ -744,7 +744,7 @@ func TestRouterFaultBackoff(t *testing.T) {
 		for i := 0; i < lanes; i++ {
 			reqID++
 			frame := wire.AppendDecode(nil, 0, reqID, syndromes[i])
-			b.Decode(0, reqID, frame[wire.HeaderSize:])
+			b.Decode(reqID, frame[wire.HeaderSize:])
 		}
 		before := obs.Tick()
 		buf := b.EndRun(nil, 1)
@@ -800,7 +800,7 @@ type answerer struct {
 func (a *answerer) Hello(string) (wire.Binding, wire.Status, string) { return a, wire.StatusOK, "" }
 func (a *answerer) Close()                                           {}
 func (a *answerer) Dims() (int, int, int)                            { return a.det, a.mech, a.obs }
-func (a *answerer) Decode(_ wire.Flags, reqID uint64, _ []byte)      { a.run = append(a.run, reqID) }
+func (a *answerer) Decode(reqID uint64, _ []byte)                    { a.run = append(a.run, reqID) }
 
 func (a *answerer) EndRun(buf []byte, _ uint16) []byte {
 	for _, id := range a.run {
@@ -848,12 +848,11 @@ func startFake(t *testing.T, answer func(buf []byte, reqID uint64) []byte) strin
 func TestRouterBadBackendFrame(t *testing.T) {
 	model, _ := clusterModel(t)
 	syndromes := sampleSyndromes(model, 4, 13)
-	// good answers OK with stage times of 1 µs and a timing block: the
-	// router injects telemetry into untraced lanes and wants it back.
+	// good answers OK with a decode time of 1 µs.
 	good := func(buf []byte, reqID uint64) []byte {
-		res := wire.Result{Status: wire.StatusOK, DecodeNs: 1000,
+		res := wire.Result{Status: wire.StatusOK, ServerTiming: wire.ServerTiming{DecodeNs: 1000},
 			Correction: gf2.NewVec(model.NumMech()), Observables: gf2.NewVec(model.NumObs)}
-		return wire.AppendResultTimed(buf, 0, 0, reqID, &res, &wire.ServerTiming{DecodeNs: 1000})
+		return wire.AppendResult(buf, 0, 0, reqID, &res)
 	}
 	flip := func(off int, mask byte) func([]byte, uint64) []byte {
 		return func(buf []byte, reqID uint64) []byte {
@@ -874,8 +873,10 @@ func TestRouterBadBackendFrame(t *testing.T) {
 		{"bad status byte", func(buf []byte, reqID uint64) []byte {
 			return wire.AppendFrame(buf, wire.OpResult, 0, 0, reqID, []byte{0xFF})
 		}, true},
-		// Byte 23 of the result payload is decode_ns's high byte: 2^56 ns.
-		{"implausible decode_ns", flip(wire.HeaderSize+23, 0x01), false},
+		// Byte 31 of the result payload is decode_ns's high byte: 2^56 ns.
+		{"implausible decode_ns", flip(wire.HeaderSize+31, 0x01), false},
+		// Byte 23 is batch_assemble_ns's: the gate bounds it too.
+		{"implausible batch_assemble_ns", flip(wire.HeaderSize+23, 0x01), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

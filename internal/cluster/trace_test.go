@@ -10,11 +10,12 @@ import (
 	"vegapunk/internal/wire"
 )
 
-// tracedReplica brings up one replica whose serving tier samples every
-// decode, plus an httptest debug listener serving its decode trace.
-func tracedReplica(t *testing.T) (addr, traceURL string) {
+// tracedReplica brings up one replica whose serving tier samples one
+// decode in every, plus an httptest debug listener serving its decode
+// trace.
+func tracedReplica(t *testing.T, every uint64) (addr, traceURL string) {
 	t.Helper()
-	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
+	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: every})
 	cfg := replicaConfig()
 	cfg.Tracer = tracer
 	_, addr = startReplica(t, cfg, nil)
@@ -29,8 +30,8 @@ func tracedReplica(t *testing.T) (addr, traceURL string) {
 // replica-side queue/decode/copy-out spans recorded for the same trace
 // id on a replica pid, after clock-offset realignment.
 func TestClusterTraceMerge(t *testing.T) {
-	addrA, traceA := tracedReplica(t)
-	addrB, traceB := tracedReplica(t)
+	addrA, traceA := tracedReplica(t, 1)
+	addrB, traceB := tracedReplica(t, 1)
 	rt, raddr := startRouter(t, Config{
 		Replicas:         []string{addrA, addrB},
 		TraceURLs:        []string{traceA, traceB},
@@ -52,7 +53,7 @@ func TestClusterTraceMerge(t *testing.T) {
 	var res wire.Result
 	wire.SizeResult(&res, info.NumMech, info.NumObs)
 
-	// Untraced client traffic: the router originates a trace id per
+	// Client traffic without trace ids: the router issues one per
 	// request (sample-every-1), so every forward is spanned. Mix
 	// one-shot and pipelined decodes to cover both replica batch paths.
 	for i := 0; i < 8; i++ {
@@ -78,8 +79,8 @@ func TestClusterTraceMerge(t *testing.T) {
 		}
 	}
 
-	// The responses carried timing blocks, so the wire-derived clock
-	// offset must be known for the replica that served the key.
+	// Every response carries the replica's timing, so the wire-derived
+	// clock offset must be known for the replica that served the key.
 	winner := rt.pick(hash64(testKey), nil)
 	if !winner.offsetKnown.Load() {
 		t.Fatal("no clock offset estimated from timed responses")
@@ -159,21 +160,16 @@ func TestClusterTraceMerge(t *testing.T) {
 	if contained == 0 {
 		t.Fatal("no router forward span had matching replica queue/decode/copy-out spans under the same trace id")
 	}
-
-	// The trace blocks were router-originated: none of the client-side
-	// responses should have leaked a telemetry flag or timing block —
-	// res was parsed by plain ReadResult above, which rejects trailing
-	// bytes, so reaching here already proves the strip.
 }
 
 // TestClusterTraceClientPropagated: a client-supplied trace context
 // must ride through the router unchanged — the replica records spans
 // under the client's trace id, the router forward span carries the
-// same id, and the timed response reaches the client with its timing
-// block intact.
+// same id, and the response reaches the client with its timing
+// intact.
 func TestClusterTraceClientPropagated(t *testing.T) {
-	addrA, traceA := tracedReplica(t)
-	addrB, traceB := tracedReplica(t)
+	addrA, traceA := tracedReplica(t, 1)
+	addrB, traceB := tracedReplica(t, 1)
 	rt, raddr := startRouter(t, Config{
 		Replicas:         []string{addrA, addrB},
 		TraceURLs:        []string{traceA, traceB},
@@ -219,7 +215,7 @@ func TestClusterTraceClientPropagated(t *testing.T) {
 		}
 	}
 	if timed != 8 {
-		t.Fatalf("only %d/8 traced responses carried a timing block through the router", timed)
+		t.Fatalf("only %d/8 traced responses carried their timing through the router", timed)
 	}
 
 	rec := httptest.NewRecorder()
@@ -246,5 +242,86 @@ func TestClusterTraceClientPropagated(t *testing.T) {
 	}
 	if !replicaHasID {
 		t.Error("replica never recorded spans under the client's trace id")
+	}
+}
+
+// TestClusterTraceZeroClientID: a client that asks for sampling but
+// sends no trace id (TraceID 0, Sampled) gets a router-issued id, and
+// the router forward span and the replica's spans join under it. The
+// router and the replicas sample on a lattice no id here reaches, so
+// every span comes from the client's sampled bit alone.
+func TestClusterTraceZeroClientID(t *testing.T) {
+	const sparse = 1 << 30
+	addrA, traceA := tracedReplica(t, sparse)
+	addrB, traceB := tracedReplica(t, sparse)
+	rt, raddr := startRouter(t, Config{
+		Replicas:         []string{addrA, addrB},
+		TraceURLs:        []string{traceA, traceB},
+		TraceSampleEvery: sparse,
+		ProbeInterval:    time.Hour,
+	})
+
+	model, _ := clusterModel(t)
+	const n = 8
+	syndromes := sampleSyndromes(model, n, 59)
+	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info, err := c.Hello(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		res wire.Result
+		tm  wire.ServerTiming
+	)
+	wire.SizeResult(&res, info.NumMech, info.NumObs)
+	for i := 0; i < n; i++ {
+		c.QueueDecodeTraced(info.ID, uint64(i+1), syndromes[i], wire.TraceContext{Sampled: true})
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if _, _, err := c.ReadResultTimed(&res, &tm); err != nil || res.Status != wire.StatusOK {
+			t.Fatalf("decode %d: status %s, %v", i, res.Status, err)
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/clustertrace?n=4096", nil))
+	var doc obs.TraceDoc
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	replica := map[uint32]map[string]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" && ev.PID >= 2 {
+			if replica[ev.Args.ID] == nil {
+				replica[ev.Args.ID] = map[string]bool{}
+			}
+			replica[ev.Args.ID][ev.Name] = true
+		}
+	}
+	forwards := 0
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" || ev.PID != 1 || ev.Name != "router_forward" {
+			continue
+		}
+		forwards++
+		if ev.Args.ID == 0 {
+			t.Error("sampled router forward span recorded under trace id 0")
+			continue
+		}
+		for _, name := range []string{"queue_wait", "decode", "copy_out"} {
+			if !replica[ev.Args.ID][name] {
+				t.Errorf("trace %d: router forward span has no replica %s span under its id", ev.Args.ID, name)
+			}
+		}
+	}
+	if forwards != n {
+		t.Fatalf("%d router forward spans for %d sampled requests", forwards, n)
 	}
 }

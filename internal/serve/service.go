@@ -86,7 +86,7 @@ type Result struct {
 	// benchmark/workload.go still reads it.
 	Tier core.Tier
 	// WorkerID identifies the worker goroutine that ran the decode
-	// (reported in the wire server-timing block).
+	// (reported in the wire result prefix).
 	WorkerID uint16
 }
 

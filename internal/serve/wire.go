@@ -30,11 +30,9 @@ func (s *Server) ListenAndServeWire(addr string) error { return s.wire.ListenAnd
 // performs the hard half (stop accepting, close connections).
 func (s *Server) SetWireDraining(v bool) { s.wire.SetDraining(v) }
 
-// wireConn is the replica's wire.Handler: one per connection, holding
-// the scratch its bindings share.
+// wireConn is the replica's wire.Handler: one per connection.
 type wireConn struct {
-	s    *Server
-	wres wire.Result
+	s *Server
 }
 
 // wireModel is a connection-scoped model binding (wire.Binding): the
@@ -54,10 +52,6 @@ type wireLane struct {
 	req    *request
 	status wire.Status
 	res    Result
-	// traced marks a lane whose request carried the telemetry
-	// extension; its result answers with the server-timing block.
-	traced bool
-	tc     wire.TraceContext
 }
 
 // errClass is one row of the service-error table: the wire status a
@@ -105,7 +99,7 @@ func (m *wireModel) Dims() (numDet, numMech, numObs int) {
 // Decode parses one frame of the run into the next lane and submits it;
 // the lanes of a run are all submitted before EndRun waits on any, so
 // they share a micro-batch.
-func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
+func (m *wireModel) Decode(reqID uint64, payload []byte) {
 	c := m.c
 	c.s.wireDecodes.Add(1)
 	m.grow(m.n + 1)
@@ -115,17 +109,15 @@ func (m *wireModel) Decode(flags wire.Flags, reqID uint64, payload []byte) {
 	lane.reqID = reqID
 	lane.req = nil
 	lane.status = wire.StatusOK
-	lane.traced = flags&wire.FlagTelemetry != 0
-	lane.tc = wire.TraceContext{}
-	tc, perr := wire.ParseDecodeTracedInto(m.syns[k], flags, payload)
+	tc, perr := wire.ParseDecodeInto(m.syns[k], payload)
 	if perr != nil {
 		lane.status = wire.StatusBadRequest
 		return
 	}
-	lane.tc = tc
-	// Wire submissions carry no deadline and are never cancelled: every
-	// submitted request is collected by its lane, and the decoder
-	// watchdog, not the client, bounds the wait.
+	// A zero trace id makes submitTraced draw its own. Wire submissions
+	// carry no deadline and are never cancelled: every submitted request
+	// is collected by its lane, and the decoder watchdog, not the
+	// client, bounds the wait.
 	req, serr := m.svc.submitTraced(context.Background(), m.syns[k], wireTrace{id: tc.TraceID, sampled: tc.Sampled})
 	if serr != nil {
 		lane.status = classify(serr)
@@ -148,38 +140,30 @@ func (m *wireModel) EndRun(buf []byte, mid uint16) []byte {
 			}
 		}
 	}
+	// Every result carries the replica's clock reading, which the
+	// router folds into its per-connection offset estimate; a failed
+	// lane reports zero stage times.
 	flags := c.s.wire.Flags()
+	tick := obs.Tick()
 	for i := 0; i < m.n; i++ {
 		lane := &m.lanes[i]
-		c.wres.Status = lane.status
+		w := wire.Result{Status: lane.status}
 		if lane.status == wire.StatusOK {
 			res := &lane.res
-			c.wres.Satisfied = res.Satisfied
-			c.wres.BPIters = uint32(res.Stats.BPIters)
-			c.wres.QueueWaitNs = res.QueueWaitNs
-			c.wres.DecodeNs = res.DecodeNs
-			c.wres.CopyOutNs = res.CopyOutNs
-			c.wres.Correction = res.Correction
-			c.wres.Observables = res.Observables
-		}
-		if lane.traced {
-			// A traced request always answers with the server-timing
-			// block (zeros on a failed lane) plus the replica's clock
-			// reading, which the router folds into its per-connection
-			// offset estimate.
-			tm := wire.ServerTiming{ServerTick: obs.Tick()}
-			if lane.status == wire.StatusOK {
-				res := &lane.res
-				tm.WorkerID = res.WorkerID
-				tm.QueueWaitNs = res.QueueWaitNs
-				tm.BatchAssembleNs = res.BatchAssembleNs
-				tm.DecodeNs = res.DecodeNs
-				tm.CopyOutNs = res.CopyOutNs
+			w.Satisfied = res.Satisfied
+			w.BPIters = uint32(res.Stats.BPIters)
+			w.ServerTiming = wire.ServerTiming{
+				WorkerID:        res.WorkerID,
+				QueueWaitNs:     res.QueueWaitNs,
+				BatchAssembleNs: res.BatchAssembleNs,
+				DecodeNs:        res.DecodeNs,
+				CopyOutNs:       res.CopyOutNs,
 			}
-			buf = wire.AppendResultTimed(buf, flags, mid, lane.reqID, &c.wres, &tm)
-		} else {
-			buf = wire.AppendResult(buf, flags, mid, lane.reqID, &c.wres)
+			w.Correction = res.Correction
+			w.Observables = res.Observables
 		}
+		w.ServerTick = tick
+		buf = wire.AppendResult(buf, flags, mid, lane.reqID, &w)
 	}
 	m.n = 0
 	return buf

@@ -193,8 +193,16 @@ func TestWireBadSyndromeDim(t *testing.T) {
 	if _, err := c.Decode(info.ID, 2, good, &res); err != nil {
 		t.Fatalf("decode after bad dim: %v", err)
 	}
-	if res.Status != wire.StatusOK {
-		t.Fatalf("decode after bad dim: status %s", res.Status)
+	if res.Status != wire.StatusOK || res.DecodeNs <= 0 || res.ServerTick <= 0 {
+		t.Fatalf("decode after bad dim: status %s, timing %+v", res.Status, res.ServerTiming)
+	}
+	// A failed lane answers zero stats, not the previous lane's.
+	if _, err := c.Decode(info.ID, 3, bad, &res); err != nil {
+		t.Fatalf("transport error on bad dim: %v", err)
+	}
+	if res.Status != wire.StatusBadRequest || res.Satisfied || res.BPIters != 0 ||
+		res.QueueWaitNs != 0 || res.BatchAssembleNs != 0 || res.DecodeNs != 0 || res.CopyOutNs != 0 {
+		t.Fatalf("failed lane answered %+v", res)
 	}
 }
 

@@ -18,7 +18,7 @@ const readerBufSize = 64 << 10
 
 // Reader reads frames off a connection. The payload returned by
 // ReadFrame aliases an internal buffer and is valid only until the
-// next ReadFrame call — parse it (ParseDecodeTracedInto, ParseResultInto)
+// next ReadFrame call — parse it (ParseDecodeInto, ParseResultInto)
 // before reading on. Not safe for concurrent use.
 //
 // Stream discipline: the header is Peeked before being consumed, so a
@@ -206,18 +206,16 @@ func (c *Client) Hello(key string) (ModelInfo, error) {
 	return ModelInfo{}, fmt.Errorf("wire: hello %q: %w: %s", key, ErrUnexpectedFrame, h.Op)
 }
 
-// QueueDecode appends an OpDecode frame to the write buffer without
-// flushing, enabling request pipelining (the server coalesces buffered
-// frames into one micro-batch). The request id joins the in-flight
-// FIFO.
+// QueueDecode is QueueDecodeTraced with a zero trace block: the
+// replica (or router) issues the trace id.
 func (c *Client) QueueDecode(modelID uint16, reqID uint64, syndrome gf2.Vec) {
-	c.wbuf = AppendDecode(c.wbuf, modelID, reqID, syndrome)
-	c.pending = append(c.pending, reqID)
+	c.QueueDecodeTraced(modelID, reqID, syndrome, TraceContext{})
 }
 
-// QueueDecodeTraced appends an OpDecode frame carrying the telemetry
-// trace block (FlagTelemetry set) without flushing: the traced variant
-// of QueueDecode.
+// QueueDecodeTraced appends an OpDecode frame carrying tc to the write
+// buffer without flushing, enabling request pipelining (the server
+// coalesces buffered frames into one micro-batch). The request id joins
+// the in-flight FIFO.
 func (c *Client) QueueDecodeTraced(modelID uint16, reqID uint64, syndrome gf2.Vec, tc TraceContext) {
 	c.wbuf = AppendDecodeTraced(c.wbuf, modelID, reqID, syndrome, tc)
 	c.pending = append(c.pending, reqID)
@@ -324,29 +322,16 @@ func (c *Client) ReadResult(res *Result) (Header, error) {
 	return Header{}, ErrUnexpectedFrame
 }
 
-// ReadResultTimed blocks for the next response frame and parses it
-// into res plus, when the frame carries the telemetry extension, the
-// server-timing block into st. It reports whether st was filled.
-// OpError frames surface as a Result with the error's status class and
-// no timing, mirroring ReadResult.
+// ReadResultTimed is ReadResult that also copies the result's timing
+// into st. It reports whether st was filled: true for every OpResult
+// frame, false for an OpError frame, which carries no timing.
 func (c *Client) ReadResultTimed(res *Result, st *ServerTiming) (Header, bool, error) {
-	h, payload, err := c.readTracked()
-	if err != nil {
-		return Header{}, false, err
+	h, err := c.ReadResult(res)
+	if err != nil || h.Op != OpResult {
+		return h, false, err
 	}
-	switch h.Op {
-	case OpResult:
-		timed, perr := ParseResultTimedInto(res, st, h.Flags, payload)
-		return h, timed, perr
-	case OpError:
-		status, _, perr := ParseError(payload)
-		if perr != nil {
-			return Header{}, false, perr
-		}
-		res.Status = status
-		return h, false, nil
-	}
-	return Header{}, false, ErrUnexpectedFrame
+	*st = res.ServerTiming
+	return h, true, nil
 }
 
 // Decode is the one-shot request/response convenience: queue one

@@ -258,7 +258,8 @@ func TestClientPipelineAllocFree(t *testing.T) {
 	ok := Result{Status: StatusOK, Correction: synPattern(36, 2), Observables: gf2.NewVec(12)}
 	conn := &replayConn{scriptConn: scriptConn{in: bytes.NewReader(nil)}}
 	for id := uint64(1); id <= frames; id++ {
-		conn.resp = AppendResultTimed(conn.resp, 0, 1, id, &ok, &ServerTiming{WorkerID: 1, DecodeNs: 1000})
+		ok.ServerTiming = ServerTiming{WorkerID: 1, DecodeNs: 1000, ServerTick: int64(id)}
+		conn.resp = AppendResult(conn.resp, 0, 1, id, &ok)
 	}
 	c := NewClient(conn, 0)
 	var res Result
@@ -273,8 +274,8 @@ func TestClientPipelineAllocFree(t *testing.T) {
 		}
 		for id := uint64(1); id <= frames; id++ {
 			h, timed, err := c.ReadResultTimed(&res, &st)
-			if err != nil || h.ReqID != id || !timed {
-				t.Fatalf("response %d: id %d timed %v err %v", id, h.ReqID, timed, err)
+			if err != nil || h.ReqID != id || !timed || st.ServerTick != int64(id) {
+				t.Fatalf("response %d: id %d timed %v tick %d err %v", id, h.ReqID, timed, st.ServerTick, err)
 			}
 		}
 		if len(c.pending) != 0 {

@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzWireFrameRoundTrip encodes a decode request and a result frame
-// from fuzz-chosen fields — plain and telemetry-extended variants — and
-// checks everything parses back bit-identically.
+// from fuzz-chosen fields — the trace block and every timing field
+// included — and checks everything parses back bit-identically, through
+// the full parsers and the router's in-place peeks alike.
 func FuzzWireFrameRoundTrip(f *testing.F) {
 	f.Add(uint16(1), uint64(7), 72, []byte{0x0f, 0xf0}, uint8(0), true, uint32(12))
 	f.Add(uint16(0), uint64(0), 1, []byte{1}, uint8(2), false, uint32(0))
@@ -26,31 +27,45 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			}
 		}
 
-		buf := AppendDecode(nil, modelID, reqID, syn)
+		tc := TraceContext{TraceID: reqID ^ uint64(iters)<<16, Sampled: sat}
+		buf := AppendDecodeTraced(nil, modelID, reqID, syn, tc)
 		h, err := ParseHeader(buf)
 		if err != nil {
 			t.Fatalf("ParseHeader on own encoding: %v", err)
 		}
-		if h.Op != OpDecode || h.ModelID != modelID || h.ReqID != reqID ||
+		if h.Op != OpDecode || h.Flags != 0 || h.ModelID != modelID || h.ReqID != reqID ||
 			h.PayloadLen != len(buf)-HeaderSize {
 			t.Fatalf("header drift: %+v", h)
 		}
 		got := gf2.NewVec(n)
-		if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); err != nil {
-			t.Fatalf("ParseDecodeTracedInto on an untraced frame: %v", err)
+		btc, err := ParseDecodeInto(got, buf[HeaderSize:])
+		if err != nil {
+			t.Fatalf("ParseDecodeInto on own encoding: %v", err)
 		}
-		if !got.Equal(syn) {
-			t.Fatal("syndrome round trip corrupted bits")
+		if btc != tc || !got.Equal(syn) {
+			t.Fatalf("decode drift: %+v != %+v", btc, tc)
+		}
+		if ptc, ok := PeekTraceContext(buf[HeaderSize:]); !ok || ptc != tc {
+			t.Fatalf("peek trace context drift: %+v ok=%v", ptc, ok)
+		}
+		// The router's in-place rewrite must reproduce the frame the
+		// traced encoder writes from the untraced one.
+		plain := AppendDecode(nil, modelID, reqID, syn)
+		PutTraceContext(plain[HeaderSize:], tc)
+		if !bytes.Equal(plain, buf) {
+			t.Fatal("rewritten untraced frame differs from the traced encoding")
 		}
 
 		res := Result{
-			Status:      StatusOK,
-			Tier:        tier,
-			Satisfied:   sat,
-			BPIters:     iters,
-			QueueWaitNs: int64(reqID) ^ 42,
-			DecodeNs:    int64(iters),
-			CopyOutNs:   -1,
+			Status:    StatusOK,
+			Tier:      tier,
+			Satisfied: sat,
+			BPIters:   iters,
+			ServerTiming: ServerTiming{
+				WorkerID:    modelID,
+				QueueWaitNs: int64(reqID) ^ 7, BatchAssembleNs: int64(iters),
+				DecodeNs: int64(n), CopyOutNs: -int64(tier), ServerTick: int64(reqID >> 1),
+			},
 			Correction:  syn,
 			Observables: got,
 		}
@@ -61,65 +76,15 @@ func FuzzWireFrameRoundTrip(f *testing.F) {
 			t.Fatalf("ParseResultInto on own encoding: %v", err)
 		}
 		if back.Tier != tier || back.Satisfied != sat || back.BPIters != iters ||
-			back.QueueWaitNs != res.QueueWaitNs || back.CopyOutNs != -1 {
+			back.ServerTiming != res.ServerTiming {
 			t.Fatalf("result scalar drift: %+v", back)
 		}
 		if !back.Correction.Equal(syn) || !back.Observables.Equal(got) {
 			t.Fatal("result vectors corrupted")
 		}
-
-		// Telemetry-extended variants of both frames: the trace context
-		// and server-timing block must ride the same payloads untouched.
-		tc := TraceContext{TraceID: reqID ^ uint64(iters)<<16, Sampled: sat}
-		buf = AppendDecodeTraced(buf[:0], modelID, reqID, syn, tc)
-		th, err := ParseHeader(buf)
-		if err != nil {
-			t.Fatalf("ParseHeader on traced encoding: %v", err)
-		}
-		if th.Flags&FlagTelemetry == 0 {
-			t.Fatal("traced decode frame lost FlagTelemetry")
-		}
-		btc, err := ParseDecodeTracedInto(got, th.Flags, buf[HeaderSize:])
-		if err != nil {
-			t.Fatalf("ParseDecodeTracedInto on own encoding: %v", err)
-		}
-		if btc != tc || !got.Equal(syn) {
-			t.Fatalf("traced request drift: %+v != %+v", btc, tc)
-		}
-		if ptc, ok := PeekTraceContext(th.Flags, buf[HeaderSize:]); !ok || ptc != tc {
-			t.Fatalf("peek trace context drift: %+v ok=%v", ptc, ok)
-		}
-
-		tm := ServerTiming{
-			WorkerID:    modelID,
-			QueueWaitNs: int64(reqID) ^ 7, BatchAssembleNs: int64(iters),
-			DecodeNs: int64(n), CopyOutNs: -int64(tier), ServerTick: int64(reqID >> 1),
-		}
-		buf = AppendResultTimed(buf[:0], FlagRetried, modelID, reqID, &res, &tm)
-		rh, err := ParseHeader(buf)
-		if err != nil {
-			t.Fatalf("ParseHeader on timed encoding: %v", err)
-		}
-		var btm ServerTiming
-		timed, err := ParseResultTimedInto(&back, &btm, rh.Flags, buf[HeaderSize:])
-		if err != nil {
-			t.Fatalf("ParseResultTimedInto on own encoding: %v", err)
-		}
-		if !timed || btm != tm {
-			t.Fatalf("timing block drift: timed=%v %+v != %+v", timed, btm, tm)
-		}
-		if !back.Correction.Equal(syn) || !back.Observables.Equal(got) {
-			t.Fatal("timed result vectors corrupted")
-		}
 		var ptm ServerTiming
-		if !PeekServerTiming(&ptm, rh.Flags, buf[HeaderSize:]) || ptm != tm {
+		if !PeekServerTiming(&ptm, buf[HeaderSize:]) || ptm != res.ServerTiming {
 			t.Fatalf("peek server timing drift: %+v", ptm)
-		}
-		// Trimming the block must recover the exact plain payload.
-		plain := AppendResult(nil, FlagRetried, modelID, reqID, &res)
-		trimmed := TrimServerTiming(rh.Flags, buf[HeaderSize:])
-		if !bytes.Equal(trimmed, plain[HeaderSize:]) {
-			t.Fatal("trimmed timed payload differs from the plain encoding")
 		}
 	})
 }
@@ -136,18 +101,19 @@ func FuzzWireParseCorrupt(f *testing.F) {
 	f.Add(AppendResult(nil, 0, 1, 2, &res), 72)
 	f.Add([]byte{}, 1)
 	f.Add(bytes.Repeat([]byte{0xff}, 64), 16)
-	// Telemetry seeds: a well-formed traced pair, a truncated trace
-	// block, a flagged frame with no block at all, and an unknown
-	// extension version (must parse as no-telemetry, never panic).
+	// Fixed-block seeds: a traced decode and a timed result, each whole
+	// and cut inside its block, and the traced decode under a version-1
+	// header (refused at the header).
 	traced := AppendDecodeTraced(nil, 1, 2, syn, TraceContext{TraceID: 99, Sampled: true})
 	f.Add(traced, 72)
 	f.Add(traced[:len(traced)-4], 72)
-	timed := AppendResultTimed(nil, 0, 1, 2, &res, &ServerTiming{DecodeNs: 5, ServerTick: 9})
+	res.ServerTiming = ServerTiming{WorkerID: 2, QueueWaitNs: 3, BatchAssembleNs: 4, DecodeNs: 5, CopyOutNs: 6, ServerTick: 9}
+	timed := AppendResult(nil, 0, 1, 2, &res)
 	f.Add(timed, 72)
-	f.Add(timed[:len(timed)-7], 72)
-	unknown := append(append([]byte{}, traced...), 0)
-	unknown[len(unknown)-traceBlockSize-1] = TelemetryVersion + 1
-	f.Add(unknown, 72)
+	f.Add(timed[:HeaderSize+resultPrefixSize-7], 72)
+	v1 := append([]byte{}, traced...)
+	v1[2] = 1
+	f.Add(v1, 72)
 	// Error frames whose status is no failure: StatusOK and undefined.
 	f.Add(AppendError(nil, 0, 2, StatusOK, ""), 72)
 	f.Add(AppendError(nil, 0, 2, Status(0xFF), "x"), 72)
@@ -166,21 +132,30 @@ func FuzzWireParseCorrupt(f *testing.F) {
 		if n <= 0 || n > 4096 {
 			t.Skip()
 		}
-		h, err := ParseHeader(raw)
-		if err != nil {
+		if _, err := ParseHeader(raw); err != nil {
 			// Rejected at the header; nothing further to check.
 			return
 		}
 		payload := raw[HeaderSize:]
 
 		v := gf2.NewVec(n)
-		if _, err := ParseDecodeTracedInto(v, 0, payload); err == nil {
-			// Accepted: the invariant must hold (spare bits zero).
+		if tc, err := ParseDecodeInto(v, payload); err == nil {
+			// Accepted: the invariant must hold (spare bits zero), and
+			// the router's tail peek must read the same block.
 			if words := (n + 63) / 64; n%64 != 0 && v.Word(words-1)>>(uint(n%64)) != 0 {
 				t.Fatal("accepted decode frame broke the Vec invariant")
 			}
+			if ptc, ok := PeekTraceContext(payload); !ok || ptc != tc {
+				t.Fatalf("peek read %+v (ok=%v) where the parser read %+v", ptc, ok, tc)
+			}
 		} else if !isProtoErr(err) {
 			t.Fatalf("unexpected error class: %v", err)
+		}
+		// The relay's tail peek and in-place rewrite must tolerate
+		// anything they accept.
+		if tc, ok := PeekTraceContext(payload); ok {
+			cp := append([]byte(nil), payload...)
+			PutTraceContext(cp, TraceContext{TraceID: tc.TraceID + 1, Sampled: !tc.Sampled})
 		}
 
 		var r Result
@@ -188,32 +163,21 @@ func FuzzWireParseCorrupt(f *testing.F) {
 		if err := ParseResultInto(&r, payload); err != nil && !isProtoErr(err) {
 			t.Fatalf("unexpected error class: %v", err)
 		}
-
-		// Telemetry parsers under the frame's own flags and under a
-		// forced FlagTelemetry: reject with a protocol error or accept
-		// with the invariants intact, never panic.
-		for _, flags := range []Flags{h.Flags, h.Flags | FlagTelemetry} {
-			if tc, err := ParseDecodeTracedInto(v, flags, payload); err == nil {
-				if flags&FlagTelemetry == 0 && tc != (TraceContext{}) {
-					t.Fatal("unflagged frame produced a trace context")
+		// The relay gate promises a payload it passes parses at the
+		// client, with every stage time in bounds.
+		if ValidResultPayload(payload, n, n) {
+			if err := ParseResultInto(&r, payload); err != nil {
+				t.Fatalf("relay gate passed a payload the client rejects: %v", err)
+			}
+			for _, ns := range []int64{r.QueueWaitNs, r.BatchAssembleNs, r.DecodeNs, r.CopyOutNs} {
+				if ns < 0 || ns > MaxStageNs {
+					t.Fatalf("relay gate passed stage time %d", ns)
 				}
-			} else if !isProtoErr(err) {
-				t.Fatalf("unexpected error class: %v", err)
 			}
-			var tm ServerTiming
-			if timed, err := ParseResultTimedInto(&r, &tm, flags, payload); err == nil {
-				if flags&FlagTelemetry == 0 && timed {
-					t.Fatal("unflagged frame produced a timing block")
-				}
-			} else if !isProtoErr(err) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			// The relay tail-peeks and trim must tolerate anything.
-			_, _ = PeekTraceContext(flags, payload)
-			_ = PeekServerTiming(&tm, flags, payload)
-			if out := TrimServerTiming(flags, payload); len(out) > len(payload) {
-				t.Fatal("trim grew the payload")
-			}
+		}
+		var tm ServerTiming
+		if PeekServerTiming(&tm, payload) != (len(payload) >= resultPrefixSize) {
+			t.Fatal("timing peek disagrees with the prefix length")
 		}
 
 		if _, _, _, err := ParseHelloAck(payload); err != nil && !isProtoErr(err) {

@@ -44,7 +44,7 @@ type Binding interface {
 	Dims() (numDet, numMech, numObs int)
 	// Decode takes the next frame of the current run. payload aliases
 	// the read buffer and is valid only during the call.
-	Decode(flags Flags, reqID uint64, payload []byte)
+	Decode(reqID uint64, payload []byte)
 	// EndRun appends exactly one response frame, addressed to id, per
 	// Decode call since the previous EndRun, in arrival order.
 	EndRun(buf []byte, id uint16) []byte
@@ -292,7 +292,7 @@ func (c *serverConn) decodeRun(h Header, payload []byte) (nh Header, np []byte, 
 	b := c.models[id]
 	var readErr error
 	for k := 1; ; k++ {
-		b.Decode(h.Flags, h.ReqID, payload)
+		b.Decode(h.ReqID, payload)
 		if k >= maxPipeline || !c.r.FrameBuffered() {
 			break
 		}

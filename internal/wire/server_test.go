@@ -62,7 +62,7 @@ func (h *stubHandler) Close() {
 
 func (b *stubBinding) Dims() (int, int, int) { return 72, 36, 12 }
 
-func (b *stubBinding) Decode(_ Flags, reqID uint64, _ []byte) {
+func (b *stubBinding) Decode(reqID uint64, _ []byte) {
 	if b.h.current != nil && b.h.current != b {
 		b.h.broken = "Decode while another binding's run is open"
 	}
@@ -349,7 +349,7 @@ func FuzzServeConn(f *testing.F) {
 		bytes.Repeat([]byte{0xff}, 64),
 		traced,
 		traced[:len(traced)-4],
-		AppendResultTimed(nil, 0, 1, 2, &res, &ServerTiming{DecodeNs: 5, ServerTick: 9}),
+		AppendResult(nil, 0, 1, 2, &Result{Status: StatusDecoderFault, ServerTiming: ServerTiming{ServerTick: 9}}),
 		append(AppendPing(AppendHello(nil, 3, "!x"), 4), pipe...),
 	}
 	for _, off := range []int{bounds[1].start, 16, bounds[1].start + HeaderSize + 3, bounds[2].start + 8} {

@@ -11,9 +11,9 @@
 //	client                         server
 //	OpHello  (model key)    →
 //	                        ←      OpHelloAck (model id, dimensions)
-//	OpDecode (syndrome)     →                              ┐ pipelined
-//	OpDecode (syndrome)     →                              ┘ frames batch
-//	                        ←      OpResult (status, stats, words)
+//	OpDecode (syndrome, trace)  →                          ┐ pipelined
+//	OpDecode (syndrome, trace)  →                          ┘ frames batch
+//	                        ←      OpResult (status, stats, timing, words)
 //	                        ←      OpResult
 //	OpPing                  →
 //	                        ←      OpPong (health flags)
@@ -23,6 +23,12 @@
 // connection's lifetime. Every server→client frame carries the drain
 // flag so a router can derive replica health passively from response
 // traffic.
+//
+// Telemetry is part of the frame, not an option: every decode frame
+// ends in a fixed trace block (sample bit and trace id, 0 for none) and
+// every result frame's fixed prefix carries the replica's stage times,
+// worker id and clock reading, so each request's network/server split
+// is readable wherever the frame goes.
 //
 // Encoders append into a caller-owned buffer and parsers read in place,
 // so the steady state on both sides is allocation-free (pinned by
@@ -42,8 +48,10 @@ import (
 const (
 	// Magic identifies a vegapunk wire frame ("VP", little-endian).
 	Magic uint16 = 0x5650
-	// Version is the protocol version carried in every header.
-	Version byte = 1
+	// Version is the protocol version carried in every header. Version
+	// 2 made the trace block and the result timing part of every decode
+	// and result frame; a version-1 peer fails at the header.
+	Version byte = 2
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 20
 	// MaxPayload bounds a frame payload; larger length prefixes are a
@@ -62,11 +70,11 @@ const (
 	// OpHelloAck answers OpHello: the assigned id rides the header's
 	// model-id field and the payload carries the model dimensions.
 	OpHelloAck
-	// OpDecode submits one syndrome (payload: bit length + words) for
-	// the header's model id.
+	// OpDecode submits one syndrome (payload: bit length + words, then
+	// the trace block) for the header's model id.
 	OpDecode
-	// OpResult answers OpDecode: status/stats plus, on success,
-	// the correction and observable words.
+	// OpResult answers OpDecode: status, stats and the replica's timing
+	// plus, on success, the correction and observable words.
 	OpResult
 	// OpPing requests a health probe.
 	OpPing
@@ -172,12 +180,8 @@ const (
 	// FlagRetried marks a router response that was served by a failover
 	// sibling after the primary replica failed the request.
 	FlagRetried
-	// FlagTelemetry marks a frame carrying the optional telemetry
-	// extension block at the tail of its payload: a trace block
-	// (TraceContext) on OpDecode, a server-timing block (ServerTiming)
-	// on OpResult. Peers that never set the flag never see the blocks,
-	// so the extension is invisible to pre-telemetry parsers.
-	FlagTelemetry
+	// Bit 4 is reserved and never set, like bits 0 and 1.
+	_
 )
 
 // Header is the fixed frame preamble.
@@ -186,7 +190,7 @@ const (
 //
 //	off size field
 //	  0    2 magic (0x5650)
-//	  2    1 version (1)
+//	  2    1 version (2)
 //	  3    1 opcode
 //	  4    2 flags
 //	  6    2 model id
@@ -342,37 +346,137 @@ func ParseHelloAck(b []byte) (numDet, numMech, numObs int, err error) {
 
 // ---- decode ----
 
+// traceBlockSize is the trace block that ends every OpDecode payload:
+// the sample flag (bit 0; the other bits are written 0 and ignored on
+// read) and the u64 trace id.
+const traceBlockSize = 1 + 8
+
+// TraceContext is an OpDecode frame's trace block: the caller's trace
+// id (0 means none, and the receiver issues its own) and whether the
+// replica records spans for this request regardless of its own
+// sampling lattice.
+type TraceContext struct {
+	TraceID uint64
+	Sampled bool
+}
+
 // AppendDecode appends an OpDecode frame carrying the syndrome for
-// modelID.
+// modelID under a zero trace block.
 func AppendDecode(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec) []byte {
+	return AppendDecodeTraced(buf, modelID, reqID, syndrome, TraceContext{})
+}
+
+// AppendDecodeTraced appends an OpDecode frame: the syndrome's vector
+// block, then the trace block tc.
+func AppendDecodeTraced(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec, tc TraceContext) []byte {
 	buf, start := beginFrame(buf, OpDecode, 0, modelID, reqID)
 	buf = appendVec(buf, syndrome)
+	buf = append(buf, make([]byte, traceBlockSize)...)
+	PutTraceContext(buf, tc)
 	return endFrame(buf, start)
+}
+
+// ParseDecodeInto reads an OpDecode payload: the syndrome into syn,
+// which must already be sized to the model's detector count, and the
+// trace block it ends in.
+func ParseDecodeInto(syn gf2.Vec, b []byte) (TraceContext, error) {
+	rest, err := parseVecInto(syn, b)
+	if err != nil {
+		return TraceContext{}, err
+	}
+	if len(rest) != traceBlockSize {
+		return TraceContext{}, ErrTruncated
+	}
+	return readTraceBlock(rest), nil
+}
+
+// PeekTraceContext reads the trace block off the tail of an OpDecode
+// payload without parsing the syndrome: the router's relay path. It
+// reports false when the payload is too short to hold a vector length
+// and a block.
+func PeekTraceContext(payload []byte) (TraceContext, bool) {
+	if len(payload) < 4+traceBlockSize {
+		return TraceContext{}, false
+	}
+	return readTraceBlock(payload[len(payload)-traceBlockSize:]), true
+}
+
+func readTraceBlock(b []byte) TraceContext {
+	return TraceContext{Sampled: b[0]&1 != 0, TraceID: binary.LittleEndian.Uint64(b[1:])}
+}
+
+// PutTraceContext overwrites the trace block at the tail of an OpDecode
+// payload in place: the router writes the id it issues for a lane whose
+// client sent none. The payload must hold a block (PeekTraceContext
+// reports true).
+func PutTraceContext(payload []byte, tc TraceContext) {
+	tail := payload[len(payload)-traceBlockSize:]
+	tail[0] = 0
+	if tc.Sampled {
+		tail[0] = 1
+	}
+	binary.LittleEndian.PutUint64(tail[1:], tc.TraceID)
 }
 
 // ---- result ----
 
-// resultFixedSize is the fixed prefix of an OpResult payload: status,
-// tier (always 0), satisfied, reserved, bp iterations, and the three
-// stage latencies.
-const resultFixedSize = 1 + 1 + 1 + 1 + 4 + 8 + 8 + 8
+// The fixed prefix of every OpResult payload (little-endian):
+//
+//	off size field
+//	  0    1 status
+//	  1    1 tier (always 0)
+//	  2    1 satisfied (0 or 1)
+//	  3    1 reserved (written 0, ignored on read)
+//	  4    4 bp iterations (u32)
+//	  8    8 queue_wait_ns (i64)
+//	 16    8 batch_assemble_ns (i64)
+//	 24    8 decode_ns (i64)
+//	 32    8 copy_out_ns (i64)
+//	 40    8 server tick (i64, the replica's obs clock at result encode)
+//	 48    2 worker id (u16)
+//
+// StatusOK follows it with the correction and observable vector blocks;
+// every other status ends with it.
+const (
+	// stagesOff is the offset of the four stage times.
+	stagesOff        = 8
+	resultPrefixSize = stagesOff + 4*8 + 8 + 2
+)
+
+// ServerTiming is the replica's side of a decode, carried in every
+// result prefix: the stage breakdown a router subtracts from its wall
+// clock to split latency into network and server time, the worker that
+// ran the decode, and the replica's own clock reading (ServerTick) used
+// to estimate the per-connection clock offset. A failed lane reports
+// zero stage times.
+type ServerTiming struct {
+	WorkerID        uint16
+	QueueWaitNs     int64
+	BatchAssembleNs int64
+	DecodeNs        int64
+	CopyOutNs       int64
+	ServerTick      int64
+}
+
+// ServerNs is the total replica-resident time the stages account for.
+func (t *ServerTiming) ServerNs() int64 {
+	return t.QueueWaitNs + t.DecodeNs + t.CopyOutNs
+}
 
 // Result is one decode outcome on the wire: the status/error class,
-// the stage latencies from serve.Result's Stats, and — on StatusOK —
-// the correction and observable words. Correction
-// and Observables are caller-owned and must be pre-sized to the model
-// dimensions (see SizeResult); ParseResultInto fills them in place.
+// the replica's timing, and — on StatusOK — the correction and
+// observable words. Correction and Observables are caller-owned and
+// must be pre-sized to the model dimensions (see SizeResult);
+// ParseResultInto fills them in place.
 type Result struct {
 	Status Status
 	// Deprecated: always 0 (core.TierFull) from a replica, since every
 	// decode runs the decoder's constructed configuration. Kept only
 	// because benchmark/workload.go still reads it.
-	Tier        uint8
-	Satisfied   bool
-	BPIters     uint32
-	QueueWaitNs int64
-	DecodeNs    int64
-	CopyOutNs   int64
+	Tier      uint8
+	Satisfied bool
+	BPIters   uint32
+	ServerTiming
 	Correction  gf2.Vec
 	Observables gf2.Vec
 }
@@ -388,310 +492,83 @@ func SizeResult(res *Result, numMech, numObs int) {
 	}
 }
 
-// AppendResult appends an OpResult frame. A non-OK status carries only
-// the fixed prefix; StatusOK adds the correction and observable words.
+// AppendResult appends an OpResult frame: the fixed prefix and, on
+// StatusOK, the correction and observable words.
 func AppendResult(buf []byte, flags Flags, modelID uint16, reqID uint64, res *Result) []byte {
 	buf, start := beginFrame(buf, OpResult, flags, modelID, reqID)
-	buf = appendResultBody(buf, res)
-	return endFrame(buf, start)
-}
-
-// appendResultBody appends the fixed prefix and, on StatusOK, the
-// vector blocks (the payload shared by AppendResult and
-// AppendResultTimed).
-func appendResultBody(buf []byte, res *Result) []byte {
 	sat := byte(0)
 	if res.Satisfied {
 		sat = 1
 	}
-	buf = append(buf,
-		byte(res.Status), res.Tier, sat, 0,
-		byte(res.BPIters), byte(res.BPIters>>8), byte(res.BPIters>>16), byte(res.BPIters>>24))
-	buf = appendI64(buf, res.QueueWaitNs)
-	buf = appendI64(buf, res.DecodeNs)
-	buf = appendI64(buf, res.CopyOutNs)
+	le := binary.LittleEndian
+	buf = append(buf, byte(res.Status), res.Tier, sat, 0)
+	buf = le.AppendUint32(buf, res.BPIters)
+	st := &res.ServerTiming
+	buf = le.AppendUint64(buf, uint64(st.QueueWaitNs))
+	buf = le.AppendUint64(buf, uint64(st.BatchAssembleNs))
+	buf = le.AppendUint64(buf, uint64(st.DecodeNs))
+	buf = le.AppendUint64(buf, uint64(st.CopyOutNs))
+	buf = le.AppendUint64(buf, uint64(st.ServerTick))
+	buf = le.AppendUint16(buf, st.WorkerID)
 	if res.Status == StatusOK {
 		buf = appendVec(buf, res.Correction)
 		buf = appendVec(buf, res.Observables)
 	}
-	return buf
-}
-
-func appendI64(buf []byte, v int64) []byte {
-	return append(buf,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+	return endFrame(buf, start)
 }
 
 // ParseResultInto decodes an OpResult payload into res. On StatusOK
 // the correction and observable vectors must be pre-sized to the model
 // dimensions (SizeResult); on any other status they are left untouched.
 func ParseResultInto(res *Result, b []byte) error {
-	rest, err := parseResultBody(res, b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
+	if len(b) < resultPrefixSize {
 		return ErrTruncated
 	}
-	return nil
-}
-
-// parseResultBody decodes the fixed prefix and (on StatusOK) the
-// vector blocks, returning whatever payload remains — the telemetry
-// extension block when the frame carried one.
-func parseResultBody(res *Result, b []byte) ([]byte, error) {
-	if len(b) < resultFixedSize {
-		return nil, ErrTruncated
-	}
 	if b[0] >= byte(numStatuses) {
-		return nil, ErrBadStatus
+		return ErrBadStatus
 	}
 	res.Status = Status(b[0])
 	res.Tier = b[1]
 	res.Satisfied = b[2] != 0
 	res.BPIters = binary.LittleEndian.Uint32(b[4:])
-	res.QueueWaitNs = int64(binary.LittleEndian.Uint64(b[8:]))
-	res.DecodeNs = int64(binary.LittleEndian.Uint64(b[16:]))
-	res.CopyOutNs = int64(binary.LittleEndian.Uint64(b[24:]))
-	b = b[resultFixedSize:]
-	if res.Status != StatusOK {
-		return b, nil
+	PeekServerTiming(&res.ServerTiming, b)
+	b = b[resultPrefixSize:]
+	if res.Status == StatusOK {
+		var err error
+		if b, err = parseVecInto(res.Correction, b); err != nil {
+			return err
+		}
+		if b, err = parseVecInto(res.Observables, b); err != nil {
+			return err
+		}
 	}
-	b, err := parseVecInto(res.Correction, b)
-	if err != nil {
-		return nil, err
+	if len(b) != 0 {
+		return ErrTruncated
 	}
-	b, err = parseVecInto(res.Observables, b)
-	if err != nil {
-		return nil, err
+	return nil
+}
+
+// PeekServerTiming reads the timing fields off an OpResult payload's
+// prefix without parsing the vector blocks: the router's relay path,
+// which never re-parses vectors. It reports false when the payload is
+// shorter than the prefix.
+func PeekServerTiming(st *ServerTiming, payload []byte) bool {
+	if len(payload) < resultPrefixSize {
+		return false
 	}
-	return b, nil
+	b := payload[stagesOff:]
+	st.QueueWaitNs = int64(binary.LittleEndian.Uint64(b))
+	st.BatchAssembleNs = int64(binary.LittleEndian.Uint64(b[8:]))
+	st.DecodeNs = int64(binary.LittleEndian.Uint64(b[16:]))
+	st.CopyOutNs = int64(binary.LittleEndian.Uint64(b[24:]))
+	st.ServerTick = int64(binary.LittleEndian.Uint64(b[32:]))
+	st.WorkerID = binary.LittleEndian.Uint16(b[40:])
+	return true
 }
 
 // ErrBadStatus rejects a result frame whose status byte is outside the
 // defined set, or an error frame whose status is not a failure.
 var ErrBadStatus = errors.New("wire: invalid status code")
-
-// ---- telemetry extension ----
-
-// The telemetry extension is an optional, versioned block appended at
-// the tail of a payload and announced by FlagTelemetry in the header:
-//
-//	OpDecode tail (traceBlockSize = 10 bytes):
-//	  off size field
-//	    0    1 extension version (TelemetryVersion)
-//	    1    1 sample flag (bit 0: trace this request end to end)
-//	    2    8 trace id (u64, nonzero)
-//
-//	OpResult tail (timingBlockSize = 44 bytes):
-//	  off size field
-//	    0    1 extension version (TelemetryVersion)
-//	    1    1 reserved (written 0, ignored on read)
-//	    2    2 worker id (u16)
-//	    4    8 queue_wait_ns (i64)
-//	   12    8 batch_assemble_ns (i64)
-//	   20    8 decode_ns (i64)
-//	   28    8 copy_out_ns (i64)
-//	   36    8 server tick (i64, replica obs clock at result encode)
-//
-// A block whose version byte is not TelemetryVersion parses as
-// no-telemetry: the rest of the payload is skipped so future versions
-// (which may be longer) degrade gracefully on old peers.
-
-// TelemetryVersion is the extension version this package encodes.
-const TelemetryVersion byte = 1
-
-const (
-	traceBlockSize  = 1 + 1 + 8
-	timingBlockSize = 1 + 1 + 2 + 8 + 8 + 8 + 8 + 8
-)
-
-// TraceContext is the request half of the telemetry extension: the
-// caller-issued trace id and whether the replica should record spans
-// for this request regardless of its own sampling lattice.
-type TraceContext struct {
-	TraceID uint64
-	Sampled bool
-}
-
-// ServerTiming is the response half: the replica-reported stage
-// breakdown a router subtracts from its wall clock to split latency
-// into network and server time, plus the replica's own clock reading
-// (ServerTick) used to estimate the per-connection clock offset.
-// The block's second byte is reserved: written 0, ignored on read.
-type ServerTiming struct {
-	WorkerID        uint16
-	QueueWaitNs     int64
-	BatchAssembleNs int64
-	DecodeNs        int64
-	CopyOutNs       int64
-	ServerTick      int64
-}
-
-// ServerNs is the total replica-resident time the block accounts for.
-func (t *ServerTiming) ServerNs() int64 {
-	return t.QueueWaitNs + t.DecodeNs + t.CopyOutNs
-}
-
-// AppendTraceBlock appends a raw request trace block (no header): the
-// router uses it to extend an already-copied decode payload before
-// relaying it under FlagTelemetry.
-func AppendTraceBlock(buf []byte, tc TraceContext) []byte {
-	s := byte(0)
-	if tc.Sampled {
-		s = 1
-	}
-	return append(buf,
-		TelemetryVersion, s,
-		byte(tc.TraceID), byte(tc.TraceID>>8), byte(tc.TraceID>>16), byte(tc.TraceID>>24),
-		byte(tc.TraceID>>32), byte(tc.TraceID>>40), byte(tc.TraceID>>48), byte(tc.TraceID>>56))
-}
-
-// AppendDecodeTraced appends an OpDecode frame carrying the syndrome
-// plus the trace block, with FlagTelemetry set in the header.
-func AppendDecodeTraced(buf []byte, modelID uint16, reqID uint64, syndrome gf2.Vec, tc TraceContext) []byte {
-	buf, start := beginFrame(buf, OpDecode, FlagTelemetry, modelID, reqID)
-	buf = appendVec(buf, syndrome)
-	buf = AppendTraceBlock(buf, tc)
-	return endFrame(buf, start)
-}
-
-// ParseDecodeTracedInto reads an OpDecode payload into syn and, when
-// flags carries FlagTelemetry, decodes the trailing trace block. A
-// block with an unknown extension version parses as no-telemetry
-// (zero TraceContext); a flagged frame with a truncated block is a
-// protocol error.
-func ParseDecodeTracedInto(syn gf2.Vec, flags Flags, b []byte) (TraceContext, error) {
-	rest, err := parseVecInto(syn, b)
-	if err != nil {
-		return TraceContext{}, err
-	}
-	if flags&FlagTelemetry == 0 {
-		if len(rest) != 0 {
-			return TraceContext{}, ErrTruncated
-		}
-		return TraceContext{}, nil
-	}
-	if len(rest) < 1 {
-		return TraceContext{}, ErrTruncated
-	}
-	if rest[0] != TelemetryVersion {
-		return TraceContext{}, nil // unknown version: skip the block
-	}
-	if len(rest) != traceBlockSize {
-		return TraceContext{}, ErrTruncated
-	}
-	return TraceContext{
-		Sampled: rest[1]&1 != 0,
-		TraceID: binary.LittleEndian.Uint64(rest[2:]),
-	}, nil
-}
-
-// PeekTraceContext reads the trace block off the tail of an OpDecode
-// payload without parsing the syndrome — the router's relay path. It
-// reports false when the flag is clear, the payload is too short, or
-// the byte at the expected block offset is not a v1 version byte
-// (unknown extension versions relay untouched).
-func PeekTraceContext(flags Flags, payload []byte) (TraceContext, bool) {
-	if flags&FlagTelemetry == 0 || len(payload) < 4+traceBlockSize {
-		return TraceContext{}, false
-	}
-	tail := payload[len(payload)-traceBlockSize:]
-	if tail[0] != TelemetryVersion {
-		return TraceContext{}, false
-	}
-	return TraceContext{
-		Sampled: tail[1]&1 != 0,
-		TraceID: binary.LittleEndian.Uint64(tail[2:]),
-	}, true
-}
-
-// AppendResultTimed appends an OpResult frame with the server-timing
-// block at the payload tail and FlagTelemetry set in the header.
-func AppendResultTimed(buf []byte, flags Flags, modelID uint16, reqID uint64, res *Result, st *ServerTiming) []byte {
-	buf, start := beginFrame(buf, OpResult, flags|FlagTelemetry, modelID, reqID)
-	buf = appendResultBody(buf, res)
-	buf = append(buf,
-		TelemetryVersion, 0, byte(st.WorkerID), byte(st.WorkerID>>8))
-	buf = appendI64(buf, st.QueueWaitNs)
-	buf = appendI64(buf, st.BatchAssembleNs)
-	buf = appendI64(buf, st.DecodeNs)
-	buf = appendI64(buf, st.CopyOutNs)
-	buf = appendI64(buf, st.ServerTick)
-	return endFrame(buf, start)
-}
-
-// parseTimingBlock decodes one server-timing block. An unknown version
-// parses as absent (ok but !present); a short v1 block is a protocol
-// error.
-func parseTimingBlock(st *ServerTiming, b []byte) (bool, error) {
-	if len(b) < 1 {
-		return false, ErrTruncated
-	}
-	if b[0] != TelemetryVersion {
-		return false, nil // unknown version: skip the block
-	}
-	if len(b) != timingBlockSize {
-		return false, ErrTruncated
-	}
-	st.WorkerID = binary.LittleEndian.Uint16(b[2:])
-	st.QueueWaitNs = int64(binary.LittleEndian.Uint64(b[4:]))
-	st.BatchAssembleNs = int64(binary.LittleEndian.Uint64(b[12:]))
-	st.DecodeNs = int64(binary.LittleEndian.Uint64(b[20:]))
-	st.CopyOutNs = int64(binary.LittleEndian.Uint64(b[28:]))
-	st.ServerTick = int64(binary.LittleEndian.Uint64(b[36:]))
-	return true, nil
-}
-
-// ParseResultTimedInto decodes an OpResult payload into res and, when
-// flags carries FlagTelemetry, the trailing server-timing block into
-// st. It reports whether st was filled (false for unflagged frames and
-// unknown extension versions).
-func ParseResultTimedInto(res *Result, st *ServerTiming, flags Flags, b []byte) (bool, error) {
-	rest, err := parseResultBody(res, b)
-	if err != nil {
-		return false, err
-	}
-	if flags&FlagTelemetry == 0 {
-		if len(rest) != 0 {
-			return false, ErrTruncated
-		}
-		return false, nil
-	}
-	return parseTimingBlock(st, rest)
-}
-
-// PeekServerTiming reads the server-timing block off the tail of an
-// OpResult payload without parsing the vector blocks — the router's
-// relay path, which never re-parses vectors. It reports false when the
-// flag is clear, the payload is too short, or the byte at the expected
-// block offset is not a v1 version byte.
-func PeekServerTiming(st *ServerTiming, flags Flags, payload []byte) bool {
-	if flags&FlagTelemetry == 0 || len(payload) < resultFixedSize+timingBlockSize {
-		return false
-	}
-	tail := payload[len(payload)-timingBlockSize:]
-	if tail[0] != TelemetryVersion {
-		return false
-	}
-	ok, err := parseTimingBlock(st, tail)
-	return ok && err == nil
-}
-
-// TrimServerTiming drops the v1 server-timing block off the tail of an
-// OpResult payload, so a router can strip telemetry it injected before
-// relaying the result to a client that never asked for it. Payloads
-// without a recognizable block are returned unchanged.
-func TrimServerTiming(flags Flags, payload []byte) []byte {
-	if flags&FlagTelemetry == 0 || len(payload) < resultFixedSize+timingBlockSize {
-		return payload
-	}
-	if payload[len(payload)-timingBlockSize] != TelemetryVersion {
-		return payload
-	}
-	return payload[:len(payload)-timingBlockSize]
-}
 
 // ---- relay ----
 
@@ -704,31 +581,28 @@ const MaxStageNs = int64(time.Hour)
 
 // ValidResultPayload reports whether an OpResult payload would parse at
 // a client bound to a model with numMech mechanism and numObs
-// observable bits, with plausible stage times: after trimming any
-// recognizable server-timing block, the fixed prefix — its queue-wait,
-// decode and copy-out times each in [0, MaxStageNs] — plus, on
-// StatusOK, exactly the two vector blocks with the expected bit
-// lengths, and nothing else. The router uses it as a relay gate: a
-// payload corrupted in flight (a flipped vector-length byte, a mangled
-// telemetry tail, a flipped high byte of a stage time) is retried
-// upstream instead of being handed to a client whose only recourse is
-// tearing down the stream or recording garbage. It inspects lengths and
-// three integers only, so it stays cheap on the relay hot path.
-func ValidResultPayload(flags Flags, payload []byte, numMech, numObs int) bool {
-	b := TrimServerTiming(flags, payload)
-	if len(b) < resultFixedSize || b[0] >= byte(numStatuses) {
+// observable bits, with plausible stage times: the fixed prefix — its
+// four stage times each in [0, MaxStageNs] — plus, on StatusOK, exactly
+// the two vector blocks with the expected bit lengths, and nothing
+// else. The router uses it as a relay gate: a payload corrupted in
+// flight (a flipped vector-length byte, a flipped high byte of a stage
+// time) is retried upstream instead of being handed to a client whose
+// only recourse is tearing down the stream or recording garbage. It
+// inspects lengths and four integers only, so it stays cheap on the
+// relay hot path.
+func ValidResultPayload(b []byte, numMech, numObs int) bool {
+	if len(b) < resultPrefixSize || b[0] >= byte(numStatuses) {
 		return false
 	}
-	// The prefix ends in the three stage times.
-	for off := resultFixedSize - 24; off < resultFixedSize; off += 8 {
+	for off := stagesOff; off < stagesOff+4*8; off += 8 {
 		if ns := int64(binary.LittleEndian.Uint64(b[off:])); ns < 0 || ns > MaxStageNs {
 			return false
 		}
 	}
 	if Status(b[0]) != StatusOK {
-		return len(b) == resultFixedSize
+		return len(b) == resultPrefixSize
 	}
-	b = b[resultFixedSize:]
+	b = b[resultPrefixSize:]
 	b, ok := validVecBlock(b, numMech)
 	if !ok {
 		return false

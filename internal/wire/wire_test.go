@@ -99,14 +99,14 @@ func TestDecodeFrameRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: header %+v", n, h)
 		}
 		got := gf2.NewVec(n)
-		if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); err != nil {
+		if _, err := ParseDecodeInto(got, buf[HeaderSize:]); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if !got.Equal(syn) {
 			t.Fatalf("n=%d: syndrome corrupted in transit", n)
 		}
 		// Wrong receiver size must be rejected, not silently truncated.
-		if _, err := ParseDecodeTracedInto(gf2.NewVec(n+1), 0, buf[HeaderSize:]); !errors.Is(err, ErrDimMismatch) {
+		if _, err := ParseDecodeInto(gf2.NewVec(n+1), buf[HeaderSize:]); !errors.Is(err, ErrDimMismatch) {
 			t.Fatalf("n=%d: dim mismatch not detected: %v", n, err)
 		}
 	}
@@ -115,13 +115,14 @@ func TestDecodeFrameRoundTrip(t *testing.T) {
 func TestResultFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	res := Result{
-		Status:      StatusOK,
-		Tier:        1,
-		Satisfied:   true,
-		BPIters:     17,
-		QueueWaitNs: 12345,
-		DecodeNs:    67890,
-		CopyOutNs:   111,
+		Status:    StatusOK,
+		Tier:      1,
+		Satisfied: true,
+		BPIters:   17,
+		ServerTiming: ServerTiming{
+			WorkerID: 9, QueueWaitNs: 12345, BatchAssembleNs: 222,
+			DecodeNs: 67890, CopyOutNs: 111, ServerTick: 987654321,
+		},
 		Correction:  randVec(144, rng),
 		Observables: randVec(12, rng),
 	}
@@ -139,8 +140,7 @@ func TestResultFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Status != res.Status || got.Tier != res.Tier || got.Satisfied != res.Satisfied ||
-		got.BPIters != res.BPIters || got.QueueWaitNs != res.QueueWaitNs ||
-		got.DecodeNs != res.DecodeNs || got.CopyOutNs != res.CopyOutNs {
+		got.BPIters != res.BPIters || got.ServerTiming != res.ServerTiming {
 		t.Fatalf("scalar fields corrupted: %+v vs %+v", got, res)
 	}
 	if !got.Correction.Equal(res.Correction) || !got.Observables.Equal(res.Observables) {
@@ -151,8 +151,8 @@ func TestResultFrameRoundTrip(t *testing.T) {
 	res.Status = StatusDecoderFault
 	buf = AppendResult(nil, 0, 3, 100, &res)
 	h, _ = ParseHeader(buf)
-	if h.PayloadLen != resultFixedSize {
-		t.Fatalf("non-OK payload size %d, want %d", h.PayloadLen, resultFixedSize)
+	if h.PayloadLen != resultPrefixSize {
+		t.Fatalf("non-OK payload size %d, want %d", h.PayloadLen, resultPrefixSize)
 	}
 	var errRes Result
 	if err := ParseResultInto(&errRes, buf[HeaderSize:]); err != nil {
@@ -166,75 +166,71 @@ func TestResultFrameRoundTrip(t *testing.T) {
 func TestValidResultPayload(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	res := Result{
-		Status:      StatusOK,
-		Satisfied:   true,
-		Correction:  randVec(144, rng),
-		Observables: randVec(12, rng),
+		Status:       StatusOK,
+		Satisfied:    true,
+		ServerTiming: ServerTiming{QueueWaitNs: 100, BatchAssembleNs: 30, DecodeNs: 200, CopyOutNs: 50, ServerTick: 7},
+		Correction:   randVec(144, rng),
+		Observables:  randVec(12, rng),
 	}
-	st := ServerTiming{QueueWaitNs: 100, DecodeNs: 200, CopyOutNs: 50, ServerTick: 7}
 
 	plain := AppendResult(nil, 0, 3, 1, &res)[HeaderSize:]
-	timedBuf := AppendResultTimed(nil, 0, 3, 1, &res, &st)[HeaderSize:]
-	if !ValidResultPayload(0, plain, 144, 12) {
-		t.Fatal("well-formed plain payload rejected")
-	}
-	if !ValidResultPayload(FlagTelemetry, timedBuf, 144, 12) {
-		t.Fatal("well-formed timed payload rejected")
+	if !ValidResultPayload(plain, 144, 12) {
+		t.Fatal("well-formed payload rejected")
 	}
 
 	// Wrong dimensions: the vec lengths no longer match the model.
-	if ValidResultPayload(0, plain, 143, 12) || ValidResultPayload(0, plain, 144, 13) {
+	if ValidResultPayload(plain, 143, 12) || ValidResultPayload(plain, 144, 13) {
 		t.Fatal("dimension mismatch accepted")
 	}
 	// A flipped byte in the correction length prefix desyncs the block
 	// structure — exactly the corruption the router relay gate exists
 	// to catch.
 	corrupt := append([]byte(nil), plain...)
-	corrupt[resultFixedSize] ^= 0xFF
-	if ValidResultPayload(0, corrupt, 144, 12) {
+	corrupt[resultPrefixSize] ^= 0xFF
+	if ValidResultPayload(corrupt, 144, 12) {
 		t.Fatal("corrupted vec length accepted")
 	}
 	// Truncation and trailing garbage both fail.
-	if ValidResultPayload(0, plain[:len(plain)-1], 144, 12) {
+	if ValidResultPayload(plain[:len(plain)-1], 144, 12) {
 		t.Fatal("truncated payload accepted")
 	}
-	if ValidResultPayload(0, append(append([]byte(nil), plain...), 0), 144, 12) {
+	if ValidResultPayload(append(append([]byte(nil), plain...), 0), 144, 12) {
 		t.Fatal("trailing byte accepted")
-	}
-	// A mangled telemetry version byte makes the block untrimmable, so
-	// the payload must be rejected rather than relayed with a tail the
-	// client cannot parse.
-	badTail := append([]byte(nil), timedBuf...)
-	badTail[len(badTail)-timingBlockSize] ^= 0xFF
-	if ValidResultPayload(FlagTelemetry, badTail, 144, 12) {
-		t.Fatal("mangled telemetry tail accepted")
 	}
 
 	// A flipped high byte of a stage time still parses, but as a
-	// negative or absurd duration the client would record.
+	// negative or absurd duration the client would record. Every stage
+	// is bounded; the server tick and worker id are not stage times.
 	for _, f := range []struct {
 		off  int
 		mask byte
-	}{{15, 0x80}, {23, 0x01}, {31, 0x80}} { // queue_wait, decode, copy_out
+	}{{15, 0x80}, {23, 0x01}, {31, 0x80}, {39, 0x01}} { // queue_wait, batch_assemble, decode, copy_out
 		stage := append([]byte(nil), plain...)
 		stage[f.off] ^= f.mask
-		if ValidResultPayload(0, stage, 144, 12) {
+		if ValidResultPayload(stage, 144, 12) {
 			t.Fatalf("implausible stage time (byte %d ^ %#x) accepted", f.off, f.mask)
+		}
+	}
+	for _, off := range []int{47, 49} { // server tick, worker id
+		other := append([]byte(nil), plain...)
+		other[off] ^= 0x80
+		if !ValidResultPayload(other, 144, 12) {
+			t.Fatalf("flipped non-stage byte %d rejected", off)
 		}
 	}
 
 	// Non-OK payloads are exactly the fixed prefix.
 	res.Status = StatusDecoderFault
 	shed := AppendResult(nil, 0, 3, 2, &res)[HeaderSize:]
-	if !ValidResultPayload(0, shed, 144, 12) {
+	if !ValidResultPayload(shed, 144, 12) {
 		t.Fatal("well-formed non-OK payload rejected")
 	}
-	if ValidResultPayload(0, append(append([]byte(nil), shed...), 0), 144, 12) {
+	if ValidResultPayload(append(append([]byte(nil), shed...), 0), 144, 12) {
 		t.Fatal("non-OK payload with trailing byte accepted")
 	}
 	bad := append([]byte(nil), shed...)
 	bad[0] = byte(numStatuses)
-	if ValidResultPayload(0, bad, 144, 12) {
+	if ValidResultPayload(bad, 144, 12) {
 		t.Fatal("invalid status byte accepted")
 	}
 }
@@ -364,7 +360,7 @@ func TestReaderPipelined(t *testing.T) {
 		if h.ReqID != uint64(i) {
 			t.Fatalf("frame %d: req id %d", i, h.ReqID)
 		}
-		if _, err := ParseDecodeTracedInto(got, 0, payload); err != nil {
+		if _, err := ParseDecodeInto(got, payload); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(syns[i]) {
@@ -384,10 +380,11 @@ func TestParseVecMasksSpareBits(t *testing.T) {
 	syn := gf2.NewVec(10)
 	syn.Set(3, true)
 	buf := AppendDecode(nil, 0, 0, syn)
-	// Corrupt the last vector word's high bits beyond bit 10.
-	buf[len(buf)-1] = 0xff
+	// Corrupt the last vector word's high bits beyond bit 10 (the word
+	// ends where the trace block begins).
+	buf[len(buf)-traceBlockSize-1] = 0xff
 	got := gf2.NewVec(10)
-	if _, err := ParseDecodeTracedInto(got, 0, buf[HeaderSize:]); err != nil {
+	if _, err := ParseDecodeInto(got, buf[HeaderSize:]); err != nil {
 		t.Fatal(err)
 	}
 	// The corrupted byte covers bits 56-63, all beyond Len: masking
