@@ -91,10 +91,6 @@ func (f *feConn) Hello(key string) (wire.Binding, wire.Status, string) {
 	}
 
 	rep := f.rt.pick(b.keyHash, nil)
-	if rep == nil {
-		f.rt.noReplica.Add(1)
-		return nil, wire.StatusOverload, "no usable replica"
-	}
 	_, err := f.backend(b, rep)
 	if err != nil {
 		// One retry on the next-best sibling, mirroring decode.
@@ -221,10 +217,7 @@ func (b *feBinding) EndRun(buf []byte, clientID uint16) []byte {
 	// undone lanes for the sibling pass below — the hedge IS the retry,
 	// pre-authorised by the hedge bucket.
 	first := f.rt.pick(b.keyHash, nil)
-	hedged := false
-	if first != nil {
-		hedged = f.forward(b, first, lanes, false)
-	}
+	hedged := f.forward(b, first, lanes, false)
 	if undone := countUndone(lanes); undone > 0 {
 		if sib := f.rt.pick(b.keyHash, first); sib != nil {
 			if !hedged {
@@ -416,17 +409,22 @@ func (f *feConn) forward(b *feBinding, rep *replica, lanes []feLane, retried boo
 			continue
 		}
 		if rh.Op == wire.OpResult {
-			if !wire.ValidResultPayload(rp, b.mech, b.nobs) {
-				// Structurally unsound payload (a flipped vector-length
-				// byte) or an implausible stage time in the result prefix:
-				// the client could only tear down the stream or record
-				// garbage. Leave the lane undone so the sibling pass
-				// re-decodes it.
+			// A structurally unsound payload (a flipped vector-length
+			// byte), or stage times the replica cannot have spent on this
+			// lane, is damage in flight: the client could only tear down
+			// the stream or record garbage. Leave the lane undone so the
+			// sibling pass re-decodes it. Queue wait, decode and copy-out
+			// all fall between the flush and the receipt; batch assembly
+			// is timed from the batch's first enqueue, which may be
+			// another connection's lane enqueued before this flush, so
+			// only ValidResultPayload bounds it.
+			wall := recvTick - flushTick
+			if !wire.ValidResultPayload(rp, b.mech, b.nobs) || !wire.PeekServerTiming(&tm, rp) ||
+				tm.ServerNs() > wall {
 				continue
 			}
 			if status == wire.StatusOK {
-				wire.PeekServerTiming(&tm, rp)
-				rep.observeTiming(recvTick-flushTick, &tm, recvTick)
+				rep.observeTiming(wall, &tm, recvTick)
 			}
 		}
 		ln.op = rh.Op

@@ -251,13 +251,12 @@ func TestNetChaosPartitionFailover(t *testing.T) {
 
 // TestNetChaosTornWritesAndResets runs sustained traffic through links
 // that tear writes at byte offsets, stall, and inject mid-stream RSTs.
-// Every request must still reach exactly one terminal outcome, most
-// must succeed (failover absorbs the resets), reconnects must be
-// accounted, and the per-request p99 stays bounded by the IO timeout —
-// the tier degrades, it does not hang. The test drives the health
-// probes itself, one round after every failed request, so whether a
-// downed replica rejoins before the run ends does not depend on how
-// the probe ticker's period compares with the run's wall-clock length.
+// Every request must still reach exactly one terminal outcome, nearly
+// all must succeed, reconnects must be accounted, and the per-request
+// p99 stays bounded by the IO timeout — the tier degrades, it does not
+// hang. Probes are off: a reset demotes its replica, and the replica
+// must rejoin by answering, not by waiting for a probe, since both
+// links carry the same plan and the whole set can be down at once.
 func TestNetChaosTornWritesAndResets(t *testing.T) {
 	plan := fault.Plan{
 		Seed:       7,
@@ -299,18 +298,11 @@ func TestNetChaosTornWritesAndResets(t *testing.T) {
 			continue
 		}
 		errs++
-		for _, rep := range rt.replicas {
-			rt.probe(rep)
-		}
 	}
 	if ok+errs != n {
 		t.Fatalf("terminal outcomes = %d, want %d", ok+errs, n)
 	}
-	// Both links carry the same fault plan, so the whole replica set
-	// can be down at once: requests then fail fast (correct — fail
-	// fast, never hang) until a probe round rejoins a replica. A
-	// majority must still succeed.
-	if ok < n/2 {
+	if ok < n*98/100 {
 		t.Fatalf("too few successes under torn writes and resets: %d ok, %d errors", ok, errs)
 	}
 	tears := winProxy.Counters.Of(fault.Tear) + sibProxy.Counters.Of(fault.Tear)

@@ -110,18 +110,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// State is a replica's health as the router sees it. The ordering is
-// load-bearing: routing prefers the numerically highest state.
+// State is a replica's health as the router sees it: a rank, not a
+// ban. The ordering is load-bearing: routing prefers the numerically
+// highest state, and the last frame or pong a replica answered sets it.
 type State int32
 
 const (
-	// StateDown: dial or transport failure; excluded from routing until
-	// a probe succeeds.
+	// StateDown: a failed dial, a failed probe or a transport error;
+	// ranked last, so routed to only when every other replica is down
+	// too. The dial backoff, not this state, stops the router trying it.
 	StateDown State = iota
 	// StateDraining: the replica answered with wire.FlagDraining;
 	// routed to only when no healthy replica remains.
 	StateDraining
-	// StateHealthy: full routing weight.
+	// StateHealthy: the replica answered without wire.FlagDraining;
+	// full routing weight.
 	StateHealthy
 )
 
@@ -248,13 +251,30 @@ func (r *replica) markDown() {
 	}
 }
 
-// A failed dial closes the replica to dials for redialBackoff, doubled
-// per consecutive failure up to maxRedialBackoff; a successful dial
-// resets it.
+// A failed dial or probe closes the replica to dials for
+// redialBackoff, doubled per consecutive failure up to
+// maxRedialBackoff; a successful dial resets it.
 const (
 	redialBackoff    = 100 * time.Millisecond
 	maxRedialBackoff = 5 * time.Second
 )
+
+// unreachable records a failed dial or probe: the replica is marked
+// down and closed to dials until its backoff window passes. The window
+// is the only gate that refuses to try a replica: inside it, a replica
+// that failed its last dial or probe costs no request a dial or an IO
+// timeout.
+func (r *replica) unreachable() {
+	bo := r.backoffNs.Load()
+	if bo <= 0 {
+		bo = int64(redialBackoff)
+	} else {
+		bo = min(2*bo, int64(maxRedialBackoff))
+	}
+	r.backoffNs.Store(bo)
+	r.nextDial.Store(obs.Tick() + bo)
+	r.markDown()
+}
 
 // acquire returns a pooled backend connection, dialing one if the
 // backoff window allows.
@@ -264,25 +284,13 @@ func (r *replica) acquire(cfg *Config) (*wire.Client, error) {
 		return c, nil
 	default:
 	}
-	now := obs.Tick()
-	if now < r.nextDial.Load() {
+	if obs.Tick() < r.nextDial.Load() {
 		return nil, errBackoff
 	}
 	c, err := wire.Dial(r.addr, dialTimeout, cfg.IOTimeout)
 	if err != nil {
 		r.dialErrors.Add(1)
-		bo := r.backoffNs.Load()
-		if bo <= 0 {
-			bo = int64(redialBackoff)
-		} else if bo < int64(maxRedialBackoff) {
-			bo *= 2
-			if bo > int64(maxRedialBackoff) {
-				bo = int64(maxRedialBackoff)
-			}
-		}
-		r.backoffNs.Store(bo)
-		r.nextDial.Store(now + bo)
-		r.markDown()
+		r.unreachable()
 		return nil, err
 	}
 	r.backoffNs.Store(0)
@@ -372,8 +380,8 @@ func (r *Router) releaseRing(rg *obs.Ring) {
 }
 
 // New builds a router over the replica set and starts its health-probe
-// loop. Replicas start optimistically healthy; the first failed dial or
-// transport error demotes them.
+// loop. Replicas start optimistically healthy; the first failed dial,
+// failed probe or transport error demotes them.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Replicas) == 0 {
@@ -432,11 +440,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// pick returns the rendezvous winner for keyHash among usable replicas
-// (healthy preferred over draining, down excluded), skipping exclude —
-// the retry sibling selector. A healthy replica inside its suspension
-// window (Retry-After honoring) ranks as draining: still
-// usable as the last resort, but routed around while the hint holds.
+// pick returns the rendezvous winner for keyHash, skipping exclude —
+// the retry sibling selector. It ranks, it does not exclude: healthy
+// first, then draining, then down, with the rendezvous score breaking
+// ties within a rank, so it returns nil only when exclude was the one
+// replica. A healthy replica inside its suspension window (Retry-After
+// honoring) ranks as draining: routed around while the hint holds.
 func (r *Router) pick(keyHash uint64, exclude *replica) *replica {
 	var best *replica
 	var bestScore uint64
@@ -447,9 +456,6 @@ func (r *Router) pick(keyHash uint64, exclude *replica) *replica {
 			continue
 		}
 		st := State(rep.state.Load())
-		if st == StateDown {
-			continue
-		}
 		if st == StateHealthy {
 			if su := rep.suspendUntil.Load(); su > 0 {
 				if now < 0 {
@@ -486,37 +492,34 @@ func (r *Router) probeLoop() {
 	}
 }
 
-// probe pings one replica and applies the verdict.
+// probe pings one replica and applies the verdict. A failed dial
+// inside acquire or a failed ping opens the dial backoff.
 func (r *Router) probe(rep *replica) {
 	c, err := rep.acquire(&r.cfg)
 	if err != nil {
-		if !errors.Is(err, errBackoff) {
-			rep.setState(StateDown)
-		}
 		return
 	}
 	flags, err := c.Ping()
 	if err != nil {
 		rep.release(c, false)
-		rep.markDown()
+		rep.unreachable()
 		return
 	}
-	if flags&wire.FlagDraining != 0 {
-		rep.setState(StateDraining)
-	} else {
-		rep.setState(StateHealthy)
-	}
+	rep.observeFlags(flags)
 	rep.release(c, true)
 }
 
-// observeFlags applies passive health from a successful response.
+// observeFlags sets the replica's state from a frame or pong it
+// answered: draining with wire.FlagDraining, healthy without — so a
+// down replica that answers rejoins at once, without waiting for a
+// probe.
 func (rep *replica) observeFlags(flags wire.Flags) {
+	s := StateHealthy
 	if flags&wire.FlagDraining != 0 {
-		if State(rep.state.Load()) == StateHealthy {
-			rep.setState(StateDraining)
-		}
-	} else if State(rep.state.Load()) == StateDraining {
-		rep.setState(StateHealthy)
+		s = StateDraining
+	}
+	if State(rep.state.Load()) != s {
+		rep.setState(s)
 	}
 }
 

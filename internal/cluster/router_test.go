@@ -135,7 +135,10 @@ func waitState(t *testing.T, rt *Router, addr string, want State) {
 }
 
 // TestRouterPick pins the rendezvous-routing properties: determinism,
-// exclusion, down-exclusion and healthy-over-draining preference.
+// exclusion, and the ranking healthy over draining over down, which
+// ranks and never excludes. It also pins the passive rule that sets the
+// rank: an answered frame without the draining flag makes a down
+// replica healthy.
 func TestRouterPick(t *testing.T) {
 	rt, err := New(Config{
 		Replicas:      []string{"10.0.0.1:9000", "10.0.0.2:9000", "10.0.0.3:9000"},
@@ -165,10 +168,10 @@ func TestRouterPick(t *testing.T) {
 		t.Fatalf("exclusion pick: got %v", second)
 	}
 
-	// Down replicas are never picked.
+	// A down replica loses to any replica that is up.
 	first.setState(StateDown)
 	if got := rt.pick(kh, nil); got == first {
-		t.Fatal("picked a down replica")
+		t.Fatal("picked a down replica while others are up")
 	}
 	// Draining loses to any healthy replica but still beats nothing.
 	first.setState(StateDraining)
@@ -183,9 +186,27 @@ func TestRouterPick(t *testing.T) {
 	if got := rt.pick(kh, nil); got != first {
 		t.Fatal("draining replica must be picked when it is the only one left")
 	}
+	// An all-down set still returns its best-scoring member.
 	first.setState(StateDown)
-	if got := rt.pick(kh, nil); got != nil {
-		t.Fatal("pick over an all-down set must return nil")
+	if got := rt.pick(kh, nil); got != first {
+		t.Fatalf("pick over an all-down set: got %v, want the rendezvous winner", got)
+	}
+	if got := rt.pick(kh, first); got != second {
+		t.Fatalf("sibling pick over an all-down set: got %v, want the runner-up", got)
+	}
+	// Any answered frame sets the state: the draining flag drains, its
+	// absence makes a down replica healthy without a probe.
+	first.observeFlags(wire.FlagDraining)
+	if st := State(first.state.Load()); st != StateDraining {
+		t.Fatalf("down replica answering with the draining flag is %s, want draining", st)
+	}
+	first.setState(StateDown)
+	first.observeFlags(0)
+	if st := State(first.state.Load()); st != StateHealthy {
+		t.Fatalf("down replica answering without the draining flag is %s, want healthy", st)
+	}
+	if got := rt.pick(kh, nil); got != first {
+		t.Fatal("a replica that answered does not win its key back")
 	}
 
 	// Keys spread: over many keys, every replica wins some.
@@ -208,7 +229,9 @@ func TestRouterPick(t *testing.T) {
 // error and closes the replica to dials for redialBackoff, doubled per
 // consecutive failure up to maxRedialBackoff; while the window is open
 // acquire answers errBackoff without dialing. A successful dial resets
-// the schedule. The test clears nextDial instead of waiting a window out.
+// the schedule. A failed probe opens the same window as a failed dial,
+// and demotes the replica. The test clears nextDial instead of waiting
+// a window out.
 func TestReplicaRedialBackoff(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -272,6 +295,45 @@ func TestReplicaRedialBackoff(t *testing.T) {
 	}
 	rep.addr = refused
 	failOnce(redialBackoff)
+
+	// A replica that accepts the dial but hangs up before the pong.
+	hangup, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hangup.Close()
+	go func() {
+		for {
+			c, err := hangup.Accept()
+			if err != nil {
+				return
+			}
+			_ = c.Close()
+		}
+	}()
+	rt, _ := startRouter(t, Config{Replicas: []string{hangup.Addr().String()}, ProbeInterval: time.Hour})
+	prep := rt.replicas[0]
+	before := obs.Tick()
+	rt.probe(prep)
+	after := obs.Tick()
+	if st := State(prep.state.Load()); st != StateDown {
+		t.Fatalf("replica is %s after a failed probe, want down", st)
+	}
+	if got := prep.dialErrors.Load(); got != 0 {
+		t.Fatalf("probe's dial failed (%d dial errors); the test needs a failed ping", got)
+	}
+	if next := prep.nextDial.Load(); next < before+int64(redialBackoff) || next > after+int64(redialBackoff) {
+		t.Fatalf("failed probe: window ends %v after the probe, want %v", time.Duration(next-before), redialBackoff)
+	}
+	if _, err := prep.acquire(&rt.cfg); !errors.Is(err, errBackoff) {
+		t.Fatalf("acquire after a failed probe: error %v, want errBackoff", err)
+	}
+	prep.nextDial.Store(0)
+	c, err = prep.acquire(&rt.cfg)
+	if err != nil {
+		t.Fatalf("acquire once the window passed: %v", err)
+	}
+	prep.release(c, false)
 }
 
 // TestRouterEndToEnd: corrections served through the router must be
@@ -844,7 +906,10 @@ func startFake(t *testing.T, answer func(buf []byte, reqID uint64) []byte) strin
 // with FlagRetried, the winner stays healthy, and the next batch reaches
 // it over a new connection counted as a reconnect. An implausible stage
 // time is not a bad frame: only its lane goes to the sibling, the
-// connection stays, and the value is never relayed.
+// connection stays, and the value is never relayed or observed. A stage
+// time is implausible above wire.MaxStageNs, or when the replica's
+// decode-path time exceeds the router's own flush-to-receipt time for
+// the lane.
 func TestRouterBadBackendFrame(t *testing.T) {
 	model, _ := clusterModel(t)
 	syndromes := sampleSyndromes(model, 4, 13)
@@ -877,6 +942,9 @@ func TestRouterBadBackendFrame(t *testing.T) {
 		{"implausible decode_ns", flip(wire.HeaderSize+31, 0x01), false},
 		// Byte 23 is batch_assemble_ns's: the gate bounds it too.
 		{"implausible batch_assemble_ns", flip(wire.HeaderSize+23, 0x01), false},
+		// Byte 29 raises decode_ns by 2^40 ns (18 min): inside
+		// MaxStageNs, but longer than the lane took.
+		{"decode_ns longer than the lane", flip(wire.HeaderSize+29, 0x01), false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -949,6 +1017,12 @@ func TestRouterBadBackendFrame(t *testing.T) {
 			}
 			if got := rt.reconnects.Load(); got != wantBad {
 				t.Fatalf("reconnects = %d, want %d", got, wantBad)
+			}
+			for _, rep := range rt.replicas {
+				if n, want := rep.serverSeconds.Count(), rep.decodes.Load(); n != want || rep.netSeconds.Count() != want {
+					t.Fatalf("replica %d: %d server and %d network observations for %d relayed lanes",
+						rep.idx, n, rep.netSeconds.Count(), want)
+				}
 			}
 		})
 	}
