@@ -1,8 +1,8 @@
 // Package accel models the Vegapunk hardware accelerator (paper §5) at
-// cycle granularity, plus the reference BP FPGA architecture [42] and
-// analytic CPU/GPU cost models. It converts decoupled-matrix structure
-// and online-decode traces into the latency and resource numbers of the
-// paper's Table 2, Table 4 and Figures 3b, 11b, 13.
+// cycle granularity, plus the reference BP FPGA architecture [42]. It
+// converts decoupled-matrix structure and online-decode traces into the
+// latency and resource numbers of the paper's Table 2, Table 4 and
+// Figures 3b, 11b, 13.
 //
 // The model is architectural, not RTL: each pipeline unit of Figure 7 is
 // charged cycles derived from its dataflow — sparse XOR counts for the
@@ -23,72 +23,53 @@ import (
 // ClockNS is the cycle time at the paper's 250 MHz.
 const ClockNS = 4.0
 
-// Params holds the cycle and resource model constants.
-type Params struct {
-	// PipelineFill is the per-unit pipeline fill overhead in cycles.
-	PipelineFill int
-	// RegfilePorts is the number of parallel regfile write ports of a
+// The cycle and resource model's constants, calibrated against the
+// paper's reported BB-code latencies and utilizations.
+const (
+	// pipelineFill is the per-unit pipeline fill overhead in cycles.
+	pipelineFill = 2
+	// regfilePorts is the number of parallel regfile write ports of a
 	// syndrome incremental update unit.
-	RegfilePorts int
-	// UpdateCycles is the params-update unit cost per outer iteration.
-	UpdateCycles int
-	// PermuteCycles is the permutation unit cost (pure routing).
-	PermuteCycles int
+	regfilePorts = 1
+	// updateCycles is the params-update unit cost per outer iteration.
+	updateCycles = 2
+	// permuteCycles is the permutation unit cost (pure routing).
+	permuteCycles = 2
 
-	// FFBase/FFPerState and LUTBase/LUTPerNNZ/LUTPerCol are the linear
+	// ffBase/ffPerState and lutBase/lutPerNNZ/lutPerCol are the linear
 	// resource model coefficients, calibrated against the paper's
 	// Table 4 BB anchors.
-	FFBase     float64
-	FFPerState float64
-	LUTBase    float64
-	LUTPerNNZ  float64
-	LUTPerCol  float64
+	ffBase     = 10600
+	ffPerState = 7.0
+	lutBase    = 13700
+	lutPerNNZ  = 45
+	lutPerCol  = 40
 
-	// U50FFs and U50LUTs are the Alveo U50 totals used for utilization
+	// u50FFs and u50LUTs are the Alveo U50 totals used for utilization
 	// percentages.
-	U50FFs, U50LUTs float64
+	u50FFs  = 1743360
+	u50LUTs = 871680
 
-	// BPCyclesPerIter is the reference BP architecture's cost (2 cycles
-	// per iteration, from [42]); BPFixedCycles covers syndrome load and
+	// bpCyclesPerIter is the reference BP architecture's cost (2 cycles
+	// per iteration, from [42]); bpFixedCycles covers syndrome load and
 	// readout.
-	BPCyclesPerIter, BPFixedCycles int
+	bpCyclesPerIter = 2
+	bpFixedCycles   = 10
+)
 
-	// GPULaunchNS and GPUPerMechNS form the GPU latency model: kernel
-	// launch overhead plus occupancy-limited per-mechanism cost.
-	GPULaunchNS, GPUPerMechNS float64
-}
+// Params is the model's receiver. It has no fields: the calibration is
+// the constants above. The type and DefaultParams stay because the
+// benchmark harness (benchmark/ledger.go) calls the model through them
+// and is kept byte-stable.
+type Params struct{}
 
-// DefaultParams returns constants calibrated against the paper's
-// reported BB-code latencies and utilizations.
-func DefaultParams() Params {
-	return Params{
-		PipelineFill:  2,
-		RegfilePorts:  1,
-		UpdateCycles:  2,
-		PermuteCycles: 2,
+// DefaultParams returns the model.
+func DefaultParams() Params { return Params{} }
 
-		FFBase:     10600,
-		FFPerState: 7.0,
-		LUTBase:    13700,
-		LUTPerNNZ:  45,
-		LUTPerCol:  40,
-
-		U50FFs:  1743360,
-		U50LUTs: 871680,
-
-		BPCyclesPerIter: 2,
-		BPFixedCycles:   10,
-
-		GPULaunchNS:  68000,
-		GPUPerMechNS: 12,
-	}
-}
-
-// Report is a latency estimate with a per-unit cycle breakdown.
+// Report is a latency estimate.
 type Report struct {
-	Cycles    int
-	Latency   time.Duration
-	Breakdown map[string]int
+	Cycles  int
+	Latency time.Duration
 }
 
 func log2ceil(x int) int {
@@ -121,42 +102,35 @@ func (p Params) VegapunkLatency(dec *decouple.Decoupling, outerIters, innerIters
 	if innerIters < 1 {
 		innerIters = 1
 	}
-	br := map[string]int{}
-
 	// ① Transformation unit: all m output bits in parallel, each a
 	// binary XOR reduction over the row support of T.
-	br["transform"] = log2ceil(maxRowWeight(dec)+1) + p.PipelineFill
+	transform := log2ceil(maxRowWeight(dec)+1) + pipelineFill
 
 	// Per outer iteration (all n_A HDUs in parallel):
 	aSpars, bSpars := dec.Sparsity()
 	// ② syndrome incremental update: sparse XOR of one A column.
-	hdu := (aSpars+p.RegfilePorts-1)/p.RegfilePorts + p.PipelineFill
+	hdu := (aSpars+regfilePorts-1)/regfilePorts + pipelineFill
 	// ② GDC: innerIters sequential greedy rounds; each round updates f
 	// through the block's sparse column (S_B), evaluates the objective
 	// with an adder tree over the block width, and picks the best flip
 	// with a comparator tree over the candidate g bits.
 	nG := dec.ND - dec.MD
-	gdcRound := (bSpars+p.RegfilePorts-1)/p.RegfilePorts +
+	gdcRound := (bSpars+regfilePorts-1)/regfilePorts +
 		log2ceil(dec.ND) + log2ceil(nG+1)
-	gdc := innerIters*gdcRound + p.PipelineFill
+	gdc := innerIters*gdcRound + pipelineFill
 	// ② LLR compute for the assembled candidate: adder tree over the
 	// active weights.
-	llr := log2ceil(dec.N) + p.PipelineFill
+	llr := log2ceil(dec.N) + pipelineFill
 	// ③ comparator tree over the n_A candidate objectives.
 	cmp := log2ceil(dec.NA + 1)
 	// ④ params update.
-	outer := hdu + gdc + llr + cmp + p.UpdateCycles
-	br["outer-per-iter"] = outer
-	br["outer-total"] = outer * outerIters
+	outer := hdu + gdc + llr + cmp + updateCycles
 
 	// ⑤ permutation unit.
-	br["permute"] = p.PermuteCycles
-
-	total := br["transform"] + br["outer-total"] + br["permute"]
+	total := transform + outer*outerIters + permuteCycles
 	return Report{
-		Cycles:    total,
-		Latency:   time.Duration(float64(total) * ClockNS * float64(time.Nanosecond)),
-		Breakdown: br,
+		Cycles:  total,
+		Latency: time.Duration(float64(total) * ClockNS * float64(time.Nanosecond)),
 	}
 }
 
@@ -165,7 +139,7 @@ func (p Params) VegapunkLatency(dec *decouple.Decoupling, outerIters, innerIters
 func (p Params) WorstCase(dec *decouple.Decoupling, cfg hier.Config) Report {
 	m := cfg.MaxIters
 	if m <= 0 {
-		m = 3
+		m = hier.DefaultMaxIters
 	}
 	return p.VegapunkLatency(dec, m, hier.InnerIters)
 }
@@ -186,16 +160,8 @@ func (p Params) FromTrace(dec *decouple.Decoupling, tr hier.Trace) Report {
 // BPLatency models the reference FPGA BP decoder [42]: two cycles per
 // message-passing iteration plus fixed I/O.
 func (p Params) BPLatency(iters float64) time.Duration {
-	cycles := float64(p.BPFixedCycles) + iters*float64(p.BPCyclesPerIter)
+	cycles := bpFixedCycles + iters*bpCyclesPerIter
 	return time.Duration(cycles * ClockNS * float64(time.Nanosecond))
-}
-
-// GPULatency models a GPU port: launch overhead dominates, with an
-// occupancy-limited per-mechanism term (paper §6.2's observed 69–116 µs
-// band).
-func (p Params) GPULatency(numMech int) time.Duration {
-	ns := p.GPULaunchNS + float64(numMech)*p.GPUPerMechNS
-	return time.Duration(ns * float64(time.Nanosecond))
 }
 
 // Utilization is the FPGA resource estimate of Table 4.
@@ -210,13 +176,13 @@ type Utilization struct {
 // fan-in (columns).
 func (p Params) VegapunkUtilization(dec *decouple.Decoupling) Utilization {
 	state := float64(dec.M + dec.NA + dec.K*dec.ND)
-	ffs := p.FFBase + p.FFPerState*state
-	luts := p.LUTBase + p.LUTPerNNZ*float64(dec.NNZ()) + p.LUTPerCol*float64(dec.N)
+	ffs := ffBase + ffPerState*state
+	luts := lutBase + lutPerNNZ*float64(dec.NNZ()) + lutPerCol*float64(dec.N)
 	return Utilization{
 		FFs:    int(ffs),
 		LUTs:   int(luts),
-		FFPct:  100 * ffs / p.U50FFs,
-		LUTPct: 100 * luts / p.U50LUTs,
+		FFPct:  100 * ffs / u50FFs,
+		LUTPct: 100 * luts / u50LUTs,
 	}
 }
 
@@ -224,6 +190,6 @@ func (p Params) VegapunkUtilization(dec *decouple.Decoupling) Utilization {
 // paper's §6.3 capacity analysis, reported as ≈1.26×10⁴ columns for the
 // U50). The nnz term is approximated by the given average column weight.
 func (p Params) MaxSupportedColumns(avgColWeight float64) int {
-	perCol := p.LUTPerNNZ*avgColWeight + p.LUTPerCol
-	return int((p.U50LUTs - p.LUTBase) / perCol)
+	perCol := lutPerNNZ*avgColWeight + lutPerCol
+	return int((u50LUTs - lutBase) / perCol)
 }

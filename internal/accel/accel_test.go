@@ -89,18 +89,6 @@ func TestBPLatencyModel(t *testing.T) {
 	}
 }
 
-func TestGPULatencyBand(t *testing.T) {
-	p := DefaultParams()
-	small := p.GPULatency(243)  // HP [[162,2,4]]
-	large := p.GPULatency(3920) // BB [[784,24,24]]
-	if small < 60*time.Microsecond || small > 90*time.Microsecond {
-		t.Errorf("small-code GPU latency %v outside paper band", small)
-	}
-	if large < 100*time.Microsecond || large > 130*time.Microsecond {
-		t.Errorf("large-code GPU latency %v outside paper band", large)
-	}
-}
-
 func TestUtilizationCalibration(t *testing.T) {
 	p := DefaultParams()
 	dec := bbDecoupling(t, 0)

@@ -104,7 +104,7 @@ type Decoder struct {
 // New builds a decoder for the sparse check matrix h with per-variable
 // prior LLRs (log((1-p)/p)). priorLLR is kept, not copied, and read by
 // every Decode. The zero-syndrome exit is built from its values at this
-// point, so a caller that rewrites them between decodes (bpgd's
+// point, so a caller that rewrites them between decodes (BPGD's
 // decimation) may decode the all-zero syndrome only on the values New
 // saw.
 func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"vegapunk/internal/bp"
-	"vegapunk/internal/bpgd"
 	"vegapunk/internal/decouple"
 	"vegapunk/internal/dem"
 	"vegapunk/internal/gf2"
@@ -110,7 +109,7 @@ func (v *Vegapunk) Decoupling() *decouple.Decoupling { return v.dec }
 
 // ---- BP-family baselines ----
 
-// baseline adapts one BP-family decoder (BP, BP+OSD, BP+LSD, BPGD) to
+// baseline adapts one BP-family decoder (BP, BP+OSD, BP+LSD) to
 // Decoder: a name, the inner BP decoder's probe and a decode that
 // translates the family's result into Stats.
 type baseline struct {
@@ -182,39 +181,4 @@ func NewBPLSD(model *dem.Model) Decoder {
 		r := d.Decode(s)
 		return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged, LSDMaxCluster: r.MaxClusterChecks}
 	}}
-}
-
-// NewBPGD wraps BP guided decimation with up to maxRounds decimation
-// rounds of itersPerRound BP iterations each (the experiment harness
-// scales both with its quality setting); a budget ≤ 0 takes the paper's
-// baseline configuration, n rounds of 100 iterations.
-func NewBPGD(model *dem.Model, maxRounds, itersPerRound int) Decoder {
-	d := bpgd.New(model.Mech, model.LLRs(), bpgd.Config{
-		MaxRounds:     maxRounds,
-		ItersPerRound: itersPerRound,
-	})
-	return &baseline{name: "BPGD", probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
-		r := d.Decode(s)
-		return r.Error, Stats{BPIters: r.TotalIters, BPConverged: r.Converged}
-	}}
-}
-
-// ---- Greedy (Vegapunk without decoupling, Figure 12 ablation) ----
-
-type greedyDecoder struct {
-	d *hier.GreedyDecoder
-}
-
-// NewGreedyNoDecouple wraps the ablation baseline: Vegapunk's greedy
-// search run directly on the undecoupled check matrix. Like Algorithm 1
-// with zero diagonal blocks, a syndrome that cannot be fully explained
-// within the flip budget is a failed decode (zero correction returned).
-func NewGreedyNoDecouple(model *dem.Model, maxFlips int) Decoder {
-	return &greedyDecoder{d: hier.NewGreedy(model.Mech, model.LLRs(), maxFlips)}
-}
-
-func (g *greedyDecoder) Name() string { return "Vegapunk-NoDecouple" }
-
-func (g *greedyDecoder) Decode(s gf2.Vec) (gf2.Vec, Stats) {
-	return g.d.Decode(s), Stats{}
 }

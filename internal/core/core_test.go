@@ -39,8 +39,6 @@ func TestAllDecodersSatisfyInterface(t *testing.T) {
 		NewBP(model, 72),
 		NewBPOSD(model, 72, 7),
 		NewBPLSD(model),
-		NewBPGD(model, 0, 0),
-		NewGreedyNoDecouple(model, 0),
 	}
 	rng := rand.New(rand.NewPCG(1, 1))
 	e := model.Sample(rng)
@@ -69,9 +67,6 @@ func TestDecoderNames(t *testing.T) {
 	}
 	if got := NewBPLSD(model).Name(); got != "BP+LSD" {
 		t.Errorf("LSD name %q", got)
-	}
-	if got := NewBPGD(model, 0, 0).Name(); got != "BPGD" {
-		t.Errorf("BPGD name %q", got)
 	}
 }
 

@@ -50,11 +50,9 @@ func Fig12(cfg Config, ws *Workspace) error {
 			Workers: cfg.Workers, Seed: cfg.Seed, Tracer: cfg.Tracer,
 		}
 		rV := sim.RunMemory(st, func() core.Decoder {
-			return core.NewVegapunkFrom(st, dcp, hier.Config{MaxIters: 3})
+			return core.NewVegapunkFrom(st, dcp, hier.Config{})
 		}, mc)
-		rN := sim.RunMemory(st, func() core.Decoder {
-			return core.NewGreedyNoDecouple(st, 3)
-		}, mc)
+		rN := sim.RunMemory(st, func() core.Decoder { return newGreedyNoDecouple(st) }, mc)
 		imp := "n/a"
 		if rV.LER > 0 {
 			imp = fmtX(rN.LER / rV.LER)
@@ -121,7 +119,7 @@ func Fig13(cfg Config, ws *Workspace) error {
 				Seed:    cfg.Seed + uint64(m),
 				Tracer:  cfg.Tracer,
 			})
-			wc := params.VegapunkLatency(dcp, m, 3)
+			wc := params.VegapunkLatency(dcp, m, hier.InnerIters)
 			avgOuter := int(r.MeanOuter + 0.999)
 			if avgOuter < 1 {
 				avgOuter = 1
@@ -148,10 +146,9 @@ func maxInt(a, b int) int {
 // to p.
 func Fig14a(cfg Config, ws *Workspace) error {
 	cfg.printf("== Figure 14a: serial CPU latency vs physical error rate (BB codes) ==\n")
-	cfg.printf("%10s %14s %14s %14s\n", "p", DecVegapunk, DecBPLSD, DecBPGD)
+	cfg.printf("%10s %24s %24s %24s\n", "p", DecVegapunk, DecBPLSD, DecBPGD)
 	for _, p := range PaperPs {
-		sums := map[string]float64{}
-		counts := 0
+		lats := map[string][]sim.LatencyResult{}
 		for _, b := range Benchmarks() {
 			if b.Family != "BB" {
 				continue
@@ -163,7 +160,6 @@ func Fig14a(cfg Config, ws *Workspace) error {
 			if c.N > cfg.maxN() {
 				continue
 			}
-			counts++
 			model, err := ws.Model(b, p)
 			if err != nil {
 				return err
@@ -173,16 +169,16 @@ func Fig14a(cfg Config, ws *Workspace) error {
 				if err != nil {
 					return err
 				}
-				lat := sim.MeasureLatency(model, f(), cfg.shots(60), cfg.Seed)
-				sums[dec] += float64(lat.Mean.Microseconds())
+				lats[dec] = append(lats[dec], sim.MeasureLatency(model, f(), cfg.shots(60), cfg.Seed))
 			}
 		}
-		if counts == 0 {
+		if len(lats) == 0 {
 			continue
 		}
-		cfg.printf("%10.1e %12.1fµs %12.1fµs %12.1fµs\n", p,
-			sums[DecVegapunk]/float64(counts), sums[DecBPLSD]/float64(counts), sums[DecBPGD]/float64(counts))
+		cfg.printf("%10.1e %24s %24s %24s\n", p, fmtLatency(poolLatency(lats[DecVegapunk])),
+			fmtLatency(poolLatency(lats[DecBPLSD])), fmtLatency(poolLatency(lats[DecBPGD])))
 	}
+	cfg.printf("(each cell: mean ±std (n) over every timed decode of the BB codes in budget, one uninterleaved run)\n")
 	cfg.printf("(paper: Vegapunk 147.6x faster than BP+LSD, 13.9x than BPGD, and flattest in p)\n\n")
 	return nil
 }

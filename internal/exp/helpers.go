@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"math"
+	"time"
 
 	"vegapunk/internal/core"
 	"vegapunk/internal/dem"
@@ -65,7 +67,7 @@ func (w *Workspace) factory(cfg Config, b Benchmark, model *dem.Model, name stri
 		return func() core.Decoder { return core.NewBPLSD(model) }, nil
 	case DecBPGD:
 		rounds, iters := cfg.bpgdBudget(model.NumMech())
-		return func() core.Decoder { return core.NewBPGD(model, rounds, iters) }, nil
+		return func() core.Decoder { return newBPGD(model, rounds, iters) }, nil
 	}
 	return nil, fmt.Errorf("exp: unknown decoder %q", name)
 }
@@ -155,6 +157,28 @@ func fmtFit(fit sim.ThresholdFit) string {
 
 func fmtLER(r sim.LERResult) string {
 	return fmt.Sprintf("%.2e (%d/%d)", r.PerRound, r.Failures, r.Shots)
+}
+
+// fmtLatency renders a wall-clock latency column as mean ±std (n).
+func fmtLatency(r sim.LatencyResult) string {
+	const unit = 100 * time.Nanosecond
+	return fmt.Sprintf("%v ±%v (%d)", r.Mean.Round(unit), r.Std.Round(unit), r.Shots)
+}
+
+// poolLatency merges nonempty latency summaries into one over all their
+// decodes. Only Shots, Mean and Std are kept.
+func poolLatency(rs []sim.LatencyResult) sim.LatencyResult {
+	var n, sum, sumSq float64
+	for _, r := range rs {
+		k, m, s := float64(r.Shots), float64(r.Mean), float64(r.Std)
+		n, sum, sumSq = n+k, sum+k*m, sumSq+k*(s*s+m*m)
+	}
+	mean := sum / n
+	return sim.LatencyResult{
+		Shots: int(n),
+		Mean:  time.Duration(mean),
+		Std:   time.Duration(math.Sqrt(max(sumSq/n-mean*mean, 0))),
+	}
 }
 
 func fmtPct(x float64) string { return fmt.Sprintf("%.3f%%", 100*x) }

@@ -2,8 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"time"
 
 	"vegapunk/internal/accel"
+	"vegapunk/internal/hier"
 	"vegapunk/internal/sim"
 )
 
@@ -92,7 +94,7 @@ func Fig3a(cfg Config, ws *Workspace) error {
 // the CPU) against the 1 µs real-time boundary.
 func Fig3b(cfg Config, ws *Workspace) error {
 	cfg.printf("== Figure 3b: motivation latency on BB codes (p = 0.1%%) ==\n")
-	cfg.printf("%-18s %14s %14s %16s\n", "code", "BP iters(mean)", "BP FPGA", "BP+OSD CPU")
+	cfg.printf("%-18s %14s %14s %26s\n", "code", "BP iters(mean)", "BP FPGA", "BP+OSD CPU ±std (n)")
 	params := accel.DefaultParams()
 	const p = 1e-3
 	for _, b := range Benchmarks() {
@@ -120,8 +122,8 @@ func Fig3b(cfg Config, ws *Workspace) error {
 			return err
 		}
 		lat := sim.MeasureLatency(model, f(), cfg.shots(60), cfg.Seed)
-		cfg.printf("%-18s %14.1f %14v %16v\n",
-			b.Name, rBP.MeanBPIters, params.BPLatency(rBP.MeanBPIters), lat.Mean)
+		cfg.printf("%-18s %14.1f %14v %26s\n",
+			b.Name, rBP.MeanBPIters, params.BPLatency(rBP.MeanBPIters), fmtLatency(lat))
 	}
 	cfg.printf("(paper: BP crosses 1µs beyond [[72,12,6]]; BP+OSD needs ~10^3µs even on the smallest code)\n\n")
 	return nil
@@ -152,12 +154,12 @@ func Table1(cfg Config, ws *Workspace) error {
 		if err != nil {
 			return err
 		}
-		rep := params.VegapunkLatency(dcp, 3, 3)
+		rep := params.WorstCase(dcp, hier.Config{})
 		rBP, err := ws.runLER(cfg, b, DecBP, 1e-3, 200)
 		if err != nil {
 			return err
 		}
-		bpCycles := int(rBP.MeanBPIters)*params.BPCyclesPerIter + params.BPFixedCycles
+		bpCycles := int(params.BPLatency(float64(int(rBP.MeanBPIters))) / (accel.ClockNS * time.Nanosecond))
 		cfg.printf("%-18s %8d %14d %14d\n", b.Name, dcp.N, rep.Cycles, bpCycles)
 	}
 	cfg.printf("\n")

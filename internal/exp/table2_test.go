@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
+	"time"
 
+	"vegapunk/internal/accel"
 	"vegapunk/internal/decouple"
+	"vegapunk/internal/hier"
 )
 
 // TestTable2Decouplings pins the offline artifact of every Table 2 code as
@@ -97,5 +101,70 @@ func checkArtifact(t *testing.T, name string, d *decouple.Decoupling, K, ND int,
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); d.K != K || d.ND != ND || got != sha {
 		t.Errorf("%s: K=%d n_D=%d sha256 %s, want K=%d n_D=%d sha256 %s", name, d.K, d.ND, got, K, ND, sha)
+	}
+}
+
+// TestTable2AcceleratorModelPinned pins every number the accelerator
+// models give for the 12 Table 2 decouplings, in Benchmarks() order: the
+// worst-case cycles (M = 3, three inner rounds), the cycles of a
+// two-round, one-inner-round decode, the FF and LUT estimates with their
+// U50 shares, and the GPU model's latency for the code's mechanism
+// count; and, code-independent, BP's latency at 100 iterations and the
+// U50's column capacity at column weight 3. The values were recorded
+// while the model's calibration was a struct of settable fields.
+func TestTable2AcceleratorModelPinned(t *testing.T) {
+	want := []string{
+		"BB [[72,12,6]]: wc 233 cyc, (2,1) 93 cyc, 13372 FFs 0.767025%, 63740 LUTs 7.312316%, GPU 72.32µs",
+		"BB [[90,8,10]]: wc 242 cyc, (2,1) 95 cyc, 14065 FFs 0.806775%, 76250 LUTs 8.747476%, GPU 73.4µs",
+		"BB [[108,8,10]]: wc 245 cyc, (2,1) 97 cyc, 14758 FFs 0.846526%, 88760 LUTs 10.182636%, GPU 74.48µs",
+		"BB [[144,12,12]]: wc 248 cyc, (2,1) 99 cyc, 16144 FFs 0.926028%, 113780 LUTs 13.052955%, GPU 76.64µs",
+		"BB [[288,12,18]]: wc 272 cyc, (2,1) 107 cyc, 21688 FFs 1.244035%, 213860 LUTs 24.534233%, GPU 85.28µs",
+		"BB [[784,24,24]]: wc 296 cyc, (2,1) 115 cyc, 40784 FFs 2.339391%, 558580 LUTs 64.080855%, GPU 115.04µs",
+		"HP [[162,2,4]]: wc 179 cyc, (2,1) 77 cyc, 12868 FFs 0.738115%, 41645 LUTs 4.777556%, GPU 70.916µs",
+		"HP [[338,2,4]]: wc 185 cyc, (2,1) 81 cyc, 15332 FFs 0.879451%, 72005 LUTs 8.260485%, GPU 74.084µs",
+		"HP [[288,12,6]]: wc 194 cyc, (2,1) 83 cyc, 14632 FFs 0.839299%, 69860 LUTs 8.014409%, GPU 73.184µs",
+		"HP [[744,20,6]]: wc 224 cyc, (2,1) 95 cyc, 21016 FFs 1.205488%, 175520 LUTs 20.135830%, GPU 81.392µs",
+		"HP [[882,48,8]]: wc 236 cyc, (2,1) 99 cyc, 22948 FFs 1.316309%, 245225 LUTs 28.132457%, GPU 83.876µs",
+		"HP [[1488,30,7]]: wc 227 cyc, (2,1) 97 cyc, 31432 FFs 1.802955%, 303860 LUTs 34.859123%, GPU 94.784µs",
+	}
+	params := accel.DefaultParams()
+	if got := params.BPLatency(100); got != 840*time.Nanosecond {
+		t.Errorf("BPLatency(100) = %v", got)
+	}
+	if got := params.MaxSupportedColumns(3); got != 4902 {
+		t.Errorf("MaxSupportedColumns(3) = %d", got)
+	}
+	bs := Benchmarks()
+	if len(bs) != len(want) {
+		t.Fatalf("%d benchmarks, %d pinned rows", len(bs), len(want))
+	}
+	ws := NewWorkspace()
+	for i, b := range bs {
+		d, err := ws.Decoupling(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := ws.Model(b, 5e-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := params.VegapunkUtilization(d)
+		got := fmt.Sprintf("%s: wc %d cyc, (2,1) %d cyc, %d FFs %.6f%%, %d LUTs %.6f%%, GPU %v", b.Name,
+			params.WorstCase(d, hier.Config{}).Cycles, params.VegapunkLatency(d, 2, 1).Cycles,
+			u.FFs, u.FFPct, u.LUTs, u.LUTPct, gpuLatency(model.NumMech()))
+		if got != want[i] {
+			t.Errorf("got  %s\nwant %s", got, want[i])
+		}
+	}
+}
+
+func TestGPULatencyBand(t *testing.T) {
+	small := gpuLatency(243)  // HP [[162,2,4]]
+	large := gpuLatency(3920) // BB [[784,24,24]]
+	if small < 60*time.Microsecond || small > 90*time.Microsecond {
+		t.Errorf("small-code GPU latency %v outside paper band", small)
+	}
+	if large < 100*time.Microsecond || large > 130*time.Microsecond {
+		t.Errorf("large-code GPU latency %v outside paper band", large)
 	}
 }

@@ -40,16 +40,19 @@ import (
 // Config tunes the online decoder.
 type Config struct {
 	// MaxIters is the paper's M: outer right-error guessing rounds
-	// (default 3, the paper's production setting).
+	// (DefaultMaxIters when ≤ 0).
 	MaxIters int
 }
+
+// DefaultMaxIters is the paper's production M.
+const DefaultMaxIters = 3
 
 // InnerIters caps GreedyGuess rounds per block.
 const InnerIters = 3
 
 func (c Config) withDefaults() Config {
 	if c.MaxIters <= 0 {
-		c.MaxIters = 3
+		c.MaxIters = DefaultMaxIters
 	}
 	return c
 }

@@ -3,7 +3,6 @@ package hier
 import (
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 
 	"vegapunk/internal/decouple"
 	"vegapunk/internal/gf2"
@@ -107,55 +106,6 @@ func TestDecodeNeverWorseThanTrivialProperty(t *testing.T) {
 		}
 		if tr.Weight > trivial+1e-9 {
 			t.Fatalf("trial %d: decoder weight %v worse than trivial %v", trial, tr.Weight, trivial)
-		}
-	}
-}
-
-// TestGreedyDecoderProperty: the no-decoupling greedy baseline never
-// increases the weighted objective below zero flips and respects the
-// flip budget.
-func TestGreedyDecoderProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 1))
-		m := 8 + int(seed%5)
-		D := randomFeasible(rng, m, 5)
-		h := gf2.CSCFromDense(D)
-		w := make([]float64, D.Cols())
-		for j := range w {
-			w[j] = 1 + rng.Float64()
-		}
-		g := NewGreedy(h, w, 2)
-		s := gf2.NewVec(m)
-		for i := 0; i < m; i++ {
-			if rng.IntN(2) == 0 {
-				s.Set(i, true)
-			}
-		}
-		e := g.Decode(s)
-		return e.Weight() <= 2 // budget respected
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestGreedySolvesUnitSyndromes: with identity columns available, the
-// greedy baseline resolves single-detector syndromes exactly.
-func TestGreedySolvesUnitSyndromes(t *testing.T) {
-	rng := rand.New(rand.NewPCG(105, 106))
-	D := randomFeasible(rng, 8, 10)
-	h := gf2.CSCFromDense(D)
-	w := make([]float64, D.Cols())
-	for j := range w {
-		w[j] = 1
-	}
-	g := NewGreedy(h, w, 0)
-	for i := 0; i < 8; i++ {
-		s := gf2.NewVec(8)
-		s.Set(i, true)
-		e := g.Decode(s)
-		if !D.MulVec(e).Equal(s) {
-			t.Fatalf("greedy failed unit syndrome %d", i)
 		}
 	}
 }

@@ -122,7 +122,6 @@ func TestPublicRunMemoryAndBaselines(t *testing.T) {
 		func() core.Decoder { return core.NewBP(model, 50) },
 		func() core.Decoder { return core.NewBPOSD(model, 50, 7) },
 		func() core.Decoder { return core.NewBPLSD(model) },
-		func() core.Decoder { return core.NewBPGD(model, 0, 0) },
 	} {
 		res := sim.RunMemory(model, mk, sim.MemoryConfig{Rounds: 2, Shots: 30, Seed: 5})
 		if res.Shots != 30 {
