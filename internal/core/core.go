@@ -72,46 +72,22 @@ const TierFull Tier = 0
 
 // ---- Vegapunk ----
 
-// Vegapunk is the paper's decoder: offline decoupling + online
-// hierarchical decoding.
-type Vegapunk struct {
-	name   string
-	dec    *decouple.Decoupling
-	online *hier.Decoder
+// NewVegapunkFrom builds the paper's decoder, the online hierarchical
+// algorithm over an offline decoupling artifact, on the adapter the
+// BP-family decoders share.
+func NewVegapunkFrom(model *dem.Model, dec *decouple.Decoupling, cfg hier.Config) Decoder {
+	online := hier.New(dec, model.LLRs(), cfg)
+	return &baseline{name: "Vegapunk", probe: online.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
+		e, tr := online.Decode(s)
+		return e, Stats{Hier: tr}
+	}}
 }
 
-// NewVegapunkFrom builds the online decoder from a pre-computed (stored)
-// decoupling artifact — the deployment flow: decouple offline, load
-// online.
-func NewVegapunkFrom(model *dem.Model, dec *decouple.Decoupling, cfg hier.Config) *Vegapunk {
-	return &Vegapunk{
-		name:   "Vegapunk",
-		dec:    dec,
-		online: hier.New(dec, model.LLRs(), cfg),
-	}
-}
+// ---- Adapter and BP-family baselines ----
 
-// Name implements Decoder.
-func (v *Vegapunk) Name() string { return v.name }
-
-// Probe exposes the online decoder's span-recording handle (obs.Probed).
-func (v *Vegapunk) Probe() *obs.Probe { return v.online.Probe() }
-
-// Decode implements Decoder.
-func (v *Vegapunk) Decode(s gf2.Vec) (gf2.Vec, Stats) {
-	e, tr := v.online.Decode(s)
-	return e, Stats{Hier: tr}
-}
-
-// Decoupling exposes the offline artifact (for the accelerator model and
-// Table 2/3 reporting).
-func (v *Vegapunk) Decoupling() *decouple.Decoupling { return v.dec }
-
-// ---- BP-family baselines ----
-
-// baseline adapts one BP-family decoder (BP, BP+OSD, BP+LSD) to
-// Decoder: a name, the inner BP decoder's probe and a decode that
-// translates the family's result into Stats.
+// baseline adapts one decoder (Vegapunk, BP, BP+OSD, BP+LSD) to
+// Decoder: a name, the inner decoder's probe and a decode that
+// translates its result into Stats.
 type baseline struct {
 	name   string
 	probe  *obs.Probe
@@ -120,7 +96,7 @@ type baseline struct {
 
 func (b *baseline) Name() string { return b.name }
 
-// Probe forwards the inner BP decoder's probe, so one activation traces
+// Probe forwards the inner decoder's probe, so one activation traces
 // the whole chain (obs.Probed).
 func (b *baseline) Probe() *obs.Probe { return b.probe }
 

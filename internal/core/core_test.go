@@ -22,7 +22,7 @@ func bb72Model(t *testing.T) *dem.Model {
 
 // buildVegapunk runs the offline stage on the model's check matrix and
 // readies the online decoder from the artifact.
-func buildVegapunk(t *testing.T, model *dem.Model, dopts decouple.Options, cfg hier.Config) *Vegapunk {
+func buildVegapunk(t *testing.T, model *dem.Model, dopts decouple.Options, cfg hier.Config) Decoder {
 	t.Helper()
 	dcp, err := decouple.Decouple(model.CheckMatrix(), dopts)
 	if err != nil {
@@ -68,6 +68,9 @@ func TestDecoderNames(t *testing.T) {
 	if got := NewBPLSD(model).Name(); got != "BP+LSD" {
 		t.Errorf("LSD name %q", got)
 	}
+	if got := buildVegapunk(t, model, decouple.Options{Seed: 1}, hier.Config{}).Name(); got != "Vegapunk" {
+		t.Errorf("Vegapunk name %q", got)
+	}
 }
 
 func TestVegapunkStatsPopulated(t *testing.T) {
@@ -88,9 +91,6 @@ func TestVegapunkStatsPopulated(t *testing.T) {
 	}
 	if !sawOuter {
 		t.Error("trace never populated")
-	}
-	if veg.Decoupling() == nil {
-		t.Error("Decoupling accessor nil")
 	}
 }
 

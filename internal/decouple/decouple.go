@@ -157,11 +157,6 @@ func (d *Decoupling) Validate(D *gf2.Dense) error {
 	return nil
 }
 
-// TransformSyndrome returns s' = T·s.
-func (d *Decoupling) TransformSyndrome(s gf2.Vec) gf2.Vec {
-	return d.T.MulVec(s)
-}
-
 // TransformSyndromeInto computes s' = T·s into out without allocating.
 func (d *Decoupling) TransformSyndromeInto(out, s gf2.Vec) {
 	d.T.MulVecInto(out, s)

@@ -111,7 +111,7 @@ func TestDecoupleRoundTripsSyndrome(t *testing.T) {
 		}
 	}
 	lhs := dPrime.MulVec(ePrime)
-	rhs := dec.TransformSyndrome(s)
+	rhs := dec.T.MulVec(s)
 	if !lhs.Equal(rhs) {
 		t.Error("D'·e' != T·s — factorization broken")
 	}

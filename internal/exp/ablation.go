@@ -124,19 +124,12 @@ func Fig13(cfg Config, ws *Workspace) error {
 			if avgOuter < 1 {
 				avgOuter = 1
 			}
-			avg := params.VegapunkLatency(dcp, avgOuter, maxInt(r.MaxInnerIters, 1))
+			avg := params.VegapunkLatency(dcp, avgOuter, max(r.MaxInnerIters, 1))
 			cfg.printf("%3d %16v %16v %-22s\n", m, wc.Latency, avg.Latency, fmtLER(r))
 		}
 	}
 	cfg.printf("\n(paper: latency grows linearly in M, flattening past M=5 by early stop;\n threshold gains collapse after M=3 — hence the production setting M=3)\n\n")
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig14a reproduces the baseline-latency comparison: serial CPU decode

@@ -14,9 +14,10 @@ const greedyFlips = hier.DefaultMaxIters
 // greedyDecoder is the "Vegapunk without decoupling" ablation baseline
 // (paper Figure 12): the same greedy weighted search run directly on the
 // original check matrix, with no block structure to restrict the search
-// space. Each round flips the single mechanism that most reduces the
-// weighted objective (residual syndrome weight plus error weight), until
-// the syndrome is consumed or greedyFlips flips are spent.
+// space. Each round flips the unflipped mechanism that shrinks the
+// residual syndrome the most, the lighter (more likely) one on a tie and
+// then the lower index, until the syndrome is consumed, no flip shrinks
+// it, or greedyFlips flips are spent.
 //
 // It keeps Algorithm 1's constraint semantics: when the residual
 // syndrome is not fully explained within the budget, the decode is
@@ -27,10 +28,6 @@ const greedyFlips = hier.DefaultMaxIters
 type greedyDecoder struct {
 	h *gf2.CSC
 	w []float64
-	// penalty weights unexplained syndrome bits in the objective; it
-	// exceeds every column weight, so the search prioritizes syndrome
-	// consumption.
-	penalty float64
 
 	// decode scratch, owned until the next Decode call.
 	e, resid gf2.Vec
@@ -39,17 +36,12 @@ type greedyDecoder struct {
 // newGreedyNoDecouple builds the ablation baseline on the model's
 // undecoupled check matrix.
 func newGreedyNoDecouple(model *dem.Model) *greedyDecoder {
-	h, weights := model.Mech, model.LLRs()
-	maxW := 0.0
-	for _, w := range weights {
-		maxW = max(maxW, w)
-	}
+	h := model.Mech
 	return &greedyDecoder{
-		h:       h,
-		w:       weights,
-		penalty: 2*maxW + 1,
-		e:       gf2.NewVec(h.Cols()),
-		resid:   gf2.NewVec(h.Rows()),
+		h:     h,
+		w:     model.LLRs(),
+		e:     gf2.NewVec(h.Cols()),
+		resid: gf2.NewVec(h.Rows()),
 	}
 }
 
@@ -57,7 +49,7 @@ func newGreedyNoDecouple(model *dem.Model) *greedyDecoder {
 func (d *greedyDecoder) Name() string { return "Vegapunk-NoDecouple" }
 
 // Decode greedily explains the syndrome, or returns the zero correction
-// when the flip budget runs out first (exactly the weakness decoupling
+// when the search stops short of it (exactly the weakness decoupling
 // fixes). The returned vector is owned by the decoder and valid until
 // the next Decode call.
 func (d *greedyDecoder) Decode(syndrome gf2.Vec) (gf2.Vec, core.Stats) {
@@ -65,26 +57,25 @@ func (d *greedyDecoder) Decode(syndrome gf2.Vec) (gf2.Vec, core.Stats) {
 	e.Zero()
 	resid.CopyFrom(syndrome)
 	for flip := 0; flip < greedyFlips && !resid.IsZero(); flip++ {
-		best := -1
-		bestDelta := 0.0
+		best, bestDelta := -1, 0
 		for j := 0; j < d.h.Cols(); j++ {
 			if e.Get(j) {
 				continue
 			}
-			// Δobjective = w_j + penalty · (Δ residual weight).
-			delta := d.w[j]
+			// Δ residual weight of flipping column j.
+			delta := 0
 			for _, r := range d.h.ColSpan(j) {
 				if resid.Get(int(r)) {
-					delta -= d.penalty
+					delta--
 				} else {
-					delta += d.penalty
+					delta++
 				}
 			}
-			if best < 0 || delta < bestDelta {
+			if delta < bestDelta || delta == bestDelta && best >= 0 && d.w[j] < d.w[best] {
 				best, bestDelta = j, delta
 			}
 		}
-		if best < 0 || bestDelta >= 0 {
+		if best < 0 {
 			break
 		}
 		e.Set(best, true)

@@ -83,23 +83,23 @@ func TestGreedySolvesUnitSyndromes(t *testing.T) {
 	}
 }
 
-// TestGreedyPenaltyBoundary pins the objective's residual penalty,
-// 2·maxW + 1, where it decides: against a mechanism believed flipped.
-// Columns e₀ (weight 1) and e₁ (weight −x) and the syndrome e₀: e₀
-// explains it at 1 − P, while e₁ leaves two bits unexplained at −x + P,
-// and once e₁ is taken e₀ alone cannot clear row 1. With P = 3 the
-// search answers e₀ for x < 2P − 1 = 5 and the zero correction above.
-func TestGreedyPenaltyBoundary(t *testing.T) {
-	h := gf2.CSCFromDense(gf2.Eye(2))
+// TestGreedyTieGoesToLighterColumn pins the search's two keys. Columns
+// e₀ and e₁ both clear the syndrome {0, 1}, and e₂ = {0} and e₃ = {1}
+// each clear one bit at a tenth of either weight: the larger shrink wins
+// over the lighter weight, the lighter of e₀ and e₁ wins whatever its
+// index, and equal weights go to the lower index.
+func TestGreedyTieGoesToLighterColumn(t *testing.T) {
+	h := gf2.CSCFromSupports(2, [][]int{{0, 1}, {0, 1}, {0}, {1}})
 	s := gf2.NewVec(2)
 	s.Set(0, true)
+	s.Set(1, true)
 	for _, tc := range []struct {
-		x    float64
-		want bool // e₀ answered
-	}{{4.9, true}, {5.1, false}} {
-		e, _ := newGreedy(h, []float64{1, -tc.x}).Decode(s)
-		if got := e.Get(0) && e.Weight() == 1; got != tc.want {
-			t.Errorf("x = %v: correction %v, want e₀ %v", tc.x, e.Ones(), tc.want)
+		w0, w1 float64
+		want   int
+	}{{2, 1, 1}, {1, 2, 0}, {1, 1, 0}} {
+		e, _ := newGreedy(h, []float64{tc.w0, tc.w1, 0.1, 0.1}).Decode(s)
+		if !e.Get(tc.want) || e.Weight() != 1 {
+			t.Errorf("weights %v, %v: correction %v, want [%d]", tc.w0, tc.w1, e.Ones(), tc.want)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func BenchmarkGreedyGuess(b *testing.B) {
 	model, dec, syns := benchFixture(b, 0)
 	d := New(dec, model.LLRs(), Config{})
 	sl := make([]uint64, d.fW)
-	d.sliceInto(sl, dec.TransformSyndrome(syns[0]), 0)
+	d.sliceInto(sl, dec.T.MulVec(syns[0]), 0)
 	sol := newBlockSols(d, 1)[0]
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -98,7 +98,7 @@ func refHierDecode(dec *decouple.Decoupling, originalWeights []float64, cfg Conf
 	w := dec.PermuteWeights(originalWeights)
 	wa := w[dec.K*dec.ND:]
 
-	sPrime := dec.TransformSyndrome(syndrome)
+	sPrime := dec.T.MulVec(syndrome)
 	rBest := gf2.NewVec(dec.NA)
 	slBase := sPrime.Clone()
 

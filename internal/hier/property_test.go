@@ -97,7 +97,7 @@ func TestDecodeNeverWorseThanTrivialProperty(t *testing.T) {
 		_, tr := d.Decode(s)
 		// Trivial solution: explain s' = T·s entirely with the identity
 		// columns of the blocks.
-		sp := dec.TransformSyndrome(s)
+		sp := dec.T.MulVec(s)
 		wp := dec.PermuteWeights(w)
 		trivial := 0.0
 		for _, r := range sp.Ones() {

@@ -87,34 +87,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
 
-// Quantile returns an upper-bound estimate of the q-quantile (the
-// boundary of the bucket containing it; +Inf bucket reports the largest
-// finite bound). Good enough for logs and tests, not for billing.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			break
-		}
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // DecodeMetrics is the per-decoder telemetry set promoted out of
 // core.Stats: one instance aggregates every decode of one registered
 // model. All methods are safe for concurrent use.

@@ -36,9 +36,6 @@ func NewRing(capSpans int) *Ring {
 	return &Ring{slots: make([]slot, capSpans)}
 }
 
-// Cap is the fixed span capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Record appends one span, overwriting the oldest when full. Never
 // blocks, never allocates. Must only be called from the ring's owning
 // goroutine.
@@ -240,9 +237,6 @@ func (p *Probe) Deactivate() {
 	p.active = false
 	p.ring = nil
 }
-
-// Active reports whether a sampled decode is in flight.
-func (p *Probe) Active() bool { return p.active }
 
 // Tick returns the clock if the probe is active and 0 otherwise. Hot
 // loops open their first span edge with this so an untraced decode

@@ -25,19 +25,19 @@ func TestRingRecordAndSnapshot(t *testing.T) {
 
 // TestRingDropOldest fills the ring far past capacity: Record must keep
 // accepting (drop-oldest, never block) and Snapshot must return exactly
-// the newest Cap() spans in order.
+// the newest spans, one per slot, in order.
 func TestRingDropOldest(t *testing.T) {
 	r := NewRing(16)
-	n := 5 * r.Cap()
+	n := 5 * len(r.slots)
 	for i := 0; i < n; i++ {
 		r.Record(StageDecode, 0, uint32(i), int64(i), int64(i)+1)
 	}
 	spans := r.Snapshot(nil)
-	if len(spans) != r.Cap() {
-		t.Fatalf("got %d spans, want %d", len(spans), r.Cap())
+	if len(spans) != len(r.slots) {
+		t.Fatalf("got %d spans, want %d", len(spans), len(r.slots))
 	}
 	for j, s := range spans {
-		want := uint32(n - r.Cap() + j)
+		want := uint32(n - len(r.slots) + j)
 		if s.ID != want {
 			t.Fatalf("span %d has id %d, want %d (oldest must be dropped)", j, s.ID, want)
 		}
@@ -47,7 +47,7 @@ func TestRingDropOldest(t *testing.T) {
 func TestRingRecordDoesNotAllocate(t *testing.T) {
 	r := NewRing(16)
 	// Saturate first so every Record overwrites (the worst case).
-	for i := 0; i < 2*r.Cap(); i++ {
+	for i := 0; i < 2*len(r.slots); i++ {
 		r.Record(StageBPIter, 1, uint32(i), int64(i), int64(i)+1)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -130,7 +130,7 @@ func TestProbeOf(t *testing.T) {
 	// The shared disabled probe ignores Activate (it is shared across
 	// goroutines, so arming it would race).
 	p.Activate(NewRing(16), 1)
-	if p.Active() {
+	if p.active {
 		t.Error("disabled probe must stay inactive")
 	}
 	if p.Tick() != 0 {

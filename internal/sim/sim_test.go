@@ -183,7 +183,7 @@ func TestFitThresholdExact(t *testing.T) {
 	if math.Abs(fit.Pt-pt) > 1e-9 || math.Abs(fit.K-k) > 1e-9 {
 		t.Errorf("fit pt=%v k=%v, want %v %v", fit.Pt, fit.K, pt, k)
 	}
-	if !fit.EffectiveBelowThreshold() {
+	if fit.K <= 1 {
 		t.Error("k=3 should be effective")
 	}
 	if fit.PtErr > 1e-6 {

@@ -79,7 +79,3 @@ func FitThreshold(ps, pLs []float64) (ThresholdFit, error) {
 	}
 	return fit, nil
 }
-
-// EffectiveBelowThreshold reports whether the fit indicates working error
-// correction: p_L < p for p below Pt requires a slope k > 1.
-func (f ThresholdFit) EffectiveBelowThreshold() bool { return f.K > 1 }

@@ -68,8 +68,5 @@ func (g *Graph) CheckEdges(c int) []int32 {
 	return g.checkEdges[g.checkOff[c]:g.checkOff[c+1]]
 }
 
-// CheckDegree returns the degree of check c.
-func (g *Graph) CheckDegree(c int) int { return int(g.checkOff[c+1] - g.checkOff[c]) }
-
 // VarDegree returns the degree of variable v.
 func (g *Graph) VarDegree(v int) int { return int(g.varOff[v+1] - g.varOff[v]) }

@@ -18,7 +18,7 @@ func TestGraphStructure(t *testing.T) {
 	if g.NumEdges() != 4 {
 		t.Fatalf("edges %d, want 4", g.NumEdges())
 	}
-	if g.CheckDegree(0) != 2 || g.CheckDegree(1) != 2 {
+	if len(g.CheckEdges(0)) != 2 || len(g.CheckEdges(1)) != 2 {
 		t.Error("check degrees wrong")
 	}
 	if g.VarDegree(0) != 1 || g.VarDegree(1) != 2 || g.VarDegree(2) != 1 {

@@ -38,9 +38,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, readerBufSize)}
 }
 
-// Broken returns the terminal stream error if the Reader is poisoned.
-func (r *Reader) Broken() error { return r.broken }
-
 // ReadFrame blocks for the next frame and returns its header and
 // payload view.
 func (r *Reader) ReadFrame() (Header, []byte, error) {

@@ -36,8 +36,8 @@ func TestReaderHeaderDeadlineRetry(t *testing.T) {
 	} else if nerr := net.Error(nil); !errors.As(err, &nerr) || !nerr.Timeout() {
 		t.Fatalf("mid-header error = %v, want timeout", err)
 	}
-	if r.Broken() != nil {
-		t.Fatalf("mid-header timeout poisoned the stream: %v", r.Broken())
+	if r.broken != nil {
+		t.Fatalf("mid-header timeout poisoned the stream: %v", r.broken)
 	}
 
 	go func() { _, _ = a.Write(frame[10:]) }()
@@ -67,7 +67,7 @@ func TestReaderPartialPayloadPoisons(t *testing.T) {
 	if _, _, err := r.ReadFrame(); err == nil {
 		t.Fatal("ReadFrame succeeded on a truncated payload")
 	}
-	if r.Broken() == nil {
+	if r.broken == nil {
 		t.Fatal("mid-payload timeout did not poison the stream")
 	}
 
@@ -96,7 +96,7 @@ func TestReaderBadHeaderPoisons(t *testing.T) {
 	if _, _, err := r.ReadFrame(); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("error = %v, want ErrBadMagic", err)
 	}
-	if r.Broken() == nil {
+	if r.broken == nil {
 		t.Fatal("reader did not poison on bad magic")
 	}
 	if _, _, err := r.ReadFrame(); !errors.Is(err, ErrBadMagic) {
@@ -204,8 +204,8 @@ func TestRedialerBackoff(t *testing.T) {
 	if _, err := d.Dial(); err == nil {
 		t.Fatal("dial to port 1 succeeded")
 	}
-	if d.Fails() != 1 {
-		t.Fatalf("fails after failed dial = %d, want 1", d.Fails())
+	if d.fails != 1 {
+		t.Fatalf("fails after failed dial = %d, want 1", d.fails)
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -227,8 +227,8 @@ func TestRedialerBackoff(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	if d.Fails() != 0 {
-		t.Fatalf("fails after success = %d, want 0", d.Fails())
+	if d.fails != 0 {
+		t.Fatalf("fails after success = %d, want 0", d.fails)
 	}
 }
 

@@ -52,9 +52,6 @@ func (d *Redialer) Backoff() time.Duration {
 	return time.Duration(float64(b) * j)
 }
 
-// Fails returns consecutive failed attempts since the last success.
-func (d *Redialer) Fails() int { return d.fails }
-
 // Dial sleeps the current jittered backoff (none on the first attempt
 // or right after a success) and then dials. On success the backoff
 // resets.

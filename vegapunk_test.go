@@ -6,7 +6,6 @@
 package vegapunk_test
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -26,7 +25,7 @@ import (
 
 // NewVegapunk runs the offline stage on the model's check matrix and
 // builds the online decoder from the artifact.
-func NewVegapunk(model *dem.Model, cfg hier.Config) (*core.Vegapunk, error) {
+func NewVegapunk(model *dem.Model, cfg hier.Config) (core.Decoder, error) {
 	art, err := decouple.Decouple(model.CheckMatrix(), decouple.Options{})
 	if err != nil {
 		return nil, err
@@ -80,35 +79,6 @@ func TestPublicCustomHP(t *testing.T) {
 	}
 	if c.N != 50 || c.K != 2 {
 		t.Errorf("custom HP = [[%d,%d]], want [[50,2]]", c.N, c.K)
-	}
-}
-
-func TestPublicSaveLoadDecoupling(t *testing.T) {
-	c, err := code.NewHPByIndex(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := dem.Phenomenological(c, 0.002, 0.002)
-	art, err := decouple.Decouple(model.CheckMatrix(), decouple.Options{HintKs: []int{9}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := art.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := decouple.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(model.CheckMatrix()); err != nil {
-		t.Fatal(err)
-	}
-	dec := core.NewVegapunkFrom(model, back, hier.Config{})
-	s := model.Syndrome(model.Sample(rand.New(rand.NewPCG(3, 4))))
-	est, _ := dec.Decode(s)
-	if !model.CheckMatrix().MulVec(est).Equal(s) {
-		t.Fatal("decoder from loaded artifact violated syndrome")
 	}
 }
 
