@@ -94,9 +94,6 @@ func run() int {
 	}
 
 	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: *traceSample})
-	if *traceSample == 0 {
-		tracer.SetEnabled(false)
-	}
 	var slowLog *obs.SlowLog
 	switch *slowLogPath {
 	case "":

@@ -264,7 +264,7 @@ func (f *feConn) armTrace(ln *feLane) {
 		wire.PutTraceContext(ln.syn, tc)
 	}
 	ln.traceID = tc.TraceID
-	ln.sampled = tc.Sampled && f.rt.tracer.Enabled()
+	ln.sampled = tc.Sampled
 }
 
 // forward sends every undone lane to rep and reads exactly one response

@@ -61,7 +61,7 @@ var replicaFamilies = []obs.Family[*replica]{
 }
 
 // writeMetrics renders the router's exposition (Prometheus text
-// format, obs.LintExposition-clean).
+// format; obs.CheckFamilies lints both tables).
 func (r *Router) writeMetrics(w io.Writer) {
 	obs.WriteFamilies(w, routerFamilies, []*Router{r}, nil)
 	labels := make([]string, len(r.replicas))

@@ -16,16 +16,14 @@ import (
 // Chrome trace_event document. The router is pid 1; replica i is pid
 // i+2. Replica timestamps are in the replica's own obs clock, so each
 // replica's events are realigned into the router's clock before the
-// merge:
-//
-//   - preferred: the wire-derived offset estimate (replica.clockOffset,
-//     the running max of reported-server-tick minus router-receive-tick
-//     across relayed responses). Each observation undershoots the true
-//     offset by that response's one-way delay, so realigned replica
-//     spans shift slightly late — strictly inside the router span that
-//     forwarded them, never spuriously before it.
-//   - fallback, before any timed response was relayed: the trace dump's
-//     TickUs stamp against the midpoint of the fetch round trip.
+// merge by the wire-derived offset estimate (replica.clockOffset, the
+// running max of reported-server-tick minus router-receive-tick across
+// relayed responses). Each observation undershoots the true offset by
+// that response's one-way delay, so realigned replica spans shift
+// slightly late — strictly inside the router span that forwarded them,
+// never spuriously before it. A replica the router has relayed no timed
+// result from has no offset yet: it is not fetched, and like an
+// unreachable one it shows as a named gap in the process list.
 //
 // A trace id travels with every forwarded request, so one sampled
 // request shows up as a router forward span (pid 1) containing the
@@ -47,16 +45,19 @@ func (r *Router) clusterTrace(w http.ResponseWriter, req *http.Request) {
 		if rep.traceURL == "" {
 			continue
 		}
-		revs, err := r.fetchReplicaTrace(req, rep, n)
-		if err != nil {
-			// An unreachable replica must not sink the whole merge; name
-			// the gap so the viewer shows which process is missing.
-			events = append(events, obs.ProcessNameEvent(rep.idx+2,
-				fmt.Sprintf("replica %s (trace unavailable)", rep.addr)))
-			continue
+		// A replica that cannot be aligned or reached must not sink the
+		// whole merge; name the gap so the viewer shows which process
+		// is missing.
+		name := "replica " + rep.addr
+		var revs []obs.TraceEvent
+		if !rep.offsetKnown.Load() {
+			name += " (clock offset unknown)"
+		} else if evs, err := r.fetchReplicaTrace(req, rep, n); err != nil {
+			name += " (trace unavailable)"
+		} else {
+			revs = evs
 		}
-		events = append(events, obs.ProcessNameEvent(rep.idx+2,
-			fmt.Sprintf("replica %s", rep.addr)))
+		events = append(events, obs.ProcessNameEvent(rep.idx+2, name))
 		events = append(events, revs...)
 	}
 	obs.SortTraceEvents(events)
@@ -76,9 +77,7 @@ func (r *Router) fetchReplicaTrace(req *http.Request, rep *replica, n int) ([]ob
 		return nil, err
 	}
 	client := &http.Client{Timeout: traceFetchTimeout}
-	t0 := obs.Tick()
 	resp, err := client.Do(hreq)
-	t1 := obs.Tick()
 	if err != nil {
 		return nil, err
 	}
@@ -91,17 +90,8 @@ func (r *Router) fetchReplicaTrace(req *http.Request, rep *replica, n int) ([]ob
 		return nil, err
 	}
 
-	// Offset = replicaClock − routerClock, in ns. Prefer the wire-derived
-	// estimate; fall back to the dump's TickUs stamp against the fetch
-	// midpoint (the stamp was taken somewhere inside [t0, t1], so the
-	// midpoint bounds the error by half the round trip).
-	var offNs int64
-	if rep.offsetKnown.Load() {
-		offNs = rep.clockOffset.Load()
-	} else if doc.TickUs > 0 {
-		offNs = int64(doc.TickUs*1e3) - (t0+t1)/2
-	}
-	offUs := float64(offNs) / 1e3
+	// clockOffset is replicaClock − routerClock, in ns.
+	offUs := float64(rep.clockOffset.Load()) / 1e3
 	out := make([]obs.TraceEvent, 0, len(doc.TraceEvents))
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "M" {

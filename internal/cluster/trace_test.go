@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -323,5 +325,84 @@ func TestClusterTraceZeroClientID(t *testing.T) {
 	}
 	if forwards != n {
 		t.Fatalf("%d router forward spans for %d sampled requests", forwards, n)
+	}
+}
+
+// TestClusterTraceSkipsUnalignedReplica: a replica the router has
+// relayed no timed result from has no clock offset to align its spans
+// by, so the merged trace names it as a gap, carries none of its events
+// and never requests its trace URL. Once a timed result has been
+// relayed, the replica is fetched and merged.
+func TestClusterTraceSkipsUnalignedReplica(t *testing.T) {
+	tracer := obs.NewTracer(obs.TracerConfig{SampleEvery: 1})
+	cfg := replicaConfig()
+	cfg.Tracer = tracer
+	_, addr := startReplica(t, cfg, nil)
+	var fetches atomic.Int64
+	mux := obs.DebugMux(tracer)
+	dbg := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetches.Add(1)
+		mux.ServeHTTP(w, r)
+	}))
+	t.Cleanup(dbg.Close)
+	rt, raddr := startRouter(t, Config{
+		Replicas:         []string{addr},
+		TraceURLs:        []string{dbg.URL},
+		TraceSampleEvery: 1,
+		ProbeInterval:    time.Hour,
+	})
+
+	// merged fetches the merged trace and returns the replica's process
+	// name and its span count.
+	merged := func() (name string, spans int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/clustertrace", nil))
+		var doc obs.TraceDoc
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("merged trace: %v", err)
+		}
+		for _, ev := range doc.TraceEvents {
+			switch {
+			case ev.PID != 2:
+			case ev.Ph == "M":
+				name = ev.Args.Label
+			default:
+				spans++
+			}
+		}
+		return name, spans
+	}
+
+	name, spans := merged()
+	if want := "replica " + addr + " (clock offset unknown)"; name != want {
+		t.Errorf("replica with no relayed result named %q, want %q", name, want)
+	}
+	if spans != 0 || fetches.Load() != 0 {
+		t.Errorf("replica with no relayed result: %d spans merged, %d trace fetches; want 0 and 0", spans, fetches.Load())
+	}
+
+	model, _ := clusterModel(t)
+	c, err := wire.Dial(raddr, time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	info, err := c.Hello(testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res wire.Result
+	wire.SizeResult(&res, info.NumMech, info.NumObs)
+	if _, err := c.Decode(info.ID, 1, sampleSyndromes(model, 1, 61)[0], &res); err != nil || res.Status != wire.StatusOK {
+		t.Fatalf("decode: status %s, %v", res.Status, err)
+	}
+
+	name, spans = merged()
+	if want := "replica " + addr; name != want {
+		t.Errorf("aligned replica named %q, want %q", name, want)
+	}
+	if spans == 0 || fetches.Load() != 1 {
+		t.Errorf("aligned replica: %d spans merged, %d trace fetches; want some and 1", spans, fetches.Load())
 	}
 }

@@ -83,9 +83,6 @@ func TestDecodeFamiliesLintClean(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if problems := LintExposition(strings.NewReader(out)); len(problems) > 0 {
-		t.Errorf("lint violations: %v", problems)
-	}
 	if problems := CheckFamilies(DecodeFamilies); len(problems) > 0 {
 		t.Errorf("DecodeFamilies: %v", problems)
 	}
@@ -95,27 +92,25 @@ func TestDecodeFamiliesLintClean(t *testing.T) {
 type famInst struct {
 	c uint64
 	g int64
-	f float64
 	h *Histogram
 }
 
 var famTable = []Family[*famInst]{
 	{Name: "x_total", Help: "A counter.", Counter: func(in *famInst) uint64 { return in.c }},
 	{Name: "x_depth", Help: "A gauge.", Gauge: func(in *famInst) int64 { return in.g }},
-	{Name: "x_level", Help: "A float gauge.", Float: func(in *famInst) float64 { return in.f }},
 	{Name: "x_seconds", Help: "A histogram.", Hist: func(in *famInst) *Histogram { return in.h }},
 }
 
 // TestWriteFamilies pins the renderer byte for byte: HELP/TYPE once per
 // family with the TYPE fixed by the reader kind, then one sample set
 // per instance, unlabelled or labelled; integers in full decimal,
-// floats and histogram bounds and sums in %g.
+// histogram bounds and sums in %g.
 func TestWriteFamilies(t *testing.T) {
-	a := &famInst{c: 1<<64 - 1, g: -3, f: 1e-7, h: NewHistogram(0.5, 2)}
+	a := &famInst{c: 1<<64 - 1, g: -3, h: NewHistogram(0.5, 2)}
 	for _, v := range []float64{0.25, 1, 7} {
 		a.h.Observe(v)
 	}
-	b := &famInst{g: 42, f: 100, h: NewHistogram(0.5, 2)}
+	b := &famInst{g: 42, h: NewHistogram(0.5, 2)}
 
 	var buf bytes.Buffer
 	WriteFamilies(&buf, famTable, []*famInst{a}, nil)
@@ -125,9 +120,6 @@ x_total 18446744073709551615
 # HELP x_depth A gauge.
 # TYPE x_depth gauge
 x_depth -3
-# HELP x_level A float gauge.
-# TYPE x_level gauge
-x_level 1e-07
 # HELP x_seconds A histogram.
 # TYPE x_seconds histogram
 x_seconds_bucket{le="0.5"} 1
@@ -150,10 +142,6 @@ x_total{k="b"} 0
 # TYPE x_depth gauge
 x_depth{k="a"} -3
 x_depth{k="b"} 42
-# HELP x_level A float gauge.
-# TYPE x_level gauge
-x_level{k="a"} 1e-07
-x_level{k="b"} 100
 # HELP x_seconds A histogram.
 # TYPE x_seconds histogram
 x_seconds_bucket{k="a",le="0.5"} 1
@@ -178,8 +166,22 @@ x_seconds_count{k="b"} 0
 	if !strings.HasSuffix(got, hist.String()) {
 		t.Errorf("histogram samples differ from writeProm:\n%s", hist.String())
 	}
-	if problems := LintExposition(strings.NewReader(got)); len(problems) > 0 {
-		t.Errorf("lint violations: %v", problems)
+}
+
+// editedFams returns famTable with entry i changed by edit.
+func editedFams(i int, edit func(*Family[*famInst])) []Family[*famInst] {
+	fams := append([]Family[*famInst](nil), famTable...)
+	edit(&fams[i])
+	return fams
+}
+
+// checkOne fails t unless CheckFamilies reports exactly one problem for
+// fams and it contains want.
+func checkOne(t *testing.T, name string, fams []Family[*famInst], want string) {
+	t.Helper()
+	problems := CheckFamilies(fams)
+	if len(problems) != 1 || !strings.Contains(problems[0], want) {
+		t.Errorf("%s: got %v, want one problem containing %q", name, problems, want)
 	}
 }
 
@@ -189,73 +191,30 @@ func TestCheckFamilies(t *testing.T) {
 	if problems := CheckFamilies(famTable); len(problems) > 0 {
 		t.Fatalf("well-formed table flagged: %v", problems)
 	}
-	bare := append([]Family[*famInst](nil), famTable...)
-	bare[1].Gauge = nil
-	two := append([]Family[*famInst](nil), famTable...)
-	two[0].Gauge = famTable[1].Gauge
-	dup := append(append([]Family[*famInst](nil), famTable...), famTable[2])
+	checkOne(t, "readerless", editedFams(1, func(f *Family[*famInst]) { f.Gauge = nil }), "x_depth: 0 readers")
+	checkOne(t, "two readers", editedFams(0, func(f *Family[*famInst]) { f.Gauge = famTable[1].Gauge }), "x_total: 2 readers")
+	checkOne(t, "duplicate", append(append([]Family[*famInst](nil), famTable...), famTable[2]), "x_seconds: family declared twice")
+}
+
+// TestLintExpositionCatchesViolations: the exposition lint runs on the
+// family table, so an empty HELP and each naming-convention violation
+// are reported by CheckFamilies before anything is rendered.
+func TestLintExpositionCatchesViolations(t *testing.T) {
+	rename := func(name string) func(*Family[*famInst]) {
+		return func(f *Family[*famInst]) { f.Name = name }
+	}
 	for _, tc := range []struct {
 		name string
 		fams []Family[*famInst]
 		want string
 	}{
-		{"readerless", bare, "x_depth: 0 readers"},
-		{"two readers", two, "x_total: 2 readers"},
-		{"duplicate", dup, "x_level: family declared twice"},
+		{"empty help", editedFams(1, func(f *Family[*famInst]) { f.Help = "" }), "x_depth: no HELP text"},
+		{"counter without _total", editedFams(0, rename("x")), "x: counter must end in _total"},
+		{"gauge with _total", editedFams(1, rename("x_depth_total")), "x_depth_total: gauge must not end in _total"},
+		{"reserved suffix", editedFams(1, rename("x_sum")), "x_sum: family name ends in reserved suffix _sum"},
+		{"bad character", editedFams(1, rename("x-y")), "x-y: invalid metric name character"},
+		{"duration without _seconds", editedFams(1, rename("x_latency")), "x_latency: duration-like metric must end in _seconds"},
 	} {
-		problems := CheckFamilies(tc.fams)
-		if len(problems) != 1 || !strings.Contains(problems[0], tc.want) {
-			t.Errorf("%s: got %v, want one problem containing %q", tc.name, problems, tc.want)
-		}
-	}
-}
-
-func TestLintExpositionCatchesViolations(t *testing.T) {
-	cases := []struct {
-		name string
-		in   string
-		want string
-	}{
-		{"missing help",
-			"# TYPE x_total counter\nx_total 1\n",
-			"without # HELP"},
-		{"missing type",
-			"# HELP x_total help text\nx_total 1\n",
-			"without # TYPE"},
-		{"counter without _total",
-			"# HELP x help\n# TYPE x counter\nx 1\n",
-			"counter must end in _total"},
-		{"gauge with _total",
-			"# HELP x_total help\n# TYPE x_total gauge\nx_total 1\n",
-			"must not end in _total"},
-		{"reserved suffix",
-			"# HELP x_sum help\n# TYPE x_sum gauge\nx_sum 1\n",
-			"reserved suffix"},
-		{"duration without seconds",
-			"# HELP x_latency help\n# TYPE x_latency gauge\nx_latency 1\n",
-			"must end in _seconds"},
-		{"bad character",
-			"# HELP x-y help\n# TYPE x-y gauge\nx-y 1\n",
-			"invalid metric name character"},
-		{"declared twice",
-			"# HELP x help\n# TYPE x gauge\nx 1\n# HELP x help\n# TYPE x gauge\nx 2\n",
-			"declared twice"},
-	}
-	for _, tc := range cases {
-		problems := LintExposition(strings.NewReader(tc.in))
-		found := false
-		for _, p := range problems {
-			if strings.Contains(p, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: lint missed the violation (got %v)", tc.name, problems)
-		}
-	}
-	clean := "# HELP ok_wait_seconds help\n# TYPE ok_wait_seconds histogram\n" +
-		"ok_wait_seconds_bucket{le=\"+Inf\"} 1\nok_wait_seconds_sum 0.5\nok_wait_seconds_count 1\n"
-	if problems := LintExposition(strings.NewReader(clean)); len(problems) > 0 {
-		t.Errorf("false positives on clean exposition: %v", problems)
+		checkOne(t, tc.name, tc.fams, tc.want)
 	}
 }

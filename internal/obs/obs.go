@@ -13,8 +13,8 @@
 //     Histogram.Observe, DecodeMetrics.Record and SlowLog.Offer each
 //     have an AllocsPerRun test that holds them to zero.
 //   - Rendering (the cold half) — WriteTrace, WriteFamilies,
-//     the slow-log JSON encoder goroutine, the debug HTTP mux — runs
-//     off the decode path and is free to allocate.
+//     the slow-log writer goroutine (encoding/json), the debug HTTP
+//     mux — runs off the decode path and is free to allocate.
 //
 // Timing uses a single package clock (Tick, nanoseconds since process
 // start, monotonic). Decoder hot loops call Probe.Tick/Probe.SpanSince,

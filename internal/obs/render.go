@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -14,13 +13,12 @@ import (
 // instance. The rendering path is cold and free to allocate.
 
 // Family is one metric family: its name, its HELP text and exactly one
-// reader, whose kind fixes the TYPE line (Counter → counter, Gauge and
-// Float → gauge, Hist → histogram).
+// reader, whose kind fixes the TYPE line (Counter → counter, Gauge →
+// gauge, Hist → histogram).
 type Family[T any] struct {
 	Name, Help string
 	Counter    func(T) uint64
 	Gauge      func(T) int64
-	Float      func(T) float64
 	Hist       func(T) *Histogram
 }
 
@@ -54,26 +52,25 @@ func WriteFamilies[T any](w io.Writer, fams []Family[T], insts []T, labels []str
 			if lbl != "" {
 				series += "{" + lbl + "}"
 			}
-			switch {
-			case f.Counter != nil:
+			if f.Counter != nil {
 				fmt.Fprintf(w, "%s %s\n", series, strconv.FormatUint(f.Counter(in), 10))
-			case f.Gauge != nil:
+			} else {
 				fmt.Fprintf(w, "%s %s\n", series, strconv.FormatInt(f.Gauge(in), 10))
-			default:
-				fmt.Fprintf(w, "%s %g\n", series, f.Float(in))
 			}
 		}
 	}
 }
 
 // CheckFamilies reports every entry of fams that does not set exactly
-// one reader or repeats an earlier entry's name.
+// one reader, has no HELP text, breaks the naming conventions (see
+// lintName) or repeats an earlier entry's name. It sees one table, so a
+// page rendering several must check for names repeated across them.
 func CheckFamilies[T any](fams []Family[T]) []string {
 	var problems []string
 	seen := map[string]bool{}
 	for _, f := range fams {
 		n := 0
-		for _, set := range []bool{f.Counter != nil, f.Gauge != nil, f.Float != nil, f.Hist != nil} {
+		for _, set := range []bool{f.Counter != nil, f.Gauge != nil, f.Hist != nil} {
 			if set {
 				n++
 			}
@@ -81,6 +78,10 @@ func CheckFamilies[T any](fams []Family[T]) []string {
 		if n != 1 {
 			problems = append(problems, fmt.Sprintf("%s: %d readers, want exactly 1", f.Name, n))
 		}
+		if f.Help == "" {
+			problems = append(problems, fmt.Sprintf("%s: no HELP text", f.Name))
+		}
+		problems = append(problems, lintName(f.Name, f.typ())...)
 		if seen[f.Name] {
 			problems = append(problems, fmt.Sprintf("%s: family declared twice", f.Name))
 		}
@@ -131,97 +132,14 @@ var DecodeFamilies = []Family[*DecodeMetrics]{
 		Hist: func(m *DecodeMetrics) *Histogram { return m.SyndromeWeight }},
 }
 
-// LintExposition audits a Prometheus text exposition for the repo's
-// naming conventions and returns one message per violation:
+// lintName applies the naming conventions to one family of type typ:
 //
-//   - every sample's family must have # HELP and # TYPE lines, and no
-//     family may be TYPEd twice;
+//   - names must match [a-zA-Z_:][a-zA-Z0-9_:]*;
 //   - counter families must end in _total, non-counters must not;
 //   - family names must not end in the reserved _bucket/_sum/_count
 //     suffixes (histogram internals are derived, never declared);
-//   - names must match [a-zA-Z_:][a-zA-Z0-9_:]*;
 //   - a family whose name mentions a duration must carry the _seconds
 //     unit suffix (before _total for counters).
-func LintExposition(r io.Reader) []string {
-	var problems []string
-	typeOf := map[string]string{}
-	helped := map[string]bool{}
-	sampled := map[string]bool{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			fields := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)
-			if len(fields) < 2 || fields[1] == "" {
-				problems = append(problems, fmt.Sprintf("HELP without text: %q", line))
-			}
-			if len(fields) > 0 {
-				helped[fields[0]] = true
-			}
-		case strings.HasPrefix(line, "# TYPE "):
-			fields := strings.Fields(strings.TrimPrefix(line, "# TYPE "))
-			if len(fields) != 2 {
-				problems = append(problems, fmt.Sprintf("malformed TYPE line: %q", line))
-				continue
-			}
-			if _, dup := typeOf[fields[0]]; dup {
-				problems = append(problems, fmt.Sprintf("%s: family declared twice", fields[0]))
-			}
-			typeOf[fields[0]] = fields[1]
-		case line == "" || strings.HasPrefix(line, "#"):
-		default:
-			name := line
-			if i := strings.IndexAny(name, "{ "); i >= 0 {
-				name = name[:i]
-			}
-			sampled[name] = true
-		}
-	}
-	// Resolve derived histogram/summary samples (_bucket/_sum/_count) to
-	// their declaring family — but only when that family was TYPEd as
-	// one; a standalone gauge named x_sum is a violation, not a
-	// histogram internal.
-	families := map[string]bool{}
-	for name := range sampled {
-		fam := name
-		if _, declared := typeOf[name]; !declared {
-			if base := familyOf(name); base != name {
-				if t := typeOf[base]; t == "histogram" || t == "summary" {
-					fam = base
-				}
-			}
-		}
-		families[fam] = true
-	}
-	for fam := range families {
-		typ, ok := typeOf[fam]
-		if !ok {
-			problems = append(problems, fmt.Sprintf("%s: sample without # TYPE", fam))
-			continue
-		}
-		if !helped[fam] {
-			problems = append(problems, fmt.Sprintf("%s: sample without # HELP", fam))
-		}
-		problems = append(problems, lintName(fam, typ)...)
-	}
-	return problems
-}
-
-// familyOf strips the derived histogram/summary sample suffixes so
-// name_bucket/_sum/_count resolve to their declaring family when that
-// family was TYPEd.
-func familyOf(name string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if strings.HasSuffix(name, suf) {
-			return strings.TrimSuffix(name, suf)
-		}
-	}
-	return name
-}
-
-// lintName applies the per-family naming rules.
 func lintName(name, typ string) []string {
 	var problems []string
 	for i, r := range name {

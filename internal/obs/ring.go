@@ -87,8 +87,8 @@ func (r *Ring) Snapshot(dst []Span) []Span {
 
 // TracerConfig shapes a Tracer.
 type TracerConfig struct {
-	// SampleEvery traces one in every N decodes (default 8; 1 traces
-	// everything, 0 uses the default).
+	// SampleEvery traces one in every N decodes (1 traces everything,
+	// 0 turns tracing off).
 	SampleEvery uint64
 	// RingSpans is the per-goroutine ring capacity (default 1024).
 	RingSpans int
@@ -99,33 +99,24 @@ type TracerConfig struct {
 // recording goes straight to the goroutine-owned ring with no
 // coordination. Draining walks all registered rings.
 type Tracer struct {
-	cfg     TracerConfig
-	enabled atomic.Bool
-	seq     atomic.Uint64
+	cfg TracerConfig
+	seq atomic.Uint64
 
 	mu    sync.Mutex
 	rings []*Ring
 }
 
-// NewTracer builds an enabled tracer.
+// NewTracer builds a tracer; a zero cfg.SampleEvery builds one that
+// samples nothing.
 func NewTracer(cfg TracerConfig) *Tracer {
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 8
-	}
 	if cfg.RingSpans <= 0 {
 		cfg.RingSpans = 1024
 	}
-	t := &Tracer{cfg: cfg}
-	t.enabled.Store(true)
-	return t
+	return &Tracer{cfg: cfg}
 }
 
-// SetEnabled toggles tracing globally. Disabled tracing reduces the
-// hot-path cost to one atomic load per decode.
-func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
-
-// Enabled reports whether tracing is on.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
+// Enabled reports whether tracing is on (SampleEvery is not 0).
+func (t *Tracer) Enabled() bool { return t.cfg.SampleEvery != 0 }
 
 // Ring registers and returns a new span ring for the calling goroutine.
 // Call once per long-lived worker, not per decode (it allocates).
@@ -145,20 +136,17 @@ func (t *Tracer) NextID() uint64 { return t.seq.Add(1) }
 // ShouldSample reports whether the decode with the given id is traced:
 // tracing is enabled and the id falls on the 1-in-SampleEvery lattice.
 func (t *Tracer) ShouldSample(id uint64) bool {
-	return t.enabled.Load() && id%t.cfg.SampleEvery == 0
+	return t.Enabled() && id%t.cfg.SampleEvery == 0
 }
 
 // Spans gathers every registered ring's current contents, ordered by
 // start time. Rendering-path only (allocates).
 func (t *Tracer) Spans() []Span {
-	t.mu.Lock()
-	rings := append([]*Ring(nil), t.rings...)
-	t.mu.Unlock()
 	var out []Span
-	for _, r := range rings {
-		out = r.Snapshot(out)
+	for _, spans := range t.snapshotPerRing() {
+		out = append(out, spans...)
 	}
-	sortSpans(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out
 }
 
@@ -173,10 +161,6 @@ func (t *Tracer) snapshotPerRing() [][]Span {
 		out[i] = r.Snapshot(nil)
 	}
 	return out
-}
-
-func sortSpans(s []Span) {
-	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
 }
 
 // Probe is a decoder-held recording handle. A decoder owns exactly one

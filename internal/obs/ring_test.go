@@ -108,9 +108,14 @@ func TestShouldSample(t *testing.T) {
 	if hits != 25 {
 		t.Errorf("sampled %d of 100 at 1-in-4, want 25", hits)
 	}
-	tr.SetEnabled(false)
-	if tr.ShouldSample(4) {
-		t.Error("disabled tracer must sample nothing")
+	off := NewTracer(TracerConfig{})
+	if off.Enabled() {
+		t.Error("SampleEvery 0 must turn the tracer off")
+	}
+	for id := uint64(0); id < 16; id++ {
+		if off.ShouldSample(id) {
+			t.Errorf("tracer with SampleEvery 0 sampled id %d", id)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -15,82 +15,28 @@ import (
 // goroutine does the encoding and writing.
 
 // SlowEvent is one slow decode. All fields are scalars or references to
-// long-lived strings, so passing it by value allocates nothing.
+// long-lived strings, so passing it by value allocates nothing. The
+// JSON tags name the log line's keys, in field order.
 type SlowEvent struct {
 	// Seq numbers emitted events (assigned by Offer).
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// ID is the decode's request id (the tracer id lattice).
-	ID uint64
+	ID uint64 `json:"id"`
 	// Model and Decoder identify the serving registration.
-	Model, Decoder string
+	Model   string `json:"model"`
+	Decoder string `json:"decoder"`
 	// SyndromeWeight is the request syndrome's Hamming weight.
-	SyndromeWeight int
+	SyndromeWeight int `json:"syndrome_weight"`
 	// Per-stage breakdown plus the end-to-end total, in nanoseconds.
-	QueueWaitNs, DecodeNs, CopyOutNs, TotalNs int64
+	QueueWaitNs int64 `json:"queue_wait_ns"`
+	DecodeNs    int64 `json:"decode_ns"`
+	CopyOutNs   int64 `json:"copy_out_ns"`
+	TotalNs     int64 `json:"total_ns"`
 	// BPIters / HierLevels mirror the decoder's Stats.
-	BPIters, HierLevels int
+	BPIters    int `json:"bp_iters"`
+	HierLevels int `json:"hier_levels"`
 	// Satisfied reports whether the correction reproduced the syndrome.
-	Satisfied bool
-}
-
-// AppendJSON appends the event as a single JSON object (no trailing
-// newline) and returns the extended buffer. Hand-rolled so the encoder
-// is fuzzable and dependency-free; strings are escaped per RFC 8259.
-func (e *SlowEvent) AppendJSON(dst []byte) []byte {
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendUint(dst, e.Seq, 10)
-	dst = append(dst, `,"id":`...)
-	dst = strconv.AppendUint(dst, e.ID, 10)
-	dst = append(dst, `,"model":`...)
-	dst = appendJSONString(dst, e.Model)
-	dst = append(dst, `,"decoder":`...)
-	dst = appendJSONString(dst, e.Decoder)
-	dst = append(dst, `,"syndrome_weight":`...)
-	dst = strconv.AppendInt(dst, int64(e.SyndromeWeight), 10)
-	dst = append(dst, `,"queue_wait_ns":`...)
-	dst = strconv.AppendInt(dst, e.QueueWaitNs, 10)
-	dst = append(dst, `,"decode_ns":`...)
-	dst = strconv.AppendInt(dst, e.DecodeNs, 10)
-	dst = append(dst, `,"copy_out_ns":`...)
-	dst = strconv.AppendInt(dst, e.CopyOutNs, 10)
-	dst = append(dst, `,"total_ns":`...)
-	dst = strconv.AppendInt(dst, e.TotalNs, 10)
-	dst = append(dst, `,"bp_iters":`...)
-	dst = strconv.AppendInt(dst, int64(e.BPIters), 10)
-	dst = append(dst, `,"hier_levels":`...)
-	dst = strconv.AppendInt(dst, int64(e.HierLevels), 10)
-	dst = append(dst, `,"satisfied":`...)
-	dst = strconv.AppendBool(dst, e.Satisfied)
-	return append(dst, '}')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a quoted, escaped JSON string. Control
-// characters, quotes and backslashes are escaped; invalid UTF-8 bytes
-// are passed through byte-wise exactly as encoding/json does for raw
-// bytes below 0x80 and escaped as � is NOT attempted — model keys
-// are ASCII slugs, but the encoder must stay safe for arbitrary input.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			dst = append(dst, '\\', c)
-		case c == '\n':
-			dst = append(dst, '\\', 'n')
-		case c == '\r':
-			dst = append(dst, '\\', 'r')
-		case c == '\t':
-			dst = append(dst, '\\', 't')
-		case c < 0x20 || c == 0x7f:
-			dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return append(dst, '"')
+	Satisfied bool `json:"satisfied"`
 }
 
 // SlowLog is the non-blocking slow-decode reporter. Offer is safe for
@@ -120,11 +66,10 @@ func NewSlowLog(w io.Writer) *SlowLog {
 	}
 	go func() {
 		defer close(l.done)
-		buf := make([]byte, 0, 512)
+		enc := json.NewEncoder(w)
+		enc.SetEscapeHTML(false)
 		for ev := range l.ch {
-			buf = ev.AppendJSON(buf[:0])
-			buf = append(buf, '\n')
-			_, _ = w.Write(buf) // best-effort: a failed diagnostic write must not stop the log
+			_ = enc.Encode(&ev) // best-effort: a failed diagnostic write must not stop the log
 		}
 	}()
 	return l

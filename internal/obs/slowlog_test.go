@@ -4,47 +4,80 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
-func TestSlowEventAppendJSON(t *testing.T) {
+// slowLogLines writes evs through a slow log and returns its output.
+func slowLogLines(evs ...SlowEvent) []byte {
+	var buf bytes.Buffer
+	l := NewSlowLog(&buf)
+	for _, ev := range evs {
+		l.Offer(ev)
+	}
+	l.Close()
+	return buf.Bytes()
+}
+
+// jsonKeys lists the keys of the JSON object line in order.
+func jsonKeys(t *testing.T, line []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(line))
+	var keys []string
+	if _, err := dec.Token(); err != nil { // '{'
+		t.Fatal(err)
+	}
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
+}
+
+// TestSlowLogLine pins one event's log line byte for byte (keys, their
+// order, escaping), and checks that a model key holding an invalid
+// UTF-8 byte still yields a valid UTF-8 line with the same keys.
+func TestSlowLogLine(t *testing.T) {
 	ev := SlowEvent{
-		Seq: 3, ID: 40,
-		Model:          `bb-72/bp/p0.001 with "quotes"\and\n` + "\n\t\x01\x7f",
+		ID:             40,
+		Model:          `bb-72/bp/p0.001 with "quotes"\and<>&` + "\n\t\x01\x7f",
 		Decoder:        "BP(30)",
 		SyndromeWeight: 5,
 		QueueWaitNs:    1200, DecodeNs: 34000, CopyOutNs: 800, TotalNs: 36000,
 		BPIters: 17, HierLevels: 2, Satisfied: true,
 	}
-	line := ev.AppendJSON(nil)
-	if !json.Valid(line) {
-		t.Fatalf("invalid JSON: %s", line)
+	// encoding/json passes DEL through raw: it needs no escape in JSON.
+	want := `{"seq":1,"id":40,"model":"bb-72/bp/p0.001 with \"quotes\"\\and<>&\n\t\u0001` + "\x7f" + `",` +
+		`"decoder":"BP(30)","syndrome_weight":5,"queue_wait_ns":1200,"decode_ns":34000,` +
+		`"copy_out_ns":800,"total_ns":36000,"bp_iters":17,"hier_levels":2,"satisfied":true}` + "\n"
+	got := slowLogLines(ev)
+	if string(got) != want {
+		t.Fatalf("slow-log line:\n got %s\nwant %s", got, want)
 	}
-	var got struct {
-		Seq            uint64 `json:"seq"`
-		ID             uint64 `json:"id"`
-		Model          string `json:"model"`
-		Decoder        string `json:"decoder"`
-		SyndromeWeight int    `json:"syndrome_weight"`
-		QueueWaitNs    int64  `json:"queue_wait_ns"`
-		DecodeNs       int64  `json:"decode_ns"`
-		CopyOutNs      int64  `json:"copy_out_ns"`
-		TotalNs        int64  `json:"total_ns"`
-		BPIters        int    `json:"bp_iters"`
-		HierLevels     int    `json:"hier_levels"`
-		Satisfied      bool   `json:"satisfied"`
-	}
-	if err := json.Unmarshal(line, &got); err != nil {
+	var back SlowEvent
+	if err := json.Unmarshal(got, &back); err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != ev.Seq || got.ID != ev.ID || got.Model != ev.Model ||
-		got.Decoder != ev.Decoder || got.SyndromeWeight != ev.SyndromeWeight ||
-		got.QueueWaitNs != ev.QueueWaitNs || got.DecodeNs != ev.DecodeNs ||
-		got.CopyOutNs != ev.CopyOutNs || got.TotalNs != ev.TotalNs ||
-		got.BPIters != ev.BPIters || got.HierLevels != ev.HierLevels ||
-		got.Satisfied != ev.Satisfied {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, ev)
+	ev.Seq = 1
+	if back != ev {
+		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", back, ev)
+	}
+
+	bad := slowLogLines(SlowEvent{Model: "bb-72\xff/bp", Decoder: "BP(30)"})
+	if !utf8.Valid(bad) {
+		t.Fatalf("line for an invalid UTF-8 model key is not UTF-8: %q", bad)
+	}
+	if keys, wantKeys := jsonKeys(t, bad), jsonKeys(t, got); !slices.Equal(keys, wantKeys) {
+		t.Errorf("keys %v, want %v", keys, wantKeys)
 	}
 }
 
@@ -115,52 +148,4 @@ func TestSlowLogOfferDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Offer allocates %.1f times per call, want 0", allocs)
 	}
 	drainSlowLog(g, l)
-}
-
-func FuzzSlowLogJSON(f *testing.F) {
-	f.Add("bb-72/bp/p0.001", "BP(30)", int64(12345), uint64(7), true)
-	f.Add("quote\"back\\slash", "\n\r\t\x00\x7f", int64(-1), uint64(0), false)
-	f.Add("", "", int64(0), uint64(1<<63), true)
-	f.Fuzz(func(t *testing.T, model, decoder string, ns int64, id uint64, ok bool) {
-		ev := SlowEvent{
-			Seq: id, ID: id, Model: model, Decoder: decoder,
-			QueueWaitNs: ns, DecodeNs: ns, CopyOutNs: ns, TotalNs: ns,
-			SyndromeWeight: int(id % 1000), BPIters: int(ns % 100), Satisfied: ok,
-		}
-		line := ev.AppendJSON(nil)
-		if !json.Valid(line) {
-			t.Fatalf("invalid JSON for %+v: %s", ev, line)
-		}
-		var got struct {
-			Model   string `json:"model"`
-			Decoder string `json:"decoder"`
-			TotalNs int64  `json:"total_ns"`
-		}
-		if err := json.Unmarshal(line, &got); err != nil {
-			t.Fatalf("unmarshal: %v (%s)", err, line)
-		}
-		// Strings must round-trip when they are valid UTF-8 (invalid
-		// bytes pass through raw; encoding/json replaces them on decode,
-		// so only compare clean inputs).
-		if isCleanUTF8(model) && got.Model != model {
-			t.Errorf("model round trip: got %q want %q", got.Model, model)
-		}
-		if isCleanUTF8(decoder) && got.Decoder != decoder {
-			t.Errorf("decoder round trip: got %q want %q", got.Decoder, decoder)
-		}
-		if got.TotalNs != ns {
-			t.Errorf("total_ns round trip: got %d want %d", got.TotalNs, ns)
-		}
-	})
-}
-
-// isCleanUTF8 reports whether s is valid UTF-8, the precondition for
-// byte-exact string round-tripping through encoding/json.
-func isCleanUTF8(s string) bool {
-	for _, r := range s {
-		if r == 0xFFFD {
-			return false
-		}
-	}
-	return true
 }

@@ -37,15 +37,10 @@ type TraceArgs struct {
 	Label string `json:"name,omitempty"`
 }
 
-// TraceDoc is the object form of the trace_event format. TickUs is a
-// vegapunk extension: the emitting process's obs clock (Tick, in
-// microseconds) read while rendering, so a fetcher can estimate the
-// clock offset between its own epoch and the emitter's from the fetch
-// round trip.
+// TraceDoc is the object form of the trace_event format.
 type TraceDoc struct {
 	TraceEvents     []TraceEvent `json:"traceEvents"`
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TickUs          float64      `json:"tickUs,omitempty"`
 }
 
 // Events renders the tracer's current spans as trace events under the
@@ -94,15 +89,9 @@ func ProcessNameEvent(pid int, name string) TraceEvent {
 	return TraceEvent{Name: "process_name", Ph: "M", PID: pid, Args: TraceArgs{Label: name}}
 }
 
-// WriteTraceDoc encodes events as one trace_event JSON document,
-// stamping the current obs clock into TickUs.
+// WriteTraceDoc encodes events as one trace_event JSON document.
 func WriteTraceDoc(w io.Writer, events []TraceEvent) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(TraceDoc{
-		TraceEvents:     events,
-		DisplayTimeUnit: "ns",
-		TickUs:          float64(Tick()) / 1e3,
-	})
+	return json.NewEncoder(w).Encode(TraceDoc{TraceEvents: events, DisplayTimeUnit: "ns"})
 }
 
 // WriteTrace renders the tracer's current spans as Chrome trace_event

@@ -8,11 +8,8 @@ import "vegapunk/internal/obs"
 type serviceMetrics struct {
 	requests    obs.Counter
 	unsatisfied obs.Counter
-	// batchedDecodes counts multi-request micro-batches decoded in one
-	// dispatch.
-	batchedDecodes obs.Counter
-	queueDepth     obs.Gauge
-	batchSize      *obs.Histogram
+	queueDepth  obs.Gauge
+	batchSize   *obs.Histogram
 	// Per-stage latencies: admission to dispatch (queueWaitSeconds),
 	// first enqueue to batch flush (assembleSeconds), the decoder call
 	// (decodeSeconds), and the pool-boundary copy-out plus syndrome
@@ -48,8 +45,6 @@ var serviceFamilies = []obs.Family[*Service]{
 		Counter: func(s *Service) uint64 { return s.met.requests.Load() }},
 	{Name: "vegapunk_serve_unsatisfied_total", Help: "Decodes whose estimate did not reproduce the syndrome.",
 		Counter: func(s *Service) uint64 { return s.met.unsatisfied.Load() }},
-	{Name: "vegapunk_serve_batched_decodes_total", Help: "Multi-request micro-batches decoded in one dispatch.",
-		Counter: func(s *Service) uint64 { return s.met.batchedDecodes.Load() }},
 	{Name: "vegapunk_serve_queue_depth", Help: "Syndromes admitted but not yet decoded.",
 		Gauge: func(s *Service) int64 { return s.met.queueDepth.Load() }},
 	{Name: "vegapunk_serve_batch_size", Help: "Syndromes per dispatched micro-batch.",

@@ -134,7 +134,7 @@ func TestBatchedProbeSpansCarryEachLanesID(t *testing.T) {
 	if err := svc.DecodeBatchInto(context.Background(), results, syndromes); err != nil {
 		t.Fatal(err)
 	}
-	if svc.met.batchedDecodes.Load() == 0 {
+	if svc.met.batchSize.Sum() <= float64(svc.met.batchSize.Count()) {
 		t.Fatal("no dispatch carried more than one lane")
 	}
 	iters := map[uint32]int{}

@@ -134,11 +134,10 @@ func newService(key string, model *dem.Model, decoderName string, factory core.F
 	cfg = cfg.withDefaults()
 	tracer := cfg.Tracer
 	if tracer == nil {
-		// A permanently disabled tracer keeps the hot path free of nil
-		// checks: ShouldSample is one atomic load returning false. Nothing
-		// records into its rings, so they get the minimum capacity.
+		// A tracer that samples nothing (SampleEvery 0) keeps the hot
+		// path free of nil checks. Nothing records into its rings, so
+		// they get the minimum capacity.
 		tracer = obs.NewTracer(obs.TracerConfig{RingSpans: 1})
-		tracer.SetEnabled(false)
 	}
 	s := &Service{
 		key:         key,
@@ -493,11 +492,8 @@ func (s *Service) process(w *workerState, lanes []*request) bool {
 		w.dec = nil // poisoned: the next dispatch builds a replacement
 		return true
 	}
-	if n > 1 {
-		s.met.batchedDecodes.Add(1)
-		if w.jobs[0].sampled {
-			w.ring.Record(obs.StageDecodeBatch, int32(n), uint32(lead.id), t0, t1)
-		}
+	if n > 1 && w.jobs[0].sampled {
+		w.ring.Record(obs.StageDecodeBatch, int32(n), uint32(lead.id), t0, t1)
 	}
 	decodeNs := t1 - t0
 	s.met.decodeSeconds.Observe(obs.DurSeconds(decodeNs))

@@ -187,7 +187,7 @@ func TestBatchDispatchMatchesSerial(t *testing.T) {
 					t.Fatalf("syndrome %d: served correction differs from serial reference", i)
 				}
 			}
-			if svc.met.batchedDecodes.Load() == 0 {
+			if svc.met.batchSize.Sum() <= float64(svc.met.batchSize.Count()) {
 				t.Fatal("no multi-request micro-batch formed under saturation")
 			}
 			if svc.met.queueDepth.Load() != 0 {
