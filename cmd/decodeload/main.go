@@ -102,7 +102,7 @@ func run(args []string) int {
 	batchSize := fs.Int("batch", 8, "syndromes per request")
 	concurrency := fs.Int("concurrency", 4, "concurrent client connections")
 	seed := fs.Uint64("seed", 1, "reproducible workload seed")
-	traceSample := fs.Uint64("trace-sample", 0, "mark one in N requests trace-sampled so the daemon/router record their spans (0 = no sampling)")
+	traceSample := fs.Uint64("trace-sample", 0, "mark one in N requests trace-sampled so the daemon/router record their spans (0 = leave sampling to the daemon/router)")
 	chaosMode := fs.Bool("chaos", false, "resilience run against a -chaos daemon: individual request failures are expected; exit 0 iff every request reached a terminal outcome and at least one succeeded")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -315,15 +315,19 @@ func worker(tl *tally, next *atomic.Int64, items []workItem, addr, key string, t
 			}
 		}
 
-		// Every request carries a trace id; the sampled bit — which makes
-		// the daemon and router record spans — is set on one in
-		// -trace-sample requests.
+		// One in -trace-sample requests carries a trace id with the
+		// sampled bit set, which makes the daemon and router record its
+		// spans under that id. The rest carry id 0, so the router or
+		// replica issues an id and samples on its own lattice.
 		sampled := traceSample > 0 && uint64(i)%traceSample == 0
 		start := time.Now()
 		for j, syn := range item.syns {
 			reqID := uint64(i)<<16 | uint64(j)
-			c.QueueDecodeTraced(info.ID, reqID, syn,
-				wire.TraceContext{TraceID: reqID + 1, Sampled: sampled})
+			var tc wire.TraceContext
+			if sampled {
+				tc = wire.TraceContext{TraceID: reqID + 1, Sampled: true}
+			}
+			c.QueueDecodeTraced(info.ID, reqID, syn, tc)
 		}
 		type laneOut struct {
 			status      wire.Status

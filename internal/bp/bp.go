@@ -69,7 +69,7 @@ type Config struct {
 }
 
 // Decoder is a reusable BP decoder for one check matrix. It is not safe
-// for concurrent use; create one per goroutine (Clone is cheap).
+// for concurrent use; create one per goroutine with New.
 type Decoder struct {
 	cfg    Config
 	g      *tanner.Graph
@@ -86,14 +86,14 @@ type Decoder struct {
 	// zeroPost is the posterior iteration 1 leaves on the all-zero
 	// syndrome, which Decode answers from it; nil when some prior is
 	// negative and that iteration need not return the zero vector.
-	// Immutable after New and shared by clones.
+	// Immutable after New.
 	zeroPost []float64
 
 	// Relay-BP: gamma holds the memory strengths, one row of NumVars per
-	// constructed leg, immutable after New and shared by clones; prev1
-	// and prev2 are the hard decisions of the two iterations before
-	// hard's, rotated with it, for the stall rule; best holds the
-	// ensemble's lightest solution so far, out of that rotation.
+	// constructed leg, immutable after New; prev1 and prev2 are the hard
+	// decisions of the two iterations before hard's, rotated with it, for
+	// the stall rule; best holds the ensemble's lightest solution so far,
+	// out of that rotation.
 	gamma        [][]float64
 	prev1, prev2 gf2.Vec
 	best         gf2.Vec

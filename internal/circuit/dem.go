@@ -117,8 +117,7 @@ func MemoryDEM(c *code.CSS, params Params, rounds int) (*dem.Model, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
-	h := c.CheckMatrix(code.PauliX)
-	lz := c.Logicals(code.PauliX)
+	h, lz := c.HZ, c.LogicalZ()
 	circ, err := Extraction(h)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,9 @@ import (
 
 // CSS is a Calderbane-Shor-Steane quantum code defined by two parity
 // check matrices HX (X-type stabilizers) and HZ (Z-type stabilizers)
-// acting on N data qubits, satisfying HX·HZᵀ = 0.
+// acting on N data qubits, satisfying HX·HZᵀ = 0. The decoders handle
+// X errors, as the paper does (§2.3): the Z-type checks HZ detect them
+// and LogicalZ gives the observables they flip.
 type CSS struct {
 	Name string
 	// N is the number of data qubits, K the number of logical qubits,
@@ -99,39 +101,4 @@ func logicalOps(hKer, hMod *gf2.Dense, k int) *gf2.Dense {
 		panic(fmt.Sprintf("code: expected %d logical operators, found %d (base rank %d)", k, got, base))
 	}
 	return out
-}
-
-// CheckMatrix returns the matrix used to decode errors of the given
-// Pauli type: Z-type checks (HZ) detect X errors, X-type checks (HX)
-// detect Z errors. The paper decodes X errors with D_Z (§2.3).
-func (c *CSS) CheckMatrix(errorType Pauli) *gf2.Dense {
-	if errorType == PauliX {
-		return c.HZ
-	}
-	return c.HX
-}
-
-// Logicals returns the logical operators that anticommute with errors of
-// the given type (LogicalZ for X errors).
-func (c *CSS) Logicals(errorType Pauli) *gf2.Dense {
-	if errorType == PauliX {
-		return c.LogicalZ()
-	}
-	return c.LogicalX()
-}
-
-// Pauli labels an error species.
-type Pauli int
-
-// Pauli error species decoded independently in CSS codes.
-const (
-	PauliX Pauli = iota
-	PauliZ
-)
-
-func (p Pauli) String() string {
-	if p == PauliX {
-		return "X"
-	}
-	return "Z"
 }

@@ -88,22 +88,6 @@ func outsideRowSpace(h, l *gf2.Dense) bool {
 	return true
 }
 
-func TestCheckMatrixConvention(t *testing.T) {
-	c := steane(t)
-	if c.CheckMatrix(PauliX) != c.HZ {
-		t.Error("X errors must be decoded with HZ")
-	}
-	if c.CheckMatrix(PauliZ) != c.HX {
-		t.Error("Z errors must be decoded with HX")
-	}
-	if c.Logicals(PauliX) != c.LogicalZ() {
-		t.Error("X-error logicals should be LogicalZ")
-	}
-	if PauliX.String() != "X" || PauliZ.String() != "Z" {
-		t.Error("Pauli String broken")
-	}
-}
-
 func TestCyclicShiftOrder(t *testing.T) {
 	s := CyclicShift(5)
 	p := gf2.Eye(5)

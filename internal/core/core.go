@@ -142,7 +142,7 @@ func NewBPOSD(model *dem.Model, bpIters, order int) Decoder {
 	}
 	d := osd.NewBPOSD(model.Mech, model.LLRs(),
 		bp.Config{MaxIters: bpIters},
-		osd.Config{Method: osd.CombinationSweep, Order: order})
+		osd.Config{Order: order})
 	return &baseline{name: fmt.Sprintf("BP+OSD-CS(%d)", order), probe: d.Probe(), decode: func(s gf2.Vec) (gf2.Vec, Stats) {
 		r := d.Decode(s)
 		return r.Error, Stats{BPIters: r.BPIters, BPConverged: r.BPConverged, Fallback: !r.BPConverged}

@@ -11,15 +11,7 @@ import (
 // (an X error with probability p), detected by the Z-type checks,
 // measurements assumed perfect.
 func CodeCapacity(c *code.CSS, p float64) *Model {
-	return CodeCapacityPauli(c, code.PauliX, p)
-}
-
-// CodeCapacityPauli is CodeCapacity for either error species (CSS codes
-// decode X and Z independently; the paper's experiments use the X side,
-// and the Z side is symmetric through the transposed construction).
-func CodeCapacityPauli(c *code.CSS, pauli code.Pauli, p float64) *Model {
-	h := c.CheckMatrix(pauli)
-	lz := c.Logicals(pauli)
+	h, lz := c.HZ, c.LogicalZ()
 	prior := make([]float64, c.N)
 	for j := range prior {
 		prior[j] = p
@@ -41,13 +33,7 @@ func CodeCapacityPauli(c *code.CSS, pauli code.Pauli, p float64) *Model {
 // resulting check matrix is [H | I_m] with shape [m, n+m], matching the
 // paper's Table 2 HP rows.
 func Phenomenological(c *code.CSS, p, q float64) *Model {
-	return PhenomenologicalPauli(c, code.PauliX, p, q)
-}
-
-// PhenomenologicalPauli is Phenomenological for either error species.
-func PhenomenologicalPauli(c *code.CSS, pauli code.Pauli, p, q float64) *Model {
-	h := c.CheckMatrix(pauli)
-	lz := c.Logicals(pauli)
+	h, lz := c.HZ, c.LogicalZ()
 	m, n := h.Rows(), h.Cols()
 	mech := make([][]int32, n+m)
 	obs := make([][]int32, n+m)
@@ -104,13 +90,7 @@ func PhenomenologicalPauli(c *code.CSS, pauli code.Pauli, p, q float64) *Model {
 // flip the data qubit, so they carry the qubit's observable column; the
 // measurement/reset mechanisms carry none.
 func CircuitLevel(c *code.CSS, p float64) *Model {
-	return CircuitLevelPauli(c, code.PauliX, p)
-}
-
-// CircuitLevelPauli is CircuitLevel for either error species.
-func CircuitLevelPauli(c *code.CSS, pauli code.Pauli, p float64) *Model {
-	h := c.CheckMatrix(pauli)
-	lz := c.Logicals(pauli)
+	h, lz := c.HZ, c.LogicalZ()
 	m, n := h.Rows(), h.Cols()
 	nm := 4*n + 2*m
 	mech := make([][]int32, nm)

@@ -165,36 +165,3 @@ func TestForCodeDispatch(t *testing.T) {
 		t.Errorf("HP dispatch gave %d mechanisms", got.NumMech())
 	}
 }
-
-func TestPauliZModels(t *testing.T) {
-	// The Z-error side must build and validate for both families; CSS
-	// symmetry means shapes mirror the X side.
-	c, err := code.NewBBByIndex(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mx := CircuitLevelPauli(c, code.PauliX, 0.001)
-	mz := CircuitLevelPauli(c, code.PauliZ, 0.001)
-	if err := mz.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if mx.NumMech() != mz.NumMech() || mx.NumDet != mz.NumDet {
-		t.Error("X and Z models should mirror for BB codes")
-	}
-	// Z errors are detected by HX, not HZ.
-	if !mz.CheckMatrix().Submatrix(0, mz.NumDet, 0, c.N).Equal(c.HX) {
-		t.Error("Z-model data columns should be HX")
-	}
-	hp, err := code.NewHPByIndex(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pz := PhenomenologicalPauli(hp, code.PauliZ, 0.001, 0.001)
-	if err := pz.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cz := CodeCapacityPauli(hp, code.PauliZ, 0.01)
-	if err := cz.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

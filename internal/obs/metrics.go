@@ -86,61 +86,3 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
-// DecodeMetrics is the per-decoder telemetry set promoted out of
-// core.Stats: one instance aggregates every decode of one registered
-// model. All methods are safe for concurrent use.
-type DecodeMetrics struct {
-	// Decodes counts Decode calls.
-	Decodes Counter
-	// BPConverged counts decodes where plain BP reproduced the
-	// syndrome.
-	BPConverged Counter
-	// Fallback counts decodes that engaged OSD/LSD post-processing.
-	Fallback Counter
-	// BPIters observes the BP iteration count (BP-family decoders).
-	BPIters *Histogram
-	// HierLevels observes the hierarchical outer-level count
-	// (Vegapunk).
-	HierLevels *Histogram
-	// LSDClusterChecks observes the largest cluster's check count
-	// (BP+LSD).
-	LSDClusterChecks *Histogram
-	// SyndromeWeight observes the Hamming weight of decoded syndromes.
-	SyndromeWeight *Histogram
-}
-
-// NewDecodeMetrics builds the set with the standard bucket layouts.
-func NewDecodeMetrics() *DecodeMetrics {
-	return &DecodeMetrics{
-		BPIters:          NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-		HierLevels:       NewHistogram(1, 2, 3, 4, 6, 8),
-		LSDClusterChecks: NewHistogram(1, 2, 4, 8, 16, 32, 64, 128),
-		SyndromeWeight:   NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
-	}
-}
-
-// Record ingests one decode's execution metadata (the fields of
-// core.Stats, passed as scalars to keep obs dependency-free).
-// Stage histograms observe only when their stage ran (value > 0);
-// SyndromeWeight observes every decode, including weight 0.
-// Allocation-free.
-func (m *DecodeMetrics) Record(bpIters int, bpConverged, fallback bool, hierLevels, lsdCluster, synWeight int) {
-	m.Decodes.Add(1)
-	if bpConverged {
-		m.BPConverged.Add(1)
-	}
-	if fallback {
-		m.Fallback.Add(1)
-	}
-	if bpIters > 0 {
-		m.BPIters.Observe(float64(bpIters))
-	}
-	if hierLevels > 0 {
-		m.HierLevels.Observe(float64(hierLevels))
-	}
-	if lsdCluster > 0 {
-		m.LSDClusterChecks.Observe(float64(lsdCluster))
-	}
-	m.SyndromeWeight.Observe(float64(synWeight))
-}

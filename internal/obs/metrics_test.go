@@ -33,61 +33,6 @@ func TestHistogramObserveDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestDecodeMetricsRecordGating(t *testing.T) {
-	m := NewDecodeMetrics()
-	// A BP-only decode: no hier/LSD stages ran.
-	m.Record(12, true, false, 0, 0, 3)
-	// A Vegapunk decode with fallback.
-	m.Record(30, false, true, 2, 5, 0)
-	if m.Decodes.Load() != 2 || m.BPConverged.Load() != 1 || m.Fallback.Load() != 1 {
-		t.Errorf("counters: decodes=%d converged=%d fallback=%d",
-			m.Decodes.Load(), m.BPConverged.Load(), m.Fallback.Load())
-	}
-	if m.BPIters.Count() != 2 {
-		t.Errorf("BPIters observed %d, want 2", m.BPIters.Count())
-	}
-	if m.HierLevels.Count() != 1 || m.LSDClusterChecks.Count() != 1 {
-		t.Errorf("stage histograms must observe only when the stage ran: hier=%d lsd=%d",
-			m.HierLevels.Count(), m.LSDClusterChecks.Count())
-	}
-	// Weight-0 syndromes are real decodes and must be observed.
-	if m.SyndromeWeight.Count() != 2 {
-		t.Errorf("SyndromeWeight observed %d, want 2", m.SyndromeWeight.Count())
-	}
-}
-
-func TestDecodeMetricsRecordDoesNotAllocate(t *testing.T) {
-	m := NewDecodeMetrics()
-	allocs := testing.AllocsPerRun(1000, func() {
-		m.Record(12, true, false, 2, 5, 3)
-	})
-	if allocs != 0 {
-		t.Fatalf("Record allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-func TestDecodeFamiliesLintClean(t *testing.T) {
-	m := NewDecodeMetrics()
-	m.Record(12, true, false, 2, 0, 3)
-	var buf bytes.Buffer
-	WriteFamilies(&buf, DecodeFamilies, []*DecodeMetrics{m}, []string{`model="test"`})
-	out := buf.String()
-	for _, want := range []string{
-		"# HELP vegapunk_decode_total",
-		"# TYPE vegapunk_decode_total counter",
-		`vegapunk_decode_bp_iterations_bucket{model="test",le="16"} 1`,
-		`vegapunk_decode_bp_iterations_count{model="test"} 1`,
-		"# TYPE vegapunk_decode_syndrome_weight histogram",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if problems := CheckFamilies(DecodeFamilies); len(problems) > 0 {
-		t.Errorf("DecodeFamilies: %v", problems)
-	}
-}
-
 // famInst carries one value per reader kind for the renderer tests.
 type famInst struct {
 	c uint64
@@ -196,10 +141,9 @@ func TestCheckFamilies(t *testing.T) {
 	checkOne(t, "duplicate", append(append([]Family[*famInst](nil), famTable...), famTable[2]), "x_seconds: family declared twice")
 }
 
-// TestLintExpositionCatchesViolations: the exposition lint runs on the
-// family table, so an empty HELP and each naming-convention violation
-// are reported by CheckFamilies before anything is rendered.
-func TestLintExpositionCatchesViolations(t *testing.T) {
+// TestCheckFamiliesNaming: an empty HELP and each naming-convention
+// violation are reported by CheckFamilies before anything is rendered.
+func TestCheckFamiliesNaming(t *testing.T) {
 	rename := func(name string) func(*Family[*famInst]) {
 		return func(f *Family[*famInst]) { f.Name = name }
 	}

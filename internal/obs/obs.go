@@ -6,12 +6,12 @@
 // cold half:
 //
 //   - Recording (the hot half) — Ring.Record, Probe.SpanSince,
-//     Counter/Gauge/Histogram observation, DecodeMetrics.Record and
-//     SlowLog.Offer — allocates nothing and takes no locks. Span slots
-//     are preallocated atomics, histograms are atomic buckets, and slow
-//     events travel by value through a bounded channel. Ring.Record,
-//     Histogram.Observe, DecodeMetrics.Record and SlowLog.Offer each
-//     have an AllocsPerRun test that holds them to zero.
+//     Counter/Gauge/Histogram observation and SlowLog.Offer — allocates
+//     nothing and takes no locks. Span slots are preallocated atomics,
+//     histograms are atomic buckets, and slow events travel by value
+//     through a bounded channel. Ring.Record, Histogram.Observe and
+//     SlowLog.Offer each have an AllocsPerRun test that holds them to
+//     zero.
 //   - Rendering (the cold half) — WriteTrace, WriteFamilies,
 //     the slow-log writer goroutine (encoding/json), the debug HTTP
 //     mux — runs off the decode path and is free to allocate.

@@ -113,25 +113,6 @@ func (h *Histogram) writeProm(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.count.Load())
 }
 
-// DecodeFamilies is the export schema of DecodeMetrics: the replica
-// renders it with one labelled sample set per served model.
-var DecodeFamilies = []Family[*DecodeMetrics]{
-	{Name: "vegapunk_decode_total", Help: "Decode calls observed by the decoder telemetry.",
-		Counter: func(m *DecodeMetrics) uint64 { return m.Decodes.Load() }},
-	{Name: "vegapunk_decode_bp_converged_total", Help: "Decodes where plain BP reproduced the syndrome.",
-		Counter: func(m *DecodeMetrics) uint64 { return m.BPConverged.Load() }},
-	{Name: "vegapunk_decode_fallback_total", Help: "Decodes that engaged OSD/LSD fallback post-processing.",
-		Counter: func(m *DecodeMetrics) uint64 { return m.Fallback.Load() }},
-	{Name: "vegapunk_decode_bp_iterations", Help: "BP message-passing iterations per decode.",
-		Hist: func(m *DecodeMetrics) *Histogram { return m.BPIters }},
-	{Name: "vegapunk_decode_hier_levels", Help: "Hierarchical outer levels per Vegapunk decode.",
-		Hist: func(m *DecodeMetrics) *Histogram { return m.HierLevels }},
-	{Name: "vegapunk_decode_lsd_cluster_checks", Help: "Largest LSD cluster check count per fallback decode.",
-		Hist: func(m *DecodeMetrics) *Histogram { return m.LSDClusterChecks }},
-	{Name: "vegapunk_decode_syndrome_weight", Help: "Hamming weight of decoded syndromes.",
-		Hist: func(m *DecodeMetrics) *Histogram { return m.SyndromeWeight }},
-}
-
 // lintName applies the naming conventions to one family of type typ:
 //
 //   - names must match [a-zA-Z_:][a-zA-Z0-9_:]*;

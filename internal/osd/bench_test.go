@@ -20,7 +20,7 @@ func benchFixture(tb testing.TB) (d *Decoder, syns []gf2.Vec, softs [][]float64)
 	}
 	model := dem.CircuitLevel(c, 0.003)
 	llr := model.LLRs()
-	d = New(model.Mech, llr, Config{Method: CombinationSweep, Order: 7})
+	d = New(model.Mech, llr, Config{Order: 7})
 	rng := rand.New(rand.NewPCG(31, 1))
 	syns = make([]gf2.Vec, 16)
 	softs = make([][]float64, 16)

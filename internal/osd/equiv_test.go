@@ -107,29 +107,24 @@ func refOSDDecode(h *gf2.Dense, priorLLR []float64, cfg Config, syndrome gf2.Vec
 	}
 
 	try(nil)
-	if cfg.Method == CombinationSweep {
-		t := cfg.Order
-		if t > len(nonPiv) {
-			t = len(nonPiv)
+	t := min(cfg.Order, len(nonPiv))
+	const lambda = 2
+	var flips []int
+	var sweep func(start int)
+	sweep = func(start int) {
+		if len(flips) > 0 {
+			try(flips)
 		}
-		const lambda = 2
-		var flips []int
-		var sweep func(start int)
-		sweep = func(start int) {
-			if len(flips) > 0 {
-				try(flips)
-			}
-			if len(flips) == lambda {
-				return
-			}
-			for a := start; a < t; a++ {
-				flips = append(flips, nonPiv[a])
-				sweep(a + 1)
-				flips = flips[:len(flips)-1]
-			}
+		if len(flips) == lambda {
+			return
 		}
-		sweep(0)
+		for a := start; a < t; a++ {
+			flips = append(flips, nonPiv[a])
+			sweep(a + 1)
+			flips = flips[:len(flips)-1]
+		}
 	}
+	sweep(0)
 	if math.IsInf(bestW, 1) {
 		best.Zero()
 	}
@@ -156,8 +151,8 @@ func TestOSDEquivalentToReference(t *testing.T) {
 		h := model.Mech.ToDense()
 		llr := model.LLRs()
 		for _, cfg := range []Config{
-			{Method: OSD0},
-			{Method: CombinationSweep, Order: 5},
+			{Order: 0},
+			{Order: 5},
 		} {
 			d := New(model.Mech, llr, cfg)
 			rng := rand.New(rand.NewPCG(21, 5))

@@ -13,25 +13,15 @@ import (
 	"vegapunk/internal/gf2"
 )
 
-// Method selects the OSD search order.
-type Method int
-
-// OSD search strategies (Roffe et al. terminology).
-const (
-	// OSD0 outputs the hard solution after Gaussian elimination.
-	OSD0 Method = iota
-	// CombinationSweep additionally tries all 1- and 2-bit flips among
-	// the Order least-reliable non-pivot positions (BP+OSD-CS(t)).
-	CombinationSweep
-)
-
-// sweepDepth is the largest flip subset CombinationSweep tries.
+// sweepDepth is the largest flip subset the combination sweep tries.
 const sweepDepth = 2
 
 // Config parameterizes OSD.
 type Config struct {
-	Method Method
-	// Order is the t in CS(t); the paper uses t = 7.
+	// Order is the t in CS(t): after the hard solution of the Gaussian
+	// elimination, every 1- and 2-bit flip among the t least-reliable
+	// non-pivot positions is tried (Roffe et al. terminology). The paper
+	// uses t = 7; t = 0 tries no flip, which is OSD-0.
 	Order int
 }
 
@@ -77,9 +67,6 @@ func (s *argSorter) Swap(a, b int)      { s.idx[a], s.idx[b] = s.idx[b], s.idx[a
 // New builds an OSD decoder for a check matrix with the prior LLR
 // objective weights.
 func New(h *gf2.CSC, priorLLR []float64, cfg Config) *Decoder {
-	if cfg.Order <= 0 {
-		cfg.Order = 7
-	}
 	n, m := h.Cols(), h.Rows()
 	augT := gf2.HStack(h.ToDense(), gf2.Eye(m))
 	return &Decoder{
@@ -144,14 +131,9 @@ func (d *Decoder) Decode(syndrome gf2.Vec, soft []float64) gf2.Vec {
 
 	d.bestW = math.Inf(1)
 	d.try(syndrome, nil)
-	if d.cfg.Method == CombinationSweep {
-		t := d.cfg.Order
-		if t > len(d.nonPiv) {
-			t = len(d.nonPiv)
-		}
-		d.flips = d.flips[:0]
-		d.sweep(syndrome, 0, t)
-	}
+	t := min(d.cfg.Order, len(d.nonPiv))
+	d.flips = d.flips[:0]
+	d.sweep(syndrome, 0, t)
 	if math.IsInf(d.bestW, 1) {
 		// Inconsistent system (should not happen for sampled syndromes);
 		// return the unconstrained hard decision.

@@ -30,7 +30,7 @@ func TestOSD0SolvesSyndrome(t *testing.T) {
 				}
 			}
 		}
-		d := New(gf2.CSCFromDense(h), uniformLLR(12, 0.01), Config{Method: OSD0})
+		d := New(gf2.CSCFromDense(h), uniformLLR(12, 0.01), Config{Order: 0})
 		e := gf2.NewVec(12)
 		for j := 0; j < 12; j++ {
 			if rng.IntN(6) == 0 {
@@ -68,8 +68,8 @@ func TestOSDCSNotWorseThanOSD0(t *testing.T) {
 		e.Set(rng.IntN(14), true)
 		e.Set(rng.IntN(14), true)
 		s := h.MulVec(e)
-		d0 := New(gf2.CSCFromDense(h), llr, Config{Method: OSD0})
-		dcs := New(gf2.CSCFromDense(h), llr, Config{Method: CombinationSweep, Order: 7})
+		d0 := New(gf2.CSCFromDense(h), llr, Config{Order: 0})
+		dcs := New(gf2.CSCFromDense(h), llr, Config{Order: 7})
 		w0 := weight(d0.Decode(s, nil))
 		wcs := weight(dcs.Decode(s, nil))
 		if wcs > w0+1e-9 {
@@ -86,7 +86,7 @@ func TestOSDRecoversSingleErrors(t *testing.T) {
 		{0, 1, 1, 0, 0, 1, 1},
 		{0, 0, 0, 1, 1, 1, 1},
 	})
-	d := New(gf2.CSCFromDense(h), uniformLLR(7, 0.01), Config{Method: CombinationSweep, Order: 7})
+	d := New(gf2.CSCFromDense(h), uniformLLR(7, 0.01), Config{Order: 7})
 	for q := 0; q < 7; q++ {
 		e := gf2.NewVec(7)
 		e.Set(q, true)
@@ -105,7 +105,7 @@ func TestOSDSoftInformationSteers(t *testing.T) {
 		{1, 1, 1},
 	})
 	llr := uniformLLR(3, 0.01)
-	d := New(gf2.CSCFromDense(h), llr, Config{Method: OSD0})
+	d := New(gf2.CSCFromDense(h), llr, Config{Order: 0})
 	s := gf2.VecFromInts([]int{1, 1}) // col 0 or col 1
 	soft := []float64{5, -5, 5}       // bit 1 likely flipped
 	got := d.Decode(s, soft)
@@ -126,7 +126,7 @@ func TestBPOSDAlwaysSatisfiesSyndrome(t *testing.T) {
 	}
 	model := dem.CodeCapacity(c, 0.03)
 	d := NewBPOSD(model.Mech, model.LLRs(),
-		bp.Config{MaxIters: 30}, Config{Method: CombinationSweep, Order: 7})
+		bp.Config{MaxIters: 30}, Config{Order: 7})
 	rng := rand.New(rand.NewPCG(3, 3))
 	h := model.CheckMatrix()
 	for trial := 0; trial < 30; trial++ {
@@ -151,7 +151,7 @@ func TestBPOSDMoreAccurateThanBP(t *testing.T) {
 	lz := c.LogicalZ()
 	bpDec := bp.New(model.Mech, model.LLRs(), bp.Config{MaxIters: 72})
 	combo := NewBPOSD(model.Mech, model.LLRs(),
-		bp.Config{MaxIters: 72}, Config{Method: CombinationSweep, Order: 7})
+		bp.Config{MaxIters: 72}, Config{Order: 7})
 	rng := rand.New(rand.NewPCG(4, 4))
 	bpFail, comboFail := 0, 0
 	trials := 150

@@ -173,12 +173,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	svcs := s.snapshot()
 	labels := make([]string, len(svcs))
-	decs := make([]*obs.DecodeMetrics, len(svcs))
 	for i, svc := range svcs {
 		labels[i] = fmt.Sprintf("model=%q", svc.key)
-		decs[i] = svc.met.dec
 	}
 	obs.WriteFamilies(w, serviceFamilies, svcs, labels)
-	obs.WriteFamilies(w, obs.DecodeFamilies, decs, labels)
 	obs.WriteFamilies(w, wireFamilies, []*Server{s}, nil)
 }

@@ -84,7 +84,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"vegapunk_serve_decode_seconds_bucket{model=",
 		`le="+Inf"} 4`,
 		"# TYPE vegapunk_serve_queue_depth gauge",
-		"vegapunk_serve_pool_hits_total",
+		"vegapunk_serve_pool_misses_total",
+		fmt.Sprintf("vegapunk_decode_syndrome_weight_count{model=%q} 4", svc.Key()),
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q\n%s", want, text)

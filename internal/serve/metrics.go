@@ -3,8 +3,8 @@ package serve
 import "vegapunk/internal/obs"
 
 // serviceMetrics is the per-model metric set: the queue/dispatch
-// counters plus one latency histogram per pipeline stage and the shared
-// decoder telemetry (obs.DecodeMetrics).
+// counters, one latency histogram per pipeline stage and the decoder
+// telemetry taken from each answer's core.Stats.
 type serviceMetrics struct {
 	requests    obs.Counter
 	unsatisfied obs.Counter
@@ -18,9 +18,16 @@ type serviceMetrics struct {
 	assembleSeconds  *obs.Histogram
 	decodeSeconds    *obs.Histogram
 	copyOutSeconds   *obs.Histogram
-	// dec aggregates decoder execution metadata (BP iterations,
-	// convergence, fallback engagement, …).
-	dec *obs.DecodeMetrics
+	// Decoder telemetry. The stage histograms (bpIters, hierLevels,
+	// lsdClusterChecks) observe only decodes where their stage ran;
+	// syndromeWeight observes every decode, weight 0 included, so its
+	// _count is the decode count.
+	bpConverged      obs.Counter
+	fallback         obs.Counter
+	bpIters          *obs.Histogram
+	hierLevels       *obs.Histogram
+	lsdClusterChecks *obs.Histogram
+	syndromeWeight   *obs.Histogram
 	// Resilience counters: decoder quarantine causes.
 	decoderPanics     obs.Counter
 	decoderHangs      obs.Counter
@@ -34,7 +41,10 @@ func newServiceMetrics() *serviceMetrics {
 		assembleSeconds:  obs.NewHistogram(obs.LatencyBuckets()...),
 		decodeSeconds:    obs.NewHistogram(obs.LatencyBuckets()...),
 		copyOutSeconds:   obs.NewHistogram(obs.LatencyBuckets()...),
-		dec:              obs.NewDecodeMetrics(),
+		bpIters:          obs.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
+		hierLevels:       obs.NewHistogram(1, 2, 3, 4, 6, 8),
+		lsdClusterChecks: obs.NewHistogram(1, 2, 4, 8, 16, 32, 64, 128),
+		syndromeWeight:   obs.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128, 256),
 	}
 }
 
@@ -53,7 +63,7 @@ var serviceFamilies = []obs.Family[*Service]{
 		Hist: func(s *Service) *obs.Histogram { return s.met.queueWaitSeconds }},
 	{Name: "vegapunk_serve_batch_assemble_seconds", Help: "First-enqueue-to-flush assembly time per micro-batch.",
 		Hist: func(s *Service) *obs.Histogram { return s.met.assembleSeconds }},
-	{Name: "vegapunk_serve_decode_seconds", Help: "Per-syndrome decode latency (decoder call only).",
+	{Name: "vegapunk_serve_decode_seconds", Help: "Decoder call time per dispatched micro-batch, all its syndromes together.",
 		Hist: func(s *Service) *obs.Histogram { return s.met.decodeSeconds }},
 	{Name: "vegapunk_serve_copy_out_seconds", Help: "Pool-boundary copy-out and syndrome-check time per syndrome.",
 		Hist: func(s *Service) *obs.Histogram { return s.met.copyOutSeconds }},
@@ -63,12 +73,22 @@ var serviceFamilies = []obs.Family[*Service]{
 		Counter: func(s *Service) uint64 { return s.met.decoderHangs.Load() }},
 	{Name: "vegapunk_serve_decoder_bad_results_total", Help: "Decoder instances quarantined after a wrong-length result.",
 		Counter: func(s *Service) uint64 { return s.met.decoderBadResults.Load() }},
-	{Name: "vegapunk_serve_pool_hits_total", Help: "Dispatches served by the worker's decoder.",
-		Counter: func(s *Service) uint64 { return s.pool.Hits() }},
 	{Name: "vegapunk_serve_pool_misses_total", Help: "Dispatches that constructed the worker's decoder.",
 		Counter: func(s *Service) uint64 { return s.pool.Misses() }},
 	{Name: "vegapunk_serve_pool_size", Help: "Decoder instance bound.",
 		Gauge: func(s *Service) int64 { return int64(s.pool.Size()) }},
+	{Name: "vegapunk_decode_bp_converged_total", Help: "Decodes where plain BP reproduced the syndrome.",
+		Counter: func(s *Service) uint64 { return s.met.bpConverged.Load() }},
+	{Name: "vegapunk_decode_fallback_total", Help: "Decodes that engaged OSD/LSD fallback post-processing.",
+		Counter: func(s *Service) uint64 { return s.met.fallback.Load() }},
+	{Name: "vegapunk_decode_bp_iterations", Help: "BP message-passing iterations per decode.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.bpIters }},
+	{Name: "vegapunk_decode_hier_levels", Help: "Hierarchical outer levels per Vegapunk decode.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.hierLevels }},
+	{Name: "vegapunk_decode_lsd_cluster_checks", Help: "Largest LSD cluster check count per fallback decode.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.lsdClusterChecks }},
+	{Name: "vegapunk_decode_syndrome_weight", Help: "Hamming weight of decoded syndromes.",
+		Hist: func(s *Service) *obs.Histogram { return s.met.syndromeWeight }},
 }
 
 // wireFamilies is the listener-wide half of the replica's /metrics

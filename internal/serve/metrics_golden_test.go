@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"flag"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"vegapunk/internal/core"
+	"vegapunk/internal/gf2"
+	"vegapunk/internal/hier"
 	"vegapunk/internal/obs"
 )
 
@@ -41,11 +45,10 @@ func TestMetricsGolden(t *testing.T) {
 	}
 	got := rec.Body.String()
 
-	// The page renders three tables; CheckFamilies sees one at a time,
+	// The page renders two tables; CheckFamilies sees one at a time,
 	// so a name repeated across them is caught here.
 	seen := map[string]bool{}
-	for _, name := range slices.Concat(familyNames(serviceFamilies),
-		familyNames(obs.DecodeFamilies), familyNames(wireFamilies)) {
+	for _, name := range slices.Concat(familyNames(serviceFamilies), familyNames(wireFamilies)) {
 		if seen[name] {
 			t.Errorf("family %s is declared by two tables of the page", name)
 		}
@@ -98,6 +101,59 @@ func TestFamilyTablesWellFormed(t *testing.T) {
 	bare[0].Counter = nil
 	if len(obs.CheckFamilies(bare)) == 0 {
 		t.Error("a readerless wire family passed the check")
+	}
+}
+
+// scriptedStats is a decoder that answers with the zero correction and
+// reports the next entry of its script as the decode's stats.
+type scriptedStats struct {
+	est    gf2.Vec
+	script []core.Stats
+}
+
+func (d *scriptedStats) Name() string { return "scripted" }
+
+func (d *scriptedStats) Decode(gf2.Vec) (gf2.Vec, core.Stats) {
+	st := d.script[0]
+	d.script = d.script[1:]
+	return d.est, st
+}
+
+// TestDecodeTelemetryGating: the decoder telemetry a Service records
+// from each answer's stats observes a stage histogram only on decodes
+// where that stage ran, and observes every syndrome weight, 0 included.
+func TestDecodeTelemetryGating(t *testing.T) {
+	model, _ := testModel(t)
+	dec := &scriptedStats{est: gf2.NewVec(model.NumMech()), script: []core.Stats{
+		{BPIters: 12, BPConverged: true}, // a BP-only decode
+		{BPIters: 30, Fallback: true, Hier: hier.Trace{OuterIters: 2}, LSDMaxCluster: 5}, // every stage ran
+	}}
+	svc := newService("gating", model, "scripted", func() core.Decoder { return dec }, Config{PoolSize: 1})
+	defer svc.Close()
+
+	heavy := gf2.NewVec(model.NumDet)
+	heavy.Set(0, true)
+	heavy.Set(5, true)
+	var res Result
+	for _, s := range []gf2.Vec{heavy, gf2.NewVec(model.NumDet)} {
+		if err := svc.DecodeInto(context.Background(), &res, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m := svc.met
+	if m.bpConverged.Load() != 1 || m.fallback.Load() != 1 {
+		t.Errorf("counters: converged=%d fallback=%d, want 1 and 1", m.bpConverged.Load(), m.fallback.Load())
+	}
+	if m.bpIters.Count() != 2 {
+		t.Errorf("bpIters observed %d, want 2", m.bpIters.Count())
+	}
+	if m.hierLevels.Count() != 1 || m.lsdClusterChecks.Count() != 1 {
+		t.Errorf("stage histograms must observe only when the stage ran: hier=%d lsd=%d",
+			m.hierLevels.Count(), m.lsdClusterChecks.Count())
+	}
+	if m.syndromeWeight.Count() != 2 || m.syndromeWeight.Sum() != 2 {
+		t.Errorf("syndromeWeight observed %d with sum %g, want 2 with sum 2",
+			m.syndromeWeight.Count(), m.syndromeWeight.Sum())
 	}
 }
 

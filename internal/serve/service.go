@@ -79,7 +79,8 @@ type Result struct {
 	Stats core.Stats
 	// Per-stage latency breakdown in nanoseconds: admission to
 	// dispatch, the micro-batch assembly window the request rode in,
-	// the decoder call, and the pool-boundary copy-out.
+	// the decoder call for that whole micro-batch (shared by every
+	// syndrome in it), and this syndrome's pool-boundary copy-out.
 	QueueWaitNs, BatchAssembleNs, DecodeNs, CopyOutNs int64
 	// Deprecated: always core.TierFull, since every decode runs the
 	// decoder's constructed configuration. Kept only because
@@ -518,8 +519,22 @@ func (s *Service) process(w *workerState, lanes []*request) bool {
 
 		synWeight := req.syndrome.Weight()
 		s.met.copyOutSeconds.Observe(obs.DurSeconds(req.copyOutNs))
-		s.met.dec.Record(req.stats.BPIters, req.stats.BPConverged, req.stats.Fallback,
-			req.stats.Hier.OuterIters, req.stats.LSDMaxCluster, synWeight)
+		if req.stats.BPConverged {
+			s.met.bpConverged.Add(1)
+		}
+		if req.stats.Fallback {
+			s.met.fallback.Add(1)
+		}
+		if req.stats.BPIters > 0 {
+			s.met.bpIters.Observe(float64(req.stats.BPIters))
+		}
+		if req.stats.Hier.OuterIters > 0 {
+			s.met.hierLevels.Observe(float64(req.stats.Hier.OuterIters))
+		}
+		if req.stats.LSDMaxCluster > 0 {
+			s.met.lsdClusterChecks.Observe(float64(req.stats.LSDMaxCluster))
+		}
+		s.met.syndromeWeight.Observe(float64(synWeight))
 		if !req.satisfied {
 			s.met.unsatisfied.Add(1)
 		}
